@@ -12,6 +12,7 @@ import (
 	"schedfilter/internal/jit"
 	"schedfilter/internal/jolt"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
 	"schedfilter/internal/sched"
 	"schedfilter/internal/sim"
@@ -257,9 +258,10 @@ func BenchmarkListScheduler(b *testing.B) {
 	for i := range blocks {
 		blocks[i] = blockgen.GenBlock(r, blockgen.DefaultConfig, i)
 	}
+	s := sched.NewScratch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched.ScheduleInstrs(m, blocks[i%len(blocks)].Instrs)
+		sched.ScheduleInstrsScratch(m, blocks[i%len(blocks)].Instrs, s)
 	}
 }
 
@@ -338,7 +340,7 @@ func BenchmarkSchedulingPassLS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ApplyFilter(m, prog.Clone(), core.Always{})
+		core.Apply(m, prog.Clone(), policy.Always{}, core.Pass{})
 	}
 }
 

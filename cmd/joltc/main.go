@@ -84,7 +84,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			stats := core.ApplyFilter(tgt.Model, prog, filter)
+			stats := core.Apply(tgt.Model, prog, filter, core.Pass{})
 			fmt.Fprintf(os.Stderr, "joltc: scheduled under %s on %s: %d/%d blocks scheduled, %d reordered\n",
 				filter.Name(), tgt.Name, stats.Scheduled, stats.Blocks, stats.Changed)
 		}

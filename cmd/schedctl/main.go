@@ -9,17 +9,17 @@
 // Commands:
 //
 //	compile   -src FILE | -workload NAME [-listing] [-target T]
-//	schedule  -src FILE | -workload NAME [-policy P] [-filter F] [-no-cache] [-target T]
-//	predict   -src FILE | -workload NAME [-policy P] [-filter F] [-detail] [-target T]
-//	execute   -src FILE | -workload NAME [-policy P] [-filter F] [-untimed] [-target T]
+//	schedule  -src FILE | -workload NAME [-policy P] [-no-cache] [-target T]
+//	predict   -src FILE | -workload NAME [-policy P] [-detail] [-target T]
+//	execute   -src FILE | -workload NAME [-policy P] [-untimed] [-target T]
 //	health
 //	metrics   [-raw]
-//	trace     -src FILE | -workload NAME [-op schedule] [-id ID] [-policy P] [-filter F] [-target T]
+//	trace     -src FILE | -workload NAME [-op schedule] [-id ID] [-policy P] [-target T]
 //	cluster
 //	filters   list | activate -v N [-target T] | rollback [-target T]
 //	policies  list
 //	retrain   [-target T]
-//	loadgen   [-workload NAME] [-src FILE] [-policy P] [-filter F] [-target T] [-n 200] [-c 8]
+//	loadgen   [-workload NAME] [-src FILE] [-policy P] [-target T] [-n 200] [-c 8]
 //
 // Requests go through the shared retrying client (internal/httpc):
 // -timeout bounds one attempt, -retries re-attempts transient failures
@@ -28,9 +28,8 @@
 // gateway — the compile-path commands are identical either way.
 //
 // Policies: always|ls, never|ns, size:N, cost:N, portfolio:spec+spec
-// (see schedctl policies list for the server's registered kinds); the
-// -policy flag wins over -filter, the historical spelling of the same
-// choice, and empty means the server's default.
+// (see schedctl policies list for the server's registered kinds); an
+// empty -policy means the server's default.
 // Targets: registered machine names (schedctl health lists them); empty
 // means the server's default.
 //
@@ -61,7 +60,7 @@
 // rate and list-scheduler run count deltas scraped from /metrics — on a
 // repeated workload the hit rate should be ≥ 90% and scheduler runs
 // should stop growing after the first request. It also tallies which
-// filter version served each response, so a retrain-under-load run shows
+// policy version served each response, so a retrain-under-load run shows
 // the traffic mix flip from the old version to the new one, and which
 // node answered (the X-Sched-Node header), so a run against a gateway
 // shows the routing mix — including a node dying mid-run with zero
@@ -170,11 +169,10 @@ func (c *client) getText(path string, w io.Writer) error {
 
 // inputFlags registers the program-input and policy flags shared by
 // every compiler command.
-func inputFlags(fs *flag.FlagSet) (src, workload, filter, policy, target *string) {
+func inputFlags(fs *flag.FlagSet) (src, workload, policy, target *string) {
 	src = fs.String("src", "", "Jolt source file")
 	workload = fs.String("workload", "", "bundled benchmark name (alternative to -src)")
-	filter = fs.String("filter", "", "historical filter spelling: default, LS, NS, size:N")
-	policy = cliflags.Policy(fs, "", "scheduling policy spec (wins over -filter; empty = server default): always|ls, never|ns, size:N, cost:N, portfolio:spec+spec")
+	policy = cliflags.Policy(fs, "", "scheduling policy spec (empty = server default): always|ls, never|ns, size:N, cost:N, portfolio:spec+spec")
 	target = cliflags.TargetDefault(fs, "", "machine target (empty = server default; unknown names are rejected)")
 	return
 }
@@ -200,7 +198,7 @@ func makeInput(src, workload, target string) (server.ProgramInput, error) {
 
 func runRequest(c *client, cmd string, args []string) error {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	src, workload, filter, policySpec, target := inputFlags(fs)
+	src, workload, policySpec, target := inputFlags(fs)
 	listing := fs.Bool("listing", false, "compile: include the machine-code listing")
 	noCache := fs.Bool("no-cache", false, "schedule: bypass the scheduled-block cache")
 	detail := fs.Bool("detail", false, "predict: per-block decisions")
@@ -213,17 +211,16 @@ func runRequest(c *client, cmd string, args []string) error {
 		return err
 	}
 	in.Policy = *policySpec
-	spec := server.FilterSpec{Filter: *filter}
 	var req any
 	switch cmd {
 	case "compile":
 		req = server.CompileRequest{ProgramInput: in, Listing: *listing}
 	case "schedule":
-		req = server.ScheduleRequest{ProgramInput: in, FilterSpec: spec, NoCache: *noCache}
+		req = server.ScheduleRequest{ProgramInput: in, NoCache: *noCache}
 	case "predict":
-		req = server.PredictRequest{ProgramInput: in, FilterSpec: spec, Detail: *detail}
+		req = server.PredictRequest{ProgramInput: in, Detail: *detail}
 	case "execute":
-		req = server.ExecuteRequest{ProgramInput: in, FilterSpec: spec, Untimed: *untimed}
+		req = server.ExecuteRequest{ProgramInput: in, Untimed: *untimed}
 	}
 	r, err := c.post("/v1/"+cmd, req)
 	if err != nil {
@@ -257,8 +254,8 @@ func runCluster(c *client) error {
 		if m.Online {
 			state = fmt.Sprintf("online v%d", m.FilterVersion)
 		}
-		fmt.Printf("  %-12s %-28s healthy (%s, target %s, filter %q)\n",
-			m.Name, m.URL, state, m.Target, m.Filter)
+		fmt.Printf("  %-12s %-28s healthy (%s, target %s, policy %q)\n",
+			m.Name, m.URL, state, m.Target, m.Policy)
 	}
 	for _, tc := range resp.Convergence {
 		verdict := "NOT converged"
@@ -550,7 +547,7 @@ func (c *client) scrape() (vals map[string]int64, hasCache bool, err error) {
 
 func runLoadgen(c *client, args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	src, workload, filter, policySpec, target := inputFlags(fs)
+	src, workload, policySpec, target := inputFlags(fs)
 	n := fs.Int("n", 200, "total requests")
 	conc := fs.Int("c", 8, "concurrent clients")
 	if err := fs.Parse(args); err != nil {
@@ -564,7 +561,7 @@ func runLoadgen(c *client, args []string) error {
 		return err
 	}
 	in.Policy = *policySpec
-	req := server.ScheduleRequest{ProgramInput: in, FilterSpec: server.FilterSpec{Filter: *filter}}
+	req := server.ScheduleRequest{ProgramInput: in}
 
 	before, hasCache, err := c.scrape()
 	if err != nil {
@@ -577,7 +574,7 @@ func runLoadgen(c *client, args []string) error {
 		latencyMax atomic.Int64
 		next       atomic.Int64
 		wg         sync.WaitGroup
-		// versionMix tallies which filter version served each response —
+		// versionMix tallies which policy version served each response —
 		// under retrain-under-load the mix flips from the old version to
 		// the new one mid-run. nodeMix tallies which node answered
 		// (X-Sched-Node) — against a gateway it shows the routing split,
@@ -610,9 +607,9 @@ func runLoadgen(c *client, args []string) error {
 				var sr server.ScheduleResponse
 				ver := ""
 				if json.Unmarshal(r.Body, &sr) == nil {
-					ver = sr.Filter
+					ver = sr.Policy
 					if sr.FilterVersion > 0 {
-						ver = fmt.Sprintf("v%d %q", sr.FilterVersion, sr.Filter)
+						ver = fmt.Sprintf("v%d %q", sr.FilterVersion, sr.Policy)
 					}
 				}
 				mixMu.Lock()
@@ -646,8 +643,8 @@ func runLoadgen(c *client, args []string) error {
 	if prog == "" {
 		prog = *src
 	}
-	fmt.Printf("loadgen: %d requests, %d concurrent, prog=%s target=%s filter=%s\n",
-		*n, *conc, prog, orDefault(*target), orDefault(*filter))
+	fmt.Printf("loadgen: %d requests, %d concurrent, prog=%s target=%s policy=%s\n",
+		*n, *conc, prog, orDefault(*target), orDefault(*policySpec))
 	fmt.Printf("loadgen: wall %v, %.1f req/s, ok %d, failed %d\n",
 		wall.Round(time.Millisecond), float64(ok)/wall.Seconds(), ok, failures.Load())
 	if ok > 0 {

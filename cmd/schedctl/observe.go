@@ -117,7 +117,7 @@ func runTrace(c *client, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	op := fs.String("op", "schedule", "endpoint to trace: compile, schedule, predict, or execute")
 	id := fs.String("id", "", "trace ID to present (default: minted by the service)")
-	src, workload, filter, policySpec, target := inputFlags(fs)
+	src, workload, policySpec, target := inputFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -134,17 +134,16 @@ func runTrace(c *client, args []string) error {
 		return err
 	}
 	in.Policy = *policySpec
-	spec := server.FilterSpec{Filter: *filter}
 	var req any
 	switch *op {
 	case "compile":
 		req = server.CompileRequest{ProgramInput: in}
 	case "schedule":
-		req = server.ScheduleRequest{ProgramInput: in, FilterSpec: spec}
+		req = server.ScheduleRequest{ProgramInput: in}
 	case "predict":
-		req = server.PredictRequest{ProgramInput: in, FilterSpec: spec}
+		req = server.PredictRequest{ProgramInput: in}
 	case "execute":
-		req = server.ExecuteRequest{ProgramInput: in, FilterSpec: spec}
+		req = server.ExecuteRequest{ProgramInput: in}
 	}
 	if *id != "" {
 		c.SetHeader(obs.TraceHeader, *id)

@@ -1,23 +1,23 @@
 // Command schedserved is the compile-server daemon: scheduling-as-a-service
-// over HTTP/JSON. It boots a filter (from a persisted model file, or the
-// embedded factory model trained at t=20 over all bundled benchmarks),
+// over HTTP/JSON. It boots a policy (by default the induced filter from a
+// persisted model file, or the embedded factory model trained at t=20 over
+// all bundled benchmarks),
 // then serves compile / schedule / predict / execute requests on a bounded
 // worker pool with a shared content-addressed scheduled-block cache.
 //
 // Usage:
 //
-//	schedserved [-addr :8723] [-node NAME] [-model rules.txt] [-filter factory]
-//	            [-policy spec] [-workers N] [-queue N] [-cache WORDS] [-drain 10s]
+//	schedserved [-addr :8723] [-node NAME] [-model rules.txt] [-policy factory]
+//	            [-workers N] [-queue N] [-cache WORDS] [-drain 10s]
 //	            [-target mpc7410] [-log-level info]
 //	            [-online] [-retrain-every 0] [-spill DIR]
 //	            [-online-threshold 20] [-online-min 64] [-online-samples 4096]
 //
 // The -policy flag selects the default scheduling policy applied when a
-// request does not name one: "factory" (the loaded model) or any policy
-// spec — always/LS, never/NS, size:N, cost:N, portfolio:spec+spec,
-// rules:FILE. It wins over -filter, the historical spelling of the same
-// choice. Model files are produced by schedtrain -o or
-// schedfilter.SaveFilter.
+// request does not name one: "factory" (the loaded model, the default) or
+// any policy spec — always/LS, never/NS, size:N, cost:N,
+// portfolio:spec+spec, rules:FILE. Model files are produced by
+// schedtrain -o or schedfilter.SaveFilter.
 //
 // -online enables the online-learning loop: live traffic feeds per-target
 // sample reservoirs, POST /v1/retrain (or the -retrain-every ticker, when
@@ -80,14 +80,13 @@ func main() {
 	addr := flag.String("addr", ":8723", "listen address")
 	node := flag.String("node", "", "this instance's cluster node name, reported on /healthz and X-Sched-Node (default: the listen address)")
 	modelPath := flag.String("model", "", "model file to boot the induced filter from (default: embedded factory model)")
-	filterName := flag.String("filter", "factory", "historical default-filter spelling: factory, LS, NS, or size:N")
 	workers := flag.Int("workers", 0, "compile worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers); overflow is rejected with 429")
 	cacheWeight := flag.Int("cache", 0, "scheduled-block cache bound in words (0 = default)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	target := cliflags.TargetDefault(flag.CommandLine, schedfilter.DefaultTargetName, "default machine target for requests that don't name one")
-	policySpec := cliflags.Policy(flag.CommandLine, "",
-		"default scheduling policy (wins over -filter; \"factory\" = the loaded model): "+cliflags.PolicySyntax)
+	policySpec := cliflags.Policy(flag.CommandLine, "factory",
+		"default scheduling policy (\"factory\" = the loaded model): "+cliflags.PolicySyntax)
 	onlineFlag := flag.Bool("online", false, "enable the online-learning loop (live sampling, retraining, filter hot-swap)")
 	retrainEvery := flag.Duration("retrain-every", 0, "online: background retraining interval (0 = retrain only on POST /v1/retrain)")
 	spill := flag.String("spill", "", "online: directory for JSONL reservoir spill/restore (empty = in-memory only)")
@@ -110,11 +109,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	name := *filterName
-	if *policySpec != "" {
-		name = *policySpec
-	}
-	filter, err := pickFilter(name, *target, induced)
+	pol, err := pickPolicy(*policySpec, *target, induced)
 	if err != nil {
 		fatal(err)
 	}
@@ -124,7 +119,7 @@ func main() {
 	}
 	s := server.New(server.Config{
 		Node:        *node,
-		Filter:      filter,
+		Filter:      pol,
 		Workers:     *workers,
 		QueueDepth:  *queue,
 		CacheWeight: *cacheWeight,
@@ -144,7 +139,7 @@ func main() {
 	}
 	logger.Info("listening",
 		"addr", *addr, "node", *node, "target", *target,
-		"filter", filter.Name(), "model_rules", len(induced.Rules.Rules), "mode", mode)
+		"policy", pol.Name(), "model_rules", len(induced.Rules.Rules), "mode", mode)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -169,11 +164,11 @@ func loadModel(path, target string) (*schedfilter.InducedFilter, error) {
 	return schedfilter.LoadFilterFor(path, target)
 }
 
-// pickFilter resolves the default serving policy: "factory" (or
+// pickPolicy resolves the default serving policy: "factory" (or
 // "ripper") selects the loaded model, everything else goes through the
 // shared policy-spec resolver (always/LS, never/NS, size:N, cost:N,
 // portfolio:..., rules:FILE).
-func pickFilter(name, target string, induced *schedfilter.InducedFilter) (schedfilter.Filter, error) {
+func pickPolicy(name, target string, induced *schedfilter.InducedFilter) (schedfilter.Policy, error) {
 	if strings.EqualFold(name, "factory") || strings.EqualFold(name, "ripper") {
 		return induced, nil
 	}

@@ -143,7 +143,7 @@ func main() {
 // comparePolicies scores the reference policy against the trained
 // filter on the collected data: per-benchmark predicted time relative
 // to never-scheduling, plus how many blocks each sends to the scheduler.
-func comparePolicies(data []*training.BenchData, trained, ref schedfilter.Filter) {
+func comparePolicies(data []*training.BenchData, trained, ref schedfilter.Policy) {
 	fmt.Fprintf(os.Stderr, "schedtrain: %-10s %16s %16s\n", "benchmark",
 		"trained %NS(LS#)", ref.Name()+" %NS(LS#)")
 	for _, bd := range data {

@@ -33,7 +33,7 @@ func main() {
 
 	type row struct {
 		name   string
-		filter schedfilter.Filter
+		filter schedfilter.Policy
 	}
 	rows := []row{
 		{"NS (never schedule)", schedfilter.NeverSchedule},

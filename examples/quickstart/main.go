@@ -56,7 +56,7 @@ func main() {
 	}
 
 	// Run the program under the two fixed protocols.
-	for _, f := range []schedfilter.Filter{schedfilter.NeverSchedule, schedfilter.AlwaysSchedule} {
+	for _, f := range []schedfilter.Policy{schedfilter.NeverSchedule, schedfilter.AlwaysSchedule} {
 		p := prog.Clone()
 		stats := schedfilter.Schedule(m, p, f)
 		res, err := schedfilter.Execute(p, m, true)

@@ -50,7 +50,7 @@ func main() {
 // classificationError recomputes the paper's test-set error: over the
 // held-out benchmark's labelled instances, how often does the filter
 // disagree with the label?
-func classificationError(f schedfilter.Filter, bd *schedfilter.BenchData, t int) float64 {
+func classificationError(f schedfilter.Policy, bd *schedfilter.BenchData, t int) float64 {
 	total, wrong := 0, 0
 	for i := range bd.Records {
 		r := &bd.Records[i]

@@ -38,10 +38,10 @@ import (
 	"fmt"
 
 	"schedfilter/internal/bytecode"
-	"schedfilter/internal/core"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/jit"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/sim"
 )
 
@@ -56,10 +56,7 @@ type Config struct {
 	// Policy gates the list scheduler inside the optimized tier (the
 	// whether-to-schedule decision procedure); nil means always schedule
 	// (plain LS at the top tier).
-	Policy core.Filter
-	// Filter is the historical name for Policy; it is consulted only
-	// when Policy is nil.
-	Filter core.Filter
+	Policy policy.Policy
 	// Module, when set, lets workers recompile promoted functions from
 	// bytecode through the full JIT pipeline (jit.CompileFn); without it
 	// they clone the baseline machine code before scheduling it.
@@ -98,12 +95,8 @@ func (cfg Config) withDefaults() (Config, error) {
 		cfg.Model = tgt.Model
 	}
 	if cfg.Policy == nil {
-		cfg.Policy = cfg.Filter
+		cfg.Policy = policy.Always{}
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = core.Always{}
-	}
-	cfg.Filter = cfg.Policy
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 25000
 	}

@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"schedfilter/internal/bytecode"
-	"schedfilter/internal/core"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/jit"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/sim"
 	"schedfilter/internal/training"
 	"schedfilter/internal/workloads"
@@ -134,7 +134,7 @@ func TestNeverFilterSchedulesNothing(t *testing.T) {
 	}
 	res, err := Run(prog, Config{
 		Model:       m,
-		Filter:      core.Never{},
+		Policy:      policy.Never{},
 		SampleEvery: 5000,
 	})
 	if err != nil {

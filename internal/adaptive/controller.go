@@ -173,7 +173,7 @@ func (c *controller) worker() {
 	for jb := range c.jobs {
 		start := time.Now()
 		nf := c.recompile(jb)
-		stats := core.ApplyFilterFn(c.cfg.Model, nf, c.cfg.Policy)
+		stats := core.Apply(c.cfg.Model, &ir.Program{Fns: []*ir.Fn{nf}}, c.cfg.Policy, core.Pass{})
 		c.done <- compiledFn{fn: jb.fn, newFn: nf, stats: stats, elapsed: time.Since(start)}
 	}
 }

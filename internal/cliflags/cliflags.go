@@ -13,7 +13,6 @@ import (
 	"io"
 	"strings"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/obs"
 	"schedfilter/internal/policy"
@@ -49,8 +48,8 @@ func Jobs(fs *flag.FlagSet, usage string) *int {
 }
 
 // Policy registers the standard -policy flag. An empty default means
-// "unset" — commands treat that as their historical behavior (the
-// -filter flag, the -sched flag, or the server's own default).
+// "unset" — commands treat that as their historical behavior (the -sched
+// flag, or the server's own default).
 func Policy(fs *flag.FlagSet, def, usage string) *string {
 	if usage == "" {
 		usage = "scheduling policy: " + PolicySyntax
@@ -83,7 +82,7 @@ func NewLogger(w io.Writer, level string) (*obs.Logger, error) {
 // a policy-kind or training-target mismatch, like LoadFilterFor),
 // anything else goes through the policy-spec registry with target as
 // the machine context.
-func ResolvePolicy(spec, target string) (core.Filter, error) {
+func ResolvePolicy(spec, target string) (policy.Policy, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, nil

@@ -83,7 +83,7 @@ type MemberStatus struct {
 	// Fields below mirror the member's own /healthz report.
 	Node          string                         `json:"node,omitempty"`
 	Target        string                         `json:"target,omitempty"`
-	Filter        string                         `json:"filter,omitempty"`
+	Policy        string                         `json:"policy,omitempty"`
 	FilterVersion int                            `json:"filter_version,omitempty"`
 	Online        bool                           `json:"online,omitempty"`
 	Draining      bool                           `json:"draining,omitempty"`

@@ -104,7 +104,7 @@ func main() int { return work(%d); }
 }
 
 // scheduleVia posts one schedule request and returns (status, node).
-func scheduleVia(t *testing.T, base string, req server.ScheduleRequest) (int, string) {
+func scheduleVia(t *testing.T, base string, req any) (int, string) {
 	t.Helper()
 	buf, err := json.Marshal(req)
 	if err != nil {
@@ -163,8 +163,7 @@ func TestRoutingDeterministic(t *testing.T) {
 		hit[want] = true
 		for round := 0; round < 2; round++ {
 			code, node := scheduleVia(t, tc.gwts.URL, server.ScheduleRequest{
-				ProgramInput: server.ProgramInput{Source: src},
-				FilterSpec:   server.FilterSpec{Filter: "LS"},
+				ProgramInput: server.ProgramInput{Source: src, Policy: "LS"},
 			})
 			if code != 200 {
 				t.Fatalf("program %d round %d: HTTP %d", i, round, code)
@@ -208,8 +207,7 @@ func TestKillNodeZeroRequestsLost(t *testing.T) {
 					killOnce.Do(func() { tc.listens[0].Close() })
 				}
 				code, _ := scheduleVia(t, tc.gwts.URL, server.ScheduleRequest{
-					ProgramInput: server.ProgramInput{Source: testProgram(int(i) % 10)},
-					FilterSpec:   server.FilterSpec{Filter: "LS"},
+					ProgramInput: server.ProgramInput{Source: testProgram(int(i) % 10), Policy: "LS"},
 				})
 				if code != 200 {
 					failed.Add(1)
@@ -229,8 +227,7 @@ func TestKillNodeZeroRequestsLost(t *testing.T) {
 	// The survivors now cover n1's keys.
 	for i := 0; i < 10; i++ {
 		code, node := scheduleVia(t, tc.gwts.URL, server.ScheduleRequest{
-			ProgramInput: server.ProgramInput{Source: testProgram(i)},
-			FilterSpec:   server.FilterSpec{Filter: "LS"},
+			ProgramInput: server.ProgramInput{Source: testProgram(i), Policy: "LS"},
 		})
 		if code != 200 {
 			t.Fatalf("post-kill program %d: HTTP %d", i, code)
@@ -274,8 +271,7 @@ func TestRetrainActivateConverges(t *testing.T) {
 	for i, ts := range tc.listens {
 		for p := 0; p < 4; p++ {
 			code, body := postVia(t, ts.URL, "/v1/schedule", server.ScheduleRequest{
-				ProgramInput: server.ProgramInput{Source: testProgram(p)},
-				FilterSpec:   server.FilterSpec{Filter: "default"},
+				ProgramInput: server.ProgramInput{Source: testProgram(p), Policy: "default"},
 			})
 			if code != 200 {
 				t.Fatalf("seed %s program %d: HTTP %d: %s", tc.names[i], p, code, body)
@@ -369,8 +365,7 @@ func TestBatchFansAcrossShards(t *testing.T) {
 	items := make([]json.RawMessage, 9)
 	for i := range items {
 		buf, err := json.Marshal(server.ScheduleRequest{
-			ProgramInput: server.ProgramInput{Source: testProgram(i)},
-			FilterSpec:   server.FilterSpec{Filter: "LS"},
+			ProgramInput: server.ProgramInput{Source: testProgram(i), Policy: "LS"},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -422,8 +417,7 @@ func TestBatchCoalescesDuplicates(t *testing.T) {
 	items := make([]json.RawMessage, len(shape))
 	for i, p := range shape {
 		buf, err := json.Marshal(server.ScheduleRequest{
-			ProgramInput: server.ProgramInput{Source: testProgram(p)},
-			FilterSpec:   server.FilterSpec{Filter: "LS"},
+			ProgramInput: server.ProgramInput{Source: testProgram(p), Policy: "LS"},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -495,8 +489,7 @@ func TestDrainingBackendLeavesRotation(t *testing.T) {
 	}
 	for i := 0; i < 12; i++ {
 		code, node := scheduleVia(t, tc.gwts.URL, server.ScheduleRequest{
-			ProgramInput: server.ProgramInput{Source: testProgram(i)},
-			FilterSpec:   server.FilterSpec{Filter: "LS"},
+			ProgramInput: server.ProgramInput{Source: testProgram(i), Policy: "LS"},
 		})
 		if code != 200 {
 			t.Fatalf("program %d: HTTP %d", i, code)
@@ -551,8 +544,7 @@ func TestNoHealthyBackends(t *testing.T) {
 	tc.listens[0].Close()
 	tc.gw.CheckNow()
 	code, _ := scheduleVia(t, tc.gwts.URL, server.ScheduleRequest{
-		ProgramInput: server.ProgramInput{Source: testProgram(0)},
-		FilterSpec:   server.FilterSpec{Filter: "LS"},
+		ProgramInput: server.ProgramInput{Source: testProgram(0), Policy: "LS"},
 	})
 	if code != 503 {
 		t.Fatalf("HTTP %d with zero healthy backends, want 503", code)
@@ -577,7 +569,7 @@ func TestNewRejectsDuplicateNames(t *testing.T) {
 func TestDefaultPolicyInjection(t *testing.T) {
 	tc := newTestCluster(t, 2, false, func(c *Config) { c.DefaultPolicy = "never" })
 
-	post := func(req server.ScheduleRequest) server.ScheduleResponse {
+	post := func(req any) server.ScheduleResponse {
 		t.Helper()
 		status, body := postVia(t, tc.gwts.URL, "/v1/schedule", req)
 		if status != http.StatusOK {
@@ -606,12 +598,28 @@ func TestDefaultPolicyInjection(t *testing.T) {
 			pinned.Policy, pinned.PolicyID)
 	}
 
-	filtered := post(server.ScheduleRequest{
-		ProgramInput: server.ProgramInput{Source: testProgram(0)},
-		FilterSpec:   server.FilterSpec{Filter: "size:7"},
-	})
+	filtered := post(map[string]string{"source": testProgram(0), "filter": "size:7"})
 	if filtered.PolicyID != "size>=7" {
 		t.Errorf("pinned filter should pass through: policy %q id %q, want id size>=7",
 			filtered.Policy, filtered.PolicyID)
+	}
+}
+
+// During the deprecation window of the "filter" request field, a request
+// that carries only "filter" routes to the same member as the equivalent
+// "policy" request, so clients keep their cache affinity while they
+// migrate.
+func TestFilterFieldRoutesLikePolicy(t *testing.T) {
+	tc := newTestCluster(t, 3, false, nil)
+	for i := 0; i < 8; i++ {
+		src := testProgram(i)
+		code, byPolicy := scheduleVia(t, tc.gwts.URL, map[string]string{"source": src, "policy": "LS"})
+		code2, byFilter := scheduleVia(t, tc.gwts.URL, map[string]string{"source": src, "filter": "LS"})
+		if code != 200 || code2 != 200 {
+			t.Fatalf("program %d: HTTP %d (policy) / %d (filter)", i, code, code2)
+		}
+		if byFilter != byPolicy {
+			t.Fatalf("program %d: filter request served by %s, policy request by %s", i, byFilter, byPolicy)
+		}
 	}
 }

@@ -184,7 +184,7 @@ func (g *Gateway) route(ctx context.Context, path, traceID string, body []byte) 
 		return proxyResult{status: http.StatusBadRequest,
 			body: mustJSON(server.ErrorResponse{Error: "bad request: " + err.Error()})}
 	}
-	// Policy wins over the historical filter selector, mirroring the
+	// Policy wins over the deprecated filter selector, mirroring the
 	// backend's resolution order; both empty means the backend default —
 	// or the gateway's, when one is configured.
 	spec := pin.Policy
@@ -644,7 +644,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, _ *http.Request) {
 			ms.Error = h.err
 			ms.Node = h.resp.Node
 			ms.Target = h.resp.Target
-			ms.Filter = h.resp.Filter
+			ms.Policy = h.resp.Policy
 			ms.FilterVersion = h.resp.FilterVersion
 			ms.Online = h.resp.Online
 			ms.Draining = h.resp.Draining

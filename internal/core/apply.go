@@ -1,3 +1,14 @@
+// Package core implements the paper's primary contribution: deciding,
+// per basic block, whether running the list scheduler is worth it, applied
+// inside the scheduling phase and charged to it.
+//
+// The decision procedure itself is policy.Policy (the fixed NS/LS
+// protocols, size and cost thresholds, the induced L/N filter, portfolios);
+// a policy consumes only the cheap single-pass features of
+// internal/features. Apply runs one policy-gated scheduling pass over a
+// compiled program and times the whole phase — including feature
+// extraction and policy evaluation, as the paper requires ("the time to
+// apply the filter was included in the cost we attribute to scheduling").
 package core
 
 import (
@@ -7,6 +18,7 @@ import (
 	"schedfilter/internal/features"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/sched"
 )
 
@@ -14,7 +26,7 @@ import (
 type Stats struct {
 	// Blocks is the number of candidate blocks.
 	Blocks int
-	// Scheduled is how many blocks the filter sent to the scheduler
+	// Scheduled is how many blocks the policy sent to the scheduler
 	// (the paper's run-time "LS" classification count).
 	Scheduled int
 	// NotScheduled is the complement (run-time "NS" count).
@@ -22,125 +34,95 @@ type Stats struct {
 	// Changed is how many scheduled blocks actually changed order.
 	Changed int
 	// SchedTime is the wall-clock time of the whole pass, including
-	// feature extraction and filter evaluation.
+	// feature extraction and policy evaluation.
 	SchedTime time.Duration
-	// CostBefore and CostAfter sum the estimator costs of all candidate
+	// CostBefore and CostAfter sum the estimator costs of all scheduled
 	// blocks before and after the pass.
 	CostBefore int64
 	CostAfter  int64
-	// CacheHits and CacheMisses split Scheduled for cached passes
-	// (ApplyFilterCached): blocks replayed from the content-addressed
-	// cache vs actually run through the list scheduler. Both zero for
-	// uncached passes.
+	// CacheHits and CacheMisses split Scheduled for passes with a
+	// Pass.Cache: blocks replayed from the content-addressed cache vs
+	// actually run through the list scheduler. Both zero otherwise.
 	CacheHits   int
 	CacheMisses int
-	// Phases is the per-phase wall-time breakdown of the pass
-	// (cache lookup, DAG build, list schedule, estimator). Populated
-	// only by the timed pass variants (ApplyFilterCachedTimed); all
-	// zero otherwise.
+	// Phases is the per-phase wall-time breakdown of the pass (cache
+	// lookup, DAG build, list schedule, estimator). Populated only when
+	// Pass.Timed is set; all zero otherwise.
 	Phases sched.PhaseTimes
 }
 
-// ApplyFilter runs the scheduling phase over every block of the program,
-// in place: blocks the filter approves are list-scheduled, the rest are
-// left in their original order. It returns pass statistics.
+// Pass configures one scheduling pass.
+type Pass struct {
+	// Cache, when non-nil, is the content-addressed scheduled-block
+	// cache: approved blocks are looked up by fingerprint first, and only
+	// misses run the list scheduler (the result is then inserted for the
+	// next identical block). Across repeated compile requests nearly
+	// every block is a replay.
+	Cache *codecache.Cache
+	// Timed turns on the scratch's phase timing so Stats.Phases carries
+	// the breakdown the serving layer feeds into traces and histograms.
+	// It costs two monotonic clock reads per phase and no allocations.
+	Timed bool
+}
+
+// Apply runs the scheduling phase over every block of the program, in
+// place: blocks the policy approves are list-scheduled, the rest are left
+// in their original order. It returns pass statistics.
 //
 // The fixed protocols short-circuit exactly as a production JIT would: NS
 // does no work at all, LS skips feature extraction, and only the filtered
-// protocol pays for features plus rule evaluation.
-func ApplyFilter(m *machine.Model, p *ir.Program, f Filter) Stats {
-	return ApplyFilterCached(m, p, f, nil)
-}
-
-// ApplyFilterCached is ApplyFilter backed by a content-addressed
-// scheduled-block cache: blocks the filter approves are looked up by
-// fingerprint first, and only cache misses run the list scheduler (the
-// result is then inserted for the next identical block). A nil cache
-// degrades to ApplyFilter. This is the compile service's scheduling entry
-// point — across repeated requests nearly every block is a replay.
-func ApplyFilterCached(m *machine.Model, p *ir.Program, f Filter, c *codecache.Cache) Stats {
+// protocols pay for features plus the policy decision.
+func Apply(m *machine.Model, p *ir.Program, f policy.Policy, o Pass) Stats {
 	var st Stats
 	start := time.Now()
 	s := sched.GetScratch()
-	for _, fn := range p.Fns {
-		applyFnBlocks(m, fn, f, c, s, &st)
+	if o.Timed {
+		s.StartTiming()
 	}
-	sched.PutScratch(s)
-	st.SchedTime = time.Since(start)
-	return st
-}
-
-// ApplyFilterCachedTimed is ApplyFilterCached with the scratch's phase
-// timing enabled: the returned stats carry the per-phase wall-time
-// breakdown (Stats.Phases) the serving layer feeds into traces and
-// histograms. The breakdown costs two monotonic clock reads per phase
-// and adds no allocations to the hot path; callers that don't need it
-// should use ApplyFilterCached.
-func ApplyFilterCachedTimed(m *machine.Model, p *ir.Program, f Filter, c *codecache.Cache) Stats {
-	var st Stats
-	start := time.Now()
-	s := sched.GetScratch()
-	s.StartTiming()
+	_, always := f.(policy.Always)
+	_, never := f.(policy.Never)
 	for _, fn := range p.Fns {
-		applyFnBlocks(m, fn, f, c, s, &st)
-	}
-	st.Phases = s.StopTiming()
-	sched.PutScratch(s)
-	st.SchedTime = time.Since(start)
-	return st
-}
-
-// ApplyFilterFn runs the same filter-driven scheduling pass over a single
-// function in place — the per-function recompilation entry point the
-// adaptive tier's background compiler uses.
-func ApplyFilterFn(m *machine.Model, fn *ir.Fn, f Filter) Stats {
-	var st Stats
-	start := time.Now()
-	s := sched.GetScratch()
-	applyFnBlocks(m, fn, f, nil, s, &st)
-	sched.PutScratch(s)
-	st.SchedTime = time.Since(start)
-	return st
-}
-
-func applyFnBlocks(m *machine.Model, fn *ir.Fn, f Filter, c *codecache.Cache, s *sched.Scratch, st *Stats) {
-	_, always := f.(Always)
-	_, never := f.(Never)
-	for _, b := range fn.Blocks {
-		st.Blocks++
-		if never {
-			st.NotScheduled++
-			continue
-		}
-		if !always {
-			v := features.ExtractBlock(b)
-			if schedule, _ := f.Decide(v); !schedule {
+		for _, b := range fn.Blocks {
+			st.Blocks++
+			if never {
 				st.NotScheduled++
 				continue
 			}
-		}
-		st.Scheduled++
-		res, hit := sched.ScheduleBlockCachedScratch(m, b, c, s)
-		if c != nil {
-			if hit {
-				st.CacheHits++
-			} else {
-				st.CacheMisses++
+			if !always {
+				if schedule, _ := f.Decide(features.ExtractBlock(b)); !schedule {
+					st.NotScheduled++
+					continue
+				}
+			}
+			st.Scheduled++
+			res, hit := sched.ScheduleBlock(m, b, o.Cache, s)
+			if o.Cache != nil {
+				if hit {
+					st.CacheHits++
+				} else {
+					st.CacheMisses++
+				}
+			}
+			st.CostBefore += int64(res.CostBefore)
+			st.CostAfter += int64(res.CostAfter)
+			if res.Changed {
+				st.Changed++
 			}
 		}
-		st.CostBefore += int64(res.CostBefore)
-		st.CostAfter += int64(res.CostAfter)
-		if res.Changed {
-			st.Changed++
-		}
 	}
+	if o.Timed {
+		st.Phases = s.StopTiming()
+	}
+	sched.PutScratch(s)
+	st.SchedTime = time.Since(start)
+	return st
 }
 
 // Decide runs only the decision part of the pass (no scheduling) and
 // returns per-block decisions in program order. Used to compare protocols
 // without mutating a program, and to dedupe identical decision vectors
 // across thresholds.
-func Decide(p *ir.Program, f Filter) []bool {
+func Decide(p *ir.Program, f policy.Policy) []bool {
 	out := make([]bool, 0, p.NumBlocks())
 	for _, fn := range p.Fns {
 		for _, b := range fn.Blocks {

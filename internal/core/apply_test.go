@@ -1,0 +1,122 @@
+package core
+
+import (
+	"os"
+	"testing"
+
+	"schedfilter/internal/codecache"
+	"schedfilter/internal/features"
+	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
+	"schedfilter/internal/sched"
+)
+
+// TestApply is the oracle for the one scheduling pass: for every policy,
+// with no cache or a warm one, timed or not, Apply must leave exactly the
+// block orders the reference scheduler produces over the blocks the policy
+// approves, report the reference's cost totals, and agree with every other
+// configuration on its stats.
+func TestApply(t *testing.T) {
+	m := machine.Default().Model
+	base := genProgram(21, 48)
+	text, err := os.ReadFile("../../cmd/schedserved/factory_model.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := policy.ParseInduced(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := []struct {
+		name string
+		f    policy.Policy
+	}{
+		{"always", policy.Always{}},
+		{"never", policy.Never{}},
+		{"size5", policy.SizeThreshold{MinLen: 5}},
+		{"factory", factory},
+	}
+	for _, pc := range policies {
+		want := base.Clone()
+		var wantSt Stats
+		for _, fn := range want.Fns {
+			for _, b := range fn.Blocks {
+				wantSt.Blocks++
+				if !policy.Schedules(pc.f, features.ExtractBlock(b)) {
+					wantSt.NotScheduled++
+					continue
+				}
+				wantSt.Scheduled++
+				res := sched.ScheduleInstrsReference(m, b.Instrs)
+				b.Instrs = res.Apply(b.Instrs)
+				wantSt.CostBefore += int64(res.CostBefore)
+				wantSt.CostAfter += int64(res.CostAfter)
+				if res.Changed {
+					wantSt.Changed++
+				}
+			}
+		}
+		t.Logf("%s: %d of %d blocks approved", pc.name, wantSt.Scheduled, wantSt.Blocks)
+
+		// The cold pass that warms the cache must already match the
+		// reference; the warm rows below then replay every block.
+		warm := codecache.New(1 << 16)
+		cold := base.Clone()
+		if st := Apply(m, cold, pc.f, Pass{Cache: warm}); cold.String() != want.String() ||
+			st.CostAfter != wantSt.CostAfter || st.CacheHits+st.CacheMisses != wantSt.Scheduled {
+			t.Fatalf("%s: cold cached pass diverged from the reference: %+v", pc.name, st)
+		}
+		for _, cache := range []*codecache.Cache{nil, warm} {
+			for _, timed := range []bool{false, true} {
+				name := pc.name + "/nocache"
+				if cache != nil {
+					name = pc.name + "/warm"
+				}
+				if timed {
+					name += "/timed"
+				}
+				t.Run(name, func(t *testing.T) {
+					var lookups int64
+					if cache != nil {
+						cs := cache.Stats()
+						lookups = cs.Hits + cs.Misses
+					}
+					p := base.Clone()
+					st := Apply(m, p, pc.f, Pass{Cache: cache, Timed: timed})
+
+					if st.Blocks != wantSt.Blocks || st.Scheduled != wantSt.Scheduled ||
+						st.NotScheduled != wantSt.NotScheduled || st.Changed != wantSt.Changed ||
+						st.CostBefore != wantSt.CostBefore || st.CostAfter != wantSt.CostAfter {
+						t.Fatalf("stats %+v, reference %+v", st, wantSt)
+					}
+					if p.String() != want.String() {
+						t.Fatal("block orders differ from the reference scheduler's")
+					}
+					if cache == nil {
+						if st.CacheHits != 0 || st.CacheMisses != 0 {
+							t.Errorf("uncached pass reported cache traffic: %+v", st)
+						}
+					} else {
+						if st.CacheMisses != 0 || st.CacheHits != st.Scheduled {
+							t.Errorf("warm pass: %d hits, %d misses for %d scheduled blocks",
+								st.CacheHits, st.CacheMisses, st.Scheduled)
+						}
+						cs := cache.Stats()
+						if got := cs.Hits + cs.Misses - lookups; got != int64(st.Scheduled) {
+							t.Errorf("pass made %d cache lookups for %d scheduled blocks", got, st.Scheduled)
+						}
+					}
+					if !timed && st.Phases != (sched.PhaseTimes{}) {
+						t.Errorf("untimed pass reported phases: %+v", st.Phases)
+					}
+					if timed && st.Scheduled > 0 && st.Phases.Total() <= 0 {
+						t.Errorf("timed pass recorded no phase time: %+v", st.Phases)
+					}
+					if st.SchedTime <= 0 {
+						t.Error("pass reported zero wall time")
+					}
+				})
+			}
+		}
+	}
+}

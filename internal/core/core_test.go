@@ -8,6 +8,7 @@ import (
 	"schedfilter/internal/features"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
 )
 
@@ -21,17 +22,17 @@ func genProgram(seed int64, nBlocks int) *ir.Program {
 }
 
 func TestFixedFilterNames(t *testing.T) {
-	if (Always{}).Name() != "LS" || (Never{}).Name() != "NS" {
+	if (policy.Always{}).Name() != "LS" || (policy.Never{}).Name() != "NS" {
 		t.Error("fixed protocol names wrong")
 	}
 	var v features.Vector
-	if !(Always{}).ShouldSchedule(v) || (Never{}).ShouldSchedule(v) {
+	if !(policy.Always{}).ShouldSchedule(v) || (policy.Never{}).ShouldSchedule(v) {
 		t.Error("fixed protocol decisions wrong")
 	}
 }
 
 func TestSizeThreshold(t *testing.T) {
-	f := SizeThreshold{MinLen: 7}
+	f := policy.SizeThreshold{MinLen: 7}
 	var small, big features.Vector
 	small[0] = 6
 	big[0] = 7
@@ -50,7 +51,7 @@ func TestApplyFilterNeverDoesNothing(t *testing.T) {
 	m := machine.Default().Model
 	p := genProgram(1, 12)
 	orig := p.Clone()
-	st := ApplyFilter(m, p, Never{})
+	st := Apply(m, p, policy.Never{}, Pass{})
 	if st.Scheduled != 0 || st.NotScheduled != 12 || st.Blocks != 12 {
 		t.Errorf("NS stats = %+v", st)
 	}
@@ -62,7 +63,7 @@ func TestApplyFilterNeverDoesNothing(t *testing.T) {
 func TestApplyFilterAlwaysSchedulesAll(t *testing.T) {
 	m := machine.Default().Model
 	p := genProgram(2, 12)
-	st := ApplyFilter(m, p, Always{})
+	st := Apply(m, p, policy.Always{}, Pass{})
 	if st.Scheduled != 12 || st.NotScheduled != 0 {
 		t.Errorf("LS stats = %+v", st)
 	}
@@ -74,7 +75,7 @@ func TestApplyFilterAlwaysSchedulesAll(t *testing.T) {
 func TestApplyFilterPartitionsBlocks(t *testing.T) {
 	m := machine.Default().Model
 	p := genProgram(3, 20)
-	st := ApplyFilter(m, p, SizeThreshold{MinLen: 25})
+	st := Apply(m, p, policy.SizeThreshold{MinLen: 25}, Pass{})
 	if st.Scheduled+st.NotScheduled != st.Blocks {
 		t.Errorf("stats do not partition: %+v", st)
 	}
@@ -86,7 +87,7 @@ func TestApplyFilterPartitionsBlocks(t *testing.T) {
 func TestApplyFilterTimesThePass(t *testing.T) {
 	m := machine.Default().Model
 	p := genProgram(4, 10)
-	st := ApplyFilter(m, p, Always{})
+	st := Apply(m, p, policy.Always{}, Pass{})
 	if st.SchedTime <= 0 {
 		t.Error("scheduling pass reported zero time")
 	}
@@ -95,9 +96,9 @@ func TestApplyFilterTimesThePass(t *testing.T) {
 func TestDecideMatchesApply(t *testing.T) {
 	m := machine.Default().Model
 	p := genProgram(5, 16)
-	f := SizeThreshold{MinLen: 20}
+	f := policy.SizeThreshold{MinLen: 20}
 	dec := Decide(p, f)
-	st := ApplyFilter(m, p.Clone(), f)
+	st := Apply(m, p.Clone(), f, Pass{})
 	yes := 0
 	for _, d := range dec {
 		if d {
@@ -105,7 +106,7 @@ func TestDecideMatchesApply(t *testing.T) {
 		}
 	}
 	if yes != st.Scheduled {
-		t.Errorf("Decide says %d blocks, ApplyFilter scheduled %d", yes, st.Scheduled)
+		t.Errorf("Decide says %d blocks, Apply scheduled %d", yes, st.Scheduled)
 	}
 }
 
@@ -115,7 +116,7 @@ func TestInducedFilterDelegatesToRules(t *testing.T) {
 		Names: features.Names[:],
 		Rules: []ripper.Rule{{Conds: []ripper.Condition{{Attr: 0, LE: false, Val: 10}}}},
 	}
-	f := NewInduced(rs, "")
+	f := policy.NewInduced(rs, "")
 	var small, big features.Vector
 	small[0] = 5
 	big[0] = 15

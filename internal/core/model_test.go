@@ -6,12 +6,13 @@ import (
 
 	"schedfilter/internal/codecache"
 	"schedfilter/internal/features"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
 )
 
-func parseT(t *testing.T, text string) *Induced {
+func parseT(t *testing.T, text string) *policy.Induced {
 	t.Helper()
-	f, err := ParseInduced(text)
+	f, err := policy.ParseInduced(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +24,8 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewInducedFor(rs, "L/N t=20", "mpc7410")
-	back := parseT(t, FormatInduced(f))
+	f := policy.NewInducedFor(rs, "L/N t=20", "mpc7410")
+	back := parseT(t, policy.FormatInduced(f))
 	if back.Label != f.Label || back.Target != f.Target {
 		t.Fatalf("headers lost: %q/%q vs %q/%q", back.Label, back.Target, f.Label, f.Target)
 	}
@@ -34,7 +35,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 }
 
 func TestFilterIDFixedProtocols(t *testing.T) {
-	if FilterID(Always{}) != "LS" || FilterID(Never{}) != "NS" {
+	if policy.ID(policy.Always{}) != "LS" || policy.ID(policy.Never{}) != "NS" {
 		t.Error("fixed protocols must be identified by name")
 	}
 }
@@ -50,22 +51,22 @@ func TestFilterIDSameLabelDifferentRules(t *testing.T) {
 	if a.Name() != b.Name() {
 		t.Fatalf("test needs identical display names, got %q vs %q", a.Name(), b.Name())
 	}
-	if FilterID(a) == FilterID(b) {
+	if policy.ID(a) == policy.ID(b) {
 		t.Fatal("same-label filters with different rules share a FilterID")
 	}
-	if !strings.Contains(FilterID(a), a.RuleHash()) {
-		t.Fatalf("FilterID %q does not embed the rule hash %q", FilterID(a), a.RuleHash())
+	if !strings.Contains(policy.ID(a), a.RuleHash()) {
+		t.Fatalf("FilterID %q does not embed the rule hash %q", policy.ID(a), a.RuleHash())
 	}
 
 	prog := genProgram(11, 6)
-	ka := codecache.ProgramKey("mpc7410", FilterID(a), prog)
-	kb := codecache.ProgramKey("mpc7410", FilterID(b), prog)
+	ka := codecache.ProgramKey("mpc7410", policy.ID(a), prog)
+	kb := codecache.ProgramKey("mpc7410", policy.ID(b), prog)
 	if ka == kb {
 		t.Fatal("program fingerprints collide across filter versions")
 	}
 	// Identical rules, identical identity — replays stay possible.
-	a2 := parseT(t, FormatInduced(a))
-	if FilterID(a2) != FilterID(a) {
+	a2 := parseT(t, policy.FormatInduced(a))
+	if policy.ID(a2) != policy.ID(a) {
 		t.Fatal("round-tripped filter changed identity")
 	}
 }
@@ -76,7 +77,7 @@ func TestRuleHashIgnoresLabel(t *testing.T) {
 	if a.RuleHash() != b.RuleHash() {
 		t.Fatal("relabelling identical rules changed the rule hash")
 	}
-	if FilterID(a) == FilterID(b) {
+	if policy.ID(a) == policy.ID(b) {
 		t.Fatal("distinct labels must still yield distinct FilterIDs")
 	}
 }

@@ -40,7 +40,7 @@ func ApplySuperblocks(m *machine.Model, p *ir.Program, exec, taken [][]int64, op
 				}
 			}
 		}
-		s := sched.ScheduleSuperblocks(m, fn, prof, opt)
+		s := sched.ScheduleSuperblocks(m, fn, prof, opt, nil)
 		st.Traces += s.Traces
 		st.Duplicated += s.Duplicated
 		st.TraceBlocks += s.TraceBlocks

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/features"
 	"schedfilter/internal/par"
 	"schedfilter/internal/policy"
@@ -87,10 +86,10 @@ func (r *Runner) Ablation() (*AblationResult, error) {
 		if _, err = r.Filter(workloads.SuiteJVM98, bd.Name, 0); err != nil {
 			return err
 		}
-		if nsCycles[i], err = r.AppTime(bd, core.Never{}); err != nil {
+		if nsCycles[i], err = r.AppTime(bd, policy.Never{}); err != nil {
 			return err
 		}
-		if lsCycles[i], err = r.AppTime(bd, core.Always{}); err != nil {
+		if lsCycles[i], err = r.AppTime(bd, policy.Always{}); err != nil {
 			return err
 		}
 		lsRel[i] = float64(lsCycles[i]) / float64(nsCycles[i])
@@ -99,24 +98,24 @@ func (r *Runner) Ablation() (*AblationResult, error) {
 		return nil, err
 	}
 	for i, bd := range data {
-		t, _ := r.SchedTime(bd, core.Always{})
+		t, _ := r.SchedTime(bd, policy.Always{})
 		lsTimes[i] = float64(t)
 	}
 	res := &AblationResult{LSRel: Geomean(lsRel)}
 
 	type candidate struct {
 		name string
-		mk   func(bd *training.BenchData) core.Filter
+		mk   func(bd *training.BenchData) policy.Policy
 	}
 	cands := []candidate{
-		{"L/N induced (t=0)", func(bd *training.BenchData) core.Filter {
+		{"L/N induced (t=0)", func(bd *training.BenchData) policy.Policy {
 			f, _ := r.Filter(workloads.SuiteJVM98, bd.Name, 0)
 			return f
 		}},
-		{"size >= 5", func(*training.BenchData) core.Filter { return core.SizeThreshold{MinLen: 5} }},
-		{"size >= 10", func(*training.BenchData) core.Filter { return core.SizeThreshold{MinLen: 10} }},
-		{"size >= 20", func(*training.BenchData) core.Filter { return core.SizeThreshold{MinLen: 20} }},
-		{"oracle labels", func(bd *training.BenchData) core.Filter { return newOracle(bd) }},
+		{"size >= 5", func(*training.BenchData) policy.Policy { return policy.SizeThreshold{MinLen: 5} }},
+		{"size >= 10", func(*training.BenchData) policy.Policy { return policy.SizeThreshold{MinLen: 10} }},
+		{"size >= 20", func(*training.BenchData) policy.Policy { return policy.SizeThreshold{MinLen: 20} }},
+		{"oracle labels", func(bd *training.BenchData) policy.Policy { return newOracle(bd) }},
 	}
 
 	for _, c := range cands {
@@ -147,7 +146,7 @@ func (r *Runner) Ablation() (*AblationResult, error) {
 }
 
 // resettable returns a fresh oracle (stateful) or the filter unchanged.
-func resettable(f core.Filter, bd *training.BenchData) core.Filter {
+func resettable(f policy.Policy, bd *training.BenchData) policy.Policy {
 	if _, ok := f.(*oracleFilter); ok {
 		return newOracle(bd)
 	}

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"schedfilter/internal/adaptive"
-	"schedfilter/internal/core"
 	"schedfilter/internal/par"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/training"
 	"schedfilter/internal/workloads"
 )
@@ -83,10 +83,10 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 	// pool — stays serial so its timings are not distorted.
 	if err := par.DoErr(r.cfg.Jobs, len(all), func(i int) error {
 		bd := all[i]
-		if _, err := r.AppTime(bd, core.Never{}); err != nil {
+		if _, err := r.AppTime(bd, policy.Never{}); err != nil {
 			return err
 		}
-		if _, err := r.AppTime(bd, core.Always{}); err != nil {
+		if _, err := r.AppTime(bd, policy.Always{}); err != nil {
 			return err
 		}
 		_, err := r.AppTime(bd, f)
@@ -105,23 +105,23 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 			return nil, err
 		}
 		row := AdaptiveRow{Bench: bd.Name, Suite: int(bd.Suite)}
-		if row.NSCycles, err = r.AppTime(bd, core.Never{}); err != nil {
+		if row.NSCycles, err = r.AppTime(bd, policy.Never{}); err != nil {
 			return nil, err
 		}
-		if row.LSCycles, err = r.AppTime(bd, core.Always{}); err != nil {
+		if row.LSCycles, err = r.AppTime(bd, policy.Always{}); err != nil {
 			return nil, err
 		}
 		if row.FilteredCycles, err = r.AppTime(bd, f); err != nil {
 			return nil, err
 		}
-		lsT, _ := r.SchedTime(bd, core.Always{})
+		lsT, _ := r.SchedTime(bd, policy.Always{})
 		flT, _ := r.SchedTime(bd, f)
 		row.LSSchedNs = int64(lsT)
 		row.FilteredSchedNs = int64(flT)
 
 		ares, err := adaptive.Run(bd.Prog, adaptive.Config{
 			Model:  r.cfg.Model,
-			Filter: f,
+			Policy: f,
 			Module: mod,
 			JIT:    r.cfg.CompileOpts.JIT,
 		})

@@ -17,6 +17,7 @@ import (
 	"schedfilter/internal/core"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/par"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
 	"schedfilter/internal/sim"
 	"schedfilter/internal/training"
@@ -74,8 +75,8 @@ type Runner struct {
 	labels training.LabelCache
 
 	mu      sync.Mutex
-	filters map[string]*core.Induced // key: suite/target/t
-	appTime map[string]int64         // key: bench + decision-vector hash
+	filters map[string]*policy.Induced // key: suite/target/t
+	appTime map[string]int64           // key: bench + decision-vector hash
 }
 
 // NewRunner builds a runner.
@@ -88,7 +89,7 @@ func NewRunner(cfg Config) *Runner {
 	}
 	return &Runner{
 		cfg:     cfg,
-		filters: map[string]*core.Induced{},
+		filters: map[string]*policy.Induced{},
 		appTime: map[string]int64{},
 	}
 }
@@ -132,7 +133,7 @@ func (r *Runner) suite(s workloads.Suite) ([]*training.BenchData, error) {
 // cached. Labelled datasets are drawn from the runner's label cache, so a
 // full sweep labels each (benchmark, threshold) pair once rather than once
 // per leave-one-out target.
-func (r *Runner) Filter(s workloads.Suite, target string, t int) (*core.Induced, error) {
+func (r *Runner) Filter(s workloads.Suite, target string, t int) (*policy.Induced, error) {
 	key := fmt.Sprintf("%d/%s/%d", s, target, t)
 	r.mu.Lock()
 	f, ok := r.filters[key]
@@ -262,7 +263,7 @@ func (r *Runner) Table4() (*Table4Result, error) {
 		if err != nil {
 			return err
 		}
-		ns := training.PredictedTime(bd, core.Never{})
+		ns := training.PredictedTime(bd, policy.Never{})
 		fl := training.PredictedTime(bd, f)
 		res.Ratio[ti][bi] = 100 * float64(fl) / float64(ns)
 		return nil
@@ -354,12 +355,12 @@ func (r *Runner) Table6() (*Table6Result, error) {
 // SchedTime measures the wall-clock scheduling-phase time of the filter
 // on a fresh clone of the benchmark's program. The minimum of
 // SchedTimeReps repetitions is returned, along with pass statistics.
-func (r *Runner) SchedTime(bd *training.BenchData, f core.Filter) (time.Duration, core.Stats) {
+func (r *Runner) SchedTime(bd *training.BenchData, f policy.Policy) (time.Duration, core.Stats) {
 	var best time.Duration
 	var stats core.Stats
 	for rep := 0; rep < r.cfg.SchedTimeReps; rep++ {
 		prog := bd.Prog.Clone()
-		st := core.ApplyFilter(r.cfg.Model, prog, f)
+		st := core.Apply(r.cfg.Model, prog, f, core.Pass{})
 		if rep == 0 || st.SchedTime < best {
 			best = st.SchedTime
 			stats = st
@@ -371,7 +372,7 @@ func (r *Runner) SchedTime(bd *training.BenchData, f core.Filter) (time.Duration
 // AppTime returns the timed-simulator cycle count of the benchmark under
 // the filter, cached by the filter's per-block decision vector (distinct
 // thresholds often induce identical decisions).
-func (r *Runner) AppTime(bd *training.BenchData, f core.Filter) (int64, error) {
+func (r *Runner) AppTime(bd *training.BenchData, f policy.Policy) (int64, error) {
 	decisions := core.Decide(bd.Prog, f)
 	h := fnv.New64a()
 	for _, d := range decisions {
@@ -389,7 +390,7 @@ func (r *Runner) AppTime(bd *training.BenchData, f core.Filter) (int64, error) {
 		return c, nil
 	}
 	prog := bd.Prog.Clone()
-	core.ApplyFilter(r.cfg.Model, prog, f)
+	core.Apply(r.cfg.Model, prog, f, core.Pass{})
 	res, err := sim.Run(prog, sim.Config{Timed: true, Model: r.cfg.Model})
 	if err != nil {
 		return 0, fmt.Errorf("%s: timed run: %w", bd.Name, err)
@@ -437,7 +438,7 @@ func (r *Runner) SchedTimeFigure(s workloads.Suite, thresholds []int) (*FigureRe
 	}
 	lsTime := make([]time.Duration, len(data))
 	for i, bd := range data {
-		lsTime[i], _ = r.SchedTime(bd, core.Always{})
+		lsTime[i], _ = r.SchedTime(bd, policy.Always{})
 	}
 	for _, t := range thresholds {
 		row := make([]float64, len(data))
@@ -476,10 +477,10 @@ func (r *Runner) AppTimeFigure(s workloads.Suite, thresholds []int) (*FigureResu
 	err = par.DoErr(r.cfg.Jobs, len(data), func(i int) error {
 		bd := data[i]
 		var err error
-		if nsCycles[i], err = r.AppTime(bd, core.Never{}); err != nil {
+		if nsCycles[i], err = r.AppTime(bd, policy.Never{}); err != nil {
 			return err
 		}
-		if lsCycles[i], err = r.AppTime(bd, core.Always{}); err != nil {
+		if lsCycles[i], err = r.AppTime(bd, policy.Always{}); err != nil {
 			return err
 		}
 		res.LSRel[i] = float64(lsCycles[i]) / float64(nsCycles[i])

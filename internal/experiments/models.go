@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/par"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/workloads"
 )
 
@@ -47,11 +47,11 @@ func CompareModels(base Config, models []*machine.Model) (*ModelCompareResult, e
 		row := make([]float64, len(data))
 		if err := par.DoErr(cfg.Jobs, len(data), func(i int) error {
 			bd := data[i]
-			ns, err := r.AppTime(bd, core.Never{})
+			ns, err := r.AppTime(bd, policy.Never{})
 			if err != nil {
 				return err
 			}
-			ls, err := r.AppTime(bd, core.Always{})
+			ls, err := r.AppTime(bd, policy.Always{})
 			if err != nil {
 				return err
 			}

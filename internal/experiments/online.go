@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/jit"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/online"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/workloads"
 )
 
@@ -70,7 +70,7 @@ func RunOnline(cfg Config) (*OnlineResult, error) {
 	t := 20
 	mgr, err := online.NewManager(online.Config{
 		Targets:    []string{target},
-		Boot:       core.Never{},
+		Boot:       policy.Never{},
 		Threshold:  t,
 		MinSamples: 16,
 		SampleCap:  1 << 16,
@@ -81,7 +81,7 @@ func RunOnline(cfg Config) (*OnlineResult, error) {
 	}
 	defer mgr.Close()
 
-	res := &OnlineResult{Target: target, Threshold: t, Boot: core.Never{}.Name()}
+	res := &OnlineResult{Target: target, Threshold: t, Boot: policy.Never{}.Name()}
 	waves := [][]workloads.Workload{workloads.Suite1(), workloads.Suite2()}
 	for i, wave := range waves {
 		round := OnlineRound{Round: i + 1}

@@ -123,7 +123,7 @@ func measureAllocs(cfg Config, res *PipelineResult) error {
 	unpooled := func() {
 		for _, fn := range prog.Fns {
 			for _, b := range fn.Blocks {
-				sched.ScheduleInstrsUnpooled(m, b.Instrs)
+				sched.ScheduleInstrsScratch(m, b.Instrs, sched.NewScratch())
 			}
 		}
 	}

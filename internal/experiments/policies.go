@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/training"
@@ -91,7 +90,7 @@ func CrossPolicies(cfg Config, targetNames, policySpecs []string, t int) (*Polic
 	type perTarget struct {
 		name    string
 		data    []*training.BenchData
-		induced *core.Induced
+		induced *policy.Induced
 	}
 	cols := make([]*perTarget, len(targetNames))
 	for i, name := range targetNames {
@@ -118,7 +117,7 @@ func CrossPolicies(cfg Config, targetNames, policySpecs []string, t int) (*Polic
 	for _, spec := range policySpecs {
 		row := make([]PolicyCell, len(cols))
 		for ti, col := range cols {
-			var f core.Filter
+			var f policy.Policy
 			if spec == "ripper" {
 				f = col.induced
 			} else {
@@ -140,12 +139,12 @@ func CrossPolicies(cfg Config, targetNames, policySpecs []string, t int) (*Polic
 // scheduling-effort proxy vs LS (corpus totals — a share of work, so
 // summing is the honest aggregation and never divides by a
 // zero-scheduled benchmark).
-func scorePolicy(data []*training.BenchData, f core.Filter) PolicyCell {
+func scorePolicy(data []*training.BenchData, f policy.Policy) PolicyCell {
 	ratios := make([]float64, 0, len(data))
 	var effort, effortLS int64
 	decisions := 0
 	for _, bd := range data {
-		ns := training.PredictedTime(bd, core.Never{})
+		ns := training.PredictedTime(bd, policy.Never{})
 		ft := training.PredictedTime(bd, f)
 		ratios = append(ratios, 100*float64(ft)/float64(ns))
 		for i := range bd.Records {

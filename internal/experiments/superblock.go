@@ -7,6 +7,7 @@ import (
 	"schedfilter/internal/core"
 	"schedfilter/internal/features"
 	"schedfilter/internal/par"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/sched"
 	"schedfilter/internal/sim"
 	"schedfilter/internal/training"
@@ -56,11 +57,11 @@ func (r *Runner) Superblocks(s workloads.Suite) (*SuperblockResult, error) {
 	// out and only the slot-ordered aggregation below stays serial.
 	err = par.DoErr(r.cfg.Jobs, len(data), func(i int) error {
 		bd := data[i]
-		ns, err := r.AppTime(bd, core.Never{})
+		ns, err := r.AppTime(bd, policy.Never{})
 		if err != nil {
 			return err
 		}
-		ls, err := r.AppTime(bd, core.Always{})
+		ls, err := r.AppTime(bd, policy.Always{})
 		if err != nil {
 			return err
 		}
@@ -184,11 +185,11 @@ func (r *Runner) SuperblockFilter(s workloads.Suite) (*SuperblockFilterResult, e
 		res.ErrPct[i] = 100 * training.TraceErrorRate(f, td, 0)
 
 		bd := data[i]
-		ns, err := r.AppTime(bd, core.Never{})
+		ns, err := r.AppTime(bd, policy.Never{})
 		if err != nil {
 			return err
 		}
-		ls, err := r.AppTime(bd, core.Always{})
+		ls, err := r.AppTime(bd, policy.Always{})
 		if err != nil {
 			return err
 		}
@@ -232,7 +233,7 @@ func (r *Runner) superblockCycles(bd *training.BenchData, decide func(v features
 				Taken: profRun.TakenCounts[fi][bi],
 			}
 		}
-		sched.ScheduleSuperblocksFiltered(r.cfg.Model, fn, prof, sched.DefaultSuperblockOptions(), decide)
+		sched.ScheduleSuperblocks(r.cfg.Model, fn, prof, sched.DefaultSuperblockOptions(), decide)
 	}
 	timed, err := sim.Run(prog, sim.Config{Timed: true, Model: r.cfg.Model})
 	if err != nil {

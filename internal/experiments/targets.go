@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/training"
 	"schedfilter/internal/workloads"
 )
@@ -79,7 +79,7 @@ func CrossTargets(cfg Config, targetNames []string, t int) (*TargetMatrixResult,
 
 	type perTarget struct {
 		data   []*training.BenchData
-		filter *core.Induced
+		filter *policy.Induced
 	}
 	cols := make([]*perTarget, len(targetNames))
 	for i, name := range targetNames {
@@ -103,11 +103,11 @@ func CrossTargets(cfg Config, targetNames []string, t int) (*TargetMatrixResult,
 	}
 	// simRatio is the Table-4 metric: per-benchmark predicted time under
 	// the filter relative to NS, geomeaned over the suite.
-	simRatio := func(eval *perTarget, f core.Filter) (float64, int) {
+	simRatio := func(eval *perTarget, f policy.Policy) (float64, int) {
 		ratios := make([]float64, 0, len(eval.data))
 		decisions := 0
 		for _, bd := range eval.data {
-			ns := training.PredictedTime(bd, core.Never{})
+			ns := training.PredictedTime(bd, policy.Never{})
 			ft := training.PredictedTime(bd, f)
 			ratios = append(ratios, 100*float64(ft)/float64(ns))
 			ls, _ := training.Decisions(bd, f)
@@ -116,7 +116,7 @@ func CrossTargets(cfg Config, targetNames []string, t int) (*TargetMatrixResult,
 		return Geomean(ratios), decisions
 	}
 	for _, eval := range cols {
-		ls, _ := simRatio(eval, core.Always{})
+		ls, _ := simRatio(eval, policy.Always{})
 		res.LS = append(res.LS, ls)
 	}
 	for _, train := range cols {

@@ -10,6 +10,7 @@ import (
 	"schedfilter/internal/interp"
 	"schedfilter/internal/jolt"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/sim"
 )
 
@@ -203,9 +204,9 @@ func TestFuzzPipelineDifferential(t *testing.T) {
 		// Alternate protocols across seeds.
 		switch seed % 3 {
 		case 1:
-			core.ApplyFilter(m, prog, core.Always{})
+			core.Apply(m, prog, policy.Always{}, core.Pass{})
 		case 2:
-			core.ApplyFilter(m, prog, core.SizeThreshold{MinLen: 6})
+			core.Apply(m, prog, policy.SizeThreshold{MinLen: 6}, core.Pass{})
 		}
 		got, err := sim.Run(prog, sim.Config{StepLimit: 1 << 24})
 		if err != nil {
@@ -289,7 +290,7 @@ func TestPeepholeOnScheduledWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.ApplyFilter(m, prog, core.Always{})
+	core.Apply(m, prog, policy.Always{}, core.Pass{})
 	got, err := sim.Run(prog, sim.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"schedfilter/internal/ir"
 	"schedfilter/internal/jolt"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/sim"
 )
 
@@ -197,11 +198,11 @@ func TestDifferentialScheduled(t *testing.T) {
 	for name, src := range programs {
 		t.Run(name, func(t *testing.T) {
 			mod, prog := compileBoth(t, src, DefaultOptions())
-			core.ApplyFilter(m, prog, core.Always{})
+			core.Apply(m, prog, policy.Always{}, core.Pass{})
 			checkAgainstInterp(t, mod, prog, name+"/LS")
 
 			_, prog2 := compileBoth(t, src, DefaultOptions())
-			core.ApplyFilter(m, prog2, core.SizeThreshold{MinLen: 5})
+			core.Apply(m, prog2, policy.SizeThreshold{MinLen: 5}, core.Pass{})
 			checkAgainstInterp(t, mod, prog2, name+"/size5")
 		})
 	}
@@ -234,7 +235,7 @@ func TestSchedulingDoesNotSlowDown(t *testing.T) {
 	src := programs["floats"]
 	_, ns := compileBoth(t, src, DefaultOptions())
 	_, ls := compileBoth(t, src, DefaultOptions())
-	core.ApplyFilter(m, ls, core.Always{})
+	core.Apply(m, ls, policy.Always{}, core.Pass{})
 
 	rNS, err := sim.Run(ns, sim.Config{Timed: true, Model: m})
 	if err != nil {

@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"schedfilter/internal/codecache"
-	"schedfilter/internal/core"
 	"schedfilter/internal/features"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
 	"schedfilter/internal/sched"
 	"schedfilter/internal/training"
@@ -38,7 +38,7 @@ type Manager struct {
 
 	// induce builds a candidate filter from labelled data; tests override
 	// it to exercise the shadow gate with deliberately bad candidates.
-	induce func(data []*training.BenchData, t int, opt ripper.Options) *core.Induced
+	induce func(data []*training.BenchData, t int, opt ripper.Options) *policy.Induced
 
 	observed    atomic.Int64 // blocks seen on the compile path
 	known       atomic.Int64 // blocks already in the reservoir (weight bump)
@@ -131,7 +131,7 @@ func (m *Manager) state(target string) (*targetState, error) {
 // ActiveFilter returns the serving filter and version for a target. An
 // unmanaged target falls back to the boot filter with version 0, so the
 // serving path never fails here.
-func (m *Manager) ActiveFilter(target string) (core.Filter, int) {
+func (m *Manager) ActiveFilter(target string) (policy.Policy, int) {
 	if st, ok := m.targets[target]; ok {
 		return st.reg.ActiveFilter()
 	}
@@ -296,7 +296,7 @@ func (m *Manager) Retrain(target string) (*RetrainReport, error) {
 		Samples:        len(train),
 		HoldoutSamples: len(hold),
 		Threshold:      m.cfg.Threshold,
-		Rules:          core.FormatInduced(cand),
+		Rules:          policy.FormatInduced(cand),
 		Score:          &candScore,
 		IncumbentScore: &incScore,
 		Reason:         reason,

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"schedfilter/internal/blockgen"
-	"schedfilter/internal/core"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
@@ -166,15 +165,15 @@ func TestRetrainDeterministicAcrossSpill(t *testing.T) {
 // one that refuses to schedule blocks that scheduling demonstrably
 // helps — must be registered as rejected and must not serve traffic.
 func TestShadowGateBlocksCrippledCandidate(t *testing.T) {
-	m := newTestManager(t, Config{Boot: core.Always{}, MinSamples: 1})
+	m := newTestManager(t, Config{Boot: policy.Always{}, MinSamples: 1})
 	seedSynthetic(m, 8, 4)
 
-	crippled, err := core.ParseInduced(
+	crippled, err := policy.ParseInduced(
 		"# filter: crippled\n# labels: list orig\n(    1/   0) orig :- .\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.induce = func([]*training.BenchData, int, ripper.Options) *core.Induced { return crippled }
+	m.induce = func([]*training.BenchData, int, ripper.Options) *policy.Induced { return crippled }
 
 	rep, err := m.Retrain(testTarget)
 	if err != nil {
@@ -216,15 +215,15 @@ func TestShadowGateBlocksCrippledCandidate(t *testing.T) {
 }
 
 func TestShadowGatePromotesImprovingCandidate(t *testing.T) {
-	m := newTestManager(t, Config{Boot: core.Never{}, MinSamples: 1})
+	m := newTestManager(t, Config{Boot: policy.Never{}, MinSamples: 1})
 	seedSynthetic(m, 8, 4)
 
-	better, err := core.ParseInduced(
+	better, err := policy.ParseInduced(
 		"# filter: better\n# labels: list orig\n(    1/   0) list :- .\n(    1/   0) orig :- .\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.induce = func([]*training.BenchData, int, ripper.Options) *core.Induced { return better }
+	m.induce = func([]*training.BenchData, int, ripper.Options) *policy.Induced { return better }
 
 	rep, err := m.Retrain(testTarget)
 	if err != nil {

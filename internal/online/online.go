@@ -38,7 +38,7 @@ package online
 import (
 	"time"
 
-	"schedfilter/internal/core"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
 )
 
@@ -52,7 +52,7 @@ type Config struct {
 	// Boot is the incumbent filter registered as version 1 for every
 	// target — the filter the server shipped with. nil selects LS
 	// (always schedule).
-	Boot core.Filter
+	Boot policy.Policy
 	// SampleCap bounds each target's reservoir (unique blocks); 0
 	// selects 4096.
 	SampleCap int
@@ -89,7 +89,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Boot == nil {
-		c.Boot = core.Always{}
+		c.Boot = policy.Always{}
 	}
 	if c.SampleCap <= 0 {
 		c.SampleCap = 4096

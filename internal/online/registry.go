@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/policy"
 )
 
@@ -39,7 +38,7 @@ type Version struct {
 	// RuleHash is the short hex digest of the filter's rule text (fixed
 	// protocols record their name instead): two versions share a hash
 	// exactly when their rules make identical decisions. The serving
-	// path's cache fingerprints use core.FilterID, which prepends the
+	// path's cache fingerprints use policy.ID, which prepends the
 	// label on top of this digest.
 	RuleHash string `json:"rule_hash"`
 	// Score and IncumbentScore are the shadow-evaluation results on the
@@ -49,11 +48,11 @@ type Version struct {
 	// Reason explains the gate's verdict ("promoted", or why not).
 	Reason string `json:"reason,omitempty"`
 
-	filter core.Filter
+	filter policy.Policy
 }
 
 // Filter returns the runnable filter behind the version.
-func (v *Version) Filter() core.Filter { return v.filter }
+func (v *Version) Filter() policy.Policy { return v.filter }
 
 // Registry is one target's versioned filter store. The active version is
 // an atomic pointer: the serving path reads it lock-free, activation is
@@ -71,7 +70,7 @@ type Registry struct {
 
 // NewRegistry returns a registry for the named target with boot
 // registered and activated as version 1.
-func NewRegistry(target string, boot core.Filter) *Registry {
+func NewRegistry(target string, boot policy.Policy) *Registry {
 	r := &Registry{target: target}
 	v := r.Register(boot, Version{Label: boot.Name(), State: "active", Reason: "boot incumbent"})
 	r.mu.Lock()
@@ -84,11 +83,11 @@ func NewRegistry(target string, boot core.Filter) *Registry {
 // Register adds a new version holding f, taking provenance fields from
 // meta (Version, Target, Kind, RuleHash, and the policy are filled in
 // here). The new version is NOT activated unless it is the very first.
-func (r *Registry) Register(f core.Filter, meta Version) *Version {
+func (r *Registry) Register(f policy.Policy, meta Version) *Version {
 	meta.filter = f
 	meta.Target = r.target
 	meta.Kind = f.Provenance().Kind
-	if ind, ok := f.(*core.Induced); ok {
+	if ind, ok := f.(*policy.Induced); ok {
 		meta.RuleHash = ind.RuleHash()
 	} else if id := policy.ID(f); id != f.Name() {
 		// Policies with a richer content identity (cost thresholds,
@@ -116,7 +115,7 @@ func (r *Registry) Active() *Version { return r.active.Load() }
 
 // ActiveFilter returns the serving filter and its version number —
 // the lock-free read the compile path performs per request.
-func (r *Registry) ActiveFilter() (core.Filter, int) {
+func (r *Registry) ActiveFilter() (policy.Policy, int) {
 	v := r.active.Load()
 	return v.filter, v.Version
 }

@@ -3,7 +3,6 @@ package online
 import (
 	"fmt"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/policy"
 )
 
@@ -33,7 +32,7 @@ type Score struct {
 }
 
 // EvalFilter scores f over the holdout slice.
-func EvalFilter(f core.Filter, hold []*Sample) Score {
+func EvalFilter(f policy.Policy, hold []*Sample) Score {
 	sc := Score{Filter: f.Name(), Blocks: len(hold)}
 	for _, s := range hold {
 		w := s.Seen

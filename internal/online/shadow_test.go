@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"schedfilter/internal/core"
+	"schedfilter/internal/policy"
 )
 
 // holdoutSamples builds n samples where list scheduling halves the
@@ -22,7 +22,7 @@ func TestEvalFilterTwoAxes(t *testing.T) {
 	hold := holdoutSamples(4)
 	hold[0].Seen = 3 // weight one block heavier
 
-	ls := EvalFilter(core.Always{}, hold)
+	ls := EvalFilter(policy.Always{}, hold)
 	if ls.Scheduled != 4 || ls.Blocks != 4 {
 		t.Fatalf("LS decisions: %+v", ls)
 	}
@@ -33,7 +33,7 @@ func TestEvalFilterTwoAxes(t *testing.T) {
 		t.Fatalf("LS SchedCost %d, want 40", ls.SchedCost)
 	}
 
-	ns := EvalFilter(core.Never{}, hold)
+	ns := EvalFilter(policy.Never{}, hold)
 	if ns.Scheduled != 0 || ns.SchedCost != 0 {
 		t.Fatalf("NS decisions: %+v", ns)
 	}
@@ -51,8 +51,8 @@ func TestGateRejectsEmptyHoldout(t *testing.T) {
 
 func TestGateRejectsCycleRegression(t *testing.T) {
 	hold := holdoutSamples(4)
-	cand := EvalFilter(core.Never{}, hold) // 400 est cycles
-	inc := EvalFilter(core.Always{}, hold) // 200 est cycles
+	cand := EvalFilter(policy.Never{}, hold) // 400 est cycles
+	inc := EvalFilter(policy.Always{}, hold) // 200 est cycles
 	ok, reason := Gate{}.Admit(cand, inc)
 	if ok || !strings.Contains(reason, "cycles regress") {
 		t.Fatalf("cycle regression admitted: %v %q", ok, reason)
@@ -73,8 +73,8 @@ func TestGateAdmitsImprovementOverNS(t *testing.T) {
 	// An NS incumbent has zero scheduling cost; the additive slack must
 	// still let a faster candidate start scheduling.
 	hold := holdoutSamples(4)
-	cand := EvalFilter(core.Always{}, hold)
-	inc := EvalFilter(core.Never{}, hold)
+	cand := EvalFilter(policy.Always{}, hold)
+	inc := EvalFilter(policy.Never{}, hold)
 	ok, reason := Gate{}.Admit(cand, inc)
 	if !ok {
 		t.Fatalf("improving candidate rejected: %q", reason)

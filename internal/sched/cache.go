@@ -8,27 +8,17 @@ import (
 	"schedfilter/internal/machine"
 )
 
-// ScheduleBlockCached list-schedules a block in place like ScheduleBlock,
-// but consults the content-addressed cache first: if a block with
-// identical instruction content has been scheduled on this model before,
-// the cached order is replayed instead of re-running the scheduler. The
-// boolean reports whether the result came from the cache.
-//
-// A nil cache degrades to ScheduleBlock.
-func ScheduleBlockCached(m *machine.Model, b *ir.Block, c *codecache.Cache) (Result, bool) {
-	s := GetScratch()
-	res, hit := ScheduleBlockCachedScratch(m, b, c, s)
-	PutScratch(s)
-	return res, hit
-}
-
-// ScheduleBlockCachedScratch is ScheduleBlockCached with caller-held
-// working memory, so a pass over many blocks (the compile server's request
-// path, the adaptive tier's background recompiler) schedules cache misses
-// without per-block allocations.
-func ScheduleBlockCachedScratch(m *machine.Model, b *ir.Block, c *codecache.Cache, s *Scratch) (Result, bool) {
+// ScheduleBlock list-schedules a block in place on the caller's scratch:
+// the block's instruction slice is replaced with the scheduled order. With
+// a non-nil cache it consults the content-addressed cache first — if a
+// block with identical instruction content has been scheduled on this
+// model before, the cached order is replayed instead of re-running the
+// scheduler, and a miss inserts its result for the next identical block.
+// The boolean reports whether the result came from the cache (always
+// false for a nil cache).
+func ScheduleBlock(m *machine.Model, b *ir.Block, c *codecache.Cache, s *Scratch) (Result, bool) {
 	if c == nil {
-		return ScheduleBlockScratch(m, b, s), false
+		return scheduleInPlace(m, b, s), false
 	}
 	var lookStart time.Time
 	if s.timing {
@@ -54,7 +44,7 @@ func ScheduleBlockCachedScratch(m *machine.Model, b *ir.Block, c *codecache.Cach
 		}
 		return res, true
 	}
-	res := ScheduleBlockScratch(m, b, s)
+	res := scheduleInPlace(m, b, s)
 	entry := codecache.Entry{
 		NInstrs:    len(b.Instrs),
 		CostBefore: res.CostBefore,
@@ -69,4 +59,14 @@ func ScheduleBlockCachedScratch(m *machine.Model, b *ir.Block, c *codecache.Cach
 	}
 	c.Insert(key, entry)
 	return res, false
+}
+
+// scheduleInPlace schedules b's instructions and, when the order changed,
+// replaces them with the scheduled order.
+func scheduleInPlace(m *machine.Model, b *ir.Block, s *Scratch) Result {
+	res := ScheduleInstrsScratch(m, b.Instrs, s)
+	if res.Changed {
+		b.Instrs = res.Apply(b.Instrs)
+	}
+	return res
 }

@@ -19,8 +19,8 @@ type Result struct {
 	Changed bool
 }
 
-// ScheduleInstrs runs critical-path list scheduling over one instruction
-// sequence and returns the new order plus cost accounting.
+// ScheduleInstrsScratch runs critical-path list scheduling over one
+// instruction sequence and returns the new order plus cost accounting.
 //
 // The algorithm is the paper's CPS: start from an empty schedule and
 // repeatedly append a ready instruction (one whose dependence predecessors
@@ -29,19 +29,11 @@ type Result struct {
 // latency-weighted critical path to the end of the block, then by original
 // program order (for determinism).
 //
-// Working memory comes from a pooled Scratch, so steady-state calls
-// allocate only the returned order. Callers scheduling many blocks in a
-// row can hold a Scratch across calls via ScheduleInstrsScratch instead.
-func ScheduleInstrs(m *machine.Model, instrs []ir.Instr) Result {
-	s := GetScratch()
-	res := ScheduleInstrsScratch(m, instrs, s)
-	PutScratch(s)
-	return res
-}
-
-// ScheduleInstrsScratch is ScheduleInstrs with caller-held working memory:
-// the dependence DAG is built into the scratch's reusable storage and the
-// scheduling loop runs on its arrays and issue state.
+// Working memory is the caller's: the dependence DAG is built into the
+// scratch's reusable storage and the scheduling loop runs on its arrays
+// and issue state, so a warmed scratch allocates only the returned order.
+// Take one from GetScratch (or NewScratch for fresh memory) and reuse it
+// across the blocks of a pass.
 //
 // When the scratch's timing mode is on (StartTiming), the DAG build and
 // the scheduling loop are timed into the scratch's phase accumulator;
@@ -69,28 +61,10 @@ func ScheduleInstrsScratch(m *machine.Model, instrs []ir.Instr, s *Scratch) Resu
 	return res
 }
 
-// ScheduleInstrsUnpooled is ScheduleInstrs on freshly allocated working
-// memory. It exists for the equivalence tests and the allocation
-// accounting in the pipeline benchmark (BENCH_pipeline.json's
-// allocs-per-block "before" column); production callers should use
-// ScheduleInstrs, and the pre-optimization code path is preserved
-// separately as ScheduleInstrsReference.
-func ScheduleInstrsUnpooled(m *machine.Model, instrs []ir.Instr) Result {
-	return ScheduleInstrsScratch(m, instrs, NewScratch())
-}
-
-// ScheduleDAG runs CPS over a caller-supplied dependence DAG — the hook
-// superblock scheduling uses to relax the block-terminal rules for
-// internal branches.
-func ScheduleDAG(m *machine.Model, instrs []ir.Instr, dag *DAG) Result {
-	s := GetScratch()
-	res := scheduleDAG(m, instrs, dag, s)
-	PutScratch(s)
-	return res
-}
-
-// scheduleDAG is the scheduling core. All working memory beyond the
-// returned order comes from the scratch.
+// scheduleDAG is the scheduling core: CPS over a dependence DAG, which
+// superblock scheduling supplies itself to relax the block-terminal rules
+// for internal branches. All working memory beyond the returned order
+// comes from the scratch.
 //
 // The ready-choice rule needs, every step, the earliest start cycle of
 // every ready instruction. Those values are monotone: an instruction's
@@ -209,38 +183,5 @@ func (r Result) Apply(instrs []ir.Instr) []ir.Instr {
 	for pos, idx := range r.Order {
 		out[pos] = instrs[idx]
 	}
-	return out
-}
-
-// ScheduleBlock list-schedules a block in place, returning the result.
-// The block's instruction slice is replaced with the scheduled order.
-func ScheduleBlock(m *machine.Model, b *ir.Block) Result {
-	s := GetScratch()
-	res := ScheduleBlockScratch(m, b, s)
-	PutScratch(s)
-	return res
-}
-
-// ScheduleBlockScratch is ScheduleBlock with caller-held working memory —
-// the per-pass entry point the filtered scheduling pass uses so a whole
-// program reuses one scratch.
-func ScheduleBlockScratch(m *machine.Model, b *ir.Block, s *Scratch) Result {
-	res := ScheduleInstrsScratch(m, b.Instrs, s)
-	if res.Changed {
-		b.Instrs = res.Apply(b.Instrs)
-	}
-	return res
-}
-
-// ScheduleFn list-schedules every block of a function in place — the
-// per-function entry point tiered recompilation uses — and returns the
-// per-block results in block order.
-func ScheduleFn(m *machine.Model, fn *ir.Fn) []Result {
-	out := make([]Result, len(fn.Blocks))
-	s := GetScratch()
-	for i, b := range fn.Blocks {
-		out[i] = ScheduleBlockScratch(m, b, s)
-	}
-	PutScratch(s)
 	return out
 }

@@ -13,6 +13,15 @@ import (
 
 func model() *machine.Model { return machine.Default().Model }
 
+// ScheduleInstrs schedules one sequence on a pooled scratch — the way a
+// pass that does not hold its own scratch calls the scheduler. The oracle
+// tests compare it against the reference implementation.
+func ScheduleInstrs(m *machine.Model, instrs []ir.Instr) Result {
+	s := GetScratch()
+	defer PutScratch(s)
+	return ScheduleInstrsScratch(m, instrs, s)
+}
+
 func add(d, a, b int) ir.Instr {
 	return ir.Instr{Op: ir.ADD, Defs: []ir.Reg{ir.GPR(d)}, Uses: []ir.Reg{ir.GPR(a), ir.GPR(b)}}
 }
@@ -298,7 +307,10 @@ func TestScheduleBlockInPlace(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	b := blockgen.GenBlock(r, blockgen.DefaultConfig, 0)
 	orig := b.Clone()
-	res := ScheduleBlock(model(), b)
+	res, hit := ScheduleBlock(model(), b, nil, NewScratch())
+	if hit {
+		t.Error("uncached schedule reported a cache hit")
+	}
 	if len(b.Instrs) != len(orig.Instrs) {
 		t.Fatal("block length changed")
 	}

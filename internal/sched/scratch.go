@@ -15,7 +15,7 @@ import (
 // returned Order slice).
 //
 // A Scratch is not safe for concurrent use; use one per goroutine (the
-// package-level pool behind ScheduleInstrs hands each caller its own).
+// package-level pool behind GetScratch hands each caller its own).
 type Scratch struct {
 	// dag is the reusable DAG ScheduleInstrsScratch builds into. DAGs
 	// returned by BuildDAG are freshly allocated and never alias it.

@@ -28,7 +28,7 @@ func TestScratchEquivalence(t *testing.T) {
 	for _, m := range []*machine.Model{machine.Default().Model, machine.MustByName("scalar603").Model} {
 		s := NewScratch()
 		for bi, instrs := range corpus(11, 64) {
-			want := ScheduleInstrsUnpooled(m, instrs)
+			want := ScheduleInstrsScratch(m, instrs, NewScratch())
 			got := ScheduleInstrsScratch(m, instrs, s)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s block %d: scratch result diverged:\n got %+v\nwant %+v",
@@ -52,10 +52,10 @@ func TestScratchModelSwitch(t *testing.T) {
 	for _, instrs := range corpus(13, 16) {
 		a := ScheduleInstrsScratch(m1, instrs, s)
 		b := ScheduleInstrsScratch(m2, instrs, s)
-		if !reflect.DeepEqual(a, ScheduleInstrsUnpooled(m1, instrs)) {
+		if !reflect.DeepEqual(a, ScheduleInstrsScratch(m1, instrs, NewScratch())) {
 			t.Fatal("model 1 result diverged after switching")
 		}
-		if !reflect.DeepEqual(b, ScheduleInstrsUnpooled(m2, instrs)) {
+		if !reflect.DeepEqual(b, ScheduleInstrsScratch(m2, instrs, NewScratch())) {
 			t.Fatal("model 2 result diverged after switching")
 		}
 	}
@@ -81,7 +81,7 @@ func TestScheduleInstrsAllocs(t *testing.T) {
 	pooled := testing.AllocsPerRun(50, run) / float64(len(blocks))
 	unpooled := testing.AllocsPerRun(10, func() {
 		for _, b := range blocks {
-			ScheduleInstrsUnpooled(m, b)
+			ScheduleInstrsScratch(m, b, NewScratch())
 		}
 	}) / float64(len(blocks))
 
@@ -106,17 +106,5 @@ func BenchmarkScheduleInstrs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ScheduleInstrs(m, blocks[i%len(blocks)])
-	}
-}
-
-// BenchmarkScheduleInstrsUnpooled measures the pre-pooling reference path
-// for before/after comparison.
-func BenchmarkScheduleInstrsUnpooled(b *testing.B) {
-	m := machine.Default().Model
-	blocks := corpus(3, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ScheduleInstrsUnpooled(m, blocks[i%len(blocks)])
 	}
 }

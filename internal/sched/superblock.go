@@ -281,18 +281,15 @@ type SuperblockStats struct {
 // branches), and list-schedules every remaining block locally. The
 // function is modified in place; prof must align with fn.Blocks before
 // the call (tail duplication appends blocks).
-func ScheduleSuperblocks(m *machine.Model, fn *ir.Fn, prof []BlockProfile, opt SuperblockOptions) SuperblockStats {
-	return ScheduleSuperblocksFiltered(m, fn, prof, opt, nil)
-}
-
-// ScheduleSuperblocksFiltered is ScheduleSuperblocks with a per-trace
-// filter: decide receives the concatenated trace's feature vector and
-// reports whether the trace is worth scheduling as a superblock; rejected
-// traces fall back to local list scheduling of their blocks (tail
-// duplication has already happened — formation is needed to compute the
-// features, exactly as block filtering still pays for feature
-// extraction). A nil decide accepts every trace.
-func ScheduleSuperblocksFiltered(m *machine.Model, fn *ir.Fn, prof []BlockProfile, opt SuperblockOptions, decide func(features.Vector) bool) SuperblockStats {
+//
+// decide is an optional per-trace filter: it receives the concatenated
+// trace's feature vector and reports whether the trace is worth
+// scheduling as a superblock; rejected traces fall back to local list
+// scheduling of their blocks (tail duplication has already happened —
+// formation is needed to compute the features, exactly as block
+// filtering still pays for feature extraction). A nil decide accepts
+// every trace.
+func ScheduleSuperblocks(m *machine.Model, fn *ir.Fn, prof []BlockProfile, opt SuperblockOptions, decide func(features.Vector) bool) SuperblockStats {
 	var st SuperblockStats
 	traces := FormTraces(fn, prof, opt)
 	st.Traces = len(traces)
@@ -306,6 +303,8 @@ func ScheduleSuperblocksFiltered(m *machine.Model, fn *ir.Fn, prof []BlockProfil
 	}
 	// Liveness after duplication (the copies are reachable code).
 	liveIn, _ := Liveness(fn)
+	s := GetScratch()
+	defer PutScratch(s)
 
 	for _, tr := range traces {
 		if decide != nil {
@@ -315,18 +314,18 @@ func ScheduleSuperblocksFiltered(m *machine.Model, fn *ir.Fn, prof []BlockProfil
 			}
 			if !decide(features.Extract(concat)) {
 				for _, bi := range tr {
-					ScheduleBlock(m, fn.Blocks[bi])
+					ScheduleBlock(m, fn.Blocks[bi], nil, s)
 				}
 				st.LocalBlocks += len(tr)
 				continue
 			}
 		}
-		scheduleTrace(m, fn, tr, liveIn)
+		scheduleTrace(m, fn, tr, liveIn, s)
 		st.TraceBlocks += len(tr)
 	}
 	for bi, b := range fn.Blocks {
 		if !inTrace[bi] {
-			ScheduleBlock(m, b)
+			ScheduleBlock(m, b, nil, s)
 			st.LocalBlocks++
 		}
 	}
@@ -335,7 +334,7 @@ func ScheduleSuperblocksFiltered(m *machine.Model, fn *ir.Fn, prof []BlockProfil
 
 // scheduleTrace schedules one superblock: concatenate, build the relaxed
 // DAG, run CPS, and re-split at the (order-preserved) branches.
-func scheduleTrace(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet) {
+func scheduleTrace(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet, s *Scratch) {
 	var instrs []ir.Instr
 	var branchPos []int
 	var exitLive []RegSet
@@ -360,7 +359,7 @@ func scheduleTrace(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet) {
 	}
 
 	dag := buildSuperblockDAG(m, instrs, branchPos, exitLive)
-	res := ScheduleDAG(m, instrs, dag)
+	res := scheduleDAG(m, instrs, dag, s)
 	scheduled := res.Apply(instrs)
 
 	// Re-split: each segment ends at its branch; branch order was
@@ -390,6 +389,8 @@ type TraceMeasurement struct {
 
 // MeasureTrace evaluates one trace without modifying the function.
 func MeasureTrace(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet) TraceMeasurement {
+	s := GetScratch()
+	defer PutScratch(s)
 	var concat []ir.Instr
 	var local []ir.Instr
 	var branchPos []int
@@ -397,7 +398,7 @@ func MeasureTrace(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet) Tra
 	for k, bi := range trace {
 		b := fn.Blocks[bi]
 		concat = append(concat, b.Instrs...)
-		res := ScheduleInstrs(m, b.Instrs)
+		res := ScheduleInstrsScratch(m, b.Instrs, s)
 		local = append(local, res.Apply(b.Instrs)...)
 		if k < len(trace)-1 {
 			branchPos = append(branchPos, len(concat)-1)
@@ -411,7 +412,7 @@ func MeasureTrace(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet) Tra
 		}
 	}
 	dag := buildSuperblockDAG(m, concat, branchPos, exitLive)
-	super := ScheduleDAG(m, concat, dag)
+	super := scheduleDAG(m, concat, dag, s)
 	return TraceMeasurement{
 		Feat:      features.Extract(concat),
 		CostLocal: machine.EstimateCost(m, local),

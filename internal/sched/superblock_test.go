@@ -176,7 +176,7 @@ func TestSuperblockSchedulingMovesOnlySafeCode(t *testing.T) {
 
 	liveIn, _ := Liveness(fn)
 	m := model()
-	scheduleTrace(m, fn, []int{0, 1}, liveIn)
+	scheduleTrace(m, fn, []int{0, 1}, liveIn, NewScratch())
 
 	// Block 0 must still end with the BC; block 1 with BLR.
 	t0 := fn.Blocks[0].Instrs[len(fn.Blocks[0].Instrs)-1].Op
@@ -201,7 +201,7 @@ func TestSuperblockSchedulingMovesOnlySafeCode(t *testing.T) {
 
 func TestScheduleSuperblocksEndToEnd(t *testing.T) {
 	fn := diamond()
-	st := ScheduleSuperblocks(model(), fn, diamondProfile(), DefaultSuperblockOptions())
+	st := ScheduleSuperblocks(model(), fn, diamondProfile(), DefaultSuperblockOptions(), nil)
 	if st.Traces == 0 {
 		t.Fatal("no traces formed on the diamond")
 	}

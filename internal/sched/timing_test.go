@@ -12,7 +12,7 @@ import (
 func TestTimedSchedulingEquivalence(t *testing.T) {
 	m := machine.Default().Model
 	for bi, instrs := range corpus(17, 32) {
-		want := ScheduleInstrsUnpooled(m, instrs)
+		want := ScheduleInstrsScratch(m, instrs, NewScratch())
 		s := NewScratch()
 		s.StartTiming()
 		got := ScheduleInstrsScratch(m, instrs, s)

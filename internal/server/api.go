@@ -7,7 +7,7 @@ import (
 
 // The compile service's JSON wire types. Every compiler endpoint accepts
 // the same input shape: Jolt source (or the name of a bundled benchmark
-// workload), plus an optional filter selector. Errors come back as
+// workload), plus an optional policy selector. Errors come back as
 // ErrorResponse with a non-2xx status.
 
 // Traced embeds the request's trace in a response: the trace ID (also
@@ -40,17 +40,20 @@ type ProgramInput struct {
 	Target string `json:"target,omitempty"`
 	// Policy selects the scheduling policy in the spec mini-language
 	// (always|ls, never|ns, size:N, cost:N, portfolio:spec+spec+...,
-	// or "default" for the server's configured/online policy). It is
-	// the general form of FilterSpec.Filter and wins over it; inline
-	// FilterSpec.Model still wins over both.
+	// or "default"/empty for the server's configured/online policy).
+	// Inline FilterSpec.Model wins over it.
 	Policy string `json:"policy,omitempty"`
 }
 
-// FilterSpec selects the scheduling filter for a request (the
-// historical selector; ProgramInput.Policy is the general one).
+// FilterSpec carries a request's inline model and the historical policy
+// selector.
 type FilterSpec struct {
-	// Filter is "default" (or empty: the server's configured policy),
-	// or any policy spec (LS, NS, size:N, cost:N, portfolio:...).
+	// Filter is read only when ProgramInput.Policy is empty, with the
+	// same meaning.
+	//
+	// Deprecated: set ProgramInput.Policy. Requests that carry only
+	// "filter" are still decoded and served for one release; responses
+	// report the serving policy under "policy".
 	Filter string `json:"filter,omitempty"`
 	// Model is inline model text (schedfilter.FormatFilter format); it
 	// overrides Filter and ProgramInput.Policy when set.
@@ -92,10 +95,9 @@ type ScheduleRequest struct {
 // ScheduleResponse reports a scheduling pass.
 type ScheduleResponse struct {
 	Traced
-	Filter string `json:"filter"`
 	// Policy and PolicyID are the serving policy's display name and
 	// stable content identity (the cache/singleflight/routing key
-	// component). Filter repeats Policy under its historical name.
+	// component).
 	Policy   string `json:"policy"`
 	PolicyID string `json:"policy_id"`
 	// FilterVersion is the online registry version that served the
@@ -148,7 +150,6 @@ type BlockDecision struct {
 // PredictResponse reports the filter's decisions.
 type PredictResponse struct {
 	Traced
-	Filter        string          `json:"filter"`
 	Policy        string          `json:"policy"`
 	PolicyID      string          `json:"policy_id"`
 	FilterVersion int             `json:"filter_version,omitempty"`
@@ -170,7 +171,6 @@ type ExecuteRequest struct {
 // ExecuteResponse reports a simulated run.
 type ExecuteResponse struct {
 	Traced
-	Filter        string `json:"filter"`
 	Policy        string `json:"policy"`
 	PolicyID      string `json:"policy_id"`
 	FilterVersion int    `json:"filter_version,omitempty"`
@@ -197,8 +197,7 @@ type HealthResponse struct {
 	Status string `json:"status"`
 	// Node is the instance's cluster identity (Config.Node; omitted for
 	// unnamed single-node deployments).
-	Node   string `json:"node,omitempty"`
-	Filter string `json:"filter"`
+	Node string `json:"node,omitempty"`
 	// Policy and PolicyID identify the default target's serving policy
 	// (display name + content identity).
 	Policy   string `json:"policy"`

@@ -94,8 +94,7 @@ func TestOnlineLifecycle(t *testing.T) {
 	}
 	// Pinned filters bypass the registry and report version 0.
 	if _, resp := post[ScheduleResponse](t, ts.URL+"/v1/schedule", ScheduleRequest{
-		ProgramInput: ProgramInput{Source: testSource},
-		FilterSpec:   FilterSpec{Filter: "LS"},
+		ProgramInput: ProgramInput{Source: testSource, Policy: "LS"},
 	}); resp.FilterVersion != 0 {
 		t.Fatalf("pinned filter reported registry version %d", resp.FilterVersion)
 	}
@@ -200,7 +199,7 @@ func TestOnlineHotSwapSoak(t *testing.T) {
 				// A torn response would mix filters mid-swap: the version
 				// must always be a live registry version and the label
 				// must be present.
-				if resp.FilterVersion < 1 || resp.Filter == "" || resp.Blocks == 0 {
+				if resp.FilterVersion < 1 || resp.Policy == "" || resp.Blocks == 0 {
 					torn.Add(1)
 				}
 			}

@@ -13,7 +13,7 @@
 //	POST /v1/predict   filter decisions only (features + rules, no scheduling)
 //	POST /v1/execute   compile + schedule + cycle-timed simulation
 //	GET  /metrics      Prometheus text exposition
-//	GET  /healthz      liveness + configured filter/model
+//	GET  /healthz      liveness + serving policy/model
 //	GET  /debug/pprof  Go profiling endpoints
 //
 // The daemon wrapper is cmd/schedserved; the client and load generator
@@ -54,9 +54,9 @@ type Config struct {
 	// registered target is served either way — this only picks which one
 	// an unadorned request gets.
 	Target string
-	// Filter is the default scheduling filter for requests that don't
+	// Filter is the default scheduling policy for requests that don't
 	// select one; nil selects LS (always schedule).
-	Filter schedfilter.Filter
+	Filter schedfilter.Policy
 	// Workers sizes the compile worker pool; 0 selects GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the admission queue; 0 selects 4×Workers.
@@ -326,9 +326,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := HealthResponse{
 		Status:   "ok",
 		Node:     s.cfg.Node,
-		Filter:   s.cfg.Filter.Name(),
 		Policy:   s.cfg.Filter.Name(),
-		PolicyID: schedfilter.PolicyID(s.cfg.Filter),
+		PolicyID: schedfilter.FilterID(s.cfg.Filter),
 		Model:    s.def.model.Name,
 		Target:   s.def.name,
 		Targets:  append([]string(nil), s.order...),
@@ -336,9 +335,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.online != nil {
 		resp.Online = true
 		f, version := s.online.ActiveFilter(s.def.name)
-		resp.Filter = f.Name()
 		resp.Policy = f.Name()
-		resp.PolicyID = schedfilter.PolicyID(f)
+		resp.PolicyID = schedfilter.FilterID(f)
 		resp.FilterVersion = version
 		resp.ActiveFilters = s.online.ActiveSummary()
 	}
@@ -372,7 +370,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 			Target:     name,
 			Name:       f.Name(),
 			Kind:       pv.Kind,
-			ID:         schedfilter.PolicyID(f),
+			ID:         schedfilter.FilterID(f),
 			TrainedFor: pv.Target,
 			Detail:     pv.Detail,
 			Version:    version,
@@ -415,7 +413,7 @@ func (s *Server) compileInput(in ProgramInput) (*schedfilter.Program, time.Durat
 
 // resolvePolicy picks the request's scheduling policy for a machine
 // target: inline model text first, then ProgramInput.Policy, then the
-// historical FilterSpec.Filter — the latter two share the policy spec
+// deprecated FilterSpec.Filter — the latter two share the policy spec
 // mini-language, with "default"/empty meaning the server's configured
 // (or online-active) policy. The returned version is non-zero only when
 // the policy came from the online registry's active slot — the number
@@ -441,12 +439,6 @@ func (s *Server) resolvePolicy(policySpec string, spec FilterSpec, mt *machineTa
 		return nil, 0, err
 	}
 	return f, 0, nil
-}
-
-// resolveFilter is resolvePolicy without a ProgramInput.Policy spec
-// (the historical entry point; retrain/activate paths still use it).
-func (s *Server) resolveFilter(spec FilterSpec, mt *machineTarget) (schedfilter.Filter, int, error) {
-	return s.resolvePolicy("", spec, mt)
 }
 
 // observe feeds a freshly compiled (still unscheduled) program to the
@@ -485,11 +477,11 @@ func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
 	return resp, nil
 }
 
-// schedulePass runs the filter-gated scheduling pass for a request on
+// schedulePass runs the policy-gated scheduling pass for a request on
 // the resolved target's machine and cache, and feeds the pass totals
 // into the server metrics. The pass runs with phase timing on, so the
 // returned stats carry the per-phase breakdown traces report.
-func (s *Server) schedulePass(prog *schedfilter.Program, f schedfilter.Filter, mt *machineTarget, noCache bool) schedfilter.ScheduleStats {
+func (s *Server) schedulePass(prog *schedfilter.Program, f schedfilter.Policy, mt *machineTarget, noCache bool) schedfilter.ScheduleStats {
 	cache := mt.cache
 	if noCache {
 		cache = nil
@@ -563,9 +555,8 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 		recordSchedPhases(tr, st)
 	}
 	return &ScheduleResponse{
-		Filter:        f.Name(),
 		Policy:        f.Name(),
-		PolicyID:      schedfilter.PolicyID(f),
+		PolicyID:      schedfilter.FilterID(f),
 		FilterVersion: version,
 		Target:        mt.name,
 		Blocks:        st.Blocks,
@@ -605,9 +596,8 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 	}
 	obs.TraceFrom(ctx).Record(obs.PhaseCompile, compileT.Nanoseconds())
 	resp := &PredictResponse{
-		Filter:        f.Name(),
 		Policy:        f.Name(),
-		PolicyID:      schedfilter.PolicyID(f),
+		PolicyID:      schedfilter.FilterID(f),
 		FilterVersion: version,
 	}
 	for _, fn := range prog.Fns {
@@ -674,9 +664,8 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	}
 	tr.Record(obs.PhaseSim, time.Since(simStart).Nanoseconds())
 	return &ExecuteResponse{
-		Filter:        f.Name(),
 		Policy:        f.Name(),
-		PolicyID:      schedfilter.PolicyID(f),
+		PolicyID:      schedfilter.FilterID(f),
 		FilterVersion: version,
 		Target:        mt.name,
 		Ret:           res.Ret,

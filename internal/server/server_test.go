@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"schedfilter"
 )
 
 const testSource = `
@@ -156,8 +158,7 @@ func TestScheduleWorkloadAndFilters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, filter := range []string{"LS", "NS", "size:10"} {
 		code, resp := post[ScheduleResponse](t, ts.URL+"/v1/schedule", ScheduleRequest{
-			ProgramInput: ProgramInput{Workload: "compress"},
-			FilterSpec:   FilterSpec{Filter: filter},
+			ProgramInput: ProgramInput{Workload: "compress", Policy: filter},
 		})
 		if code != 200 {
 			t.Fatalf("filter %s: status %d", filter, code)
@@ -174,8 +175,7 @@ func TestScheduleWorkloadAndFilters(t *testing.T) {
 func TestPredictEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	code, resp := post[PredictResponse](t, ts.URL+"/v1/predict", PredictRequest{
-		ProgramInput: ProgramInput{Source: testSource},
-		FilterSpec:   FilterSpec{Filter: "size:5"},
+		ProgramInput: ProgramInput{Source: testSource, Policy: "size:5"},
 		Detail:       true,
 	})
 	if code != 200 {
@@ -227,8 +227,8 @@ func TestBadRequests(t *testing.T) {
 		{"both inputs", ScheduleRequest{ProgramInput: ProgramInput{Source: "x", Workload: "compress"}}},
 		{"bad source", ScheduleRequest{ProgramInput: ProgramInput{Source: "func ("}}},
 		{"unknown workload", ScheduleRequest{ProgramInput: ProgramInput{Workload: "nope"}}},
-		{"unknown filter", ScheduleRequest{ProgramInput: ProgramInput{Source: testSource}, FilterSpec: FilterSpec{Filter: "wat"}}},
-		{"bad size", ScheduleRequest{ProgramInput: ProgramInput{Source: testSource}, FilterSpec: FilterSpec{Filter: "size:x"}}},
+		{"unknown filter", ScheduleRequest{ProgramInput: ProgramInput{Source: testSource, Policy: "wat"}}},
+		{"bad size", ScheduleRequest{ProgramInput: ProgramInput{Source: testSource, Policy: "size:x"}}},
 	}
 	for _, c := range cases {
 		code, resp := post[ErrorResponse](t, ts.URL+"/v1/schedule", c.req)
@@ -251,8 +251,8 @@ func TestInlineModelFilter(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if resp.Filter != "L/N inline" {
-		t.Fatalf("filter label = %q", resp.Filter)
+	if resp.Policy != "L/N inline" {
+		t.Fatalf("policy label = %q", resp.Policy)
 	}
 }
 
@@ -267,7 +267,7 @@ func TestHealthz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Model == "" || h.Filter == "" {
+	if h.Status != "ok" || h.Model == "" || h.Policy == "" {
 		t.Fatalf("bad health: %+v", h)
 	}
 	if h.Target != "mpc7410" || len(h.Targets) < 3 {
@@ -279,6 +279,38 @@ func TestHealthz(t *testing.T) {
 // /healthz to 503 "draining" while the compile endpoints keep serving,
 // so a balancer or cluster gateway pulls the node before its listener
 // closes and in-flight clients never see a reset.
+// The deprecation window of the "filter" request field: a request that
+// carries only "filter" is still served by that policy, and no response
+// repeats the policy under a "filter" key.
+func TestFilterFieldDeprecationWindow(t *testing.T) {
+	_, ts := newTestServer(t, Config{Filter: schedfilter.NeverSchedule})
+	for _, ep := range []string{"schedule", "predict", "execute"} {
+		code, resp := post[map[string]any](t, ts.URL+"/v1/"+ep,
+			map[string]string{"source": testSource, "filter": "LS"})
+		if code != 200 {
+			t.Fatalf("%s: status %d: %v", ep, code, resp)
+		}
+		if resp["policy"] != "LS" || resp["policy_id"] != "LS" {
+			t.Errorf("%s: filter-only request served by policy %v (id %v), want LS", ep, resp["policy"], resp["policy_id"])
+		}
+		if _, ok := resp["filter"]; ok {
+			t.Errorf("%s: response still carries a filter key", ep)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := h["filter"]; ok || h["policy"] != "NS" {
+		t.Errorf("healthz: %v, want policy NS and no filter key", h)
+	}
+}
+
 func TestBeginDrainFlipsHealthzKeepsServing(t *testing.T) {
 	s, ts := newTestServer(t, Config{Node: "n-drain"})
 	if s.Draining() {
@@ -431,8 +463,7 @@ func TestExecuteTargetChangesCycles(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	run := func(target string) ExecuteResponse {
 		code, r := post[ExecuteResponse](t, ts.URL+"/v1/execute", ExecuteRequest{
-			ProgramInput: ProgramInput{Source: testSource, Target: target},
-			FilterSpec:   FilterSpec{Filter: "LS"},
+			ProgramInput: ProgramInput{Source: testSource, Target: target, Policy: "LS"},
 		})
 		if code != 200 {
 			t.Fatalf("execute on %q: status %d", target, code)

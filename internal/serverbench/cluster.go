@@ -247,8 +247,7 @@ func runConvergence(h *clusterHarness, cfg ClusterConfig, res *ClusterResult) er
 		c := &benchClient{base: h.listens[i].URL, hc: h.listens[i].Client()}
 		for _, w := range cfg.Workloads {
 			if _, err := c.schedule(server.ScheduleRequest{
-				ProgramInput: server.ProgramInput{Workload: w},
-				FilterSpec:   server.FilterSpec{Filter: "default"},
+				ProgramInput: server.ProgramInput{Workload: w, Policy: "default"},
 			}); err != nil {
 				return fmt.Errorf("seed %s on %s: %w", w, h.names[i], err)
 			}
@@ -348,8 +347,7 @@ func runRouting(h *clusterHarness, cfg ClusterConfig, res *ClusterResult) error 
 		res.Routing[w] = want
 		for round := 0; round < 2; round++ {
 			node, err := gc.scheduleNode(server.ScheduleRequest{
-				ProgramInput: server.ProgramInput{Workload: w},
-				FilterSpec:   server.FilterSpec{Filter: "LS"},
+				ProgramInput: server.ProgramInput{Workload: w, Policy: "LS"},
 			})
 			if err != nil {
 				return err
@@ -386,8 +384,7 @@ func runPhase(base string, nodes int, cfg ClusterConfig) (ClusterPhase, error) {
 				}
 				t0 := time.Now()
 				node, err := gc.scheduleNode(server.ScheduleRequest{
-					ProgramInput: server.ProgramInput{Workload: cfg.Workloads[int(i)%len(cfg.Workloads)]},
-					FilterSpec:   server.FilterSpec{Filter: "LS"},
+					ProgramInput: server.ProgramInput{Workload: cfg.Workloads[int(i)%len(cfg.Workloads)], Policy: "LS"},
 				})
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
@@ -418,8 +415,7 @@ func runBatch(h *clusterHarness, cfg ClusterConfig, res *ClusterResult) error {
 	items := make([]json.RawMessage, len(cfg.Workloads))
 	for i, w := range cfg.Workloads {
 		buf, err := json.Marshal(server.ScheduleRequest{
-			ProgramInput: server.ProgramInput{Workload: w},
-			FilterSpec:   server.FilterSpec{Filter: "LS"},
+			ProgramInput: server.ProgramInput{Workload: w, Policy: "LS"},
 		})
 		if err != nil {
 			return err

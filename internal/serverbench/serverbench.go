@@ -156,8 +156,7 @@ func Run(cfg Config) (*Result, error) {
 func (c *benchClient) benchWorkload(name string, cfg Config) (Row, error) {
 	row := Row{Workload: name}
 	req := server.ScheduleRequest{
-		ProgramInput: server.ProgramInput{Workload: name},
-		FilterSpec:   server.FilterSpec{Filter: cfg.Filter},
+		ProgramInput: server.ProgramInput{Workload: name, Policy: cfg.Filter},
 	}
 
 	t0 := time.Now()

@@ -146,7 +146,10 @@ func TestHotSwapAtSafePoint(t *testing.T) {
 					continue
 				}
 				nf := work.Fns[fi].Clone()
-				sched.ScheduleFn(m, nf)
+				scratch := sched.NewScratch()
+				for _, b := range nf.Blocks {
+					sched.ScheduleBlock(m, b, nil, scratch)
+				}
 				swaps = append(swaps, sim.FnSwap{Fn: fi, NewFn: nf})
 			}
 			return swaps

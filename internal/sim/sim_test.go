@@ -185,7 +185,7 @@ func TestSchedulingPreservesBlockSemantics(t *testing.T) {
 			return true // generated block traps identically either way
 		}
 		scheduled := blk.Clone()
-		sched.ScheduleBlock(m, scheduled)
+		sched.ScheduleBlock(m, scheduled, nil, sched.NewScratch())
 		if err := ExecBlock(st2, scheduled); err != nil {
 			return false
 		}
@@ -220,7 +220,7 @@ func TestSchedulingPreservesSemanticsUnderRandomInitialState(t *testing.T) {
 			return true
 		}
 		scheduled := blk.Clone()
-		sched.ScheduleBlock(m, scheduled)
+		sched.ScheduleBlock(m, scheduled, nil, sched.NewScratch())
 		if err := ExecBlock(st2, scheduled); err != nil {
 			return false
 		}

@@ -82,7 +82,7 @@ func TestSuperblockSchedulingPreservesCFGSemantics(t *testing.T) {
 			prof[i].Exec = int64(r.Intn(1000))
 			prof[i].Taken = int64(r.Intn(int(prof[i].Exec + 1)))
 		}
-		sched.ScheduleSuperblocks(m, fn, prof, sched.DefaultSuperblockOptions())
+		sched.ScheduleSuperblocks(m, fn, prof, sched.DefaultSuperblockOptions(), nil)
 
 		gotRet, _ := fingerprint(t, p)
 		if gotRet != wantRet {
@@ -118,7 +118,7 @@ func TestSuperblockSchedulingWithTruthfulProfile(t *testing.T) {
 			prof[i].Exec = res.ExecCounts[0][i]
 			prof[i].Taken = res.TakenCounts[0][i]
 		}
-		sched.ScheduleSuperblocks(m, fn, prof, sched.DefaultSuperblockOptions())
+		sched.ScheduleSuperblocks(m, fn, prof, sched.DefaultSuperblockOptions(), nil)
 		got, err := Run(p, Config{MemWords: 4096, StepLimit: 1 << 20})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

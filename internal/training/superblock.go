@@ -3,7 +3,6 @@ package training
 import (
 	"fmt"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/features"
 	"schedfilter/internal/jit"
 	"schedfilter/internal/machine"
@@ -120,7 +119,7 @@ func LabelTraces(recs []TraceRecord, t int) *ripper.Dataset {
 
 // TrainTraceFilter induces a superblock filter from the union of
 // benchmarks' trace instances at threshold t.
-func TrainTraceFilter(data []*TraceData, t int, opt ripper.Options) *core.Induced {
+func TrainTraceFilter(data []*TraceData, t int, opt ripper.Options) *policy.Induced {
 	ds := &ripper.Dataset{Names: features.Names[:]}
 	for _, td := range data {
 		part := LabelTraces(td.Records, t)
@@ -129,12 +128,12 @@ func TrainTraceFilter(data []*TraceData, t int, opt ripper.Options) *core.Induce
 		}
 	}
 	rs := ripper.Induce(ds, opt)
-	return core.NewInduced(rs, fmt.Sprintf("SB/L t=%d", t))
+	return policy.NewInduced(rs, fmt.Sprintf("SB/L t=%d", t))
 }
 
 // TraceLeaveOneOut trains a superblock filter for the named benchmark on
 // the other benchmarks' traces.
-func TraceLeaveOneOut(all []*TraceData, target string, t int, opt ripper.Options) *core.Induced {
+func TraceLeaveOneOut(all []*TraceData, target string, t int, opt ripper.Options) *policy.Induced {
 	var rest []*TraceData
 	for _, td := range all {
 		if td.Name != target {
@@ -148,7 +147,7 @@ func TraceLeaveOneOut(all []*TraceData, target string, t int, opt ripper.Options
 
 // TraceErrorRate is the classification error of a filter on the target's
 // labelled traces at threshold t.
-func TraceErrorRate(f core.Filter, td *TraceData, t int) float64 {
+func TraceErrorRate(f policy.Policy, td *TraceData, t int) float64 {
 	total, wrong := 0, 0
 	for i := range td.Records {
 		lbl := TraceLabelOf(&td.Records[i], t)

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/features"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/jit"
@@ -218,7 +217,7 @@ func (c *LabelCache) Labelled(bd *BenchData, t int) *ripper.Dataset {
 
 // TrainFilter induces a filter from the union of the given benchmarks'
 // instances at threshold t.
-func TrainFilter(data []*BenchData, t int, opt ripper.Options) *core.Induced {
+func TrainFilter(data []*BenchData, t int, opt ripper.Options) *policy.Induced {
 	return TrainFilterCached(data, t, opt, nil)
 }
 
@@ -226,7 +225,7 @@ func TrainFilter(data []*BenchData, t int, opt ripper.Options) *core.Induced {
 // means label from scratch). Per-benchmark datasets are merged with one
 // pre-sized bulk append per benchmark instead of an instance-at-a-time
 // copy of the already-built parts.
-func TrainFilterCached(data []*BenchData, t int, opt ripper.Options, c *LabelCache) *core.Induced {
+func TrainFilterCached(data []*BenchData, t int, opt ripper.Options, c *LabelCache) *policy.Induced {
 	ds := &ripper.Dataset{Names: features.Names[:]}
 	for _, bd := range data {
 		if c != nil {
@@ -236,7 +235,7 @@ func TrainFilterCached(data []*BenchData, t int, opt ripper.Options, c *LabelCac
 		}
 	}
 	rs := ripper.Induce(ds, opt)
-	return core.NewInducedFor(rs, fmt.Sprintf("L/N t=%d", t), targetOf(data))
+	return policy.NewInducedFor(rs, fmt.Sprintf("L/N t=%d", t), targetOf(data))
 }
 
 // targetOf is the common machine target of the training data: the
@@ -256,13 +255,13 @@ func targetOf(data []*BenchData) string {
 
 // LeaveOneOut trains a filter for the named benchmark using every OTHER
 // benchmark's instances, as the paper's cross-validation does.
-func LeaveOneOut(all []*BenchData, target string, t int, opt ripper.Options) *core.Induced {
+func LeaveOneOut(all []*BenchData, target string, t int, opt ripper.Options) *policy.Induced {
 	return LeaveOneOutCached(all, target, t, opt, nil)
 }
 
 // LeaveOneOutCached is LeaveOneOut drawing labelled datasets from c (nil
 // means label from scratch).
-func LeaveOneOutCached(all []*BenchData, target string, t int, opt ripper.Options, c *LabelCache) *core.Induced {
+func LeaveOneOutCached(all []*BenchData, target string, t int, opt ripper.Options, c *LabelCache) *policy.Induced {
 	rest := make([]*BenchData, 0, len(all))
 	for _, bd := range all {
 		if bd.Name != target {
@@ -277,7 +276,7 @@ func LeaveOneOutCached(all []*BenchData, target string, t int, opt ripper.Option
 // ErrorRate evaluates a filter's classification error on the target
 // benchmark's labelled instances at threshold t (dropped instances are
 // excluded, as in the paper's test sets).
-func ErrorRate(f core.Filter, bd *BenchData, t int) float64 {
+func ErrorRate(f policy.Policy, bd *BenchData, t int) float64 {
 	total, wrong := 0, 0
 	for i := range bd.Records {
 		lbl := LabelOf(&bd.Records[i], t)
@@ -299,7 +298,7 @@ func ErrorRate(f core.Filter, bd *BenchData, t int) float64 {
 // PredictedTime computes the paper's simulated running time:
 // SIM(P, π) = Σ_b execs(b) · estcost_π(b), with the filter choosing per
 // block between the scheduled and unscheduled cost estimate.
-func PredictedTime(bd *BenchData, f core.Filter) int64 {
+func PredictedTime(bd *BenchData, f policy.Policy) int64 {
 	var total int64
 	for i := range bd.Records {
 		r := &bd.Records[i]
@@ -314,7 +313,7 @@ func PredictedTime(bd *BenchData, f core.Filter) int64 {
 
 // Decisions counts how many blocks the filter sends to the scheduler
 // (run-time LS classifications) versus not.
-func Decisions(bd *BenchData, f core.Filter) (ls, ns int) {
+func Decisions(bd *BenchData, f policy.Policy) (ls, ns int) {
 	for i := range bd.Records {
 		if policy.Schedules(f, bd.Records[i].Feat) {
 			ls++

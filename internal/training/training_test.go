@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"schedfilter/internal/core"
 	"schedfilter/internal/features"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
 	"schedfilter/internal/workloads"
 )
@@ -112,8 +112,8 @@ func TestLeaveOneOutAccuracy(t *testing.T) {
 func TestPredictedTimeOrdering(t *testing.T) {
 	data := collectSuite1(t)
 	for _, bd := range data {
-		ls := PredictedTime(bd, core.Always{})
-		ns := PredictedTime(bd, core.Never{})
+		ls := PredictedTime(bd, policy.Always{})
+		ns := PredictedTime(bd, policy.Never{})
 		if ls > ns {
 			t.Errorf("%s: predicted LS time %d exceeds NS time %d", bd.Name, ls, ns)
 		}

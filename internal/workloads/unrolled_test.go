@@ -8,6 +8,7 @@ import (
 	"schedfilter/internal/jit"
 	"schedfilter/internal/jolt"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/sched"
 	"schedfilter/internal/sim"
 )
@@ -36,7 +37,7 @@ func TestWorkloadsUnrolledDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("jit: %v", err)
 			}
-			core.ApplyFilter(model, prog, core.Always{})
+			core.Apply(model, prog, policy.Always{}, core.Pass{})
 			got, err := sim.Run(prog, sim.Config{})
 			if err != nil {
 				t.Fatalf("sim: %v", err)

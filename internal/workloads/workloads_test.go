@@ -7,6 +7,7 @@ import (
 	"schedfilter/internal/interp"
 	"schedfilter/internal/jit"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/sim"
 )
 
@@ -94,7 +95,7 @@ func TestWorkloadsDifferential(t *testing.T) {
 				t.Errorf("NS ret = %d, interp says %d", ns.Ret, want.Ret)
 			}
 
-			core.ApplyFilter(model, prog, core.Always{})
+			core.Apply(model, prog, policy.Always{}, core.Pass{})
 			ls, err := sim.Run(prog, sim.Config{})
 			if err != nil {
 				t.Fatalf("sim LS: %v", err)

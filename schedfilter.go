@@ -76,11 +76,9 @@ type (
 	Module = bytecode.Module
 	// FeatureVector is the paper's 13 cheap block features (Table 1).
 	FeatureVector = features.Vector
-	// Filter decides per block whether to run the list scheduler.
-	// Historical name for Policy; the two aliases are interchangeable.
-	Filter = core.Filter
-	// Policy is the pluggable scheduling decision procedure: Name,
-	// Decide (schedule + confidence), Provenance.
+	// Policy is the pluggable scheduling decision procedure — whether to
+	// run the list scheduler on a block: Name, Decide (schedule +
+	// confidence), Provenance.
 	Policy = policy.Policy
 	// PolicyKind is one registered policy constructor (the unit of the
 	// policy registry, as Target is for machines).
@@ -93,7 +91,7 @@ type (
 	// PortfolioPolicy arbitrates between member policies by confidence.
 	PortfolioPolicy = policy.Portfolio
 	// InducedFilter is a learned (Ripper rule set) filter.
-	InducedFilter = core.Induced
+	InducedFilter = policy.Induced
 	// RuleSet is an ordered Ripper rule list.
 	RuleSet = ripper.RuleSet
 	// ScheduleStats reports what a scheduling pass did.
@@ -190,9 +188,9 @@ func NewOnlineManager(cfg OnlineConfig) (*OnlineManager, error) {
 // Fixed protocols (the paper's baselines).
 var (
 	// AlwaysSchedule is the LS protocol.
-	AlwaysSchedule Filter = core.Always{}
+	AlwaysSchedule Policy = policy.Always{}
 	// NeverSchedule is the NS protocol.
-	NeverSchedule Filter = core.Never{}
+	NeverSchedule Policy = policy.Never{}
 )
 
 // FeatureNames lists the Table-1 feature names in vector order.
@@ -263,12 +261,17 @@ func EstimateCost(m *Machine, b *Block) int { return machine.EstimateBlockCost(m
 
 // ScheduleBlock list-schedules one block in place (critical-path
 // scheduling) and reports the before/after cost estimates.
-func ScheduleBlock(m *Machine, b *Block) ScheduleResult { return sched.ScheduleBlock(m, b) }
+func ScheduleBlock(m *Machine, b *Block) ScheduleResult {
+	s := sched.GetScratch()
+	defer sched.PutScratch(s)
+	res, _ := sched.ScheduleBlock(m, b, nil, s)
+	return res
+}
 
-// Schedule applies the filter-driven scheduling pass to a whole program in
-// place, timing the pass (features and filter evaluation included).
-func Schedule(m *Machine, p *Program, f Filter) ScheduleStats {
-	return core.ApplyFilter(m, p, f)
+// Schedule applies the policy-gated scheduling pass to a whole program in
+// place, timing the pass (features and policy evaluation included).
+func Schedule(m *Machine, p *Program, f Policy) ScheduleStats {
+	return core.Apply(m, p, f, core.Pass{})
 }
 
 // NewScheduleCache returns a content-addressed scheduled-block cache
@@ -282,8 +285,8 @@ func NewScheduleCache(maxWeight int) *ScheduleCache { return codecache.New(maxWe
 // machine model, in any program) replay the cached order instead of
 // re-running the list scheduler. The returned stats split Scheduled into
 // CacheHits and CacheMisses.
-func ScheduleWithCache(m *Machine, p *Program, f Filter, c *ScheduleCache) ScheduleStats {
-	return core.ApplyFilterCached(m, p, f, c)
+func ScheduleWithCache(m *Machine, p *Program, f Policy, c *ScheduleCache) ScheduleStats {
+	return core.Apply(m, p, f, core.Pass{Cache: c})
 }
 
 // ScheduleWithCacheTimed is ScheduleWithCache with per-phase timing on:
@@ -291,8 +294,8 @@ func ScheduleWithCache(m *Machine, p *Program, f Filter, c *ScheduleCache) Sched
 // cache-lookup, DAG-build, list-schedule, and estimator components. The
 // compile server uses it to populate request traces; the breakdown adds
 // no allocations to the scheduling hot path.
-func ScheduleWithCacheTimed(m *Machine, p *Program, f Filter, c *ScheduleCache) ScheduleStats {
-	return core.ApplyFilterCachedTimed(m, p, f, c)
+func ScheduleWithCacheTimed(m *Machine, p *Program, f Policy, c *ScheduleCache) ScheduleStats {
+	return core.Apply(m, p, f, core.Pass{Cache: c, Timed: true})
 }
 
 // SchedulePhaseTimes is the per-phase breakdown carried by
@@ -316,7 +319,7 @@ func FingerprintProgram(m *Machine, context string, p *Program) CacheKey {
 
 // NewRuleFilter wraps a Ripper rule set as a filter.
 func NewRuleFilter(rs *RuleSet, label string) *InducedFilter {
-	return core.NewInduced(rs, label)
+	return policy.NewInduced(rs, label)
 }
 
 // ParseRuleSet reads a rule set in the Figure-4 text format, resolving
@@ -327,7 +330,7 @@ func ParseRuleSet(text string) (*RuleSet, error) {
 
 // SizeFilter returns the hand-written baseline filter that schedules
 // blocks of at least minLen instructions.
-func SizeFilter(minLen int) Filter { return core.SizeThreshold{MinLen: minLen} }
+func SizeFilter(minLen int) Policy { return policy.SizeThreshold{MinLen: minLen} }
 
 // Schedules is the boolean projection of a policy's Decide, for call
 // sites that don't need the confidence.
@@ -371,23 +374,19 @@ func ParsePolicy(text, target string) (Policy, error) { return policy.Parse(text
 // "# filter: <label>" header, a "# target: <name>" header when the
 // filter records its training target, plus the rule set in the
 // round-trippable full-precision format. ParseFilter inverts it exactly.
-func FormatFilter(f *InducedFilter) string { return core.FormatInduced(f) }
+func FormatFilter(f *InducedFilter) string { return policy.FormatInduced(f) }
 
 // ParseFilter reads model text produced by FormatFilter (or any rule text
 // in the Figure-4 format; the label and target headers are optional).
 // Attribute names resolve against the Table-1 feature names.
-func ParseFilter(text string) (*InducedFilter, error) { return core.ParseInduced(text) }
+func ParseFilter(text string) (*InducedFilter, error) { return policy.ParseInduced(text) }
 
-// FilterID returns a stable content identity for a filter: fixed
-// protocols by name, induced filters by label plus a digest of their
-// rule text. The compile server folds it into program fingerprints so
-// two filter versions that share a display name can never alias in any
-// content-addressed cache.
-func FilterID(f Filter) string { return core.FilterID(f) }
-
-// PolicyID is FilterID under its policy-layer name: the stable content
-// identity every cache, singleflight, and cluster routing key uses.
-func PolicyID(p Policy) string { return policy.ID(p) }
+// FilterID returns a policy's stable content identity: fixed protocols
+// by name, induced filters by label plus a digest of their rule text. The
+// compile server folds it into program fingerprints, singleflight keys and
+// cluster routing keys, so two filter versions that share a display name
+// can never alias in any content-addressed cache.
+func FilterID(p Policy) string { return policy.ID(p) }
 
 // SaveFilter writes the induced filter to path as model text — the file
 // the compile-server daemon (cmd/schedserved) boots from.
@@ -488,7 +487,7 @@ func DefaultAdaptivePolicy() AdaptivePolicy { return adaptive.DefaultPromotion()
 // the stock sampling rate, pool size, and promotion policy. Set Module
 // on the result to let the background workers recompile promoted
 // functions from bytecode rather than from baseline machine code.
-func DefaultAdaptiveConfig(m *Machine, f Filter) AdaptiveConfig {
+func DefaultAdaptiveConfig(m *Machine, f Policy) AdaptiveConfig {
 	return AdaptiveConfig{Model: m, Policy: f}
 }
 

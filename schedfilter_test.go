@@ -56,7 +56,7 @@ func TestInterpretMatchesExecute(t *testing.T) {
 
 func TestScheduleProtocols(t *testing.T) {
 	m := NewMachine()
-	for _, f := range []Filter{NeverSchedule, AlwaysSchedule, SizeFilter(8)} {
+	for _, f := range []Policy{NeverSchedule, AlwaysSchedule, SizeFilter(8)} {
 		prog, err := CompileSource(tinyProgram)
 		if err != nil {
 			t.Fatal(err)

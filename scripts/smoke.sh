@@ -42,12 +42,12 @@ for i in $(seq 1 50); do
 done
 
 echo "smoke: first schedule request (cold cache)"
-"$TMP/schedctl" -addr "$BASE" schedule -workload compress -filter LS >"$TMP/r1.json"
+"$TMP/schedctl" -addr "$BASE" schedule -workload compress -policy LS >"$TMP/r1.json"
 grep -q '"cache_misses": [1-9]' "$TMP/r1.json" \
   || fail "first request reported no cache misses: $(cat "$TMP/r1.json")"
 
 echo "smoke: second identical request (must be fully cached)"
-"$TMP/schedctl" -addr "$BASE" schedule -workload compress -filter LS >"$TMP/r2.json"
+"$TMP/schedctl" -addr "$BASE" schedule -workload compress -policy LS >"$TMP/r2.json"
 grep -q '"cache_misses": 0' "$TMP/r2.json" \
   || fail "second request was not fully cached: $(cat "$TMP/r2.json")"
 grep -q '"cache_hits": 0' "$TMP/r2.json" \
@@ -63,7 +63,7 @@ echo "smoke: checking /metrics counters"
 runs1=$(awk '/^schedserved_scheduler_runs_total /{print $2}' "$TMP/m1.txt")
 [ -n "$runs1" ] || fail "scheduler_runs_total missing from /metrics"
 
-"$TMP/schedctl" -addr "$BASE" schedule -workload compress -filter LS >/dev/null
+"$TMP/schedctl" -addr "$BASE" schedule -workload compress -policy LS >/dev/null
 "$TMP/schedctl" -addr "$BASE" metrics -raw >"$TMP/m2.txt"
 runs2=$(awk '/^schedserved_scheduler_runs_total /{print $2}' "$TMP/m2.txt")
 [ "$runs1" = "$runs2" ] \
@@ -72,7 +72,7 @@ grep -q '^codecache_hits_total [1-9]' "$TMP/m2.txt" \
   || fail "codecache_hits_total not positive"
 
 echo "smoke: traced request round-trips its ID and feeds the phase histograms"
-"$TMP/schedctl" -addr "$BASE" trace -workload compress -filter LS -id smoke-trace-1 >"$TMP/tr1.txt" \
+"$TMP/schedctl" -addr "$BASE" trace -workload compress -policy LS -id smoke-trace-1 >"$TMP/tr1.txt" \
   || fail "trace request failed: $(cat "$TMP/tr1.txt")"
 grep -q '^trace smoke-trace-1 ' "$TMP/tr1.txt" \
   || fail "X-Sched-Trace ID did not round-trip: $(cat "$TMP/tr1.txt")"
@@ -82,7 +82,7 @@ grep -q '  compile ' "$TMP/tr1.txt" \
   || fail "schedserved_phase_ns histogram saw no compile samples"
 
 echo "smoke: scalar1 target request (separate cache, cold)"
-"$TMP/schedctl" -addr "$BASE" schedule -workload compress -filter LS -target scalar1 >"$TMP/r3.json"
+"$TMP/schedctl" -addr "$BASE" schedule -workload compress -policy LS -target scalar1 >"$TMP/r3.json"
 grep -q '"target": "scalar1"' "$TMP/r3.json" \
   || fail "scalar1 request not labelled with its target: $(cat "$TMP/r3.json")"
 grep -q '"cache_misses": [1-9]' "$TMP/r3.json" \
@@ -222,7 +222,7 @@ primary=$(sed -n 's/^loadgen: node mix: \(n[ab]\) .*/\1/p' "$TMP/glg1.txt")
 echo "smoke: compress routes to $primary"
 
 echo "smoke: trace round-trip through the gateway"
-"$TMP/schedctl" -addr "$GBASE" trace -workload compress -filter LS -id smoke-gw-trace >"$TMP/gtr.txt" \
+"$TMP/schedctl" -addr "$GBASE" trace -workload compress -policy LS -id smoke-gw-trace >"$TMP/gtr.txt" \
   || fail "gateway trace request failed: $(cat "$TMP/gtr.txt")"
 grep -q '^trace smoke-gw-trace ' "$TMP/gtr.txt" \
   || fail "trace ID did not survive the gateway hop: $(cat "$TMP/gtr.txt")"
@@ -235,8 +235,8 @@ grep -q '  compile ' "$TMP/gtr.txt" \
 
 echo "smoke: seeding both backends and waiting for measurement"
 for base in "http://$ADDR_A" "http://$ADDR_B"; do
-  "$TMP/schedctl" -addr "$base" schedule -workload compress -filter default >/dev/null 2>&1
-  "$TMP/schedctl" -addr "$base" schedule -workload db -filter default >/dev/null 2>&1
+  "$TMP/schedctl" -addr "$base" schedule -workload compress -policy default >/dev/null 2>&1
+  "$TMP/schedctl" -addr "$base" schedule -workload db -policy default >/dev/null 2>&1
   # Sample measurement is asynchronous; retraining before the queue
   # drains would see an empty reservoir.
   for i in $(seq 1 100); do
