@@ -183,14 +183,69 @@ func (p *Program) FnByName(name string) *Fn {
 	return nil
 }
 
-// Clone returns a deep copy of the program.
+// Clone returns a deep copy of the program in a fixed number of
+// allocations, however many instructions it holds: functions, blocks,
+// instructions, successor lists and register operands each live in one
+// flat backing array. Every slice handed out is cut with a full slice
+// expression, so an append on one block's Instrs or one instruction's
+// Defs reallocates instead of overwriting its neighbour. Empty operand
+// and successor lists clone to nil, as Fn.Clone's do.
 func (p *Program) Clone() *Program {
-	np := &Program{Entry: p.Entry, Globals: p.Globals}
-	np.Fns = make([]*Fn, len(p.Fns))
-	for i, f := range p.Fns {
-		np.Fns[i] = f.Clone()
+	var nBlocks, nInstrs, nSuccs, nRegs int
+	for _, f := range p.Fns {
+		nBlocks += len(f.Blocks)
+		for _, b := range f.Blocks {
+			nInstrs += len(b.Instrs)
+			nSuccs += len(b.Succs)
+			for i := range b.Instrs {
+				nRegs += len(b.Instrs[i].Defs) + len(b.Instrs[i].Uses)
+			}
+		}
 	}
-	return np
+	fns := make([]Fn, len(p.Fns))
+	fnPtrs := make([]*Fn, len(p.Fns))
+	blocks := make([]Block, nBlocks)
+	blockPtrs := make([]*Block, nBlocks)
+	instrs := make([]Instr, nInstrs)
+	succs := make([]int, nSuccs)
+	regs := make([]Reg, nRegs)
+	// cutRegs copies src onto the front of regs and returns the copy.
+	cutRegs := func(src []Reg) []Reg {
+		if len(src) == 0 {
+			return nil
+		}
+		n := copy(regs, src)
+		out := regs[:n:n]
+		regs = regs[n:]
+		return out
+	}
+	for fi, f := range p.Fns {
+		nf := &fns[fi]
+		*nf = *f
+		nf.Blocks = blockPtrs[:len(f.Blocks):len(f.Blocks)]
+		blockPtrs = blockPtrs[len(f.Blocks):]
+		for bi, b := range f.Blocks {
+			nb := &blocks[0]
+			blocks = blocks[1:]
+			*nb = *b
+			nb.Instrs = instrs[:len(b.Instrs):len(b.Instrs)]
+			instrs = instrs[len(b.Instrs):]
+			nb.Succs = nil
+			if n := len(b.Succs); n > 0 {
+				nb.Succs = succs[:n:n]
+				succs = succs[copy(succs, b.Succs):]
+			}
+			for i := range b.Instrs {
+				in := &nb.Instrs[i]
+				*in = b.Instrs[i]
+				in.Defs = cutRegs(in.Defs)
+				in.Uses = cutRegs(in.Uses)
+			}
+			nf.Blocks[bi] = nb
+		}
+		fnPtrs[fi] = nf
+	}
+	return &Program{Fns: fnPtrs, Entry: p.Entry, Globals: p.Globals}
 }
 
 // NumBlocks returns the total basic-block count across all functions.

@@ -18,7 +18,8 @@ const TraceHeader = "X-Sched-Trace"
 const (
 	PhaseRoute        = "route"         // gateway: pick + reach a backend (overhead over backend total)
 	PhaseQueueWait    = "queue_wait"    // server: submit → worker pickup in the bounded pool
-	PhaseCompile      = "compile"       // server: whole compile/schedule pass over the program
+	PhaseCompile      = "compile"       // server: Jolt compile + JIT, or the memo lookup + copy for a repeat source
+	PhaseFingerprint  = "fingerprint"   // server: whole-program fingerprint (cache, singleflight and routing key)
 	PhaseCacheLookup  = "cache_lookup"  // scheduler: block fingerprint + scheduled-block cache probe
 	PhaseDAGBuild     = "dag_build"     // scheduler: dependence DAG construction
 	PhaseListSchedule = "list_schedule" // scheduler: list-scheduling loop proper
@@ -28,7 +29,7 @@ const (
 
 // Phases lists every span name in canonical display order.
 var Phases = []string{
-	PhaseRoute, PhaseQueueWait, PhaseCompile, PhaseCacheLookup,
+	PhaseRoute, PhaseQueueWait, PhaseCompile, PhaseFingerprint, PhaseCacheLookup,
 	PhaseDAGBuild, PhaseListSchedule, PhaseEstimator, PhaseSim,
 }
 

@@ -48,6 +48,11 @@ func TestMetricNameCompat(t *testing.T) {
 		"schedserved_scheduler_runs_total ",
 		"schedserved_sched_cache_hits_total ",
 		"schedserved_sched_time_ns_total ",
+		// Compiled-program memo.
+		"schedserved_compile_memo_hits_total ",
+		"schedserved_compile_memo_misses_total ",
+		"schedserved_compile_memo_evictions_total ",
+		"schedserved_compile_memo_bytes ",
 		// Cache aggregates + per-target breakout + flight.
 		"codecache_hits_total ",
 		"codecache_misses_total ",
@@ -71,6 +76,7 @@ func TestMetricNameCompat(t *testing.T) {
 		"schedserved_uptime_seconds ",
 		// The new phase histograms are present alongside.
 		`schedserved_phase_ns_bucket{phase="compile",le="+Inf"} `,
+		`schedserved_phase_ns_bucket{phase="fingerprint",le="+Inf"} `,
 		`schedserved_request_latency_ns_count{endpoint="schedule"} `,
 	}
 	for _, w := range want {
@@ -158,7 +164,7 @@ func TestTraceInResponse(t *testing.T) {
 	if sum > sr.Trace.TotalNs {
 		t.Errorf("spans sum %d > total %d", sum, sr.Trace.TotalNs)
 	}
-	for _, ph := range []string{obs.PhaseQueueWait, obs.PhaseCompile} {
+	for _, ph := range []string{obs.PhaseQueueWait, obs.PhaseCompile, obs.PhaseFingerprint} {
 		if !seen[ph] {
 			t.Errorf("span %q missing: %+v", ph, sr.Trace.Spans)
 		}

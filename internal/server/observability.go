@@ -68,7 +68,7 @@ func (e *epMetrics) record(status int, elapsed time.Duration) {
 // serverPhases are the span names this layer can observe (route is the
 // gateway's).
 var serverPhases = []string{
-	obs.PhaseQueueWait, obs.PhaseCompile, obs.PhaseCacheLookup,
+	obs.PhaseQueueWait, obs.PhaseCompile, obs.PhaseFingerprint, obs.PhaseCacheLookup,
 	obs.PhaseDAGBuild, obs.PhaseListSchedule, obs.PhaseEstimator, obs.PhaseSim,
 }
 
@@ -113,6 +113,15 @@ func newServerObs(s *Server, endpoints ...string) *serverObs {
 	o.schedulerRuns = reg.Counter("schedserved_scheduler_runs_total", "")
 	o.cacheHits = reg.Counter("schedserved_sched_cache_hits_total", "")
 	o.schedNs = reg.Counter("schedserved_sched_time_ns_total", "")
+
+	reg.CounterFunc("schedserved_compile_memo_hits_total", "Compiled-program memo traffic.",
+		func() int64 { return s.memo.stats().hits })
+	reg.CounterFunc("schedserved_compile_memo_misses_total", "",
+		func() int64 { return s.memo.stats().misses })
+	reg.CounterFunc("schedserved_compile_memo_evictions_total", "",
+		func() int64 { return s.memo.stats().evictions })
+	reg.GaugeFunc("schedserved_compile_memo_bytes", "Memo weight: source bytes plus 128 per instruction.",
+		func() int64 { return s.memo.stats().bytes })
 
 	caches := make([]*codecache.Cache, 0, len(s.order))
 	for _, name := range s.order {

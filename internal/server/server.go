@@ -125,6 +125,8 @@ type Server struct {
 	// pass — the stampede that follows a filter activation flushing
 	// cluster affinity costs one pass instead of N.
 	flight schedfilter.ScheduleFlight
+	// memo holds the compiled programs of repeat sources.
+	memo *programMemo
 	// schedFlightHook, when non-nil, runs inside a schedule flight leader
 	// before its pass. Tests set it (before serving traffic) to hold a
 	// leader in flight while a stampede forms; production leaves it nil.
@@ -147,6 +149,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		targets: map[string]*machineTarget{},
 		pool:    newPool(cfg.Workers, cfg.QueueDepth),
+		memo:    newProgramMemo(),
 	}
 	for _, tgt := range schedfilter.Targets() {
 		s.targets[tgt.Name] = &machineTarget{
@@ -383,32 +386,56 @@ func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 }
 
 // compileInput compiles a request's program (inline source or bundled
-// workload) to unscheduled machine code.
-func (s *Server) compileInput(in ProgramInput) (*schedfilter.Program, time.Duration, error) {
+// workload) to unscheduled machine code through the compiled-program
+// memo. The returned program is the caller's own to reorder; the entry,
+// non-nil when the source is memoized, carries its fingerprint.
+func (s *Server) compileInput(in ProgramInput) (*schedfilter.Program, *memoEntry, time.Duration, error) {
 	start := time.Now()
-	var mod *schedfilter.Module
-	var err error
+	var source string
 	switch {
 	case in.Source != "" && in.Workload != "":
-		return nil, 0, fmt.Errorf("source and workload are mutually exclusive")
+		return nil, nil, 0, fmt.Errorf("source and workload are mutually exclusive")
 	case in.Source != "":
-		mod, err = schedfilter.CompileJolt(in.Source)
+		source = in.Source
 	case in.Workload != "":
-		var w *schedfilter.Workload
-		if w, err = schedfilter.WorkloadByName(in.Workload); err == nil {
-			mod, err = w.Compile()
+		w, err := schedfilter.WorkloadByName(in.Workload)
+		if err != nil {
+			return nil, nil, 0, err
 		}
+		source = w.Source
 	default:
-		return nil, 0, fmt.Errorf("request needs source or workload")
+		return nil, nil, 0, fmt.Errorf("request needs source or workload")
 	}
+	if e := s.memo.get(source); e != nil {
+		return e.prog.Clone(), e, time.Since(start), nil
+	}
+	mod, err := schedfilter.CompileJolt(source)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	prog, err := schedfilter.CompileModule(mod, s.cfg.JIT)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	return prog, time.Since(start), nil
+	if e := s.memo.admit(source, prog); e != nil {
+		return e.prog.Clone(), e, time.Since(start), nil
+	}
+	return prog, nil, time.Since(start), nil
+}
+
+// programKey fingerprints a request's still unscheduled program under the
+// target's model and the policy's content identity, reusing the memo
+// entry's fingerprint when it has one, and records the fingerprint span.
+func programKey(tr *obs.Trace, mt *machineTarget, policyID string, prog *schedfilter.Program, e *memoEntry) schedfilter.CacheKey {
+	start := time.Now()
+	var key schedfilter.CacheKey
+	if e != nil {
+		key = e.key(mt.model, policyID)
+	} else {
+		key = schedfilter.FingerprintProgram(mt.model, policyID, prog)
+	}
+	tr.Record(obs.PhaseFingerprint, time.Since(start).Nanoseconds())
+	return key
 }
 
 // resolvePolicy picks the request's scheduling policy for a machine
@@ -460,7 +487,7 @@ func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
 	if _, err := s.resolveTarget(req.Target); err != nil {
 		return nil, err
 	}
-	prog, compileT, err := s.compileInput(req.ProgramInput)
+	prog, _, compileT, err := s.compileInput(req.ProgramInput)
 	if err != nil {
 		return nil, err
 	}
@@ -523,7 +550,7 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, compileT, err := s.compileInput(req.ProgramInput)
+	prog, entry, compileT, err := s.compileInput(req.ProgramInput)
 	if err != nil {
 		return nil, err
 	}
@@ -536,7 +563,8 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 	// as the singleflight key: scheduling is deterministic in (model,
 	// filter, input code), so concurrent identical requests can share one
 	// pass. NoCache requests promise an uncached pass and stay out.
-	key := schedfilter.FingerprintProgram(mt.model, schedfilter.FilterID(f), prog)
+	policyID := schedfilter.FilterID(f)
+	key := programKey(tr, mt, policyID, prog, entry)
 	var st schedfilter.ScheduleStats
 	coalesced := false
 	if req.NoCache {
@@ -556,7 +584,7 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 	}
 	return &ScheduleResponse{
 		Policy:        f.Name(),
-		PolicyID:      schedfilter.FilterID(f),
+		PolicyID:      policyID,
 		FilterVersion: version,
 		Target:        mt.name,
 		Blocks:        st.Blocks,
@@ -590,7 +618,7 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, compileT, err := s.compileInput(req.ProgramInput)
+	prog, _, compileT, err := s.compileInput(req.ProgramInput)
 	if err != nil {
 		return nil, err
 	}
@@ -635,7 +663,7 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, compileT, err := s.compileInput(req.ProgramInput)
+	prog, entry, compileT, err := s.compileInput(req.ProgramInput)
 	if err != nil {
 		return nil, err
 	}
@@ -646,7 +674,8 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	// concurrent identical requests still coalesce the scheduler work:
 	// followers wait for the leader's pass to warm the scheduled-block
 	// cache, then their own pass replays from it (all hits).
-	key := schedfilter.FingerprintProgram(mt.model, schedfilter.FilterID(f), prog)
+	policyID := schedfilter.FilterID(f)
+	key := programKey(tr, mt, policyID, prog, entry)
 	v, coalesced := s.flight.Do(key, func() any {
 		return s.schedulePass(prog, f, mt, false)
 	})
@@ -665,7 +694,7 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	tr.Record(obs.PhaseSim, time.Since(simStart).Nanoseconds())
 	return &ExecuteResponse{
 		Policy:        f.Name(),
-		PolicyID:      schedfilter.FilterID(f),
+		PolicyID:      policyID,
 		FilterVersion: version,
 		Target:        mt.name,
 		Ret:           res.Ret,
