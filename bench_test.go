@@ -344,29 +344,6 @@ func BenchmarkSchedulingPassLS(b *testing.B) {
 	}
 }
 
-// BenchmarkTimedSimulation measures the whole-program cycle simulator on
-// the scimark workload.
-func BenchmarkTimedSimulation(b *testing.B) {
-	m := machine.Default().Model
-	w := workloads.ByName("scimark")
-	mod, err := w.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := jit.Compile(mod, jit.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(prog, sim.Config{Timed: true, Model: m})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Cycles), "cycles")
-	}
-}
-
 // BenchmarkSuperblocks regenerates the superblock-vs-local comparison
 // (the paper's deferred extension, implemented here).
 func BenchmarkSuperblocks(b *testing.B) {

@@ -134,25 +134,12 @@ func NewMPC7410() *Model {
 // Latency returns the result latency of an opcode under the model.
 func (m *Model) Latency(op ir.Op) int { return m.Timing[op].Latency }
 
-// UnitsFor returns the set of concrete units that can execute the opcode.
-// Simple integer ops may use either integer unit; complex ones only IU1.
+// UnitsFor returns the set of concrete units that can execute the opcode,
+// preferred first. Simple integer ops may use either integer unit; complex
+// ones only IU1.
 func (m *Model) UnitsFor(op ir.Op) []Unit {
-	switch op.FU() {
-	case ir.FUInt:
-		if m.Timing[op].ComplexInt {
-			return []Unit{IU1}
-		}
-		return []Unit{IU2, IU1}
-	case ir.FUFloat:
-		return []Unit{FPU}
-	case ir.FULoadStore:
-		return []Unit{LSU}
-	case ir.FUBranch:
-		return []Unit{BPU}
-	case ir.FUSystem:
-		return []Unit{SYS}
-	}
-	return nil
+	c := m.classOf(op)
+	return append([]Unit(nil), c.units[:c.nUnits]...)
 }
 
 // NewScalar603 returns an older-generation model in the spirit of the

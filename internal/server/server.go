@@ -276,8 +276,12 @@ func (s *Server) endpoint(name string, work func(ctx context.Context, body []byt
 			s.reply(w, ep, tr, start, http.StatusTooManyRequests, ErrorResponse{Error: err.Error()})
 		case errors.Is(err, ErrClosed):
 			s.reply(w, ep, tr, start, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
-		case err != nil:
-			// Client went away mid-job; the write below is best-effort.
+		case err != nil, errors.Is(workErr, context.Canceled), errors.Is(workErr, context.DeadlineExceeded):
+			// Client went away mid-job (before or during the work); the
+			// write below is best-effort.
+			if err == nil {
+				err = workErr
+			}
 			s.reply(w, ep, tr, start, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
 		case workErr != nil:
 			s.reply(w, ep, tr, start, http.StatusBadRequest, ErrorResponse{Error: workErr.Error()})
@@ -687,7 +691,7 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	// request's wall time (followers re-ran their own replay pass).
 	recordSchedPhases(tr, st)
 	simStart := time.Now()
-	res, err := schedfilter.Execute(prog, mt.model, !req.Untimed)
+	res, err := schedfilter.ExecuteContext(ctx, prog, mt.model, !req.Untimed)
 	if err != nil {
 		return nil, err
 	}

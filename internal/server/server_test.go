@@ -733,3 +733,31 @@ func TestExecuteConcurrentDuplicates(t *testing.T) {
 		}
 	}
 }
+
+// TestExecuteCancelled checks that an execute whose request context is
+// cancelled stops simulating promptly instead of running the program to
+// the simulator's step limit (billions of instructions here).
+func TestExecuteCancelled(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	const spin = `
+func main() int {
+  var s int = 0;
+  for (var i int = 0; i < 2000000000; i = i + 1) { s = s + i; }
+  return s;
+}
+`
+	body, err := json.Marshal(ExecuteRequest{ProgramInput: ProgramInput{Source: spin}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = s.doExecute(ctx, body)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the context's deadline error", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("cancelled execute took %v", d)
+	}
+}

@@ -64,6 +64,8 @@ func TestTimedRunsDeterministic(t *testing.T) {
 	}
 }
 
+func last(snaps []*sim.Snapshot) *sim.Snapshot { return snaps[len(snaps)-1] }
+
 func TestSampleEveryRequiresHook(t *testing.T) {
 	prog := compileWorkload(t, "compress")
 	_, err := sim.Run(prog, sim.Config{Timed: true, Model: machine.Default().Model, SampleEvery: 1000})
@@ -107,6 +109,20 @@ func TestSamplingSnapshots(t *testing.T) {
 		if len(s.ExecCounts) != len(prog.Fns) {
 			t.Fatalf("snapshot %d: %d fn profiles, want %d", i, len(s.ExecCounts), len(prog.Fns))
 		}
+	}
+	// Pinned at the per-instruction simulator: a snapshot reads the same
+	// pipeline the run finishes on, so both the sample points and the
+	// cycles they observe are fixed.
+	var sumCycles int64
+	for _, s := range snaps {
+		sumCycles += s.Cycles
+	}
+	if len(snaps) != 59 || snaps[0].Cycles != 14411 || last(snaps).Cycles != 709673 || sumCycles != 23140995 {
+		t.Errorf("snapshots: %d, first cycles %d, last cycles %d, sum %d; want 59, 14411, 709673, 23140995",
+			len(snaps), snaps[0].Cycles, last(snaps).Cycles, sumCycles)
+	}
+	if res.Cycles != 710247 || base.Cycles != res.Cycles {
+		t.Errorf("cycles with sampling %d, without %d; want 710247 for both", res.Cycles, base.Cycles)
 	}
 	// Snapshots are copies: the last one must not alias the final result.
 	last := snaps[len(snaps)-1]
@@ -171,5 +187,10 @@ func TestHotSwapAtSafePoint(t *testing.T) {
 	// are conserved even as cycles change.
 	if res.DynInstrs != base.DynInstrs {
 		t.Errorf("hot-swap changed instruction count: %d != %d", res.DynInstrs, base.DynInstrs)
+	}
+	// Pinned at the per-instruction simulator: the swapped functions are
+	// re-decoded at installation and their new order drives the timing.
+	if res.Cycles != 4356637 || base.Cycles != 5477661 {
+		t.Errorf("cycles: swapped %d, base %d; want 4356637, 5477661", res.Cycles, base.Cycles)
 	}
 }

@@ -74,6 +74,7 @@ func (ex *executor) applyPending(curFn int) {
 			continue
 		}
 		ex.p.Fns[fi] = nf
+		ex.decode([]*ir.Fn{nf}, ex.code[fi:fi+1])
 		// Keep the profile when the block skeleton is preserved (the
 		// recompile-and-reschedule case); otherwise restart it.
 		if len(nf.Blocks) != len(ex.res.ExecCounts[fi]) {

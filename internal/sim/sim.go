@@ -5,6 +5,17 @@
 // time" measurements: one in-order issue pipeline carried across basic
 // blocks, with a bubble charged on taken control transfers.
 //
+// A run starts by decoding every function once into the form the dispatch
+// loop walks: per block, a slice of machine.Decoded records, each holding
+// the instruction, its opcode's issue class under the run's model and the
+// ready-time slots of its registers. Timed and untimed runs share that
+// loop; a timed run also hands each record to the run's
+// machine.IssueState, which applies the same issue rules the scheduler's
+// estimator does. The loop re-fetches the function and block only on a
+// control transfer. Decoding is per run, from the run's Model, because
+// Model.Timing is mutable; a hot-swapped function is decoded when it is
+// installed.
+//
 // Simplifications versus real silicon, documented per the paper's own
 // argument that only relative block timings matter: no caches (every load
 // hits), a fixed taken-branch bubble instead of a branch predictor, and a
@@ -15,8 +26,10 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 
 	"schedfilter/internal/ir"
@@ -31,8 +44,16 @@ const (
 	DefaultMemWords = 1 << 22
 )
 
+// cancelCheckEvery is how many executed instructions pass between checks
+// of Config.Context (at the next block entry).
+const cancelCheckEvery = 1 << 16
+
 // Config controls a run.
 type Config struct {
+	// Context, when set, stops the run: it is checked at the first block
+	// entry after every 2^16 executed instructions, and a run whose
+	// context is done returns the context's error.
+	Context context.Context
 	// MemWords sizes the flat word-addressed memory; 0 means
 	// DefaultMemWords.
 	MemWords int
@@ -87,18 +108,23 @@ type Trap struct {
 func (t *Trap) Error() string { return fmt.Sprintf("sim: %s in %s", t.Kind, t.Fn) }
 
 // State is the architectural state, exposed so tests can execute single
-// blocks from arbitrary starting points.
+// blocks from arbitrary starting points. Guards carry no architectural
+// value (they only order instructions in the timing model), so the state
+// has no storage for them.
 type State struct {
 	Regs  [ir.NumGPR]int64
 	FRegs [ir.NumFPR]float64
 	CRs   [ir.NumCond]int8
 	Mem   []uint64
 
-	// Guard results: guards are virtual, unbounded; stored sparsely.
-	// Functionally they carry nothing, but keeping the map allows
-	// debugging assertions.
 	heapPtr int64
 	out     []string
+
+	// Every word written so far lies in Mem[:heapEnd] or
+	// Mem[stackStart:]: stores below the stack pointer and allocations
+	// raise heapEnd, stores at or above it lower stackStart. A run's
+	// memory is freed for reuse with only those windows cleared.
+	heapEnd, stackStart int64
 }
 
 // NewState allocates a zeroed machine state with the given memory size.
@@ -106,9 +132,46 @@ func NewState(memWords int) *State {
 	if memWords <= 0 {
 		memWords = DefaultMemWords
 	}
-	s := &State{Mem: make([]uint64, memWords)}
-	s.heapPtr = GlobalBase // heap starts after globals once layout is known
-	return s
+	return newState(make([]uint64, memWords))
+}
+
+func newState(mem []uint64) *State {
+	return &State{Mem: mem, heapPtr: GlobalBase, stackStart: int64(len(mem))}
+}
+
+// freeMem holds released run memories, zeroed, for reuse. It keeps one
+// per processor, so up to GOMAXPROCS concurrent runs allocate no memory
+// after warm-up, and no more, so idle memory stays bounded. (A sync.Pool
+// drops its contents at every GC, and the garbage of a training round
+// triggers GCs often enough that most runs would allocate afresh.)
+var freeMem = make(chan []uint64, runtime.GOMAXPROCS(0))
+
+// runState returns a state over zeroed memory of the given size, reusing
+// a released run's memory when one is free.
+func runState(memWords int) *State {
+	if memWords <= 0 {
+		memWords = DefaultMemWords
+	}
+	select {
+	case m := <-freeMem:
+		if len(m) == memWords {
+			return newState(m)
+		}
+	default:
+	}
+	return newState(make([]uint64, memWords))
+}
+
+// release zeroes the words the run wrote and frees its memory for reuse.
+// The state must not be used afterwards.
+func (s *State) release() {
+	clear(s.Mem[:s.heapEnd])
+	clear(s.Mem[s.stackStart:])
+	select {
+	case freeMem <- s.Mem:
+	default:
+	}
+	s.Mem = nil
 }
 
 // Clone returns a deep copy of the state.
@@ -151,11 +214,21 @@ type frame struct {
 
 // Run executes the program from its entry function.
 func Run(p *ir.Program, cfg Config) (*Result, error) {
-	st := NewState(cfg.MemWords)
 	limit := cfg.StepLimit
 	if limit <= 0 {
 		limit = 1 << 33
 	}
+	var issue *machine.IssueState
+	if cfg.Timed {
+		if cfg.Model == nil {
+			return nil, fmt.Errorf("sim: timed run requires a model")
+		}
+		issue = machine.NewIssueState(cfg.Model)
+	}
+	if cfg.SampleEvery > 0 && cfg.OnSample == nil {
+		return nil, fmt.Errorf("sim: SampleEvery requires an OnSample hook")
+	}
+
 	res := &Result{
 		ExecCounts:  make([][]int64, len(p.Fns)),
 		TakenCounts: make([][]int64, len(p.Fns)),
@@ -166,32 +239,30 @@ func Run(p *ir.Program, cfg Config) (*Result, error) {
 	}
 
 	// Layout: globals at GlobalBase, heap after, stack at the top.
+	st := runState(cfg.MemWords)
+	defer st.release()
 	st.heapPtr = int64(GlobalBase + p.Globals)
 	st.Regs[2] = GlobalBase
 	st.Regs[1] = int64(len(st.Mem))
 
-	var issue *machine.IssueState
-	if cfg.Timed {
-		if cfg.Model == nil {
-			return nil, fmt.Errorf("sim: timed run requires a model")
-		}
-		issue = machine.NewIssueState(cfg.Model)
-	}
-
 	ex := &executor{p: p, st: st, res: res, issue: issue, limit: limit,
-		bubble: 1}
+		bubble: 1, nextCheck: math.MaxInt64, nextSample: math.MaxInt64}
 	if cfg.Model != nil {
 		ex.bubble = cfg.Model.TakenBranchBubble
 	}
+	if ctx := cfg.Context; ctx != nil && ctx.Done() != nil {
+		ex.ctx = ctx
+		ex.nextCheck = cancelCheckEvery
+	}
 	if cfg.SampleEvery > 0 {
-		if cfg.OnSample == nil {
-			return nil, fmt.Errorf("sim: SampleEvery requires an OnSample hook")
-		}
 		ex.sampleEvery = cfg.SampleEvery
 		ex.nextSample = cfg.SampleEvery
 		ex.onSample = cfg.OnSample
 		ex.pending = map[int]*ir.Fn{}
 	}
+	ex.nextPoll = min(ex.nextCheck, ex.nextSample)
+	ex.code = make([]fnCode, len(p.Fns))
+	ex.decode(p.Fns, ex.code)
 
 	// Run $init (global initializers) before main, as the runtime does.
 	if init := fnIndexByName(p, "$init"); init >= 0 {
@@ -219,14 +290,29 @@ func fnIndexByName(p *ir.Program, name string) int {
 	return -1
 }
 
+// fnCode is a function in the form the dispatch loop walks: blocks[b]
+// holds block b's instructions, decoded.
+type fnCode struct {
+	fn     *ir.Fn
+	blocks [][]machine.Decoded
+}
+
 type executor struct {
 	p      *ir.Program
+	code   []fnCode
 	st     *State
 	res    *Result
 	issue  *machine.IssueState
 	frames []frame
 	limit  int64
 	bubble int
+
+	// nextPoll is the instruction count at which the next block entry
+	// runs poll: the earlier of the next context check and the next
+	// sample (math.MaxInt64 when there is neither).
+	nextPoll  int64
+	ctx       context.Context
+	nextCheck int64
 
 	// Profile-sampling hook state (see profile.go).
 	sampleEvery int64
@@ -236,97 +322,151 @@ type executor struct {
 	installed   []int
 }
 
+// decode puts fns in dispatch form into code (one entry per function),
+// backed by two allocations. A timed run decodes through its issue state,
+// which gives each virtual register one ready slot program-wide; an
+// untimed run only needs the instructions.
+func (ex *executor) decode(fns []*ir.Fn, code []fnCode) {
+	nInstrs, nBlocks := 0, 0
+	for _, f := range fns {
+		nBlocks += len(f.Blocks)
+		for _, b := range f.Blocks {
+			nInstrs += len(b.Instrs)
+		}
+	}
+	all := make([]machine.Decoded, 0, nInstrs)
+	blocks := make([][]machine.Decoded, nBlocks)
+	for i, f := range fns {
+		code[i] = fnCode{fn: f, blocks: blocks[:len(f.Blocks):len(f.Blocks)]}
+		for bi, b := range f.Blocks {
+			start := len(all)
+			for j := range b.Instrs {
+				in := &b.Instrs[j]
+				if ex.issue != nil {
+					all = append(all, ex.issue.Decode(in))
+				} else {
+					all = append(all, machine.Decoded{In: in})
+				}
+			}
+			blocks[bi] = all[start:len(all):len(all)]
+		}
+		blocks = blocks[len(f.Blocks):]
+	}
+}
+
+// poll runs the checks that fall due on the executed-instruction count,
+// at a block entry of function curFn: the context check and the sampling
+// hook.
+func (ex *executor) poll(curFn int) error {
+	if ex.res.DynInstrs >= ex.nextCheck {
+		if err := ex.ctx.Err(); err != nil {
+			return err
+		}
+		ex.nextCheck = ex.res.DynInstrs + cancelCheckEvery
+	}
+	if ex.res.DynInstrs >= ex.nextSample {
+		ex.sample(curFn)
+	}
+	ex.nextPoll = min(ex.nextCheck, ex.nextSample)
+	return nil
+}
+
 // callAndRun invokes fn as the runtime would (fresh frame, run to return)
 // and returns when the outermost call completes.
 func (ex *executor) callAndRun(fnIdx int) error {
 	baseDepth := len(ex.frames)
 	ex.frames = append(ex.frames, frame{fn: -1}) // sentinel: return to runtime
-	ex.st.Regs[1] -= int64(ex.p.Fns[fnIdx].FrameSlots)
+	st, res, issue := ex.st, ex.res, ex.issue
+	st.Regs[1] -= int64(ex.code[fnIdx].fn.FrameSlots)
 
-	fn, blk, idx := fnIdx, ex.p.Fns[fnIdx].Entry, 0
-	st := ex.st
+	fn, blk, idx := fnIdx, ex.code[fnIdx].fn.Entry, 0
+transfer:
 	for {
-		f := ex.p.Fns[fn]
+		// Control arrives here at a block entry (idx 0) or a return
+		// point; only here are the function and block fetched.
 		if idx == 0 {
-			ex.res.ExecCounts[fn][blk]++
-			if ex.sampleEvery > 0 && ex.res.DynInstrs >= ex.nextSample {
-				ex.sample(fn)
-				f = ex.p.Fns[fn] // the current function may have been hot-swapped
+			res.ExecCounts[fn][blk]++
+			if res.DynInstrs >= ex.nextPoll {
+				// Sampling may hot-swap the current function.
+				if err := ex.poll(fn); err != nil {
+					return err
+				}
 			}
 		}
-		b := f.Blocks[blk]
-		if idx >= len(b.Instrs) {
-			return fmt.Errorf("sim: control ran off the end of %s block %d", f.Name, blk)
-		}
-		in := &b.Instrs[idx]
-		ex.res.DynInstrs++
-		if ex.res.DynInstrs > ex.limit {
-			return fmt.Errorf("sim: step limit (%d) exceeded in %s", ex.limit, f.Name)
-		}
-		if ex.issue != nil {
-			ex.issue.Issue(in)
-		}
+		c := &ex.code[fn]
+		code := c.blocks[blk]
+		for ; idx < len(code); idx++ {
+			d := &code[idx]
+			in := d.In
+			res.DynInstrs++
+			if res.DynInstrs > ex.limit {
+				return fmt.Errorf("sim: step limit (%d) exceeded in %s", ex.limit, c.fn.Name)
+			}
+			if issue != nil {
+				issue.IssueDecoded(d)
+			}
 
-		switch in.Op {
-		case ir.B:
-			blk, idx = in.Target, 0
-			ex.chargeBubble()
-			continue
-		case ir.BC:
-			if ir.EvalCond(in.Imm, st.CRs[in.Uses[0].N]) {
-				ex.res.TakenCounts[fn][blk]++
+			switch in.Op {
+			case ir.B:
 				blk, idx = in.Target, 0
 				ex.chargeBubble()
-			} else {
-				blk, idx = b.Succs[1], 0
-			}
-			continue
-		case ir.BL:
-			callee := ex.p.Fns[in.Target]
-			fr := frame{fn: fn, blk: blk, idx: idx + 1}
-			fr.regs = st.Regs
-			fr.fregs = st.FRegs
-			fr.crs = st.CRs
-			ex.frames = append(ex.frames, fr)
-			st.Regs[1] -= int64(callee.FrameSlots)
-			if st.Regs[1] <= st.heapPtr {
-				return &Trap{Fn: callee.Name, Kind: "stack overflow"}
-			}
-			fn, blk, idx = in.Target, callee.Entry, 0
-			ex.chargeBubble()
-			continue
-		case ir.BLR:
-			fr := ex.frames[len(ex.frames)-1]
-			ex.frames = ex.frames[:len(ex.frames)-1]
-			if fr.fn < 0 {
-				// Returning to the runtime.
-				if len(ex.frames) != baseDepth {
-					return fmt.Errorf("sim: frame imbalance")
+				continue transfer
+			case ir.BC:
+				if ir.EvalCond(in.Imm, st.CRs[in.Uses[0].N]) {
+					res.TakenCounts[fn][blk]++
+					blk, idx = in.Target, 0
+					ex.chargeBubble()
+				} else {
+					blk, idx = c.fn.Blocks[blk].Succs[1], 0
 				}
-				return nil
+				continue transfer
+			case ir.BL:
+				callee := ex.code[in.Target].fn
+				fr := frame{fn: fn, blk: blk, idx: idx + 1}
+				fr.regs = st.Regs
+				fr.fregs = st.FRegs
+				fr.crs = st.CRs
+				ex.frames = append(ex.frames, fr)
+				st.Regs[1] -= int64(callee.FrameSlots)
+				if st.Regs[1] <= st.heapPtr {
+					return &Trap{Fn: callee.Name, Kind: "stack overflow"}
+				}
+				fn, blk, idx = in.Target, callee.Entry, 0
+				ex.chargeBubble()
+				continue transfer
+			case ir.BLR:
+				fr := ex.frames[len(ex.frames)-1]
+				ex.frames = ex.frames[:len(ex.frames)-1]
+				if fr.fn < 0 {
+					// Returning to the runtime.
+					if len(ex.frames) != baseDepth {
+						return fmt.Errorf("sim: frame imbalance")
+					}
+					return nil
+				}
+				// The call protocol restores the caller's registers,
+				// then delivers the return value in exactly the declared
+				// return register (r3 or f1) — the other file is fully
+				// preserved, matching BL's declared Defs.
+				retI, retF := st.Regs[3], st.FRegs[1]
+				st.Regs = fr.regs
+				st.FRegs = fr.fregs
+				st.CRs = fr.crs
+				if c.fn.RetFloat {
+					st.FRegs[1] = retF
+				} else {
+					st.Regs[3] = retI
+				}
+				fn, blk, idx = fr.fn, fr.blk, fr.idx
+				ex.chargeBubble()
+				continue transfer
 			}
-			// The call protocol restores the caller's registers,
-			// then delivers the return value in exactly the declared
-			// return register (r3 or f1) — the other file is fully
-			// preserved, matching BL's declared Defs.
-			retI, retF := st.Regs[3], st.FRegs[1]
-			st.Regs = fr.regs
-			st.FRegs = fr.fregs
-			st.CRs = fr.crs
-			if f.RetFloat {
-				st.FRegs[1] = retF
-			} else {
-				st.Regs[3] = retI
-			}
-			fn, blk, idx = fr.fn, fr.blk, fr.idx
-			ex.chargeBubble()
-			continue
-		}
 
-		if err := ex.st.step(in, ex.p.Fns[fn].Name); err != nil {
-			return err
+			if err := st.step(in, c.fn.Name); err != nil {
+				return err
+			}
 		}
-		idx++
+		return fmt.Errorf("sim: control ran off the end of %s block %d", c.fn.Name, blk)
 	}
 }
 
@@ -450,10 +590,9 @@ func (s *State) step(in *ir.Instr, fnName string) error {
 			return &Trap{Fn: fnName, Kind: "out of memory"}
 		}
 		s.Mem[addr] = uint64(n)
-		for i := int64(1); i <= n; i++ {
-			s.Mem[addr+i] = 0
-		}
+		clear(s.Mem[addr+1 : addr+n+1])
 		s.heapPtr = addr + n + 1
+		s.heapEnd = max(s.heapEnd, s.heapPtr)
 		setI(addr)
 	case ir.NULLCHECK:
 		if R(0) == 0 {
@@ -483,6 +622,11 @@ func (s *State) load(addr int64, fnName string) (uint64, error) {
 func (s *State) store(addr int64, v uint64, fnName string) error {
 	if addr <= 0 || addr >= int64(len(s.Mem)) {
 		return &Trap{Fn: fnName, Kind: fmt.Sprintf("bad store address %d", addr)}
+	}
+	if addr >= s.Regs[1] {
+		s.stackStart = min(s.stackStart, addr)
+	} else {
+		s.heapEnd = max(s.heapEnd, addr+1)
 	}
 	s.Mem[addr] = v
 	return nil

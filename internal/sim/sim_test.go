@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"schedfilter/internal/blockgen"
 	"schedfilter/internal/ir"
@@ -339,5 +343,140 @@ func TestTakenCountsProfile(t *testing.T) {
 	}
 	if res.TakenCounts[0][0] != 0 {
 		t.Errorf("unconditional B counted as taken BC: %d", res.TakenCounts[0][0])
+	}
+}
+
+// spinProg loops forever.
+func spinProg() *ir.Program {
+	return buildProg([]*ir.Block{{ID: 0, Instrs: []ir.Instr{
+		{Op: ir.B, Target: 0},
+	}, Succs: []int{0}}})
+}
+
+func TestCancelledContextStopsRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	// A cancelled run stops within one check interval, long before the
+	// step limit.
+	_, err := Run(spinProg(), Config{Context: ctx, StepLimit: 1 << 20})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+
+	// Cancelled mid-run: the default step limit is billions of
+	// instructions away.
+	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = Run(spinProg(), Config{Context: ctx, Timed: true, Model: machine.Default().Model})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("cancelled run took %v", d)
+	}
+}
+
+// TestRunMemoryReuse runs programs that write in-bounds words far from
+// anything they allocated — the gap between heap and stack, next to the
+// stack top, the globals — or only allocate, then a program that reads
+// those words back. Run memory is reused, and the reader must still see
+// zeros, exactly as on fresh memory.
+func TestRunMemoryReuse(t *testing.T) {
+	const words, globals = 1 << 16, 2
+	heap := int64(GlobalBase + globals) // the first allocation's header
+	addrs := []int64{GlobalBase, heap, heap + 3, words / 2, words - 3}
+	allocator := []ir.Instr{
+		{Op: ir.LI, Defs: []ir.Reg{ir.GPR(6)}, Imm: 5},
+		{Op: ir.ALLOC, Defs: []ir.Reg{ir.GPR(7)}, Uses: []ir.Reg{ir.GPR(6)}},
+		{Op: ir.BLR},
+	}
+	var storer []ir.Instr
+	reader := []ir.Instr{{Op: ir.LI, Defs: []ir.Reg{ir.GPR(3)}, Imm: 0}}
+	for _, a := range addrs {
+		storer = append(storer,
+			ir.Instr{Op: ir.LI, Defs: []ir.Reg{ir.GPR(4)}, Imm: 12345},
+			ir.Instr{Op: ir.LI, Defs: []ir.Reg{ir.GPR(5)}, Imm: a},
+			ir.Instr{Op: ir.ST, Uses: []ir.Reg{ir.GPR(4), ir.GPR(5)}})
+		reader = append(reader,
+			ir.Instr{Op: ir.LI, Defs: []ir.Reg{ir.GPR(5)}, Imm: a},
+			ir.Instr{Op: ir.LD, Defs: []ir.Reg{ir.GPR(6)}, Uses: []ir.Reg{ir.GPR(5)}},
+			ir.Instr{Op: ir.ADD, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(3), ir.GPR(6)}})
+	}
+	storer = append(storer, ir.Instr{Op: ir.BLR})
+	reader = append(reader, ir.Instr{Op: ir.BLR, Uses: []ir.Reg{ir.GPR(3)}})
+	prog := func(instrs []ir.Instr) *ir.Program {
+		p := buildProg([]*ir.Block{{ID: 0, Instrs: instrs}})
+		p.Globals = globals
+		p.Fns[0].FrameSlots = 8 // the stack pointer starts at words-8
+		return p
+	}
+	cfg := Config{MemWords: words, Timed: true, Model: machine.Default().Model}
+
+	before, err := Run(prog(reader), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, writer := range map[string][]ir.Instr{"storer": storer, "allocator": allocator} {
+		if _, err := Run(prog(writer), cfg); err != nil {
+			t.Fatal(err)
+		}
+		after, err := Run(prog(reader), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Ret != 0 || !reflect.DeepEqual(after, before) {
+			t.Errorf("reader after %s: %+v, before: %+v", name, after, before)
+		}
+	}
+	select {
+	case m := <-freeMem:
+		for i, w := range m {
+			if w != 0 {
+				t.Fatalf("freed memory word %d = %d, want 0", i, w)
+			}
+		}
+	default:
+		t.Fatal("no run memory was freed for reuse")
+	}
+}
+
+// TestRunAllocsFlat checks that a run's allocations do not grow with the
+// number of instructions it executes: decoding and bookkeeping are per
+// function and block, never per executed instruction.
+func TestRunAllocsFlat(t *testing.T) {
+	loop := func(n int64) *ir.Program {
+		return buildProg([]*ir.Block{
+			{ID: 0, Instrs: []ir.Instr{
+				{Op: ir.LI, Defs: []ir.Reg{ir.GPR(3)}, Imm: 0},
+				{Op: ir.LI, Defs: []ir.Reg{ir.GPR(4)}, Imm: n},
+				{Op: ir.B, Target: 1},
+			}, Succs: []int{1}},
+			{ID: 1, Instrs: []ir.Instr{
+				{Op: ir.ADD, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(3), ir.GPR(4)}},
+				{Op: ir.NULLCHECK, Defs: []ir.Reg{ir.Guard(0)}, Uses: []ir.Reg{ir.GPR(4)}},
+				{Op: ir.ST, Uses: []ir.Reg{ir.GPR(3), ir.GPR(2), ir.Guard(0)}},
+				{Op: ir.ADDI, Defs: []ir.Reg{ir.GPR(4)}, Uses: []ir.Reg{ir.GPR(4)}, Imm: -1},
+				{Op: ir.CMPI, Defs: []ir.Reg{ir.CR(0)}, Uses: []ir.Reg{ir.GPR(4)}, Imm: 0},
+				{Op: ir.BC, Uses: []ir.Reg{ir.CR(0)}, Imm: ir.CondGT, Target: 1},
+			}, Succs: []int{1, 2}},
+			{ID: 2, Instrs: []ir.Instr{{Op: ir.BLR, Uses: []ir.Reg{ir.GPR(3)}}}},
+		})
+	}
+	for _, timed := range []bool{false, true} {
+		cfg := Config{MemWords: 1 << 12, Timed: timed, Model: machine.Default().Model}
+		allocs := func(n int64) float64 {
+			p := loop(n)
+			return testing.AllocsPerRun(20, func() {
+				if _, err := Run(p, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(10), allocs(100000)
+		if long != short {
+			t.Errorf("timed=%v: %v allocs for 10 iterations, %v for 100000", timed, short, long)
+		}
+		t.Logf("timed=%v: %v allocs per run", timed, short)
 	}
 }

@@ -38,6 +38,7 @@
 package schedfilter
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -250,6 +251,12 @@ func Interpret(m *Module, limit int64) (*InterpResult, error) {
 // the result includes the cycle count under the machine's issue model.
 func Execute(p *Program, m *Machine, timed bool) (*SimResult, error) {
 	return sim.Run(p, sim.Config{Timed: timed, Model: m})
+}
+
+// ExecuteContext is Execute stopped early, with ctx's error, once ctx is
+// done.
+func ExecuteContext(ctx context.Context, p *Program, m *Machine, timed bool) (*SimResult, error) {
+	return sim.Run(p, sim.Config{Context: ctx, Timed: timed, Model: m})
 }
 
 // ExtractFeatures computes a block's feature vector (one pass).
