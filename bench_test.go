@@ -309,22 +309,6 @@ func BenchmarkRipperInduce(b *testing.B) {
 	}
 }
 
-// BenchmarkJITCompile measures full compilation (inline, lower, allocate)
-// of the compress workload.
-func BenchmarkJITCompile(b *testing.B) {
-	w := workloads.ByName("compress")
-	mod, err := w.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := jit.Compile(mod, jit.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSchedulingPassLS measures the whole always-schedule pass over
 // a compiled benchmark (the denominator of Figures 1a/2a/3a).
 func BenchmarkSchedulingPassLS(b *testing.B) {

@@ -141,6 +141,48 @@ func TestVerifyRejectsArrayClassConfusion(t *testing.T) {
 	}
 }
 
+// TestVerifyShapes: VerifyShapes returns each reachable block's entry
+// stack and, on a bad module, exactly Verify's error.
+func TestVerifyShapes(t *testing.T) {
+	// main: push 5; if local == 0 goto x; push 1; add; x: iret — both
+	// paths reach x with one int on the stack.
+	b := NewBuilder("main", nil, TInt)
+	l := b.Local(TInt)
+	b.IConst(5).EmitA(ILOAD, l).IConst(0).Branch(IFICMPEQ, "x")
+	b.IConst(1).Emit(IADD)
+	b.Label("x")
+	b.Emit(IRET)
+	m := &Module{Fns: []*Fn{b.MustFinish()}}
+	shapes, err := VerifyShapes(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead := Leaders(m.Fns[0])
+	if len(shapes) != 1 || len(shapes[0]) != len(lead) {
+		t.Fatalf("shapes %v for leaders %v", shapes, lead)
+	}
+	if s, ok := shapes[0][0]; !ok || len(s) != 0 {
+		t.Errorf("entry shape %v (present %v), want empty", s, ok)
+	}
+	if s := shapes[0][lead[len(lead)-1]]; len(s) != 1 || s[0] != TInt {
+		t.Errorf("merge shape %v, want [int]", s)
+	}
+
+	bad := []*Module{
+		{Fns: []*Fn{sumToN(t)}},
+		{Fns: []*Fn{{Name: "main", Ret: TInt, Code: []Insn{{Op: GOTO, A: 99}, {Op: ICONST}, {Op: IRET}}}}},
+		{Fns: []*Fn{{Name: "main", Ret: TInt, Code: []Insn{{Op: ICONST, I: 1}, {Op: POP}}}}},
+		{Fns: []*Fn{{Name: "main", Ret: TInt, Code: []Insn{{Op: IADD}, {Op: IRET}}}}},
+	}
+	for i, m := range bad {
+		want := Verify(m)
+		_, got := VerifyShapes(m)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("module %d: VerifyShapes error %v, Verify error %v", i, got, want)
+		}
+	}
+}
+
 func TestLeaders(t *testing.T) {
 	f := sumToN(t)
 	lead := Leaders(f)

@@ -1,9 +1,6 @@
 package bytecode
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Verify checks the module's structural sanity: branch targets, local and
 // global slot indices and types, call signatures, and — via abstract
@@ -11,15 +8,38 @@ import (
 // a consistent operand stack regardless of the path taken to reach it, and
 // that control cannot fall off the end of a function.
 func Verify(m *Module) error {
+	_, err := verifyModule(m, false)
+	return err
+}
+
+// VerifyShapes is Verify (the same checks, the same errors) that also
+// returns, from the same abstract interpretation and indexed like m.Fns,
+// each function's entry stack shapes: the operand-stack types at the
+// entry of every reachable basic block, keyed by leader pc (bools folded
+// into ints). The JIT's lowering uses them to give stack cells canonical
+// virtual registers at block boundaries.
+func VerifyShapes(m *Module) ([]map[int][]Type, error) {
+	return verifyModule(m, true)
+}
+
+func verifyModule(m *Module, wantShapes bool) ([]map[int][]Type, error) {
+	var all []map[int][]Type
+	if wantShapes {
+		all = make([]map[int][]Type, len(m.Fns))
+	}
 	for fi, f := range m.Fns {
-		if err := verifyFn(m, f); err != nil {
-			return fmt.Errorf("bytecode: fn %d (%s): %v", fi, f.Name, err)
+		shapes, err := verifyFn(m, f, wantShapes)
+		if err != nil {
+			return nil, fmt.Errorf("bytecode: fn %d (%s): %v", fi, f.Name, err)
+		}
+		if wantShapes {
+			all[fi] = shapes
 		}
 	}
 	if _, err := m.Main(); err != nil {
-		return err
+		return nil, err
 	}
-	return nil
+	return all, nil
 }
 
 // norm folds bool into int: they share a stack cell type.
@@ -56,11 +76,10 @@ func statesEqual(a, b absState) bool {
 }
 
 type verifier struct {
-	m    *Module
-	f    *Fn
-	s    absState
-	err  error
-	lead map[int]bool
+	m   *Module
+	f   *Fn
+	s   absState
+	err error
 }
 
 func (v *verifier) fail(format string, args ...any) {
@@ -135,27 +154,9 @@ func (v *verifier) global(a int32, class Type) Type {
 	return t
 }
 
-// StackShapes returns, for every reachable basic-block leader pc, the
-// operand-stack types at block entry. The JIT's lowering uses these to
-// assign canonical virtual registers to stack cells at block boundaries.
-func StackShapes(m *Module, f *Fn) (map[int][]Type, error) {
-	in, err := verifyFnStates(m, f)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int][]Type, len(in))
-	for pc, s := range in {
-		out[pc] = append([]Type(nil), s...)
-	}
-	return out, nil
-}
-
-func verifyFn(m *Module, f *Fn) error {
-	_, err := verifyFnStates(m, f)
-	return err
-}
-
-func verifyFnStates(m *Module, f *Fn) (map[int]absState, error) {
+// verifyFn checks one function and, when wantShapes is set, returns the
+// entry stack of every reachable block leader.
+func verifyFn(m *Module, f *Fn, wantShapes bool) (map[int][]Type, error) {
 	if len(f.Params) > len(f.Locals) {
 		return nil, fmt.Errorf("params (%d) exceed locals (%d)", len(f.Params), len(f.Locals))
 	}
@@ -169,16 +170,13 @@ func verifyFnStates(m *Module, f *Fn) (map[int]absState, error) {
 		return nil, fmt.Errorf("empty code")
 	}
 
-	lead := make(map[int]bool, 8)
-	for _, pc := range Leaders(f) {
-		lead[pc] = true
-	}
+	lead := leaderMarks(f)
 
 	in := make([]absState, n)
 	seen := make([]bool, n)
 	var work []int
 
-	v := &verifier{m: m, f: f, lead: lead}
+	v := &verifier{m: m, f: f}
 
 	flow := func(pc int, s absState) {
 		if v.err != nil {
@@ -229,13 +227,16 @@ func verifyFnStates(m *Module, f *Fn) (map[int]absState, error) {
 	if v.err != nil {
 		return nil, v.err
 	}
-	states := make(map[int]absState, len(lead))
-	for pc := range lead {
-		if seen[pc] {
-			states[pc] = in[pc]
+	if !wantShapes {
+		return nil, nil
+	}
+	shapes := make(map[int][]Type)
+	for pc, isLead := range lead {
+		if isLead && seen[pc] {
+			shapes[pc] = in[pc]
 		}
 	}
-	return states, nil
+	return shapes, nil
 }
 
 // step applies the type effect of one instruction.
@@ -385,27 +386,39 @@ func (v *verifier) step(insn Insn, flow func(int, absState)) {
 	}
 }
 
-// Leaders returns the sorted basic-block leader PCs of a function —
-// shared by the verifier, the JIT's CFG construction, and tests.
+// Leaders returns the sorted basic-block leader PCs of a function — the
+// blocks the verifier checks and the JIT's CFG construction splits on.
 func Leaders(f *Fn) []int {
-	lead := make(map[int]bool, len(f.Code)/4+1)
-	lead[0] = true
-	for pc, in := range f.Code {
-		if in.Op.IsBranch() {
-			lead[int(in.A)] = true
-			if pc+1 < len(f.Code) {
-				lead[pc+1] = true
-			}
-		} else if in.Op.IsTerminator() && pc+1 < len(f.Code) {
-			lead[pc+1] = true
-		}
-	}
-	out := make([]int, 0, len(lead))
-	for pc := range lead {
-		if pc < len(f.Code) {
+	lead := leaderMarks(f)
+	out := make([]int, 0, len(f.Code)/4+1)
+	for pc, isLead := range lead {
+		if isLead {
 			out = append(out, pc)
 		}
 	}
-	sort.Ints(out)
 	return out
+}
+
+// leaderMarks reports, per pc, whether a basic block starts there: pc 0,
+// every in-range branch target, and every instruction after a branch or
+// terminator.
+func leaderMarks(f *Fn) []bool {
+	n := len(f.Code)
+	lead := make([]bool, n)
+	if n > 0 {
+		lead[0] = true
+	}
+	for pc, in := range f.Code {
+		if in.Op.IsBranch() {
+			if t := int(in.A); t >= 0 && t < n {
+				lead[t] = true
+			}
+			if pc+1 < n {
+				lead[pc+1] = true
+			}
+		} else if in.Op.IsTerminator() && pc+1 < n {
+			lead[pc+1] = true
+		}
+	}
+	return lead
 }

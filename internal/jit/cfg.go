@@ -23,14 +23,18 @@ type bbRange struct {
 	LoopHead bool
 }
 
-// buildCFG splits a function into basic blocks.
-func buildCFG(f *bytecode.Fn) []bbRange {
+// buildCFG splits a function into basic blocks. blockAt maps each leader
+// pc to its block index (-1 elsewhere).
+func buildCFG(f *bytecode.Fn) (blocks []bbRange, blockAt []int) {
 	leaders := bytecode.Leaders(f)
-	blockAt := make(map[int]int, len(leaders))
+	blockAt = make([]int, len(f.Code)+1)
+	for i := range blockAt {
+		blockAt[i] = -1
+	}
 	for i, pc := range leaders {
 		blockAt[pc] = i
 	}
-	blocks := make([]bbRange, len(leaders))
+	blocks = make([]bbRange, len(leaders))
 	for i, pc := range leaders {
 		end := len(f.Code)
 		if i+1 < len(leaders) {
@@ -66,5 +70,5 @@ func buildCFG(f *bytecode.Fn) []bbRange {
 			}
 		}
 	}
-	return blocks
+	return blocks, blockAt
 }

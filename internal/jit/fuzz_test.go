@@ -299,3 +299,33 @@ func TestPeepholeOnScheduledWorkload(t *testing.T) {
 		t.Errorf("peephole+LS changed result: %d vs %d", got.Ret, want.Ret)
 	}
 }
+
+// FuzzCompile feeds Jolt source through the front end and the JIT.
+// Whatever the source, nothing panics; a module the JIT refuses comes back
+// as an error and no program; and accepted output holds no virtual int,
+// float or condition register. The corpus is seeded from the random
+// program generator and the lowering gauntlet.
+func FuzzCompile(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(generateProgram(seed), uint8(seed%5))
+	}
+	for _, name := range []string{"calls", "recursion", "globals", "floats", "arrays"} {
+		f.Add(programs[name], uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, src string, unroll uint8) {
+		mod, err := jolt.CompileWithOptions(src, jolt.Options{UnrollFactor: int(unroll % 5)})
+		if err != nil {
+			return
+		}
+		prog, err := Compile(mod, DefaultOptions())
+		if err != nil {
+			if prog != nil {
+				t.Fatalf("Compile returned a program along with %v", err)
+			}
+			return
+		}
+		if err := virtualSurvivor(prog); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

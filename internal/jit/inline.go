@@ -1,10 +1,6 @@
 package jit
 
-import (
-	"fmt"
-
-	"schedfilter/internal/bytecode"
-)
+import "schedfilter/internal/bytecode"
 
 // InlineLimits mirror the paper's aggressive OptOpt inlining settings: a
 // maximum callee size of 30 bytecode instructions, a maximum inlining depth
@@ -44,44 +40,64 @@ func Inline(m *bytecode.Module, lim InlineLimits) int {
 	return total
 }
 
-// inlinePass inlines eligible call sites in one function, left to right
-// (resuming after each splice), and returns how many were inlined.
+// inlinePass inlines eligible call sites in one function and returns how
+// many were inlined. Sites are chosen left to right as if each were
+// spliced before the next was considered: the expansion budget sees the
+// code grow, and the scan resumes after each spliced body, so calls inside
+// it belong to the next depth level. The new code is then built in one
+// pass, with every original branch target rebased by the growth of the
+// splices before it.
 func inlinePass(m *bytecode.Module, f *bytecode.Fn, fi int, lim InlineLimits, origSize int) int {
-	count := 0
 	budget := origSize * lim.MaxExpansion
-	for pc := 0; pc < len(f.Code); pc++ {
-		in := f.Code[pc]
-		if in.Op != bytecode.CALL {
+	var sites []int
+	size := len(f.Code)
+	// shift[pc] is how far original instruction pc moves: the growth of
+	// the splices before it. A branch to a call site itself lands on the
+	// first instruction of the spliced body.
+	shift := make([]int32, len(f.Code))
+	for pc, in := range f.Code {
+		shift[pc] = int32(size - len(f.Code))
+		if in.Op != bytecode.CALL || int(in.A) == fi { // no self-inlining
 			continue
 		}
 		callee := m.Fns[in.A]
-		if int(in.A) == fi {
-			continue // no self-inlining
-		}
-		if len(callee.Code) > lim.MaxCalleeSize {
+		if len(callee.Code) > lim.MaxCalleeSize || size+len(callee.Code) > budget {
 			continue
 		}
-		if len(f.Code)+len(callee.Code) > budget {
-			continue
-		}
-		splice(f, pc, callee)
-		count++
-		// Continue scanning after the spliced body: calls inside it
-		// belong to the next depth level.
-		pc += len(callee.Code) + len(callee.Params) - 1
+		sites = append(sites, pc)
+		size += len(callee.Params) + len(callee.Code) - 1
 	}
-	return count
+	if len(sites) == 0 {
+		return 0
+	}
+
+	out := make([]bytecode.Insn, 0, size)
+	next := 0
+	for pc, in := range f.Code {
+		if next < len(sites) && sites[next] == pc {
+			out = splice(out, f, m.Fns[in.A])
+			next++
+			continue
+		}
+		// A target out of range is left for the post-inline check.
+		if in.Op.IsBranch() && in.A >= 0 && int(in.A) < len(shift) {
+			in.A += shift[in.A]
+		}
+		out = append(out, in)
+	}
+	f.Code = out
+	return len(sites)
 }
 
-// splice replaces the CALL at pc with the callee's body: argument stores
-// into fresh local slots, the remapped body, with returns rewritten to
-// jumps past the splice.
-func splice(f *bytecode.Fn, pc int, callee *bytecode.Fn) {
+// splice appends, in place of a call, the callee's body to out: argument
+// stores into fresh local slots of f, then the remapped body, with returns
+// rewritten to jumps past the splice.
+func splice(out []bytecode.Insn, f *bytecode.Fn, callee *bytecode.Fn) []bytecode.Insn {
 	base := int32(len(f.Locals))
 	f.Locals = append(f.Locals, callee.Locals...)
 
+	start := int32(len(out))
 	np := len(callee.Params)
-	var body []bytecode.Insn
 	// Arguments are on the stack, last on top: pop them into the
 	// callee's parameter slots in reverse.
 	for i := np - 1; i >= 0; i-- {
@@ -89,13 +105,12 @@ func splice(f *bytecode.Fn, pc int, callee *bytecode.Fn) {
 		if callee.Params[i] == bytecode.TFloat {
 			op = bytecode.FSTORE
 		}
-		body = append(body, bytecode.Insn{Op: op, A: base + int32(i)})
+		out = append(out, bytecode.Insn{Op: op, A: base + int32(i)})
 	}
-	argLen := len(body)
-	// endPC is the first instruction after the splice (in final
-	// coordinates): pc + len(spliced body).
-	spliceLen := argLen + len(callee.Code)
-	endPC := pc + spliceLen
+	// The callee's pc 0 lands after the argument stores; endPC is the
+	// first instruction after the splice.
+	bodyPC := start + int32(np)
+	endPC := bodyPC + int32(len(callee.Code))
 
 	for _, in := range callee.Code {
 		switch {
@@ -103,36 +118,12 @@ func splice(f *bytecode.Fn, pc int, callee *bytecode.Fn) {
 			in.Op == bytecode.ISTORE, in.Op == bytecode.FSTORE:
 			in.A += base
 		case in.Op.IsBranch():
-			in.A += int32(pc + argLen)
-		case in.Op == bytecode.RET:
-			in = bytecode.Insn{Op: bytecode.GOTO, A: int32(endPC)}
-		case in.Op == bytecode.IRET, in.Op == bytecode.FRET:
-			// The return value is already on the stack.
-			in = bytecode.Insn{Op: bytecode.GOTO, A: int32(endPC)}
+			in.A += bodyPC
+		case in.Op == bytecode.RET, in.Op == bytecode.IRET, in.Op == bytecode.FRET:
+			// A value-returning callee leaves its result on the stack.
+			in = bytecode.Insn{Op: bytecode.GOTO, A: endPC}
 		}
-		body = append(body, in)
+		out = append(out, in)
 	}
-
-	// The splice replaces 1 instruction with spliceLen instructions:
-	// rebase every branch target beyond pc.
-	delta := int32(spliceLen - 1)
-	for i := range f.Code {
-		if f.Code[i].Op.IsBranch() && int(f.Code[i].A) > pc {
-			f.Code[i].A += delta
-		}
-	}
-	out := make([]bytecode.Insn, 0, len(f.Code)+spliceLen-1)
-	out = append(out, f.Code[:pc]...)
-	out = append(out, body...)
-	out = append(out, f.Code[pc+1:]...)
-	f.Code = out
-}
-
-// validateAfterInline re-verifies the module; inlining bugs surface here
-// rather than as bad machine code.
-func validateAfterInline(m *bytecode.Module) error {
-	if err := bytecode.Verify(m); err != nil {
-		return fmt.Errorf("jit: module invalid after inlining: %w", err)
-	}
-	return nil
+	return out
 }

@@ -30,33 +30,20 @@ func DefaultOptions() Options {
 // resulting program has physical registers everywhere (except scheduling
 // guards) and is ready for the scheduling protocols and the simulator.
 func Compile(mod *bytecode.Module, opts Options) (*ir.Program, error) {
-	if err := bytecode.Verify(mod); err != nil {
-		return nil, fmt.Errorf("jit: input module invalid: %w", err)
-	}
-	work := mod.Clone()
 	if opts.Inline {
-		lim := opts.InlineLimits
-		if lim.MaxCalleeSize == 0 {
-			lim = DefaultInlineLimits()
-		}
-		Inline(work, lim)
-		if err := validateAfterInline(work); err != nil {
-			return nil, err
+		// Without inlining, front's check of mod is the input check.
+		if err := bytecode.Verify(mod); err != nil {
+			return nil, fmt.Errorf("jit: input module invalid: %w", err)
 		}
 	}
-
+	work, shapes, err := front(mod, opts)
+	if err != nil {
+		return nil, err
+	}
 	prog := &ir.Program{Globals: len(work.Globals)}
-	for _, f := range work.Fns {
-		blocks := buildCFG(f)
-		shapes, err := bytecode.StackShapes(work, f)
+	for fi := range work.Fns {
+		mfn, err := compileFn(work, fi, shapes[fi])
 		if err != nil {
-			return nil, fmt.Errorf("jit: %s: %w", f.Name, err)
-		}
-		mfn, err := lowerFn(work, f, blocks, shapes)
-		if err != nil {
-			return nil, err
-		}
-		if err := Allocate(mfn); err != nil {
 			return nil, err
 		}
 		prog.Fns = append(prog.Fns, mfn)
@@ -75,40 +62,62 @@ func Compile(mod *bytecode.Module, opts Options) (*ir.Program, error) {
 // CompileFn recompiles the single named function through the same
 // pipeline as Compile (inlining, lowering, register allocation, optional
 // peephole) and returns its machine code — the per-function entry point
-// the adaptive optimization system's background compiler uses. The module
-// is not re-verified: Compile already verified it when the baseline tier
-// was built.
+// the adaptive optimization system's background compiler uses. With
+// inlining on, the input module is not re-verified: Compile already
+// verified it when the baseline tier was built.
 func CompileFn(mod *bytecode.Module, name string, opts Options) (*ir.Fn, error) {
-	work := mod.Clone()
-	if opts.Inline {
-		lim := opts.InlineLimits
-		if lim.MaxCalleeSize == 0 {
-			lim = DefaultInlineLimits()
-		}
-		Inline(work, lim)
-		if err := validateAfterInline(work); err != nil {
-			return nil, err
-		}
-	}
-	fi := work.FnIndex(name)
+	fi := mod.FnIndex(name)
 	if fi < 0 {
 		return nil, fmt.Errorf("jit: no function named %q", name)
 	}
-	f := work.Fns[fi]
-	blocks := buildCFG(f)
-	shapes, err := bytecode.StackShapes(work, f)
+	work, shapes, err := front(mod, opts)
 	if err != nil {
-		return nil, fmt.Errorf("jit: %s: %w", f.Name, err)
+		return nil, err
 	}
-	mfn, err := lowerFn(work, f, blocks, shapes)
+	mfn, err := compileFn(work, fi, shapes[fi])
+	if err != nil {
+		return nil, err
+	}
+	if opts.Peephole {
+		Peephole(&ir.Program{Fns: []*ir.Fn{mfn}})
+	}
+	return mfn, nil
+}
+
+// front returns the module the lowering reads, with every function's entry
+// stack shapes from one verifier pass over that module. With inlining on,
+// that is an inlined copy of mod and the pass is the post-inline check;
+// otherwise it is mod itself, which the lowering only reads.
+func front(mod *bytecode.Module, opts Options) (*bytecode.Module, []map[int][]bytecode.Type, error) {
+	if !opts.Inline {
+		shapes, err := bytecode.VerifyShapes(mod)
+		if err != nil {
+			return nil, nil, fmt.Errorf("jit: input module invalid: %w", err)
+		}
+		return mod, shapes, nil
+	}
+	lim := opts.InlineLimits
+	if lim.MaxCalleeSize == 0 {
+		lim = DefaultInlineLimits()
+	}
+	work := mod.Clone()
+	Inline(work, lim)
+	// Inlining bugs surface here rather than as bad machine code.
+	shapes, err := bytecode.VerifyShapes(work)
+	if err != nil {
+		return nil, nil, fmt.Errorf("jit: module invalid after inlining: %w", err)
+	}
+	return work, shapes, nil
+}
+
+// compileFn lowers function fi of m and allocates its registers.
+func compileFn(m *bytecode.Module, fi int, shapes map[int][]bytecode.Type) (*ir.Fn, error) {
+	mfn, err := lowerFn(m, m.Fns[fi], shapes)
 	if err != nil {
 		return nil, err
 	}
 	if err := Allocate(mfn); err != nil {
 		return nil, err
-	}
-	if opts.Peephole {
-		Peephole(&ir.Program{Fns: []*ir.Fn{mfn}})
 	}
 	return mfn, nil
 }

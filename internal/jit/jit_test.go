@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"fmt"
 	"testing"
 
 	"schedfilter/internal/bytecode"
@@ -351,24 +352,29 @@ func main() int { return r(10); }`
 func TestAllRegistersPhysical(t *testing.T) {
 	for name, src := range programs {
 		_, prog := compileBoth(t, src, DefaultOptions())
-		for _, fn := range prog.Fns {
-			for _, b := range fn.Blocks {
-				for i := range b.Instrs {
-					for _, lists := range [][]ir.Reg{b.Instrs[i].Defs, b.Instrs[i].Uses} {
-						for _, r := range lists {
-							if r.Class == ir.ClassGuard {
-								continue
-							}
-							if !r.IsPhys() {
-								t.Fatalf("%s: %s: virtual register %s survived allocation in %v",
-									name, fn.Name, r, b.Instrs[i])
-							}
+		if err := virtualSurvivor(prog); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// virtualSurvivor reports the first int/float/cond operand of prog that
+// is not a physical register; guards are virtual by design.
+func virtualSurvivor(prog *ir.Program) error {
+	for _, fn := range prog.Fns {
+		for _, b := range fn.Blocks {
+			for i := range b.Instrs {
+				for _, lists := range [][]ir.Reg{b.Instrs[i].Defs, b.Instrs[i].Uses} {
+					for _, r := range lists {
+						if r.Class != ir.ClassGuard && !r.IsPhys() {
+							return fmt.Errorf("%s: virtual register %s survived allocation in %v", fn.Name, r, b.Instrs[i])
 						}
 					}
 				}
 			}
 		}
 	}
+	return nil
 }
 
 // TestBlocksEndInBranch: every machine block must end with control flow.

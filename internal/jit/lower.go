@@ -43,6 +43,17 @@ type lowerer struct {
 	// stack is the symbolic operand stack of the block being lowered.
 	stack []stackVal
 
+	// blockAt maps a leader pc to its block index.
+	blockAt []int
+
+	// regBuf backs the Defs and Uses lists of the emitted instructions.
+	regBuf []ir.Reg
+
+	// instrBuf backs the blocks' instruction lists: the block being
+	// lowered is instrBuf[blockFrom:].
+	instrBuf  []ir.Instr
+	blockFrom int
+
 	cur *ir.Block
 }
 
@@ -74,11 +85,43 @@ func (lo *lowerer) newGuard() ir.Reg {
 	return ir.Guard(int(lo.nextGuard) - 1)
 }
 
+// regs returns an operand list holding rs, carved from the function's
+// backing array. The slice's capacity is clipped to its length, so an
+// append by a later pass copies instead of overwriting a neighbour.
+func (lo *lowerer) regs(rs ...ir.Reg) []ir.Reg {
+	if len(lo.regBuf)+len(rs) > cap(lo.regBuf) {
+		// Start a new chunk; lists already handed out keep the old one.
+		lo.regBuf = make([]ir.Reg, 0, max(2*cap(lo.regBuf), len(rs)))
+	}
+	n := len(lo.regBuf)
+	lo.regBuf = append(lo.regBuf, rs...)
+	return lo.regBuf[n:len(lo.regBuf):len(lo.regBuf)]
+}
+
 func (lo *lowerer) emit(in ir.Instr) {
-	lo.cur.Instrs = append(lo.cur.Instrs, in)
+	if len(lo.instrBuf) == cap(lo.instrBuf) {
+		// Start a new chunk and move the block being lowered into it;
+		// finished blocks keep the old one.
+		run := lo.instrBuf[lo.blockFrom:]
+		lo.instrBuf = append(make([]ir.Instr, 0, max(2*cap(lo.instrBuf), 16)), run...)
+		lo.blockFrom = 0
+	}
+	lo.instrBuf = append(lo.instrBuf, in)
+}
+
+// endBlock hands the current block its instructions, with capacity
+// clipped like the operand lists.
+func (lo *lowerer) endBlock() {
+	n := len(lo.instrBuf)
+	lo.cur.Instrs = lo.instrBuf[lo.blockFrom:n:n]
+	lo.blockFrom = n
 }
 
 func isFloatCell(t bytecode.Type) bool { return t == bytecode.TFloat }
+
+// canonBand is the first virtual register number of the canonical stack
+// cells; temps are numbered from just above the physical file up to it.
+const canonBand = 1_000_000
 
 // canonStack returns the canonical register for operand-stack position
 // depth with the given class — the register block boundaries use.
@@ -86,9 +129,9 @@ func isFloatCell(t bytecode.Type) bool { return t == bytecode.TFloat }
 // numbers so they never collide with temps.
 func (lo *lowerer) canonStack(depth int, float bool) ir.Reg {
 	if float {
-		return ir.Reg{Class: ir.ClassFloat, N: 1_000_000 + int32(depth)}
+		return ir.Reg{Class: ir.ClassFloat, N: canonBand + int32(depth)}
 	}
-	return ir.Reg{Class: ir.ClassInt, N: 1_000_000 + int32(depth)}
+	return ir.Reg{Class: ir.ClassInt, N: canonBand + int32(depth)}
 }
 
 func (lo *lowerer) push(r ir.Reg) {
@@ -118,7 +161,7 @@ func (lo *lowerer) invalidateLocal(slot int32) {
 			} else {
 				t, op = lo.newInt(), ir.MR
 			}
-			lo.emit(ir.Instr{Op: op, Defs: []ir.Reg{t}, Uses: []ir.Reg{src}})
+			lo.emit(ir.Instr{Op: op, Defs: lo.regs(t), Uses: lo.regs(src)})
 			lo.stack[i] = stackVal{reg: t, fromLocal: -1}
 		}
 	}
@@ -137,15 +180,24 @@ func (lo *lowerer) materializeStack() {
 		if v.reg.Class == ir.ClassFloat {
 			op = ir.FMR
 		}
-		lo.emit(ir.Instr{Op: op, Defs: []ir.Reg{canon}, Uses: []ir.Reg{v.reg}})
+		lo.emit(ir.Instr{Op: op, Defs: lo.regs(canon), Uses: lo.regs(v.reg)})
 		lo.stack[i] = stackVal{reg: canon, fromLocal: -1}
 	}
 }
 
-// lowerFn lowers one function. blocks is its bytecode CFG; shapes the
-// per-leader entry stack types.
-func lowerFn(m *bytecode.Module, f *bytecode.Fn, blocks []bbRange, shapes map[int][]bytecode.Type) (*ir.Fn, error) {
-	lo := &lowerer{m: m, f: f}
+// lowerFn lowers one function. shapes are its per-leader entry stack
+// types.
+func lowerFn(m *bytecode.Module, f *bytecode.Fn, shapes map[int][]bytecode.Type) (*ir.Fn, error) {
+	blocks, blockAt := buildCFG(f)
+	// Over the bundled workloads a bytecode instruction lowers to about
+	// one machine instruction with about two operands; size the backing
+	// arrays a quarter above that, and let emit and regs grow past it.
+	n := len(f.Code) + len(f.Code)/4 + 8
+	lo := &lowerer{
+		m: m, f: f, blockAt: blockAt,
+		instrBuf: make([]ir.Instr, 0, n),
+		regBuf:   make([]ir.Reg, 0, 2*n),
+	}
 	nInt, nFloat := 0, 0
 	for _, p := range f.Params {
 		if isFloatCell(p) {
@@ -196,6 +248,7 @@ func lowerFn(m *bytecode.Module, f *bytecode.Fn, blocks []bbRange, shapes map[in
 			// self-loop placeholder so block IDs stay dense; it can
 			// never execute.
 			lo.emit(ir.Instr{Op: ir.B, Target: bi})
+			lo.endBlock()
 			lo.cur.Succs = []int{bi}
 			continue
 		}
@@ -204,10 +257,11 @@ func lowerFn(m *bytecode.Module, f *bytecode.Fn, blocks []bbRange, shapes map[in
 			lo.push(lo.canonStack(d, isFloatCell(t)))
 		}
 
-		if err := lo.lowerRange(f, bb, blocks); err != nil {
+		if err := lo.lowerRange(f, bb); err != nil {
 			return nil, err
 		}
-		lo.cur.Succs = append([]int(nil), bb.Succs...)
+		lo.endBlock()
+		lo.cur.Succs = bb.Succs
 	}
 	return lo.out, nil
 }
@@ -217,36 +271,28 @@ func (lo *lowerer) emitParamMoves(f *bytecode.Fn) {
 	iIdx, fIdx := 0, 0
 	for slot, t := range f.Params {
 		if isFloatCell(t) {
-			lo.emit(ir.Instr{Op: ir.FMR, Defs: []ir.Reg{lo.localReg[slot]}, Uses: []ir.Reg{ir.ArgFloat(fIdx)}})
+			lo.emit(ir.Instr{Op: ir.FMR, Defs: lo.regs(lo.localReg[slot]), Uses: lo.regs(ir.ArgFloat(fIdx))})
 			fIdx++
 		} else {
-			lo.emit(ir.Instr{Op: ir.MR, Defs: []ir.Reg{lo.localReg[slot]}, Uses: []ir.Reg{ir.ArgInt(iIdx)}})
+			lo.emit(ir.Instr{Op: ir.MR, Defs: lo.regs(lo.localReg[slot]), Uses: lo.regs(ir.ArgInt(iIdx))})
 			iIdx++
 		}
 	}
 }
 
 // lowerRange lowers the instructions of one bytecode block.
-func (lo *lowerer) lowerRange(f *bytecode.Fn, bb *bbRange, blocks []bbRange) error {
-	blockAt := func(pc int) int {
-		for i := range blocks {
-			if blocks[i].Start == pc {
-				return i
-			}
-		}
-		return -1
-	}
+func (lo *lowerer) lowerRange(f *bytecode.Fn, bb *bbRange) error {
 	for pc := bb.Start; pc < bb.End; pc++ {
 		in := f.Code[pc]
 		switch in.Op {
 		case bytecode.NOP:
 		case bytecode.ICONST:
 			t := lo.newInt()
-			lo.emit(ir.Instr{Op: ir.LI, Defs: []ir.Reg{t}, Imm: in.I})
+			lo.emit(ir.Instr{Op: ir.LI, Defs: lo.regs(t), Imm: in.I})
 			lo.push(t)
 		case bytecode.FCONST:
 			t := lo.newFloat()
-			lo.emit(ir.Instr{Op: ir.LFI, Defs: []ir.Reg{t}, FImm: in.F})
+			lo.emit(ir.Instr{Op: ir.LFI, Defs: lo.regs(t), FImm: in.F})
 			lo.push(t)
 		case bytecode.ILOAD, bytecode.FLOAD:
 			lo.pushLocal(in.A)
@@ -257,27 +303,27 @@ func (lo *lowerer) lowerRange(f *bytecode.Fn, bb *bbRange, blocks []bbRange) err
 			if in.Op == bytecode.FSTORE {
 				op = ir.FMR
 			}
-			lo.emit(ir.Instr{Op: op, Defs: []ir.Reg{lo.localReg[in.A]}, Uses: []ir.Reg{v}})
+			lo.emit(ir.Instr{Op: op, Defs: lo.regs(lo.localReg[in.A]), Uses: lo.regs(v)})
 		case bytecode.GILOAD:
 			t := lo.newInt()
-			lo.emit(ir.Instr{Op: ir.LD, Defs: []ir.Reg{t}, Uses: []ir.Reg{regGlobals}, Imm: int64(in.A)})
+			lo.emit(ir.Instr{Op: ir.LD, Defs: lo.regs(t), Uses: lo.regs(regGlobals), Imm: int64(in.A)})
 			lo.push(t)
 		case bytecode.GFLOAD:
 			t := lo.newFloat()
-			lo.emit(ir.Instr{Op: ir.LFD, Defs: []ir.Reg{t}, Uses: []ir.Reg{regGlobals}, Imm: int64(in.A)})
+			lo.emit(ir.Instr{Op: ir.LFD, Defs: lo.regs(t), Uses: lo.regs(regGlobals), Imm: int64(in.A)})
 			lo.push(t)
 		case bytecode.GISTORE:
 			v := lo.pop()
-			lo.emit(ir.Instr{Op: ir.ST, Uses: []ir.Reg{v, regGlobals}, Imm: int64(in.A)})
+			lo.emit(ir.Instr{Op: ir.ST, Uses: lo.regs(v, regGlobals), Imm: int64(in.A)})
 		case bytecode.GFSTORE:
 			v := lo.pop()
-			lo.emit(ir.Instr{Op: ir.STFD, Uses: []ir.Reg{v, regGlobals}, Imm: int64(in.A)})
+			lo.emit(ir.Instr{Op: ir.STFD, Uses: lo.regs(v, regGlobals), Imm: int64(in.A)})
 		case bytecode.IADD, bytecode.ISUB, bytecode.IMUL, bytecode.IDIV,
 			bytecode.IAND, bytecode.IOR, bytecode.IXOR, bytecode.ISHL, bytecode.ISHR:
 			b := lo.pop()
 			a := lo.pop()
 			t := lo.newInt()
-			lo.emit(ir.Instr{Op: intALUOp(in.Op), Defs: []ir.Reg{t}, Uses: []ir.Reg{a, b}})
+			lo.emit(ir.Instr{Op: intALUOp(in.Op), Defs: lo.regs(t), Uses: lo.regs(a, b)})
 			lo.push(t)
 		case bytecode.IREM:
 			// a % b  →  q = a/b; m = q*b; r = a-m  (PowerPC has no
@@ -287,55 +333,55 @@ func (lo *lowerer) lowerRange(f *bytecode.Fn, bb *bbRange, blocks []bbRange) err
 			q := lo.newInt()
 			mv := lo.newInt()
 			r := lo.newInt()
-			lo.emit(ir.Instr{Op: ir.DIVW, Defs: []ir.Reg{q}, Uses: []ir.Reg{a, b}})
-			lo.emit(ir.Instr{Op: ir.MULL, Defs: []ir.Reg{mv}, Uses: []ir.Reg{q, b}})
-			lo.emit(ir.Instr{Op: ir.SUB, Defs: []ir.Reg{r}, Uses: []ir.Reg{a, mv}})
+			lo.emit(ir.Instr{Op: ir.DIVW, Defs: lo.regs(q), Uses: lo.regs(a, b)})
+			lo.emit(ir.Instr{Op: ir.MULL, Defs: lo.regs(mv), Uses: lo.regs(q, b)})
+			lo.emit(ir.Instr{Op: ir.SUB, Defs: lo.regs(r), Uses: lo.regs(a, mv)})
 			lo.push(r)
 		case bytecode.INEG:
 			a := lo.pop()
 			t := lo.newInt()
-			lo.emit(ir.Instr{Op: ir.NEG, Defs: []ir.Reg{t}, Uses: []ir.Reg{a}})
+			lo.emit(ir.Instr{Op: ir.NEG, Defs: lo.regs(t), Uses: lo.regs(a)})
 			lo.push(t)
 		case bytecode.FADD, bytecode.FSUB, bytecode.FMUL, bytecode.FDIV:
 			b := lo.pop()
 			a := lo.pop()
 			t := lo.newFloat()
-			lo.emit(ir.Instr{Op: floatALUOp(in.Op), Defs: []ir.Reg{t}, Uses: []ir.Reg{a, b}})
+			lo.emit(ir.Instr{Op: floatALUOp(in.Op), Defs: lo.regs(t), Uses: lo.regs(a, b)})
 			lo.push(t)
 		case bytecode.FNEG:
 			a := lo.pop()
 			t := lo.newFloat()
-			lo.emit(ir.Instr{Op: ir.FNEG, Defs: []ir.Reg{t}, Uses: []ir.Reg{a}})
+			lo.emit(ir.Instr{Op: ir.FNEG, Defs: lo.regs(t), Uses: lo.regs(a)})
 			lo.push(t)
 		case bytecode.I2F:
 			a := lo.pop()
 			t := lo.newFloat()
-			lo.emit(ir.Instr{Op: ir.I2F, Defs: []ir.Reg{t}, Uses: []ir.Reg{a}})
+			lo.emit(ir.Instr{Op: ir.I2F, Defs: lo.regs(t), Uses: lo.regs(a)})
 			lo.push(t)
 		case bytecode.F2I:
 			a := lo.pop()
 			t := lo.newInt()
-			lo.emit(ir.Instr{Op: ir.F2I, Defs: []ir.Reg{t}, Uses: []ir.Reg{a}})
+			lo.emit(ir.Instr{Op: ir.F2I, Defs: lo.regs(t), Uses: lo.regs(a)})
 			lo.push(t)
 		case bytecode.GOTO:
 			lo.materializeStack()
-			lo.emit(ir.Instr{Op: ir.B, Target: blockAt(int(in.A))})
+			lo.emit(ir.Instr{Op: ir.B, Target: lo.blockAt[in.A]})
 		case bytecode.IFICMPLT, bytecode.IFICMPGT, bytecode.IFICMPEQ,
 			bytecode.IFICMPNE, bytecode.IFICMPLE, bytecode.IFICMPGE:
 			b := lo.pop()
 			a := lo.pop()
 			cr := lo.newCond()
-			lo.emit(ir.Instr{Op: ir.CMP, Defs: []ir.Reg{cr}, Uses: []ir.Reg{a, b}})
+			lo.emit(ir.Instr{Op: ir.CMP, Defs: lo.regs(cr), Uses: lo.regs(a, b)})
 			lo.materializeStack()
-			lo.emit(ir.Instr{Op: ir.BC, Uses: []ir.Reg{cr}, Imm: condCode(in.Op), Target: blockAt(int(in.A))})
+			lo.emit(ir.Instr{Op: ir.BC, Uses: lo.regs(cr), Imm: condCode(in.Op), Target: lo.blockAt[in.A]})
 		case bytecode.IFFCMPLT, bytecode.IFFCMPGT, bytecode.IFFCMPEQ,
 			bytecode.IFFCMPNE, bytecode.IFFCMPLE, bytecode.IFFCMPGE:
 			b := lo.pop()
 			a := lo.pop()
 			cr := lo.newCond()
-			lo.emit(ir.Instr{Op: ir.FCMP, Defs: []ir.Reg{cr}, Uses: []ir.Reg{a, b}})
+			lo.emit(ir.Instr{Op: ir.FCMP, Defs: lo.regs(cr), Uses: lo.regs(a, b)})
 			lo.materializeStack()
-			lo.emit(ir.Instr{Op: ir.BC, Uses: []ir.Reg{cr}, Imm: condCode(in.Op), Target: blockAt(int(in.A))})
+			lo.emit(ir.Instr{Op: ir.BC, Uses: lo.regs(cr), Imm: condCode(in.Op), Target: lo.blockAt[in.A]})
 		case bytecode.CALL:
 			if err := lo.lowerCall(in); err != nil {
 				return err
@@ -344,16 +390,16 @@ func (lo *lowerer) lowerRange(f *bytecode.Fn, bb *bbRange, blocks []bbRange) err
 			lo.emit(ir.Instr{Op: ir.BLR})
 		case bytecode.IRET:
 			v := lo.pop()
-			lo.emit(ir.Instr{Op: ir.MR, Defs: []ir.Reg{ir.RetInt}, Uses: []ir.Reg{v}})
-			lo.emit(ir.Instr{Op: ir.BLR, Uses: []ir.Reg{ir.RetInt}})
+			lo.emit(ir.Instr{Op: ir.MR, Defs: lo.regs(ir.RetInt), Uses: lo.regs(v)})
+			lo.emit(ir.Instr{Op: ir.BLR, Uses: lo.regs(ir.RetInt)})
 		case bytecode.FRET:
 			v := lo.pop()
-			lo.emit(ir.Instr{Op: ir.FMR, Defs: []ir.Reg{ir.RetFloat}, Uses: []ir.Reg{v}})
-			lo.emit(ir.Instr{Op: ir.BLR, Uses: []ir.Reg{ir.RetFloat}})
+			lo.emit(ir.Instr{Op: ir.FMR, Defs: lo.regs(ir.RetFloat), Uses: lo.regs(v)})
+			lo.emit(ir.Instr{Op: ir.BLR, Uses: lo.regs(ir.RetFloat)})
 		case bytecode.NEWARRI, bytecode.NEWARRF:
 			n := lo.pop()
 			t := lo.newInt()
-			lo.emit(ir.Instr{Op: ir.ALLOC, Defs: []ir.Reg{t}, Uses: []ir.Reg{n}})
+			lo.emit(ir.Instr{Op: ir.ALLOC, Defs: lo.regs(t), Uses: lo.regs(n)})
 			lo.push(t)
 		case bytecode.IALOAD, bytecode.FALOAD:
 			idx := lo.pop()
@@ -368,9 +414,9 @@ func (lo *lowerer) lowerRange(f *bytecode.Fn, bb *bbRange, blocks []bbRange) err
 		case bytecode.ALEN:
 			ref := lo.pop()
 			g := lo.newGuard()
-			lo.emit(ir.Instr{Op: ir.NULLCHECK, Defs: []ir.Reg{g}, Uses: []ir.Reg{ref}})
+			lo.emit(ir.Instr{Op: ir.NULLCHECK, Defs: lo.regs(g), Uses: lo.regs(ref)})
 			t := lo.newInt()
-			lo.emit(ir.Instr{Op: ir.LD, Defs: []ir.Reg{t}, Uses: []ir.Reg{ref, g}, Imm: 0})
+			lo.emit(ir.Instr{Op: ir.LD, Defs: lo.regs(t), Uses: lo.regs(ref, g), Imm: 0})
 			lo.push(t)
 		case bytecode.POP, bytecode.FPOP:
 			lo.pop()
@@ -379,10 +425,10 @@ func (lo *lowerer) lowerRange(f *bytecode.Fn, bb *bbRange, blocks []bbRange) err
 			lo.stack = append(lo.stack, top)
 		case bytecode.PRINTI:
 			v := lo.pop()
-			lo.emit(ir.Instr{Op: ir.RTPRINTI, Uses: []ir.Reg{v}})
+			lo.emit(ir.Instr{Op: ir.RTPRINTI, Uses: lo.regs(v)})
 		case bytecode.PRINTF:
 			v := lo.pop()
-			lo.emit(ir.Instr{Op: ir.RTPRINTF, Uses: []ir.Reg{v}})
+			lo.emit(ir.Instr{Op: ir.RTPRINTF, Uses: lo.regs(v)})
 		default:
 			return fmt.Errorf("jit: cannot lower %v", in.Op)
 		}
@@ -392,7 +438,7 @@ func (lo *lowerer) lowerRange(f *bytecode.Fn, bb *bbRange, blocks []bbRange) err
 	last := f.Code[bb.End-1]
 	if !last.Op.IsBranch() && !last.Op.IsTerminator() {
 		lo.materializeStack()
-		lo.emit(ir.Instr{Op: ir.B, Target: blockAt(bb.End)})
+		lo.emit(ir.Instr{Op: ir.B, Target: lo.blockAt[bb.End]})
 	}
 	return nil
 }
@@ -401,20 +447,20 @@ func (lo *lowerer) lowerRange(f *bytecode.Fn, bb *bbRange, blocks []bbRange) err
 // computation, and the guarded element load; returns the destination.
 func (lo *lowerer) arrayLoad(isFloat bool, ref, idx ir.Reg) ir.Reg {
 	g1 := lo.newGuard()
-	lo.emit(ir.Instr{Op: ir.NULLCHECK, Defs: []ir.Reg{g1}, Uses: []ir.Reg{ref}})
+	lo.emit(ir.Instr{Op: ir.NULLCHECK, Defs: lo.regs(g1), Uses: lo.regs(ref)})
 	length := lo.newInt()
-	lo.emit(ir.Instr{Op: ir.LD, Defs: []ir.Reg{length}, Uses: []ir.Reg{ref, g1}, Imm: 0})
+	lo.emit(ir.Instr{Op: ir.LD, Defs: lo.regs(length), Uses: lo.regs(ref, g1), Imm: 0})
 	g2 := lo.newGuard()
-	lo.emit(ir.Instr{Op: ir.BOUNDSCHECK, Defs: []ir.Reg{g2}, Uses: []ir.Reg{idx, length}})
+	lo.emit(ir.Instr{Op: ir.BOUNDSCHECK, Defs: lo.regs(g2), Uses: lo.regs(idx, length)})
 	addr := lo.newInt()
-	lo.emit(ir.Instr{Op: ir.ADDI, Defs: []ir.Reg{addr}, Uses: []ir.Reg{idx}, Imm: 1})
+	lo.emit(ir.Instr{Op: ir.ADDI, Defs: lo.regs(addr), Uses: lo.regs(idx), Imm: 1})
 	var dst ir.Reg
 	if isFloat {
 		dst = lo.newFloat()
-		lo.emit(ir.Instr{Op: ir.LFDX, Defs: []ir.Reg{dst}, Uses: []ir.Reg{ref, addr, g2}})
+		lo.emit(ir.Instr{Op: ir.LFDX, Defs: lo.regs(dst), Uses: lo.regs(ref, addr, g2)})
 	} else {
 		dst = lo.newInt()
-		lo.emit(ir.Instr{Op: ir.LDX, Defs: []ir.Reg{dst}, Uses: []ir.Reg{ref, addr, g2}})
+		lo.emit(ir.Instr{Op: ir.LDX, Defs: lo.regs(dst), Uses: lo.regs(ref, addr, g2)})
 	}
 	return dst
 }
@@ -422,17 +468,17 @@ func (lo *lowerer) arrayLoad(isFloat bool, ref, idx ir.Reg) ir.Reg {
 // arrayStore is the store-side counterpart of arrayLoad.
 func (lo *lowerer) arrayStore(isFloat bool, ref, idx, v ir.Reg) {
 	g1 := lo.newGuard()
-	lo.emit(ir.Instr{Op: ir.NULLCHECK, Defs: []ir.Reg{g1}, Uses: []ir.Reg{ref}})
+	lo.emit(ir.Instr{Op: ir.NULLCHECK, Defs: lo.regs(g1), Uses: lo.regs(ref)})
 	length := lo.newInt()
-	lo.emit(ir.Instr{Op: ir.LD, Defs: []ir.Reg{length}, Uses: []ir.Reg{ref, g1}, Imm: 0})
+	lo.emit(ir.Instr{Op: ir.LD, Defs: lo.regs(length), Uses: lo.regs(ref, g1), Imm: 0})
 	g2 := lo.newGuard()
-	lo.emit(ir.Instr{Op: ir.BOUNDSCHECK, Defs: []ir.Reg{g2}, Uses: []ir.Reg{idx, length}})
+	lo.emit(ir.Instr{Op: ir.BOUNDSCHECK, Defs: lo.regs(g2), Uses: lo.regs(idx, length)})
 	addr := lo.newInt()
-	lo.emit(ir.Instr{Op: ir.ADDI, Defs: []ir.Reg{addr}, Uses: []ir.Reg{idx}, Imm: 1})
+	lo.emit(ir.Instr{Op: ir.ADDI, Defs: lo.regs(addr), Uses: lo.regs(idx), Imm: 1})
 	if isFloat {
-		lo.emit(ir.Instr{Op: ir.STFX, Uses: []ir.Reg{v, ref, addr, g2}})
+		lo.emit(ir.Instr{Op: ir.STFX, Uses: lo.regs(v, ref, addr, g2)})
 	} else {
-		lo.emit(ir.Instr{Op: ir.STX, Uses: []ir.Reg{v, ref, addr, g2}})
+		lo.emit(ir.Instr{Op: ir.STX, Uses: lo.regs(v, ref, addr, g2)})
 	}
 }
 
@@ -446,24 +492,28 @@ func (lo *lowerer) lowerCall(in bytecode.Insn) error {
 		args[i] = lo.pop()
 	}
 	iIdx, fIdx := 0, 0
-	var abiUses []ir.Reg
+	var abiBuf [2 * MaxArgs]ir.Reg
+	abiUses := abiBuf[:0]
 	for i, t := range callee.Params {
 		if isFloatCell(t) {
 			dst := ir.ArgFloat(fIdx)
 			fIdx++
-			lo.emit(ir.Instr{Op: ir.FMR, Defs: []ir.Reg{dst}, Uses: []ir.Reg{args[i]}})
+			lo.emit(ir.Instr{Op: ir.FMR, Defs: lo.regs(dst), Uses: lo.regs(args[i])})
 			abiUses = append(abiUses, dst)
 		} else {
 			dst := ir.ArgInt(iIdx)
 			iIdx++
-			lo.emit(ir.Instr{Op: ir.MR, Defs: []ir.Reg{dst}, Uses: []ir.Reg{args[i]}})
+			lo.emit(ir.Instr{Op: ir.MR, Defs: lo.regs(dst), Uses: lo.regs(args[i])})
 			abiUses = append(abiUses, dst)
 		}
 	}
 	if iIdx > MaxArgs || fIdx > MaxArgs {
 		return fmt.Errorf("jit: call to %s: too many arguments", callee.Name)
 	}
-	call := ir.Instr{Op: ir.BL, Target: int(in.A), Sym: callee.Name, Uses: abiUses}
+	call := ir.Instr{Op: ir.BL, Target: int(in.A), Sym: callee.Name}
+	if len(abiUses) > 0 {
+		call.Uses = lo.regs(abiUses...)
+	}
 	switch callee.Ret {
 	case bytecode.TVoid:
 		lo.emit(call)
@@ -471,13 +521,13 @@ func (lo *lowerer) lowerCall(in bytecode.Insn) error {
 		call.Defs = []ir.Reg{ir.RetFloat}
 		lo.emit(call)
 		t := lo.newFloat()
-		lo.emit(ir.Instr{Op: ir.FMR, Defs: []ir.Reg{t}, Uses: []ir.Reg{ir.RetFloat}})
+		lo.emit(ir.Instr{Op: ir.FMR, Defs: lo.regs(t), Uses: lo.regs(ir.RetFloat)})
 		lo.push(t)
 	default:
 		call.Defs = []ir.Reg{ir.RetInt}
 		lo.emit(call)
 		t := lo.newInt()
-		lo.emit(ir.Instr{Op: ir.MR, Defs: []ir.Reg{t}, Uses: []ir.Reg{ir.RetInt}})
+		lo.emit(ir.Instr{Op: ir.MR, Defs: lo.regs(t), Uses: lo.regs(ir.RetInt)})
 		lo.push(t)
 	}
 	return nil

@@ -1,8 +1,9 @@
 package jit
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"schedfilter/internal/ir"
 )
@@ -27,6 +28,14 @@ func poolRange(c ir.RegClass, lo, hi int) []ir.Reg {
 	return out
 }
 
+// allocClasses are the register classes the allocator assigns, in the
+// order it assigns them; allocClasses[c] has pool allocPools[c].
+var (
+	allocClasses = [...]ir.RegClass{ir.ClassInt, ir.ClassFloat, ir.ClassCond}
+	allocPools   = [...][]ir.Reg{intPool, floatPool, condPool}
+	physCount    = [...]int32{ir.NumGPR, ir.NumFPR, ir.NumCond}
+)
+
 // interval is the conservative live range of one virtual register over the
 // linearized function: from its first occurrence to its last, which safely
 // covers loop-carried liveness.
@@ -36,6 +45,34 @@ type interval struct {
 	spilled    bool
 	phys       ir.Reg
 	slot       int // spill slot when spilled
+	// defBlock is 1 + the index of the last block that defined vreg
+	// (0: none yet) — what tells an upward-exposed use from a local one.
+	defBlock int
+}
+
+// regIndex numbers a function's virtual registers densely: per allocated
+// class, temps by their number above the physical file and canonical
+// stack cells by depth. Each entry is 1 + the register's interval index,
+// 0 while it has none.
+type regIndex struct {
+	temps, cells [len(allocClasses)][]int32
+}
+
+// entry returns r's table entry, growing the table to reach it, or nil if
+// r is not a virtual register of an allocated class.
+func (x *regIndex) entry(r ir.Reg) *int32 {
+	c := int(r.Class)
+	if c >= len(allocClasses) || r.IsPhys() {
+		return nil
+	}
+	tab, i := &x.temps[c], int(r.N-physCount[c])
+	if r.N >= canonBand {
+		tab, i = &x.cells[c], int(r.N-canonBand)
+	}
+	if i >= len(*tab) {
+		*tab = append(*tab, make([]int32, i+1-len(*tab))...)
+	}
+	return &(*tab)[i]
 }
 
 // Allocate rewrites fn in place, mapping virtual int/float/cond registers
@@ -43,55 +80,59 @@ type interval struct {
 // stack pointer) where the pools do not suffice. Guard registers are left
 // virtual: they carry scheduling dependences, not machine state.
 func Allocate(fn *ir.Fn) error {
-	firstLast := map[ir.Reg]*interval{}
-	// exposedUses[r] lists positions where r is read without a
-	// same-block def earlier — the uses that may read a value carried
-	// around a loop back edge.
-	exposedUses := map[ir.Reg][]int{}
-	blockStart := make([]int, len(fn.Blocks))
-	type backEdge struct{ head, branch int } // positions [head, branch]
+	var index regIndex
+	var intervals []interval
+	// exposed lists (interval, position) pairs where a register is read
+	// without a same-block def earlier — the uses that may read a value
+	// carried around a loop back edge.
+	type use struct{ iv, pos int }
+	var exposed []use
+	// Back edges are branches to blocks at or before their own position
+	// in code order, as positions [head, branch].
+	type backEdge struct{ head, branch int }
 	var backEdges []backEdge
+	blockStart := make([]int, len(fn.Blocks))
 
+	touch := func(r ir.Reg, pos int) (int, error) {
+		e := index.entry(r)
+		if e == nil {
+			return 0, fmt.Errorf("jit: %s: unallocated vreg %s", fn.Name, r)
+		}
+		if *e == 0 {
+			intervals = append(intervals, interval{vreg: r, start: pos})
+			*e = int32(len(intervals))
+		}
+		iv := int(*e) - 1
+		intervals[iv].end = pos
+		return iv, nil
+	}
 	pos := 0
 	for bi, b := range fn.Blocks {
 		blockStart[bi] = pos
-		localDefs := map[ir.Reg]bool{}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			touch := func(r ir.Reg) *interval {
-				iv, ok := firstLast[r]
-				if !ok {
-					iv = &interval{vreg: r, start: pos, end: pos}
-					firstLast[r] = iv
-				}
-				iv.end = pos
-				return iv
-			}
 			for _, r := range in.Uses {
 				if r.IsPhys() || r.Class == ir.ClassGuard {
 					continue
 				}
-				touch(r)
-				if !localDefs[r] {
-					exposedUses[r] = append(exposedUses[r], pos)
+				iv, err := touch(r, pos)
+				if err != nil {
+					return err
+				}
+				if intervals[iv].defBlock != bi+1 {
+					exposed = append(exposed, use{iv, pos})
 				}
 			}
 			for _, r := range in.Defs {
 				if r.IsPhys() || r.Class == ir.ClassGuard {
 					continue
 				}
-				touch(r)
-				localDefs[r] = true
+				iv, err := touch(r, pos)
+				if err != nil {
+					return err
+				}
+				intervals[iv].defBlock = bi + 1
 			}
-			pos++
-		}
-	}
-	// Record back edges (branches to blocks at or before their own
-	// position in code order).
-	pos = 0
-	for bi, b := range fn.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
 			if (in.Op == ir.B || in.Op == ir.BC) && in.Target <= bi {
 				backEdges = append(backEdges, backEdge{head: blockStart[in.Target], branch: pos})
 			}
@@ -100,51 +141,43 @@ func Allocate(fn *ir.Fn) error {
 	}
 	// Loop-carried liveness: a value read by an exposed use inside a
 	// loop may have been produced in the previous iteration, so its
-	// interval must survive to the back edge.
-	for r, uses := range exposedUses {
-		iv := firstLast[r]
-		for _, e := range backEdges {
-			for _, u := range uses {
-				if u >= e.head && u <= e.branch && iv.end < e.branch {
-					iv.end = e.branch
-				}
-			}
+	// interval must survive to the furthest back edge whose loop contains
+	// the use. Of the back edges with head at or before the use, that is
+	// the one with the largest branch position, if that is not before the
+	// use. Exposed uses are in position order, so one sweep over the back
+	// edges, by head, finds it for all of them.
+	slices.SortFunc(backEdges, func(a, b backEdge) int { return cmp.Compare(a.head, b.head) })
+	reach, k := -1, 0
+	for _, u := range exposed {
+		for ; k < len(backEdges) && backEdges[k].head <= u.pos; k++ {
+			reach = max(reach, backEdges[k].branch)
+		}
+		if iv := &intervals[u.iv]; reach >= u.pos && iv.end < reach {
+			iv.end = reach
 		}
 	}
 
-	intervals := make([]*interval, 0, len(firstLast))
-	for _, iv := range firstLast {
-		intervals = append(intervals, iv)
-	}
-	sort.Slice(intervals, func(a, b int) bool {
-		if intervals[a].start != intervals[b].start {
-			return intervals[a].start < intervals[b].start
+	// Intervals were created in order of first occurrence, so they are
+	// sorted by start already; order each run of equal starts by
+	// register. The insertion sort only ever moves within such a run.
+	for i := 1; i < len(intervals); i++ {
+		for j := i; j > 0 && intervals[j].start == intervals[j-1].start &&
+			lessReg(intervals[j].vreg, intervals[j-1].vreg); j-- {
+			intervals[j], intervals[j-1] = intervals[j-1], intervals[j]
 		}
-		return lessReg(intervals[a].vreg, intervals[b].vreg)
-	})
+	}
+	for i := range intervals {
+		*index.entry(intervals[i].vreg) = int32(i + 1)
+	}
 
 	nextSlot := 0
-	for _, class := range []ir.RegClass{ir.ClassInt, ir.ClassFloat, ir.ClassCond} {
-		var pool []ir.Reg
-		switch class {
-		case ir.ClassInt:
-			pool = intPool
-		case ir.ClassFloat:
-			pool = floatPool
-		case ir.ClassCond:
-			pool = condPool
-		}
-		if err := allocateClass(intervals, class, pool, &nextSlot); err != nil {
+	for c, class := range allocClasses {
+		if err := allocateClass(intervals, class, allocPools[c], &nextSlot); err != nil {
 			return fmt.Errorf("jit: %s: %w", fn.Name, err)
 		}
 	}
 	fn.FrameSlots = nextSlot
-
-	assign := make(map[ir.Reg]*interval, len(intervals))
-	for _, iv := range intervals {
-		assign[iv.vreg] = iv
-	}
-	return rewrite(fn, assign)
+	return rewrite(fn, intervals, &index)
 }
 
 func lessReg(a, b ir.Reg) bool {
@@ -154,170 +187,198 @@ func lessReg(a, b ir.Reg) bool {
 	return a.N < b.N
 }
 
-// allocateClass runs linear scan for one register class.
-func allocateClass(all []*interval, class ir.RegClass, pool []ir.Reg, nextSlot *int) error {
-	var intervals []*interval
-	for _, iv := range all {
-		if iv.vreg.Class == class {
-			intervals = append(intervals, iv)
-		}
-	}
-	free := append([]ir.Reg(nil), pool...)
-	var active []*interval // sorted by end
+// allocateClass runs linear scan for one register class over the
+// intervals, which are sorted by start.
+func allocateClass(intervals []interval, class ir.RegClass, pool []ir.Reg, nextSlot *int) error {
+	var freeBuf [32]ir.Reg
+	free := append(freeBuf[:0], pool...)
+	// active holds interval indices sorted by end.
+	var activeBuf [32]int
+	active := activeBuf[:0]
 
-	expire := func(start int) {
+	for i := range intervals {
+		iv := &intervals[i]
+		if iv.vreg.Class != class {
+			continue
+		}
+		// Expire the intervals that ended before this one starts.
 		keep := active[:0]
 		for _, a := range active {
-			if a.end < start {
-				free = append(free, a.phys)
+			if intervals[a].end < iv.start {
+				free = append(free, intervals[a].phys)
 			} else {
 				keep = append(keep, a)
 			}
 		}
 		active = keep
-	}
 
-	for _, iv := range intervals {
-		expire(iv.start)
 		if len(free) > 0 {
 			iv.phys = free[len(free)-1]
 			free = free[:len(free)-1]
-			active = append(active, iv)
-			sort.Slice(active, func(a, b int) bool { return active[a].end < active[b].end })
+			active = append(active, i)
+			sortByEnd(active, intervals)
 			continue
 		}
 		// Spill the interval that ends furthest away.
-		victim := active[len(active)-1]
+		victim := &intervals[active[len(active)-1]]
 		if victim.end > iv.end {
 			iv.phys = victim.phys
 			victim.spilled = true
 			victim.slot = *nextSlot
 			*nextSlot++
-			active[len(active)-1] = iv
-			sort.Slice(active, func(a, b int) bool { return active[a].end < active[b].end })
+			active[len(active)-1] = i
+			sortByEnd(active, intervals)
 		} else {
-			if class == ir.ClassCond {
-				return fmt.Errorf("out of condition registers (cannot spill CR)")
-			}
 			iv.spilled = true
 			iv.slot = *nextSlot
 			*nextSlot++
 		}
-	}
-	// Condition registers cannot be spilled to memory in this model.
-	for _, iv := range intervals {
-		if iv.spilled && class == ir.ClassCond {
+		// Condition registers cannot be spilled to memory in this model.
+		if class == ir.ClassCond {
 			return fmt.Errorf("out of condition registers (cannot spill CR)")
 		}
 	}
 	return nil
 }
 
-func forEachInstr(fn *ir.Fn, f func(*ir.Instr)) {
-	for _, b := range fn.Blocks {
-		for i := range b.Instrs {
-			f(&b.Instrs[i])
-		}
+// sortByEnd restores active's order by interval end after its last element
+// was appended or replaced. Which of two equal ends comes last decides the
+// spill victim, and the golden digests pin the order sort.Slice leaves.
+// slices.SortFunc is the same pattern-defeating quicksort; on a slice that
+// is already sorted it moves nothing, and up to 12 elements it is an
+// insertion sort, which here moves the last element left past every
+// larger end (TestSortByEndMatchesSortSlice).
+func sortByEnd(active []int, intervals []interval) {
+	n := len(active)
+	if n < 2 || intervals[active[n-1]].end >= intervals[active[n-2]].end {
+		return
+	}
+	if n > 12 {
+		slices.SortFunc(active, func(a, b int) int { return cmp.Compare(intervals[a].end, intervals[b].end) })
+		return
+	}
+	for j := n - 1; j > 0 && intervals[active[j]].end < intervals[active[j-1]].end; j-- {
+		active[j], active[j-1] = active[j-1], active[j]
 	}
 }
 
-// rewrite replaces virtual registers with their physical assignments and
-// expands spilled operands into scratch-register loads/stores around each
-// instruction.
-func rewrite(fn *ir.Fn, assign map[ir.Reg]*interval) error {
+// maxSpillOps bounds the spilled operands of one instruction: each takes
+// one of the three int or three float scratch registers.
+const maxSpillOps = 6
+
+// rewrite replaces virtual registers with their physical assignments, in
+// place, and expands spilled operands into scratch-register loads/stores
+// around each instruction. Only a block with spilled operands is copied.
+func rewrite(fn *ir.Fn, intervals []interval, index *regIndex) error {
+	lookup := func(r ir.Reg) (*interval, error) {
+		if r.IsPhys() || r.Class == ir.ClassGuard {
+			return nil, nil
+		}
+		if e := index.entry(r); e != nil && *e != 0 {
+			return &intervals[*e-1], nil
+		}
+		return nil, fmt.Errorf("jit: %s: unallocated vreg %s", fn.Name, r)
+	}
 	for _, b := range fn.Blocks {
-		out := make([]ir.Instr, 0, len(b.Instrs))
-		for _, in := range b.Instrs {
-			var pre, post []ir.Instr
-			intScr, fltScr := 0, 0
-			takeScratch := func(class ir.RegClass) (ir.Reg, error) {
-				if class == ir.ClassFloat {
-					if fltScr >= len(floatScratch) {
-						return ir.Reg{}, fmt.Errorf("jit: %s: out of float spill scratch registers", fn.Name)
+		// Map the registers that got one, counting the spilled operands
+		// left: a bound on the reloads and stores the block needs.
+		spilled := 0
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			for _, list := range [2][]ir.Reg{in.Uses, in.Defs} {
+				for k, r := range list {
+					iv, err := lookup(r)
+					if err != nil {
+						return err
 					}
-					r := floatScratch[fltScr]
-					fltScr++
-					return r, nil
-				}
-				if intScr >= len(intScratch) {
-					return ir.Reg{}, fmt.Errorf("jit: %s: out of int spill scratch registers", fn.Name)
-				}
-				r := intScratch[intScr]
-				intScr++
-				return r, nil
-			}
-
-			mapReg := func(r ir.Reg, isDef bool) (ir.Reg, error) {
-				if r.IsPhys() || r.Class == ir.ClassGuard {
-					return r, nil
-				}
-				iv, ok := assign[r]
-				if !ok {
-					return r, fmt.Errorf("jit: %s: unallocated vreg %s", fn.Name, r)
-				}
-				if !iv.spilled {
-					return iv.phys, nil
-				}
-				scr, err := takeScratch(r.Class)
-				if err != nil {
-					return r, err
-				}
-				off := int64(iv.slot)
-				if r.Class == ir.ClassFloat {
-					if isDef {
-						post = append(post, ir.Instr{Op: ir.STFD, Uses: []ir.Reg{scr, regSP}, Imm: off})
-					} else {
-						pre = append(pre, ir.Instr{Op: ir.LFD, Defs: []ir.Reg{scr}, Uses: []ir.Reg{regSP}, Imm: off})
-					}
-				} else {
-					if isDef {
-						post = append(post, ir.Instr{Op: ir.ST, Uses: []ir.Reg{scr, regSP}, Imm: off})
-					} else {
-						pre = append(pre, ir.Instr{Op: ir.LD, Defs: []ir.Reg{scr}, Uses: []ir.Reg{regSP}, Imm: off})
-					}
-				}
-				return scr, nil
-			}
-
-			// A register both used and defed by the same instruction
-			// must map consistently; handle uses first, then defs,
-			// reusing the scratch when the vreg repeats.
-			seen := map[ir.Reg]ir.Reg{}
-			mapAll := func(list []ir.Reg, isDef bool) ([]ir.Reg, error) {
-				if list == nil {
-					return nil, nil
-				}
-				outList := make([]ir.Reg, len(list))
-				for i, r := range list {
-					if m, ok := seen[r]; ok && !isDef {
-						outList[i] = m
+					if iv == nil {
 						continue
 					}
-					m, err := mapReg(r, isDef)
-					if err != nil {
-						return nil, err
+					if iv.spilled {
+						spilled++
+					} else {
+						list[k] = iv.phys
 					}
-					if !isDef {
-						seen[r] = m
-					}
-					outList[i] = m
 				}
-				return outList, nil
 			}
-			newUses, err := mapAll(in.Uses, false)
-			if err != nil {
+		}
+		if spilled == 0 {
+			continue
+		}
+		out := make([]ir.Instr, 0, len(b.Instrs)+spilled)
+		for _, in := range b.Instrs {
+			var err error
+			if out, err = appendSpilled(out, fn, in, lookup); err != nil {
 				return err
 			}
-			newDefs, err := mapAll(in.Defs, true)
-			if err != nil {
-				return err
-			}
-			in.Uses, in.Defs = newUses, newDefs
-			out = append(out, pre...)
-			out = append(out, in)
-			out = append(out, post...)
 		}
 		b.Instrs = out
 	}
 	return nil
+}
+
+// appendSpilled appends in to out, its spilled operands moved to scratch
+// registers: a reload before it per spilled use, a store after it per
+// spilled def. A register both used and defined by the instruction must
+// map consistently: uses are mapped first, and a use that repeats reuses
+// its scratch register; each def takes a scratch register of its own.
+func appendSpilled(out []ir.Instr, fn *ir.Fn, in ir.Instr, lookup func(ir.Reg) (*interval, error)) ([]ir.Instr, error) {
+	var seen [maxSpillOps]struct{ vreg, scratch ir.Reg }
+	var post [maxSpillOps]ir.Instr
+	nSeen, nPost, nInt, nFloat := 0, 0, 0, 0
+	scratch := func(class ir.RegClass) (ir.Reg, error) {
+		pool, n := intScratch, &nInt
+		if class == ir.ClassFloat {
+			pool, n = floatScratch, &nFloat
+		}
+		if *n == len(pool) {
+			return ir.Reg{}, fmt.Errorf("jit: %s: out of %s spill scratch registers", fn.Name, pool[0].Class)
+		}
+		*n++
+		return pool[*n-1], nil
+	}
+uses:
+	for k, r := range in.Uses {
+		iv, _ := lookup(r) // only spilled registers are still virtual
+		if iv == nil {
+			continue
+		}
+		for _, e := range seen[:nSeen] {
+			if e.vreg == r {
+				in.Uses[k] = e.scratch
+				continue uses
+			}
+		}
+		scr, err := scratch(r.Class)
+		if err != nil {
+			return nil, err
+		}
+		op := ir.LD
+		if r.Class == ir.ClassFloat {
+			op = ir.LFD
+		}
+		out = append(out, ir.Instr{Op: op, Defs: []ir.Reg{scr}, Uses: []ir.Reg{regSP}, Imm: int64(iv.slot)})
+		seen[nSeen].vreg, seen[nSeen].scratch = r, scr
+		nSeen++
+		in.Uses[k] = scr
+	}
+	for k, r := range in.Defs {
+		iv, _ := lookup(r)
+		if iv == nil {
+			continue
+		}
+		scr, err := scratch(r.Class)
+		if err != nil {
+			return nil, err
+		}
+		op := ir.ST
+		if r.Class == ir.ClassFloat {
+			op = ir.STFD
+		}
+		post[nPost] = ir.Instr{Op: op, Uses: []ir.Reg{scr, regSP}, Imm: int64(iv.slot)}
+		nPost++
+		in.Defs[k] = scr
+	}
+	out = append(out, in)
+	return append(out, post[:nPost]...), nil
 }

@@ -1,6 +1,9 @@
 package jit
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"schedfilter/internal/interp"
@@ -195,5 +198,37 @@ func TestPeepholeIdempotent(t *testing.T) {
 	}
 	if got.Ret != want.Ret {
 		t.Errorf("double peephole changed result: %d vs %d", got.Ret, want.Ret)
+	}
+}
+
+// TestSortByEndMatchesSortSlice: the allocator's spill victim is the last
+// active interval, so among equal ends the active order must be exactly
+// the one sort.Slice leaves. Replay the allocator's use of the sort —
+// a sorted list, one element appended or replaced at the end — over
+// tie-heavy ends and every list length up to beyond the pool size.
+func TestSortByEndMatchesSortSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + r.Intn(20)
+		intervals := make([]interval, n+1)
+		for i := range intervals {
+			intervals[i].end = r.Intn(6)
+		}
+		want := make([]int, n-1, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool { return intervals[want[a]].end < intervals[want[b]].end })
+		if r.Intn(2) == 0 || len(want) == 0 {
+			want = append(want, n-1)
+		} else {
+			want[len(want)-1] = n
+		}
+		got := append([]int(nil), want...)
+		sort.Slice(want, func(a, b int) bool { return intervals[want[a]].end < intervals[want[b]].end })
+		sortByEnd(got, intervals)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: sortByEnd gave %v, sort.Slice %v", trial, got, want)
+		}
 	}
 }

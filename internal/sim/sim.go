@@ -143,7 +143,8 @@ func newState(mem []uint64) *State {
 // per processor, so up to GOMAXPROCS concurrent runs allocate no memory
 // after warm-up, and no more, so idle memory stays bounded. (A sync.Pool
 // drops its contents at every GC, and the garbage of a training round
-// triggers GCs often enough that most runs would allocate afresh.)
+// triggers GCs often enough that most runs would allocate afresh.) Run
+// memory comes from mapMem, so a memory that leaves the list is unmapped.
 var freeMem = make(chan []uint64, runtime.GOMAXPROCS(0))
 
 // runState returns a state over zeroed memory of the given size, reusing
@@ -157,9 +158,10 @@ func runState(memWords int) *State {
 		if len(m) == memWords {
 			return newState(m)
 		}
+		unmapMem(m)
 	default:
 	}
-	return newState(make([]uint64, memWords))
+	return newState(mapMem(memWords))
 }
 
 // release zeroes the words the run wrote and frees its memory for reuse.
@@ -170,6 +172,7 @@ func (s *State) release() {
 	select {
 	case freeMem <- s.Mem:
 	default:
+		unmapMem(s.Mem)
 	}
 	s.Mem = nil
 }
