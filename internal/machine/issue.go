@@ -284,10 +284,8 @@ func (s *IssueState) Issue(in *ir.Instr) int {
 // Decoded is one instruction resolved for an IssueState: its opcode's
 // issue class under the state's model and its registers' ready slots. It
 // is only meaningful to the state that decoded it, until that state is
-// Reset. The simulator carries In back to execute the instruction.
+// Reset.
 type Decoded struct {
-	In *ir.Instr
-
 	class opClass
 	// The register slots are operands[first:first+nUses] (inputs), then
 	// nDefs outputs.
@@ -299,7 +297,7 @@ type Decoded struct {
 // registers ready slots. The model's timing is read now: decode again
 // after changing it.
 func (s *IssueState) Decode(in *ir.Instr) Decoded {
-	d := Decoded{In: in, class: s.m.classOf(in.Op), first: int32(len(s.operands)),
+	d := Decoded{class: s.m.classOf(in.Op), first: int32(len(s.operands)),
 		nUses: uint16(len(in.Uses)), nDefs: uint16(len(in.Defs))}
 	for _, regs := range [2][]ir.Reg{in.Uses, in.Defs} {
 		for _, r := range regs {

@@ -10,26 +10,31 @@ import (
 )
 
 // BenchmarkRun measures the simulator over the bundled programs, timed
-// (cycle pipeline on the default target) and untimed (the profiling run
-// behind training labels). One iteration runs all of them; ns/dyn_instr
-// is the cost per executed machine instruction.
+// (cycle pipeline on the default target) and untimed, compiled at default
+// options; and untimed at the training pipeline's options (inlining plus
+// 4-way unrolling), which is the profiling run behind training labels.
+// One iteration runs all of them; ns/dyn_instr is the cost per executed
+// machine instruction.
 func BenchmarkRun(b *testing.B) {
-	var progs []*ir.Program
+	var progs, train []*ir.Program
 	for _, w := range workloads.All() {
 		progs = append(progs, compileDefault(b, &w))
+		train = append(train, compileWorkload(b, w.Name))
 	}
 	for _, bc := range []struct {
-		name string
-		cfg  sim.Config
+		name  string
+		progs []*ir.Program
+		cfg   sim.Config
 	}{
-		{"timed", sim.Config{Timed: true, Model: machine.Default().Model}},
-		{"untimed", sim.Config{}},
+		{"timed", progs, sim.Config{Timed: true, Model: machine.Default().Model}},
+		{"untimed", progs, sim.Config{}},
+		{"train", train, sim.Config{}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var dyn int64
 			for i := 0; i < b.N; i++ {
-				for _, p := range progs {
+				for _, p := range bc.progs {
 					res, err := sim.Run(p, bc.cfg)
 					if err != nil {
 						b.Fatal(err)

@@ -19,7 +19,7 @@ import (
 	"schedfilter/internal/workloads"
 )
 
-func compileWorkload(t *testing.T, name string) *ir.Program {
+func compileWorkload(t testing.TB, name string) *ir.Program {
 	t.Helper()
 	w := workloads.ByName(name)
 	if w == nil {
@@ -111,15 +111,20 @@ func TestSamplingSnapshots(t *testing.T) {
 		}
 	}
 	// Pinned at the per-instruction simulator: a snapshot reads the same
-	// pipeline the run finishes on, so both the sample points and the
-	// cycles they observe are fixed.
-	var sumCycles int64
+	// pipeline the run finishes on, so the sample points and the cycles
+	// and instruction counts they observe are fixed.
+	var sumCycles, sumDyn int64
 	for _, s := range snaps {
 		sumCycles += s.Cycles
+		sumDyn += s.DynInstrs
 	}
 	if len(snaps) != 59 || snaps[0].Cycles != 14411 || last(snaps).Cycles != 709673 || sumCycles != 23140995 {
 		t.Errorf("snapshots: %d, first cycles %d, last cycles %d, sum %d; want 59, 14411, 709673, 23140995",
 			len(snaps), snaps[0].Cycles, last(snaps).Cycles, sumCycles)
+	}
+	if snaps[0].DynInstrs != 10008 || last(snaps).DynInstrs != 590430 || sumDyn != 17713770 {
+		t.Errorf("snapshot instruction counts: first %d, last %d, sum %d; want 10008, 590430, 17713770",
+			snaps[0].DynInstrs, last(snaps).DynInstrs, sumDyn)
 	}
 	if res.Cycles != 710247 || base.Cycles != res.Cycles {
 		t.Errorf("cycles with sampling %d, without %d; want 710247 for both", res.Cycles, base.Cycles)

@@ -3,14 +3,17 @@ package sim_test
 // Golden pins for the simulator: every registered target × every bundled
 // program × {unscheduled, list-scheduled}, the timed run's cycle count,
 // dynamic instruction count, return value and a digest of the block and
-// taken-branch profiles. The values were recorded from the straightforward
-// per-instruction simulator; any change to the decoded pipeline, the
-// dispatch loop or run-memory reuse must reproduce them exactly.
+// taken-branch profiles; and the untimed profiling run of every bundled
+// program at the training pipeline's options. The values were recorded
+// from simulators that counted every instruction as it ran; any change to
+// the decoded pipeline, the dispatch loop or run-memory reuse must
+// reproduce them exactly.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"schedfilter/internal/ir"
@@ -114,6 +117,108 @@ func TestGoldenRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// outputDigest is FNV-64a over the run's printed lines, each prefixed
+// with its length.
+func outputDigest(res *sim.Result) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, line := range res.Output {
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(line)))
+		h.Write(buf[:])
+		h.Write([]byte(line))
+	}
+	return h.Sum64()
+}
+
+type goldenTrainRun struct {
+	dyn, ret        int64
+	output, profile uint64
+}
+
+// TestGoldenTrainRuns pins the profiling run a training round makes: the
+// untimed run of every bundled program compiled at
+// training.DefaultOptions (inlining plus 4-way unrolling, which leaves
+// calls in the middle of blocks).
+func TestGoldenTrainRuns(t *testing.T) {
+	for _, w := range workloads.All() {
+		want, ok := goldenTrainRuns[w.Name]
+		if !ok {
+			t.Errorf("%s: no golden entry", w.Name)
+			continue
+		}
+		res, err := sim.Run(compileWorkload(t, w.Name), sim.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		got := goldenTrainRun{res.DynInstrs, res.Ret, outputDigest(res), profileDigest(res)}
+		if got != want || res.Cycles != 0 {
+			t.Errorf("%s: got %+v (cycles %d), want %+v", w.Name, got, res.Cycles, want)
+		}
+	}
+}
+
+// TestStepLimitOnPrograms sets the step limit to each training-options
+// program's exact instruction count, which must change nothing, and to
+// one short of it, which must fail on main's return. Then it sets limits
+// throughout two programs at default options, whose calls stay out of
+// line, and pins the function each run stops in: the limit falls at
+// block entries, mid-segment and right after returns.
+func TestStepLimitOnPrograms(t *testing.T) {
+	for _, w := range workloads.All() {
+		p := compileWorkload(t, w.Name)
+		full, err := sim.Run(p, sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := sim.Run(p, sim.Config{StepLimit: full.DynInstrs})
+		if err != nil || !reflect.DeepEqual(exact, full) {
+			t.Errorf("%s: limit at the exact count: %v, or the result changed", w.Name, err)
+		}
+		_, err = sim.Run(p, sim.Config{StepLimit: full.DynInstrs - 1})
+		if want := fmt.Sprintf("sim: step limit (%d) exceeded in main", full.DynInstrs-1); err == nil || err.Error() != want {
+			t.Errorf("%s: err %v, want %q", w.Name, err, want)
+		}
+	}
+	stops := map[string][]string{
+		"javac": {"genExpr", "genExpr", "genExpr", "genExpr", "genExpr", "parseExpr", "genExpr", "genExpr",
+			"genExpr", "parseExpr", "parseExpr", "genExpr", "genExpr", "genExpr", "genExpr"},
+		"raytrace": {"trace", "trace", "wlSqrt", "wlSqrt", "trace", "trace", "main", "trace",
+			"trace", "trace", "trace", "trace", "trace", "trace", "wlSqrt"},
+	}
+	for name, fns := range stops {
+		p := compileDefault(t, workloads.ByName(name))
+		full, err := sim.Run(p, sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, fn := range fns {
+			limit := full.DynInstrs*int64(k+1)/16 + int64(k+1)
+			_, err := sim.Run(p, sim.Config{StepLimit: limit})
+			if want := fmt.Sprintf("sim: step limit (%d) exceeded in %s", limit, fn); err == nil || err.Error() != want {
+				t.Errorf("%s: err %v, want %q", name, err, want)
+			}
+		}
+	}
+}
+
+// goldenTrainRuns is keyed by program; no bundled program prints, so every
+// output digest is that of no lines.
+var goldenTrainRuns = map[string]goldenTrainRun{
+	"compress":  {591004, 1574873061, 0xcbf29ce484222325, 0x2c8e3dc5ae1ff37e},
+	"jess":      {831182, 700579, 0xcbf29ce484222325, 0x8fa26c496404bb06},
+	"db":        {6561328, 82483207, 0xcbf29ce484222325, 0x3b82939f118bf5bb},
+	"javac":     {294169, 10557343, 0xcbf29ce484222325, 0x606ea47002b6d417},
+	"mpegaudio": {4453648, 54882582, 0xcbf29ce484222325, 0x7e63136413e77b8a},
+	"raytrace":  {3291636, 30478, 0xcbf29ce484222325, 0xadb8ac5860bfcac2},
+	"jack":      {3373575, 7669732, 0xcbf29ce484222325, 0x43c407dd2dff38ce},
+	"linpack":   {1659065, 163198443, 0xcbf29ce484222325, 0x4312e5da4fa558ce},
+	"power":     {3162793, 40079856, 0xcbf29ce484222325, 0x7ee3612aac600e60},
+	"bh":        {6745369, 105112071, 0xcbf29ce484222325, 0xac9583a17c91ea91},
+	"voronoi":   {9390902, 253879986, 0xcbf29ce484222325, 0xcc61631c2b0cc73c},
+	"aes":       {8618247, 8387403, 0xcbf29ce484222325, 0xce91a8592eacf419},
+	"scimark":   {3612806, 145498464, 0xcbf29ce484222325, 0x89b96109ed13e6cd},
 }
 
 // goldenRuns is keyed target/program/variant.

@@ -46,8 +46,9 @@ type FnSwap struct {
 
 // sample fires the sampling callback and applies any hot-swaps that are
 // safe at this point. curFn is the function currently executing; control
-// sits at one of its block entries.
-func (ex *executor) sample(curFn int) {
+// sits at one of its block entries. A replacement that fails to decode
+// fails the run.
+func (ex *executor) sample(curFn int) error {
 	ex.nextSample = ex.res.DynInstrs + ex.sampleEvery
 	snap := &Snapshot{
 		DynInstrs:  ex.res.DynInstrs,
@@ -63,18 +64,20 @@ func (ex *executor) sample(curFn int) {
 			ex.pending[sw.Fn] = sw.NewFn
 		}
 	}
-	ex.applyPending(curFn)
+	return ex.applyPending(curFn)
 }
 
 // applyPending installs every pending swap that is safe right now;
 // unsafe ones stay pending and are retried at the next sample.
-func (ex *executor) applyPending(curFn int) {
+func (ex *executor) applyPending(curFn int) error {
 	for fi, nf := range ex.pending {
 		if !ex.swapSafe(fi, curFn, nf) {
 			continue
 		}
+		if err := ex.decode([]*ir.Fn{nf}, ex.code[fi:fi+1]); err != nil {
+			return err
+		}
 		ex.p.Fns[fi] = nf
-		ex.decode([]*ir.Fn{nf}, ex.code[fi:fi+1])
 		// Keep the profile when the block skeleton is preserved (the
 		// recompile-and-reschedule case); otherwise restart it.
 		if len(nf.Blocks) != len(ex.res.ExecCounts[fi]) {
@@ -85,6 +88,7 @@ func (ex *executor) applyPending(curFn int) {
 		ex.installed = append(ex.installed, fi)
 		ex.res.Swaps++
 	}
+	return nil
 }
 
 // swapSafe reports whether replacing function fi is safe at this point.

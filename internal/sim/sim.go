@@ -6,15 +6,21 @@
 // blocks, with a bubble charged on taken control transfers.
 //
 // A run starts by decoding every function once into the form the dispatch
-// loop walks: per block, a slice of machine.Decoded records, each holding
-// the instruction, its opcode's issue class under the run's model and the
-// ready-time slots of its registers. Timed and untimed runs share that
-// loop; a timed run also hands each record to the run's
-// machine.IssueState, which applies the same issue rules the scheduler's
-// estimator does. The loop re-fetches the function and block only on a
-// control transfer. Decoding is per run, from the run's Model, because
-// Model.Timing is mutable; a hot-swapped function is decoded when it is
-// installed.
+// loop walks: per block, a slice of records (decode.go), each holding the
+// opcode, the register numbers it reads and writes, its immediate, its
+// branch target or callee, and — in a timed run — its machine.Decoded
+// timing record: its opcode's issue class under the run's model and the
+// ready-time slots of its registers. Decoding checks every instruction, so
+// a malformed program is refused with an error before it runs. The loop
+// executes every opcode, control transfers included, from one switch on
+// the record. Timed and untimed runs share that loop; a timed run also
+// hands each timing record to the run's machine.IssueState, which applies
+// the same issue rules the scheduler's estimator does. The loop re-fetches
+// the function and block only on a control transfer, and counts executed
+// instructions once per straight-line segment. Decoding is per run, from
+// the run's Model, because Model.Timing is mutable; a hot-swapped function
+// is decoded when it is installed. ExecBlock runs a single block through
+// the same loop, so each opcode's semantics is written once.
 //
 // Simplifications versus real silicon, documented per the paper's own
 // argument that only relative block timings matter: no caches (every load
@@ -231,6 +237,9 @@ func Run(p *ir.Program, cfg Config) (*Result, error) {
 	if cfg.SampleEvery > 0 && cfg.OnSample == nil {
 		return nil, fmt.Errorf("sim: SampleEvery requires an OnSample hook")
 	}
+	if p.Entry < 0 || p.Entry >= len(p.Fns) {
+		return nil, fmt.Errorf("sim: entry function %d out of range", p.Entry)
+	}
 
 	res := &Result{
 		ExecCounts:  make([][]int64, len(p.Fns)),
@@ -265,7 +274,9 @@ func Run(p *ir.Program, cfg Config) (*Result, error) {
 	}
 	ex.nextPoll = min(ex.nextCheck, ex.nextSample)
 	ex.code = make([]fnCode, len(p.Fns))
-	ex.decode(p.Fns, ex.code)
+	if err := ex.decode(p.Fns, ex.code); err != nil {
+		return nil, err
+	}
 
 	// Run $init (global initializers) before main, as the runtime does.
 	if init := fnIndexByName(p, "$init"); init >= 0 {
@@ -293,13 +304,6 @@ func fnIndexByName(p *ir.Program, name string) int {
 	return -1
 }
 
-// fnCode is a function in the form the dispatch loop walks: blocks[b]
-// holds block b's instructions, decoded.
-type fnCode struct {
-	fn     *ir.Fn
-	blocks [][]machine.Decoded
-}
-
 type executor struct {
 	p      *ir.Program
 	code   []fnCode
@@ -325,38 +329,6 @@ type executor struct {
 	installed   []int
 }
 
-// decode puts fns in dispatch form into code (one entry per function),
-// backed by two allocations. A timed run decodes through its issue state,
-// which gives each virtual register one ready slot program-wide; an
-// untimed run only needs the instructions.
-func (ex *executor) decode(fns []*ir.Fn, code []fnCode) {
-	nInstrs, nBlocks := 0, 0
-	for _, f := range fns {
-		nBlocks += len(f.Blocks)
-		for _, b := range f.Blocks {
-			nInstrs += len(b.Instrs)
-		}
-	}
-	all := make([]machine.Decoded, 0, nInstrs)
-	blocks := make([][]machine.Decoded, nBlocks)
-	for i, f := range fns {
-		code[i] = fnCode{fn: f, blocks: blocks[:len(f.Blocks):len(f.Blocks)]}
-		for bi, b := range f.Blocks {
-			start := len(all)
-			for j := range b.Instrs {
-				in := &b.Instrs[j]
-				if ex.issue != nil {
-					all = append(all, ex.issue.Decode(in))
-				} else {
-					all = append(all, machine.Decoded{In: in})
-				}
-			}
-			blocks[bi] = all[start:len(all):len(all)]
-		}
-		blocks = blocks[len(f.Blocks):]
-	}
-}
-
 // poll runs the checks that fall due on the executed-instruction count,
 // at a block entry of function curFn: the context check and the sampling
 // hook.
@@ -368,7 +340,9 @@ func (ex *executor) poll(curFn int) error {
 		ex.nextCheck = ex.res.DynInstrs + cancelCheckEvery
 	}
 	if ex.res.DynInstrs >= ex.nextSample {
-		ex.sample(curFn)
+		if err := ex.sample(curFn); err != nil {
+			return err
+		}
 	}
 	ex.nextPoll = min(ex.nextCheck, ex.nextSample)
 	return nil
@@ -376,6 +350,13 @@ func (ex *executor) poll(curFn int) error {
 
 // callAndRun invokes fn as the runtime would (fresh frame, run to return)
 // and returns when the outermost call completes.
+//
+// Control runs in straight-line segments: from a block entry or a call's
+// return point up to and including the next control instruction. A
+// segment's instructions are counted, and the step limit tested, when it
+// starts. A limit that falls inside the segment runs only the
+// instructions up to the limit; a trap inside it leaves the count
+// overstated, which no caller sees, since the run fails.
 func (ex *executor) callAndRun(fnIdx int) error {
 	baseDepth := len(ex.frames)
 	ex.frames = append(ex.frames, frame{fn: -1}) // sentinel: return to runtime
@@ -397,35 +378,178 @@ transfer:
 			}
 		}
 		c := &ex.code[fn]
-		code := c.blocks[blk]
-		for ; idx < len(code); idx++ {
-			d := &code[idx]
-			in := d.In
-			res.DynInstrs++
-			if res.DynInstrs > ex.limit {
-				return fmt.Errorf("sim: step limit (%d) exceeded in %s", ex.limit, c.fn.Name)
-			}
-			if issue != nil {
-				issue.IssueDecoded(d)
-			}
+		seg := c.blocks[blk][idx:]
+		n := 0
+		if len(seg) > 0 {
+			n = int(seg[0].seg)
+		}
+		seg = seg[:min(int64(n), ex.limit-res.DynInstrs)]
+		res.DynInstrs += int64(len(seg))
 
-			switch in.Op {
+		for i := range seg {
+			d := &seg[i]
+			if issue != nil {
+				issue.IssueDecoded(&d.t)
+			}
+			switch d.op {
+			case ir.NOP, ir.YIELDPOINT, ir.TSPOINT:
+			case ir.ADD:
+				st.Regs[d.d] = st.Regs[d.a] + st.Regs[d.b]
+			case ir.SUB:
+				st.Regs[d.d] = st.Regs[d.a] - st.Regs[d.b]
+			case ir.MULL:
+				st.Regs[d.d] = st.Regs[d.a] * st.Regs[d.b]
+			case ir.DIVW:
+				if st.Regs[d.b] == 0 {
+					return &Trap{Fn: c.fn.Name, Kind: "divide by zero"}
+				}
+				st.Regs[d.d] = st.Regs[d.a] / st.Regs[d.b]
+			case ir.NEG:
+				st.Regs[d.d] = -st.Regs[d.a]
+			case ir.AND:
+				st.Regs[d.d] = st.Regs[d.a] & st.Regs[d.b]
+			case ir.OR:
+				st.Regs[d.d] = st.Regs[d.a] | st.Regs[d.b]
+			case ir.XOR:
+				st.Regs[d.d] = st.Regs[d.a] ^ st.Regs[d.b]
+			case ir.SLW:
+				st.Regs[d.d] = st.Regs[d.a] << uint64(st.Regs[d.b]&63)
+			case ir.SRAW:
+				st.Regs[d.d] = st.Regs[d.a] >> uint64(st.Regs[d.b]&63)
+			case ir.ADDI:
+				st.Regs[d.d] = st.Regs[d.a] + d.imm
+			case ir.ANDI:
+				st.Regs[d.d] = st.Regs[d.a] & d.imm
+			case ir.ORI:
+				st.Regs[d.d] = st.Regs[d.a] | d.imm
+			case ir.XORI:
+				st.Regs[d.d] = st.Regs[d.a] ^ d.imm
+			case ir.SLWI:
+				st.Regs[d.d] = st.Regs[d.a] << uint64(d.imm&63)
+			case ir.SRAWI:
+				st.Regs[d.d] = st.Regs[d.a] >> uint64(d.imm&63)
+			case ir.LI:
+				st.Regs[d.d] = d.imm
+			case ir.MR:
+				st.Regs[d.d] = st.Regs[d.a]
+			case ir.CMP:
+				st.CRs[d.d] = sign(st.Regs[d.a] - st.Regs[d.b])
+			case ir.CMPI:
+				st.CRs[d.d] = sign(st.Regs[d.a] - d.imm)
+			case ir.FADD:
+				st.FRegs[d.d] = st.FRegs[d.a] + st.FRegs[d.b]
+			case ir.FSUB:
+				st.FRegs[d.d] = st.FRegs[d.a] - st.FRegs[d.b]
+			case ir.FMUL:
+				st.FRegs[d.d] = st.FRegs[d.a] * st.FRegs[d.b]
+			case ir.FDIV:
+				st.FRegs[d.d] = st.FRegs[d.a] / st.FRegs[d.b]
+			case ir.FNEG:
+				st.FRegs[d.d] = -st.FRegs[d.a]
+			case ir.FMR:
+				st.FRegs[d.d] = st.FRegs[d.a]
+			case ir.FCMP:
+				st.CRs[d.d] = fsign(st.FRegs[d.a], st.FRegs[d.b])
+			case ir.F2I:
+				st.Regs[d.d] = int64(st.FRegs[d.a])
+			case ir.I2F:
+				st.FRegs[d.d] = float64(st.Regs[d.a])
+			case ir.LFI:
+				st.FRegs[d.d] = math.Float64frombits(uint64(d.imm))
+			case ir.LD:
+				addr := st.Regs[d.a] + d.imm
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.Regs[d.d] = int64(st.Mem[addr])
+			case ir.LDX:
+				addr := st.Regs[d.a] + st.Regs[d.b]
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.Regs[d.d] = int64(st.Mem[addr])
+			case ir.LFD:
+				addr := st.Regs[d.a] + d.imm
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.FRegs[d.d] = math.Float64frombits(st.Mem[addr])
+			case ir.LFDX:
+				addr := st.Regs[d.a] + st.Regs[d.b]
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.FRegs[d.d] = math.Float64frombits(st.Mem[addr])
+			case ir.ST:
+				addr := st.Regs[d.b] + d.imm
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "store", addr)
+				}
+				st.store(addr, uint64(st.Regs[d.a]))
+			case ir.STX:
+				addr := st.Regs[d.b] + st.Regs[d.c]
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "store", addr)
+				}
+				st.store(addr, uint64(st.Regs[d.a]))
+			case ir.STFD:
+				addr := st.Regs[d.b] + d.imm
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "store", addr)
+				}
+				st.store(addr, math.Float64bits(st.FRegs[d.a]))
+			case ir.STFX:
+				addr := st.Regs[d.b] + st.Regs[d.c]
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "store", addr)
+				}
+				st.store(addr, math.Float64bits(st.FRegs[d.a]))
+			case ir.ALLOC:
+				n := st.Regs[d.a]
+				if n < 0 {
+					return &Trap{Fn: c.fn.Name, Kind: "negative allocation"}
+				}
+				// The block and its header must end below the stack
+				// pointer and within memory.
+				addr := st.heapPtr
+				if top := min(st.Regs[1], int64(len(st.Mem))); top <= addr || n >= top-addr-1 {
+					return &Trap{Fn: c.fn.Name, Kind: "out of memory"}
+				}
+				st.Mem[addr] = uint64(n)
+				clear(st.Mem[addr+1 : addr+n+1])
+				st.heapPtr = addr + n + 1
+				st.heapEnd = max(st.heapEnd, st.heapPtr)
+				st.Regs[d.d] = addr
+			case ir.NULLCHECK:
+				if st.Regs[d.a] == 0 {
+					return &Trap{Fn: c.fn.Name, Kind: "null pointer"}
+				}
+			case ir.BOUNDSCHECK:
+				if st.Regs[d.a] < 0 || st.Regs[d.a] >= st.Regs[d.b] {
+					return &Trap{Fn: c.fn.Name, Kind: "index out of bounds"}
+				}
+			case ir.RTPRINTI:
+				st.out = append(st.out, "i:"+strconv.FormatInt(st.Regs[d.a], 10))
+			case ir.RTPRINTF:
+				st.out = append(st.out, "f:"+strconv.FormatFloat(st.FRegs[d.a], 'g', 12, 64))
+
 			case ir.B:
-				blk, idx = in.Target, 0
+				blk, idx = int(d.tgt), 0
 				ex.chargeBubble()
 				continue transfer
 			case ir.BC:
-				if ir.EvalCond(in.Imm, st.CRs[in.Uses[0].N]) {
+				if d.imm>>uint8(st.CRs[d.a]+1)&1 != 0 {
 					res.TakenCounts[fn][blk]++
-					blk, idx = in.Target, 0
+					blk = int(d.tgt)
 					ex.chargeBubble()
 				} else {
-					blk, idx = c.fn.Blocks[blk].Succs[1], 0
+					blk = int(d.alt)
 				}
+				idx = 0
 				continue transfer
 			case ir.BL:
-				callee := ex.code[in.Target].fn
-				fr := frame{fn: fn, blk: blk, idx: idx + 1}
+				callee := ex.code[d.tgt].fn
+				fr := frame{fn: fn, blk: blk, idx: idx + i + 1}
 				fr.regs = st.Regs
 				fr.fregs = st.FRegs
 				fr.crs = st.CRs
@@ -434,7 +558,7 @@ transfer:
 				if st.Regs[1] <= st.heapPtr {
 					return &Trap{Fn: callee.Name, Kind: "stack overflow"}
 				}
-				fn, blk, idx = in.Target, callee.Entry, 0
+				fn, blk, idx = int(d.tgt), callee.Entry, 0
 				ex.chargeBubble()
 				continue transfer
 			case ir.BLR:
@@ -464,10 +588,9 @@ transfer:
 				ex.chargeBubble()
 				continue transfer
 			}
-
-			if err := st.step(in, c.fn.Name); err != nil {
-				return err
-			}
+		}
+		if len(seg) < n {
+			return fmt.Errorf("sim: step limit (%d) exceeded in %s", ex.limit, c.fn.Name)
 		}
 		return fmt.Errorf("sim: control ran off the end of %s block %d", c.fn.Name, blk)
 	}
@@ -479,160 +602,23 @@ func (ex *executor) chargeBubble() {
 	}
 }
 
-// step executes one non-control instruction against the state.
-func (s *State) step(in *ir.Instr, fnName string) error {
-	R := func(i int) int64 { return s.Regs[in.Uses[i].N] }
-	F := func(i int) float64 { return s.FRegs[in.Uses[i].N] }
-	setI := func(v int64) { s.Regs[in.Defs[0].N] = v }
-	setF := func(v float64) { s.FRegs[in.Defs[0].N] = v }
+// inMem reports whether addr is a word a load or store may touch.
+func (s *State) inMem(addr int64) bool { return addr > 0 && addr < int64(len(s.Mem)) }
 
-	switch in.Op {
-	case ir.NOP, ir.YIELDPOINT, ir.TSPOINT:
-	case ir.ADD:
-		setI(R(0) + R(1))
-	case ir.SUB:
-		setI(R(0) - R(1))
-	case ir.MULL:
-		setI(R(0) * R(1))
-	case ir.DIVW:
-		if R(1) == 0 {
-			return &Trap{Fn: fnName, Kind: "divide by zero"}
-		}
-		setI(R(0) / R(1))
-	case ir.NEG:
-		setI(-R(0))
-	case ir.AND:
-		setI(R(0) & R(1))
-	case ir.OR:
-		setI(R(0) | R(1))
-	case ir.XOR:
-		setI(R(0) ^ R(1))
-	case ir.SLW:
-		setI(R(0) << uint64(R(1)&63))
-	case ir.SRAW:
-		setI(R(0) >> uint64(R(1)&63))
-	case ir.ADDI:
-		setI(R(0) + in.Imm)
-	case ir.ANDI:
-		setI(R(0) & in.Imm)
-	case ir.ORI:
-		setI(R(0) | in.Imm)
-	case ir.XORI:
-		setI(R(0) ^ in.Imm)
-	case ir.SLWI:
-		setI(R(0) << uint64(in.Imm&63))
-	case ir.SRAWI:
-		setI(R(0) >> uint64(in.Imm&63))
-	case ir.LI:
-		setI(in.Imm)
-	case ir.MR:
-		setI(R(0))
-	case ir.CMP:
-		s.CRs[in.Defs[0].N] = sign(R(0) - R(1))
-	case ir.CMPI:
-		s.CRs[in.Defs[0].N] = sign(R(0) - in.Imm)
-	case ir.FADD:
-		setF(F(0) + F(1))
-	case ir.FSUB:
-		setF(F(0) - F(1))
-	case ir.FMUL:
-		setF(F(0) * F(1))
-	case ir.FDIV:
-		setF(F(0) / F(1))
-	case ir.FNEG:
-		setF(-F(0))
-	case ir.FMR:
-		setF(F(0))
-	case ir.FCMP:
-		s.CRs[in.Defs[0].N] = fsign(F(0), F(1))
-	case ir.F2I:
-		setI(int64(F(0)))
-	case ir.I2F:
-		setF(float64(R(0)))
-	case ir.LFI:
-		setF(in.FImm)
-	case ir.LD:
-		v, err := s.load(R(0)+in.Imm, fnName)
-		if err != nil {
-			return err
-		}
-		setI(int64(v))
-	case ir.LDX:
-		v, err := s.load(R(0)+R(1), fnName)
-		if err != nil {
-			return err
-		}
-		setI(int64(v))
-	case ir.LFD:
-		v, err := s.load(R(0)+in.Imm, fnName)
-		if err != nil {
-			return err
-		}
-		setF(math.Float64frombits(v))
-	case ir.LFDX:
-		v, err := s.load(R(0)+R(1), fnName)
-		if err != nil {
-			return err
-		}
-		setF(math.Float64frombits(v))
-	case ir.ST:
-		return s.store(R(1)+in.Imm, uint64(R(0)), fnName)
-	case ir.STX:
-		return s.store(R(1)+R(2), uint64(R(0)), fnName)
-	case ir.STFD:
-		return s.store(R(1)+in.Imm, math.Float64bits(F(0)), fnName)
-	case ir.STFX:
-		return s.store(R(1)+R(2), math.Float64bits(F(0)), fnName)
-	case ir.ALLOC:
-		n := R(0)
-		if n < 0 {
-			return &Trap{Fn: fnName, Kind: "negative allocation"}
-		}
-		addr := s.heapPtr
-		if addr+n+1 >= s.Regs[1] {
-			return &Trap{Fn: fnName, Kind: "out of memory"}
-		}
-		s.Mem[addr] = uint64(n)
-		clear(s.Mem[addr+1 : addr+n+1])
-		s.heapPtr = addr + n + 1
-		s.heapEnd = max(s.heapEnd, s.heapPtr)
-		setI(addr)
-	case ir.NULLCHECK:
-		if R(0) == 0 {
-			return &Trap{Fn: fnName, Kind: "null pointer"}
-		}
-	case ir.BOUNDSCHECK:
-		if R(0) < 0 || R(0) >= R(1) {
-			return &Trap{Fn: fnName, Kind: "index out of bounds"}
-		}
-	case ir.RTPRINTI:
-		s.out = append(s.out, "i:"+strconv.FormatInt(R(0), 10))
-	case ir.RTPRINTF:
-		s.out = append(s.out, "f:"+strconv.FormatFloat(F(0), 'g', 12, 64))
-	default:
-		return fmt.Errorf("sim: cannot execute %v", in.Op)
-	}
-	return nil
-}
-
-func (s *State) load(addr int64, fnName string) (uint64, error) {
-	if addr <= 0 || addr >= int64(len(s.Mem)) {
-		return 0, &Trap{Fn: fnName, Kind: fmt.Sprintf("bad load address %d", addr)}
-	}
-	return s.Mem[addr], nil
-}
-
-func (s *State) store(addr int64, v uint64, fnName string) error {
-	if addr <= 0 || addr >= int64(len(s.Mem)) {
-		return &Trap{Fn: fnName, Kind: fmt.Sprintf("bad store address %d", addr)}
-	}
+// store writes v at addr, which must be in memory, extending the written
+// windows.
+func (s *State) store(addr int64, v uint64) {
 	if addr >= s.Regs[1] {
 		s.stackStart = min(s.stackStart, addr)
 	} else {
 		s.heapEnd = max(s.heapEnd, addr+1)
 	}
 	s.Mem[addr] = v
-	return nil
+}
+
+// memTrap is the trap a load or store (access) at a bad address raises.
+func memTrap(fnName, access string, addr int64) error {
+	return &Trap{Fn: fnName, Kind: fmt.Sprintf("bad %s address %d", access, addr)}
 }
 
 func sign(v int64) int8 {
@@ -655,21 +641,33 @@ func fsign(a, b float64) int8 {
 	return 0
 }
 
-// ExecBlock executes the straight-line (non-control) prefix of a block
-// against the state, stopping at the first control-flow instruction. It is
+// ExecBlock executes a block's non-control instructions against the
+// state, in order, through the same dispatch loop as Run: its control
+// instructions decode as no-ops, since control effects lie outside a
+// single block's semantics, and a return to the runtime ends it. It is
 // the oracle for the scheduling semantics-preservation property: a block
 // and its scheduled permutation must leave identical states.
 func ExecBlock(st *State, b *ir.Block) error {
+	code := make([]instr, len(b.Instrs)+1)
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		if in.Op.IsBranchOp() {
-			// Evaluate compare-dependent state only; control effects
-			// are outside a single block's semantics.
+			code[i].op = ir.NOP
 			continue
 		}
-		if err := st.step(in, "block"); err != nil {
-			return err
+		d, err := decodeInstr(in, b, 1, 0)
+		if err != nil {
+			return fmt.Errorf("sim: block instruction %d (%v): %s", i, in, err)
 		}
+		code[i] = d
 	}
-	return nil
+	code[len(b.Instrs)].op = ir.BLR
+	ex := &executor{
+		code:     []fnCode{{fn: &ir.Fn{Name: "block"}, blocks: [][]instr{segments(code)}}},
+		st:       st,
+		res:      &Result{ExecCounts: [][]int64{{0}}},
+		limit:    math.MaxInt64,
+		nextPoll: math.MaxInt64,
+	}
+	return ex.callAndRun(0)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -96,6 +97,17 @@ func TestTrapsSurface(t *testing.T) {
 			{Op: ir.LD, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(4)}, Imm: 0},
 			{Op: ir.BLR},
 		}, "bad load address"},
+		{"huge alloc", []ir.Instr{
+			{Op: ir.LI, Defs: []ir.Reg{ir.GPR(4)}, Imm: math.MaxInt64 - 4},
+			{Op: ir.ALLOC, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(4)}},
+			{Op: ir.BLR},
+		}, "out of memory"},
+		{"alloc above memory", []ir.Instr{
+			{Op: ir.LI, Defs: []ir.Reg{ir.GPR(1)}, Imm: 1 << 40},
+			{Op: ir.LI, Defs: []ir.Reg{ir.GPR(4)}, Imm: DefaultMemWords},
+			{Op: ir.ALLOC, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(4)}},
+			{Op: ir.BLR},
+		}, "out of memory"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
