@@ -2,8 +2,8 @@ package ripper
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 )
 
 // Options controls induction.
@@ -25,6 +25,9 @@ func DefaultOptions() Options {
 }
 
 // Induce learns an ordered rule list for the positive class of ds.
+// Attribute values must be finite: induction orders each attribute's
+// instances by value, and NaN has no place in that order (the threshold
+// scan would not advance past one). −0 and +0 are one value.
 func Induce(ds *Dataset, opt Options) *RuleSet {
 	if opt.OptimizeRounds == 0 {
 		opt.OptimizeRounds = 2
@@ -40,112 +43,143 @@ func Induce(ds *Dataset, opt Options) *RuleSet {
 		return rs
 	}
 
-	ind := &inducer{ds: ds, m: newMDL(ds), rng: rand.New(rand.NewSource(opt.Seed))}
-
-	all := make([]int, ds.Len())
-	for i := range all {
-		all[i] = i
-	}
-	rules := ind.irep(nil, all)
+	ind := newInducer(ds, opt.Seed)
+	copy(ind.remaining, ind.all)
+	rules := ind.irep(nil, ind.remaining)
 
 	for round := 0; round < opt.OptimizeRounds; round++ {
 		rules = ind.optimize(rules)
 		// Cover any residual positives with fresh rules.
-		residual := ind.uncovered(rules, all)
-		if countPos(ds, residual) > 0 {
+		residual := ind.uncovered(ind.remaining, rules)
+		if ind.countPos(residual) > 0 {
 			rules = ind.irep(rules, residual)
 		}
 	}
 	rules = ind.deletePass(rules)
 
 	rs.Rules = rules
-	fillStats(rs, ds)
+	ind.fillStats(rs)
 	return rs
 }
 
+// inducer is the working set of one Induce call: the attribute lists, the
+// label and universe bitsets, the rule-coverage cache, and the buffers the
+// grow/prune loop reuses. All of it is dropped when Induce returns.
 type inducer struct {
-	ds  *Dataset
-	m   *mdl
-	rng *rand.Rand
+	n    int
+	cols [][]entry // per attribute, sorted by value
+	m    *mdl
+	rng  *rand.Rand
+
+	all, y bitset // every instance; the positive ones
+
+	covers map[string]bitset // rule coverage by encoded conditions
+	key    []byte
+
+	// Sets reused across calls: remaining is irep's working set, reach
+	// optimize's, grow and prune split's result; covered is growRule's
+	// covered set and pruneForRuleset's union of the other rules; acc is
+	// scratch for rulesetDL, eachPrefix and fillStats.
+	remaining, reach, grow, prune, covered, acc bitset
+	pos, neg                                    []int32   // split's class partition
+	lists                                       [][]entry // growRule's covered attribute lists
 }
 
-func countPos(ds *Dataset, idx []int) int {
-	p := 0
-	for _, i := range idx {
+func newInducer(ds *Dataset, seed int64) *inducer {
+	n := ds.Len()
+	cols := newColumns(ds)
+	ind := &inducer{
+		n:      n,
+		cols:   cols,
+		m:      newMDL(cols),
+		rng:    rand.New(rand.NewSource(seed)),
+		covers: make(map[string]bitset),
+		lists:  make([][]entry, len(cols)),
+	}
+	listBacking := make([]entry, len(cols)*n)
+	for a := range ind.lists {
+		ind.lists[a] = listBacking[a*n : a*n : (a+1)*n]
+	}
+	words := (n + 63) / 64
+	backing := make(bitset, 8*words)
+	for _, b := range []*bitset{&ind.all, &ind.y, &ind.remaining, &ind.reach, &ind.grow, &ind.prune, &ind.covered, &ind.acc} {
+		*b, backing = backing[:words:words], backing[words:]
+	}
+	for i := 0; i < n; i++ {
+		ind.all.set(int32(i))
 		if ds.Y[i] {
-			p++
+			ind.y.set(int32(i))
 		}
 	}
-	return p
+	return ind
 }
 
-// uncovered returns the subset of idx not covered by any rule.
-func (ind *inducer) uncovered(rules []Rule, idx []int) []int {
-	var out []int
-	for _, i := range idx {
-		hit := false
-		for r := range rules {
-			if rules[r].Covers(ind.ds.X[i]) {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			out = append(out, i)
-		}
+func (ind *inducer) countPos(b bitset) int { return b.countAnd(ind.y) }
+
+// uncovered writes into dst the instances no rule covers, and returns it.
+func (ind *inducer) uncovered(dst bitset, rules []Rule) bitset {
+	copy(dst, ind.all)
+	for i := range rules {
+		dst.andNot(ind.coverage(&rules[i]))
 	}
-	return out
+	return dst
 }
 
 // split shuffles idx (stratified by class) and splits it 2/3 grow, 1/3
-// prune.
-func (ind *inducer) split(idx []int) (grow, prune []int) {
-	var pos, neg []int
-	for _, i := range idx {
-		if ind.ds.Y[i] {
+// prune. The grow and prune sets are the inducer's, valid until the next
+// split.
+func (ind *inducer) split(idx bitset) (grow, prune bitset) {
+	pos, neg := ind.pos[:0], ind.neg[:0]
+	idx.each(func(i int32) {
+		if ind.y.has(i) {
 			pos = append(pos, i)
 		} else {
 			neg = append(neg, i)
 		}
-	}
+	})
+	ind.pos, ind.neg = pos, neg
 	ind.rng.Shuffle(len(pos), func(a, b int) { pos[a], pos[b] = pos[b], pos[a] })
 	ind.rng.Shuffle(len(neg), func(a, b int) { neg[a], neg[b] = neg[b], neg[a] })
-	cutP := len(pos) * 2 / 3
-	cutN := len(neg) * 2 / 3
-	grow = append(grow, pos[:cutP]...)
-	grow = append(grow, neg[:cutN]...)
-	prune = append(prune, pos[cutP:]...)
-	prune = append(prune, neg[cutN:]...)
+	grow, prune = ind.grow, ind.prune
+	clear(grow)
+	clear(prune)
+	for _, part := range [][]int32{pos, neg} {
+		cut := len(part) * 2 / 3
+		for _, i := range part[:cut] {
+			grow.set(i)
+		}
+		for _, i := range part[cut:] {
+			prune.set(i)
+		}
+	}
 	return grow, prune
 }
 
-// irep runs the IREP* loop over the given remaining instances, returning
-// base extended with the accepted new rules. MDL is measured for the whole
-// rule list against the full dataset.
-func (ind *inducer) irep(base []Rule, remaining []int) []Rule {
+// irep runs the IREP* loop over the remaining instances (consumed),
+// returning base extended with the accepted new rules. MDL is measured for
+// the whole rule list against the full dataset.
+func (ind *inducer) irep(base []Rule, remaining bitset) []Rule {
 	rules := append([]Rule(nil), base...)
-	all := make([]int, ind.ds.Len())
-	for i := range all {
-		all[i] = i
-	}
-	minDL := ind.m.rulesetDL(rules, ind.ds)
+	minDL := ind.rulesetDL(rules)
 
-	for countPos(ind.ds, remaining) > 0 {
+	for ind.countPos(remaining) > 0 {
 		grow, prune := ind.split(remaining)
 		r := ind.growRule(Rule{}, grow)
 		r = ind.pruneRule(r, prune)
-		if len(r.Conds) == 0 && len(remaining) < ind.ds.Len() {
+		if len(r.Conds) == 0 && remaining.count() < ind.n {
 			// A fully pruned rule covers everything; useless as a
 			// non-first rule.
 			break
 		}
 		cand := append(append([]Rule(nil), rules...), r)
-		dl := ind.m.rulesetDL(cand, ind.ds)
+		dl := ind.rulesetDL(cand)
 		if dl > minDL+dlBudget {
 			break
 		}
 		// Reject rules whose prune-set precision is below chance.
-		p, n := coverageCounts(ind.ds, &r, prune)
+		cov := ind.coverage(&r)
+		p := countAnd3(cov, prune, ind.y)
+		n := cov.countAnd(prune) - p
 		if p+n > 0 && n > p {
 			break
 		}
@@ -153,95 +187,49 @@ func (ind *inducer) irep(base []Rule, remaining []int) []Rule {
 		if dl < minDL {
 			minDL = dl
 		}
-		remaining = filterUncoveredBy(ind.ds, &r, remaining)
+		remaining.andNot(cov)
 	}
 	return rules
 }
 
-func coverageCounts(ds *Dataset, r *Rule, idx []int) (pos, neg int) {
-	for _, i := range idx {
-		if r.Covers(ds.X[i]) {
-			if ds.Y[i] {
-				pos++
-			} else {
-				neg++
-			}
-		}
-	}
-	return
-}
-
-func filterUncoveredBy(ds *Dataset, r *Rule, idx []int) []int {
-	var out []int
-	for _, i := range idx {
-		if !r.Covers(ds.X[i]) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // growRule extends start with conditions chosen by FOIL information gain
-// until it covers no negatives (or no condition helps).
-func (ind *inducer) growRule(start Rule, grow []int) Rule {
+// until it covers no negatives (or no condition helps). It keeps each
+// attribute's covered grow instances in sort order, and after every
+// condition filters them all by membership, which keeps that order.
+func (ind *inducer) growRule(start Rule, grow bitset) Rule {
 	r := start.clone()
-	covered := make([]int, 0, len(grow))
-	for _, i := range grow {
-		if r.Covers(ind.ds.X[i]) {
-			covered = append(covered, i)
-		}
+	covered := ind.covered
+	copy(covered, grow)
+	covered.and(ind.coverage(&r))
+	for a, col := range ind.cols {
+		ind.lists[a] = covered.filter(ind.lists[a][:len(col)], col)
 	}
-	for {
-		p0, n0 := classCounts(ind.ds, covered)
-		if p0 == 0 || n0 == 0 {
-			break
-		}
-		best, gain := ind.bestCondition(covered, p0, n0)
+	p0 := ind.countPos(covered)
+	n0 := covered.count() - p0
+	for p0 != 0 && n0 != 0 {
+		best, gain := ind.bestCondition(p0, n0)
 		if gain <= 0 {
 			break
 		}
 		r.Conds = append(r.Conds, best)
-		next := covered[:0]
-		for _, i := range covered {
-			if best.Match(ind.ds.X[i]) {
-				next = append(next, i)
-			}
+		andCond(covered, ind.cols, best)
+		p0 = ind.countPos(covered)
+		n0 = covered.count() - p0
+		for a, l := range ind.lists {
+			ind.lists[a] = covered.filter(l, l)
 		}
-		covered = next
 	}
 	return r
 }
 
-func classCounts(ds *Dataset, idx []int) (pos, neg int) {
-	for _, i := range idx {
-		if ds.Y[i] {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	return
-}
-
-// bestCondition scans every attribute threshold over the covered set and
-// returns the condition with maximal FOIL gain relative to (p0, n0).
-func (ind *inducer) bestCondition(covered []int, p0, n0 int) (Condition, float64) {
-	type val struct {
-		v   float64
-		pos bool
-	}
+// bestCondition scans every attribute threshold over the covered lists
+// and returns the condition with maximal FOIL gain relative to (p0, n0).
+func (ind *inducer) bestCondition(p0, n0 int) (Condition, float64) {
 	base := math.Log2(float64(p0) / float64(p0+n0))
 	var best Condition
 	bestGain := 0.0
 
-	numAttrs := len(ind.ds.X[0])
-	vals := make([]val, 0, len(covered))
-	for a := 0; a < numAttrs; a++ {
-		vals = vals[:0]
-		for _, i := range covered {
-			vals = append(vals, val{ind.ds.X[i][a], ind.ds.Y[i]})
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
+	for a, vals := range ind.lists {
 		// Prefix counts: for each distinct value v, (pos,neg) with
 		// attr <= v; the complement gives attr >= next distinct value.
 		cp, cn := 0, 0
@@ -281,16 +269,38 @@ func foilGain(p1, n1 int, base float64) float64 {
 	return float64(p1) * (math.Log2(float64(p1)/float64(p1+n1)) - base)
 }
 
+// eachPrefix calls f with the prune instances covered by r's first k
+// conditions, for k = 1..len(r.Conds), ANDing the conditions in one at a
+// time.
+func (ind *inducer) eachPrefix(r *Rule, prune bitset, f func(k int, t bitset)) {
+	t := ind.acc
+	copy(t, prune)
+	for k, c := range r.Conds {
+		andCond(t, ind.cols, c)
+		f(k+1, t)
+	}
+}
+
 // pruneRule deletes a final suffix of conditions to maximize the IREP*
 // pruning metric (p−n)/(p+n) on the prune set.
-func (ind *inducer) pruneRule(r Rule, prune []int) Rule {
-	if len(r.Conds) <= 1 || len(prune) == 0 {
+func (ind *inducer) pruneRule(r Rule, prune bitset) Rule {
+	if len(r.Conds) <= 1 || prune.count() == 0 {
 		return r
 	}
+	score := make([]float64, len(r.Conds)+1)
+	ind.eachPrefix(&r, prune, func(k int, t bitset) {
+		p := t.countAnd(ind.y)
+		n := t.count() - p
+		if p+n == 0 {
+			score[k] = -1
+		} else {
+			score[k] = float64(p-n) / float64(p+n)
+		}
+	})
 	bestLen := len(r.Conds)
-	bestScore := ind.pruneScore(&r, len(r.Conds), prune)
+	bestScore := score[bestLen]
 	for k := len(r.Conds) - 1; k >= 1; k-- {
-		if s := ind.pruneScore(&r, k, prune); s >= bestScore {
+		if s := score[k]; s >= bestScore {
 			bestScore = s
 			bestLen = k
 		}
@@ -299,35 +309,14 @@ func (ind *inducer) pruneRule(r Rule, prune []int) Rule {
 	return r
 }
 
-func (ind *inducer) pruneScore(r *Rule, k int, prune []int) float64 {
-	trunc := Rule{Conds: r.Conds[:k]}
-	p, n := coverageCounts(ind.ds, &trunc, prune)
-	if p+n == 0 {
-		return -1
-	}
-	return float64(p-n) / float64(p+n)
-}
-
 // optimize runs one Ripper optimization pass: each rule is pitted against
 // a freshly grown replacement and a grown revision; the variant giving the
 // smallest total description length wins.
 func (ind *inducer) optimize(rules []Rule) []Rule {
 	for i := range rules {
 		// Instances that reach rule i (not claimed by earlier rules).
-		reach := make([]int, 0, ind.ds.Len())
-		for j := 0; j < ind.ds.Len(); j++ {
-			taken := false
-			for k := 0; k < i; k++ {
-				if rules[k].Covers(ind.ds.X[j]) {
-					taken = true
-					break
-				}
-			}
-			if !taken {
-				reach = append(reach, j)
-			}
-		}
-		if countPos(ind.ds, reach) == 0 {
+		reach := ind.uncovered(ind.reach, rules[:i])
+		if ind.countPos(reach) == 0 {
 			continue
 		}
 		grow, prune := ind.split(reach)
@@ -353,35 +342,28 @@ func (ind *inducer) optimize(rules []Rule) []Rule {
 // pruneForRuleset prunes candidate (at position i of rules) to minimize
 // the whole rule set's error on the prune split — Ripper's optimization-
 // phase pruning objective.
-func (ind *inducer) pruneForRuleset(rules []Rule, i int, cand Rule, prune []int) Rule {
-	if len(cand.Conds) <= 1 || len(prune) == 0 {
+func (ind *inducer) pruneForRuleset(rules []Rule, i int, cand Rule, prune bitset) Rule {
+	if len(cand.Conds) <= 1 || prune.count() == 0 {
 		return cand
 	}
-	eval := func(k int) int {
-		trial := Rule{Conds: cand.Conds[:k]}
-		wrong := 0
-		for _, j := range prune {
-			pred := false
-			for q := range rules {
-				r := &rules[q]
-				if q == i {
-					r = &trial
-				}
-				if r.Covers(ind.ds.X[j]) {
-					pred = true
-					break
-				}
-			}
-			if pred != ind.ds.Y[j] {
-				wrong++
-			}
+	// The other rules' predictions do not depend on the candidate.
+	others := ind.covered
+	clear(others)
+	for q := range rules {
+		if q != i {
+			others.or(ind.coverage(&rules[q]))
 		}
-		return wrong
 	}
+	wrong := make([]int, len(cand.Conds)+1)
+	ind.eachPrefix(&cand, prune, func(k int, t bitset) {
+		for w := range t {
+			wrong[k] += bits.OnesCount64(prune[w] & ((others[w] | t[w]) ^ ind.y[w]))
+		}
+	})
 	bestLen := len(cand.Conds)
-	bestErr := eval(bestLen)
+	bestErr := wrong[bestLen]
 	for k := len(cand.Conds) - 1; k >= 1; k-- {
-		if e := eval(k); e <= bestErr {
+		if e := wrong[k]; e <= bestErr {
 			bestErr = e
 			bestLen = k
 		}
@@ -393,19 +375,19 @@ func (ind *inducer) pruneForRuleset(rules []Rule, i int, cand Rule, prune []int)
 func (ind *inducer) dlWith(rules []Rule, i int, r Rule) float64 {
 	trial := append([]Rule(nil), rules...)
 	trial[i] = r
-	return ind.m.rulesetDL(trial, ind.ds)
+	return ind.rulesetDL(trial)
 }
 
 // deletePass greedily removes rules whose deletion lowers the total
 // description length.
 func (ind *inducer) deletePass(rules []Rule) []Rule {
 	for {
-		cur := ind.m.rulesetDL(rules, ind.ds)
+		cur := ind.rulesetDL(rules)
 		bestIdx, bestDL := -1, cur
 		for i := range rules {
 			trial := append([]Rule(nil), rules[:i]...)
 			trial = append(trial, rules[i+1:]...)
-			if dl := ind.m.rulesetDL(trial, ind.ds); dl < bestDL {
+			if dl := ind.rulesetDL(trial); dl < bestDL {
 				bestIdx, bestDL = i, dl
 			}
 		}
@@ -418,30 +400,17 @@ func (ind *inducer) deletePass(rules []Rule) []Rule {
 
 // fillStats computes Figure-4 style per-rule matched counts: each instance
 // is claimed by its first covering rule.
-func fillStats(rs *RuleSet, ds *Dataset) {
-	for i := range rs.Rules {
-		rs.Rules[i].TP, rs.Rules[i].FP = 0, 0
+func (ind *inducer) fillStats(rs *RuleSet) {
+	unclaimed := ind.acc
+	copy(unclaimed, ind.all)
+	for j := range rs.Rules {
+		r := &rs.Rules[j]
+		cov := ind.coverage(r)
+		claimed := cov.countAnd(unclaimed)
+		r.TP = countAnd3(cov, unclaimed, ind.y)
+		r.FP = claimed - r.TP
+		unclaimed.andNot(cov)
 	}
-	rs.DefaultTP, rs.DefaultFP = 0, 0
-	for i := range ds.X {
-		claimed := false
-		for j := range rs.Rules {
-			if rs.Rules[j].Covers(ds.X[i]) {
-				if ds.Y[i] {
-					rs.Rules[j].TP++
-				} else {
-					rs.Rules[j].FP++
-				}
-				claimed = true
-				break
-			}
-		}
-		if !claimed {
-			if ds.Y[i] {
-				rs.DefaultFP++
-			} else {
-				rs.DefaultTP++
-			}
-		}
-	}
+	pos := unclaimed.countAnd(ind.y)
+	rs.DefaultFP, rs.DefaultTP = pos, unclaimed.count()-pos
 }

@@ -13,26 +13,19 @@ type mdl struct {
 	// universe is the number of distinct possible conditions, used to
 	// price each condition in a rule.
 	universe float64
-	n        int // training-set size
 }
 
-func newMDL(ds *Dataset) *mdl {
-	// Count distinct values per attribute; each yields a <= and a >=
-	// condition.
+// newMDL prices conditions against the attribute lists: each distinct
+// value of an attribute yields a <= and a >= condition.
+func newMDL(cols [][]entry) *mdl {
 	total := 0.0
-	if ds.Len() > 0 {
-		for a := range ds.X[0] {
-			seen := make(map[float64]struct{})
-			for i := range ds.X {
-				seen[ds.X[i][a]] = struct{}{}
-			}
-			total += float64(2 * len(seen))
-		}
+	for _, col := range cols {
+		total += float64(2 * distinct(col))
 	}
 	if total < 2 {
 		total = 2
 	}
-	return &mdl{universe: total, n: ds.Len()}
+	return &mdl{universe: total}
 }
 
 func log2(x float64) float64 { return math.Log2(x) }
@@ -72,35 +65,23 @@ func (m *mdl) exceptionBits(covered, fp, uncovered, fn int) float64 {
 	return bits
 }
 
-// rulesetDL returns the total description length of the rule set measured
-// against the dataset.
-func (m *mdl) rulesetDL(rules []Rule, ds *Dataset) float64 {
+// rulesetDL returns the total description length of the rule list
+// measured against the dataset. The list predicts the positive class for
+// the union of its rules' coverage.
+func (ind *inducer) rulesetDL(rules []Rule) float64 {
 	bits := 0.0
 	for i := range rules {
-		bits += m.theoryBits(&rules[i])
+		bits += ind.m.theoryBits(&rules[i])
 	}
-	covered, fp, uncovered, fn := 0, 0, 0, 0
-	for i := range ds.X {
-		hit := false
-		for j := range rules {
-			if rules[j].Covers(ds.X[i]) {
-				hit = true
-				break
-			}
-		}
-		if hit {
-			covered++
-			if !ds.Y[i] {
-				fp++
-			}
-		} else {
-			uncovered++
-			if ds.Y[i] {
-				fn++
-			}
-		}
+	pred := ind.acc
+	clear(pred)
+	for i := range rules {
+		pred.or(ind.coverage(&rules[i]))
 	}
-	return bits + m.exceptionBits(covered, fp, uncovered, fn)
+	covered := pred.count()
+	tp := pred.countAnd(ind.y)
+	fn := ind.y.count() - tp
+	return bits + ind.m.exceptionBits(covered, covered-tp, ind.n-covered, fn)
 }
 
 // dlBudget is how far above the minimum description length induction may

@@ -1,6 +1,7 @@
 package ripper
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -366,7 +367,7 @@ func TestInduceDifferentSeedsStillLearn(t *testing.T) {
 func TestTheoryBitsGrowWithConditions(t *testing.T) {
 	ds := &Dataset{Names: names(3)}
 	ds.Add([]float64{1, 2, 3}, true)
-	m := newMDL(ds)
+	m := newMDL(newColumns(ds))
 	small := &Rule{Conds: []Condition{{Attr: 0, LE: true, Val: 1}}}
 	big := &Rule{Conds: []Condition{
 		{Attr: 0, LE: true, Val: 1}, {Attr: 1, LE: false, Val: 2}, {Attr: 2, LE: true, Val: 3},
@@ -384,10 +385,35 @@ func TestExceptionBitsPreferAccuracy(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ds.Add([]float64{float64(i), 0}, i < 50)
 	}
-	m := newMDL(ds)
+	m := newMDL(newColumns(ds))
 	perfect := m.exceptionBits(50, 0, 50, 0)
 	sloppy := m.exceptionBits(50, 10, 50, 10)
 	if perfect >= sloppy {
 		t.Errorf("errors must cost bits: perfect %.1f vs sloppy %.1f", perfect, sloppy)
+	}
+}
+
+func TestInduceNegativeZeroPrintsZero(t *testing.T) {
+	// −0 and +0 are one value to every condition; a threshold on it
+	// prints as 0 whichever of the two the instances carry.
+	negZero := math.Copysign(0, -1)
+	ds := &Dataset{Names: names(1)}
+	for i := 0; i < 40; i++ {
+		switch {
+		case i < 19:
+			ds.Add([]float64{negZero}, true)
+		case i == 19:
+			ds.Add([]float64{0}, true)
+		default:
+			ds.Add([]float64{float64(i)}, false)
+		}
+	}
+	rs := Induce(ds, DefaultOptions())
+	text := rs.Format()
+	if !strings.Contains(text, "a0 <= 0.") || strings.Contains(text, "-0") {
+		t.Errorf("want the rule a0 <= 0, got:\n%s", text)
+	}
+	if rs.ErrorRate(ds) != 0 {
+		t.Errorf("error rate %v on a separable concept", rs.ErrorRate(ds))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -91,6 +92,11 @@ func ReadCSV(r io.Reader) ([]*BenchData, error) {
 			v, err := strconv.ParseFloat(fields[3+i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("training: line %d: bad feature %q", line, fields[3+i])
+			}
+			// ParseFloat accepts NaN and ±Inf; Ripper orders instances
+			// by feature value, which needs finite values.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("training: line %d: non-finite feature %s = %q", line, features.Names[i], fields[3+i])
 			}
 			rec.Feat[i] = v
 		}

@@ -22,6 +22,17 @@ func collectSuite1(t *testing.T) []*BenchData {
 	return data
 }
 
+// collectAllPrograms collects the 13 programs (both suites) at
+// DefaultOptions, as the paper's train step does.
+func collectAllPrograms(tb testing.TB) []*BenchData {
+	tb.Helper()
+	data, err := CollectAll(workloads.All(), machine.Default().Model, DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 func TestLabelOfThresholds(t *testing.T) {
 	r := BlockRecord{CostNS: 100, CostLS: 80} // 20% improvement
 	cases := []struct {
@@ -255,9 +266,24 @@ func TestCSVRejectsGarbage(t *testing.T) {
 		csvHeader() + "\nonly,three,fields\n",
 		csvHeader() + "\nb,f,notanumber" + strings.Repeat(",0", 16) + "\n",
 	}
+	// Non-finite feature values parse as floats but cannot be ordered
+	// for induction.
+	firstNonFinite := len(cases)
+	for _, bad := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "-Infinity"} {
+		for _, col := range []int{0, features.Count - 1} {
+			feats := make([]string, features.Count)
+			for i := range feats {
+				feats[i] = "0"
+			}
+			feats[col] = bad
+			cases = append(cases, csvHeader()+"\nb,f,0,"+strings.Join(feats, ",")+",10,8,1\n")
+		}
+	}
 	for i, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: ReadCSV accepted garbage", i)
+		} else if i >= firstNonFinite && !strings.Contains(err.Error(), "line 2: non-finite feature") {
+			t.Errorf("case %d: error %q does not name the line and the non-finite feature", i, err)
 		}
 	}
 }
@@ -332,5 +358,20 @@ func TestTraceLabelThresholds(t *testing.T) {
 	same := TraceRecord{CostLocal: 50, CostSuper: 50}
 	if TraceLabelOf(&same, 0) != -1 {
 		t.Error("no-benefit trace must label negative")
+	}
+}
+
+// BenchmarkTrainFilter measures induction alone: a filter from the 13
+// programs' instances at the paper's threshold t=20, with collection and
+// labelling outside the timer.
+func BenchmarkTrainFilter(b *testing.B) {
+	data := collectAllPrograms(b)
+	var c LabelCache
+	opt := ripper.DefaultOptions()
+	TrainFilterCached(data, 20, opt, &c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		TrainFilterCached(data, 20, opt, &c)
 	}
 }
