@@ -1,61 +1,52 @@
-// Command schedexp regenerates the paper's evaluation: every table and
-// figure, printed as text in the paper's shape.
+// Command schedexp regenerates the paper's evaluation — every table and
+// figure, printed as text in the paper's shape — and the experiments
+// whose results are checked in as BENCH_*.json artifacts.
 //
 // Usage:
 //
-//	schedexp -exp table3          # one experiment
-//	schedexp -exp all             # everything (takes a minute or two)
-//	schedexp -adaptive            # the adaptive-tier protocol comparison
-//	schedexp -adaptive -json                       # ...plus BENCH_adaptive.json
-//	schedexp -exp server -json                     # compile-server benchmark → BENCH_server.json
-//	schedexp -exp server -json -out /tmp/s.json    # ...to an explicit path
-//	schedexp -exp targets -json                    # cross-target matrix → BENCH_targets.json
-//	schedexp -exp policies -json                   # policy × target matrix → BENCH_policies.json
-//	schedexp -exp policies -policy always,size:5   # ...with explicit matrix rows
-//	schedexp -exp online -json                     # retrain-under-load loop → BENCH_online.json
-//	schedexp -exp cluster -json                    # gateway + 3 backends → BENCH_cluster.json
-//	schedexp -exp hotpath -json                    # per-block scheduling path → BENCH_hotpath.json
-//	schedexp -exp table4 -target wide4             # the paper tables under another machine
+//	schedexp -exp table3                  # one experiment
+//	schedexp -exp all                     # everything (a minute or two)
+//	schedexp -exp table4 -target wide4    # the paper tables under another machine
+//	schedexp -exp adaptive -json          # ...and write its artifact, BENCH_adaptive.json
+//	schedexp -exp policies -policy always,size:5   # the policy matrix with explicit rows
+//	schedexp -check                       # regenerate every artifact, compare with the checked-in files
+//	schedexp -exp online -check           # ...one artifact
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7
 //
 //	fig1a fig1b fig2a fig2b fig3a fig3b fig4 ablation models superblocks
-//	sbfilter adaptive server pipeline targets policies online cluster hotpath all
+//	sbfilter, the artifact experiments adaptive targets policies online
+//	cluster hotpath, and all
 //
-// -experiment is an alias for -exp. -target picks the machine model the
-// experiments run against by registry name (default mpc7410; see
-// schedfilter.Targets()). The targets experiment ignores -target — it
-// sweeps its own train×eval grid — and so does policies, which sweeps
-// the registry's matrix targets; -policy overrides the policies
-// experiment's rows with a comma-separated list of policy specs
-// (always, never, size:N, cost:N, portfolio:spec+spec, or "ripper" for
-// the per-target trained filter).
+// -target picks the machine model the experiments run against by
+// registry name (default mpc7410; see schedfilter.Targets()). The
+// targets experiment ignores it — it sweeps its own train×eval grid —
+// and so do policies, which sweeps the registry's matrix targets, online
+// and cluster. -policy overrides the policies experiment's rows with a
+// comma-separated list of policy specs (always, never, size:N, cost:N,
+// portfolio:spec+spec, or "ripper" for the per-target trained filter).
 //
 // -j N bounds the experiment engine's worker pool (default: GOMAXPROCS).
-// Every table and figure is byte-identical at any -j; wall-clock
-// measurements (scheduling-time figures, the adaptive runs) always stay
-// serial. -j 1 forces the fully serial engine.
+// Every table, figure and artifact's deterministic section is
+// byte-identical at any -j; wall-clock measurements (scheduling-time
+// figures, the adaptive runs) always stay serial. -j 1 forces the fully
+// serial engine.
 //
-// The pipeline experiment measures the engine itself: the main table sweep
-// serial vs parallel, plus scheduler allocations per block before/after
-// the pooled fast path, written to BENCH_pipeline.json with -json.
-//
-// The -adaptive flag is shorthand for -exp adaptive: run every benchmark
-// through the adaptive optimization system (baseline tier, sampling
-// profiler, background recompilation) and compare it with the offline
-// NS/LS/filtered protocols. The server experiment drives the compile
-// service (internal/server) with cold and warm schedule requests per
-// workload and measures what the scheduled-block cache buys.
-//
-// -json additionally writes the step's numbers as a machine-readable
-// artifact; -out overrides the default path (BENCH_adaptive.json or
-// BENCH_server.json). Both artifacts share one write path.
+// Every artifact has one shape, {"deterministic": …, "timing": …} (see
+// experiments.Artifact). -json writes the artifacts of the experiments
+// that ran. -check runs them without printing their text, compares each
+// file's deterministic section, compacted, byte for byte with the
+// regenerated one, ignores timing, prints one verdict line per file, and
+// exits non-zero on any mismatch or missing file. The checked-in files
+// are made with the default target and rows, so -check refuses -target,
+// -policy and -json.
 //
 // -cpuprofile and -memprofile capture pprof profiles of the run (the
 // heap profile is written after a final GC, on exit).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -66,48 +57,26 @@ import (
 	"schedfilter/internal/cliflags"
 	"schedfilter/internal/experiments"
 	"schedfilter/internal/machine"
-	"schedfilter/internal/serverbench"
+	"schedfilter/internal/profileflags"
 	"schedfilter/internal/workloads"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "which experiment to run (see package doc)")
-	expAlias := flag.String("experiment", "", "alias for -exp")
-	adaptiveMode := flag.Bool("adaptive", false, "run the adaptive-tier comparison (shorthand for -exp adaptive)")
-	jsonOut := flag.Bool("json", false, "also write the step's benchmark numbers as a JSON artifact")
-	outPath := flag.String("out", "", "JSON artifact path (default BENCH_adaptive.json / BENCH_server.json per step)")
-	jobs := cliflags.Jobs(flag.CommandLine, "worker pool size for the experiment engine (0 = GOMAXPROCS, 1 = serial)")
-	target := cliflags.TargetDefault(flag.CommandLine, "", "machine target the experiments run against (default: "+machine.DefaultTargetName+")")
-	policies := flag.String("policy", "", "policies experiment: comma-separated policy specs for the matrix rows (default: the built-in grid; \"ripper\" names the per-target trained filter)")
-	prof := cliflags.Profile(flag.CommandLine)
-	flag.Parse()
-	if *expAlias != "" {
-		*exp = *expAlias
+	o, prof, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if *adaptiveMode {
-		*exp = "adaptive"
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "schedexp:", err)
+		os.Exit(2)
 	}
-
 	stopProf, err := prof.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedexp:", err)
 		os.Exit(1)
 	}
-
-	cfg := schedfilter.DefaultExperimentConfig()
-	cfg.Jobs = *jobs
-	if *target != "" {
-		tgt, err := machine.ByName(*target)
-		if err != nil {
-			stopProf()
-			fmt.Fprintln(os.Stderr, "schedexp:", err)
-			os.Exit(1)
-		}
-		cfg.Model = tgt.Model
-	}
-	r := schedfilter.NewExperimentRunner(cfg)
 	start := time.Now()
-	err = run(r, cfg, *jobs, *exp, *target, *policies, *jsonOut, *outPath)
+	err = run(o)
 	stopProf()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "schedexp:", err)
@@ -116,33 +85,88 @@ func main() {
 	fmt.Fprintf(os.Stderr, "schedexp: done in %v\n", time.Since(start).Round(time.Millisecond))
 }
 
-// writeArtifact is the one code path every benchmark JSON artifact goes
-// through: enabled by -json, path from -out or the step's default name.
-func writeArtifact(enabled bool, outPath, defaultPath string, v any) error {
-	if !enabled {
-		return nil
-	}
-	path := outPath
-	if path == "" {
-		path = defaultPath
-	}
-	if err := experiments.WriteJSON(path, v); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "schedexp: wrote %s\n", path)
-	return nil
+// options is one invocation's settings.
+type options struct {
+	exp      string   // experiment name, or "all"
+	jobs     int      // worker pool size (0 = GOMAXPROCS)
+	target   string   // machine target; "" = default
+	policies []string // policies experiment rows; nil = the built-in grid
+	json     bool     // write the artifacts of the experiments that ran
+	check    bool     // compare regenerated artifacts with the checked-in files
 }
 
-func run(r *experiments.Runner, cfg experiments.Config, jobs int, exp, target, policies string, jsonOut bool, outPath string) error {
-	all := exp == "all"
-	did := false
-	show := func(name string, f func() error) error {
-		if !all && exp != name {
-			return nil
-		}
-		did = true
-		return f()
+func parseFlags(args []string) (options, *profileflags.Flags, error) {
+	fs := flag.NewFlagSet("schedexp", flag.ContinueOnError)
+	o := options{}
+	fs.StringVar(&o.exp, "exp", "all", "which experiment to run (see package doc)")
+	fs.BoolVar(&o.json, "json", false, "also write each artifact experiment's BENCH_*.json file")
+	fs.BoolVar(&o.check, "check", false, "regenerate the BENCH_*.json artifacts and compare their deterministic sections with the checked-in files")
+	jobs := cliflags.Jobs(fs, "worker pool size for the experiment engine (0 = GOMAXPROCS, 1 = serial)")
+	target := cliflags.TargetDefault(fs, "", "machine target the experiments run against (default: "+machine.DefaultTargetName+")")
+	policies := fs.String("policy", "", "policies experiment: comma-separated policy specs for the matrix rows (default: the built-in grid; \"ripper\" names the per-target trained filter)")
+	prof := cliflags.Profile(fs)
+	if err := fs.Parse(args); err != nil {
+		return o, nil, err
 	}
+	if fs.NArg() > 0 {
+		return o, nil, fmt.Errorf("unexpected argument %q: schedexp takes flags only (-json takes no value)", fs.Arg(0))
+	}
+	o.jobs, o.target = *jobs, *target
+	for _, spec := range strings.Split(*policies, ",") {
+		if spec = strings.TrimSpace(spec); spec != "" {
+			o.policies = append(o.policies, spec)
+		}
+	}
+	if o.check && (o.target != "" || o.policies != nil || o.json) {
+		return o, nil, errors.New("-check compares with the checked-in artifacts, which use the defaults: drop -target, -policy and -json")
+	}
+	return o, prof, nil
+}
+
+// result is what an artifact experiment returns.
+type result interface {
+	Render() string
+	Artifact() experiments.Artifact
+}
+
+// env is what an experiment runs with.
+type env struct {
+	options
+	cfg experiments.Config
+	r   *experiments.Runner
+}
+
+// artifacts are the experiments with a checked-in BENCH_*.json file.
+// -json writes the file; -check regenerates it and compares.
+var artifacts = []struct {
+	name, file string
+	run        func(e env) (result, error)
+}{
+	{"adaptive", "BENCH_adaptive.json", func(e env) (result, error) { return e.r.Adaptive(0) }},
+	{"targets", "BENCH_targets.json", func(e env) (result, error) { return experiments.CrossTargets(e.cfg, nil, 0) }},
+	{"policies", "BENCH_policies.json", func(e env) (result, error) {
+		return experiments.CrossPolicies(e.cfg, nil, e.policies, 0)
+	}},
+	{"online", "BENCH_online.json", func(e env) (result, error) { return experiments.RunOnline(e.cfg) }},
+	{"cluster", "BENCH_cluster.json", func(e env) (result, error) { return runCluster(e.jobs) }},
+	{"hotpath", "BENCH_hotpath.json", func(e env) (result, error) {
+		return experiments.RunHotpath(experiments.HotpathConfig{Target: e.target})
+	}},
+}
+
+func run(o options) error {
+	cfg := schedfilter.DefaultExperimentConfig()
+	cfg.Jobs = o.jobs
+	if o.target != "" {
+		tgt, err := machine.ByName(o.target)
+		if err != nil {
+			return err
+		}
+		cfg.Model = tgt.Model
+	}
+	r := schedfilter.NewExperimentRunner(cfg)
+	all := o.exp == "all"
+	did := false
 
 	steps := []struct {
 		name string
@@ -270,22 +294,6 @@ func run(r *experiments.Runner, cfg experiments.Config, jobs int, exp, target, p
 			fmt.Println(res.Render())
 			return nil
 		}},
-		{"adaptive", func() error {
-			res, err := r.Adaptive(0)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-			return writeArtifact(jsonOut, outPath, "BENCH_adaptive.json", res)
-		}},
-		{"server", func() error {
-			res, err := serverbench.Run(serverbench.Config{})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-			return writeArtifact(jsonOut, outPath, "BENCH_server.json", res)
-		}},
 		{"fig4", func() error {
 			rs, err := r.Figure4()
 			if err != nil {
@@ -297,106 +305,56 @@ func run(r *experiments.Runner, cfg experiments.Config, jobs int, exp, target, p
 			return nil
 		}},
 	}
-	for _, s := range steps {
-		if err := show(s.name, s.f); err != nil {
-			return err
-		}
-	}
-	// The pipeline experiment re-runs the whole table sweep twice (serial
-	// and parallel) on cold caches, so it only runs when asked for by name
-	// — never as part of "all".
-	if exp == "pipeline" {
-		did = true
-		res, err := experiments.RunPipeline(cfg, jobs)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := writeArtifact(jsonOut, outPath, "BENCH_pipeline.json", res); err != nil {
-			return err
-		}
-	}
-	// The targets experiment collects suite 1 once per machine in the grid
-	// (cold caches, its own machines), so it too only runs by name.
-	if exp == "targets" {
-		did = true
-		res, err := experiments.CrossTargets(cfg, nil, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := writeArtifact(jsonOut, outPath, "BENCH_targets.json", res); err != nil {
-			return err
-		}
-	}
-	// The policies experiment collects both suites once per machine in
-	// the grid (cold caches, its own machines), trains the ripper row per
-	// target, and scores every policy spec against every target. Runs by
-	// name only.
-	if exp == "policies" {
-		did = true
-		var specs []string
-		for _, spec := range strings.Split(policies, ",") {
-			if spec = strings.TrimSpace(spec); spec != "" {
-				specs = append(specs, spec)
+
+	if !o.check {
+		for _, s := range steps {
+			if all || o.exp == s.name {
+				did = true
+				if err := s.f(); err != nil {
+					return err
+				}
 			}
 		}
-		res, err := experiments.CrossPolicies(cfg, nil, specs, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := writeArtifact(jsonOut, outPath, "BENCH_policies.json", res); err != nil {
-			return err
-		}
 	}
-	// The cluster experiment boots three compile servers plus the
-	// schedgate gateway in-process: broadcast retrain convergence,
-	// consistent-hash routing determinism, single- vs multi-node
-	// throughput, and the batch fan-out. Runs by name only.
-	if exp == "cluster" {
+
+	e := env{options: o, cfg: cfg, r: r}
+	checked, failed := 0, 0
+	for _, a := range artifacts {
+		if !all && o.exp != a.name {
+			continue
+		}
 		did = true
-		res, err := serverbench.RunCluster(serverbench.ClusterConfig{Jobs: jobs})
+		res, err := a.run(e)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", a.name, err)
 		}
-		fmt.Println(res.Render())
-		if err := writeArtifact(jsonOut, outPath, "BENCH_cluster.json", res); err != nil {
-			return err
-		}
-	}
-	// The hotpath experiment measures the per-block scheduling path
-	// itself — reduced DAG builder + bucket ready list vs the retained
-	// reference path over every workload block, with the singleflight
-	// coalescing outcome constructed deterministically. Runs by name only.
-	if exp == "hotpath" {
-		did = true
-		res, err := serverbench.RunHotpath(serverbench.HotpathConfig{Target: target})
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := writeArtifact(jsonOut, outPath, "BENCH_hotpath.json", res); err != nil {
-			return err
-		}
-	}
-	// The online experiment drives the server's retrain-under-load loop
-	// (internal/online) deterministically: traffic waves fill the sample
-	// reservoir, Ripper retrains after each, and the shadow gate decides
-	// promotion. Runs by name only.
-	if exp == "online" {
-		did = true
-		res, err := experiments.RunOnline(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Render())
-		if err := writeArtifact(jsonOut, outPath, "BENCH_online.json", res); err != nil {
-			return err
+		switch {
+		case o.check:
+			checked++
+			if err := checkArtifact(a.file, res.Artifact()); err != nil {
+				failed++
+				fmt.Printf("FAIL %s: %v\n", a.file, err)
+			} else {
+				fmt.Printf("ok   %s\n", a.file)
+			}
+		case o.json:
+			fmt.Println(res.Render())
+			if err := writeArtifact(a.file, res.Artifact()); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "schedexp: wrote %s\n", a.file)
+		default:
+			fmt.Println(res.Render())
 		}
 	}
 	if !did {
-		return fmt.Errorf("unknown experiment %q", exp)
+		if o.check {
+			return fmt.Errorf("experiment %q has no artifact to check", o.exp)
+		}
+		return fmt.Errorf("unknown experiment %q", o.exp)
+	}
+	if failed > 0 {
+		return fmt.Errorf("check: %d of %d artifacts differ from the checked-in files", failed, checked)
 	}
 	return nil
 }

@@ -18,32 +18,42 @@ import (
 // the background pool — and compare its cycle counts against the three
 // offline protocols (NS, LS, filtered L/N) on the same programs.
 
-// AdaptiveRow is one benchmark's numbers under every protocol.
+// AdaptiveRow is one benchmark's numbers under every protocol. Its JSON
+// fields reproduce on any host and form the artifact's deterministic
+// section; Timing holds the rest.
 type AdaptiveRow struct {
 	Bench string `json:"bench"`
 	Suite int    `json:"suite"`
 
-	// Application cycles per protocol.
+	// Application cycles per protocol; the adaptive tier's once it has
+	// reached steady state.
 	NSCycles             int64 `json:"ns_cycles"`
 	LSCycles             int64 `json:"ls_cycles"`
 	FilteredCycles       int64 `json:"filtered_cycles"`
-	AdaptiveOnlineCycles int64 `json:"adaptive_online_cycles"`
 	AdaptiveSteadyCycles int64 `json:"adaptive_steady_cycles"`
-
-	// Scheduling cost per protocol (wall clock): the offline passes'
-	// scheduling-phase time, and the adaptive tier's background compile
-	// time.
-	LSSchedNs         int64 `json:"ls_sched_ns"`
-	FilteredSchedNs   int64 `json:"filtered_sched_ns"`
-	AdaptiveCompileNs int64 `json:"adaptive_compile_ns"`
 
 	// Adaptive tier telemetry.
 	Promotions       int     `json:"promotions"`
-	Installed        int     `json:"installed"`
-	InstalledPost    int     `json:"installed_post"`
 	BlocksConsidered int     `json:"blocks_considered"`
 	BlocksScheduled  int     `json:"blocks_scheduled"`
 	RecoveredFrac    float64 `json:"recovered_fraction"`
+
+	Timing AdaptiveRowTiming `json:"-"`
+}
+
+// AdaptiveRowTiming is the part of a row that changes from run to run:
+// wall-clock scheduling cost per protocol (the offline passes'
+// scheduling-phase time, the adaptive tier's background compile time),
+// and the adaptive run's online cycles and install counts, which depend
+// on when the background compile threads finish.
+type AdaptiveRowTiming struct {
+	Bench                string `json:"bench"`
+	LSSchedNs            int64  `json:"ls_sched_ns"`
+	FilteredSchedNs      int64  `json:"filtered_sched_ns"`
+	AdaptiveCompileNs    int64  `json:"adaptive_compile_ns"`
+	AdaptiveOnlineCycles int64  `json:"adaptive_online_cycles"`
+	Installed            int    `json:"installed"`
+	InstalledPost        int    `json:"installed_post"`
 }
 
 // AdaptiveResult holds the whole comparison plus suite-wide aggregates.
@@ -116,8 +126,6 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 		}
 		lsT, _ := r.SchedTime(bd, policy.Always{})
 		flT, _ := r.SchedTime(bd, f)
-		row.LSSchedNs = int64(lsT)
-		row.FilteredSchedNs = int64(flT)
 
 		ares, err := adaptive.Run(bd.Prog, adaptive.Config{
 			Model:  r.cfg.Model,
@@ -129,14 +137,19 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 			return nil, fmt.Errorf("%s: adaptive run: %w", bd.Name, err)
 		}
 		mt := ares.Metrics
-		row.AdaptiveOnlineCycles = ares.Online.Cycles
 		row.AdaptiveSteadyCycles = ares.Steady.Cycles
-		row.AdaptiveCompileNs = int64(mt.CompileTime)
 		row.Promotions = mt.Promotions
-		row.Installed = mt.Installed
-		row.InstalledPost = mt.InstalledPost
 		row.BlocksConsidered = mt.BlocksConsidered
 		row.BlocksScheduled = mt.BlocksScheduled
+		row.Timing = AdaptiveRowTiming{
+			Bench:                bd.Name,
+			LSSchedNs:            int64(lsT),
+			FilteredSchedNs:      int64(flT),
+			AdaptiveCompileNs:    int64(mt.CompileTime),
+			AdaptiveOnlineCycles: ares.Online.Cycles,
+			Installed:            mt.Installed,
+			InstalledPost:        mt.InstalledPost,
+		}
 		if gain := row.NSCycles - row.LSCycles; gain > 0 {
 			row.RecoveredFrac = float64(row.NSCycles-row.AdaptiveSteadyCycles) / float64(gain)
 		}
@@ -164,9 +177,9 @@ func (a *AdaptiveResult) Render() string {
 	for _, r := range a.Rows {
 		fmt.Fprintf(&b, "%-11s %12d %12d %12d %12d %12d %6.1f%% %4d/%-4d %v\n",
 			r.Bench, r.NSCycles, r.LSCycles, r.FilteredCycles,
-			r.AdaptiveOnlineCycles, r.AdaptiveSteadyCycles, 100*r.RecoveredFrac,
+			r.Timing.AdaptiveOnlineCycles, r.AdaptiveSteadyCycles, 100*r.RecoveredFrac,
 			r.BlocksScheduled, r.BlocksConsidered,
-			time.Duration(r.AdaptiveCompileNs).Round(time.Microsecond))
+			time.Duration(r.Timing.AdaptiveCompileNs).Round(time.Microsecond))
 	}
 	fmt.Fprintf(&b, "\nAggregate: adaptive steady state recovers %.1f%% of the LS improvement\n",
 		100*a.RecoveredFrac)
@@ -174,6 +187,16 @@ func (a *AdaptiveResult) Render() string {
 	return b.String()
 }
 
-// WriteJSON writes the comparison as machine-readable JSON (the
-// BENCH_adaptive.json artifact tracked across PRs).
-func (a *AdaptiveResult) WriteJSON(path string) error { return WriteJSON(path, a) }
+// Artifact returns the comparison as an artifact: the rows' JSON fields
+// and the aggregates are deterministic, the rows' Timing and the host
+// form the timing section.
+func (a *AdaptiveResult) Artifact() Artifact {
+	timing := struct {
+		host
+		Rows []AdaptiveRowTiming `json:"rows"`
+	}{host: thisHost()}
+	for _, row := range a.Rows {
+		timing.Rows = append(timing.Rows, row.Timing)
+	}
+	return Artifact{Deterministic: a, Timing: timing}
+}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -40,29 +38,35 @@ func TestAdaptiveAcceptance(t *testing.T) {
 			t.Errorf("%s: steady state %d cycles slower than NS %d",
 				row.Bench, row.AdaptiveSteadyCycles, row.NSCycles)
 		}
-		if row.Promotions > 0 && row.Installed+row.InstalledPost == 0 {
+		if row.Promotions > 0 && row.Timing.Installed+row.Timing.InstalledPost == 0 {
 			t.Errorf("%s: %d promotions but nothing installed", row.Bench, row.Promotions)
 		}
 	}
 
-	// The -json artifact round-trips.
-	path := filepath.Join(t.TempDir(), "adaptive.json")
-	if err := res.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	buf, err := os.ReadFile(path)
+	// The artifact's deterministic section round-trips; the timing
+	// section carries one row per benchmark.
+	buf, err := json.Marshal(res.Artifact())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back AdaptiveResult
+	var back struct {
+		Deterministic AdaptiveResult `json:"deterministic"`
+		Timing        struct {
+			Rows []AdaptiveRowTiming `json:"rows"`
+		} `json:"timing"`
+	}
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if len(back.Rows) != len(res.Rows) || back.RecoveredFrac != res.RecoveredFrac {
+	det := back.Deterministic
+	if len(det.Rows) != len(res.Rows) || det.RecoveredFrac != res.RecoveredFrac {
 		t.Error("JSON artifact does not round-trip")
 	}
-	if back.Rows[0].Bench == "" {
+	if det.Rows[0].Bench == "" {
 		t.Error("bench names missing from JSON")
+	}
+	if len(back.Timing.Rows) != len(res.Rows) || back.Timing.Rows[0].Bench != det.Rows[0].Bench {
+		t.Errorf("timing rows do not match the deterministic rows: %+v", back.Timing.Rows)
 	}
 }
 

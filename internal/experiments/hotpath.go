@@ -1,4 +1,4 @@
-package serverbench
+package experiments
 
 import (
 	"fmt"
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"schedfilter/internal/codecache"
-	"schedfilter/internal/experiments"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/jit"
 	"schedfilter/internal/machine"
@@ -26,11 +25,11 @@ import (
 // result is the BENCH_hotpath.json artifact (cmd/schedexp -exp hotpath
 // -json).
 //
-// The artifact splits into a deterministic substructure — corpus shape,
-// edge counts, schedule equivalence, rounded allocation counts, and the
-// constructed coalescing outcome — that must be identical across runs on
-// any host (CI regenerates it twice and diffs), and a timing section
-// whose numbers vary with the measuring hardware.
+// The artifact splits into a deterministic section — corpus shape, edge
+// counts, schedule equivalence, rounded allocation counts, and the
+// constructed coalescing outcome — that is identical across runs on any
+// host (`schedexp -check` compares it with the checked-in file), and a
+// timing section whose numbers vary with the measuring hardware.
 
 // HotpathConfig parameterizes the suite.
 type HotpathConfig struct {
@@ -106,6 +105,7 @@ type HotpathDeterministic struct {
 
 // HotpathTiming is the host-dependent part of the artifact.
 type HotpathTiming struct {
+	host
 	Reps int `json:"reps"`
 
 	// DAG construction alone, ns per block and blocks per second.
@@ -129,10 +129,10 @@ type HotpathTiming struct {
 	SchedRefAllocsPerBlock float64 `json:"sched_ref_allocs_per_block"`
 }
 
-// HotpathResult is the BENCH_hotpath.json artifact.
+// HotpathResult is the BENCH_hotpath.json artifact's content.
 type HotpathResult struct {
-	Deterministic HotpathDeterministic `json:"deterministic"`
-	Timing        HotpathTiming        `json:"timing"`
+	Deterministic HotpathDeterministic
+	Timing        HotpathTiming
 }
 
 // RunHotpath compiles the corpus and measures both scheduler paths.
@@ -147,7 +147,7 @@ func RunHotpath(cfg HotpathConfig) (*HotpathResult, error) {
 
 	res := &HotpathResult{
 		Deterministic: HotpathDeterministic{Target: tgt.Name, Workloads: cfg.Workloads},
-		Timing:        HotpathTiming{Reps: cfg.Reps},
+		Timing:        HotpathTiming{host: thisHost(), Reps: cfg.Reps},
 	}
 	det := &res.Deterministic
 	tim := &res.Timing
@@ -343,6 +343,7 @@ func (r *HotpathResult) Render() string {
 	return b.String()
 }
 
-// WriteJSON writes the artifact (the BENCH_hotpath.json file tracked
-// across PRs) through the shared artifact path.
-func (r *HotpathResult) WriteJSON(path string) error { return experiments.WriteJSON(path, r) }
+// Artifact returns the two sections as an artifact.
+func (r *HotpathResult) Artifact() Artifact {
+	return Artifact{Deterministic: r.Deterministic, Timing: r.Timing}
+}

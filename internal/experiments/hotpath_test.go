@@ -1,4 +1,4 @@
-package serverbench
+package experiments
 
 import (
 	"encoding/json"
@@ -16,8 +16,8 @@ var testHotpathConfig = HotpathConfig{
 }
 
 // TestHotpathDeterministic regenerates the artifact twice and requires
-// the deterministic substructure to match exactly — the property CI's
-// double-run check of BENCH_hotpath.json rests on.
+// the deterministic section to match exactly — the property
+// `schedexp -check` rests on for BENCH_hotpath.json.
 func TestHotpathDeterministic(t *testing.T) {
 	a, err := RunHotpath(testHotpathConfig)
 	if err != nil {
