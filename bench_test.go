@@ -283,7 +283,7 @@ func BenchmarkFilterEvaluation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk := blocks[i%len(blocks)]
-		f.ShouldSchedule(features.ExtractBlock(blk))
+		policy.Schedules(f, features.ExtractBlock(blk))
 	}
 }
 
@@ -358,8 +358,7 @@ func BenchmarkSuperblockScheduling(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ApplySuperblocks(m, prog.Clone(), prof.ExecCounts, prof.TakenCounts,
-			sched.DefaultSuperblockOptions())
+		core.ApplySuperblocks(m, prog.Clone(), prof.ExecCounts, prof.TakenCounts, policy.Always{})
 	}
 }
 

@@ -6,13 +6,11 @@
 // Usage:
 //
 //	joltrun [-workload name | prog.jolt | prog.jzbc]
-//	        [-policy spec | -sched ls|ns|size:N|rules:FILE]
-//	        [-timed] [-interp] [-target name]
+//	        [-policy spec] [-timed] [-interp] [-target name]
 //
-// -policy selects the scheduling policy by spec (always, never, size:N,
-// cost:N, portfolio:spec+spec, rules:FILE — see schedfilter.PolicyKinds)
-// and wins over the historical -sched spelling, which stays for
-// compatibility.
+// -policy selects the scheduling policy by spec (always|ls, never|ns,
+// size:N, cost:N, portfolio:spec+spec, rules:FILE — see
+// schedfilter.PolicyKinds); the default is ns.
 //
 // -target picks the machine model (scheduling latencies and, with
 // -timed, simulated cycle timing) by registry name; the default is
@@ -38,8 +36,7 @@ func decodeModule(r io.Reader) (*schedfilter.Module, error) {
 
 func main() {
 	workload := flag.String("workload", "", "run a bundled benchmark instead of a file")
-	schedSpec := flag.String("sched", "ns", "historical protocol spelling: ls, ns, size:N, or rules:FILE")
-	policySpec := cliflags.Policy(flag.CommandLine, "", "scheduling policy (wins over -sched): "+cliflags.PolicySyntax)
+	policySpec := cliflags.Policy(flag.CommandLine, "ns", "")
 	timed := flag.Bool("timed", false, "run the cycle-accurate timing simulator")
 	useInterp := flag.Bool("interp", false, "run the bytecode interpreter instead of compiled code")
 	target := cliflags.Target(flag.CommandLine, "machine target to schedule and time for (see schedfilter.Targets)")
@@ -71,13 +68,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	spec := *policySpec
-	if spec == "" {
-		spec = *schedSpec
-	}
-	filter, err := cliflags.ResolvePolicy(spec, tgt.Name)
+	filter, err := cliflags.ResolvePolicy(*policySpec, tgt.Name)
 	if err != nil {
 		fatal(err)
+	}
+	if filter == nil {
+		fatal(fmt.Errorf("-policy is empty"))
 	}
 	stats := schedfilter.Schedule(m, prog, filter)
 	res, err := schedfilter.Execute(prog, m, *timed)

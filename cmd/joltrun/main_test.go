@@ -55,7 +55,7 @@ func TestResolvePolicyErrors(t *testing.T) {
 			t.Errorf("ResolvePolicy(%q) succeeded, want error", spec)
 		}
 	}
-	// Empty means unset, not an error: the -sched default applies.
+	// Empty means unset, not an error: the caller decides what unset means.
 	if f, err := cliflags.ResolvePolicy("", ""); f != nil || err != nil {
 		t.Errorf("ResolvePolicy(\"\") = %v, %v; want nil, nil", f, err)
 	}

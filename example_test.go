@@ -65,7 +65,7 @@ func ExampleParseRuleSet() {
 	big[0] = 12  // bbLen
 	big[3] = 0.5 // loads
 	fmt.Println("rules:", len(rs.Rules))
-	fmt.Println("schedules a 12-instruction loady block:", filter.ShouldSchedule(big))
+	fmt.Println("schedules a 12-instruction loady block:", schedfilter.Schedules(filter, big))
 	// Output:
 	// rules: 1
 	// schedules a 12-instruction loady block: true

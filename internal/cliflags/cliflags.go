@@ -48,8 +48,8 @@ func Jobs(fs *flag.FlagSet, usage string) *int {
 }
 
 // Policy registers the standard -policy flag. An empty default means
-// "unset" — commands treat that as their historical behavior (the -sched
-// flag, or the server's own default).
+// "unset" — commands treat that as their own default (the server's
+// configured policy, for example).
 func Policy(fs *flag.FlagSet, def, usage string) *string {
 	if usage == "" {
 		usage = "scheduling policy: " + PolicySyntax

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -565,7 +566,8 @@ func TestNewRejectsDuplicateNames(t *testing.T) {
 }
 
 // A gateway-wide default policy rewrites requests that pin nothing;
-// requests that pin their own policy or filter pass through untouched.
+// requests that pin their own policy pass through untouched, and a
+// request still carrying the retired "filter" selector is refused.
 func TestDefaultPolicyInjection(t *testing.T) {
 	tc := newTestCluster(t, 2, false, func(c *Config) { c.DefaultPolicy = "never" })
 
@@ -598,28 +600,23 @@ func TestDefaultPolicyInjection(t *testing.T) {
 			pinned.Policy, pinned.PolicyID)
 	}
 
-	filtered := post(map[string]string{"source": testProgram(0), "filter": "size:7"})
-	if filtered.PolicyID != "size>=7" {
-		t.Errorf("pinned filter should pass through: policy %q id %q, want id size>=7",
-			filtered.Policy, filtered.PolicyID)
+	status, body := postVia(t, tc.gwts.URL, "/v1/schedule",
+		map[string]string{"source": testProgram(0), "filter": "size:7"})
+	if status != http.StatusBadRequest || !strings.Contains(string(body), `\"filter\"`) {
+		t.Errorf("filter-only request: HTTP %d: %s; want 400 naming the field", status, body)
 	}
 }
 
-// During the deprecation window of the "filter" request field, a request
-// that carries only "filter" routes to the same member as the equivalent
-// "policy" request, so clients keep their cache affinity while they
-// migrate.
-func TestFilterFieldRoutesLikePolicy(t *testing.T) {
+// Through the gateway, a request carrying only the retired "filter"
+// selector gets the backend's 400 naming the field on every compile
+// endpoint, instead of the default policy.
+func TestFilterFieldRejected(t *testing.T) {
 	tc := newTestCluster(t, 3, false, nil)
-	for i := 0; i < 8; i++ {
-		src := testProgram(i)
-		code, byPolicy := scheduleVia(t, tc.gwts.URL, map[string]string{"source": src, "policy": "LS"})
-		code2, byFilter := scheduleVia(t, tc.gwts.URL, map[string]string{"source": src, "filter": "LS"})
-		if code != 200 || code2 != 200 {
-			t.Fatalf("program %d: HTTP %d (policy) / %d (filter)", i, code, code2)
-		}
-		if byFilter != byPolicy {
-			t.Fatalf("program %d: filter request served by %s, policy request by %s", i, byFilter, byPolicy)
+	for _, ep := range []string{"compile", "schedule", "predict", "execute"} {
+		status, body := postVia(t, tc.gwts.URL, "/v1/"+ep,
+			map[string]string{"source": testProgram(0), "filter": "LS"})
+		if status != http.StatusBadRequest || !strings.Contains(string(body), `\"filter\"`) {
+			t.Errorf("%s: filter-only request: HTTP %d: %s; want 400 naming the field", ep, status, body)
 		}
 	}
 }

@@ -178,19 +178,14 @@ func (g *Gateway) route(ctx context.Context, path, traceID string, body []byte) 
 		Workload string `json:"workload"`
 		Target   string `json:"target"`
 		Policy   string `json:"policy"`
-		Filter   string `json:"filter"`
 	}
 	if err := json.Unmarshal(body, &pin); err != nil {
 		return proxyResult{status: http.StatusBadRequest,
 			body: mustJSON(server.ErrorResponse{Error: "bad request: " + err.Error()})}
 	}
-	// Policy wins over the deprecated filter selector, mirroring the
-	// backend's resolution order; both empty means the backend default —
-	// or the gateway's, when one is configured.
+	// An empty policy means the backend default — or the gateway's, when
+	// one is configured.
 	spec := pin.Policy
-	if spec == "" {
-		spec = pin.Filter
-	}
 	if spec == "" && g.cfg.DefaultPolicy != "" {
 		spec = g.cfg.DefaultPolicy
 		injected, err := injectPolicy(body, spec)

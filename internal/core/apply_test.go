@@ -1,21 +1,35 @@
 package core
 
 import (
+	"math/rand"
 	"os"
 	"testing"
 
+	"schedfilter/internal/blockgen"
 	"schedfilter/internal/codecache"
 	"schedfilter/internal/features"
+	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/sched"
 )
 
+func genProgram(seed int64, nBlocks int) *ir.Program {
+	r := rand.New(rand.NewSource(seed))
+	fn := &ir.Fn{Name: "f"}
+	for i := 0; i < nBlocks; i++ {
+		fn.Blocks = append(fn.Blocks, blockgen.GenBlock(r, blockgen.DefaultConfig, i))
+	}
+	return &ir.Program{Fns: []*ir.Fn{fn}}
+}
+
 // TestApply is the oracle for the one scheduling pass: for every policy,
 // with no cache or a warm one, timed or not, Apply must leave exactly the
 // block orders the reference scheduler produces over the blocks the policy
 // approves, report the reference's cost totals, and agree with every other
-// configuration on its stats.
+// configuration on its stats. LS and size>=5 approve every block, NS
+// none (leaving the program as it was), and size>=25 and the factory
+// filter split the population.
 func TestApply(t *testing.T) {
 	m := machine.Default().Model
 	base := genProgram(21, 48)
@@ -27,14 +41,17 @@ func TestApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const all, none, some = 1, 2, 3
 	policies := []struct {
-		name string
-		f    policy.Policy
+		name     string
+		f        policy.Policy
+		approves int
 	}{
-		{"always", policy.Always{}},
-		{"never", policy.Never{}},
-		{"size5", policy.SizeThreshold{MinLen: 5}},
-		{"factory", factory},
+		{"always", policy.Always{}, all},
+		{"never", policy.Never{}, none},
+		{"size5", policy.SizeThreshold{MinLen: 5}, all},
+		{"size25", policy.SizeThreshold{MinLen: 25}, some},
+		{"factory", factory, some},
 	}
 	for _, pc := range policies {
 		want := base.Clone()
@@ -57,6 +74,15 @@ func TestApply(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d of %d blocks approved", pc.name, wantSt.Scheduled, wantSt.Blocks)
+		if wantSt.Blocks != 48 || wantSt.Scheduled+wantSt.NotScheduled != wantSt.Blocks ||
+			pc.approves == all && wantSt.NotScheduled != 0 ||
+			pc.approves == none && wantSt.Scheduled != 0 ||
+			pc.approves == some && (wantSt.Scheduled == 0 || wantSt.NotScheduled == 0) {
+			t.Fatalf("%s: approved %d of %d blocks", pc.name, wantSt.Scheduled, wantSt.Blocks)
+		}
+		if wantSt.CostAfter > wantSt.CostBefore {
+			t.Fatalf("%s: scheduling raised total cost: %d -> %d", pc.name, wantSt.CostBefore, wantSt.CostAfter)
+		}
 
 		// The cold pass that warms the cache must already match the
 		// reference; the warm rows below then replay every block.
@@ -118,5 +144,22 @@ func TestApply(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+func TestDecideMatchesApply(t *testing.T) {
+	m := machine.Default().Model
+	p := genProgram(5, 16)
+	f := policy.SizeThreshold{MinLen: 20}
+	dec := Decide(p, f)
+	st := Apply(m, p.Clone(), f, Pass{})
+	yes := 0
+	for _, d := range dec {
+		if d {
+			yes++
+		}
+	}
+	if yes != st.Scheduled {
+		t.Errorf("Decide says %d blocks, Apply scheduled %d", yes, st.Scheduled)
 	}
 }

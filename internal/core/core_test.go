@@ -1,32 +1,20 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
-	"schedfilter/internal/blockgen"
 	"schedfilter/internal/features"
-	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
 )
-
-func genProgram(seed int64, nBlocks int) *ir.Program {
-	r := rand.New(rand.NewSource(seed))
-	fn := &ir.Fn{Name: "f"}
-	for i := 0; i < nBlocks; i++ {
-		fn.Blocks = append(fn.Blocks, blockgen.GenBlock(r, blockgen.DefaultConfig, i))
-	}
-	return &ir.Program{Fns: []*ir.Fn{fn}}
-}
 
 func TestFixedFilterNames(t *testing.T) {
 	if (policy.Always{}).Name() != "LS" || (policy.Never{}).Name() != "NS" {
 		t.Error("fixed protocol names wrong")
 	}
 	var v features.Vector
-	if !(policy.Always{}).ShouldSchedule(v) || (policy.Never{}).ShouldSchedule(v) {
+	if !policy.Schedules(policy.Always{}, v) || policy.Schedules(policy.Never{}, v) {
 		t.Error("fixed protocol decisions wrong")
 	}
 }
@@ -36,10 +24,10 @@ func TestSizeThreshold(t *testing.T) {
 	var small, big features.Vector
 	small[0] = 6
 	big[0] = 7
-	if f.ShouldSchedule(small) {
+	if policy.Schedules(f, small) {
 		t.Error("block below threshold scheduled")
 	}
-	if !f.ShouldSchedule(big) {
+	if !policy.Schedules(f, big) {
 		t.Error("block at threshold not scheduled")
 	}
 	if f.Name() != "size>=7" {
@@ -93,23 +81,6 @@ func TestApplyFilterTimesThePass(t *testing.T) {
 	}
 }
 
-func TestDecideMatchesApply(t *testing.T) {
-	m := machine.Default().Model
-	p := genProgram(5, 16)
-	f := policy.SizeThreshold{MinLen: 20}
-	dec := Decide(p, f)
-	st := Apply(m, p.Clone(), f, Pass{})
-	yes := 0
-	for _, d := range dec {
-		if d {
-			yes++
-		}
-	}
-	if yes != st.Scheduled {
-		t.Errorf("Decide says %d blocks, Apply scheduled %d", yes, st.Scheduled)
-	}
-}
-
 func TestInducedFilterDelegatesToRules(t *testing.T) {
 	// One rule: bbLen >= 10 → schedule.
 	rs := &ripper.RuleSet{
@@ -120,7 +91,7 @@ func TestInducedFilterDelegatesToRules(t *testing.T) {
 	var small, big features.Vector
 	small[0] = 5
 	big[0] = 15
-	if f.ShouldSchedule(small) || !f.ShouldSchedule(big) {
+	if policy.Schedules(f, small) || !policy.Schedules(f, big) {
 		t.Error("induced filter does not follow its rules")
 	}
 	if f.Name() != "L/N" {

@@ -1,51 +1,36 @@
 package core
 
 import (
-	"time"
-
+	"schedfilter/internal/features"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/sched"
 )
 
-// SuperblockStats aggregates superblock scheduling over a program.
-type SuperblockStats struct {
-	Traces     int
-	Duplicated int
-	// TraceBlocks/LocalBlocks partition the original block population.
-	TraceBlocks int
-	LocalBlocks int
-	SchedTime   time.Duration
-}
-
 // ApplySuperblocks runs profile-guided superblock scheduling over the
-// whole program in place: per function, hot traces are formed from the
-// edge profile (exec and taken counts per block, as produced by a
-// functional simulator run), tail-duplicated, and scheduled as single
-// units; all remaining blocks are list-scheduled locally. This is the
-// "LS-superblock" protocol of the superblock experiment — the extension
-// the paper measured at 1-2% over local scheduling.
-func ApplySuperblocks(m *machine.Model, p *ir.Program, exec, taken [][]int64, opt sched.SuperblockOptions) SuperblockStats {
-	var st SuperblockStats
-	start := time.Now()
+// whole program in place. exec and taken are a functional simulator
+// run's per-function, per-block execution and taken-branch counts. Per
+// function, hot traces are formed from that edge profile and
+// tail-duplicated; the policy then decides each trace on the features of
+// its concatenated instructions, exactly as Apply decides a block. An
+// approved trace is scheduled as one superblock, a rejected one is
+// list-scheduled block by block, and every block outside a trace is
+// list-scheduled locally. policy.Always approves every trace without
+// extracting features: that is the "LS superblock" protocol, the
+// extension the paper measured at 1-2% over local scheduling.
+func ApplySuperblocks(m *machine.Model, p *ir.Program, exec, taken [][]int64, f policy.Policy) sched.SuperblockStats {
+	var decide func(features.Vector) bool
+	if _, always := f.(policy.Always); !always {
+		decide = func(v features.Vector) bool { return policy.Schedules(f, v) }
+	}
+	var st sched.SuperblockStats
 	for fi, fn := range p.Fns {
-		prof := make([]sched.BlockProfile, len(fn.Blocks))
-		if fi < len(exec) {
-			for bi := range prof {
-				if bi < len(exec[fi]) {
-					prof[bi].Exec = exec[fi][bi]
-				}
-				if fi < len(taken) && bi < len(taken[fi]) {
-					prof[bi].Taken = taken[fi][bi]
-				}
-			}
-		}
-		s := sched.ScheduleSuperblocks(m, fn, prof, opt, nil)
+		s := sched.ScheduleSuperblocks(m, fn, sched.Profile(exec[fi], taken[fi]), decide)
 		st.Traces += s.Traces
 		st.Duplicated += s.Duplicated
 		st.TraceBlocks += s.TraceBlocks
 		st.LocalBlocks += s.LocalBlocks
 	}
-	st.SchedTime = time.Since(start)
 	return st
 }

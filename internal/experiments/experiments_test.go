@@ -1,12 +1,23 @@
 package experiments
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"schedfilter/internal/machine"
+	"schedfilter/internal/training"
 	"schedfilter/internal/workloads"
 )
+
+// digest is the FNV-64a hash of s in hex: the byte-identity pin for
+// rendered experiment output and induced rule text.
+func digest(s string) string {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 func newRunner(t *testing.T) *Runner {
 	t.Helper()
@@ -259,7 +270,11 @@ func TestSuperblocksExperiment(t *testing.T) {
 	if res.GeoSuper > res.GeoLocal+0.01 {
 		t.Errorf("superblock scheduling lost to local: %.4f vs %.4f", res.GeoSuper, res.GeoLocal)
 	}
-	t.Logf("\n%s", res.Render("Superblock vs local (benefits suite)"))
+	out := res.Render("Superblock vs local (benefits suite)")
+	if got, want := digest(out), "3315e101c7e15a20"; got != want {
+		t.Errorf("Render digest %s, want %s", got, want)
+	}
+	t.Logf("\n%s", out)
 }
 
 func TestSuperblockFilterExperiment(t *testing.T) {
@@ -284,5 +299,32 @@ func TestSuperblockFilterExperiment(t *testing.T) {
 	if res.GeoFiltered > res.GeoLocal+0.01 {
 		t.Errorf("filtered superblocks (%.4f) worse than local (%.4f)", res.GeoFiltered, res.GeoLocal)
 	}
-	t.Logf("\n%s", res.Render("Superblock filter (benefits suite, t=0)"))
+	out := res.Render("Superblock filter (benefits suite, t=0)")
+	if got, want := digest(out), "ff0ddbb40f7d7739"; got != want {
+		t.Errorf("Render digest %s, want %s", got, want)
+	}
+	t.Logf("\n%s", out)
+
+	// The leave-one-out trace filters' rule text, pinned per benchmark.
+	ws := workloads.Suite2()
+	data := make([]*training.BenchData, len(ws))
+	for i := range ws {
+		if data[i], err = training.CollectSuperblockData(&ws[i], r.cfg.Model, r.cfg.CompileOpts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantRules := map[string]string{
+		"linpack": "337ef3ec2829dee3",
+		"power":   "ac442d3c4756915b",
+		"bh":      "5d0707c23c85364a",
+		"voronoi": "895c006bc0fa16f6",
+		"aes":     "8a4019f294648749",
+		"scimark": "8b7871346cdb57d6",
+	}
+	for _, td := range data {
+		f := training.LeaveOneOut(data, td.Name, 0, r.cfg.RipperOpts)
+		if got, want := digest(f.Rules.Format()), wantRules[td.Name]; got != want {
+			t.Errorf("%s: leave-one-out rules digest %s, want %s", td.Name, got, want)
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"schedfilter/internal/core"
-	"schedfilter/internal/features"
 	"schedfilter/internal/par"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/sched"
@@ -13,9 +12,6 @@ import (
 	"schedfilter/internal/training"
 	"schedfilter/internal/workloads"
 )
-
-// featuresVector aliases the feature vector for the decide callbacks.
-type featuresVector = features.Vector
 
 // The superblock experiment quantifies the paper's deferred extension:
 // "We have investigated superblock scheduling in our compiler setting,
@@ -65,25 +61,14 @@ func (r *Runner) Superblocks(s workloads.Suite) (*SuperblockResult, error) {
 		if err != nil {
 			return err
 		}
-
-		// Superblock protocol: profile the unscheduled program, form
-		// and schedule superblocks, then time the result.
-		prog := bd.Prog.Clone()
-		profRun, err := sim.Run(prog, sim.Config{})
+		super, st, err := r.superblockTime(bd, policy.Always{})
 		if err != nil {
-			return fmt.Errorf("%s: profiling: %w", bd.Name, err)
+			return err
 		}
-		st := core.ApplySuperblocks(r.cfg.Model, prog, profRun.ExecCounts, profRun.TakenCounts,
-			sched.DefaultSuperblockOptions())
 		traces[i] = st.Traces
 		duplicated[i] = st.Duplicated
-		timed, err := sim.Run(prog, sim.Config{Timed: true, Model: r.cfg.Model})
-		if err != nil {
-			return fmt.Errorf("%s: timed superblock run: %w", bd.Name, err)
-		}
-
 		res.LocalRel[i] = float64(ls) / float64(ns)
-		res.SuperRel[i] = float64(timed.Cycles) / float64(ns)
+		res.SuperRel[i] = float64(super) / float64(ns)
 		return nil
 	})
 	if err != nil {
@@ -135,25 +120,12 @@ type SuperblockFilterResult struct {
 	GeoLocal, GeoSuper, GeoFiltered float64
 }
 
-// SuperblockFilter runs the trace-level learning procedure over a suite.
+// SuperblockFilter runs the paper's block procedure over superblock
+// traces: the traces become training instances, a leave-one-out filter
+// is induced per benchmark, and the filtered superblock pass is timed
+// beside the "LS local" and "SB all" rows of Superblocks.
 func (r *Runner) SuperblockFilter(s workloads.Suite) (*SuperblockFilterResult, error) {
-	var ws []workloads.Workload
-	if s == workloads.SuiteFP {
-		ws = workloads.Suite2()
-	} else {
-		ws = workloads.Suite1()
-	}
-	// Trace collection compiles and profiles each workload independently —
-	// fan it out like CollectAllJobs does for block data.
-	traceData := make([]*training.TraceData, len(ws))
-	err := par.DoErr(r.cfg.Jobs, len(ws), func(i int) error {
-		td, err := training.CollectSuperblockData(&ws[i], r.cfg.Model, r.cfg.CompileOpts)
-		if err != nil {
-			return err
-		}
-		traceData[i] = td
-		return nil
-	})
+	sb, err := r.Superblocks(s)
 	if err != nil {
 		return nil, err
 	}
@@ -161,85 +133,70 @@ func (r *Runner) SuperblockFilter(s workloads.Suite) (*SuperblockFilterResult, e
 	if err != nil {
 		return nil, err
 	}
+	// Trace collection compiles and profiles each workload independently —
+	// fan it out like CollectAllJobs does for block data.
+	traceData := make([]*training.BenchData, len(data))
+	err = par.DoErr(r.cfg.Jobs, len(data), func(i int) error {
+		td, err := training.CollectSuperblockData(workloads.ByName(data[i].Name), r.cfg.Model, r.cfg.CompileOpts)
+		traceData[i] = td
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	res := &SuperblockFilterResult{
-		ErrPct:      make([]float64, len(traceData)),
-		LocalRel:    make([]float64, len(traceData)),
-		SuperRel:    make([]float64, len(traceData)),
-		FilteredRel: make([]float64, len(traceData)),
+		Benchmarks:  sb.Benchmarks,
+		ErrPct:      make([]float64, len(data)),
+		LocalRel:    sb.LocalRel,
+		SuperRel:    sb.SuperRel,
+		FilteredRel: make([]float64, len(data)),
+		GeoLocal:    sb.GeoLocal,
+		GeoSuper:    sb.GeoSuper,
 	}
 	for _, td := range traceData {
-		res.Benchmarks = append(res.Benchmarks, td.Name)
 		res.Traces += len(td.Records)
-		for j := range td.Records {
-			if training.TraceLabelOf(&td.Records[j], 0) == +1 {
-				res.Positive++
-			}
-		}
+		ls, _ := training.LabelCounts(td.Records, 0)
+		res.Positive += ls
 	}
-	// Per-benchmark evaluation: trace leave-one-out induction plus three
-	// timed simulations, all deterministic, all slot-indexed.
-	err = par.DoErr(r.cfg.Jobs, len(traceData), func(i int) error {
-		td := traceData[i]
-		f := training.TraceLeaveOneOut(traceData, td.Name, 0, r.cfg.RipperOpts)
-		res.ErrPct[i] = 100 * training.TraceErrorRate(f, td, 0)
-
-		bd := data[i]
-		ns, err := r.AppTime(bd, policy.Never{})
+	// Per-benchmark evaluation: leave-one-out induction plus one timed
+	// simulation, all deterministic, all slot-indexed.
+	err = par.DoErr(r.cfg.Jobs, len(data), func(i int) error {
+		f := training.LeaveOneOut(traceData, traceData[i].Name, 0, r.cfg.RipperOpts)
+		res.ErrPct[i] = 100 * training.ErrorRate(f, traceData[i], 0)
+		ns, err := r.AppTime(data[i], policy.Never{})
 		if err != nil {
 			return err
 		}
-		ls, err := r.AppTime(bd, policy.Always{})
+		filtered, _, err := r.superblockTime(data[i], f)
 		if err != nil {
 			return err
 		}
-
-		super, err := r.superblockCycles(bd, nil)
-		if err != nil {
-			return err
-		}
-		filtered, err := r.superblockCycles(bd, f.ShouldSchedule)
-		if err != nil {
-			return err
-		}
-		res.LocalRel[i] = float64(ls) / float64(ns)
-		res.SuperRel[i] = float64(super) / float64(ns)
 		res.FilteredRel[i] = float64(filtered) / float64(ns)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.GeoLocal = Geomean(res.LocalRel)
-	res.GeoSuper = Geomean(res.SuperRel)
 	res.GeoFiltered = Geomean(res.FilteredRel)
 	return res, nil
 }
 
-// superblockCycles times the benchmark under (possibly filtered)
-// superblock scheduling; rejected traces and cold blocks are scheduled
-// locally, so this always includes full local LS as a baseline component.
-func (r *Runner) superblockCycles(bd *training.BenchData, decide func(v featuresVector) bool) (int64, error) {
+// superblockTime profiles a clone of the benchmark, runs the
+// policy-gated superblock pass over it and returns its timed cycles.
+// Traces the policy rejects and cold blocks are scheduled locally.
+func (r *Runner) superblockTime(bd *training.BenchData, f policy.Policy) (int64, sched.SuperblockStats, error) {
 	prog := bd.Prog.Clone()
 	profRun, err := sim.Run(prog, sim.Config{})
 	if err != nil {
-		return 0, err
+		return 0, sched.SuperblockStats{}, fmt.Errorf("%s: profiling: %w", bd.Name, err)
 	}
-	for fi, fn := range prog.Fns {
-		prof := make([]sched.BlockProfile, len(fn.Blocks))
-		for bi := range prof {
-			prof[bi] = sched.BlockProfile{
-				Exec:  profRun.ExecCounts[fi][bi],
-				Taken: profRun.TakenCounts[fi][bi],
-			}
-		}
-		sched.ScheduleSuperblocks(r.cfg.Model, fn, prof, sched.DefaultSuperblockOptions(), decide)
-	}
+	st := core.ApplySuperblocks(r.cfg.Model, prog, profRun.ExecCounts, profRun.TakenCounts, f)
 	timed, err := sim.Run(prog, sim.Config{Timed: true, Model: r.cfg.Model})
 	if err != nil {
-		return 0, err
+		return 0, sched.SuperblockStats{}, fmt.Errorf("%s: timed superblock run: %w", bd.Name, err)
 	}
-	return timed.Cycles, nil
+	return timed.Cycles, st, nil
 }
 
 // Render formats the superblock-filter experiment.

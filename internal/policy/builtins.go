@@ -18,10 +18,6 @@ func (Always) Name() string { return "LS" }
 // Decide implements Policy.
 func (Always) Decide(features.Vector) (bool, float64) { return true, 1 }
 
-// ShouldSchedule is the historical filter-interface form, kept for
-// convenience at call sites that hold the concrete type.
-func (Always) ShouldSchedule(features.Vector) bool { return true }
-
 // Provenance implements Policy.
 func (Always) Provenance() Provenance {
 	return Provenance{Kind: KindAlways, Detail: "schedule every block"}
@@ -35,9 +31,6 @@ func (Never) Name() string { return "NS" }
 
 // Decide implements Policy.
 func (Never) Decide(features.Vector) (bool, float64) { return false, 1 }
-
-// ShouldSchedule is the historical filter-interface form.
-func (Never) ShouldSchedule(features.Vector) bool { return false }
 
 // Provenance implements Policy.
 func (Never) Provenance() Provenance {
@@ -64,11 +57,6 @@ func (f SizeThreshold) Decide(v features.Vector) (bool, float64) {
 		d = -d
 	}
 	return v.BBLen() >= f.MinLen, d / (d + 1)
-}
-
-// ShouldSchedule is the historical filter-interface form.
-func (f SizeThreshold) ShouldSchedule(v features.Vector) bool {
-	return v.BBLen() >= f.MinLen
 }
 
 // Provenance implements Policy.
@@ -168,12 +156,6 @@ func (f *CostThreshold) Decide(v features.Vector) (bool, float64) {
 		d = -d
 	}
 	return est >= float64(f.MinCycles), d / (d + 1)
-}
-
-// ShouldSchedule is the historical filter-interface form.
-func (f *CostThreshold) ShouldSchedule(v features.Vector) bool {
-	s, _ := f.Decide(v)
-	return s
 }
 
 // Provenance implements Policy.

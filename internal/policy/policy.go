@@ -11,11 +11,12 @@
 // learned models) drop in beside the induced filter instead of
 // replacing it.
 //
-// The induced Ripper filter lives here too (moved from internal/core;
-// core re-exports it by alias) and behaves bit-identically: Decide
-// evaluates the same first-covering-rule semantics as
-// ripper.RuleSet.Predict, and ID reproduces the historical FilterID
-// format exactly, so every pre-existing cache fingerprint is preserved.
+// The induced Ripper filter lives here too (moved from internal/core)
+// and behaves bit-identically: Decide evaluates the same
+// first-covering-rule semantics as ripper.RuleSet.Predict, and ID
+// reproduces the historical FilterID format exactly, so every
+// pre-existing cache fingerprint is preserved. Schedules is the one
+// boolean form of a decision.
 package policy
 
 import "schedfilter/internal/features"

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"schedfilter/internal/blockgen"
+	"schedfilter/internal/codecache"
 	"schedfilter/internal/features"
+	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/ripper"
 )
@@ -84,6 +87,9 @@ func TestIDRicherPolicies(t *testing.T) {
 // Two induced versions with the same label but different rules must
 // fingerprint differently (hot-swap staleness), and identical rules
 // must fingerprint identically regardless of label-independent headers.
+// This is the cache-key regression the identity exists to prevent:
+// under a name-only context the two versions' program fingerprints
+// collided, and a swap could serve stale per-program decisions.
 func TestIDDistinguishesRetrainedVersions(t *testing.T) {
 	a := NewInduced(testRules(), "online v2")
 	rules2 := testRules()
@@ -92,9 +98,37 @@ func TestIDDistinguishesRetrainedVersions(t *testing.T) {
 	if ID(a) == ID(b) {
 		t.Fatalf("different rules, same ID %q", ID(a))
 	}
+	if !strings.Contains(ID(a), a.RuleHash()) {
+		t.Fatalf("ID %q does not embed the rule hash %q", ID(a), a.RuleHash())
+	}
+	r := rand.New(rand.NewSource(11))
+	fn := &ir.Fn{Name: "f"}
+	for i := 0; i < 6; i++ {
+		fn.Blocks = append(fn.Blocks, blockgen.GenBlock(r, blockgen.DefaultConfig, i))
+	}
+	prog := &ir.Program{Fns: []*ir.Fn{fn}}
+	if codecache.ProgramKey("mpc7410", ID(a), prog) == codecache.ProgramKey("mpc7410", ID(b), prog) {
+		t.Fatal("program fingerprints collide across filter versions")
+	}
+
 	c := NewInducedFor(testRules(), "online v2", "wide4")
 	if ID(a) != ID(c) {
 		t.Fatalf("same rules, different IDs %q vs %q", ID(a), ID(c))
+	}
+	back, err := ParseInduced(FormatInduced(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ID(back) != ID(a) {
+		t.Fatal("round-tripped filter changed identity")
+	}
+	// Relabelled identical rules keep the rule hash but not the ID.
+	d := NewInduced(testRules(), "online v3")
+	if d.RuleHash() != a.RuleHash() {
+		t.Fatal("relabelling identical rules changed the rule hash")
+	}
+	if ID(d) == ID(a) {
+		t.Fatal("distinct labels must still yield distinct IDs")
 	}
 }
 
@@ -114,9 +148,6 @@ func TestInducedDecideMatchesPredict(t *testing.T) {
 		got, conf := f.Decide(v)
 		if got != want {
 			t.Fatalf("vector %v: Decide=%v Predict=%v", v, got, want)
-		}
-		if got != f.ShouldSchedule(v) {
-			t.Fatalf("vector %v: Decide and ShouldSchedule disagree", v)
 		}
 		if conf < 0 || conf > 1 {
 			t.Fatalf("confidence %v out of [0,1]", conf)
@@ -163,6 +194,9 @@ func TestRuleHashExcludesHeaders(t *testing.T) {
 	}
 	if back.Label != f.Label || back.Target != f.Target {
 		t.Errorf("round-trip lost provenance: %+v", back)
+	}
+	if back.Rules.Format() != f.Rules.Format() {
+		t.Error("rule text did not round-trip")
 	}
 	if back.RuleHash() != f.RuleHash() {
 		t.Errorf("round-trip changed hash %s -> %s", f.RuleHash(), back.RuleHash())
@@ -404,8 +438,31 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// Schedules is the one boolean form of a decision: the fixed protocols,
+// a size threshold at its boundary and an induced filter following its
+// single rule (bbLen >= 10), each under its name.
 func TestSchedules(t *testing.T) {
-	if !Schedules(Always{}, vec(1)) || Schedules(Never{}, vec(100)) {
-		t.Error("Schedules projection broken")
+	bigRule := &ripper.RuleSet{
+		Names: features.Names[:],
+		Rules: []ripper.Rule{{Conds: []ripper.Condition{{Attr: 0, LE: false, Val: 10}}}},
+	}
+	cases := []struct {
+		p          Policy
+		name       string
+		small, big features.Vector
+		want       [2]bool // decisions on small, big
+	}{
+		{Always{}, "LS", vec(1), vec(100), [2]bool{true, true}},
+		{Never{}, "NS", vec(1), vec(100), [2]bool{false, false}},
+		{SizeThreshold{MinLen: 7}, "size>=7", vec(6), vec(7), [2]bool{false, true}},
+		{NewInduced(bigRule, ""), "L/N", vec(5), vec(15), [2]bool{false, true}},
+	}
+	for _, c := range cases {
+		if c.p.Name() != c.name {
+			t.Errorf("name = %q, want %q", c.p.Name(), c.name)
+		}
+		if got := [2]bool{Schedules(c.p, c.small), Schedules(c.p, c.big)}; got != c.want {
+			t.Errorf("%s: decisions %v, want %v", c.name, got, c.want)
+		}
 	}
 }

@@ -57,12 +57,6 @@ func (f *Portfolio) Decide(v features.Vector) (bool, float64) {
 	return bestSched, bestConf
 }
 
-// ShouldSchedule is the historical filter-interface form.
-func (f *Portfolio) ShouldSchedule(v features.Vector) bool {
-	s, _ := f.Decide(v)
-	return s
-}
-
 // Provenance implements Policy. Target is the first member target seen,
 // as the portfolio itself is target-agnostic.
 func (f *Portfolio) Provenance() Provenance {

@@ -10,8 +10,8 @@ import (
 
 // Induced is the paper's L/N filter: a Ripper rule set over block
 // features choosing between list scheduling ("list") and not scheduling
-// ("orig"). Moved here from internal/core (which aliases it) with
-// bit-identical decisions and cache identity.
+// ("orig"). Moved here from internal/core with bit-identical decisions
+// and cache identity.
 type Induced struct {
 	Rules *ripper.RuleSet
 	// Label identifies the filter (e.g. "L/N t=20") in reports.
@@ -45,7 +45,7 @@ func (f *Induced) Name() string { return f.Label }
 // Decide implements Policy: the same first-covering-rule semantics as
 // ripper.RuleSet.Predict, with the covering rule's Laplace-corrected
 // training accuracy as the confidence (the default rule's counts when
-// nothing covers). Decisions are bit-identical to ShouldSchedule.
+// nothing covers).
 func (f *Induced) Decide(v features.Vector) (bool, float64) {
 	x := v.Slice()
 	for i := range f.Rules.Rules {
@@ -55,11 +55,6 @@ func (f *Induced) Decide(v features.Vector) (bool, float64) {
 		}
 	}
 	return false, laplace(f.Rules.DefaultTP, f.Rules.DefaultFP)
-}
-
-// ShouldSchedule is the historical filter-interface form.
-func (f *Induced) ShouldSchedule(v features.Vector) bool {
-	return f.Rules.Predict(v.Slice())
 }
 
 // Provenance implements Policy.

@@ -22,21 +22,25 @@ type BlockProfile struct {
 	Taken int64
 }
 
-// SuperblockOptions tune trace formation.
-type SuperblockOptions struct {
-	// MinExec ignores blocks colder than this as trace seeds.
-	MinExec int64
-	// Bias is the minimum probability for following an edge (0..1).
-	Bias float64
-	// MaxBlocks caps trace length.
-	MaxBlocks int
+// Profile pairs one function's per-block execution and taken-branch
+// counts, as a functional simulator run reports them, into the edge
+// profile trace formation reads.
+func Profile(exec, taken []int64) []BlockProfile {
+	prof := make([]BlockProfile, len(exec))
+	for i := range prof {
+		prof[i] = BlockProfile{Exec: exec[i], Taken: taken[i]}
+	}
+	return prof
 }
 
-// DefaultSuperblockOptions follow the classical settings: extend along
-// edges taken at least ~70% of the time, traces of up to 8 blocks.
-func DefaultSuperblockOptions() SuperblockOptions {
-	return SuperblockOptions{MinExec: 1, Bias: 0.7, MaxBlocks: 8}
-}
+// Trace formation follows the classical settings: seed at any block that
+// executed, extend along edges taken at least 70% of the time, and stop
+// at 8 blocks.
+const (
+	traceMinExec   = 1
+	traceBias      = 0.7
+	traceMaxBlocks = 8
+)
 
 // succEdges returns the block's successor edges with their profiled
 // frequencies.
@@ -69,9 +73,10 @@ func succEdges(b *ir.Block, p BlockProfile) []struct {
 
 // FormTraces grows hot traces greedily: seed at the hottest unvisited
 // block, extend along the most frequent edge while the edge is both
-// likely (>= Bias of the source's executions) and dominant for its target
-// (>= half the target's entries), never revisiting a block.
-func FormTraces(fn *ir.Fn, prof []BlockProfile, opt SuperblockOptions) [][]int {
+// likely (>= traceBias of the source's executions) and dominant for its
+// target (>= half the target's entries), never revisiting a block. Only
+// traces of two or more blocks are returned.
+func FormTraces(fn *ir.Fn, prof []BlockProfile) [][]int {
 	n := len(fn.Blocks)
 	if len(prof) != n {
 		return nil
@@ -90,13 +95,13 @@ func FormTraces(fn *ir.Fn, prof []BlockProfile, opt SuperblockOptions) [][]int {
 	visited := make([]bool, n)
 	var traces [][]int
 	for _, seed := range order {
-		if visited[seed] || prof[seed].Exec < opt.MinExec {
+		if visited[seed] || prof[seed].Exec < traceMinExec {
 			continue
 		}
 		trace := []int{seed}
 		visited[seed] = true
 		cur := seed
-		for len(trace) < opt.MaxBlocks {
+		for len(trace) < traceMaxBlocks {
 			var best, bestFreq = -1, int64(0)
 			for _, e := range succEdges(fn.Blocks[cur], prof[cur]) {
 				if e.Freq > bestFreq {
@@ -106,7 +111,7 @@ func FormTraces(fn *ir.Fn, prof []BlockProfile, opt SuperblockOptions) [][]int {
 			if best < 0 || visited[best] || bestFreq <= 0 {
 				break
 			}
-			if float64(bestFreq) < opt.Bias*float64(prof[cur].Exec) {
+			if float64(bestFreq) < traceBias*float64(prof[cur].Exec) {
 				break
 			}
 			if prof[best].Exec > 0 && float64(bestFreq) < 0.5*float64(prof[best].Exec) {
@@ -222,21 +227,34 @@ func isPinned(op ir.Op) bool {
 	return op.IsBranchOp() || op.IsMemOp() || op.IsHazard() || op == ir.NOP
 }
 
-// buildSuperblockDAG extends the local dependence DAG over the
-// concatenated trace with control constraints for internal branches:
-// pinned instructions never cross a branch, and pure computation may
-// cross only if its results are dead on that branch's off-trace path.
-func buildSuperblockDAG(m *machine.Model, instrs []ir.Instr, branchPos []int, exitLive []RegSet) *DAG {
+// buildSuperblockDAG concatenates the trace and extends the local
+// dependence DAG over it with control constraints for the internal
+// branches: pinned instructions never cross a branch, and pure
+// computation may cross only if its results are dead on that branch's
+// off-trace path. It returns the concatenation, the DAG and the internal
+// branches' positions in the concatenation.
+func buildSuperblockDAG(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet) ([]ir.Instr, *DAG, []int) {
+	instrs := concatTrace(fn, trace)
 	d := BuildDAG(m, instrs)
-	prev := -1
-	for k, p := range branchPos {
+	branchPos := make([]int, 0, len(trace)-1)
+	end := 0
+	for k, bi := range trace[:len(trace)-1] {
+		b := fn.Blocks[bi]
+		end += len(b.Instrs)
+		p := end - 1
 		// Branches stay in order.
-		if prev >= 0 {
-			d.addEdge(prev, p, 0)
+		if k > 0 {
+			d.addEdge(branchPos[k-1], p, 0)
 		}
-		prev = p
+		branchPos = append(branchPos, p)
 
-		live := exitLive[k]
+		// The registers live on this branch's off-trace exit.
+		var live RegSet
+		for _, s := range b.Succs {
+			if s != trace[k+1] {
+				live.Union(liveIn[s])
+			}
+		}
 		defsLive := func(i int) bool {
 			for _, def := range instrs[i].Defs {
 				if live.Has(def) {
@@ -263,7 +281,7 @@ func buildSuperblockDAG(m *machine.Model, instrs []ir.Instr, branchPos []int, ex
 			}
 		}
 	}
-	return d
+	return instrs, d, branchPos
 }
 
 // SuperblockStats reports what superblock scheduling did to one function.
@@ -289,9 +307,9 @@ type SuperblockStats struct {
 // formation is needed to compute the features, exactly as block
 // filtering still pays for feature extraction). A nil decide accepts
 // every trace.
-func ScheduleSuperblocks(m *machine.Model, fn *ir.Fn, prof []BlockProfile, opt SuperblockOptions, decide func(features.Vector) bool) SuperblockStats {
+func ScheduleSuperblocks(m *machine.Model, fn *ir.Fn, prof []BlockProfile, decide func(features.Vector) bool) SuperblockStats {
 	var st SuperblockStats
-	traces := FormTraces(fn, prof, opt)
+	traces := FormTraces(fn, prof)
 	st.Traces = len(traces)
 
 	inTrace := map[int]bool{}
@@ -308,11 +326,7 @@ func ScheduleSuperblocks(m *machine.Model, fn *ir.Fn, prof []BlockProfile, opt S
 
 	for _, tr := range traces {
 		if decide != nil {
-			var concat []ir.Instr
-			for _, bi := range tr {
-				concat = append(concat, fn.Blocks[bi].Instrs...)
-			}
-			if !decide(features.Extract(concat)) {
+			if !decide(features.Extract(concatTrace(fn, tr))) {
 				for _, bi := range tr {
 					ScheduleBlock(m, fn.Blocks[bi], nil, s)
 				}
@@ -332,33 +346,19 @@ func ScheduleSuperblocks(m *machine.Model, fn *ir.Fn, prof []BlockProfile, opt S
 	return st
 }
 
-// scheduleTrace schedules one superblock: concatenate, build the relaxed
-// DAG, run CPS, and re-split at the (order-preserved) branches.
-func scheduleTrace(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet, s *Scratch) {
+// concatTrace is the trace's instructions in trace order.
+func concatTrace(fn *ir.Fn, trace []int) []ir.Instr {
 	var instrs []ir.Instr
-	var branchPos []int
-	var exitLive []RegSet
-	for k, bi := range trace {
-		b := fn.Blocks[bi]
-		for i := range b.Instrs {
-			in := b.Instrs[i]
-			instrs = append(instrs, in)
-		}
-		term := len(instrs) - 1
-		if k < len(trace)-1 {
-			branchPos = append(branchPos, term)
-			// The off-trace exit of this block's terminator.
-			var live RegSet
-			for _, s := range b.Succs {
-				if s != trace[k+1] {
-					live.Union(liveIn[s])
-				}
-			}
-			exitLive = append(exitLive, live)
-		}
+	for _, bi := range trace {
+		instrs = append(instrs, fn.Blocks[bi].Instrs...)
 	}
+	return instrs
+}
 
-	dag := buildSuperblockDAG(m, instrs, branchPos, exitLive)
+// scheduleTrace schedules one superblock: build the relaxed DAG over the
+// concatenation, run CPS, and re-split at the (order-preserved) branches.
+func scheduleTrace(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet, s *Scratch) {
+	instrs, dag, branchPos := buildSuperblockDAG(m, fn, trace, liveIn)
 	res := scheduleDAG(m, instrs, dag, s)
 	scheduled := res.Apply(instrs)
 
@@ -391,27 +391,13 @@ type TraceMeasurement struct {
 func MeasureTrace(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet) TraceMeasurement {
 	s := GetScratch()
 	defer PutScratch(s)
-	var concat []ir.Instr
 	var local []ir.Instr
-	var branchPos []int
-	var exitLive []RegSet
-	for k, bi := range trace {
+	for _, bi := range trace {
 		b := fn.Blocks[bi]
-		concat = append(concat, b.Instrs...)
 		res := ScheduleInstrsScratch(m, b.Instrs, s)
 		local = append(local, res.Apply(b.Instrs)...)
-		if k < len(trace)-1 {
-			branchPos = append(branchPos, len(concat)-1)
-			var live RegSet
-			for _, s := range b.Succs {
-				if s != trace[k+1] {
-					live.Union(liveIn[s])
-				}
-			}
-			exitLive = append(exitLive, live)
-		}
 	}
-	dag := buildSuperblockDAG(m, concat, branchPos, exitLive)
+	concat, dag, _ := buildSuperblockDAG(m, fn, trace, liveIn)
 	super := scheduleDAG(m, concat, dag, s)
 	return TraceMeasurement{
 		Feat:      features.Extract(concat),

@@ -46,7 +46,7 @@ func diamondProfile() []BlockProfile {
 
 func TestFormTracesFollowsHotPath(t *testing.T) {
 	fn := diamond()
-	traces := FormTraces(fn, diamondProfile(), DefaultSuperblockOptions())
+	traces := FormTraces(fn, diamondProfile())
 	if len(traces) == 0 {
 		t.Fatal("no traces formed")
 	}
@@ -67,7 +67,7 @@ func TestFormTracesRespectsBias(t *testing.T) {
 	prof[0].Taken = 45 // 55/45 split: below the 0.7 bias
 	prof[1].Exec = 55
 	prof[2].Exec = 45
-	traces := FormTraces(fn, prof, DefaultSuperblockOptions())
+	traces := FormTraces(fn, prof)
 	for _, tr := range traces {
 		if tr[0] == 0 && len(tr) > 1 {
 			t.Errorf("trace %v extended through a 55/45 branch", tr)
@@ -75,17 +75,29 @@ func TestFormTracesRespectsBias(t *testing.T) {
 	}
 }
 
+// Formation never revisits a block, and keeps only traces of two or
+// more blocks: the cold block 2 seeds a trace that cannot grow, since
+// its only successor is already in the hot trace.
 func TestFormTracesStopsAtVisited(t *testing.T) {
 	fn := diamond()
-	traces := FormTraces(fn, diamondProfile(), DefaultSuperblockOptions())
+	traces := FormTraces(fn, diamondProfile())
+	if len(traces) == 0 {
+		t.Fatal("no traces formed")
+	}
 	seen := map[int]bool{}
 	for _, tr := range traces {
+		if len(tr) < 2 {
+			t.Errorf("trace %v has %d blocks, want >= 2", tr, len(tr))
+		}
 		for _, b := range tr {
 			if seen[b] {
 				t.Fatalf("block %d appears in two traces", b)
 			}
 			seen[b] = true
 		}
+	}
+	if seen[2] {
+		t.Error("cold block 2 kept as a one-block trace")
 	}
 }
 
@@ -201,7 +213,7 @@ func TestSuperblockSchedulingMovesOnlySafeCode(t *testing.T) {
 
 func TestScheduleSuperblocksEndToEnd(t *testing.T) {
 	fn := diamond()
-	st := ScheduleSuperblocks(model(), fn, diamondProfile(), DefaultSuperblockOptions(), nil)
+	st := ScheduleSuperblocks(model(), fn, diamondProfile(), nil)
 	if st.Traces == 0 {
 		t.Fatal("no traces formed on the diamond")
 	}

@@ -45,18 +45,10 @@ type ProgramInput struct {
 	Policy string `json:"policy,omitempty"`
 }
 
-// FilterSpec carries a request's inline model and the historical policy
-// selector.
+// FilterSpec carries a request's inline model.
 type FilterSpec struct {
-	// Filter is read only when ProgramInput.Policy is empty, with the
-	// same meaning.
-	//
-	// Deprecated: set ProgramInput.Policy. Requests that carry only
-	// "filter" are still decoded and served for one release; responses
-	// report the serving policy under "policy".
-	Filter string `json:"filter,omitempty"`
 	// Model is inline model text (schedfilter.FormatFilter format); it
-	// overrides Filter and ProgramInput.Policy when set.
+	// overrides ProgramInput.Policy when set.
 	Model string `json:"model,omitempty"`
 }
 

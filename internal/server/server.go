@@ -21,6 +21,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -443,21 +444,17 @@ func programKey(tr *obs.Trace, mt *machineTarget, policyID string, prog *schedfi
 }
 
 // resolvePolicy picks the request's scheduling policy for a machine
-// target: inline model text first, then ProgramInput.Policy, then the
-// deprecated FilterSpec.Filter — the latter two share the policy spec
-// mini-language, with "default"/empty meaning the server's configured
-// (or online-active) policy. The returned version is non-zero only when
-// the policy came from the online registry's active slot — the number
-// hot-swaps change and loadgen tallies.
+// target: inline model text first, then ProgramInput.Policy in the
+// policy spec mini-language, with "default"/empty meaning the server's
+// configured (or online-active) policy. The returned version is non-zero
+// only when the policy came from the online registry's active slot — the
+// number hot-swaps change and loadgen tallies.
 func (s *Server) resolvePolicy(policySpec string, spec FilterSpec, mt *machineTarget) (schedfilter.Policy, int, error) {
 	if spec.Model != "" {
 		f, err := schedfilter.ParsePolicy(spec.Model, mt.name)
 		return f, 0, err
 	}
 	name := strings.TrimSpace(policySpec)
-	if name == "" {
-		name = strings.TrimSpace(spec.Filter)
-	}
 	if name == "" || strings.EqualFold(name, "default") {
 		if s.online != nil {
 			f, version := s.online.ActiveFilter(mt.name)
@@ -481,10 +478,29 @@ func (s *Server) observe(mt *machineTarget, prog *schedfilter.Program) {
 	}
 }
 
+// decodeRequest decodes a compile-path request body into req. Fields
+// the request type does not declare — such as the retired "filter"
+// selector — are refused by name instead of silently ignored, so a
+// stale client never gets the default policy without notice.
+func decodeRequest(body []byte, req any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err == nil {
+		if _, tokErr := dec.Token(); tokErr != io.EOF {
+			err = errors.New("trailing data after the request object")
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("bad request: %w", err)
+	}
+	return nil
+}
+
 func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
 	var req CompileRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request: %w", err)
+	if err := decodeRequest(body, &req); err != nil {
+		return nil, err
 	}
 	// compile needs no machine, but an unknown target is still a bad
 	// request — catch it here rather than on the follow-up schedule.
@@ -543,8 +559,8 @@ func recordSchedPhases(tr *obs.Trace, st schedfilter.ScheduleStats) {
 
 func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 	var req ScheduleRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request: %w", err)
+	if err := decodeRequest(body, &req); err != nil {
+		return nil, err
 	}
 	mt, err := s.resolveTarget(req.Target)
 	if err != nil {
@@ -608,8 +624,8 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 
 func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 	var req PredictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request: %w", err)
+	if err := decodeRequest(body, &req); err != nil {
+		return nil, err
 	}
 	// Prediction reads only target-independent features, but the target
 	// still selects which online filter version serves "default" (and an
@@ -656,8 +672,8 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 
 func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	var req ExecuteRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("bad request: %w", err)
+	if err := decodeRequest(body, &req); err != nil {
+		return nil, err
 	}
 	mt, err := s.resolveTarget(req.Target)
 	if err != nil {

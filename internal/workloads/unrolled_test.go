@@ -9,7 +9,6 @@ import (
 	"schedfilter/internal/jolt"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/policy"
-	"schedfilter/internal/sched"
 	"schedfilter/internal/sim"
 )
 
@@ -101,8 +100,7 @@ func TestWorkloadsSuperblockDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := core.ApplySuperblocks(model, prog, profRun.ExecCounts, profRun.TakenCounts,
-				sched.DefaultSuperblockOptions())
+			st := core.ApplySuperblocks(model, prog, profRun.ExecCounts, profRun.TakenCounts, policy.Always{})
 			if st.Traces == 0 {
 				t.Errorf("no superblocks formed on %s", w.Name)
 			}

@@ -115,7 +115,7 @@ func TestRuleSetRoundTripThroughFacade(t *testing.T) {
 	if i := featureIndex("floats"); i > 0 {
 		big[i] = 0.5
 	}
-	if !f.ShouldSchedule(big) {
+	if !Schedules(f, big) {
 		t.Error("matching vector rejected")
 	}
 }

@@ -26,6 +26,16 @@ trap cleanup EXIT
 
 fail() { echo "smoke: FAIL: $*" >&2; exit 1; }
 
+# A schedule request carrying only the retired "filter" selector must get
+# a 400 that names the field, not the default policy.
+expect_filter_rejected() {
+  local code
+  code=$(curl -s -o "$TMP/filter.json" -w '%{http_code}' -H 'Content-Type: application/json' \
+    -d '{"workload":"compress","filter":"LS"}' "$1/v1/schedule")
+  [ "$code" = 400 ] && grep -q 'unknown field \\"filter\\"' "$TMP/filter.json" \
+    || fail "filter-only request to $1: HTTP $code: $(cat "$TMP/filter.json")"
+}
+
 echo "smoke: building schedserved + schedctl"
 go build -o "$TMP/schedserved" ./cmd/schedserved
 go build -o "$TMP/schedctl" ./cmd/schedctl
@@ -100,9 +110,12 @@ fi
 grep -q 'unknown target' "$TMP/r4.err" \
   || fail "unknown-target rejection lacks a useful error: $(cat "$TMP/r4.err")"
 
+echo "smoke: the retired filter field is rejected"
+expect_filter_rejected "$BASE"
+
 echo "smoke: joltrun on the scalar1 target"
-go run ./cmd/joltrun -workload linpack -sched ls -timed -target scalar1 >"$TMP/jolt_scalar1.txt"
-go run ./cmd/joltrun -workload linpack -sched ls -timed >"$TMP/jolt_default.txt"
+go run ./cmd/joltrun -workload linpack -policy ls -timed -target scalar1 >"$TMP/jolt_scalar1.txt"
+go run ./cmd/joltrun -workload linpack -policy ls -timed >"$TMP/jolt_default.txt"
 ret_s1=$(grep -o 'ret=[0-9-]*' "$TMP/jolt_scalar1.txt" | head -1)
 ret_def=$(grep -o 'ret=[0-9-]*' "$TMP/jolt_default.txt" | head -1)
 [ -n "$ret_s1" ] && [ "$ret_s1" = "$ret_def" ] \
@@ -232,6 +245,9 @@ grep -q '  compile ' "$TMP/gtr.txt" \
   || fail "backend spans did not survive the gateway relay: $(cat "$TMP/gtr.txt")"
 "$TMP/schedctl" -addr "$GBASE" metrics -raw | grep -q 'schedgate_phase_ns_bucket{phase="route",le="+Inf"} [1-9]' \
   || fail "schedgate_phase_ns histogram saw no route samples"
+
+echo "smoke: the retired filter field is rejected through the gateway"
+expect_filter_rejected "$GBASE"
 
 echo "smoke: seeding both backends and waiting for measurement"
 for base in "http://$ADDR_A" "http://$ADDR_B"; do
