@@ -12,16 +12,20 @@ import (
 // when each register's value becomes available.
 //
 // The issue rules (earliest start, unit pick, slot accounting, commit) are
-// written once, in earliest and commit, and reached two ways:
+// written once, in earliest and commit, and reached three ways:
 //   - Issue and EarliestStart take an *ir.Instr and resolve its opcode and
 //     registers on every call. The per-block cost estimator (EstimateCost,
 //     the paper's "simplified machine simulator" that labels training
 //     instances) and the CPS list scheduler, which asks EarliestStart for
 //     every ready instruction and issues the winner, use this form.
-//   - IssueDecoded takes a record Decode resolved once. The whole-program
-//     timing simulator decodes each function when a run starts (and again
-//     when a hot-swap replaces it) and keeps one IssueState alive across
-//     basic blocks.
+//   - IssueDecoded takes a record Decode resolved once.
+//   - IssueSegment takes a straight-line run of records DecodeSegment
+//     resolved once, and replays the run's outcome from a small memo
+//     when its normalized entry state recurs (segment.go). The
+//     whole-program timing simulator decodes each function's segments
+//     when a run starts (and again when a hot-swap replaces it), keeps one
+//     IssueState alive across basic blocks, and issues one segment per
+//     call.
 //
 // Register ready times live in one flat slice of slots: the physical
 // registers at fixed offsets, then one slot per virtual register (guards
@@ -48,8 +52,18 @@ type IssueState struct {
 	ready  []int
 	// virt maps each virtual register seen so far to its slot.
 	virt map[ir.Reg]int32
-	// operands backs every Decoded record's register slots.
+	// operands backs every Decoded record's register slots and every
+	// segment's key slots.
 	operands []int32
+	// recs backs every segment's records, segs holds the segments
+	// DecodeSegment returned handles to, and key is scratch for building
+	// a segment's memo key.
+	recs []Decoded
+	segs []segment
+	key  []byte
+	// keyArena and outArena back the segment memos (see carve).
+	keyArena []byte
+	outArena []int32
 
 	makespan int
 }
@@ -73,17 +87,18 @@ func NewIssueState(m *Model) *IssueState {
 // reused state reaches a steady state with no per-reset allocations — the
 // scheduler's pooled scratch resets one IssueState per scheduled block.
 func (s *IssueState) Reset() {
-	model, ready, virt, operands := s.m, s.ready, s.virt, s.operands[:0]
+	model, ready, virt, operands, recs, segs, key := s.m, s.ready, s.virt, s.operands[:0], s.recs[:0], s.segs[:0], s.key
 	clear(ready)
 	clear(virt)
-	*s = IssueState{m: model, ready: ready, virt: virt, operands: operands}
+	*s = IssueState{m: model, ready: ready, virt: virt, operands: operands, recs: recs, segs: segs, key: key}
 }
 
 // Model returns the machine model the state was built for.
 func (s *IssueState) Model() *Model { return s.m }
 
-// Clone returns an independent copy of the state. Records decoded by s
-// remain valid for the copy.
+// Clone returns an independent copy of the state. Records and segments
+// decoded by s remain valid for the copy; the copy's segment memos start
+// empty.
 func (s *IssueState) Clone() *IssueState {
 	c := *s
 	c.ready = slices.Clone(s.ready)
@@ -94,6 +109,14 @@ func (s *IssueState) Clone() *IssueState {
 		}
 	}
 	c.operands = slices.Clip(s.operands)
+	c.recs = slices.Clip(s.recs)
+	c.segs = slices.Clone(s.segs)
+	for i := range c.segs {
+		g := &c.segs[i]
+		g.n, g.last, g.keys, g.outs = 0, 0, nil, nil
+	}
+	c.key = slices.Clone(s.key)
+	c.keyArena, c.outArena = nil, nil
 	return &c
 }
 
@@ -309,7 +332,19 @@ func (s *IssueState) Decode(in *ir.Instr) Decoded {
 
 // IssueDecoded is Issue for a decoded instruction.
 func (s *IssueState) IssueDecoded(d *Decoded) int {
-	ops := s.operands[d.first : d.first+int32(d.nUses)+int32(d.nDefs)]
+	t, _ := s.issue(d)
+	return t
+}
+
+// regs returns d's register slots: nUses inputs, then nDefs outputs.
+func (s *IssueState) regs(d *Decoded) []int32 {
+	return s.operands[d.first : d.first+int32(d.nUses)+int32(d.nDefs)]
+}
+
+// issue issues a decoded instruction and returns its start cycle and the
+// cycle its results are ready.
+func (s *IssueState) issue(d *Decoded) (t, done int) {
+	ops := s.regs(d)
 	ready := s.slots()
 	at := 0
 	for _, i := range ops[:d.nUses] {
@@ -318,13 +353,13 @@ func (s *IssueState) IssueDecoded(d *Decoded) int {
 		}
 	}
 	t, u := s.earliest(&d.class, at)
-	done := s.commit(&d.class, t, u)
+	done = s.commit(&d.class, t, u)
 	for _, i := range ops[d.nUses:] {
 		if done > ready[i] {
 			ready[i] = done
 		}
 	}
-	return t
+	return t, done
 }
 
 // AdvanceTo moves the issue clock forward to at least cycle t (used by the

@@ -37,6 +37,7 @@ import (
 
 	"schedfilter"
 	"schedfilter/internal/obs"
+	"schedfilter/internal/sim"
 )
 
 // maxBody bounds request bodies (source text is small; listings are the
@@ -111,6 +112,12 @@ type machineTarget struct {
 	cache *schedfilter.ScheduleCache
 }
 
+// executeStepLimit bounds the instructions one /v1/execute runs: about
+// 17 times the largest bundled program (bh, 7.6M at default options), so
+// a runaway program fails in seconds with the step-limit error (400)
+// instead of running to the simulator's default of 2^33.
+const executeStepLimit = 1 << 27
+
 // Server is one compile-service instance. Create with New, serve its
 // Handler, and Close it to drain in-flight compilations on shutdown.
 type Server struct {
@@ -134,6 +141,8 @@ type Server struct {
 	schedFlightHook func()
 	// online is the learning loop (nil when Config.Online is unset).
 	online *schedfilter.OnlineManager
+	// stepLimit is executeStepLimit; tests lower it.
+	stepLimit int64
 	// draining flips when shutdown begins: /healthz answers 503 from
 	// then on, so load balancers stop routing here before the listener
 	// closes. Requests already in flight (and stragglers that raced the
@@ -147,10 +156,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		targets: map[string]*machineTarget{},
-		pool:    newPool(cfg.Workers, cfg.QueueDepth),
-		memo:    newProgramMemo(),
+		cfg:       cfg,
+		targets:   map[string]*machineTarget{},
+		pool:      newPool(cfg.Workers, cfg.QueueDepth),
+		memo:      newProgramMemo(),
+		stepLimit: executeStepLimit,
 	}
 	for _, tgt := range schedfilter.Targets() {
 		s.targets[tgt.Name] = &machineTarget{
@@ -707,7 +717,7 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	// request's wall time (followers re-ran their own replay pass).
 	recordSchedPhases(tr, st)
 	simStart := time.Now()
-	res, err := schedfilter.ExecuteContext(ctx, prog, mt.model, !req.Untimed)
+	res, err := sim.Run(prog, sim.Config{Context: ctx, Timed: !req.Untimed, Model: mt.model, StepLimit: s.stepLimit})
 	if err != nil {
 		return nil, err
 	}

@@ -740,7 +740,7 @@ func TestExecuteConcurrentDuplicates(t *testing.T) {
 
 // TestExecuteCancelled checks that an execute whose request context is
 // cancelled stops simulating promptly instead of running the program to
-// the simulator's step limit (billions of instructions here).
+// the server's step bound.
 func TestExecuteCancelled(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	const spin = `
@@ -763,5 +763,35 @@ func main() int {
 	}
 	if d := time.Since(start); d > 10*time.Second {
 		t.Errorf("cancelled execute took %v", d)
+	}
+}
+
+// TestExecuteStepLimit checks that /v1/execute runs a program under the
+// server's step bound, not the simulator's default: a spinning program
+// is answered 400 with the step-limit error and counted as a client
+// error.
+func TestExecuteStepLimit(t *testing.T) {
+	if executeStepLimit < 10*7_600_000 {
+		t.Errorf("execute step bound %d is under 10 times bh's 7.6M instructions", executeStepLimit)
+	}
+	s, ts := newTestServer(t, Config{})
+	s.stepLimit = 1 << 16
+	const spin = `
+func main() int {
+  var s int = 0;
+  while (true) { s = s + 1; }
+  return s;
+}
+`
+	code, resp := post[ErrorResponse](t, ts.URL+"/v1/execute", ExecuteRequest{ProgramInput: ProgramInput{Source: spin}, Untimed: true})
+	if code != http.StatusBadRequest || !strings.Contains(resp.Error, "step limit (65536) exceeded") {
+		t.Fatalf("spinning execute: status %d, %+v; want 400 with the step-limit error", code, resp)
+	}
+	if n := scrape(t, ts.URL, `schedserved_requests_total{endpoint="execute",outcome="client_error"}`); n != 1 {
+		t.Errorf("execute client errors = %v, want 1", n)
+	}
+	code, ok := post[ExecuteResponse](t, ts.URL+"/v1/execute", ExecuteRequest{ProgramInput: ProgramInput{Source: testSource}, Untimed: true})
+	if code != http.StatusOK || ok.DynInstrs == 0 {
+		t.Fatalf("short execute under the bound: status %d, %+v", code, ok)
 	}
 }

@@ -11,14 +11,21 @@ import (
 
 // BenchmarkRun measures the simulator over the bundled programs, timed
 // (cycle pipeline on the default target) and untimed, compiled at default
-// options; and untimed at the training pipeline's options (inlining plus
-// 4-way unrolling), which is the profiling run behind training labels.
-// One iteration runs all of them; ns/dyn_instr is the cost per executed
+// options; timed again with every block list-scheduled for that target
+// (timed-ls), since the execute service times partly scheduled code; and
+// untimed at the training pipeline's options (inlining plus 4-way
+// unrolling), which is the profiling run behind training labels. One
+// iteration runs all of them; ns/dyn_instr is the cost per executed
 // machine instruction.
 func BenchmarkRun(b *testing.B) {
-	var progs, train []*ir.Program
+	m := machine.Default().Model
+	var progs, ls, train []*ir.Program
 	for _, w := range workloads.All() {
-		progs = append(progs, compileDefault(b, &w))
+		p := compileDefault(b, &w)
+		progs = append(progs, p)
+		p = p.Clone()
+		listSchedule(m, p)
+		ls = append(ls, p)
 		train = append(train, compileWorkload(b, w.Name))
 	}
 	for _, bc := range []struct {
@@ -26,7 +33,8 @@ func BenchmarkRun(b *testing.B) {
 		progs []*ir.Program
 		cfg   sim.Config
 	}{
-		{"timed", progs, sim.Config{Timed: true, Model: machine.Default().Model}},
+		{"timed", progs, sim.Config{Timed: true, Model: m}},
+		{"timed-ls", ls, sim.Config{Timed: true, Model: m}},
 		{"untimed", progs, sim.Config{}},
 		{"train", train, sim.Config{}},
 	} {

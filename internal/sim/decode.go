@@ -27,8 +27,9 @@ type instr struct {
 	// tgt is a B or BC's taken block or a BL's callee; alt is a BC's
 	// fall-through block.
 	tgt, alt int32
-	// t is the instruction's timing record (timed runs only).
-	t machine.Decoded
+	// timing is the segment that starts here, decoded for the run's
+	// issue state (timed runs, first instruction of a segment only).
+	timing machine.Segment
 }
 
 // fnCode is a function in the form the dispatch loop walks: blocks[b]
@@ -81,10 +82,10 @@ func physReg(r ir.Reg, class byte) (uint8, error) {
 }
 
 // decode puts fns in dispatch form into code (one entry per function),
-// backed by two allocations. A timed run also decodes each instruction
-// through its issue state, which gives each virtual register one ready
-// slot program-wide. Calls may name any function in ex.code. A malformed
-// instruction, reachable or not, fails the decode.
+// backed by two allocations. A timed run also decodes each straight-line
+// segment through its issue state, which gives each virtual register one
+// ready slot program-wide. Calls may name any function in ex.code. A
+// malformed instruction, reachable or not, fails the decode.
 func (ex *executor) decode(fns []*ir.Fn, code []fnCode) error {
 	nInstrs, nBlocks := 0, 0
 	for _, f := range fns {
@@ -108,12 +109,15 @@ func (ex *executor) decode(fns []*ir.Fn, code []fnCode) error {
 				if err != nil {
 					return fmt.Errorf("sim: %s block %d instruction %d (%v): %s", f.Name, bi, j, in, err)
 				}
-				if ex.issue != nil {
-					d.t = ex.issue.Decode(in)
-				}
 				all = append(all, d)
 			}
-			blocks[bi] = segments(all[start:len(all):len(all)])
+			code := segments(all[start:len(all):len(all)])
+			if ex.issue != nil {
+				for j := 0; j < len(code); j += int(code[j].seg) {
+					code[j].timing = ex.issue.DecodeSegment(b.Instrs[j : j+int(code[j].seg)])
+				}
+			}
+			blocks[bi] = code
 		}
 		blocks = blocks[len(f.Blocks):]
 	}

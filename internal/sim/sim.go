@@ -7,20 +7,23 @@
 //
 // A run starts by decoding every function once into the form the dispatch
 // loop walks: per block, a slice of records (decode.go), each holding the
-// opcode, the register numbers it reads and writes, its immediate, its
-// branch target or callee, and — in a timed run — its machine.Decoded
-// timing record: its opcode's issue class under the run's model and the
-// ready-time slots of its registers. Decoding checks every instruction, so
-// a malformed program is refused with an error before it runs. The loop
+// opcode, the register numbers it reads and writes, its immediate, and its
+// branch target or callee. Decoding checks every instruction, so a
+// malformed program is refused with an error before it runs. The loop
 // executes every opcode, control transfers included, from one switch on
-// the record. Timed and untimed runs share that loop; a timed run also
-// hands each timing record to the run's machine.IssueState, which applies
-// the same issue rules the scheduler's estimator does. The loop re-fetches
-// the function and block only on a control transfer, and counts executed
-// instructions once per straight-line segment. Decoding is per run, from
-// the run's Model, because Model.Timing is mutable; a hot-swapped function
-// is decoded when it is installed. ExecBlock runs a single block through
-// the same loop, so each opcode's semantics is written once.
+// the record. Timed and untimed runs share that loop. Control runs in
+// straight-line segments, from a block entry or a call's return point
+// through the next control instruction; the loop re-fetches the function
+// and block only on a control transfer, and counts executed instructions
+// once per segment. In a timed run the first record of each segment also
+// holds the segment's handle in the run's machine.IssueState, which
+// applies the same issue rules the scheduler's estimator does, one
+// segment per call, replaying the segment's outcome from a per-run memo
+// when its normalized entry state recurs (machine/segment.go). Decoding is
+// per run, from the run's Model, because Model.Timing is mutable; a
+// hot-swapped function is decoded when it is installed, and its segments
+// start with empty memos. ExecBlock runs a single block through the same
+// loop, so each opcode's semantics is written once.
 //
 // Simplifications versus real silicon, documented per the paper's own
 // argument that only relative block timings matter: no caches (every load
@@ -353,10 +356,11 @@ func (ex *executor) poll(curFn int) error {
 //
 // Control runs in straight-line segments: from a block entry or a call's
 // return point up to and including the next control instruction. A
-// segment's instructions are counted, and the step limit tested, when it
-// starts. A limit that falls inside the segment runs only the
-// instructions up to the limit; a trap inside it leaves the count
-// overstated, which no caller sees, since the run fails.
+// segment's instructions are counted, the step limit tested and, in a
+// timed run, the whole segment issued, when it starts. A limit that falls
+// inside the segment runs only the instructions up to the limit; a trap
+// or a limit inside it leaves the count and the timing overstated, which
+// no caller sees, since the run fails.
 func (ex *executor) callAndRun(fnIdx int) error {
 	baseDepth := len(ex.frames)
 	ex.frames = append(ex.frames, frame{fn: -1}) // sentinel: return to runtime
@@ -382,15 +386,15 @@ transfer:
 		n := 0
 		if len(seg) > 0 {
 			n = int(seg[0].seg)
+			if issue != nil {
+				issue.IssueSegment(seg[0].timing)
+			}
 		}
 		seg = seg[:min(int64(n), ex.limit-res.DynInstrs)]
 		res.DynInstrs += int64(len(seg))
 
 		for i := range seg {
 			d := &seg[i]
-			if issue != nil {
-				issue.IssueDecoded(&d.t)
-			}
 			switch d.op {
 			case ir.NOP, ir.YIELDPOINT, ir.TSPOINT:
 			case ir.ADD:

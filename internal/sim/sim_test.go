@@ -455,7 +455,8 @@ func TestRunMemoryReuse(t *testing.T) {
 
 // TestRunAllocsFlat checks that a run's allocations do not grow with the
 // number of instructions it executes: decoding and bookkeeping are per
-// function and block, never per executed instruction.
+// function and block, and a timed run's segment memos store one entry per
+// distinct segment entry state, never one per executed instruction.
 func TestRunAllocsFlat(t *testing.T) {
 	loop := func(n int64) *ir.Program {
 		return buildProg([]*ir.Block{
