@@ -1,6 +1,6 @@
 // Command schedctl is the compile-server client: one-shot requests
-// against a running schedserved, plus a load-generator mode that measures
-// throughput and cache effectiveness.
+// against a running schedserved, plus a load-generator mode that checks
+// outcomes and cache effectiveness under concurrent traffic.
 //
 // Usage:
 //
@@ -56,10 +56,11 @@
 // verdict after a broadcast retrain/activate.
 //
 // loadgen fires n identical schedule requests at concurrency c and
-// reports client-side throughput/latency plus the server-side cache hit
-// rate and list-scheduler run count deltas scraped from /metrics — on a
-// repeated workload the hit rate should be ≥ 90% and scheduler runs
-// should stop growing after the first request. It also tallies which
+// reports how many succeeded plus the server-side cache hit rate and
+// list-scheduler run count deltas scraped from /metrics — on a repeated
+// workload the hit rate should be ≥ 90% and scheduler runs should stop
+// growing after the first request. It measures no time: throughput and
+// latency come from bench/. It also tallies which
 // policy version served each response, so a retrain-under-load run shows
 // the traffic mix flip from the old version to the new one, and which
 // node answered (the X-Sched-Node header), so a run against a gateway
@@ -75,17 +76,15 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"schedfilter/internal/cliflags"
 	"schedfilter/internal/cluster"
 	"schedfilter/internal/httpc"
+	"schedfilter/internal/obs"
 	"schedfilter/internal/server"
 )
 
@@ -120,7 +119,7 @@ func main() {
 	case "retrain":
 		err = runRetrain(c, args)
 	case "loadgen":
-		err = runLoadgen(c, args)
+		err = runLoadgen(c, args, os.Stdout)
 	default:
 		fmt.Fprintf(os.Stderr, "schedctl: unknown command %q\n", cmd)
 		usage()
@@ -515,17 +514,6 @@ func runRetrain(c *client, args []string) error {
 	return nil
 }
 
-// metricValue scrapes one un-labelled counter from a /metrics exposition.
-func metricValue(text, name string) int64 {
-	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (-?\d+)$`)
-	m := re.FindStringSubmatch(text)
-	if m == nil {
-		return 0
-	}
-	v, _ := strconv.ParseInt(m[1], 10, 64)
-	return v
-}
-
 // scrape reads the service's metrics. hasCache reports whether the
 // exposition carries the backend's codecache series — a schedgate's
 // /metrics does not (its backends each have their own), so loadgen
@@ -535,17 +523,26 @@ func (c *client) scrape() (vals map[string]int64, hasCache bool, err error) {
 	if err := c.getText("/metrics", &buf); err != nil {
 		return nil, false, err
 	}
+	e, err := obs.ParseExposition(buf.String())
+	if err != nil {
+		return nil, false, err
+	}
 	out := map[string]int64{}
 	for _, name := range []string{
-		"codecache_hits_total", "codecache_misses_total", "codecache_evictions_total",
-		"schedserved_scheduler_runs_total", "schedserved_sched_blocks_scheduled_total",
+		"codecache_hits_total", "codecache_misses_total", "schedserved_scheduler_runs_total",
 	} {
-		out[name] = metricValue(buf.String(), name)
+		v, _ := e.Value(name, nil)
+		out[name] = int64(v)
 	}
-	return out, strings.Contains(buf.String(), "schedserved_scheduler_runs_total"), nil
+	_, hasCache = e.Types["schedserved_scheduler_runs_total"]
+	return out, hasCache, nil
 }
 
-func runLoadgen(c *client, args []string) error {
+// runLoadgen fires n identical schedule requests at concurrency c and
+// reports outcomes only: ok and failed counts, the server-side cache and
+// scheduler-run deltas, and the policy-version and node mixes. Timing is
+// bench/'s job.
+func runLoadgen(c *client, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	src, workload, policySpec, target := inputFlags(fs)
 	n := fs.Int("n", 200, "total requests")
@@ -569,11 +566,9 @@ func runLoadgen(c *client, args []string) error {
 	}
 
 	var (
-		failures   atomic.Int64
-		latencySum atomic.Int64
-		latencyMax atomic.Int64
-		next       atomic.Int64
-		wg         sync.WaitGroup
+		failures atomic.Int64
+		next     atomic.Int64
+		wg       sync.WaitGroup
 		// versionMix tallies which policy version served each response —
 		// under retrain-under-load the mix flips from the old version to
 		// the new one mid-run. nodeMix tallies which node answered
@@ -583,25 +578,15 @@ func runLoadgen(c *client, args []string) error {
 		versionMix = map[string]int64{}
 		nodeMix    = map[string]int64{}
 	)
-	start := time.Now()
-	for w := 0; w < *conc; w++ {
+	for i := 0; i < *conc; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for next.Add(1) <= int64(*n) {
-				t0 := time.Now()
 				r, err := c.post("/v1/schedule", req)
 				if err != nil {
 					failures.Add(1)
 					continue
-				}
-				ns := time.Since(t0).Nanoseconds()
-				latencySum.Add(ns)
-				for {
-					old := latencyMax.Load()
-					if ns <= old || latencyMax.CompareAndSwap(old, ns) {
-						break
-					}
 				}
 				node := r.Header.Get("X-Sched-Node")
 				var sr server.ScheduleResponse
@@ -624,7 +609,6 @@ func runLoadgen(c *client, args []string) error {
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(start)
 
 	after, _, err := c.scrape()
 	if err != nil {
@@ -643,47 +627,37 @@ func runLoadgen(c *client, args []string) error {
 	if prog == "" {
 		prog = *src
 	}
-	fmt.Printf("loadgen: %d requests, %d concurrent, prog=%s target=%s policy=%s\n",
+	fmt.Fprintf(w, "loadgen: %d requests, %d concurrent, prog=%s target=%s policy=%s\n",
 		*n, *conc, prog, orDefault(*target), orDefault(*policySpec))
-	fmt.Printf("loadgen: wall %v, %.1f req/s, ok %d, failed %d\n",
-		wall.Round(time.Millisecond), float64(ok)/wall.Seconds(), ok, failures.Load())
-	if ok > 0 {
-		fmt.Printf("loadgen: latency avg %v max %v\n",
-			time.Duration(latencySum.Load()/ok).Round(time.Microsecond),
-			time.Duration(latencyMax.Load()).Round(time.Microsecond))
-	}
+	fmt.Fprintf(w, "loadgen: ok %d, failed %d\n", ok, failures.Load())
 	if hasCache {
-		fmt.Printf("loadgen: cache +%d hits / +%d misses (hit rate %.1f%%), scheduler runs +%d\n",
+		fmt.Fprintf(w, "loadgen: cache +%d hits / +%d misses (hit rate %.1f%%), scheduler runs +%d\n",
 			hits, misses, 100*hitRate, runs)
 	}
-	if len(versionMix) > 0 {
-		keys := make([]string, 0, len(versionMix))
-		for k := range versionMix {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Printf("loadgen: filter mix:")
-		for _, k := range keys {
-			fmt.Printf(" %s ×%d", k, versionMix[k])
-		}
-		fmt.Println()
-	}
-	if len(nodeMix) > 0 {
-		keys := make([]string, 0, len(nodeMix))
-		for k := range nodeMix {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Printf("loadgen: node mix:")
-		for _, k := range keys {
-			fmt.Printf(" %s ×%d", k, nodeMix[k])
-		}
-		fmt.Println()
-	}
+	printMix(w, "filter mix", versionMix)
+	printMix(w, "node mix", nodeMix)
 	if failures.Load() > 0 {
 		return fmt.Errorf("%d requests failed", failures.Load())
 	}
 	return nil
+}
+
+// printMix prints one tally line, keys sorted; an empty tally prints
+// nothing.
+func printMix(w io.Writer, what string, mix map[string]int64) {
+	if len(mix) == 0 {
+		return
+	}
+	keys := make([]string, 0, len(mix))
+	for k := range mix {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fmt.Fprintf(w, "loadgen: %s:", what)
+	for _, k := range keys {
+		fmt.Fprintf(w, " %s ×%d", k, mix[k])
+	}
+	fmt.Fprintln(w)
 }
 
 func orDefault(f string) string {

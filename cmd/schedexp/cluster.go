@@ -8,10 +8,11 @@ import (
 	"strings"
 	"time"
 
-	"schedfilter"
 	"schedfilter/internal/cluster"
 	"schedfilter/internal/experiments"
 	"schedfilter/internal/httpc"
+	"schedfilter/internal/machine"
+	"schedfilter/internal/online"
 	"schedfilter/internal/server"
 	"schedfilter/internal/workloads"
 )
@@ -30,9 +31,7 @@ import (
 //
 // Every field of the result is deterministic; it is the
 // BENCH_cluster.json artifact. Throughput is measured by bench/, not
-// here. The harness lives in this command rather than in
-// internal/experiments because internal/server depends on that package
-// (through the schedfilter facade).
+// here.
 
 // clusterNodes is the backend count.
 const clusterNodes = 3
@@ -91,8 +90,8 @@ func newClusterHarness(jobs int) (*clusterHarness, error) {
 		s := server.New(server.Config{
 			Node:   name,
 			Online: true,
-			OnlineOpts: schedfilter.OnlineConfig{
-				Targets: []string{schedfilter.DefaultTargetName},
+			OnlineOpts: online.Config{
+				Targets: []string{machine.DefaultTargetName},
 			},
 		})
 		ts := httptest.NewServer(s.Handler())
@@ -177,11 +176,11 @@ func runConvergence(h *clusterHarness, gc *httpc.Client, res *clusterResult) err
 				return fmt.Errorf("seed %s on n%d: %w", w, i+1, err)
 			}
 		}
-		// Sample measurement is asynchronous; retraining before the
-		// queue drains would see no labelled samples.
-		if err := waitMeasured(c, 30*time.Second); err != nil {
-			return fmt.Errorf("n%d: %w", i+1, err)
-		}
+		// Sample measurement is asynchronous. Manager.Retrain drains the
+		// queue itself before it reads the reservoir; draining here as
+		// well finishes one node's measurement before the next node is
+		// seeded.
+		h.backends[i].Online().Drain()
 	}
 
 	var bc cluster.BroadcastResponse
@@ -203,7 +202,7 @@ func runConvergence(h *clusterHarness, gc *httpc.Client, res *clusterResult) err
 			continue
 		}
 		for _, rep := range rr.Reports {
-			if rep.Target != schedfilter.DefaultTargetName {
+			if rep.Target != machine.DefaultTargetName {
 				continue
 			}
 			candidate = max(candidate, rep.Version)
@@ -236,7 +235,7 @@ func runConvergence(h *clusterHarness, gc *httpc.Client, res *clusterResult) err
 		return fmt.Errorf("%d/%d nodes healthy", cr.Healthy, clusterNodes)
 	}
 	for _, tc := range cr.Convergence {
-		if tc.Target != schedfilter.DefaultTargetName {
+		if tc.Target != machine.DefaultTargetName {
 			continue
 		}
 		res.Converged = tc.Converged
@@ -246,7 +245,7 @@ func runConvergence(h *clusterHarness, gc *httpc.Client, res *clusterResult) err
 		}
 	}
 	if len(res.Versions) == 0 {
-		return fmt.Errorf("no convergence report for target %s", schedfilter.DefaultTargetName)
+		return fmt.Errorf("no convergence report for target %s", machine.DefaultTargetName)
 	}
 	return nil
 }
@@ -309,48 +308,6 @@ func post(c *httpc.Client, path string, req, out any) error {
 		return err
 	}
 	return resp.Decode(path, out)
-}
-
-// waitMeasured blocks until a backend's asynchronous measurement queue
-// has labelled every enqueued sample (online_samples_measured_total has
-// caught up with online_blocks_enqueued_total on /metrics). Retraining
-// before that point would see an empty reservoir.
-func waitMeasured(c *httpc.Client, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	for {
-		resp, err := c.Get("/metrics")
-		if err != nil {
-			return err
-		}
-		if err := resp.Err("/metrics"); err != nil {
-			return err
-		}
-		enq := metricValue(resp.Body, "online_blocks_enqueued_total")
-		meas := metricValue(resp.Body, "online_samples_measured_total")
-		if enq > 0 && meas >= enq {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("measurement queue not drained: %d/%d samples measured", meas, enq)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// metricValue pulls one un-labelled counter out of a Prometheus text
-// exposition; absent metrics read as 0.
-func metricValue(body []byte, name string) int64 {
-	for _, line := range strings.Split(string(body), "\n") {
-		rest, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
-			continue
-		}
-		var v int64
-		if _, err := fmt.Sscanf(rest, "%d", &v); err == nil {
-			return v
-		}
-	}
-	return 0
 }
 
 // Render prints the verdicts as text.

@@ -59,9 +59,11 @@ import (
 	"syscall"
 	"time"
 
-	"schedfilter"
 	"schedfilter/internal/cliflags"
+	"schedfilter/internal/machine"
 	"schedfilter/internal/obs"
+	"schedfilter/internal/online"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/server"
 )
 
@@ -84,7 +86,7 @@ func main() {
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers); overflow is rejected with 429")
 	cacheWeight := flag.Int("cache", 0, "scheduled-block cache bound in words (0 = default)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-	target := cliflags.TargetDefault(flag.CommandLine, schedfilter.DefaultTargetName, "default machine target for requests that don't name one")
+	target := cliflags.TargetDefault(flag.CommandLine, machine.DefaultTargetName, "default machine target for requests that don't name one")
 	policySpec := cliflags.Policy(flag.CommandLine, "factory",
 		"default scheduling policy (\"factory\" = the loaded model): "+cliflags.PolicySyntax)
 	onlineFlag := flag.Bool("online", false, "enable the online-learning loop (live sampling, retraining, filter hot-swap)")
@@ -102,7 +104,7 @@ func main() {
 	}
 	logger = l
 
-	if _, err := schedfilter.TargetByName(*target); err != nil {
+	if _, err := machine.ByName(*target); err != nil {
 		fatal(err)
 	}
 	induced, err := loadModel(*modelPath, *target)
@@ -125,7 +127,7 @@ func main() {
 		CacheWeight: *cacheWeight,
 		Target:      *target,
 		Online:      *onlineFlag,
-		OnlineOpts: schedfilter.OnlineConfig{
+		OnlineOpts: online.Config{
 			Interval:   *retrainEvery,
 			SpillDir:   *spill,
 			Threshold:  *onlineT,
@@ -149,9 +151,9 @@ func main() {
 	logger.Info("drained, bye")
 }
 
-func loadModel(path, target string) (*schedfilter.InducedFilter, error) {
+func loadModel(path, target string) (*policy.Induced, error) {
 	if path == "" {
-		f, err := schedfilter.ParseFilter(factoryModel)
+		f, err := policy.ParseInduced(factoryModel)
 		if err != nil {
 			return nil, fmt.Errorf("embedded factory model: %w", err)
 		}
@@ -161,14 +163,14 @@ func loadModel(path, target string) (*schedfilter.InducedFilter, error) {
 		}
 		return f, nil
 	}
-	return schedfilter.LoadFilterFor(path, target)
+	return policy.LoadInducedFor(path, target)
 }
 
 // pickPolicy resolves the default serving policy: "factory" (or
 // "ripper") selects the loaded model, everything else goes through the
 // shared policy-spec resolver (always/LS, never/NS, size:N, cost:N,
 // portfolio:..., rules:FILE).
-func pickPolicy(name, target string, induced *schedfilter.InducedFilter) (schedfilter.Policy, error) {
+func pickPolicy(name, target string, induced *policy.Induced) (policy.Policy, error) {
 	if strings.EqualFold(name, "factory") || strings.EqualFold(name, "ripper") {
 		return induced, nil
 	}

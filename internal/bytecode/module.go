@@ -18,9 +18,6 @@ type Fn struct {
 	Code   []Insn
 }
 
-// NumParams returns the parameter count.
-func (f *Fn) NumParams() int { return len(f.Params) }
-
 // Clone returns a deep copy of the function.
 func (f *Fn) Clone() *Fn {
 	nf := &Fn{Name: f.Name, Ret: f.Ret}

@@ -199,7 +199,3 @@ func (t Type) String() string {
 	}
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
-
-// IsFloat reports whether values of the type live in the float register
-// class (only TFloat does; references are integer words).
-func (t Type) IsFloat() bool { return t == TFloat }

@@ -34,7 +34,7 @@ func Target(fs *flag.FlagSet, usage string) *string {
 // commands default to "the request decides", spelled "").
 func TargetDefault(fs *flag.FlagSet, def, usage string) *string {
 	if usage == "" {
-		usage = "machine target by registry name (see schedfilter.Targets)"
+		usage = "machine target by registry name"
 	}
 	return fs.String("target", def, usage)
 }

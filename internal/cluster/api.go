@@ -3,7 +3,7 @@ package cluster
 import (
 	"encoding/json"
 
-	"schedfilter"
+	"schedfilter/internal/online"
 )
 
 // The gateway's own JSON wire types. The compile-path endpoints
@@ -81,14 +81,14 @@ type MemberStatus struct {
 	// Error is the last health-probe failure ("" when healthy).
 	Error string `json:"error,omitempty"`
 	// Fields below mirror the member's own /healthz report.
-	Node          string                         `json:"node,omitempty"`
-	Target        string                         `json:"target,omitempty"`
-	Policy        string                         `json:"policy,omitempty"`
-	FilterVersion int                            `json:"filter_version,omitempty"`
-	Online        bool                           `json:"online,omitempty"`
-	Draining      bool                           `json:"draining,omitempty"`
-	ActiveFilters []schedfilter.OnlineActiveInfo `json:"active_filters,omitempty"`
-	CheckedMsAgo  int64                          `json:"checked_ms_ago"`
+	Node          string              `json:"node,omitempty"`
+	Target        string              `json:"target,omitempty"`
+	Policy        string              `json:"policy,omitempty"`
+	FilterVersion int                 `json:"filter_version,omitempty"`
+	Online        bool                `json:"online,omitempty"`
+	Draining      bool                `json:"draining,omitempty"`
+	ActiveFilters []online.ActiveInfo `json:"active_filters,omitempty"`
+	CheckedMsAgo  int64               `json:"checked_ms_ago"`
 }
 
 // TargetConvergence is one machine target's filter-replication verdict

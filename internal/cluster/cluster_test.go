@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -15,7 +18,8 @@ import (
 	"testing"
 	"time"
 
-	"schedfilter"
+	"schedfilter/internal/machine"
+	"schedfilter/internal/online"
 	"schedfilter/internal/server"
 )
 
@@ -53,17 +57,17 @@ type testCluster struct {
 	gwts     *httptest.Server
 }
 
-func newTestCluster(t *testing.T, nodes int, online bool, tweak func(*Config)) *testCluster {
+func newTestCluster(t *testing.T, nodes int, learn bool, tweak func(*Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	members := make([]Member, nodes)
 	for i := 0; i < nodes; i++ {
 		name := fmt.Sprintf("n%d", i+1)
 		cfg := server.Config{Node: name}
-		if online {
+		if learn {
 			cfg.Online = true
-			cfg.OnlineOpts = schedfilter.OnlineConfig{
-				Targets:    []string{schedfilter.DefaultTargetName},
+			cfg.OnlineOpts = online.Config{
+				Targets:    []string{machine.DefaultTargetName},
 				MinSamples: 8,
 			}
 		}
@@ -312,7 +316,7 @@ func TestRetrainActivateConverges(t *testing.T) {
 			t.Fatalf("%s retrain response: %v", n.Node, err)
 		}
 		for _, rep := range rr.Reports {
-			if rep.Target == schedfilter.DefaultTargetName && rep.Version > candidate {
+			if rep.Target == machine.DefaultTargetName && rep.Version > candidate {
 				candidate = rep.Version
 			}
 		}
@@ -340,7 +344,7 @@ func TestRetrainActivateConverges(t *testing.T) {
 	}
 	found := false
 	for _, conv := range cr.Convergence {
-		if conv.Target != schedfilter.DefaultTargetName {
+		if conv.Target != machine.DefaultTargetName {
 			continue
 		}
 		found = true
@@ -357,7 +361,7 @@ func TestRetrainActivateConverges(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("no convergence verdict for %s: %s", schedfilter.DefaultTargetName, body)
+		t.Fatalf("no convergence verdict for %s: %s", machine.DefaultTargetName, body)
 	}
 }
 
@@ -537,6 +541,87 @@ func TestGatewayDrainFlipsHealthz(t *testing.T) {
 	}
 	if h.Status != "draining" || !h.Draining {
 		t.Fatalf("draining health %+v", h)
+	}
+}
+
+// TestDaemonsDrainOrder runs both daemons through the shared
+// ListenAndServe lifecycle: /healthz answers 200, flips to 503 while
+// the listener still accepts, the listener then closes, and the daemon
+// closes last.
+func TestDaemonsDrainOrder(t *testing.T) {
+	backend := newTestCluster(t, 1, false, nil)
+	for _, d := range []struct {
+		name   string
+		serve  func(ctx context.Context, addr string, drain time.Duration) error
+		closed func() bool
+	}{
+		{"schedserved", backend.backends[0].ListenAndServe, func() bool {
+			// A closed pool refuses work with 503.
+			code, _ := scheduleVia(t, backend.listens[0].URL, server.ScheduleRequest{
+				ProgramInput: server.ProgramInput{Source: testProgram(1)}})
+			return code == http.StatusServiceUnavailable
+		}},
+		{"schedgate", backend.gw.ListenAndServe, func() bool {
+			select {
+			case <-backend.gw.stop:
+				return true
+			default:
+				return false
+			}
+		}},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			ln.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- d.serve(ctx, addr, 5*time.Second) }()
+			base := "http://" + addr
+			var resp *http.Response
+			for i := 0; i < 200; i++ {
+				if resp, err = http.Get(base + "/healthz"); err == nil {
+					break
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if err != nil {
+				t.Fatalf("%s never came up on %s: %v", d.name, addr, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("healthz before drain: HTTP %d", resp.StatusCode)
+			}
+			if d.closed() {
+				t.Fatal("closed before shutdown began")
+			}
+			cancel()
+			// Within the drain notice the listener still answers, 503.
+			resp, err = http.Get(base + "/healthz")
+			if err != nil {
+				t.Fatalf("healthz during drain notice: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("healthz during drain notice: HTTP %d, want 503", resp.StatusCode)
+			}
+			if d.closed() {
+				t.Fatal("closed during the drain notice")
+			}
+			if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
+				t.Fatalf("ListenAndServe: %v", err)
+			}
+			if _, err := http.Get(base + "/healthz"); err == nil {
+				t.Fatal("listener still accepting after ListenAndServe returned")
+			}
+			if !d.closed() {
+				t.Fatal("not closed after ListenAndServe returned")
+			}
+		})
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"schedfilter/internal/httpc"
@@ -18,9 +17,6 @@ import (
 	"schedfilter/internal/par"
 	"schedfilter/internal/server"
 )
-
-// maxBody bounds gateway request bodies, matching the backend's bound.
-const maxBody = 8 << 20
 
 // maxBatch bounds one batch request's item count.
 const maxBatch = 1024
@@ -42,7 +38,9 @@ type Gateway struct {
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	stopOnce sync.Once
-	draining atomic.Bool
+	// Drain flips the gateway's own /healthz to 503 at shutdown, for
+	// stacking gateways behind a further balancer.
+	server.Drain
 }
 
 // New builds a gateway over cfg.Members, runs one synchronous health
@@ -91,7 +89,7 @@ func New(cfg Config) (*Gateway, error) {
 	mux.HandleFunc("POST /v1/filters/rollback", g.handleRollback)
 	mux.HandleFunc("POST /v1/retrain", g.handleRetrain)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
-	mux.HandleFunc("GET /metrics", g.handleMetrics)
+	mux.Handle("GET /metrics", g.obs.reg)
 	g.mux = mux
 
 	g.CheckNow()
@@ -152,7 +150,7 @@ func (g *Gateway) proxy(ep string) http.HandlerFunc {
 	path := "/v1/" + ep
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		st := g.obs.endpoint(ep)
+		st := g.obs.eps.Get(ep)
 		traceID := r.Header.Get(obs.TraceHeader)
 		if !obs.ValidTraceID(traceID) {
 			traceID = obs.NewTraceID()
@@ -160,9 +158,9 @@ func (g *Gateway) proxy(ep string) http.HandlerFunc {
 		// Echoed on every relay, error replies included, so the client can
 		// correlate even a total routing failure.
 		w.Header().Set(obs.TraceHeader, traceID)
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		body, err := server.ReadBody(w, r)
 		if err != nil {
-			g.replyJSON(w, st, start, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
+			server.Reply(w, st, start, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 			return
 		}
 		res := g.route(r.Context(), path, traceID, body)
@@ -324,14 +322,14 @@ func (g *Gateway) attempt(ctx context.Context, path, traceID string, m *member, 
 // get the gateway's route span folded into their trace: the total
 // becomes the gateway-measured elapsed time, so the client sees where
 // the whole request went, routing overhead included.
-func (g *Gateway) relay(w http.ResponseWriter, st *gwEp, start time.Time, traceID string, res proxyResult) {
+func (g *Gateway) relay(w http.ResponseWriter, st *obs.Endpoint, start time.Time, traceID string, res proxyResult) {
 	if res.err != nil {
-		g.replyJSON(w, st, start, http.StatusBadGateway,
+		server.Reply(w, st, start, http.StatusBadGateway,
 			server.ErrorResponse{Error: fmt.Sprintf("all backends failed after %d attempts: %v", res.attempts, res.err)})
 		return
 	}
 	elapsed := time.Since(start)
-	st.record(res.status, elapsed)
+	st.Record(res.status, elapsed)
 	if res.status == http.StatusOK {
 		res.body = g.obs.injectRouteSpan(res.body, traceID, elapsed.Nanoseconds())
 	}
@@ -348,7 +346,7 @@ func (g *Gateway) relay(w http.ResponseWriter, st *gwEp, start time.Time, traceI
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	st := g.obs.endpoint("batch")
+	st := g.obs.eps.Get("batch")
 	traceID := r.Header.Get(obs.TraceHeader)
 	if !obs.ValidTraceID(traceID) {
 		traceID = obs.NewTraceID()
@@ -356,14 +354,14 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One batch is one trace: every fanned-out item carries the same ID,
 	// and the per-item backend traces pass through in the item bodies.
 	w.Header().Set(obs.TraceHeader, traceID)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	body, err := server.ReadBody(w, r)
 	if err != nil {
-		g.replyJSON(w, st, start, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
+		server.Reply(w, st, start, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 		return
 	}
 	var req BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		g.replyJSON(w, st, start, http.StatusBadRequest, server.ErrorResponse{Error: "bad request: " + err.Error()})
+		server.Reply(w, st, start, http.StatusBadRequest, server.ErrorResponse{Error: "bad request: " + err.Error()})
 		return
 	}
 	if req.Op == "" {
@@ -372,16 +370,16 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	switch req.Op {
 	case "compile", "schedule", "predict", "execute":
 	default:
-		g.replyJSON(w, st, start, http.StatusBadRequest,
+		server.Reply(w, st, start, http.StatusBadRequest,
 			server.ErrorResponse{Error: fmt.Sprintf("bad op %q (want compile, schedule, predict, or execute)", req.Op)})
 		return
 	}
 	if len(req.Items) == 0 {
-		g.replyJSON(w, st, start, http.StatusBadRequest, server.ErrorResponse{Error: "batch needs items"})
+		server.Reply(w, st, start, http.StatusBadRequest, server.ErrorResponse{Error: "batch needs items"})
 		return
 	}
 	if len(req.Items) > maxBatch {
-		g.replyJSON(w, st, start, http.StatusBadRequest,
+		server.Reply(w, st, start, http.StatusBadRequest,
 			server.ErrorResponse{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(req.Items), maxBatch)})
 		return
 	}
@@ -445,7 +443,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp.WallNs = time.Since(start).Nanoseconds()
 	g.obs.batchItems.Add(int64(len(req.Items)))
 	g.obs.batchCoalesced.Add(int64(resp.Coalesced))
-	g.replyJSON(w, st, start, http.StatusOK, resp)
+	server.Reply(w, st, start, http.StatusOK, resp)
 }
 
 // broadcast applies one lifecycle operation to every healthy member and
@@ -512,17 +510,17 @@ func (g *Gateway) broadcast(op, path string, body []byte, get bool) (int, Broadc
 func (g *Gateway) broadcastHandler(op string, pathFn func(r *http.Request) string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		st := g.obs.endpoint(op)
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		st := g.obs.eps.Get(op)
+		body, err := server.ReadBody(w, r)
 		if err != nil {
-			g.replyJSON(w, st, start, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
+			server.Reply(w, st, start, http.StatusBadRequest, server.ErrorResponse{Error: err.Error()})
 			return
 		}
 		if len(bytes.TrimSpace(body)) == 0 {
 			body = []byte("{}")
 		}
 		status, resp := g.broadcast(op, pathFn(r), body, false)
-		g.replyJSON(w, st, start, status, resp)
+		server.Reply(w, st, start, status, resp)
 	}
 }
 
@@ -544,9 +542,9 @@ func (g *Gateway) handleRollback(w http.ResponseWriter, r *http.Request) {
 // returns the per-node registries side by side.
 func (g *Gateway) handleFilters(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	st := g.obs.endpoint("filters")
+	st := g.obs.eps.Get("filters")
 	status, resp := g.broadcast("filters", "/v1/filters", nil, true)
-	g.replyJSON(w, st, start, status, resp)
+	server.Reply(w, st, start, status, resp)
 }
 
 // handlePolicies fans GET /v1/policies out to every healthy member and
@@ -554,9 +552,9 @@ func (g *Gateway) handleFilters(w http.ResponseWriter, r *http.Request) {
 // policy per target) side by side.
 func (g *Gateway) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	st := g.obs.endpoint("policies")
+	st := g.obs.eps.Get("policies")
 	status, resp := g.broadcast("policies", "/v1/policies", nil, true)
-	g.replyJSON(w, st, start, status, resp)
+	server.Reply(w, st, start, status, resp)
 }
 
 // convergence folds the members' last health reports into per-target
@@ -628,7 +626,7 @@ func allEqualStr(m map[string]string) bool {
 // fresh poll.
 func (g *Gateway) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	start := time.Now()
-	st := g.obs.endpoint("cluster")
+	st := g.obs.eps.Get("cluster")
 	g.CheckNow()
 	resp := ClusterResponse{Total: len(g.order), Replicas: g.cfg.Replicas}
 	for _, name := range g.order {
@@ -652,79 +650,20 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, _ *http.Request) {
 		resp.Members = append(resp.Members, ms)
 	}
 	resp.Convergence = g.convergence()
-	g.replyJSON(w, st, start, http.StatusOK, resp)
+	server.Reply(w, st, start, http.StatusOK, resp)
 }
-
-// BeginDrain flips the gateway's own health endpoint to 503, for
-// stacking gateways behind a further balancer.
-func (g *Gateway) BeginDrain() { g.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (g *Gateway) Draining() bool { return g.draining.Load() }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	resp := GatewayHealth{Status: "ok", Members: len(g.order), Healthy: g.healthyCount()}
-	status := http.StatusOK
-	if g.draining.Load() {
-		resp.Status = "draining"
-		resp.Draining = true
-		status = http.StatusServiceUnavailable
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(resp)
+	g.ServeHealth(w, func(status string, draining bool) any {
+		return GatewayHealth{Status: status, Members: len(g.order), Healthy: g.healthyCount(), Draining: draining}
+	})
 }
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	g.obs.reg.Render(w)
-}
-
-func (g *Gateway) replyJSON(w http.ResponseWriter, st *gwEp, start time.Time, status int, v any) {
-	st.record(status, time.Since(start))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// gatewayDrainNotice mirrors the backend's drain notice: how long the
-// gateway's /healthz advertises draining before its listener closes.
-const gatewayDrainNotice = 750 * time.Millisecond
 
 // ListenAndServe runs the gateway on addr until ctx is cancelled, then
-// shuts down in the same LB-friendly order as the backend: health flips
-// first, the listener closes after the notice, in-flight proxies drain.
+// drains it through the backend's shutdown sequence (server.Serve); the
+// health checker stops last.
 func (g *Gateway) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           g.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		g.Close()
-		return err
-	case <-ctx.Done():
-	}
-	g.BeginDrain()
-	select {
-	case err := <-errc:
-		g.Close()
-		return err
-	case <-time.After(gatewayDrainNotice):
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	err := httpSrv.Shutdown(shutdownCtx)
-	g.Close()
-	if err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	return nil
+	return server.Serve(ctx, g, addr, drainTimeout)
 }
 
 // sleepCtx pauses for d or until ctx is done, whichever is first.

@@ -2,21 +2,21 @@ package cluster
 
 import (
 	"encoding/json"
-	"sort"
 	"time"
 
 	"schedfilter/internal/obs"
 )
 
 // gwObs is the gateway's registration on the shared obs registry:
-// per-endpoint request counters and latency lines (the historical
-// spellings, locked by the compat test), request-latency and route-phase
-// histograms, per-member routing tallies, the retry/hedge/failover
-// totals, and render-time gauges over membership and ring state.
+// per-endpoint outcome metrics (the same split as the backend's, minus
+// rejected: the gateway has no queue, so a 429 is a client_error),
+// request-latency and route-phase histograms, per-member routing
+// tallies, the retry/hedge/failover totals, and render-time gauges over
+// membership and ring state.
 type gwObs struct {
 	reg   *obs.Registry
 	start time.Time
-	eps   map[string]*gwEp
+	eps   *obs.Endpoints
 	// routed counts data-plane attempts per member (fixed member set).
 	routed map[string]*obs.Counter
 	// routePhase is the gateway's own span: time spent routing around the
@@ -30,36 +30,6 @@ type gwObs struct {
 	batchItems     *obs.Counter // items received by /v1/batch
 	batchCoalesced *obs.Counter // batch items deduplicated before fan-out
 	broadcasts     *obs.Counter // lifecycle broadcasts
-
-	// throwaway absorbs records against unknown endpoint names.
-	throwaway *gwEp
-}
-
-// gwEp is one gateway endpoint's handles, the same outcome split as the
-// backend's (the gateway folds 429 into client_error — it has no queue).
-type gwEp struct {
-	ok         *obs.Counter // 2xx responses
-	clientErr  *obs.Counter // 4xx
-	serverErr  *obs.Counter // 5xx (includes 502/503 total-failure relays)
-	latencySum *obs.Counter
-	latencyMax *obs.Max
-	latency    *obs.Histogram
-}
-
-// record tallies one relayed response.
-func (e *gwEp) record(status int, elapsed time.Duration) {
-	switch {
-	case status >= 500:
-		e.serverErr.Inc()
-	case status >= 400:
-		e.clientErr.Inc()
-	default:
-		e.ok.Inc()
-		ns := elapsed.Nanoseconds()
-		e.latencySum.Add(ns)
-		e.latencyMax.Observe(ns)
-		e.latency.Observe(ns)
-	}
 }
 
 // newGwObs registers every gateway metric. Call after the member
@@ -69,23 +39,8 @@ func newGwObs(g *Gateway, endpoints ...string) *gwObs {
 	o := &gwObs{
 		reg:    reg,
 		start:  time.Now(),
-		eps:    make(map[string]*gwEp, len(endpoints)),
+		eps:    reg.EndpointMetrics("schedgate", "gateway", false, endpoints...),
 		routed: make(map[string]*obs.Counter, len(g.order)),
-	}
-	sorted := append([]string(nil), endpoints...)
-	sort.Strings(sorted)
-	for _, name := range sorted {
-		l := obs.L("endpoint", name)
-		o.eps[name] = &gwEp{
-			ok:        reg.Counter("schedgate_requests_total", "Gateway requests by endpoint and outcome.", l, obs.L("outcome", "ok")),
-			clientErr: reg.Counter("schedgate_requests_total", "", l, obs.L("outcome", "client_error")),
-			serverErr: reg.Counter("schedgate_requests_total", "", l, obs.L("outcome", "server_error")),
-			latencySum: reg.Counter("schedgate_latency_ns_sum",
-				"Summed gateway latency of successful responses.", l),
-			latencyMax: reg.Max("schedgate_latency_ns_max", "Max gateway latency of successful responses.", l),
-			latency: reg.Histogram("schedgate_request_latency_ns",
-				"Gateway latency of successful responses.", nil, l),
-		}
 	}
 	o.routePhase = reg.Histogram("schedgate_phase_ns",
 		"Gateway routing overhead from traced spans.", nil, obs.L("phase", obs.PhaseRoute))
@@ -118,7 +73,7 @@ func newGwObs(g *Gateway, endpoints ...string) *gwObs {
 	reg.GaugeFunc("schedgate_members_healthy", "Members currently passing health checks.",
 		func() int64 { return int64(g.healthyCount()) })
 	reg.GaugeFunc("schedgate_draining", "1 while shutdown drain is advertised.", func() int64 {
-		if g.draining.Load() {
+		if g.Draining() {
 			return 1
 		}
 		return 0
@@ -128,21 +83,7 @@ func newGwObs(g *Gateway, endpoints ...string) *gwObs {
 	reg.GaugeFunc("schedgate_uptime_seconds", "",
 		func() int64 { return int64(time.Since(o.start).Seconds()) })
 
-	o.throwaway = &gwEp{
-		ok: &obs.Counter{}, clientErr: &obs.Counter{}, serverErr: &obs.Counter{},
-		latencySum: &obs.Counter{}, latencyMax: &obs.Max{},
-		latency: obs.NewRegistry().Histogram("discard_ns", "", nil),
-	}
 	return o
-}
-
-// endpoint returns the named endpoint's handles, or a throwaway set for
-// a name that was never registered.
-func (o *gwObs) endpoint(name string) *gwEp {
-	if e, ok := o.eps[name]; ok {
-		return e
-	}
-	return o.throwaway
 }
 
 func (o *gwObs) routedTo(member string) {

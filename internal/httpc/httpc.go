@@ -78,9 +78,6 @@ func New(base string, timeout time.Duration, retries int) *Client {
 	}
 }
 
-// Base returns the client's base URL.
-func (c *Client) Base() string { return c.base }
-
 // SetHeader adds a header sent on every subsequent request (retries
 // included). Not safe to call concurrently with requests; configure the
 // client before using it.

@@ -33,15 +33,6 @@ func (in Instr) Clone() Instr {
 	return out
 }
 
-// HasImm reports whether the opcode consumes the integer immediate field.
-func (in *Instr) HasImm() bool {
-	switch in.Op {
-	case ADDI, ANDI, ORI, XORI, SLWI, SRAWI, LI, CMPI, LD, ST, LFD, STFD, BC:
-		return true
-	}
-	return false
-}
-
 func (in Instr) String() string {
 	var b strings.Builder
 	b.WriteString(in.Op.String())

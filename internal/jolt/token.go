@@ -11,7 +11,6 @@ package jolt
 
 import (
 	"fmt"
-	"strings"
 	"unicode"
 )
 
@@ -323,13 +322,4 @@ func Lex(src string) ([]Token, error) {
 
 func isIdentChar(c byte) bool {
 	return c == '_' || unicode.IsLetter(rune(c)) || (c >= '0' && c <= '9')
-}
-
-// FormatSnippet returns the source line for diagnostics (best effort).
-func FormatSnippet(src string, line int) string {
-	lines := strings.Split(src, "\n")
-	if line-1 < 0 || line-1 >= len(lines) {
-		return ""
-	}
-	return lines[line-1]
 }

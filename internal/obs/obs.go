@@ -16,6 +16,9 @@
 //     label names are validated (snake_case, no duplicate series) at
 //     registration, which is what keeps the historical schedserved_*,
 //     schedgate_*, codecache_*, and online_* names stable byte for byte.
+//     EndpointMetrics (endpoint.go) registers the per-endpoint outcome
+//     families both daemons share, and a Registry serves itself as the
+//     /metrics handler.
 //
 //   - Tracing (trace.go): a trace ID minted at the edge (gateway or
 //     server), propagated via the X-Sched-Trace header and

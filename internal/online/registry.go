@@ -32,7 +32,7 @@ type Version struct {
 	HoldoutSamples int `json:"holdout_samples"`
 	// Threshold is the labelling threshold t the training run used.
 	Threshold int `json:"threshold"`
-	// Rules is the round-trippable model text (schedfilter.FormatFilter
+	// Rules is the round-trippable model text (policy.FormatInduced
 	// format) for induced filters; empty for fixed boot filters.
 	Rules string `json:"rules,omitempty"`
 	// RuleHash is the short hex digest of the filter's rule text (fixed

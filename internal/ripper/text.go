@@ -22,8 +22,8 @@ func (rs *RuleSet) String() string { return rs.render(false) }
 // serialization round-trips exactly: Parse(rs.Format(), rs.Names)
 // reproduces rs field for field — even for rule sets with no positive
 // rules, whose labels appear nowhere else in the text. This is the
-// persistence format of model files (schedfilter.SaveFilter) that the
-// compile-server daemon boots from.
+// persistence format of model files (policy.FormatInduced, written by
+// schedtrain -o) that the compile-server daemon boots from.
 func (rs *RuleSet) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# labels: %s %s\n", rs.PosLabel, rs.NegLabel)

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"schedfilter"
 	"schedfilter/internal/obs"
+	"schedfilter/internal/online"
 )
 
 // The compile service's JSON wire types. Every compiler endpoint accepts
@@ -47,7 +47,7 @@ type ProgramInput struct {
 
 // FilterSpec carries a request's inline model.
 type FilterSpec struct {
-	// Model is inline model text (schedfilter.FormatFilter format); it
+	// Model is inline model text (policy.FormatInduced format); it
 	// overrides ProgramInput.Policy when set.
 	Model string `json:"model,omitempty"`
 }
@@ -203,9 +203,9 @@ type HealthResponse struct {
 	// is then the default target's serving filter version, and
 	// ActiveFilters every managed target's — the per-node convergence
 	// identity the cluster gateway compares across members.
-	Online        bool                           `json:"online,omitempty"`
-	FilterVersion int                            `json:"filter_version,omitempty"`
-	ActiveFilters []schedfilter.OnlineActiveInfo `json:"active_filters,omitempty"`
+	Online        bool                `json:"online,omitempty"`
+	FilterVersion int                 `json:"filter_version,omitempty"`
+	ActiveFilters []online.ActiveInfo `json:"active_filters,omitempty"`
 	// Draining mirrors the 503 status during shutdown notice.
 	Draining bool `json:"draining,omitempty"`
 }
@@ -213,7 +213,7 @@ type HealthResponse struct {
 // FiltersResponse is the body of GET /v1/filters: every managed
 // target's versioned filter registry plus reservoir gauges.
 type FiltersResponse struct {
-	Targets []schedfilter.OnlineTargetStatus `json:"targets"`
+	Targets []online.TargetStatus `json:"targets"`
 }
 
 // PolicyInfo describes one serving policy: which target it serves,
@@ -253,7 +253,7 @@ type RetrainRequest struct {
 
 // RetrainResponse reports the retraining rounds the request ran.
 type RetrainResponse struct {
-	Reports []*schedfilter.RetrainReport `json:"reports"`
+	Reports []*online.RetrainReport `json:"reports"`
 }
 
 // FilterActionRequest is the input of POST /v1/filters/{version}/activate
@@ -266,6 +266,6 @@ type FilterActionRequest struct {
 // FilterActionResponse reports an activation or rollback: the version
 // now serving the target.
 type FilterActionResponse struct {
-	Target  string                    `json:"target"`
-	Version schedfilter.FilterVersion `json:"version"`
+	Target  string         `json:"target"`
+	Version online.Version `json:"version"`
 }

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"schedfilter"
+	"schedfilter/internal/codecache"
+	"schedfilter/internal/ir"
+	"schedfilter/internal/machine"
 )
 
 // Bounds of the compiled-program memo. An entry weighs its source length
@@ -44,7 +46,7 @@ type programMemo struct {
 // in place; callers work on clones.
 type memoEntry struct {
 	source string
-	prog   *schedfilter.Program
+	prog   *ir.Program
 	bytes  int
 	// fp is the program fingerprint last computed from prog.
 	fp atomic.Pointer[memoFingerprint]
@@ -52,7 +54,7 @@ type memoEntry struct {
 
 type memoFingerprint struct {
 	model, policyID string
-	key             schedfilter.CacheKey
+	key             codecache.Key
 }
 
 func newProgramMemo() *programMemo {
@@ -79,7 +81,7 @@ func (m *programMemo) get(source string) *memoEntry {
 // caller keeps prog. Otherwise it returns the source's entry, storing
 // prog as the pristine copy unless a concurrent request stored one first;
 // the caller must then work on a clone of the entry's program.
-func (m *programMemo) admit(source string, prog *schedfilter.Program) *memoEntry {
+func (m *programMemo) admit(source string, prog *ir.Program) *memoEntry {
 	h := maphash.String(m.seed, source)
 	bytes := len(source) + memoInstrBytes*prog.NumInstrs()
 	m.mu.Lock()
@@ -120,13 +122,13 @@ func (m *programMemo) stats() memoStats {
 // key returns the pristine program's fingerprint under the model and
 // policy identity, reusing the last one computed when both match. The
 // fingerprint is a pure function of the program and that pair, so a
-// reused key is byte-identical to a fresh FingerprintProgram.
-func (e *memoEntry) key(m *schedfilter.Machine, policyID string) schedfilter.CacheKey {
+// reused key is byte-identical to a fresh codecache.ProgramKey.
+func (e *memoEntry) key(m *machine.Model, policyID string) codecache.Key {
 	if fp := e.fp.Load(); fp != nil && fp.model == m.Name && fp.policyID == policyID {
 		return fp.key
 	}
 	fp := &memoFingerprint{model: m.Name, policyID: policyID,
-		key: schedfilter.FingerprintProgram(m, policyID, e.prog)}
+		key: codecache.ProgramKey(m.Name, policyID, e.prog)}
 	e.fp.Store(fp)
 	return fp.key
 }

@@ -8,7 +8,15 @@ import (
 	"sync"
 	"testing"
 
-	"schedfilter"
+	"schedfilter/internal/codecache"
+	"schedfilter/internal/core"
+	"schedfilter/internal/ir"
+	"schedfilter/internal/jit"
+	"schedfilter/internal/jolt"
+	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
+	"schedfilter/internal/sim"
+	"schedfilter/internal/workloads"
 )
 
 // memoRef is what a request for one source under one policy must answer,
@@ -22,22 +30,34 @@ type memoRef struct {
 
 func memoReference(t *testing.T, src, spec string) memoRef {
 	t.Helper()
-	p, err := schedfilter.PolicyFromSpec(spec, "")
+	p, err := policy.FromSpec(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := schedfilter.CompileSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := schedfilter.DefaultTarget().Model
-	key := schedfilter.FingerprintProgram(m, schedfilter.FilterID(p), prog)
-	st := schedfilter.Schedule(m, prog, p)
-	res, err := schedfilter.Execute(prog, m, true)
+	prog := compileSource(t, src)
+	m := machine.Default().Model
+	key := codecache.ProgramKey(m.Name, policy.ID(p), prog)
+	st := core.Apply(m, prog, p, core.Pass{})
+	res, err := sim.Run(prog, sim.Config{Timed: true, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return memoRef{st.Blocks, st.Scheduled, st.CostBefore, st.CostAfter, hex.EncodeToString(key[:]), res.Ret, res.Cycles}
+}
+
+// compileSource compiles Jolt source with the default JIT options,
+// outside any server.
+func compileSource(t *testing.T, src string) *ir.Program {
+	t.Helper()
+	mod, err := jolt.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := jit.Compile(mod, jit.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }
 
 func checkSchedule(t *testing.T, what string, got *ScheduleResponse, want memoRef) {
@@ -104,14 +124,8 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 // A flood of distinct sources, each seen twice, never holds more than the
 // byte bound; the least recently used entries go first.
 func TestMemoBytesBounded(t *testing.T) {
-	w, err := schedfilter.WorkloadByName("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := schedfilter.CompileSource(w.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := workloads.ByName("compress")
+	prog := compileSource(t, w.Source)
 	source := func(i int) string { return fmt.Sprintf("%s\n// %d\n", w.Source, i) }
 	m := newProgramMemo()
 	n := 3 * memoMaxBytes / (len(w.Source) + memoInstrBytes*prog.NumInstrs())

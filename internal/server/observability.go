@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"time"
 
 	"schedfilter/internal/codecache"
@@ -9,15 +8,14 @@ import (
 )
 
 // serverObs is the server's registration on the shared obs registry:
-// per-endpoint request counters, latency sum/max (the historical
-// lines) plus request-latency and per-phase histograms (the new ones),
-// the scheduling-pass totals, and render-time gauges over the caches,
-// pool, and online loop. Handles are resolved here, once, so the
-// request path records through atomics only.
+// per-endpoint outcome metrics, per-phase histograms, the
+// scheduling-pass totals, and render-time gauges over the caches, pool,
+// and online loop. Handles are resolved here, once, so the request path
+// records through atomics only.
 type serverObs struct {
 	reg   *obs.Registry
 	start time.Time
-	eps   map[string]*epMetrics
+	eps   *obs.Endpoints
 	phase map[string]*obs.Histogram
 
 	// Scheduling-pass totals across schedule and execute requests.
@@ -29,40 +27,6 @@ type serverObs struct {
 	schedulerRuns   *obs.Counter
 	cacheHits       *obs.Counter
 	schedNs         *obs.Counter
-
-	// throwaway absorbs records against unknown endpoint names.
-	throwaway *epMetrics
-}
-
-// epMetrics are one endpoint's handles.
-type epMetrics struct {
-	ok        *obs.Counter // 2xx responses
-	clientErr *obs.Counter // 4xx other than 429
-	rejected  *obs.Counter // 429 (queue full)
-	serverErr *obs.Counter // 5xx
-	// Successful-response latency: historical sum/max lines plus the
-	// histogram percentiles feed on.
-	latencySum *obs.Counter
-	latencyMax *obs.Max
-	latency    *obs.Histogram
-}
-
-// record tallies one response, mirroring the historical outcome split.
-func (e *epMetrics) record(status int, elapsed time.Duration) {
-	switch {
-	case status == 429:
-		e.rejected.Inc()
-	case status >= 500:
-		e.serverErr.Inc()
-	case status >= 400:
-		e.clientErr.Inc()
-	default:
-		e.ok.Inc()
-		ns := elapsed.Nanoseconds()
-		e.latencySum.Add(ns)
-		e.latencyMax.Observe(ns)
-		e.latency.Observe(ns)
-	}
 }
 
 // serverPhases are the span names this layer can observe (route is the
@@ -81,27 +45,8 @@ func newServerObs(s *Server, endpoints ...string) *serverObs {
 	o := &serverObs{
 		reg:   reg,
 		start: time.Now(),
-		eps:   make(map[string]*epMetrics, len(endpoints)),
+		eps:   reg.EndpointMetrics("schedserved", "handler", true, endpoints...),
 		phase: make(map[string]*obs.Histogram, len(serverPhases)),
-	}
-	sorted := append([]string(nil), endpoints...)
-	sort.Strings(sorted)
-	newEp := func(name string) *epMetrics {
-		l := obs.L("endpoint", name)
-		return &epMetrics{
-			ok:        reg.Counter("schedserved_requests_total", "Requests by endpoint and outcome.", l, obs.L("outcome", "ok")),
-			clientErr: reg.Counter("schedserved_requests_total", "", l, obs.L("outcome", "client_error")),
-			rejected:  reg.Counter("schedserved_requests_total", "", l, obs.L("outcome", "rejected")),
-			serverErr: reg.Counter("schedserved_requests_total", "", l, obs.L("outcome", "server_error")),
-			latencySum: reg.Counter("schedserved_latency_ns_sum",
-				"Summed handler latency of successful responses.", l),
-			latencyMax: reg.Max("schedserved_latency_ns_max", "Max handler latency of successful responses.", l),
-			latency: reg.Histogram("schedserved_request_latency_ns",
-				"Handler latency of successful responses.", nil, l),
-		}
-	}
-	for _, name := range sorted {
-		o.eps[name] = newEp(name)
 	}
 	for _, ph := range serverPhases {
 		o.phase[ph] = reg.Histogram("schedserved_phase_ns",
@@ -141,7 +86,7 @@ func newServerObs(s *Server, endpoints ...string) *serverObs {
 			func() int64 { return 1 }, obs.L("node", s.cfg.Node))
 	}
 	reg.GaugeFunc("schedserved_draining", "1 while shutdown drain is advertised.", func() int64 {
-		if s.draining.Load() {
+		if s.Draining() {
 			return 1
 		}
 		return 0
@@ -157,23 +102,7 @@ func newServerObs(s *Server, endpoints ...string) *serverObs {
 	reg.GaugeFunc("schedserved_uptime_seconds", "",
 		func() int64 { return int64(time.Since(o.start).Seconds()) })
 
-	// The throwaway set lives on a private registry so records against
-	// unknown endpoint names never reach the exposition.
-	o.throwaway = &epMetrics{
-		ok: &obs.Counter{}, clientErr: &obs.Counter{}, rejected: &obs.Counter{},
-		serverErr: &obs.Counter{}, latencySum: &obs.Counter{}, latencyMax: &obs.Max{},
-		latency: obs.NewRegistry().Histogram("discard_ns", "", nil),
-	}
 	return o
-}
-
-// endpoint returns the named endpoint's handles, or a throwaway set for
-// a name that was never registered.
-func (o *serverObs) endpoint(name string) *epMetrics {
-	if e, ok := o.eps[name]; ok {
-		return e
-	}
-	return o.throwaway
 }
 
 // observeSpans records a finished trace's spans into the per-phase

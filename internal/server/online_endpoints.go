@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -24,14 +23,14 @@ import (
 func (s *Server) onlineEndpoint(name string, work func(r *http.Request, body []byte) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ep := s.obs.endpoint(name)
+		ep := s.obs.eps.Get(name)
 		tr := obs.StartTrace(r.Header.Get(obs.TraceHeader))
 		if s.online == nil {
 			s.reply(w, ep, tr, start, http.StatusBadRequest,
 				ErrorResponse{Error: "online learning is disabled (start the server with -online)"})
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		body, err := ReadBody(w, r)
 		if err != nil {
 			s.reply(w, ep, tr, start, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 			return

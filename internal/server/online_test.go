@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"schedfilter"
+	"schedfilter/internal/online"
 )
 
 // Distinct sources so live traffic fills the online reservoir with more
@@ -38,7 +38,7 @@ func main() int { return acc(40) - acc(10); }
 func onlineConfig() Config {
 	return Config{
 		Online: true,
-		OnlineOpts: schedfilter.OnlineConfig{
+		OnlineOpts: online.Config{
 			Targets:    []string{"mpc7410"},
 			MinSamples: 1,
 		},
@@ -171,7 +171,7 @@ func TestOnlineHotSwapSoak(t *testing.T) {
 		Workers:    4,
 		QueueDepth: 256,
 		Online:     true,
-		OnlineOpts: schedfilter.OnlineConfig{Targets: []string{"mpc7410"}, MinSamples: 1},
+		OnlineOpts: online.Config{Targets: []string{"mpc7410"}, MinSamples: 1},
 	})
 	sources := []string{testSource, testSource2, testSource3}
 	// Seed the reservoir so the first retrain has samples.

@@ -1,10 +1,12 @@
 // Package server is the compile service: scheduling-as-a-service over
-// the schedfilter facade. It exposes the compile → filter → schedule →
-// execute pipeline as an HTTP/JSON API, runs every compilation on a
-// bounded worker pool (full queue → 429, shutdown → 503), shares one
-// content-addressed scheduled-block cache across all requests, and
-// reports per-endpoint counters and latencies plus cache and pool gauges
-// at /metrics (Prometheus text format) and profiles at /debug/pprof.
+// the internal compile, policy and scheduling packages. It exposes the
+// compile → filter → schedule → execute pipeline as an HTTP/JSON API,
+// runs every compilation on a bounded worker pool (full queue → 429,
+// shutdown → 503), shares one content-addressed scheduled-block cache
+// across all requests, and reports per-endpoint counters and latencies
+// plus cache and pool gauges at /metrics (Prometheus text format) and
+// profiles at /debug/pprof. serve.go holds the serving skeleton the
+// cluster gateway reuses.
 //
 // Endpoints:
 //
@@ -32,17 +34,21 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"schedfilter"
+	"schedfilter/internal/codecache"
+	"schedfilter/internal/core"
+	"schedfilter/internal/features"
+	"schedfilter/internal/ir"
+	"schedfilter/internal/jit"
+	"schedfilter/internal/jolt"
+	"schedfilter/internal/machine"
 	"schedfilter/internal/obs"
+	"schedfilter/internal/online"
+	"schedfilter/internal/policy"
 	"schedfilter/internal/sim"
+	"schedfilter/internal/workloads"
 )
-
-// maxBody bounds request bodies (source text is small; listings are the
-// big direction, and those are responses).
-const maxBody = 8 << 20
 
 // Config parameterizes the service.
 type Config struct {
@@ -58,7 +64,7 @@ type Config struct {
 	Target string
 	// Filter is the default scheduling policy for requests that don't
 	// select one; nil selects LS (always schedule).
-	Filter schedfilter.Policy
+	Filter policy.Policy
 	// Workers sizes the compile worker pool; 0 selects GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the admission queue; 0 selects 4×Workers.
@@ -68,7 +74,7 @@ type Config struct {
 	// a default sized for sustained traffic.
 	CacheWeight int
 	// JIT configures compilation; the zero value selects the defaults.
-	JIT schedfilter.JITOptions
+	JIT jit.Options
 	// Online enables the online-learning loop: live traffic feeds
 	// per-target sample reservoirs, a background trainer periodically
 	// re-induces the filter, candidates are shadow-gated against the
@@ -77,15 +83,15 @@ type Config struct {
 	// OnlineOpts parameterize the loop when Online is set; the zero
 	// value selects defaults. Boot is overwritten with Config.Filter —
 	// the server's configured filter is always version 1.
-	OnlineOpts schedfilter.OnlineConfig
+	OnlineOpts online.Config
 }
 
 func (c Config) withDefaults() Config {
 	if c.Target == "" {
-		c.Target = schedfilter.DefaultTargetName
+		c.Target = machine.DefaultTargetName
 	}
 	if c.Filter == nil {
-		c.Filter = schedfilter.AlwaysSchedule
+		c.Filter = policy.Always{}
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -96,8 +102,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheWeight <= 0 {
 		c.CacheWeight = 1 << 20
 	}
-	if c.JIT == (schedfilter.JITOptions{}) {
-		c.JIT = schedfilter.DefaultJITOptions()
+	if c.JIT == (jit.Options{}) {
+		c.JIT = jit.DefaultOptions()
 	}
 	return c
 }
@@ -108,8 +114,8 @@ func (c Config) withDefaults() Config {
 // machine's traffic can never evict another's hot blocks.
 type machineTarget struct {
 	name  string
-	model *schedfilter.Machine
-	cache *schedfilter.ScheduleCache
+	model *machine.Model
+	cache *codecache.Cache
 }
 
 // executeStepLimit bounds the instructions one /v1/execute runs: about
@@ -132,7 +138,7 @@ type Server struct {
 	// (same program fingerprint + filter identity) into one scheduling
 	// pass — the stampede that follows a filter activation flushing
 	// cluster affinity costs one pass instead of N.
-	flight schedfilter.ScheduleFlight
+	flight codecache.Flight
 	// memo holds the compiled programs of repeat sources.
 	memo *programMemo
 	// schedFlightHook, when non-nil, runs inside a schedule flight leader
@@ -140,14 +146,12 @@ type Server struct {
 	// leader in flight while a stampede forms; production leaves it nil.
 	schedFlightHook func()
 	// online is the learning loop (nil when Config.Online is unset).
-	online *schedfilter.OnlineManager
+	online *online.Manager
 	// stepLimit is executeStepLimit; tests lower it.
 	stepLimit int64
-	// draining flips when shutdown begins: /healthz answers 503 from
-	// then on, so load balancers stop routing here before the listener
-	// closes. Requests already in flight (and stragglers that raced the
-	// flip) still complete normally.
-	draining atomic.Bool
+	// Drain flips /healthz to 503 when shutdown begins; compile
+	// endpoints keep serving until the pool closes.
+	Drain
 }
 
 // New builds a server. Every registered machine target is servable; the
@@ -162,11 +166,11 @@ func New(cfg Config) *Server {
 		memo:      newProgramMemo(),
 		stepLimit: executeStepLimit,
 	}
-	for _, tgt := range schedfilter.Targets() {
+	for _, tgt := range machine.All() {
 		s.targets[tgt.Name] = &machineTarget{
 			name:  tgt.Name,
 			model: tgt.Model,
-			cache: schedfilter.NewScheduleCache(cfg.CacheWeight),
+			cache: codecache.New(cfg.CacheWeight),
 		}
 		s.order = append(s.order, tgt.Name)
 	}
@@ -178,7 +182,7 @@ func New(cfg Config) *Server {
 	if cfg.Online {
 		oc := cfg.OnlineOpts
 		oc.Boot = cfg.Filter
-		mgr, err := schedfilter.NewOnlineManager(oc)
+		mgr, err := online.NewManager(oc)
 		if err != nil {
 			// Misconfigured online loop (unknown target, unreadable
 			// spill) is a deployment error, like an unknown default
@@ -201,7 +205,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /v1/filters/{version}/activate", s.handleActivate)
 	mux.HandleFunc("POST /v1/filters/rollback", s.handleRollback)
 	mux.HandleFunc("POST /v1/retrain", s.handleRetrain)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", s.obs.reg)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -217,11 +221,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Cache exposes the default target's scheduled-block cache (for stats
 // and tests); CacheFor exposes any target's.
-func (s *Server) Cache() *schedfilter.ScheduleCache { return s.def.cache }
+func (s *Server) Cache() *codecache.Cache { return s.def.cache }
 
 // CacheFor returns the named target's scheduled-block cache, or nil for
 // an unknown target.
-func (s *Server) CacheFor(target string) *schedfilter.ScheduleCache {
+func (s *Server) CacheFor(target string) *codecache.Cache {
 	if mt, ok := s.targets[target]; ok {
 		return mt.cache
 	}
@@ -256,7 +260,7 @@ func (s *Server) Close() {
 
 // Online exposes the learning loop's manager (nil when disabled); tests
 // and the daemon use it.
-func (s *Server) Online() *schedfilter.OnlineManager { return s.online }
+func (s *Server) Online() *online.Manager { return s.online }
 
 // endpoint wraps one compiler endpoint: adopt (or mint) the request's
 // trace, read the body on the connection goroutine, run work on the
@@ -266,9 +270,9 @@ func (s *Server) Online() *schedfilter.OnlineManager { return s.online }
 func (s *Server) endpoint(name string, work func(ctx context.Context, body []byte) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		ep := s.obs.endpoint(name)
+		ep := s.obs.eps.Get(name)
 		tr := obs.StartTrace(r.Header.Get(obs.TraceHeader))
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+		body, err := ReadBody(w, r)
 		if err != nil {
 			s.reply(w, ep, tr, start, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 			return
@@ -310,63 +314,38 @@ func (s *Server) endpoint(name string, work func(ctx context.Context, body []byt
 // reply records the response outcome and writes the JSON body. The
 // trace ID is echoed on every response — including errors — so a caller
 // can correlate failures too; tr may be nil for untraced handlers.
-func (s *Server) reply(w http.ResponseWriter, ep *epMetrics, tr *obs.Trace, start time.Time, status int, v any) {
-	ep.record(status, time.Since(start))
+func (s *Server) reply(w http.ResponseWriter, ep *obs.Endpoint, tr *obs.Trace, start time.Time, status int, v any) {
 	if s.cfg.Node != "" {
 		w.Header().Set("X-Sched-Node", s.cfg.Node)
 	}
 	if id := tr.ID(); id != "" {
 		w.Header().Set(obs.TraceHeader, id)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // connection-level failure; nothing left to do
+	Reply(w, ep, start, status, v)
 }
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.obs.reg.Render(w)
-}
-
-// BeginDrain flips the health endpoint to 503 ("draining"). Call it
-// when shutdown starts, before the listener stops accepting: a load
-// balancer or cluster gateway polling /healthz then takes the node out
-// of rotation instead of eating connection resets when the socket
-// closes. Compile endpoints keep serving until the pool closes.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	resp := HealthResponse{
-		Status:   "ok",
-		Node:     s.cfg.Node,
-		Policy:   s.cfg.Filter.Name(),
-		PolicyID: schedfilter.FilterID(s.cfg.Filter),
-		Model:    s.def.model.Name,
-		Target:   s.def.name,
-		Targets:  append([]string(nil), s.order...),
-	}
-	if s.online != nil {
-		resp.Online = true
-		f, version := s.online.ActiveFilter(s.def.name)
-		resp.Policy = f.Name()
-		resp.PolicyID = schedfilter.FilterID(f)
-		resp.FilterVersion = version
-		resp.ActiveFilters = s.online.ActiveSummary()
-	}
-	status := http.StatusOK
-	if s.draining.Load() {
-		resp.Status = "draining"
-		resp.Draining = true
-		status = http.StatusServiceUnavailable
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(resp)
+	s.ServeHealth(w, func(status string, draining bool) any {
+		resp := HealthResponse{
+			Status:   status,
+			Node:     s.cfg.Node,
+			Policy:   s.cfg.Filter.Name(),
+			PolicyID: policy.ID(s.cfg.Filter),
+			Model:    s.def.model.Name,
+			Target:   s.def.name,
+			Targets:  append([]string(nil), s.order...),
+			Draining: draining,
+		}
+		if s.online != nil {
+			resp.Online = true
+			f, version := s.online.ActiveFilter(s.def.name)
+			resp.Policy = f.Name()
+			resp.PolicyID = policy.ID(f)
+			resp.FilterVersion = version
+			resp.ActiveFilters = s.online.ActiveSummary()
+		}
+		return resp
+	})
 }
 
 // handlePolicies serves GET /v1/policies: the registered policy kinds
@@ -375,7 +354,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // with or without online learning — the serving policy always exists.
 func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 	resp := PoliciesResponse{}
-	for _, k := range schedfilter.PolicyKinds() {
+	for _, k := range policy.Kinds() {
 		resp.Kinds = append(resp.Kinds, PolicyKindInfo{Name: k.Name, Description: k.Description})
 	}
 	for _, name := range s.order {
@@ -388,23 +367,20 @@ func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 			Target:     name,
 			Name:       f.Name(),
 			Kind:       pv.Kind,
-			ID:         schedfilter.FilterID(f),
+			ID:         policy.ID(f),
 			TrainedFor: pv.Target,
 			Detail:     pv.Detail,
 			Version:    version,
 		})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // compileInput compiles a request's program (inline source or bundled
 // workload) to unscheduled machine code through the compiled-program
 // memo. The returned program is the caller's own to reorder; the entry,
 // non-nil when the source is memoized, carries its fingerprint.
-func (s *Server) compileInput(in ProgramInput) (*schedfilter.Program, *memoEntry, time.Duration, error) {
+func (s *Server) compileInput(in ProgramInput) (*ir.Program, *memoEntry, time.Duration, error) {
 	start := time.Now()
 	var source string
 	switch {
@@ -413,9 +389,9 @@ func (s *Server) compileInput(in ProgramInput) (*schedfilter.Program, *memoEntry
 	case in.Source != "":
 		source = in.Source
 	case in.Workload != "":
-		w, err := schedfilter.WorkloadByName(in.Workload)
-		if err != nil {
-			return nil, nil, 0, err
+		w := workloads.ByName(in.Workload)
+		if w == nil {
+			return nil, nil, 0, fmt.Errorf("schedfilter: no workload named %q", in.Workload)
 		}
 		source = w.Source
 	default:
@@ -424,11 +400,11 @@ func (s *Server) compileInput(in ProgramInput) (*schedfilter.Program, *memoEntry
 	if e := s.memo.get(source); e != nil {
 		return e.prog.Clone(), e, time.Since(start), nil
 	}
-	mod, err := schedfilter.CompileJolt(source)
+	mod, err := jolt.Compile(source)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	prog, err := schedfilter.CompileModule(mod, s.cfg.JIT)
+	prog, err := jit.Compile(mod, s.cfg.JIT)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -441,13 +417,13 @@ func (s *Server) compileInput(in ProgramInput) (*schedfilter.Program, *memoEntry
 // programKey fingerprints a request's still unscheduled program under the
 // target's model and the policy's content identity, reusing the memo
 // entry's fingerprint when it has one, and records the fingerprint span.
-func programKey(tr *obs.Trace, mt *machineTarget, policyID string, prog *schedfilter.Program, e *memoEntry) schedfilter.CacheKey {
+func programKey(tr *obs.Trace, mt *machineTarget, policyID string, prog *ir.Program, e *memoEntry) codecache.Key {
 	start := time.Now()
-	var key schedfilter.CacheKey
+	var key codecache.Key
 	if e != nil {
 		key = e.key(mt.model, policyID)
 	} else {
-		key = schedfilter.FingerprintProgram(mt.model, policyID, prog)
+		key = codecache.ProgramKey(mt.model.Name, policyID, prog)
 	}
 	tr.Record(obs.PhaseFingerprint, time.Since(start).Nanoseconds())
 	return key
@@ -459,9 +435,9 @@ func programKey(tr *obs.Trace, mt *machineTarget, policyID string, prog *schedfi
 // configured (or online-active) policy. The returned version is non-zero
 // only when the policy came from the online registry's active slot — the
 // number hot-swaps change and loadgen tallies.
-func (s *Server) resolvePolicy(policySpec string, spec FilterSpec, mt *machineTarget) (schedfilter.Policy, int, error) {
+func (s *Server) resolvePolicy(policySpec string, spec FilterSpec, mt *machineTarget) (policy.Policy, int, error) {
 	if spec.Model != "" {
-		f, err := schedfilter.ParsePolicy(spec.Model, mt.name)
+		f, err := policy.Parse(spec.Model, mt.name)
 		return f, 0, err
 	}
 	name := strings.TrimSpace(policySpec)
@@ -472,7 +448,7 @@ func (s *Server) resolvePolicy(policySpec string, spec FilterSpec, mt *machineTa
 		}
 		return s.cfg.Filter, 0, nil
 	}
-	f, err := schedfilter.PolicyFromSpec(name, mt.name)
+	f, err := policy.FromSpec(name, mt.name)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -482,7 +458,7 @@ func (s *Server) resolvePolicy(policySpec string, spec FilterSpec, mt *machineTa
 // observe feeds a freshly compiled (still unscheduled) program to the
 // online sample collector. Must run before the scheduling pass reorders
 // blocks — the collector needs original-order instruction content.
-func (s *Server) observe(mt *machineTarget, prog *schedfilter.Program) {
+func (s *Server) observe(mt *machineTarget, prog *ir.Program) {
 	if s.online != nil {
 		s.online.Observe(mt.name, prog)
 	}
@@ -538,12 +514,12 @@ func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
 // the resolved target's machine and cache, and feeds the pass totals
 // into the server metrics. The pass runs with phase timing on, so the
 // returned stats carry the per-phase breakdown traces report.
-func (s *Server) schedulePass(prog *schedfilter.Program, f schedfilter.Policy, mt *machineTarget, noCache bool) schedfilter.ScheduleStats {
+func (s *Server) schedulePass(prog *ir.Program, f policy.Policy, mt *machineTarget, noCache bool) core.Stats {
 	cache := mt.cache
 	if noCache {
 		cache = nil
 	}
-	st := schedfilter.ScheduleWithCacheTimed(mt.model, prog, f, cache)
+	st := core.Apply(mt.model, prog, f, core.Pass{Cache: cache, Timed: true})
 	runs := st.CacheMisses
 	if noCache {
 		runs = st.Scheduled
@@ -560,7 +536,7 @@ func (s *Server) schedulePass(prog *schedfilter.Program, f schedfilter.Policy, m
 // trace. Callers skip it for coalesced responses: a follower's wall
 // time overlaps only part of the leader's pass, and recording the
 // leader's phases could break the sum(spans) ≤ total invariant.
-func recordSchedPhases(tr *obs.Trace, st schedfilter.ScheduleStats) {
+func recordSchedPhases(tr *obs.Trace, st core.Stats) {
 	tr.Record(obs.PhaseCacheLookup, st.Phases.CacheLookupNs)
 	tr.Record(obs.PhaseDAGBuild, st.Phases.DAGBuildNs)
 	tr.Record(obs.PhaseListSchedule, st.Phases.ListSchedNs)
@@ -593,9 +569,9 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 	// as the singleflight key: scheduling is deterministic in (model,
 	// filter, input code), so concurrent identical requests can share one
 	// pass. NoCache requests promise an uncached pass and stay out.
-	policyID := schedfilter.FilterID(f)
+	policyID := policy.ID(f)
 	key := programKey(tr, mt, policyID, prog, entry)
-	var st schedfilter.ScheduleStats
+	var st core.Stats
 	coalesced := false
 	if req.NoCache {
 		st = s.schedulePass(prog, f, mt, true)
@@ -606,7 +582,7 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 			}
 			return s.schedulePass(prog, f, mt, false)
 		})
-		st = v.(schedfilter.ScheduleStats)
+		st = v.(core.Stats)
 		coalesced = shared
 	}
 	if !coalesced {
@@ -655,12 +631,12 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 	obs.TraceFrom(ctx).Record(obs.PhaseCompile, compileT.Nanoseconds())
 	resp := &PredictResponse{
 		Policy:        f.Name(),
-		PolicyID:      schedfilter.FilterID(f),
+		PolicyID:      policy.ID(f),
 		FilterVersion: version,
 	}
 	for _, fn := range prog.Fns {
 		for _, b := range fn.Blocks {
-			v := schedfilter.ExtractFeatures(b)
+			v := features.ExtractBlock(b)
 			yes, conf := f.Decide(v)
 			resp.Blocks++
 			if yes {
@@ -704,12 +680,12 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	// concurrent identical requests still coalesce the scheduler work:
 	// followers wait for the leader's pass to warm the scheduled-block
 	// cache, then their own pass replays from it (all hits).
-	policyID := schedfilter.FilterID(f)
+	policyID := policy.ID(f)
 	key := programKey(tr, mt, policyID, prog, entry)
 	v, coalesced := s.flight.Do(key, func() any {
 		return s.schedulePass(prog, f, mt, false)
 	})
-	st := v.(schedfilter.ScheduleStats)
+	st := v.(core.Stats)
 	if coalesced {
 		st = s.schedulePass(prog, f, mt, false)
 	}
@@ -740,46 +716,9 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	}, nil
 }
 
-// drainNotice is how long the health endpoint advertises "draining"
-// (503) before the listener actually stops accepting. It must exceed a
-// routing layer's health-check interval so every prober observes the
-// flip and takes the node out of rotation first; the gateway's default
-// check interval is a fraction of this.
-const drainNotice = 750 * time.Millisecond
-
 // ListenAndServe runs the service on addr until ctx is cancelled, then
-// shuts down gracefully in LB-friendly order: first /healthz flips to
-// 503 and keeps answering for drainNotice so routers stop sending
-// traffic, then the listener stops, in-flight requests drain (bounded
-// by drainTimeout), and the worker pool closes. It is the daemon main's
-// whole lifecycle in one call.
+// drains it through Serve's shutdown sequence; the worker pool closes
+// last.
 func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           s.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		s.Close()
-		return err
-	case <-ctx.Done():
-	}
-	s.BeginDrain()
-	select {
-	case err := <-errc: // listener died while we advertised the drain
-		s.Close()
-		return err
-	case <-time.After(drainNotice):
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	err := httpSrv.Shutdown(shutdownCtx)
-	s.Close()
-	if err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	return nil
+	return Serve(ctx, s, addr, drainTimeout)
 }

@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"schedfilter"
+	"schedfilter/internal/policy"
 )
 
 const testSource = `
@@ -279,7 +279,7 @@ func TestHealthz(t *testing.T) {
 // endpoint instead of being served the default policy, and no response
 // (nor /healthz) reports a filter key: the serving policy is "policy".
 func TestFilterFieldRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{Filter: schedfilter.NeverSchedule})
+	_, ts := newTestServer(t, Config{Filter: policy.Never{}})
 	for _, ep := range []string{"compile", "schedule", "predict", "execute"} {
 		code, resp := post[map[string]any](t, ts.URL+"/v1/"+ep,
 			map[string]string{"source": testSource, "filter": "LS"})

@@ -52,7 +52,6 @@ import (
 	"schedfilter/internal/jit"
 	"schedfilter/internal/jolt"
 	"schedfilter/internal/machine"
-	"schedfilter/internal/online"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
 	"schedfilter/internal/sched"
@@ -70,8 +69,6 @@ type (
 	Program = ir.Program
 	// Block is one basic block of machine instructions.
 	Block = ir.Block
-	// Instr is one machine instruction.
-	Instr = ir.Instr
 	// Module is verified stack bytecode (the JIT's input).
 	Module = bytecode.Module
 	// FeatureVector is the paper's 13 cheap block features (Table 1).
@@ -83,13 +80,6 @@ type (
 	// PolicyKind is one registered policy constructor (the unit of the
 	// policy registry, as Target is for machines).
 	PolicyKind = policy.Kind
-	// PolicyProvenance records where a policy came from.
-	PolicyProvenance = policy.Provenance
-	// CostPolicy schedules blocks whose estimated cycles under a machine
-	// target meet a threshold.
-	CostPolicy = policy.CostThreshold
-	// PortfolioPolicy arbitrates between member policies by confidence.
-	PortfolioPolicy = policy.Portfolio
 	// InducedFilter is a learned (Ripper rule set) filter.
 	InducedFilter = policy.Induced
 	// RuleSet is an ordered Ripper rule list.
@@ -121,69 +111,18 @@ type (
 	ExperimentConfig = experiments.Config
 	// AdaptiveConfig parameterizes the adaptive optimization system.
 	AdaptiveConfig = adaptive.Config
-	// AdaptivePolicy is the controller's cost/benefit promotion model
-	// (when to recompile a hot function — distinct from the scheduling
-	// Policy, which decides whether to schedule each block).
-	AdaptivePolicy = adaptive.Promotion
 	// AdaptiveResult reports an adaptive run (online + steady state).
 	AdaptiveResult = adaptive.Result
-	// AdaptiveMetrics are the adaptive controller's per-tier counters.
-	AdaptiveMetrics = adaptive.Metrics
-	// ProfileSnapshot is one periodic execution-profile sample.
-	ProfileSnapshot = sim.Snapshot
-	// FnSwap is a safe-point function replacement request.
-	FnSwap = sim.FnSwap
 	// ScheduleCache is the sharded content-addressed scheduled-block
 	// cache the compile service runs on.
 	ScheduleCache = codecache.Cache
-	// CacheStats is a snapshot of a ScheduleCache's counters.
-	CacheStats = codecache.Stats
 	// CacheKey is a 256-bit content fingerprint of a block or program.
 	CacheKey = codecache.Key
-	// ScheduleFlight coalesces concurrent duplicate compile work keyed
-	// by content fingerprint: N identical in-flight requests cost one
-	// scheduling pass. The zero value is ready to use.
-	ScheduleFlight = codecache.Flight
-	// ScheduleFlightStats is a snapshot of a ScheduleFlight's counters.
-	ScheduleFlightStats = codecache.FlightStats
 	// Target is a named, immutable machine model from the target
 	// registry. Every layer that needs a machine resolves one of these;
 	// the registered Model must not be mutated (Clone it for variants).
 	Target = machine.Target
-	// OnlineConfig parameterizes the online-learning loop (live label
-	// capture, background retraining, shadow-gated promotion).
-	OnlineConfig = online.Config
-	// OnlineManager runs the loop: sample collection, retraining, and
-	// the per-target versioned filter registries the compile server
-	// serves from.
-	OnlineManager = online.Manager
-	// OnlineGate is the shadow-evaluation promotion gate.
-	OnlineGate = online.Gate
-	// OnlineScore is one filter's shadow evaluation on held-out samples.
-	OnlineScore = online.Score
-	// FilterVersion is one registered filter version with provenance.
-	FilterVersion = online.Version
-	// RetrainReport describes one retraining round's outcome.
-	RetrainReport = online.RetrainReport
-	// OnlineTargetStatus is one target's registry listing plus
-	// reservoir gauges.
-	OnlineTargetStatus = online.TargetStatus
-	// OnlineActiveInfo is one target's serving-filter identity
-	// (version + rule hash) — what cluster members compare to decide
-	// filter-version convergence.
-	OnlineActiveInfo = online.ActiveInfo
-	// OnlineMetrics snapshots the online loop's counters.
-	OnlineMetrics = online.Metrics
 )
-
-// NewOnlineManager starts the online-learning loop: per-target sample
-// reservoirs fed by Observe, background Ripper retraining, shadow
-// evaluation against the incumbent on a held-out slice, and versioned
-// filter hot-swap with rollback. The compile server embeds one when
-// booted with online learning enabled.
-func NewOnlineManager(cfg OnlineConfig) (*OnlineManager, error) {
-	return online.NewManager(cfg)
-}
 
 // Fixed protocols (the paper's baselines).
 var (
@@ -291,16 +230,12 @@ func ScheduleWithCache(m *Machine, p *Program, f Policy, c *ScheduleCache) Sched
 
 // ScheduleWithCacheTimed is ScheduleWithCache with per-phase timing on:
 // the returned stats' Phases field breaks the pass's wall time into
-// cache-lookup, DAG-build, list-schedule, and estimator components. The
-// compile server uses it to populate request traces; the breakdown adds
-// no allocations to the scheduling hot path.
+// cache-lookup, DAG-build, list-schedule, and estimator components, as
+// the compile server's passes do to populate request traces; the
+// breakdown adds no allocations to the scheduling hot path.
 func ScheduleWithCacheTimed(m *Machine, p *Program, f Policy, c *ScheduleCache) ScheduleStats {
 	return core.Apply(m, p, f, core.Pass{Cache: c, Timed: true})
 }
-
-// SchedulePhaseTimes is the per-phase breakdown carried by
-// ScheduleStats.Phases.
-type SchedulePhaseTimes = sched.PhaseTimes
 
 // FingerprintBlock returns the content fingerprint under which a block's
 // scheduling result is cached: a hash of its instruction stream and the
@@ -338,37 +273,6 @@ func Schedules(p Policy, v FeatureVector) bool { return policy.Schedules(p, v) }
 
 // PolicyKinds lists every registered policy kind in registration order.
 func PolicyKinds() []*PolicyKind { return policy.Kinds() }
-
-// PolicyFromSpec parses the policy spec mini-language (always|ls,
-// never|ns, size:N, cost:N, portfolio:spec+spec+..., plus registered
-// kinds) under the named machine target ("" = default target).
-func PolicyFromSpec(spec, target string) (Policy, error) { return policy.FromSpec(spec, target) }
-
-// PolicySpecOf renders a policy back to a spec PolicyFromSpec accepts,
-// or "" when the policy is not spec-representable (induced rule sets
-// serialize as model text instead; see FormatPolicy).
-func PolicySpecOf(p Policy) string { return policy.SpecOf(p) }
-
-// NewCostPolicy builds the cost-threshold policy against the named
-// machine target ("" = default target).
-func NewCostPolicy(target string, minCycles int) (*CostPolicy, error) {
-	return policy.NewCostThreshold(target, minCycles)
-}
-
-// NewPortfolioPolicy combines member policies under confidence
-// arbitration: per block, the most confident member's decision wins.
-func NewPortfolioPolicy(members ...Policy) (*PortfolioPolicy, error) {
-	return policy.NewPortfolio(members...)
-}
-
-// FormatPolicy renders any policy to persistent text (induced filters
-// as model-file text, spec-representable policies as a one-line spec
-// document); ParsePolicy inverts it.
-func FormatPolicy(p Policy) (string, error) { return policy.Format(p) }
-
-// ParsePolicy reads text produced by FormatPolicy under the named
-// machine target ("" = default target).
-func ParsePolicy(text, target string) (Policy, error) { return policy.Parse(text, target) }
 
 // FormatFilter renders an induced filter as persistent model text: a
 // "# filter: <label>" header, a "# target: <name>" header when the
@@ -479,9 +383,6 @@ func TrainDefaultFilter(m *Machine, t int) (*InducedFilter, error) {
 	}
 	return training.TrainFilter(data, t, ripper.DefaultOptions()), nil
 }
-
-// DefaultAdaptivePolicy is the stock cost/benefit promotion policy.
-func DefaultAdaptivePolicy() AdaptivePolicy { return adaptive.DefaultPromotion() }
 
 // DefaultAdaptiveConfig configures the adaptive optimization system with
 // the stock sampling rate, pool size, and promotion policy. Set Module
