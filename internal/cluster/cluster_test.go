@@ -705,3 +705,57 @@ func TestFilterFieldRejected(t *testing.T) {
 		}
 	}
 }
+
+// A lifecycle operation that every member refuses with a client fault
+// (static backends have no online learning to retrain, roll back or list)
+// reaches the caller as that fault and counts as a client error, not as a
+// bad gateway.
+func TestBroadcastClientFaultPassesThrough(t *testing.T) {
+	tc := newTestCluster(t, 2, false, nil)
+	for _, c := range []struct {
+		op, method, path string
+	}{
+		{"retrain", "POST", "/v1/retrain"},
+		{"rollback", "POST", "/v1/filters/rollback"},
+		{"filters", "GET", "/v1/filters"},
+	} {
+		var status int
+		var body []byte
+		if c.method == "GET" {
+			status, body = getVia(t, tc.gwts.URL, c.path)
+		} else {
+			status, body = postVia(t, tc.gwts.URL, c.path, struct{}{})
+		}
+		if status != http.StatusBadRequest {
+			t.Errorf("%s %s through the gateway: HTTP %d, want 400: %s", c.method, c.path, status, body)
+		}
+		_, page := getVia(t, tc.gwts.URL, "/metrics")
+		series := fmt.Sprintf(`schedgate_requests_total{endpoint=%q,outcome="client_error"} 1`, c.op)
+		if !strings.Contains(string(page), series+"\n") {
+			t.Errorf("%s: gateway /metrics lacks %q", c.op, series)
+		}
+	}
+}
+
+func TestBroadcastStatus(t *testing.T) {
+	for _, c := range []struct {
+		statuses []int
+		want     int
+	}{
+		{[]int{400, 200}, 200},
+		{[]int{400, 400}, 400},
+		{[]int{404, 404}, 404},
+		{[]int{404, 409}, 400},
+		{[]int{400, 502}, 502},
+		{[]int{503, 400}, 502},
+		{[]int{500}, 502},
+	} {
+		nodes := make([]NodeResult, len(c.statuses))
+		for i, s := range c.statuses {
+			nodes[i].Status = s
+		}
+		if got := broadcastStatus(nodes); got != c.want {
+			t.Errorf("broadcastStatus(%v) = %d, want %d", c.statuses, got, c.want)
+		}
+	}
+}

@@ -498,11 +498,28 @@ func (g *Gateway) broadcast(op, path string, body []byte, get bool) (int, Broadc
 	}
 	g.CheckNow()
 	resp.Convergence = g.convergence()
-	status := http.StatusOK
-	if resp.OK == 0 {
-		status = http.StatusBadGateway
+	return broadcastStatus(resp.Nodes), resp
+}
+
+// broadcastStatus is a broadcast's reply status: 200 when some member
+// applied the operation; when none did and every member refused it with a
+// client fault, that fault (400 when the members disagree), so the caller
+// sees its own error; otherwise 502.
+func broadcastStatus(nodes []NodeResult) int {
+	status := 0
+	for _, n := range nodes {
+		switch {
+		case n.Status == http.StatusOK:
+			return http.StatusOK
+		case n.Status < 400 || n.Status >= 500:
+			status = http.StatusBadGateway
+		case status == 0:
+			status = n.Status
+		case status != n.Status && status != http.StatusBadGateway:
+			status = http.StatusBadRequest
+		}
 	}
-	return status, resp
+	return status
 }
 
 // broadcastHandler wraps one lifecycle endpoint; pathFn derives the

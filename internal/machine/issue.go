@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"slices"
-
-	"schedfilter/internal/ir"
-)
+import "schedfilter/internal/ir"
 
 // IssueState models in-order issue onto the machine's functional units.
 // Instructions are presented in their final program order; the state tracks,
@@ -20,12 +16,14 @@ import (
 //     every ready instruction and issues the winner, use this form.
 //   - IssueDecoded takes a record Decode resolved once.
 //   - IssueSegment takes a straight-line run of records DecodeSegment
-//     resolved once, and replays the run's outcome from a small memo
-//     when its normalized entry state recurs (segment.go). The
-//     whole-program timing simulator decodes each function's segments
-//     when a run starts (and again when a hot-swap replaces it), keeps one
-//     IssueState alive across basic blocks, and issues one segment per
-//     call.
+//     resolved once, and moves along the state's chained memo of whole
+//     normalized pipeline states when the transition has been taken
+//     before (segment.go). The whole-program timing simulator decodes
+//     each function's segments when a run starts (and again when a
+//     hot-swap replaces it), keeps one IssueState alive across basic
+//     blocks, and issues one segment per call, with AdvanceTo between.
+//     While it follows the memo only the cycle and the makespan are kept
+//     current, so the other forms must not be mixed with it.
 //
 // Register ready times live in one flat slice of slots: the physical
 // registers at fixed offsets, then one slot per virtual register (guards
@@ -52,18 +50,11 @@ type IssueState struct {
 	ready  []int
 	// virt maps each virtual register seen so far to its slot.
 	virt map[ir.Reg]int32
-	// operands backs every Decoded record's register slots and every
-	// segment's key slots.
+	// operands backs every Decoded record's register slots.
 	operands []int32
-	// recs backs every segment's records, segs holds the segments
-	// DecodeSegment returned handles to, and key is scratch for building
-	// a segment's memo key.
-	recs []Decoded
-	segs []segment
-	key  []byte
-	// keyArena and outArena back the segment memos (see carve).
-	keyArena []byte
-	outArena []int32
+	// chain holds the decoded segments and their chained memo; it is nil
+	// until DecodeSegment first runs.
+	chain *chain
 
 	makespan int
 }
@@ -83,42 +74,19 @@ func NewIssueState(m *Model) *IssueState {
 }
 
 // Reset clears the state for reuse, decoded records included (they must
-// be decoded again). Storage is retained (emptied, not dropped) so a
-// reused state reaches a steady state with no per-reset allocations — the
-// scheduler's pooled scratch resets one IssueState per scheduled block.
+// be decoded again). Storage other than the segments' chained memo is
+// retained (emptied, not dropped) so a reused state reaches a steady state
+// with no per-reset allocations — the scheduler's pooled scratch resets
+// one IssueState per scheduled block.
 func (s *IssueState) Reset() {
-	model, ready, virt, operands, recs, segs, key := s.m, s.ready, s.virt, s.operands[:0], s.recs[:0], s.segs[:0], s.key
+	model, ready, virt, operands := s.m, s.ready, s.virt, s.operands[:0]
 	clear(ready)
 	clear(virt)
-	*s = IssueState{m: model, ready: ready, virt: virt, operands: operands, recs: recs, segs: segs, key: key}
+	*s = IssueState{m: model, ready: ready, virt: virt, operands: operands}
 }
 
 // Model returns the machine model the state was built for.
 func (s *IssueState) Model() *Model { return s.m }
-
-// Clone returns an independent copy of the state. Records and segments
-// decoded by s remain valid for the copy; the copy's segment memos start
-// empty.
-func (s *IssueState) Clone() *IssueState {
-	c := *s
-	c.ready = slices.Clone(s.ready)
-	if s.virt != nil {
-		c.virt = make(map[ir.Reg]int32, len(s.virt))
-		for k, v := range s.virt {
-			c.virt[k] = v
-		}
-	}
-	c.operands = slices.Clip(s.operands)
-	c.recs = slices.Clip(s.recs)
-	c.segs = slices.Clone(s.segs)
-	for i := range c.segs {
-		g := &c.segs[i]
-		g.n, g.last, g.keys, g.outs = 0, 0, nil, nil
-	}
-	c.key = slices.Clone(s.key)
-	c.keyArena, c.outArena = nil, nil
-	return &c
-}
 
 // slots returns the ready times by slot.
 func (s *IssueState) slots() []int {
@@ -365,14 +333,14 @@ func (s *IssueState) issue(d *Decoded) (t, done int) {
 // AdvanceTo moves the issue clock forward to at least cycle t (used by the
 // whole-program simulator to charge branch bubbles between blocks).
 func (s *IssueState) AdvanceTo(t int) {
-	if t > s.cycle {
-		s.cycle = t
-		s.nonBranch = 0
-		s.branch = 0
+	switch {
+	case t <= s.cycle:
+	case s.chain == nil:
+		s.cycle, s.nonBranch, s.branch = t, 0, 0
+	case !s.follow(s.cycle - t):
+		s.take(s.cycle - t)
 	}
-	if t > s.makespan {
-		s.makespan = t
-	}
+	s.makespan = max(s.makespan, t)
 }
 
 // Cycle returns the current issue cycle.

@@ -217,7 +217,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	s := NewIssueState(m)
 	a := ir.Instr{Op: ir.LD, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(4)}, Imm: 0}
 	s.Issue(&a)
-	c := s.Clone()
+	c := clone(s)
 	b := ir.Instr{Op: ir.ADDI, Defs: []ir.Reg{ir.GPR(5)}, Uses: []ir.Reg{ir.GPR(3)}, Imm: 1}
 	c.Issue(&b)
 	if s.Makespan() == c.Makespan() {

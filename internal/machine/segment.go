@@ -2,271 +2,303 @@ package machine
 
 import (
 	"cmp"
-	"slices"
+	"encoding/binary"
 
 	"schedfilter/internal/ir"
 )
 
-// Memoized segment timing (after FastSim's memoization, Schnarr & Larus,
-// ASPLOS 1998). The whole-program simulator issues code in straight-line
-// segments, from a block entry or a call's return point through the next
-// control instruction, and the same few pipeline states recur at each
-// segment's entry. A segment keeps a small memo of the outcomes it has
-// produced, keyed by its entry state normalized to the entry issue cycle
-// C, and replays a recorded outcome instead of issuing instruction by
-// instruction.
+// Chained segment timing (after FastSim, Schnarr & Larus, ASPLOS 1998).
+// The whole-program simulator issues code in straight-line segments, from
+// a block entry or a call's return point through the next control
+// instruction, with a bubble (AdvanceTo) between some of them, and the
+// whole pipeline state takes only a few dozen distinct shapes over a run.
+// A state that issues segments therefore keeps one chained memo for the
+// run: a graph whose nodes are whole timing states normalized to their
+// issue cycle C, and whose edges are the transitions (a segment, or a
+// bubble of b cycles) taken from them.
 //
-// The key holds max(0, v−C) for every register slot the segment reads or
-// writes and for every unit it may issue to, the three-way order of IU1
-// against IU2 when the segment may take either, and the entry slot
-// counts. It is exact because of how the issue rules read the state:
-//   - issue never starts before C, so a ready time or unit time below C
-//     acts only through max(v, t) with t ≥ C, exactly as C does;
-//   - a register is written as max(old, done) with done > C, so its new
-//     value depends on old only when old > C, where the key holds it
-//     exactly;
+// A node holds the entry slot counts, the three-way order of IU1 against
+// IU2, max(0, v−C) for each unit and (slot, v−C) for each register slot
+// whose ready time v is above C. It determines everything the issue rules
+// can observe, because of how they read the state:
+//   - issue never starts before C, so a ready time or unit time at or
+//     below C acts only through max(v, t) with t ≥ C, exactly as C does;
+//   - a register is written as max(old, done) with done > C (every latency
+//     is at least one cycle, which Validate requires), so its new value
+//     depends on old only when old > C, where the node holds it exactly;
 //   - a unit is written as t+1 or t+latency, above C;
 //   - the IU1/IU2 pick is the one place two unit times are compared with
-//     each other, which may happen with both below C: the key keeps
-//     their order;
+//     each other, which may happen with both at or below C: the node
+//     keeps their order;
 //   - the slot counts decide whether an instruction fits in cycle C.
 //
-// Two entry states with the same key therefore issue every instruction at
-// the same offset from C on the same unit, and the outcome is stored
-// relative to C: the cycle advance, the exit slot counts, the latest
-// completion and each unit and register the segment wrote. Every relative
-// value is at most the largest latency issued so far, so one byte holds
-// it; a segment whose latencies fall outside 1..maxKeyRel, and an entry
-// state with a value that does not fit, bypass the memo and issue one
-// instruction at a time.
+// Two states with the same node thus issue every instruction of a segment
+// at the same offset from C, on the same unit, and reach the same node;
+// so do two states taking the same bubble. An edge stores the cycle
+// advance, the latest completion relative to C and the next node. A
+// segment lists the edges that issued it, one per entry node, and a node
+// lists the bubbles taken from it; each list remembers the edge it gave
+// last, which is nearly always the next one asked for. While the run
+// follows known edges only the cycle and the makespan move; the unit and
+// register times are materialized from the node, at the current cycle,
+// only when an edge is missing.
 
 // Segment is a handle to a straight-line run of instructions decoded by
 // DecodeSegment. Like a Decoded record, it is only meaningful to the state
 // that decoded it, until that state is Reset.
 type Segment int32
 
-const (
-	// segMemoCap bounds a segment's memo; a miss past it is issued
-	// without being stored.
-	segMemoCap = 8
-	// maxKeyRel is the largest relative value a key byte holds.
-	maxKeyRel = 255
-	// keyHead and outHead are the fixed-size prefixes of a key (slot
-	// counts and the IU1/IU2 order) and of an outcome (cycle advance,
-	// slot counts, latest completion and the mask of written units).
-	keyHead = 3
-	outHead = 5
-)
+// nodeCap bounds the nodes one state interns. Past it, a transition that
+// leaves the known nodes is issued one instruction at a time, and so is
+// every later one. The same holds once a state decodes a record whose
+// latency is below one cycle, which Validate refuses: a write at its own
+// issue cycle breaks the argument above.
+const nodeCap = 4096
 
-// segment is one decoded segment and its memo.
+// chain is the decoded segments and the chained memo of a state that
+// issues segments.
+type chain struct {
+	// recs backs every segment's records; segs holds the record ranges
+	// DecodeSegment returned handles to.
+	recs []Decoded
+	segs []segment
+	// at is the node the state is at: its unit and register times are
+	// those the node materializes at the current cycle, while the raw
+	// fields are stale. At -1 the raw fields hold the state.
+	at int32
+	// closed is set when a record with a latency below one is decoded;
+	// no node is interned after that.
+	closed bool
+	nodes  []node
+	edges  []edge
+	ids    map[string]int32
+	// key is scratch for a normalized state.
+	key []byte
+}
+
+// segment is one decoded segment: its records recs[first:end] and the
+// edges that issued it.
 type segment struct {
-	// recs[first:end] are the segment's records.
 	first, end int32
-	// keySlots indexes operands: the distinct register slots the
-	// segment writes (nDefs of them), then those it only reads.
-	keySlots      int32
-	nDefs, nSlots int32
-	// units lists the units the segment may issue to (nUnits of them);
-	// order is set when some record may take either integer unit.
-	units  [NumUnits]Unit
-	nUnits int32
-	order  bool
-	// memo is false when a latency falls outside the key's range.
-	memo bool
+	out        edgeList
+}
 
-	keyLen, outLen int32
-	// n outcomes are stored: keys[e*keyLen:] and outs[e*outLen:] for
-	// entry e. last is the entry that most recently matched.
-	n, last int32
-	keys    []byte
-	outs    []int32
+// node is one interned normalized state (see intern for the encoding) and
+// the bubbles taken from it.
+type node struct {
+	key     string
+	bubbles edgeList
+}
+
+// edgeList is a list of edges linked by edge.sib from first, and the edge
+// the list gave most recently; both are -1 while it is empty.
+type edgeList struct{ first, last int32 }
+
+// edge is a transition taken from a node.
+type edge struct {
+	// on is the segment handle, or -b for a bubble of b cycles.
+	on   int
+	from int32
+	next int32
+	// delta is the cycle advance and latest the latest completion, both
+	// relative to the cycle the transition starts at.
+	delta, latest int
+	sib           int32
 }
 
 // DecodeSegment decodes ins, a straight-line run of instructions in issue
 // order, for IssueSegment. As with Decode, the model's timing is read now.
 func (s *IssueState) DecodeSegment(ins []ir.Instr) Segment {
-	g := segment{first: int32(len(s.recs)), memo: true}
-	var units [NumUnits]bool
+	if s.chain == nil {
+		s.chain = &chain{at: -1, ids: map[string]int32{}}
+	}
+	ch := s.chain
+	g := segment{first: int32(len(ch.recs)), out: edgeList{-1, -1}}
 	for i := range ins {
-		s.recs = append(s.recs, s.Decode(&ins[i]))
+		d := s.Decode(&ins[i])
+		ch.closed = ch.closed || d.class.latency < 1
+		ch.recs = append(ch.recs, d)
 	}
-	// Gather the written slots, then the read ones, after the records'
-	// operands; both lists end up deduplicated in place.
-	base := len(s.operands)
-	for _, d := range s.recs[g.first:] {
-		s.operands = append(s.operands, s.regs(&d)[d.nUses:]...)
+	g.end = int32(len(ch.recs))
+	ch.segs = append(ch.segs, g)
+	return Segment(len(ch.segs) - 1)
+}
+
+// ChainSize returns the number of nodes and edges in the state's chained
+// memo.
+func (s *IssueState) ChainSize() (nodes, edges int) {
+	if s.chain == nil {
+		return 0, 0
 	}
-	mid := len(s.operands)
-	for _, d := range s.recs[g.first:] {
-		s.operands = append(s.operands, s.regs(&d)[:d.nUses]...)
-		c := &d.class
-		for _, u := range c.units[:c.nUnits] {
-			units[u] = true
-		}
-		g.order = g.order || c.nUnits == 2
-		g.memo = g.memo && c.latency >= 1 && c.latency <= maxKeyRel
-	}
-	g.end = int32(len(s.recs))
-	for u, used := range units {
-		if used {
-			g.units[g.nUnits] = Unit(u)
-			g.nUnits++
-		}
-	}
-	defs := s.operands[base:mid]
-	slices.Sort(defs)
-	defs = slices.Compact(defs)
-	uses := s.operands[mid:]
-	slices.Sort(uses)
-	uses = slices.DeleteFunc(slices.Compact(uses), func(i int32) bool {
-		_, written := slices.BinarySearch(defs, i)
-		return written
-	})
-	s.operands = append(s.operands[:base+len(defs)], uses...)
-	g.keySlots = int32(base)
-	g.nDefs, g.nSlots = int32(len(defs)), int32(len(defs)+len(uses))
-	g.keyLen = keyHead + g.nUnits + g.nSlots
-	g.outLen = outHead + g.nUnits + g.nDefs
-	if int(g.keyLen) > len(s.key) {
-		s.key = make([]byte, g.keyLen)
-	}
-	s.segs = append(s.segs, g)
-	return Segment(len(s.segs) - 1)
+	return len(s.chain.nodes), len(s.chain.edges)
 }
 
 // IssueSegment issues the segment's instructions in order, with the same
-// result as calling IssueDecoded on each, replaying a stored outcome when
-// the normalized entry state has been seen before.
+// cycle and makespan as calling IssueDecoded on each, following the
+// chained memo when the transition from the current state is known.
 func (s *IssueState) IssueSegment(h Segment) {
-	g := &s.segs[h]
-	if !g.memo {
-		s.issueRecs(g)
-		return
+	if !s.follow(int(h)) {
+		s.take(int(h))
+	}
+}
+
+// follow takes the known edge for transition on from the current node
+// and reports whether there was one.
+func (s *IssueState) follow(on int) bool {
+	ch := s.chain
+	at := ch.at
+	if at < 0 {
+		return false
+	}
+	l := ch.list(at, on)
+	e := l.last
+	if e < 0 || ch.edges[e].from != at || ch.edges[e].on != on {
+		if e = ch.find(l, at, on); e < 0 {
+			return false
+		}
+		l.last = e
+	}
+	x := &ch.edges[e]
+	s.makespan = max(s.makespan, s.cycle+x.latest)
+	s.cycle += x.delta
+	ch.at = x.next
+	return true
+}
+
+// list returns the list that holds the edge for transition on from node
+// at, if there is one.
+func (ch *chain) list(at int32, on int) *edgeList {
+	if on >= 0 {
+		return &ch.segs[on].out
+	}
+	return &ch.nodes[at].bubbles
+}
+
+// find returns l's edge for transition on from node at, or -1.
+func (ch *chain) find(l *edgeList, at int32, on int) int32 {
+	e := l.first
+	for e >= 0 && (ch.edges[e].from != at || ch.edges[e].on != on) {
+		e = ch.edges[e].sib
+	}
+	return e
+}
+
+// take makes transition on (see edge.on) when follow could not: it
+// materializes the current node, or interns the raw state, issues the
+// transition from the raw state, and records the edge while the node cap
+// allows.
+func (s *IssueState) take(on int) {
+	ch := s.chain
+	from := ch.at
+	if from >= 0 {
+		s.materialize(ch.nodes[from].key)
+	} else if len(ch.nodes) < nodeCap && !ch.closed {
+		// The raw state may be a known node with a known edge.
+		if ch.at = s.intern(); s.follow(on) {
+			return
+		}
+		from = ch.at
 	}
 	c := s.cycle
-	key := s.key[:g.keyLen]
-	key[0], key[1], key[2] = byte(s.nonBranch), byte(s.branch), 0
-	over := s.nonBranch | s.branch
-	if g.order {
-		key[2] = byte(1 + cmp.Compare(s.unitFree[IU1], s.unitFree[IU2]))
+	var latest int
+	if on >= 0 {
+		latest = s.issueRecs(ch.segs[on])
+	} else {
+		latest = c - on
+		s.cycle, s.nonBranch, s.branch = latest, 0, 0
+		s.makespan = max(s.makespan, latest)
 	}
-	k := keyHead
-	for _, u := range g.units[:g.nUnits] {
-		r := max(0, s.unitFree[u]-c)
-		over |= r
-		key[k] = byte(r)
-		k++
-	}
-	ready := s.slots()
-	for _, i := range s.operands[g.keySlots : g.keySlots+g.nSlots] {
-		r := max(0, ready[i]-c)
-		over |= r
-		key[k] = byte(r)
-		k++
-	}
-	if over > maxKeyRel {
-		s.issueRecs(g)
+	ch.at = -1
+	if from < 0 || ch.closed {
 		return
 	}
-	if e := g.find(key); e >= 0 {
-		s.replay(g, e, c)
+	to := s.intern()
+	if to < 0 {
 		return
 	}
-	s.record(g, key, c)
+	l := ch.list(from, on)
+	ch.edges = append(ch.edges, edge{on: on, from: from, next: to, delta: s.cycle - c, latest: latest - c, sib: l.first})
+	l.first = int32(len(ch.edges) - 1)
+	l.last = l.first
+	ch.at = to
 }
 
-// find returns the memo entry stored under key, or -1.
-func (g *segment) find(key []byte) int32 {
-	kl := g.keyLen
-	if g.n > 0 && string(g.keys[g.last*kl:(g.last+1)*kl]) == string(key) {
-		return g.last
+// intern returns the node of the raw state, adding it when it is new, or
+// -1 when it is new and the state already holds nodeCap nodes. A node's
+// key is a run of uvarints: the slot counts, the IU1/IU2 order, each
+// unit's time above the cycle, then a (slot, time above the cycle) pair
+// for each register slot ready after it.
+func (s *IssueState) intern() int32 {
+	ch, c := s.chain, s.cycle
+	k := binary.AppendUvarint(ch.key[:0], uint64(s.nonBranch))
+	k = binary.AppendUvarint(k, uint64(s.branch))
+	k = append(k, byte(1+cmp.Compare(s.unitFree[IU1], s.unitFree[IU2])))
+	for _, v := range s.unitFree {
+		k = binary.AppendUvarint(k, uint64(max(0, v-c)))
 	}
-	for e := range g.n {
-		if string(g.keys[e*kl:(e+1)*kl]) == string(key) {
-			g.last = e
-			return e
+	for i, v := range s.slots() {
+		if v > c {
+			k = binary.AppendUvarint(k, uint64(i))
+			k = binary.AppendUvarint(k, uint64(v-c))
 		}
 	}
-	return -1
+	ch.key = k
+	if id, ok := ch.ids[string(k)]; ok {
+		return id
+	}
+	if len(ch.nodes) == nodeCap {
+		return -1
+	}
+	id := int32(len(ch.nodes))
+	key := string(k)
+	ch.ids[key] = id
+	ch.nodes = append(ch.nodes, node{key: key, bubbles: edgeList{-1, -1}})
+	return id
 }
 
-// replay applies memo entry e to a state whose entry cycle is c.
-func (s *IssueState) replay(g *segment, e int32, c int) {
-	out := g.outs[e*g.outLen : (e+1)*g.outLen]
-	s.cycle = c + int(out[0])
-	s.nonBranch, s.branch = int(out[1]), int(out[2])
-	s.makespan = max(s.makespan, c+int(out[3]))
-	for j, u := range g.units[:g.nUnits] {
-		if out[4]>>j&1 != 0 {
-			s.unitFree[u] = c + int(out[outHead+j])
-		}
+// materialize sets the raw state to the node with the given key at the
+// current cycle C: register slots and units not in the key at or below C
+// (the slots at 0), the rest at C plus their offset, and IU1 and IU2, when
+// both are at C, in the key's order by putting the earlier one at C−1.
+func (s *IssueState) materialize(node string) {
+	c := s.cycle
+	s.chain.key = append(s.chain.key[:0], node...)
+	key := s.chain.key
+	next := func() int {
+		v, n := binary.Uvarint(key)
+		key = key[n:]
+		return int(v)
 	}
-	ready := s.slots()
-	defs := out[outHead+g.nUnits:]
-	for j, i := range s.operands[g.keySlots : g.keySlots+g.nDefs] {
-		ready[i] = c + int(defs[j])
+	s.nonBranch = next()
+	s.branch = next()
+	order := key[0]
+	key = key[1:]
+	for u := range s.unitFree {
+		s.unitFree[u] = c + next()
 	}
-}
-
-// record issues the segment from a state whose entry cycle is c and
-// whose normalized key missed, storing the outcome under key while the
-// memo has room.
-func (s *IssueState) record(g *segment, key []byte, c int) {
-	before := s.unitFree
-	latest := s.issueRecs(g)
-	if g.n == segMemoCap {
-		return
-	}
-	if int(g.n*g.keyLen) == len(g.keys) {
-		// Most segments see one or two entry states: the memo grows by
-		// doubling, from one entry.
-		size := min(max(2*g.n, 1), segMemoCap)
-		keys, outs := carve(&s.keyArena, int(size*g.keyLen)), carve(&s.outArena, int(size*g.outLen))
-		copy(keys, g.keys)
-		copy(outs, g.outs)
-		g.keys, g.outs = keys, outs
-	}
-	copy(g.keys[g.n*g.keyLen:], key)
-	out := g.outs[g.n*g.outLen : (g.n+1)*g.outLen]
-	out[0], out[1], out[2], out[3] = int32(s.cycle-c), int32(s.nonBranch), int32(s.branch), int32(latest-c)
-	out[4] = 0
-	for j, u := range g.units[:g.nUnits] {
-		if s.unitFree[u] != before[u] {
-			out[4] |= 1 << j
-			out[outHead+j] = int32(s.unitFree[u] - c)
+	if s.unitFree[IU1] == c && s.unitFree[IU2] == c {
+		switch order {
+		case 0:
+			s.unitFree[IU1] = c - 1
+		case 2:
+			s.unitFree[IU2] = c - 1
 		}
 	}
 	ready := s.slots()
-	defs := out[outHead+g.nUnits:]
-	for j, i := range s.operands[g.keySlots : g.keySlots+g.nDefs] {
-		defs[j] = int32(ready[i] - c)
+	clear(ready)
+	for len(key) > 0 {
+		i := next()
+		ready[i] = c + next()
 	}
-	g.last = g.n
-	g.n++
 }
 
 // issueRecs issues the segment's records one at a time and returns the
 // latest completion cycle among them.
-func (s *IssueState) issueRecs(g *segment) int {
+func (s *IssueState) issueRecs(g segment) int {
 	latest := 0
 	for i := g.first; i < g.end; i++ {
-		_, done := s.issue(&s.recs[i])
+		_, done := s.issue(&s.chain.recs[i])
 		latest = max(latest, done)
 	}
 	return latest
-}
-
-// arenaChunk is the smallest chunk carve allocates, in elements.
-const arenaChunk = 4096
-
-// carve returns n elements from the arena, allocating a new chunk when
-// the current one is short, so memo storage costs an allocation per
-// chunk, not per segment.
-func carve[T any](arena *[]T, n int) []T {
-	if cap(*arena)-len(*arena) < n {
-		*arena = make([]T, 0, max(n, arenaChunk))
-	}
-	a := *arena
-	*arena = a[:len(a)+n]
-	return a[len(a) : len(a)+n : len(a)+n]
 }

@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,9 +11,8 @@ import (
 	"schedfilter/internal/ir"
 )
 
-// wideLatencyModel returns a model whose floating-point divide takes
-// longer than a memo key byte holds: segments with the divide bypass the
-// memo, and so do entry states still waiting on one.
+// wideLatencyModel returns a model whose floating-point divide is far
+// longer than any target's, so that normalized states hold large offsets.
 func wideLatencyModel() *Model {
 	m := NewMPC7410()
 	m.Name = "wide-latency"
@@ -19,14 +20,26 @@ func wideLatencyModel() *Model {
 	return m
 }
 
-// segmentModels are the models the segment tests issue on: every target
-// and wideLatencyModel.
+// zeroLatencyModel returns a model, one Validate refuses, whose simple
+// integer ops finish in the cycle they issue and hold their unit for it:
+// IssueSegment must still match issuing one record at a time.
+func zeroLatencyModel() *Model {
+	m := NewMPC7410()
+	m.Name = "zero-latency"
+	for _, op := range []ir.Op{ir.ADD, ir.ADDI, ir.LI, ir.SUB, ir.MR} {
+		m.Timing[op] = OpTiming{Latency: 0}
+	}
+	return m
+}
+
+// segmentModels are the models the segment tests issue on: every target,
+// wideLatencyModel and zeroLatencyModel.
 func segmentModels() []*Model {
 	var ms []*Model
 	for _, tg := range All() {
 		ms = append(ms, tg.Model)
 	}
-	return append(ms, wideLatencyModel())
+	return append(ms, wideLatencyModel(), zeroLatencyModel())
 }
 
 // cutSegments cuts blocks into straight-line runs: at every control
@@ -70,7 +83,8 @@ func near(r *rand.Rand, c, maxRel int) int {
 
 // randomEntry sets s to a random pipeline state around a random cycle:
 // slot counts from empty to full, unit and ready times below, at and
-// above the cycle, and the two integer units tied or in either order.
+// above the cycle, and the two integer units tied or in either order. It
+// writes the raw state, so it drops the chain position.
 func randomEntry(r *rand.Rand, s *IssueState) {
 	m := s.m
 	maxRel := maxLatency(m)
@@ -93,12 +107,16 @@ func randomEntry(r *rand.Rand, s *IssueState) {
 		ready[i] = near(r, c, maxRel)
 	}
 	s.makespan = c + r.Intn(maxRel+1)
+	if s.chain != nil {
+		s.chain.at = -1
+	}
 }
 
 // twinEntry sets t to a state with a different raw form but the same
-// memo key as s, for any segment: the cycle moves, every value above the
-// cycle moves with it, and every value at or below it is redrawn at or
-// below the new cycle, keeping the order of IU1 and IU2.
+// normalized form as s: the cycle moves, every value above the cycle
+// moves with it, and every value at or below it is redrawn at or below
+// the new cycle, keeping the order of IU1 and IU2. It drops t's chain
+// position.
 func twinEntry(r *rand.Rand, s, t *IssueState) {
 	c := s.cycle
 	c2 := 6 + r.Intn(40)
@@ -128,37 +146,78 @@ func twinEntry(r *rand.Rand, s, t *IssueState) {
 		dst[i] = move(v)
 	}
 	t.makespan = c2 + r.Intn(maxLatency(s.m)+1)
+	if t.chain != nil {
+		t.chain.at = -1
+	}
 }
 
-// stateDiff describes the first difference between two states' pipeline
-// timing (cycle, slot counts, makespan, units, every ready slot), or
-// returns "" when they agree.
+// clone returns an independent copy of s's timing state, materialized
+// when s is at a chain node, with no chained memo of its own. The copy
+// issues records s decoded through IssueDecoded.
+func clone(s *IssueState) *IssueState {
+	c := *s
+	c.ready = slices.Clone(s.ready)
+	c.virt = maps.Clone(s.virt)
+	c.operands = slices.Clip(s.operands)
+	if ch := s.chain; ch != nil && ch.at >= 0 {
+		c.materialize(ch.nodes[ch.at].key)
+	}
+	c.chain = nil
+	return &c
+}
+
+// stateDiff materializes got, a state that issues segments, and describes
+// the first difference between its pipeline timing and want's, a state
+// issued one record at a time; it returns "" when they agree. The cycle,
+// the slot counts and the makespan must be equal; unit and ready times
+// only under max(v, cycle), where the issue rules cannot tell them apart,
+// and the two integer units in the same order.
 func stateDiff(got, want *IssueState) string {
-	switch {
-	case got.cycle != want.cycle:
-		return fmt.Sprintf("cycle %d, want %d", got.cycle, want.cycle)
+	if ch := got.chain; ch != nil && ch.at >= 0 {
+		got.materialize(ch.nodes[ch.at].key)
+	}
+	c := want.cycle
+	switch gu, wu := got.unitFree, want.unitFree; {
+	case got.cycle != c:
+		return fmt.Sprintf("cycle %d, want %d", got.cycle, c)
 	case got.nonBranch != want.nonBranch || got.branch != want.branch:
 		return fmt.Sprintf("slots %d+%d, want %d+%d", got.nonBranch, got.branch, want.nonBranch, want.branch)
 	case got.makespan != want.makespan:
 		return fmt.Sprintf("makespan %d, want %d", got.makespan, want.makespan)
-	case got.unitFree != want.unitFree:
-		return fmt.Sprintf("units %v, want %v", got.unitFree, want.unitFree)
+	case cmp.Compare(gu[IU1], gu[IU2]) != cmp.Compare(wu[IU1], wu[IU2]):
+		return fmt.Sprintf("IU1/IU2 %d/%d, want the order of %d/%d", gu[IU1], gu[IU2], wu[IU1], wu[IU2])
+	}
+	for u := range got.unitFree {
+		if g, w := max(got.unitFree[u], c), max(want.unitFree[u], c); g != w {
+			return fmt.Sprintf("unit %v free at %d, want %d", Unit(u), g, w)
+		}
 	}
 	g, w := got.slots(), want.slots()
 	for i := range g {
-		if g[i] != w[i] {
-			return fmt.Sprintf("ready slot %d: %d, want %d", i, g[i], w[i])
+		if max(g[i], c) != max(w[i], c) {
+			return fmt.Sprintf("ready slot %d: %d, want %d", i, max(g[i], c), max(w[i], c))
 		}
 	}
 	return ""
 }
 
-// checkSegments decodes segs into one state and issues each from random
-// entry states, comparing the whole state after IssueSegment with the
-// same records issued one at a time by IssueDecoded. Each segment is
-// issued from several independent random states, whose keys collide
-// often, and from a twin of the first: a different raw state with the
-// same key, which must replay the first's stored outcome.
+// issueOne issues segment h of s's chain on want one record at a time.
+func issueOne(s, want *IssueState, h Segment) {
+	g := s.chain.segs[h]
+	for i := g.first; i < g.end; i++ {
+		want.IssueDecoded(&s.chain.recs[i])
+	}
+}
+
+// checkSegments decodes segs into one state and checks IssueSegment
+// against the same records issued one at a time by IssueDecoded, in two
+// ways. First, each segment is issued from several independent random
+// entry states, and from a twin of the first: a different raw state with
+// the same normalized form, which must follow the edge the first added.
+// Then a fresh state runs a random sequence of segments and bubbles that
+// mostly repeats a short cycle of transitions, so that the chain is
+// followed far more often than it grows, and is compared with a twin
+// issued by IssueDecoded and AdvanceTo after every step.
 func checkSegments(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 	t.Helper()
 	s := NewIssueState(m)
@@ -168,11 +227,8 @@ func checkSegments(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 	}
 	issue := func(h Segment, label string) {
 		t.Helper()
-		want := s.Clone()
-		g := &s.segs[h]
-		for i := g.first; i < g.end; i++ {
-			want.IssueDecoded(&want.recs[i])
-		}
+		want := clone(s)
+		issueOne(s, want, h)
 		s.IssueSegment(h)
 		if d := stateDiff(s, want); d != "" {
 			t.Fatalf("%s: segment %d (%v), %s issue: %s", m.Name, h, segs[h], label, d)
@@ -181,7 +237,6 @@ func checkSegments(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 	twin := NewIssueState(m)
 	twin.ready = make([]int, len(s.slots()))
 	for _, h := range hs {
-		g := &s.segs[h]
 		for k := range 4 {
 			randomEntry(r, s)
 			if k > 0 {
@@ -189,25 +244,68 @@ func checkSegments(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 				continue
 			}
 			twinEntry(r, s, twin)
-			stored := g.n
 			issue(h, "first")
-			if g.n == stored {
-				continue // bypassed (or the memo already had the key)
-			}
+			_, edges := s.ChainSize()
 			s.cycle, s.nonBranch, s.branch, s.makespan = twin.cycle, twin.nonBranch, twin.branch, twin.makespan
 			s.unitFree = twin.unitFree
 			copy(s.slots(), twin.slots())
+			s.chain.at = -1
 			issue(h, "twin")
-			if g.n != stored+1 {
-				t.Fatalf("%s: segment %d (%v): twin state missed the memo", m.Name, h, segs[h])
+			if _, now := s.ChainSize(); now != edges {
+				t.Fatalf("%s: segment %d (%v): twin state added an edge", m.Name, h, segs[h])
 			}
+		}
+	}
+	checkSequence(t, r, m, segs)
+}
+
+// checkSequence runs the sequence half of checkSegments.
+func checkSequence(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
+	t.Helper()
+	s := NewIssueState(m)
+	for _, seg := range segs {
+		s.DecodeSegment(seg)
+	}
+	want := clone(s)
+	// A transition is a segment handle, or -b for a bubble of b cycles.
+	random := func() int {
+		if r.Intn(4) == 0 {
+			return -1 - r.Intn(3)
+		}
+		return r.Intn(len(segs))
+	}
+	cycle := make([]int, 1+r.Intn(8))
+	for i := range cycle {
+		cycle[i] = random()
+	}
+	var done []int
+	for step := range 300 {
+		on := cycle[step%len(cycle)]
+		switch r.Intn(16) {
+		case 0:
+			on = random()
+		case 1:
+			randomEntry(r, s)
+			want = clone(s)
+			done = done[:0]
+		}
+		if on >= 0 {
+			issueOne(s, want, Segment(on))
+			s.IssueSegment(Segment(on))
+		} else {
+			want.AdvanceTo(want.Cycle() - on)
+			s.AdvanceTo(s.Cycle() - on)
+		}
+		done = append(done, on)
+		if d := stateDiff(s, want); d != "" {
+			t.Fatalf("%s: after transitions %v (a segment, or -b for a bubble of b cycles): %s", m.Name, done, d)
 		}
 	}
 }
 
-// TestIssueSegmentMatchesDecoded is the differential test for memoized
-// segment timing over blockgen programs on every target and on a model
-// whose latency exceeds the key range.
+// TestIssueSegmentMatchesDecoded is the differential test for chained
+// segment timing over blockgen programs on every target and on models
+// with a long latency and with zero latencies.
 func TestIssueSegmentMatchesDecoded(t *testing.T) {
 	for _, m := range segmentModels() {
 		for seed := int64(0); seed < 150; seed++ {
@@ -217,8 +315,9 @@ func TestIssueSegmentMatchesDecoded(t *testing.T) {
 	}
 }
 
-// TestIssueSegmentMemoBounded checks that a segment's memo stops growing
-// at its cap and that misses past it are still issued correctly.
+// TestIssueSegmentMemoBounded checks that the chained memo stops adding
+// nodes at its cap and that transitions past it are still issued
+// correctly.
 func TestIssueSegmentMemoBounded(t *testing.T) {
 	m := NewMPC7410()
 	s := NewIssueState(m)
@@ -227,26 +326,25 @@ func TestIssueSegmentMemoBounded(t *testing.T) {
 		{Op: ir.FADD, Defs: []ir.Reg{ir.FPR(1)}, Uses: []ir.Reg{ir.FPR(2), ir.FPR(3)}},
 	})
 	r := rand.New(rand.NewSource(1))
-	for range 200 {
+	for range nodeCap {
+		// Random entry states are nearly all distinct: each adds a node,
+		// and so does the state the segment leaves.
 		randomEntry(r, s)
-		want := s.Clone()
-		g := &s.segs[h]
-		for i := g.first; i < g.end; i++ {
-			want.IssueDecoded(&want.recs[i])
-		}
+		want := clone(s)
+		issueOne(s, want, h)
 		s.IssueSegment(h)
 		if d := stateDiff(s, want); d != "" {
 			t.Fatal(d)
 		}
 	}
-	if g := &s.segs[h]; g.n != segMemoCap {
-		t.Errorf("memo holds %d entries, want the cap %d", g.n, segMemoCap)
+	if nodes, _ := s.ChainSize(); nodes != nodeCap {
+		t.Errorf("chain holds %d nodes, want the cap %d", nodes, nodeCap)
 	}
 }
 
-// FuzzIssueSegment runs the differential check on a fuzzed blockgen
-// program, cut into fuzzed segments, issued from fuzzed entry states on
-// a fuzzed model.
+// FuzzIssueSegment runs the differential check, single segments and
+// sequences, on a fuzzed blockgen program, cut into fuzzed segments,
+// issued from fuzzed entry states on a fuzzed model.
 func FuzzIssueSegment(f *testing.F) {
 	for seed := range 8 {
 		f.Add(uint64(seed), uint8(seed))

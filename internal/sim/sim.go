@@ -18,12 +18,14 @@
 // once per segment. In a timed run the first record of each segment also
 // holds the segment's handle in the run's machine.IssueState, which
 // applies the same issue rules the scheduler's estimator does, one
-// segment per call, replaying the segment's outcome from a per-run memo
-// when its normalized entry state recurs (machine/segment.go). Decoding is
-// per run, from the run's Model, because Model.Timing is mutable; a
-// hot-swapped function is decoded when it is installed, and its segments
-// start with empty memos. ExecBlock runs a single block through the same
-// loop, so each opcode's semantics is written once.
+// segment per call. The state keeps a per-run chained memo of whole
+// pipeline states normalized to the issue cycle (machine/segment.go):
+// a segment or bubble already taken from the current state only moves
+// the cycle and the makespan, which are all a run reads. Decoding is per
+// run, from the run's Model, because Model.Timing is mutable; a
+// hot-swapped function is decoded when it is installed, and its new
+// segment handles start with no edges. ExecBlock runs a single block
+// through the same loop, so each opcode's semantics is written once.
 //
 // Simplifications versus real silicon, documented per the paper's own
 // argument that only relative block timings matter: no caches (every load
@@ -226,6 +228,12 @@ type frame struct {
 
 // Run executes the program from its entry function.
 func Run(p *ir.Program, cfg Config) (*Result, error) {
+	res, _, err := run(p, cfg)
+	return res, err
+}
+
+// run is Run, also returning a timed run's issue state.
+func run(p *ir.Program, cfg Config) (*Result, *machine.IssueState, error) {
 	limit := cfg.StepLimit
 	if limit <= 0 {
 		limit = 1 << 33
@@ -233,15 +241,15 @@ func Run(p *ir.Program, cfg Config) (*Result, error) {
 	var issue *machine.IssueState
 	if cfg.Timed {
 		if cfg.Model == nil {
-			return nil, fmt.Errorf("sim: timed run requires a model")
+			return nil, nil, fmt.Errorf("sim: timed run requires a model")
 		}
 		issue = machine.NewIssueState(cfg.Model)
 	}
 	if cfg.SampleEvery > 0 && cfg.OnSample == nil {
-		return nil, fmt.Errorf("sim: SampleEvery requires an OnSample hook")
+		return nil, nil, fmt.Errorf("sim: SampleEvery requires an OnSample hook")
 	}
 	if p.Entry < 0 || p.Entry >= len(p.Fns) {
-		return nil, fmt.Errorf("sim: entry function %d out of range", p.Entry)
+		return nil, nil, fmt.Errorf("sim: entry function %d out of range", p.Entry)
 	}
 
 	res := &Result{
@@ -278,24 +286,24 @@ func Run(p *ir.Program, cfg Config) (*Result, error) {
 	ex.nextPoll = min(ex.nextCheck, ex.nextSample)
 	ex.code = make([]fnCode, len(p.Fns))
 	if err := ex.decode(p.Fns, ex.code); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Run $init (global initializers) before main, as the runtime does.
 	if init := fnIndexByName(p, "$init"); init >= 0 {
 		if err := ex.callAndRun(init); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if err := ex.callAndRun(p.Entry); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Ret = st.Regs[3]
 	res.Output = st.out
 	if issue != nil {
 		res.Cycles = int64(issue.Makespan())
 	}
-	return res, nil
+	return res, issue, nil
 }
 
 func fnIndexByName(p *ir.Program, name string) int {

@@ -455,8 +455,9 @@ func TestRunMemoryReuse(t *testing.T) {
 
 // TestRunAllocsFlat checks that a run's allocations do not grow with the
 // number of instructions it executes: decoding and bookkeeping are per
-// function and block, and a timed run's segment memos store one entry per
-// distinct segment entry state, never one per executed instruction.
+// function and block, and a timed run's chained memo stores one node per
+// distinct pipeline state and one edge per distinct transition, never one
+// per executed segment.
 func TestRunAllocsFlat(t *testing.T) {
 	loop := func(n int64) *ir.Program {
 		return buildProg([]*ir.Block{
