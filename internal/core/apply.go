@@ -59,6 +59,12 @@ type Pass struct {
 	// next identical block). Across repeated compile requests nearly
 	// every block is a replay.
 	Cache *codecache.Cache
+	// BlockKeys, when non-nil, holds
+	// codecache.BlockKey(m.Name, b.Instrs) of every block of the
+	// unscheduled program, in program order, so approved blocks are not
+	// hashed again. A caller that compiles a source once and schedules it
+	// many times keeps them with the program.
+	BlockKeys []codecache.Key
 	// Timed turns on the scratch's phase timing so Stats.Phases carries
 	// the breakdown the serving layer feeds into traces and histograms.
 	// It costs two monotonic clock reads per phase and no allocations.
@@ -83,6 +89,7 @@ func Apply(m *machine.Model, p *ir.Program, f policy.Policy, o Pass) Stats {
 	_, never := f.(policy.Never)
 	for _, fn := range p.Fns {
 		for _, b := range fn.Blocks {
+			bi := st.Blocks
 			st.Blocks++
 			if never {
 				st.NotScheduled++
@@ -95,7 +102,11 @@ func Apply(m *machine.Model, p *ir.Program, f policy.Policy, o Pass) Stats {
 				}
 			}
 			st.Scheduled++
-			res, hit := sched.ScheduleBlock(m, b, o.Cache, s)
+			var key *codecache.Key
+			if o.BlockKeys != nil {
+				key = &o.BlockKeys[bi]
+			}
+			res, hit := sched.ScheduleBlockKeyed(m, b, o.Cache, key, s)
 			if o.Cache != nil {
 				if hit {
 					st.CacheHits++

@@ -27,12 +27,17 @@ func genProgram(seed int64, nBlocks int) *ir.Program {
 // with no cache or a warm one, timed or not, Apply must leave exactly the
 // block orders the reference scheduler produces over the blocks the policy
 // approves, report the reference's cost totals, and agree with every other
-// configuration on its stats. LS and size>=5 approve every block, NS
+// configuration on its stats, with the block keys passed in or hashed by
+// the pass. LS and size>=5 approve every block, NS
 // none (leaving the program as it was), and size>=25 and the factory
 // filter split the population.
 func TestApply(t *testing.T) {
 	m := machine.Default().Model
 	base := genProgram(21, 48)
+	var keys []codecache.Key
+	for _, b := range base.Fns[0].Blocks {
+		keys = append(keys, codecache.BlockKey(m.Name, b.Instrs))
+	}
 	text, err := os.ReadFile("../../cmd/schedserved/factory_model.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -87,19 +92,28 @@ func TestApply(t *testing.T) {
 		// The cold pass that warms the cache must already match the
 		// reference; the warm rows below then replay every block.
 		warm := codecache.New(1 << 16)
-		cold := base.Clone()
-		if st := Apply(m, cold, pc.f, Pass{Cache: warm}); cold.String() != want.String() ||
-			st.CostAfter != wantSt.CostAfter || st.CacheHits+st.CacheMisses != wantSt.Scheduled {
-			t.Fatalf("%s: cold cached pass diverged from the reference: %+v", pc.name, st)
+		for _, pass := range []Pass{{Cache: codecache.New(1 << 16), BlockKeys: keys}, {Cache: warm}} {
+			cold := base.Clone()
+			if st := Apply(m, cold, pc.f, pass); cold.String() != want.String() ||
+				st.CostAfter != wantSt.CostAfter || st.CacheHits+st.CacheMisses != wantSt.Scheduled {
+				t.Fatalf("%s: cold cached pass diverged from the reference: %+v", pc.name, st)
+			}
 		}
 		for _, cache := range []*codecache.Cache{nil, warm} {
-			for _, timed := range []bool{false, true} {
+			for _, mode := range []struct {
+				timed bool
+				keys  []codecache.Key
+			}{{false, nil}, {true, nil}, {false, keys}} {
+				timed := mode.timed
 				name := pc.name + "/nocache"
 				if cache != nil {
 					name = pc.name + "/warm"
 				}
 				if timed {
 					name += "/timed"
+				}
+				if mode.keys != nil {
+					name += "/keyed"
 				}
 				t.Run(name, func(t *testing.T) {
 					var lookups int64
@@ -108,7 +122,7 @@ func TestApply(t *testing.T) {
 						lookups = cs.Hits + cs.Misses
 					}
 					p := base.Clone()
-					st := Apply(m, p, pc.f, Pass{Cache: cache, Timed: timed})
+					st := Apply(m, p, pc.f, Pass{Cache: cache, BlockKeys: mode.keys, Timed: timed})
 
 					if st.Blocks != wantSt.Blocks || st.Scheduled != wantSt.Scheduled ||
 						st.NotScheduled != wantSt.NotScheduled || st.Changed != wantSt.Changed ||

@@ -95,7 +95,7 @@ func RunOnline(cfg Config) (*OnlineResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", w.Name, err)
 			}
-			mgr.Observe(target, prog)
+			mgr.Observe(target, prog, nil)
 			round.Workloads = append(round.Workloads, w.Name)
 		}
 		rep, err := mgr.Retrain(target)

@@ -18,9 +18,9 @@ const TraceHeader = "X-Sched-Trace"
 const (
 	PhaseRoute        = "route"         // gateway: pick + reach a backend (overhead over backend total)
 	PhaseQueueWait    = "queue_wait"    // server: submit → worker pickup in the bounded pool
-	PhaseCompile      = "compile"       // server: Jolt compile + JIT, or the memo lookup + copy for a repeat source
+	PhaseCompile      = "compile"       // server: Jolt compile + JIT, or the memo lookup for a repeat source (schedule/execute add a block-level copy)
 	PhaseFingerprint  = "fingerprint"   // server: whole-program fingerprint (cache, singleflight and routing key)
-	PhaseCacheLookup  = "cache_lookup"  // scheduler: block fingerprint + scheduled-block cache probe
+	PhaseCacheLookup  = "cache_lookup"  // scheduler: block fingerprint (unless the memo holds it) + scheduled-block cache probe
 	PhaseDAGBuild     = "dag_build"     // scheduler: dependence DAG construction
 	PhaseListSchedule = "list_schedule" // scheduler: list-scheduling loop proper
 	PhaseEstimator    = "estimator"     // scheduler: cost-estimator passes (CostBefore / predictions)

@@ -141,19 +141,28 @@ func (m *Manager) ActiveFilter(target string) (policy.Policy, int) {
 // Observe taps one compiled (not yet scheduled) program on the serving
 // path. Known blocks cost a hash and a map probe; unknown blocks are
 // copied onto the measurement queue (dropped, and counted, when it is
-// full). Call before the scheduling pass mutates block order.
-func (m *Manager) Observe(target string, p *ir.Program) {
+// full). Call before the scheduling pass mutates block order. keys, when
+// non-nil, holds codecache.BlockKey under the target's model of every
+// block of p in program order, and no block is hashed again.
+func (m *Manager) Observe(target string, p *ir.Program, keys []codecache.Key) {
 	st, ok := m.targets[target]
 	if !ok {
 		return
 	}
+	bi := -1
 	for _, fn := range p.Fns {
 		for _, b := range fn.Blocks {
+			bi++
 			m.observed.Add(1)
 			if len(b.Instrs) == 0 {
 				continue
 			}
-			key := codecache.BlockKey(st.model.Name, b.Instrs)
+			var key codecache.Key
+			if keys != nil {
+				key = keys[bi]
+			} else {
+				key = codecache.BlockKey(st.model.Name, b.Instrs)
+			}
 			if st.res.Bump(key) {
 				m.known.Add(1)
 				continue

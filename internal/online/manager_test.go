@@ -2,12 +2,15 @@ package online
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"schedfilter/internal/blockgen"
+	"schedfilter/internal/codecache"
 	"schedfilter/internal/ir"
+	"schedfilter/internal/machine"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
 	"schedfilter/internal/training"
@@ -24,7 +27,7 @@ func genProgram(seed int64, nBlocks int) *ir.Program {
 	return &ir.Program{Fns: []*ir.Fn{fn}}
 }
 
-func newTestManager(t *testing.T, cfg Config) *Manager {
+func newTestManager(t testing.TB, cfg Config) *Manager {
 	t.Helper()
 	if cfg.Targets == nil {
 		cfg.Targets = []string{testTarget}
@@ -35,6 +38,67 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	}
 	t.Cleanup(func() { m.Close() })
 	return m
+}
+
+// programKeys fingerprints every block of p under the named target's
+// model, in program order, as the compile server's memo keeps them.
+func programKeys(t testing.TB, target string, p *ir.Program) []codecache.Key {
+	t.Helper()
+	tgt, err := machine.ByName(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []codecache.Key
+	for _, fn := range p.Fns {
+		for _, b := range fn.Blocks {
+			keys = append(keys, codecache.BlockKey(tgt.Model.Name, b.Instrs))
+		}
+	}
+	return keys
+}
+
+// Observing with the caller's block fingerprints finds the blocks a
+// hashing observation stored, and stores the same samples.
+func TestObserveWithKeys(t *testing.T) {
+	prog := genProgram(2, 30)
+	keys := programKeys(t, testTarget, prog)
+	hashed, keyed := newTestManager(t, Config{}), newTestManager(t, Config{})
+	hashed.Observe(testTarget, prog, nil)
+	keyed.Observe(testTarget, prog, keys)
+	hashed.Drain()
+	keyed.Drain()
+	a, b := hashed.Reservoir(testTarget).Snapshot(), keyed.Reservoir(testTarget).Snapshot()
+	if len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("%d samples hashing and %d with keys differ", len(a), len(b))
+	}
+	keyed.Observe(testTarget, prog, nil)
+	hashed.Observe(testTarget, prog, keys)
+	if h, k := hashed.Metrics().Known, keyed.Metrics().Known; h != int64(len(a)) || k != h {
+		t.Fatalf("second sighting found %d known blocks hashing and %d with keys, want %d", k, h, len(a))
+	}
+}
+
+// BenchmarkObserve is the steady-state cost of observing a program whose
+// blocks are all in the reservoir, hashing each block or taking the
+// memo's fingerprints.
+func BenchmarkObserve(b *testing.B) {
+	prog := genProgram(3, 200)
+	keys := programKeys(b, testTarget, prog)
+	for _, bc := range []struct {
+		name string
+		keys []codecache.Key
+	}{{"hash", nil}, {"keys", keys}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := newTestManager(b, Config{})
+			m.Observe(testTarget, prog, nil)
+			m.Drain()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Observe(testTarget, prog, bc.keys)
+			}
+		})
+	}
 }
 
 // seedSynthetic injects a controlled reservoir: nTrain train-bucket
@@ -55,7 +119,7 @@ func seedSynthetic(m *Manager, nTrain, nHold int) {
 func TestObserveMeasuresUnknownBlocks(t *testing.T) {
 	m := newTestManager(t, Config{})
 	prog := genProgram(1, 12)
-	m.Observe(testTarget, prog)
+	m.Observe(testTarget, prog, nil)
 	m.Drain()
 
 	res := m.Reservoir(testTarget)
@@ -77,7 +141,7 @@ func TestObserveMeasuresUnknownBlocks(t *testing.T) {
 
 	// A second pass over identical content is pure weight bumps.
 	before := res.Len()
-	m.Observe(testTarget, genProgram(1, 12))
+	m.Observe(testTarget, genProgram(1, 12), nil)
 	m.Drain()
 	if res.Len() != before {
 		t.Fatalf("repeat traffic grew the reservoir %d → %d", before, res.Len())
@@ -89,7 +153,7 @@ func TestObserveMeasuresUnknownBlocks(t *testing.T) {
 
 func TestObserveUnmanagedTargetIsNoop(t *testing.T) {
 	m := newTestManager(t, Config{})
-	m.Observe("wide4", genProgram(1, 4))
+	m.Observe("wide4", genProgram(1, 4), nil)
 	m.Drain()
 	if m.Reservoir("wide4") != nil {
 		t.Fatal("unmanaged target grew a reservoir")
@@ -121,7 +185,7 @@ func TestRetrainDeterministicAcrossSpill(t *testing.T) {
 	cfg := Config{MinSamples: 1, SpillDir: dir}
 
 	m1 := newTestManager(t, cfg)
-	m1.Observe(testTarget, genProgram(7, 60))
+	m1.Observe(testTarget, genProgram(7, 60), nil)
 	m1.Drain()
 	if err := m1.Spill(); err != nil {
 		t.Fatal(err)
@@ -257,7 +321,7 @@ func TestCloseIsIdempotentAndSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Observe(testTarget, genProgram(3, 6))
+	m.Observe(testTarget, genProgram(3, 6), nil)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +329,7 @@ func TestCloseIsIdempotentAndSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Post-close observations must be silently dropped, not panic.
-	m.Observe(testTarget, genProgram(4, 6))
+	m.Observe(testTarget, genProgram(4, 6), nil)
 }
 
 func TestSpillOnClose(t *testing.T) {
@@ -274,7 +338,7 @@ func TestSpillOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Observe(testTarget, genProgram(5, 20))
+	m.Observe(testTarget, genProgram(5, 20), nil)
 	m.Drain()
 	want := m.Reservoir(testTarget).Len()
 	if want == 0 {

@@ -1,8 +1,12 @@
 package policy
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"schedfilter/internal/blockgen"
@@ -59,6 +63,59 @@ func TestIDHistoricalCompatibility(t *testing.T) {
 	for _, tc := range cases {
 		if got := ID(tc.p); got != tc.want {
 			t.Errorf("ID(%s) = %q, want %q", tc.p.Name(), got, tc.want)
+		}
+	}
+}
+
+// The identity RuleHash stores on its first call is the one the rule text
+// hashes to, on a first call and after concurrent ID and Decide calls,
+// for the shipped factory model and for a freshly induced rule set.
+func TestIDHashedOnce(t *testing.T) {
+	text, err := os.ReadFile("../../cmd/schedserved/factory_model.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := ParseInduced(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	ds := &ripper.Dataset{Names: features.Names[:]}
+	for i := 0; i < 200; i++ {
+		var v features.Vector
+		for j := range v {
+			v[j] = float64(rng.Intn(12))
+		}
+		ds.Add(v.Slice(), v[0] > 6 && v[2] < 9)
+	}
+	rs := ripper.Induce(ds, ripper.Options{PosLabel: "list", NegLabel: "orig", Seed: 1})
+	if len(rs.Rules) == 0 {
+		t.Fatal("induction found no rule")
+	}
+	for _, f := range []*Induced{factory, NewInduced(rs, "L/N t=20")} {
+		sum := sha256.Sum256([]byte(f.Rules.Format()))
+		want := f.Label + "@" + hex.EncodeToString(sum[:8])
+		if got := ID(NewInduced(f.Rules, f.Label)); got != want {
+			t.Fatalf("ID = %q, want %q", got, want)
+		}
+		// The first calls on f race to store its hash.
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					if got := ID(f); got != want {
+						t.Errorf("concurrent ID = %q, want %q", got, want)
+						return
+					}
+					f.Decide(features.Vector{float64(i % 20), float64(g)})
+				}
+			}(g)
+		}
+		wg.Wait()
+		if got := ID(f); got != want {
+			t.Errorf("ID after concurrent calls = %q, want %q", got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package policy
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"sync/atomic"
 
 	"schedfilter/internal/features"
 	"schedfilter/internal/ripper"
@@ -13,6 +14,9 @@ import (
 // ("orig"). Moved here from internal/core with bit-identical decisions
 // and cache identity.
 type Induced struct {
+	// Rules is the filter's rule set. It must not be modified once the
+	// policy is in use: its hash is the policy's cache identity (RuleHash,
+	// ID), computed once and reused.
 	Rules *ripper.RuleSet
 	// Label identifies the filter (e.g. "L/N t=20") in reports.
 	Label string
@@ -23,6 +27,14 @@ type Induced struct {
 	// transfer experiment. Empty means unknown (pre-registry model
 	// files).
 	Target string
+
+	// hash is RuleHash's result for the rule set it was computed from.
+	hash atomic.Pointer[ruleHash]
+}
+
+type ruleHash struct {
+	rules *ripper.RuleSet
+	hex   string
 }
 
 // NewInduced wraps a rule set as a policy with no target provenance.
@@ -67,8 +79,14 @@ func (f *Induced) Provenance() Provenance {
 // identical decisions on every block; two retrained versions that share
 // a label never share a hash unless their rules are the same. Headers
 // are excluded, so adding provenance lines to a model file never
-// changes its hash.
+// changes its hash. The rule text is formatted and hashed once per rule
+// set; later calls return the stored digest.
 func (f *Induced) RuleHash() string {
+	if h := f.hash.Load(); h != nil && h.rules == f.Rules {
+		return h.hex
+	}
 	sum := sha256.Sum256([]byte(f.Rules.Format()))
-	return hex.EncodeToString(sum[:8])
+	h := &ruleHash{rules: f.Rules, hex: hex.EncodeToString(sum[:8])}
+	f.hash.Store(h)
+	return h.hex
 }

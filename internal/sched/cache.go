@@ -17,6 +17,14 @@ import (
 // The boolean reports whether the result came from the cache (always
 // false for a nil cache).
 func ScheduleBlock(m *machine.Model, b *ir.Block, c *codecache.Cache, s *Scratch) (Result, bool) {
+	return ScheduleBlockKeyed(m, b, c, nil, s)
+}
+
+// ScheduleBlockKeyed is ScheduleBlock for a caller that may already hold
+// the block's cache fingerprint: a non-nil key must equal
+// codecache.BlockKey(m.Name, b.Instrs) and spares hashing the block, a
+// nil key is computed. Without a cache the key is unused.
+func ScheduleBlockKeyed(m *machine.Model, b *ir.Block, c *codecache.Cache, key *codecache.Key, s *Scratch) (Result, bool) {
 	if c == nil {
 		return scheduleInPlace(m, b, s), false
 	}
@@ -24,8 +32,11 @@ func ScheduleBlock(m *machine.Model, b *ir.Block, c *codecache.Cache, s *Scratch
 	if s.timing {
 		lookStart = time.Now()
 	}
-	key := codecache.BlockKey(m.Name, b.Instrs)
-	e, ok := c.Lookup(key, len(b.Instrs))
+	if key == nil {
+		k := codecache.BlockKey(m.Name, b.Instrs)
+		key = &k
+	}
+	e, ok := c.Lookup(*key, len(b.Instrs))
 	if s.timing {
 		s.phases.CacheLookupNs += time.Since(lookStart).Nanoseconds()
 	}
@@ -57,7 +68,7 @@ func ScheduleBlock(m *machine.Model, b *ir.Block, c *codecache.Cache, s *Scratch
 			entry.Order[i] = int32(v)
 		}
 	}
-	c.Insert(key, entry)
+	c.Insert(*key, entry)
 	return res, false
 }
 

@@ -13,8 +13,9 @@ import (
 
 // Bounds of the compiled-program memo. An entry weighs its source length
 // plus memoInstrBytes per machine instruction, a rough footprint of the
-// JIT output, and least-recently-used entries are evicted past
-// memoMaxBytes, so a flood of large request bodies cannot pin memory.
+// JIT output, plus the block keys it stores, and least-recently-used
+// entries are evicted past memoMaxBytes, so a flood of large request
+// bodies cannot pin memory.
 const (
 	memoMaxBytes   = 4 << 20
 	memoInstrBytes = 128
@@ -41,15 +42,18 @@ type programMemo struct {
 	evicted int64
 }
 
-// memoEntry is one memoized compilation. prog is the pristine copy: it is
-// never scheduled or handed out, since the scheduling pass reorders blocks
-// in place; callers work on clones.
+// memoEntry is one memoized compilation. prog is the pristine copy, which
+// no caller writes: readers take it as is, and the scheduling pass, which
+// points blocks at reordered instruction slices, works on the block-level
+// copy program(true) returns.
 type memoEntry struct {
 	source string
 	prog   *ir.Program
-	bytes  int
+	bytes  int // guarded by programMemo.mu
 	// fp is the program fingerprint last computed from prog.
 	fp atomic.Pointer[memoFingerprint]
+	// keys lists prog's block fingerprints, one set per model asked for.
+	keys atomic.Pointer[memoBlockKeys]
 }
 
 type memoFingerprint struct {
@@ -99,13 +103,32 @@ func (m *programMemo) admit(source string, prog *ir.Program) *memoEntry {
 	e := &memoEntry{source: source, prog: prog, bytes: bytes}
 	m.entries[source] = m.lru.PushFront(e)
 	m.bytes += bytes
+	m.evict()
+	return e
+}
+
+// charge adds n bytes to the weight of e, if the memo still holds it, and
+// evicts past the bound.
+func (m *programMemo) charge(e *memoEntry, n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.entries[e.source]; !ok || el.Value != e {
+		return
+	}
+	e.bytes += n
+	m.bytes += n
+	m.evict()
+}
+
+// evict drops least-recently-used entries until the memo is within its
+// byte bound. The caller holds m.mu.
+func (m *programMemo) evict() {
 	for m.bytes > memoMaxBytes {
 		old := m.lru.Remove(m.lru.Back()).(*memoEntry)
 		delete(m.entries, old.source)
 		m.bytes -= old.bytes
 		m.evicted++
 	}
-	return e
 }
 
 // memoStats is a snapshot of the memo's counters.
@@ -131,4 +154,74 @@ func (e *memoEntry) key(m *machine.Model, policyID string) codecache.Key {
 		key: codecache.ProgramKey(m.Name, policyID, e.prog)}
 	e.fp.Store(fp)
 	return fp.key
+}
+
+// memoBlockKeys is one model's block fingerprints of a memoized program,
+// linked to the sets of the other models asked for before it.
+type memoBlockKeys struct {
+	model string
+	keys  []codecache.Key
+	next  *memoBlockKeys
+}
+
+// blockKeys returns codecache.BlockKey under the model of every block of
+// the pristine program, in program order, or nil for a nil entry. They
+// are computed on the model's first request and their bytes charged to
+// the entry's weight; a request that loses the race to store them
+// computes them again later.
+func (e *memoEntry) blockKeys(memo *programMemo, m *machine.Model) []codecache.Key {
+	if e == nil {
+		return nil
+	}
+	head := e.keys.Load()
+	for k := head; k != nil; k = k.next {
+		if k.model == m.Name {
+			return k.keys
+		}
+	}
+	keys := make([]codecache.Key, 0, e.prog.NumBlocks())
+	for _, fn := range e.prog.Fns {
+		for _, b := range fn.Blocks {
+			keys = append(keys, codecache.BlockKey(m.Name, b.Instrs))
+		}
+	}
+	if e.keys.CompareAndSwap(head, &memoBlockKeys{model: m.Name, keys: keys, next: head}) {
+		memo.charge(e, len(keys)*len(codecache.Key{}))
+	}
+	return keys
+}
+
+// program returns the memoized program for a caller that only reads it,
+// or, with reorder, a block-level copy for the scheduling pass: fresh Fn
+// and Block structs over the pristine instruction and successor arrays,
+// each cut with a full slice expression so an append reallocates. The
+// pass never writes into an instruction array (a reordered block gets a
+// new slice), so sharing them is safe and the copy costs five
+// allocations whatever the program's size.
+func (e *memoEntry) program(reorder bool) *ir.Program {
+	p := e.prog
+	if !reorder {
+		return p
+	}
+	nBlocks := p.NumBlocks()
+	fns := make([]ir.Fn, len(p.Fns))
+	fnPtrs := make([]*ir.Fn, len(p.Fns))
+	blocks := make([]ir.Block, nBlocks)
+	blockPtrs := make([]*ir.Block, nBlocks)
+	for fi, f := range p.Fns {
+		nf := &fns[fi]
+		*nf = *f
+		nf.Blocks = blockPtrs[:len(f.Blocks):len(f.Blocks)]
+		blockPtrs = blockPtrs[len(f.Blocks):]
+		for bi, b := range f.Blocks {
+			nb := &blocks[0]
+			blocks = blocks[1:]
+			*nb = *b
+			nb.Instrs = b.Instrs[:len(b.Instrs):len(b.Instrs)]
+			nb.Succs = b.Succs[:len(b.Succs):len(b.Succs)]
+			nf.Blocks[bi] = nb
+		}
+		fnPtrs[fi] = nf
+	}
+	return &ir.Program{Fns: fnPtrs, Entry: p.Entry, Globals: p.Globals}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -144,6 +146,14 @@ func TestMemoBytesBounded(t *testing.T) {
 	if m.get(source(n-1)) == nil || m.get(source(0)) != nil {
 		t.Fatal("eviction is not least recently used first")
 	}
+	// Stored block keys count toward the bound, once per model.
+	e, before := m.get(source(n-1)), m.stats().bytes
+	mdl := machine.Default().Model
+	e.blockKeys(m, mdl)
+	e.blockKeys(m, mdl)
+	if got, want := m.stats().bytes-before, int64(32*prog.NumBlocks()); got != want {
+		t.Fatalf("storing one model's block keys added %d bytes, want %d", got, want)
+	}
 }
 
 // The memoized fingerprint is per (model, policy): the same source under
@@ -159,6 +169,34 @@ func TestMemoFingerprintPerPolicy(t *testing.T) {
 		_, r := post[ScheduleResponse](t, ts.URL+"/v1/schedule", ScheduleRequest{
 			ProgramInput: ProgramInput{Source: testSource, Policy: spec}})
 		checkSchedule(t, fmt.Sprintf("request %d (%s)", i, spec), &r, want[spec])
+	}
+}
+
+// The stored block keys are per model: whatever order targets ask in,
+// each gets the fingerprints a fresh codecache.BlockKey gives under its
+// own model.
+func TestMemoBlockKeysPerModel(t *testing.T) {
+	m := newProgramMemo()
+	m.admit(testSource, compileSource(t, testSource))
+	e := m.admit(testSource, compileSource(t, testSource))
+	targets := machine.All()
+	for round := 0; round < 2; round++ {
+		for i := range targets {
+			tgt := targets[(i+round)%len(targets)]
+			keys := e.blockKeys(m, tgt.Model)
+			bi := 0
+			for _, fn := range e.prog.Fns {
+				for _, b := range fn.Blocks {
+					if keys[bi] != codecache.BlockKey(tgt.Model.Name, b.Instrs) {
+						t.Fatalf("round %d, %s: block %d has a stale key", round, tgt.Name, bi)
+					}
+					bi++
+				}
+			}
+			if bi != len(keys) {
+				t.Fatalf("%s: %d keys for %d blocks", tgt.Name, len(keys), bi)
+			}
+		}
 	}
 }
 
@@ -203,5 +241,115 @@ func TestMemoConcurrentScheduleExecute(t *testing.T) {
 	wg.Wait()
 	if st := s.memo.stats(); st.hits+st.misses != 2*par {
 		t.Errorf("memo stats %+v, want %d lookups", st, 2*par)
+	}
+}
+
+// factoryPolicy is the induced filter schedserved ships as its default.
+func factoryPolicy(t *testing.T) *policy.Induced {
+	t.Helper()
+	text, err := os.ReadFile("../../cmd/schedserved/factory_model.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := policy.ParseInduced(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// call runs one compile-path handler on a JSON-encoded request.
+func call(t *testing.T, do func(context.Context, []byte) (any, error), req any) any {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := do(context.Background(), body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// The pass and the simulator share the memo's instruction arrays, so they
+// must never write into them: after warm schedule, execute and uncached
+// requests under policies that reorder many blocks, with online learning
+// off and on, the memoized program still equals a fresh compile, operand
+// slices included.
+func TestMemoProgramStaysPristine(t *testing.T) {
+	for _, learn := range []bool{false, true} {
+		cfg := Config{Filter: factoryPolicy(t)}
+		if learn {
+			cfg = onlineConfig()
+			cfg.Filter = factoryPolicy(t)
+		}
+		s := New(cfg)
+		for _, src := range []string{testSource, workloads.ByName("compress").Source} {
+			// Predict requests, which the online collector does not see,
+			// admit the source, so its first observation reads the memo's
+			// arrays.
+			for i := 0; i < 2; i++ {
+				call(t, s.doPredict, PredictRequest{ProgramInput: ProgramInput{Source: src}})
+			}
+			for _, spec := range []string{"LS", "default"} {
+				in := ProgramInput{Source: src, Policy: spec}
+				for i := 0; i < 3; i++ {
+					call(t, s.doSchedule, ScheduleRequest{ProgramInput: in})
+					call(t, s.doExecute, ExecuteRequest{ProgramInput: in})
+					call(t, s.doSchedule, ScheduleRequest{ProgramInput: in, NoCache: true})
+					call(t, s.doPredict, PredictRequest{ProgramInput: in})
+				}
+			}
+			if learn {
+				s.Online().Drain()
+			}
+			e := s.memo.get(src)
+			if e == nil {
+				t.Fatalf("online %v: source not memoized", learn)
+			}
+			if !reflect.DeepEqual(e.prog, compileSource(t, src)) {
+				t.Errorf("online %v: the memoized program no longer equals a fresh compile", learn)
+			}
+		}
+		s.Close()
+	}
+}
+
+// A warm schedule request reuses everything that depends only on the
+// source: no program copy beyond block headers, no policy hash, no block
+// hash. Its allocations stay far below what a deep program copy, a
+// per-request rule hash and per-block fingerprints cost (327 per request
+// for compress, 375 for scimark).
+func TestWarmScheduleAllocs(t *testing.T) {
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("allocation counts are exact only without race or coverage instrumentation")
+	}
+	s := New(Config{Filter: factoryPolicy(t), Workers: 1})
+	defer s.Close()
+	for _, name := range []string{"compress", "scimark"} {
+		body, err := json.Marshal(ScheduleRequest{ProgramInput: ProgramInput{Workload: name}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp *ScheduleResponse
+		run := func() {
+			v, err := s.doSchedule(context.Background(), body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp = v.(*ScheduleResponse)
+		}
+		for i := 0; i < 3; i++ {
+			run() // first sighting, admission, then a warm cache
+		}
+		allocs := testing.AllocsPerRun(50, run)
+		t.Logf("warm schedule of %s: %.0f allocs/request, %d blocks, %d scheduled", name, allocs, resp.Blocks, resp.Scheduled)
+		if resp.CacheMisses != 0 || resp.Scheduled == 0 {
+			t.Fatalf("%s: not a warm request: %+v", name, resp)
+		}
+		if allocs > 80 {
+			t.Errorf("warm schedule of %s allocates %.0f times per request, want at most 80", name, allocs)
+		}
 	}
 }

@@ -378,9 +378,10 @@ func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 
 // compileInput compiles a request's program (inline source or bundled
 // workload) to unscheduled machine code through the compiled-program
-// memo. The returned program is the caller's own to reorder; the entry,
-// non-nil when the source is memoized, carries its fingerprint.
-func (s *Server) compileInput(in ProgramInput) (*ir.Program, *memoEntry, time.Duration, error) {
+// memo. With reorder the returned program is one the scheduling pass may
+// reorder; without it the caller must only read it. The entry, non-nil
+// when the source is memoized, carries its fingerprints.
+func (s *Server) compileInput(in ProgramInput, reorder bool) (*ir.Program, *memoEntry, time.Duration, error) {
 	start := time.Now()
 	var source string
 	switch {
@@ -398,7 +399,7 @@ func (s *Server) compileInput(in ProgramInput) (*ir.Program, *memoEntry, time.Du
 		return nil, nil, 0, fmt.Errorf("request needs source or workload")
 	}
 	if e := s.memo.get(source); e != nil {
-		return e.prog.Clone(), e, time.Since(start), nil
+		return e.program(reorder), e, time.Since(start), nil
 	}
 	mod, err := jolt.Compile(source)
 	if err != nil {
@@ -409,7 +410,7 @@ func (s *Server) compileInput(in ProgramInput) (*ir.Program, *memoEntry, time.Du
 		return nil, nil, 0, err
 	}
 	if e := s.memo.admit(source, prog); e != nil {
-		return e.prog.Clone(), e, time.Since(start), nil
+		return e.program(reorder), e, time.Since(start), nil
 	}
 	return prog, nil, time.Since(start), nil
 }
@@ -458,9 +459,9 @@ func (s *Server) resolvePolicy(policySpec string, spec FilterSpec, mt *machineTa
 // observe feeds a freshly compiled (still unscheduled) program to the
 // online sample collector. Must run before the scheduling pass reorders
 // blocks — the collector needs original-order instruction content.
-func (s *Server) observe(mt *machineTarget, prog *ir.Program) {
+func (s *Server) observe(mt *machineTarget, prog *ir.Program, keys []codecache.Key) {
 	if s.online != nil {
-		s.online.Observe(mt.name, prog)
+		s.online.Observe(mt.name, prog, keys)
 	}
 }
 
@@ -493,7 +494,7 @@ func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
 	if _, err := s.resolveTarget(req.Target); err != nil {
 		return nil, err
 	}
-	prog, _, compileT, err := s.compileInput(req.ProgramInput)
+	prog, _, compileT, err := s.compileInput(req.ProgramInput, false)
 	if err != nil {
 		return nil, err
 	}
@@ -512,14 +513,16 @@ func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
 
 // schedulePass runs the policy-gated scheduling pass for a request on
 // the resolved target's machine and cache, and feeds the pass totals
-// into the server metrics. The pass runs with phase timing on, so the
-// returned stats carry the per-phase breakdown traces report.
-func (s *Server) schedulePass(prog *ir.Program, f policy.Policy, mt *machineTarget, noCache bool) core.Stats {
+// into the server metrics. keys are the program's block fingerprints
+// when the memo holds them, nil otherwise. The pass runs with phase
+// timing on, so the returned stats carry the per-phase breakdown traces
+// report.
+func (s *Server) schedulePass(prog *ir.Program, f policy.Policy, mt *machineTarget, keys []codecache.Key, noCache bool) core.Stats {
 	cache := mt.cache
 	if noCache {
 		cache = nil
 	}
-	st := core.Apply(mt.model, prog, f, core.Pass{Cache: cache, Timed: true})
+	st := core.Apply(mt.model, prog, f, core.Pass{Cache: cache, BlockKeys: keys, Timed: true})
 	runs := st.CacheMisses
 	if noCache {
 		runs = st.Scheduled
@@ -556,13 +559,14 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, entry, compileT, err := s.compileInput(req.ProgramInput)
+	prog, entry, compileT, err := s.compileInput(req.ProgramInput, true)
 	if err != nil {
 		return nil, err
 	}
 	tr := obs.TraceFrom(ctx)
 	tr.Record(obs.PhaseCompile, compileT.Nanoseconds())
-	s.observe(mt, prog)
+	keys := entry.blockKeys(s.memo, mt.model)
+	s.observe(mt, prog, keys)
 	// The fingerprint context is the filter's content identity, not its
 	// display name: two hot-swapped filter versions that share a label
 	// must never alias. Computed on the unscheduled program, it doubles
@@ -574,13 +578,13 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 	var st core.Stats
 	coalesced := false
 	if req.NoCache {
-		st = s.schedulePass(prog, f, mt, true)
+		st = s.schedulePass(prog, f, mt, keys, true)
 	} else {
 		v, shared := s.flight.Do(key, func() any {
 			if s.schedFlightHook != nil {
 				s.schedFlightHook()
 			}
-			return s.schedulePass(prog, f, mt, false)
+			return s.schedulePass(prog, f, mt, keys, false)
 		})
 		st = v.(core.Stats)
 		coalesced = shared
@@ -624,7 +628,7 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, _, compileT, err := s.compileInput(req.ProgramInput)
+	prog, _, compileT, err := s.compileInput(req.ProgramInput, false)
 	if err != nil {
 		return nil, err
 	}
@@ -669,13 +673,14 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, entry, compileT, err := s.compileInput(req.ProgramInput)
+	prog, entry, compileT, err := s.compileInput(req.ProgramInput, true)
 	if err != nil {
 		return nil, err
 	}
 	tr := obs.TraceFrom(ctx)
 	tr.Record(obs.PhaseCompile, compileT.Nanoseconds())
-	s.observe(mt, prog)
+	keys := entry.blockKeys(s.memo, mt.model)
+	s.observe(mt, prog, keys)
 	// Execute must schedule its own program copy before simulating, but
 	// concurrent identical requests still coalesce the scheduler work:
 	// followers wait for the leader's pass to warm the scheduled-block
@@ -683,11 +688,11 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	policyID := policy.ID(f)
 	key := programKey(tr, mt, policyID, prog, entry)
 	v, coalesced := s.flight.Do(key, func() any {
-		return s.schedulePass(prog, f, mt, false)
+		return s.schedulePass(prog, f, mt, keys, false)
 	})
 	st := v.(core.Stats)
 	if coalesced {
-		st = s.schedulePass(prog, f, mt, false)
+		st = s.schedulePass(prog, f, mt, keys, false)
 	}
 	// Either way the pass whose phases we report ran inside this
 	// request's wall time (followers re-ran their own replay pass).
