@@ -270,11 +270,11 @@ func BenchmarkListScheduler(b *testing.B) {
 // cheaper than scheduling.
 func BenchmarkFilterEvaluation(b *testing.B) {
 	m := machine.Default().Model
-	data, err := training.CollectAll(workloads.Suite1(), m, training.DefaultOptions())
+	data, err := training.CollectAllJobs(workloads.Suite1(), m, training.DefaultOptions(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := training.TrainFilter(data, 0, ripper.DefaultOptions())
+	f := training.TrainFilter(data, 0, ripper.DefaultOptions(), nil)
 	r := rand.New(rand.NewSource(4))
 	blocks := make([]*Block, 64)
 	for i := range blocks {
@@ -291,7 +291,7 @@ func BenchmarkFilterEvaluation(b *testing.B) {
 // training set (the paper: "induces heuristics in seconds").
 func BenchmarkRipperInduce(b *testing.B) {
 	m := machine.Default().Model
-	data, err := training.CollectAll(workloads.Suite1(), m, training.DefaultOptions())
+	data, err := training.CollectAllJobs(workloads.Suite1(), m, training.DefaultOptions(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

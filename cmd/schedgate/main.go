@@ -44,6 +44,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -53,12 +54,11 @@ import (
 
 	"schedfilter/internal/cliflags"
 	"schedfilter/internal/cluster"
-	"schedfilter/internal/obs"
 )
 
 // logger is the daemon's structured stderr logger, set once in main;
 // fatal falls back to a bare print before it exists.
-var logger *obs.Logger
+var logger *slog.Logger
 
 func main() {
 	addr := flag.String("addr", ":8724", "listen address")

@@ -2,8 +2,9 @@
 // over HTTP/JSON. It boots a policy (by default the induced filter from a
 // persisted model file, or the embedded factory model trained at t=20 over
 // all bundled benchmarks),
-// then serves compile / schedule / predict / execute requests on a bounded
-// worker pool with a shared content-addressed scheduled-block cache.
+// then serves compile / schedule / predict / execute requests behind a
+// bounded admission gate with a shared content-addressed scheduled-block
+// cache.
 //
 // Usage:
 //
@@ -41,9 +42,9 @@
 //
 // Observability: GET /metrics (Prometheus text format, including
 // per-phase latency histograms), GET /healthz, /debug/pprof, and
-// structured key=value logs on stderr (-log-level sets the floor).
+// structured log/slog text lines on stderr (-log-level sets the floor).
 // Shutdown on SIGINT/SIGTERM is graceful: the listener closes, in-flight
-// compilations drain (bounded by -drain), then the worker pool exits.
+// compilations drain (bounded by -drain), then the admission gate closes.
 package main
 
 import (
@@ -52,6 +53,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -61,7 +63,6 @@ import (
 
 	"schedfilter/internal/cliflags"
 	"schedfilter/internal/machine"
-	"schedfilter/internal/obs"
 	"schedfilter/internal/online"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/server"
@@ -69,7 +70,7 @@ import (
 
 // logger is the daemon's structured stderr logger, set once in main;
 // fatal falls back to a bare print before it exists.
-var logger *obs.Logger
+var logger *slog.Logger
 
 // factoryModel is the "at the factory" filter a JIT would ship: L/N
 // induced at t=20 from every bundled benchmark (schedtrain -suite all
@@ -82,7 +83,7 @@ func main() {
 	addr := flag.String("addr", ":8723", "listen address")
 	node := flag.String("node", "", "this instance's cluster node name, reported on /healthz and X-Sched-Node (default: the listen address)")
 	modelPath := flag.String("model", "", "model file to boot the induced filter from (default: embedded factory model)")
-	workers := flag.Int("workers", 0, "compile worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "compilations that run at once (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers); overflow is rejected with 429")
 	cacheWeight := flag.Int("cache", 0, "scheduled-block cache bound in words (0 = default)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"strings"
 
 	"schedfilter/internal/machine"
@@ -68,8 +69,10 @@ func LogLevel(fs *flag.FlagSet) *string {
 	return fs.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 }
 
-// NewLogger builds a structured logger on w from a -log-level value.
-func NewLogger(w io.Writer, level string) (*obs.Logger, error) {
+// NewLogger builds the daemons' structured logger on w (obs.NewLogger:
+// slog text lines, time=… level=INFO msg=… key=value…) at or above a
+// -log-level value, which is debug, info, warn or error in any case.
+func NewLogger(w io.Writer, level string) (*slog.Logger, error) {
 	lv, err := obs.ParseLevel(level)
 	if err != nil {
 		return nil, fmt.Errorf("bad -log-level: %w", err)

@@ -209,11 +209,17 @@ func BenchmarkLookupHit(b *testing.B) {
 	}
 }
 
-func BenchmarkBlockKey(b *testing.B) {
+// benchBlock is a 16-instruction block of three-register adds.
+func benchBlock() []ir.Instr {
 	instrs := make([]ir.Instr, 16)
 	for i := range instrs {
 		instrs[i] = ir.NewInstr(ir.ADD, []ir.Reg{ir.GPR(i)}, []ir.Reg{ir.GPR(i + 1), ir.GPR(i + 2)})
 	}
+	return instrs
+}
+
+func BenchmarkBlockKey(b *testing.B) {
+	instrs := benchBlock()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		BlockKey("MPC7410", instrs)

@@ -26,6 +26,16 @@ func (w *hasher) i64(v int64)   { w.u64(uint64(v)) }
 func (w *hasher) f64(v float64) { w.u64(math.Float64bits(v)) }
 func (w *hasher) reg(r ir.Reg)  { w.u64(uint64(r.Class)<<32 | uint64(uint32(r.N))) }
 
+// instrsSize is the encoded size of instrs: five words per instruction
+// (opcode, operand counts, Imm, FImm, Target) plus one per register.
+func instrsSize(instrs []ir.Instr) int {
+	n := 0
+	for i := range instrs {
+		n += 8 * (5 + len(instrs[i].Defs) + len(instrs[i].Uses))
+	}
+	return n
+}
+
 func (w *hasher) instr(in *ir.Instr) {
 	w.u64(uint64(in.Op))
 	w.u64(uint64(len(in.Defs))<<32 | uint64(len(in.Uses)))
@@ -46,7 +56,7 @@ func (w *hasher) instr(in *ir.Instr) {
 // is the point: the scheduler's output depends only on the instructions
 // and the model.
 func BlockKey(modelName string, instrs []ir.Instr) Key {
-	w := hasher{buf: make([]byte, 0, 64+16*len(instrs))}
+	w := hasher{buf: make([]byte, 0, len(modelName)+1+8+instrsSize(instrs))}
 	w.buf = append(w.buf, modelName...)
 	w.buf = append(w.buf, 0)
 	w.u64(uint64(len(instrs)))
@@ -61,7 +71,14 @@ func BlockKey(modelName string, instrs []ir.Instr) Key {
 // block in order. The server uses it to recognize identical compile
 // inputs across requests.
 func ProgramKey(modelName, context string, p *ir.Program) Key {
-	w := hasher{buf: make([]byte, 0, 1024)}
+	size := len(modelName) + 1 + len(context) + 1 + 3*8
+	for _, fn := range p.Fns {
+		size += len(fn.Name) + 1 + 8
+		for _, b := range fn.Blocks {
+			size += 8 + instrsSize(b.Instrs)
+		}
+	}
+	w := hasher{buf: make([]byte, 0, size)}
 	w.buf = append(w.buf, modelName...)
 	w.buf = append(w.buf, 0)
 	w.buf = append(w.buf, context...)

@@ -106,7 +106,7 @@ func Apply(m *machine.Model, p *ir.Program, f policy.Policy, o Pass) Stats {
 			if o.BlockKeys != nil {
 				key = &o.BlockKeys[bi]
 			}
-			res, hit := sched.ScheduleBlockKeyed(m, b, o.Cache, key, s)
+			res, hit := sched.ScheduleBlock(m, b, o.Cache, key, s)
 			if o.Cache != nil {
 				if hit {
 					st.CacheHits++

@@ -84,7 +84,7 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 		return nil, err
 	}
 	all := append(append([]*training.BenchData(nil), data1...), data2...)
-	f := training.TrainFilter(all, t, r.cfg.RipperOpts)
+	f := training.TrainFilter(all, t, r.cfg.RipperOpts, nil)
 	f.Label = fmt.Sprintf("L/N t=%d (factory)", t)
 
 	// Warm the app-time cache in parallel: the three offline protocols'

@@ -148,7 +148,7 @@ func (r *Runner) Filter(s workloads.Suite, target string, t int) (*policy.Induce
 	// Induce outside the lock: induction is the expensive part, it is
 	// deterministic, and distinct grid cells ask for distinct keys, so
 	// duplicated work only happens when two fan-outs race on the same key.
-	f = training.LeaveOneOutCached(data, target, t, r.cfg.RipperOpts, &r.labels)
+	f = training.LeaveOneOut(data, target, t, r.cfg.RipperOpts, &r.labels)
 	r.mu.Lock()
 	if have, ok := r.filters[key]; ok {
 		f = have

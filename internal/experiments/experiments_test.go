@@ -322,7 +322,7 @@ func TestSuperblockFilterExperiment(t *testing.T) {
 		"scimark": "8b7871346cdb57d6",
 	}
 	for _, td := range data {
-		f := training.LeaveOneOut(data, td.Name, 0, r.cfg.RipperOpts)
+		f := training.LeaveOneOut(data, td.Name, 0, r.cfg.RipperOpts, nil)
 		if got, want := digest(f.Rules.Format()), wantRules[td.Name]; got != want {
 			t.Errorf("%s: leave-one-out rules digest %s, want %s", td.Name, got, want)
 		}

@@ -105,7 +105,7 @@ func CrossPolicies(cfg Config, targetNames, policySpecs []string, t int) (*Polic
 		cols[i] = &perTarget{
 			name:    tgt.Name,
 			data:    data,
-			induced: training.TrainFilter(data, t, cfg.RipperOpts),
+			induced: training.TrainFilter(data, t, cfg.RipperOpts, nil),
 		}
 	}
 

@@ -162,7 +162,7 @@ func (r *Runner) SuperblockFilter(s workloads.Suite) (*SuperblockFilterResult, e
 	// Per-benchmark evaluation: leave-one-out induction plus one timed
 	// simulation, all deterministic, all slot-indexed.
 	err = par.DoErr(r.cfg.Jobs, len(data), func(i int) error {
-		f := training.LeaveOneOut(traceData, traceData[i].Name, 0, r.cfg.RipperOpts)
+		f := training.LeaveOneOut(traceData, traceData[i].Name, 0, r.cfg.RipperOpts, nil)
 		res.ErrPct[i] = 100 * training.ErrorRate(f, traceData[i], 0)
 		ns, err := r.AppTime(data[i], policy.Never{})
 		if err != nil {

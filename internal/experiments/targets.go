@@ -93,7 +93,7 @@ func CrossTargets(cfg Config, targetNames []string, t int) (*TargetMatrixResult,
 		}
 		cols[i] = &perTarget{
 			data:   data,
-			filter: training.TrainFilter(data, t, cfg.RipperOpts),
+			filter: training.TrainFilter(data, t, cfg.RipperOpts, nil),
 		}
 	}
 

@@ -3,162 +3,29 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
 	"strings"
-	"sync"
-	"time"
 )
 
-// Level is a log severity.
-type Level int
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
-
-// ParseLevel parses a -log-level flag value.
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
+// ParseLevel reads a log-level name: debug, info, warn or error, in any
+// case. Anything else, the empty string included, is an error.
+func ParseLevel(s string) (slog.Level, error) {
+	switch strings.ToLower(s) {
 	case "debug":
-		return LevelDebug, nil
-	case "info", "":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
+		return slog.LevelDebug, nil
+	case "info":
+		return slog.LevelInfo, nil
+	case "warn":
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
-	default:
-		return LevelInfo, fmt.Errorf("unknown log level %q (want debug|info|warn|error)", s)
+		return slog.LevelError, nil
 	}
+	return 0, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", s)
 }
 
-// Logger writes leveled key=value lines:
-//
-//	ts=2026-08-08T12:00:00.000Z level=info component=schedserved msg="listening" addr=":8723"
-//
-// It replaces the daemons' ad-hoc fmt prints. Values are quoted only
-// when they need it, so greps for plain tokens (and smoke.sh's
-// 'drained, bye') keep working. Safe for concurrent use.
-type Logger struct {
-	mu    sync.Mutex
-	w     io.Writer
-	min   Level
-	attrs string // pre-rendered " k=v ..." context
-	now   func() time.Time
-}
-
-// NewLogger returns a logger writing lines at or above min to w.
-func NewLogger(w io.Writer, min Level) *Logger {
-	return &Logger{w: w, min: min, now: time.Now}
-}
-
-// With returns a child logger whose lines carry the extra key=value
-// pairs (args alternate key, value).
-func (l *Logger) With(args ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	var b strings.Builder
-	b.WriteString(l.attrs)
-	appendPairs(&b, args)
-	return &Logger{w: l.w, min: l.min, attrs: b.String(), now: l.now}
-}
-
-// Enabled reports whether lines at lv would be written.
-func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.min }
-
-func (l *Logger) log(lv Level, msg string, args []any) {
-	if !l.Enabled(lv) {
-		return
-	}
-	var b strings.Builder
-	b.WriteString("ts=")
-	b.WriteString(l.now().UTC().Format("2006-01-02T15:04:05.000Z"))
-	b.WriteString(" level=")
-	b.WriteString(lv.String())
-	b.WriteString(l.attrs)
-	b.WriteString(" msg=")
-	b.WriteString(quoteValue(msg))
-	appendPairs(&b, args)
-	b.WriteByte('\n')
-	l.mu.Lock()
-	io.WriteString(l.w, b.String())
-	l.mu.Unlock()
-}
-
-// Debug logs at debug level; args alternate key, value.
-func (l *Logger) Debug(msg string, args ...any) { l.log(LevelDebug, msg, args) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, args ...any) { l.log(LevelInfo, msg, args) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, args ...any) { l.log(LevelWarn, msg, args) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, args ...any) { l.log(LevelError, msg, args) }
-
-func appendPairs(b *strings.Builder, args []any) {
-	for i := 0; i+1 < len(args); i += 2 {
-		key, ok := args[i].(string)
-		if !ok {
-			key = fmt.Sprint(args[i])
-		}
-		b.WriteByte(' ')
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(quoteValue(formatValue(args[i+1])))
-	}
-	if len(args)%2 == 1 {
-		b.WriteString(" !BADKEY=")
-		b.WriteString(quoteValue(formatValue(args[len(args)-1])))
-	}
-}
-
-func formatValue(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case error:
-		return x.Error()
-	case time.Duration:
-		return x.String()
-	case fmt.Stringer:
-		return x.String()
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
-// quoteValue quotes only when the value contains whitespace, quotes, or
-// control characters — bare tokens stay grep-friendly.
-func quoteValue(s string) string {
-	if s == "" {
-		return `""`
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c <= ' ' || c == '"' || c == '=' || c == 0x7f {
-			return strconv.Quote(s)
-		}
-	}
-	return s
+// NewLogger builds the daemons' structured logger on w: log/slog text
+// lines (time=… level=INFO msg=… key=value…, values quoted only when
+// needed) at or above min.
+func NewLogger(w io.Writer, min slog.Level) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: min}))
 }

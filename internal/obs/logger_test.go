@@ -1,28 +1,18 @@
 package obs
 
 import (
-	"errors"
+	"context"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
 )
 
-func fixedClock() time.Time {
-	return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-}
-
-func testLogger(min Level) (*Logger, *strings.Builder) {
-	var b strings.Builder
-	l := NewLogger(&b, min)
-	l.now = fixedClock
-	return l, &b
-}
-
 func TestParseLevel(t *testing.T) {
-	cases := map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError, "": LevelInfo,
-		"INFO": LevelInfo, " Error ": LevelError,
+	cases := map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo,
+		"warn": slog.LevelWarn, "error": slog.LevelError,
+		"INFO": slog.LevelInfo, "Error": slog.LevelError, "wARn": slog.LevelWarn,
 	}
 	for in, want := range cases {
 		got, err := ParseLevel(in)
@@ -30,24 +20,40 @@ func TestParseLevel(t *testing.T) {
 			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel(loud) accepted")
+	for _, in := range []string{"loud", "", "warning", " info", "info+2", "4"} {
+		if _, err := ParseLevel(in); err == nil {
+			t.Errorf("ParseLevel(%q) accepted", in)
+		}
 	}
 }
 
+// splitTime cuts the leading time=… field off a log line and checks that
+// it is an RFC 3339 timestamp.
+func splitTime(t *testing.T, line string) string {
+	t.Helper()
+	ts, rest, ok := strings.Cut(strings.TrimPrefix(line, "time="), " ")
+	if !ok || !strings.HasPrefix(line, "time=") {
+		t.Fatalf("line does not start with a time field: %q", line)
+	}
+	if _, err := time.Parse(time.RFC3339Nano, ts); err != nil {
+		t.Fatalf("time field %q: %v", ts, err)
+	}
+	return rest
+}
+
 func TestLoggerFormat(t *testing.T) {
-	l, b := testLogger(LevelInfo)
-	l.Info("listening", "addr", ":8723", "workers", 8)
-	got := b.String()
-	want := `ts=2026-08-08T12:00:00.000Z level=info msg=listening addr=:8723 workers=8` + "\n"
+	var b strings.Builder
+	NewLogger(&b, slog.LevelInfo).Info("listening", "addr", ":8723", "workers", 8)
+	got := splitTime(t, b.String())
+	want := `level=INFO msg=listening addr=:8723 workers=8` + "\n"
 	if got != want {
 		t.Fatalf("line = %q, want %q", got, want)
 	}
 }
 
 func TestLoggerQuoting(t *testing.T) {
-	l, b := testLogger(LevelInfo)
-	l.Info("drained, bye")
+	var b strings.Builder
+	NewLogger(&b, slog.LevelInfo).Info("drained, bye", "policy", "L/N t=20")
 	got := b.String()
 	// Quoted (contains space) but the grep-target substring survives.
 	if !strings.Contains(got, `msg="drained, bye"`) {
@@ -56,59 +62,27 @@ func TestLoggerQuoting(t *testing.T) {
 	if !strings.Contains(got, "drained, bye") {
 		t.Fatalf("smoke-test grep target missing: %q", got)
 	}
+	if !strings.Contains(got, `policy="L/N t=20"`) {
+		t.Fatalf("value with spaces not quoted: %q", got)
+	}
 }
 
 func TestLoggerLevelFilter(t *testing.T) {
-	l, b := testLogger(LevelWarn)
+	var b strings.Builder
+	l := NewLogger(&b, slog.LevelWarn)
 	l.Debug("d")
 	l.Info("i")
 	l.Warn("w")
 	l.Error("e")
 	got := b.String()
-	if strings.Contains(got, "level=debug") || strings.Contains(got, "level=info") {
+	if strings.Contains(got, "level=DEBUG") || strings.Contains(got, "level=INFO") {
 		t.Fatalf("below-threshold lines emitted: %q", got)
 	}
-	if !strings.Contains(got, "level=warn") || !strings.Contains(got, "level=error") {
+	if !strings.Contains(got, "level=WARN") || !strings.Contains(got, "level=ERROR") {
 		t.Fatalf("threshold lines missing: %q", got)
 	}
-	if !l.Enabled(LevelError) || l.Enabled(LevelInfo) {
+	ctx := context.Background()
+	if !l.Enabled(ctx, slog.LevelError) || l.Enabled(ctx, slog.LevelInfo) {
 		t.Fatal("Enabled() disagrees with filter")
-	}
-}
-
-func TestLoggerWith(t *testing.T) {
-	l, b := testLogger(LevelInfo)
-	child := l.With("component", "schedgate")
-	child.Info("up", "backends", 3)
-	got := b.String()
-	if !strings.Contains(got, " component=schedgate ") {
-		t.Fatalf("With attrs missing: %q", got)
-	}
-	if !strings.Contains(got, "backends=3") {
-		t.Fatalf("call args missing: %q", got)
-	}
-}
-
-func TestLoggerValueFormats(t *testing.T) {
-	l, b := testLogger(LevelInfo)
-	l.Info("m", "err", errors.New("boom bad"), "dur", 1500*time.Millisecond, "odd")
-	got := b.String()
-	if !strings.Contains(got, `err="boom bad"`) {
-		t.Errorf("error formatting: %q", got)
-	}
-	if !strings.Contains(got, "dur=1.5s") {
-		t.Errorf("duration formatting: %q", got)
-	}
-	if !strings.Contains(got, "!BADKEY=odd") {
-		t.Errorf("odd-arg marker missing: %q", got)
-	}
-}
-
-func TestNilLoggerSafe(t *testing.T) {
-	var l *Logger
-	l.Info("nothing happens")
-	l.With("k", "v").Error("still nothing")
-	if l.Enabled(LevelError) {
-		t.Fatal("nil logger Enabled = true")
 	}
 }

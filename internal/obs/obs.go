@@ -1,7 +1,7 @@
 // Package obs is the repo's observability core: one typed metrics
 // registry shared by every layer, request tracing with per-phase span
-// timings, and a leveled structured logger. It is stdlib-only and has no
-// dependency on any other internal package, so every subsystem — the
+// timings, and the daemons' log/slog logger. It is stdlib-only and has
+// no dependency on any other internal package, so every subsystem — the
 // scheduler hot path's phase accounting, the compile server, the cluster
 // gateway, the codecache, the online-learning loop — can register
 // through it without import cycles.
@@ -27,8 +27,8 @@
 //     The spans come back in compile responses and feed the per-phase
 //     histograms.
 //
-//   - Logger (logger.go): leveled key=value lines replacing ad-hoc
-//     prints in the daemons.
+//   - NewLogger (logger.go): log/slog text lines at or above a level
+//     ParseLevel reads; cliflags.NewLogger wires it to -log-level.
 //
 // parse.go is the client side: a text-exposition parser plus histogram
 // reconstruction, used by schedctl's pretty-printer and the compat

@@ -17,7 +17,7 @@ const TraceHeader = "X-Sched-Trace"
 // glossary lives in docs/observability.md.
 const (
 	PhaseRoute        = "route"         // gateway: pick + reach a backend (overhead over backend total)
-	PhaseQueueWait    = "queue_wait"    // server: submit → worker pickup in the bounded pool
+	PhaseQueueWait    = "queue_wait"    // server: admission → holding a compile slot at the gate
 	PhaseCompile      = "compile"       // server: Jolt compile + JIT, or the memo lookup for a repeat source (schedule/execute add a block-level copy)
 	PhaseFingerprint  = "fingerprint"   // server: whole-program fingerprint (cache, singleflight and routing key)
 	PhaseCacheLookup  = "cache_lookup"  // scheduler: block fingerprint (unless the memo holds it) + scheduled-block cache probe

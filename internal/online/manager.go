@@ -81,7 +81,9 @@ func NewManager(cfg Config) (*Manager, error) {
 		targets: map[string]*targetState{},
 		queue:   make(chan observation, cfg.QueueDepth),
 		stop:    make(chan struct{}),
-		induce:  training.TrainFilter,
+		induce: func(data []*training.BenchData, t int, opt ripper.Options) *policy.Induced {
+			return training.TrainFilter(data, t, opt, nil)
+		},
 	}
 	names := cfg.Targets
 	if len(names) == 0 {

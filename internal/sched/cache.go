@@ -14,17 +14,13 @@ import (
 // block with identical instruction content has been scheduled on this
 // model before, the cached order is replayed instead of re-running the
 // scheduler, and a miss inserts its result for the next identical block.
-// The boolean reports whether the result came from the cache (always
-// false for a nil cache).
-func ScheduleBlock(m *machine.Model, b *ir.Block, c *codecache.Cache, s *Scratch) (Result, bool) {
-	return ScheduleBlockKeyed(m, b, c, nil, s)
-}
-
-// ScheduleBlockKeyed is ScheduleBlock for a caller that may already hold
-// the block's cache fingerprint: a non-nil key must equal
-// codecache.BlockKey(m.Name, b.Instrs) and spares hashing the block, a
-// nil key is computed. Without a cache the key is unused.
-func ScheduleBlockKeyed(m *machine.Model, b *ir.Block, c *codecache.Cache, key *codecache.Key, s *Scratch) (Result, bool) {
+// A caller that already holds the block's fingerprint passes it as key
+// (it must equal codecache.BlockKey(m.Name, b.Instrs)); a nil key is
+// computed, and without a cache the key is unused. The boolean reports
+// whether the result came from the cache (always false for a nil
+// cache); a replayed Result carries the costs and Changed but a nil
+// Order.
+func ScheduleBlock(m *machine.Model, b *ir.Block, c *codecache.Cache, key *codecache.Key, s *Scratch) (Result, bool) {
 	if c == nil {
 		return scheduleInPlace(m, b, s), false
 	}
@@ -41,19 +37,14 @@ func ScheduleBlockKeyed(m *machine.Model, b *ir.Block, c *codecache.Cache, key *
 		s.phases.CacheLookupNs += time.Since(lookStart).Nanoseconds()
 	}
 	if ok {
-		res := Result{CostBefore: e.CostBefore, CostAfter: e.CostAfter, Changed: e.Changed}
-		res.Order = make([]int, len(b.Instrs))
 		if e.Changed {
-			for i, v := range e.Order {
-				res.Order[i] = int(v)
+			out := make([]ir.Instr, len(e.Order))
+			for pos, idx := range e.Order {
+				out[pos] = b.Instrs[idx]
 			}
-			b.Instrs = res.Apply(b.Instrs)
-		} else {
-			for i := range res.Order {
-				res.Order[i] = i
-			}
+			b.Instrs = out
 		}
-		return res, true
+		return Result{CostBefore: e.CostBefore, CostAfter: e.CostAfter, Changed: e.Changed}, true
 	}
 	res := scheduleInPlace(m, b, s)
 	entry := codecache.Entry{

@@ -9,7 +9,8 @@ import (
 
 // Result reports what the list scheduler did to one block.
 type Result struct {
-	// Order maps output position to original instruction index.
+	// Order maps output position to original instruction index. It is
+	// nil for a block ScheduleBlock replayed from the cache.
 	Order []int
 	// CostBefore and CostAfter are the estimator's block makespans for
 	// the original and the scheduled order.
@@ -169,12 +170,6 @@ func scheduleDAG(m *machine.Model, instrs []ir.Instr, dag *DAG, s *Scratch) Resu
 		}
 	}
 	return res
-}
-
-// EstimateCost returns the estimator makespan of the sequence in its
-// current order (convenience re-export of machine.EstimateCost).
-func EstimateCost(m *machine.Model, instrs []ir.Instr) int {
-	return machine.EstimateCost(m, instrs)
 }
 
 // Apply returns the instruction sequence reordered per the result.

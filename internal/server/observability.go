@@ -9,9 +9,9 @@ import (
 
 // serverObs is the server's registration on the shared obs registry:
 // per-endpoint outcome metrics, per-phase histograms, the
-// scheduling-pass totals, and render-time gauges over the caches, pool,
-// and online loop. Handles are resolved here, once, so the request path
-// records through atomics only.
+// scheduling-pass totals, and render-time gauges over the caches,
+// admission gate, and online loop. Handles are resolved here, once, so
+// the request path records through atomics only.
 type serverObs struct {
 	reg   *obs.Registry
 	start time.Time
@@ -37,8 +37,8 @@ var serverPhases = []string{
 }
 
 // newServerObs registers every server metric. Call after the server's
-// targets, pool, flight, and online loop exist — the gauges read them
-// live at render time. The historical metric names (schedserved_*,
+// targets, admission gate, flight, and online loop exist — the gauges
+// read them live at render time. The historical metric names (schedserved_*,
 // codecache_*, online_*) are locked byte-for-byte by the compat test.
 func newServerObs(s *Server, endpoints ...string) *serverObs {
 	reg := obs.NewRegistry()

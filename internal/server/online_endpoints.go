@@ -11,10 +11,10 @@ import (
 )
 
 // The online-learning control plane: listing filter versions, manual
-// activation and rollback, and on-demand retraining. These handlers run
-// on the connection goroutine, NOT the compile pool — retraining a
-// target can take a while (drain + Ripper induction + shadow eval), and
-// it must never starve the compile workers it is retraining for. The
+// activation and rollback, and on-demand retraining. These handlers do
+// NOT pass the admission gate — retraining a target can take a while
+// (drain + Ripper induction + shadow eval), and it must never hold a
+// compile slot the traffic it is retraining for needs. The
 // manager's own per-target single-flight lock serializes overlapping
 // retrains.
 

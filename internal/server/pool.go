@@ -17,88 +17,79 @@ var (
 	ErrClosed = errors.New("server: shutting down")
 )
 
-// pool is the bounded worker pool every compilation request runs on. The
-// HTTP handlers are cheap (decode, enqueue, encode); all compiler work
-// happens on the pool's fixed worker set, so a traffic burst queues
-// instead of spawning unbounded concurrent compilations, and a full
-// queue rejects immediately — backpressure the caller can see.
+// pool is the admission gate every compilation request passes. Work runs
+// on the caller's own goroutine once it holds one of the gate's slots
+// (a buffered channel used as a semaphore), so at most Workers
+// compilations run at once; up to QueueDepth more wait for a slot, and a
+// request beyond that is rejected immediately — backpressure the caller
+// can see instead of unbounded concurrent compilations.
 type pool struct {
-	jobs     chan job
+	slots  chan struct{} // one token per running job
+	limit  int           // slots plus queue depth: the admission bound
+	queued atomic.Int64
+
+	mu       sync.Mutex
+	admitted int // guarded by mu
+	closed   bool
 	wg       sync.WaitGroup
-	inflight atomic.Int64
-
-	mu     sync.Mutex
-	closed bool
-}
-
-type job struct {
-	run  func()
-	done chan struct{}
 }
 
 func newPool(workers, depth int) *pool {
-	p := &pool{jobs: make(chan job, depth)}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p
+	return &pool{slots: make(chan struct{}, workers), limit: workers + depth}
 }
 
-func (p *pool) worker() {
-	defer p.wg.Done()
-	for j := range p.jobs {
-		p.inflight.Add(1)
-		j.run()
-		p.inflight.Add(-1)
-		close(j.done)
-	}
-}
-
-// Do submits f and waits for it to finish. It fails fast with ErrBusy
-// when the queue is full and ErrClosed when the pool is draining. A
-// cancelled ctx abandons the wait (the job itself still runs to
-// completion; the caller must not read its results after an error).
+// Do runs f on the calling goroutine once a slot is free. It fails fast
+// with ErrBusy when Workers+QueueDepth requests are already admitted and
+// ErrClosed when the pool is draining. A ctx that ends while the request
+// waits for a slot returns ctx.Err() and f never runs; once f starts it
+// runs to completion.
 func (p *pool) Do(ctx context.Context, f func()) error {
-	j := job{run: f, done: make(chan struct{})}
 	p.mu.Lock()
-	if p.closed {
+	switch {
+	case p.closed:
 		p.mu.Unlock()
 		return ErrClosed
-	}
-	select {
-	case p.jobs <- j:
-		p.mu.Unlock()
-	default:
+	case p.admitted == p.limit:
 		p.mu.Unlock()
 		return ErrBusy
 	}
+	p.admitted++
+	p.wg.Add(1)
+	p.mu.Unlock()
+	defer p.release()
+
+	p.queued.Add(1)
 	select {
-	case <-j.done:
-		return nil
+	case p.slots <- struct{}{}:
+		p.queued.Add(-1)
 	case <-ctx.Done():
+		p.queued.Add(-1)
 		return ctx.Err()
 	}
+	defer func() { <-p.slots }()
+	f()
+	return nil
 }
 
-// QueueDepth returns the number of queued (not yet started) jobs.
-func (p *pool) QueueDepth() int { return len(p.jobs) }
+func (p *pool) release() {
+	p.mu.Lock()
+	p.admitted--
+	p.mu.Unlock()
+	p.wg.Done()
+}
+
+// QueueDepth returns the number of admitted requests waiting for a slot.
+func (p *pool) QueueDepth() int { return int(p.queued.Load()) }
 
 // Inflight returns the number of jobs currently executing.
-func (p *pool) Inflight() int { return int(p.inflight.Load()) }
+func (p *pool) Inflight() int { return len(p.slots) }
 
 // Close drains the pool gracefully: new submissions fail with ErrClosed,
-// queued and in-flight jobs run to completion, and Close returns once the
-// workers have exited. Idempotent.
+// queued and in-flight jobs run to completion, and Close returns once
+// every admitted request has finished. Idempotent.
 func (p *pool) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
-	}
 	p.closed = true
-	close(p.jobs)
 	p.mu.Unlock()
 	p.wg.Wait()
 }

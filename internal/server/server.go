@@ -1,12 +1,12 @@
 // Package server is the compile service: scheduling-as-a-service over
 // the internal compile, policy and scheduling packages. It exposes the
 // compile → filter → schedule → execute pipeline as an HTTP/JSON API,
-// runs every compilation on a bounded worker pool (full queue → 429,
-// shutdown → 503), shares one content-addressed scheduled-block cache
-// across all requests, and reports per-endpoint counters and latencies
-// plus cache and pool gauges at /metrics (Prometheus text format) and
-// profiles at /debug/pprof. serve.go holds the serving skeleton the
-// cluster gateway reuses.
+// runs every compilation behind a bounded admission gate (full queue →
+// 429, shutdown → 503), shares one content-addressed scheduled-block
+// cache across all requests, and reports per-endpoint counters and
+// latencies plus cache and gate gauges at /metrics (Prometheus text
+// format) and profiles at /debug/pprof. serve.go holds the serving
+// skeleton the cluster gateway reuses.
 //
 // Endpoints:
 //
@@ -65,7 +65,8 @@ type Config struct {
 	// Filter is the default scheduling policy for requests that don't
 	// select one; nil selects LS (always schedule).
 	Filter policy.Policy
-	// Workers sizes the compile worker pool; 0 selects GOMAXPROCS.
+	// Workers bounds the compilations that run at once; 0 selects
+	// GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the admission queue; 0 selects 4×Workers.
 	// Submissions beyond Workers+QueueDepth are rejected with 429.
@@ -141,8 +142,8 @@ type Server struct {
 	flight codecache.Flight
 	// memo holds the compiled programs of repeat sources.
 	memo *programMemo
-	// schedFlightHook, when non-nil, runs inside a schedule flight leader
-	// before its pass. Tests set it (before serving traffic) to hold a
+	// schedFlightHook, when non-nil, runs inside a flight leader before
+	// its pass. Tests set it (before serving traffic) to hold a
 	// leader in flight while a stampede forms; production leaves it nil.
 	schedFlightHook func()
 	// online is the learning loop (nil when Config.Online is unset).
@@ -150,13 +151,13 @@ type Server struct {
 	// stepLimit is executeStepLimit; tests lower it.
 	stepLimit int64
 	// Drain flips /healthz to 503 when shutdown begins; compile
-	// endpoints keep serving until the pool closes.
+	// endpoints keep serving until the admission gate closes.
 	Drain
 }
 
-// New builds a server. Every registered machine target is servable; the
-// worker pool starts immediately. Panics on a Config.Target that names no
-// registered target — that is a deployment error, not a request error.
+// New builds a server. Every registered machine target is servable.
+// Panics on a Config.Target that names no registered target — that is a
+// deployment error, not a request error.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -191,7 +192,7 @@ func New(cfg Config) *Server {
 		}
 		s.online = mgr
 	}
-	// Metrics registration reads the targets, pool, flight, and online
+	// Metrics registration reads the targets, gate, flight, and online
 	// loop built above; the registry then serves /metrics directly.
 	s.obs = newServerObs(s, "compile", "schedule", "predict", "execute",
 		"filters", "activate", "rollback", "retrain")
@@ -246,10 +247,10 @@ func (s *Server) resolveTarget(name string) (*machineTarget, error) {
 	return nil, fmt.Errorf("unknown target %q (known: %s)", name, strings.Join(s.order, ", "))
 }
 
-// Close drains the worker pool: queued and in-flight compilations finish,
-// new submissions are rejected with 503. The online loop (when enabled)
-// stops afterwards and spills its reservoirs. Call after the HTTP
-// listener has stopped accepting (http.Server.Shutdown) for a fully
+// Close drains the admission gate: queued and in-flight compilations
+// finish, new submissions are rejected with 503. The online loop (when
+// enabled) stops afterwards and spills its reservoirs. Call after the
+// HTTP listener has stopped accepting (http.Server.Shutdown) for a fully
 // graceful stop.
 func (s *Server) Close() {
 	s.pool.Close()
@@ -263,10 +264,10 @@ func (s *Server) Close() {
 func (s *Server) Online() *online.Manager { return s.online }
 
 // endpoint wraps one compiler endpoint: adopt (or mint) the request's
-// trace, read the body on the connection goroutine, run work on the
-// bounded pool (measuring queue wait into the trace), seal the trace
-// into the response, encode, record metrics. work returns the response
-// value or a client-fault error (400).
+// trace, read the body, run work once the admission gate grants a slot
+// (measuring queue wait into the trace), seal the trace into the
+// response, encode, record metrics. work returns the response value or a
+// client-fault error (400).
 func (s *Server) endpoint(name string, work func(ctx context.Context, body []byte) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -292,8 +293,8 @@ func (s *Server) endpoint(name string, work func(ctx context.Context, body []byt
 		case errors.Is(err, ErrClosed):
 			s.reply(w, ep, tr, start, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
 		case err != nil, errors.Is(workErr, context.Canceled), errors.Is(workErr, context.DeadlineExceeded):
-			// Client went away mid-job (before or during the work); the
-			// write below is best-effort.
+			// Client went away while queued (the work never ran) or
+			// mid-work; the write below is best-effort.
 			if err == nil {
 				err = workErr
 			}
@@ -415,21 +416,6 @@ func (s *Server) compileInput(in ProgramInput, reorder bool) (*ir.Program, *memo
 	return prog, nil, time.Since(start), nil
 }
 
-// programKey fingerprints a request's still unscheduled program under the
-// target's model and the policy's content identity, reusing the memo
-// entry's fingerprint when it has one, and records the fingerprint span.
-func programKey(tr *obs.Trace, mt *machineTarget, policyID string, prog *ir.Program, e *memoEntry) codecache.Key {
-	start := time.Now()
-	var key codecache.Key
-	if e != nil {
-		key = e.key(mt.model, policyID)
-	} else {
-		key = codecache.ProgramKey(mt.model.Name, policyID, prog)
-	}
-	tr.Record(obs.PhaseFingerprint, time.Since(start).Nanoseconds())
-	return key
-}
-
 // resolvePolicy picks the request's scheduling policy for a machine
 // target: inline model text first, then ProgramInput.Policy in the
 // policy spec mini-language, with "default"/empty meaning the server's
@@ -456,15 +442,6 @@ func (s *Server) resolvePolicy(policySpec string, spec FilterSpec, mt *machineTa
 	return f, 0, nil
 }
 
-// observe feeds a freshly compiled (still unscheduled) program to the
-// online sample collector. Must run before the scheduling pass reorders
-// blocks — the collector needs original-order instruction content.
-func (s *Server) observe(mt *machineTarget, prog *ir.Program, keys []codecache.Key) {
-	if s.online != nil {
-		s.online.Observe(mt.name, prog, keys)
-	}
-}
-
 // decodeRequest decodes a compile-path request body into req. Fields
 // the request type does not declare — such as the retired "filter"
 // selector — are refused by name instead of silently ignored, so a
@@ -484,45 +461,96 @@ func decodeRequest(body []byte, req any) error {
 	return nil
 }
 
-func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
-	var req CompileRequest
-	if err := decodeRequest(body, &req); err != nil {
-		return nil, err
-	}
-	// compile needs no machine, but an unknown target is still a bad
-	// request — catch it here rather than on the follow-up schedule.
-	if _, err := s.resolveTarget(req.Target); err != nil {
-		return nil, err
-	}
-	prog, _, compileT, err := s.compileInput(req.ProgramInput, false)
-	if err != nil {
-		return nil, err
-	}
-	obs.TraceFrom(ctx).Record(obs.PhaseCompile, compileT.Nanoseconds())
-	resp := &CompileResponse{
-		Fns:       len(prog.Fns),
-		Blocks:    prog.NumBlocks(),
-		Instrs:    prog.NumInstrs(),
-		CompileNs: compileT.Nanoseconds(),
-	}
-	if req.Listing {
-		resp.Listing = prog.String()
-	}
-	return resp, nil
+// prepared is a compile-path request after the preparation every endpoint
+// shares, and, for schedule and execute, the identity of its scheduling
+// pass.
+type prepared struct {
+	tr       *obs.Trace
+	mt       *machineTarget
+	f        policy.Policy // nil for compile
+	version  int
+	prog     *ir.Program
+	entry    *memoEntry
+	compileT time.Duration
+
+	// Set by schedule.
+	keys     []codecache.Key
+	policyID string
+	key      codecache.Key
 }
 
-// schedulePass runs the policy-gated scheduling pass for a request on
-// the resolved target's machine and cache, and feeds the pass totals
-// into the server metrics. keys are the program's block fingerprints
-// when the memo holds them, nil otherwise. The pass runs with phase
-// timing on, so the returned stats carry the per-phase breakdown traces
-// report.
-func (s *Server) schedulePass(prog *ir.Program, f policy.Policy, mt *machineTarget, keys []codecache.Key, noCache bool) core.Stats {
-	cache := mt.cache
+// prepare decodes body into req and runs the steps every compile-path
+// endpoint shares: resolve the target (even compile refuses an unknown
+// one), resolve the policy when the request carries a spec (compile has
+// none), compile through the memo (a program the pass may reorder when
+// reorder is set), and record the compile span. in and spec point into
+// req.
+func (s *Server) prepare(ctx context.Context, body []byte, req any, in *ProgramInput, spec *FilterSpec, reorder bool) (prepared, error) {
+	var pr prepared
+	if err := decodeRequest(body, req); err != nil {
+		return pr, err
+	}
+	var err error
+	if pr.mt, err = s.resolveTarget(in.Target); err != nil {
+		return pr, err
+	}
+	if spec != nil {
+		if pr.f, pr.version, err = s.resolvePolicy(in.Policy, *spec, pr.mt); err != nil {
+			return pr, err
+		}
+	}
+	if pr.prog, pr.entry, pr.compileT, err = s.compileInput(*in, reorder); err != nil {
+		return pr, err
+	}
+	pr.tr = obs.TraceFrom(ctx)
+	pr.tr.Record(obs.PhaseCompile, pr.compileT.Nanoseconds())
+	return pr, nil
+}
+
+// schedule runs pr's policy-gated scheduling pass on its target's machine
+// and cache. It first feeds the unscheduled program to the online
+// collector, then fingerprints it under the policy's content identity,
+// not its display name: two hot-swapped filter versions that share a
+// label must never alias. The fingerprint doubles as the singleflight
+// key: scheduling is deterministic in (model, policy, input code), so
+// concurrent identical requests share one pass and all but the leader
+// report coalesced. A noCache pass promises an uncached run and stays
+// out of the flight.
+func (s *Server) schedule(pr *prepared, noCache bool) (core.Stats, bool) {
+	pr.keys = pr.entry.blockKeys(s.memo, pr.mt.model)
+	if s.online != nil {
+		// The collector needs original-order instruction content.
+		s.online.Observe(pr.mt.name, pr.prog, pr.keys)
+	}
+	pr.policyID = policy.ID(pr.f)
+	start := time.Now()
+	if pr.entry != nil {
+		pr.key = pr.entry.key(pr.mt.model, pr.policyID)
+	} else {
+		pr.key = codecache.ProgramKey(pr.mt.model.Name, pr.policyID, pr.prog)
+	}
+	pr.tr.Record(obs.PhaseFingerprint, time.Since(start).Nanoseconds())
+	if noCache {
+		return s.schedulePass(pr, true), false
+	}
+	v, coalesced := s.flight.Do(pr.key, func() any {
+		if s.schedFlightHook != nil {
+			s.schedFlightHook()
+		}
+		return s.schedulePass(pr, false)
+	})
+	return v.(core.Stats), coalesced
+}
+
+// schedulePass runs pr's pass and feeds its totals into the server
+// metrics. The pass runs with phase timing on, so the returned stats
+// carry the per-phase breakdown traces report.
+func (s *Server) schedulePass(pr *prepared, noCache bool) core.Stats {
+	cache := pr.mt.cache
 	if noCache {
 		cache = nil
 	}
-	st := core.Apply(mt.model, prog, f, core.Pass{Cache: cache, BlockKeys: keys, Timed: true})
+	st := core.Apply(pr.mt.model, pr.prog, pr.f, core.Pass{Cache: cache, BlockKeys: pr.keys, Timed: true})
 	runs := st.CacheMisses
 	if noCache {
 		runs = st.Scheduled
@@ -546,57 +574,39 @@ func recordSchedPhases(tr *obs.Trace, st core.Stats) {
 	tr.Record(obs.PhaseEstimator, st.Phases.EstimatorNs)
 }
 
+func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
+	var req CompileRequest
+	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	resp := &CompileResponse{
+		Fns:       len(pr.prog.Fns),
+		Blocks:    pr.prog.NumBlocks(),
+		Instrs:    pr.prog.NumInstrs(),
+		CompileNs: pr.compileT.Nanoseconds(),
+	}
+	if req.Listing {
+		resp.Listing = pr.prog.String()
+	}
+	return resp, nil
+}
+
 func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 	var req ScheduleRequest
-	if err := decodeRequest(body, &req); err != nil {
-		return nil, err
-	}
-	mt, err := s.resolveTarget(req.Target)
+	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, &req.FilterSpec, true)
 	if err != nil {
 		return nil, err
 	}
-	f, version, err := s.resolvePolicy(req.Policy, req.FilterSpec, mt)
-	if err != nil {
-		return nil, err
-	}
-	prog, entry, compileT, err := s.compileInput(req.ProgramInput, true)
-	if err != nil {
-		return nil, err
-	}
-	tr := obs.TraceFrom(ctx)
-	tr.Record(obs.PhaseCompile, compileT.Nanoseconds())
-	keys := entry.blockKeys(s.memo, mt.model)
-	s.observe(mt, prog, keys)
-	// The fingerprint context is the filter's content identity, not its
-	// display name: two hot-swapped filter versions that share a label
-	// must never alias. Computed on the unscheduled program, it doubles
-	// as the singleflight key: scheduling is deterministic in (model,
-	// filter, input code), so concurrent identical requests can share one
-	// pass. NoCache requests promise an uncached pass and stay out.
-	policyID := policy.ID(f)
-	key := programKey(tr, mt, policyID, prog, entry)
-	var st core.Stats
-	coalesced := false
-	if req.NoCache {
-		st = s.schedulePass(prog, f, mt, keys, true)
-	} else {
-		v, shared := s.flight.Do(key, func() any {
-			if s.schedFlightHook != nil {
-				s.schedFlightHook()
-			}
-			return s.schedulePass(prog, f, mt, keys, false)
-		})
-		st = v.(core.Stats)
-		coalesced = shared
-	}
+	st, coalesced := s.schedule(&pr, req.NoCache)
 	if !coalesced {
-		recordSchedPhases(tr, st)
+		recordSchedPhases(pr.tr, st)
 	}
 	return &ScheduleResponse{
-		Policy:        f.Name(),
-		PolicyID:      policyID,
-		FilterVersion: version,
-		Target:        mt.name,
+		Policy:        pr.f.Name(),
+		PolicyID:      pr.policyID,
+		FilterVersion: pr.version,
+		Target:        pr.mt.name,
 		Blocks:        st.Blocks,
 		Scheduled:     st.Scheduled,
 		NotScheduled:  st.NotScheduled,
@@ -605,43 +615,30 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 		CacheMisses:   st.CacheMisses,
 		CostBefore:    st.CostBefore,
 		CostAfter:     st.CostAfter,
-		CompileNs:     compileT.Nanoseconds(),
+		CompileNs:     pr.compileT.Nanoseconds(),
 		SchedNs:       st.SchedTime.Nanoseconds(),
-		ProgramKey:    hex.EncodeToString(key[:]),
+		ProgramKey:    hex.EncodeToString(pr.key[:]),
 		Coalesced:     coalesced,
 	}, nil
 }
 
 func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 	var req PredictRequest
-	if err := decodeRequest(body, &req); err != nil {
-		return nil, err
-	}
 	// Prediction reads only target-independent features, but the target
-	// still selects which online filter version serves "default" (and an
-	// unknown name is still a client fault).
-	mt, err := s.resolveTarget(req.Target)
+	// still selects which online filter version serves "default".
+	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, &req.FilterSpec, false)
 	if err != nil {
 		return nil, err
 	}
-	f, version, err := s.resolvePolicy(req.Policy, req.FilterSpec, mt)
-	if err != nil {
-		return nil, err
-	}
-	prog, _, compileT, err := s.compileInput(req.ProgramInput, false)
-	if err != nil {
-		return nil, err
-	}
-	obs.TraceFrom(ctx).Record(obs.PhaseCompile, compileT.Nanoseconds())
 	resp := &PredictResponse{
-		Policy:        f.Name(),
-		PolicyID:      policy.ID(f),
-		FilterVersion: version,
+		Policy:        pr.f.Name(),
+		PolicyID:      policy.ID(pr.f),
+		FilterVersion: pr.version,
 	}
-	for _, fn := range prog.Fns {
+	for _, fn := range pr.prog.Fns {
 		for _, b := range fn.Blocks {
 			v := features.ExtractBlock(b)
-			yes, conf := f.Decide(v)
+			yes, conf := pr.f.Decide(v)
 			resp.Blocks++
 			if yes {
 				resp.WouldSchedule++
@@ -662,52 +659,32 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 
 func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	var req ExecuteRequest
-	if err := decodeRequest(body, &req); err != nil {
-		return nil, err
-	}
-	mt, err := s.resolveTarget(req.Target)
+	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, &req.FilterSpec, true)
 	if err != nil {
 		return nil, err
 	}
-	f, version, err := s.resolvePolicy(req.Policy, req.FilterSpec, mt)
-	if err != nil {
-		return nil, err
-	}
-	prog, entry, compileT, err := s.compileInput(req.ProgramInput, true)
-	if err != nil {
-		return nil, err
-	}
-	tr := obs.TraceFrom(ctx)
-	tr.Record(obs.PhaseCompile, compileT.Nanoseconds())
-	keys := entry.blockKeys(s.memo, mt.model)
-	s.observe(mt, prog, keys)
 	// Execute must schedule its own program copy before simulating, but
 	// concurrent identical requests still coalesce the scheduler work:
 	// followers wait for the leader's pass to warm the scheduled-block
-	// cache, then their own pass replays from it (all hits).
-	policyID := policy.ID(f)
-	key := programKey(tr, mt, policyID, prog, entry)
-	v, coalesced := s.flight.Do(key, func() any {
-		return s.schedulePass(prog, f, mt, keys, false)
-	})
-	st := v.(core.Stats)
+	// cache, then their own pass replays from it (all hits). Either way
+	// the pass whose phases are reported ran inside this request's wall
+	// time.
+	st, coalesced := s.schedule(&pr, false)
 	if coalesced {
-		st = s.schedulePass(prog, f, mt, keys, false)
+		st = s.schedulePass(&pr, false)
 	}
-	// Either way the pass whose phases we report ran inside this
-	// request's wall time (followers re-ran their own replay pass).
-	recordSchedPhases(tr, st)
+	recordSchedPhases(pr.tr, st)
 	simStart := time.Now()
-	res, err := sim.Run(prog, sim.Config{Context: ctx, Timed: !req.Untimed, Model: mt.model, StepLimit: s.stepLimit})
+	res, err := sim.Run(pr.prog, sim.Config{Context: ctx, Timed: !req.Untimed, Model: pr.mt.model, StepLimit: s.stepLimit})
 	if err != nil {
 		return nil, err
 	}
-	tr.Record(obs.PhaseSim, time.Since(simStart).Nanoseconds())
+	pr.tr.Record(obs.PhaseSim, time.Since(simStart).Nanoseconds())
 	return &ExecuteResponse{
-		Policy:        f.Name(),
-		PolicyID:      policyID,
-		FilterVersion: version,
-		Target:        mt.name,
+		Policy:        pr.f.Name(),
+		PolicyID:      pr.policyID,
+		FilterVersion: pr.version,
+		Target:        pr.mt.name,
 		Ret:           res.Ret,
 		Cycles:        res.Cycles,
 		DynInstrs:     res.DynInstrs,
@@ -715,15 +692,15 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 		Scheduled:     st.Scheduled,
 		CacheHits:     st.CacheHits,
 		CacheMisses:   st.CacheMisses,
-		CompileNs:     compileT.Nanoseconds(),
+		CompileNs:     pr.compileT.Nanoseconds(),
 		SchedNs:       st.SchedTime.Nanoseconds(),
 		SimNs:         time.Since(simStart).Nanoseconds(),
 	}, nil
 }
 
 // ListenAndServe runs the service on addr until ctx is cancelled, then
-// drains it through Serve's shutdown sequence; the worker pool closes
-// last.
+// drains it through Serve's shutdown sequence; the admission gate
+// closes last.
 func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
 	return Serve(ctx, s, addr, drainTimeout)
 }

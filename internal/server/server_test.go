@@ -572,6 +572,57 @@ func TestCloseDrainsInflight(t *testing.T) {
 	}
 }
 
+// A request whose client goes away while it waits for a slot leaves the
+// queue without running: nothing is compiled, the queue empties, and the
+// endpoint counts a 503.
+func TestCancelledWhileQueuedNeverRuns(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	gate := make(chan struct{})
+	var once sync.Once
+	openGate := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(openGate)
+	held := make(chan error, 1)
+	go func() { held <- s.pool.Do(context.Background(), func() { <-gate }) }()
+	waitFor(t, func() bool { return s.pool.Inflight() == 1 })
+
+	body, err := json.Marshal(ScheduleRequest{ProgramInput: ProgramInput{Source: testSource}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/schedule", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		sent <- err
+	}()
+	waitFor(t, func() bool { return s.pool.QueueDepth() == 1 })
+	cancel()
+	if err := <-sent; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client error %v, want context.Canceled", err)
+	}
+	waitFor(t, func() bool {
+		return scrape(t, ts.URL, `schedserved_requests_total{endpoint="schedule",outcome="server_error"}`) == 1
+	})
+	if d := s.pool.QueueDepth(); d != 0 {
+		t.Fatalf("queue depth %d after the cancelled request left, want 0", d)
+	}
+	openGate()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if st := s.memo.stats(); st.hits+st.misses != 0 {
+		t.Fatalf("cancelled request compiled its source (memo hits %d, misses %d)", st.hits, st.misses)
+	}
+}
+
 // Concurrent mixed traffic under -race: many clients, several endpoints,
 // one shared cache.
 func TestConcurrentTraffic(t *testing.T) {

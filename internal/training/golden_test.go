@@ -63,12 +63,12 @@ func TestGoldenRuleSets(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3} {
 			opt := ripper.DefaultOptions()
 			opt.Seed = seed
-			f := TrainFilterCached(data, th, opt, &c)
+			f := TrainFilter(data, th, opt, &c)
 			got[fmt.Sprintf("train t=%d seed=%d", th, seed)] = rulesDigest(f.Rules)
 		}
 	}
 	for _, bd := range data {
-		f := LeaveOneOutCached(data, bd.Name, 20, ripper.DefaultOptions(), &c)
+		f := LeaveOneOut(data, bd.Name, 20, ripper.DefaultOptions(), &c)
 		got["loo t=20 "+bd.Name] = rulesDigest(f.Rules)
 	}
 	if len(got) != len(goldenRules) {

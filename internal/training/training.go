@@ -117,17 +117,11 @@ func compileAndProfile(w *workloads.Workload, opts Options) (*ir.Program, *sim.R
 	return prog, res, nil
 }
 
-// CollectAll gathers BenchData for a set of workloads, fanning the
-// collection across runtime.GOMAXPROCS(0) workers. Results are in workload
-// order regardless of worker count.
-func CollectAll(ws []workloads.Workload, m *machine.Model, opts Options) ([]*BenchData, error) {
-	return CollectAllJobs(ws, m, opts, 0)
-}
-
-// CollectAllJobs is CollectAll with an explicit worker count (<= 0 selects
-// runtime.GOMAXPROCS(0), 1 forces the serial path). Each workload compiles
-// and profiles independently, so the fan-out shares nothing but the machine
-// model, which is read-only; the assembled slice — and any error, which is
+// CollectAllJobs gathers BenchData for a set of workloads, fanning the
+// collection across jobs workers (<= 0 selects runtime.GOMAXPROCS(0), 1
+// forces the serial path). Each workload compiles and profiles
+// independently, so the fan-out shares nothing but the machine model,
+// which is read-only; the assembled slice — and any error, which is
 // always the lowest-indexed workload's — is identical at every job count.
 func CollectAllJobs(ws []workloads.Workload, m *machine.Model, opts Options, jobs int) ([]*BenchData, error) {
 	out := make([]*BenchData, len(ws))
@@ -204,8 +198,11 @@ type labelKey struct {
 
 // Labelled returns bd's instances labelled at threshold t, building and
 // memoizing the dataset on first use. The returned dataset is shared:
-// callers must not mutate it.
+// callers must not mutate it. A nil cache labels from scratch.
 func (c *LabelCache) Labelled(bd *BenchData, t int) *ripper.Dataset {
+	if c == nil {
+		return Label(bd.Records, t)
+	}
 	c.mu.Lock()
 	ds, ok := c.m[labelKey{bd, t}]
 	c.mu.Unlock()
@@ -229,23 +226,14 @@ func (c *LabelCache) Labelled(bd *BenchData, t int) *ripper.Dataset {
 }
 
 // TrainFilter induces a filter from the union of the given benchmarks'
-// instances at threshold t.
-func TrainFilter(data []*BenchData, t int, opt ripper.Options) *policy.Induced {
-	return TrainFilterCached(data, t, opt, nil)
-}
-
-// TrainFilterCached is TrainFilter drawing labelled datasets from c (nil
-// means label from scratch). Per-benchmark datasets are merged with one
+// instances at threshold t, drawing labelled datasets from c (nil means
+// label from scratch). Per-benchmark datasets are merged with one
 // pre-sized bulk append per benchmark instead of an instance-at-a-time
 // copy of the already-built parts.
-func TrainFilterCached(data []*BenchData, t int, opt ripper.Options, c *LabelCache) *policy.Induced {
+func TrainFilter(data []*BenchData, t int, opt ripper.Options, c *LabelCache) *policy.Induced {
 	ds := &ripper.Dataset{Names: features.Names[:]}
 	for _, bd := range data {
-		if c != nil {
-			ds.Append(c.Labelled(bd, t))
-		} else {
-			ds.Append(Label(bd.Records, t))
-		}
+		ds.Append(c.Labelled(bd, t))
 	}
 	rs := ripper.Induce(ds, opt)
 	return policy.NewInducedFor(rs, fmt.Sprintf("L/N t=%d", t), targetOf(data))
@@ -267,21 +255,16 @@ func targetOf(data []*BenchData) string {
 }
 
 // LeaveOneOut trains a filter for the named benchmark using every OTHER
-// benchmark's instances, as the paper's cross-validation does.
-func LeaveOneOut(all []*BenchData, target string, t int, opt ripper.Options) *policy.Induced {
-	return LeaveOneOutCached(all, target, t, opt, nil)
-}
-
-// LeaveOneOutCached is LeaveOneOut drawing labelled datasets from c (nil
-// means label from scratch).
-func LeaveOneOutCached(all []*BenchData, target string, t int, opt ripper.Options, c *LabelCache) *policy.Induced {
+// benchmark's instances, as the paper's cross-validation does, drawing
+// labelled datasets from c (nil means label from scratch).
+func LeaveOneOut(all []*BenchData, target string, t int, opt ripper.Options, c *LabelCache) *policy.Induced {
 	rest := make([]*BenchData, 0, len(all))
 	for _, bd := range all {
 		if bd.Name != target {
 			rest = append(rest, bd)
 		}
 	}
-	f := TrainFilterCached(rest, t, opt, c)
+	f := TrainFilter(rest, t, opt, c)
 	f.Label = fmt.Sprintf("L/N t=%d (loo %s)", t, target)
 	return f
 }

@@ -15,7 +15,7 @@ import (
 func collectSuite1(t *testing.T) []*BenchData {
 	t.Helper()
 	m := machine.Default().Model
-	data, err := CollectAll(workloads.Suite1(), m, DefaultOptions())
+	data, err := CollectAllJobs(workloads.Suite1(), m, DefaultOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func collectSuite1(t *testing.T) []*BenchData {
 // DefaultOptions, as the paper's train step does.
 func collectAllPrograms(tb testing.TB) []*BenchData {
 	tb.Helper()
-	data, err := CollectAll(workloads.All(), machine.Default().Model, DefaultOptions())
+	data, err := CollectAllJobs(workloads.All(), machine.Default().Model, DefaultOptions(), 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLeaveOneOutAccuracy(t *testing.T) {
 	data := collectSuite1(t)
 	opt := ripper.DefaultOptions()
 	for _, bd := range data {
-		f := LeaveOneOut(data, bd.Name, 0, opt)
+		f := LeaveOneOut(data, bd.Name, 0, opt, nil)
 		e := ErrorRate(f, bd, 0)
 		t.Logf("%s: t=0 error %.2f%%, rules=%d", bd.Name, e*100, len(f.Rules.Rules))
 		if e > 0.45 {
@@ -128,7 +128,7 @@ func TestPredictedTimeOrdering(t *testing.T) {
 		if ls > ns {
 			t.Errorf("%s: predicted LS time %d exceeds NS time %d", bd.Name, ls, ns)
 		}
-		f := LeaveOneOut(data, bd.Name, 0, ripper.DefaultOptions())
+		f := LeaveOneOut(data, bd.Name, 0, ripper.DefaultOptions(), nil)
 		fl := PredictedTime(bd, f)
 		if fl > ns {
 			t.Errorf("%s: filtered predicted time %d exceeds NS %d", bd.Name, fl, ns)
@@ -142,7 +142,7 @@ func TestPredictedTimeOrdering(t *testing.T) {
 func TestDecisionsPartition(t *testing.T) {
 	data := collectSuite1(t)
 	bd := data[0]
-	f := LeaveOneOut(data, bd.Name, 20, ripper.DefaultOptions())
+	f := LeaveOneOut(data, bd.Name, 20, ripper.DefaultOptions(), nil)
 	ls, ns := Decisions(bd, f)
 	if ls+ns != len(bd.Records) {
 		t.Errorf("decisions %d+%d != %d blocks", ls, ns, len(bd.Records))
@@ -199,14 +199,14 @@ func TestLabelCacheAndCachedTraining(t *testing.T) {
 	// Training through the cache induces the exact same rule sets.
 	opt := ripper.DefaultOptions()
 	for _, th := range []int{0, 25} {
-		plain := TrainFilter(data, th, opt)
-		cached := TrainFilterCached(data, th, opt, &c)
+		plain := TrainFilter(data, th, opt, nil)
+		cached := TrainFilter(data, th, opt, &c)
 		if plain.Rules.String() != cached.Rules.String() {
 			t.Errorf("t=%d: cached training diverged:\n%s\nvs\n%s",
 				th, plain.Rules, cached.Rules)
 		}
-		looPlain := LeaveOneOut(data, data[0].Name, th, opt)
-		looCached := LeaveOneOutCached(data, data[0].Name, th, opt, &c)
+		looPlain := LeaveOneOut(data, data[0].Name, th, opt, nil)
+		looCached := LeaveOneOut(data, data[0].Name, th, opt, &c)
 		if looPlain.Rules.String() != looCached.Rules.String() {
 			t.Errorf("t=%d: cached leave-one-out diverged", th)
 		}
@@ -218,7 +218,7 @@ func TestLabelCacheAndCachedTraining(t *testing.T) {
 
 func TestTrainFilterUsesFeatureNames(t *testing.T) {
 	data := collectSuite1(t)
-	f := TrainFilter(data, 0, ripper.DefaultOptions())
+	f := TrainFilter(data, 0, ripper.DefaultOptions(), nil)
 	if len(f.Rules.Names) != features.Count {
 		t.Errorf("rule set has %d attribute names, want %d", len(f.Rules.Names), features.Count)
 	}
@@ -252,8 +252,8 @@ func TestCSVRoundTrip(t *testing.T) {
 		}
 	}
 	// Training on round-tripped data must behave identically.
-	f1 := TrainFilter(data[:2], 0, ripper.DefaultOptions())
-	f2 := TrainFilter(back, 0, ripper.DefaultOptions())
+	f1 := TrainFilter(data[:2], 0, ripper.DefaultOptions(), nil)
+	f2 := TrainFilter(back, 0, ripper.DefaultOptions(), nil)
 	if f1.Rules.String() != f2.Rules.String() {
 		t.Error("rule sets differ after CSV round trip")
 	}
@@ -304,7 +304,7 @@ func BenchmarkCollect(b *testing.B) {
 }
 
 // BenchmarkCollectAllParallel measures suite-1 collection fanned across
-// GOMAXPROCS workers (the CollectAll default).
+// GOMAXPROCS workers (the CollectAllJobs default).
 func BenchmarkCollectAllParallel(b *testing.B) {
 	m := machine.Default().Model
 	ws := workloads.Suite1()
@@ -367,10 +367,10 @@ func BenchmarkTrainFilter(b *testing.B) {
 	data := collectAllPrograms(b)
 	var c LabelCache
 	opt := ripper.DefaultOptions()
-	TrainFilterCached(data, 20, opt, &c)
+	TrainFilter(data, 20, opt, &c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TrainFilterCached(data, 20, opt, &c)
+		TrainFilter(data, 20, opt, &c)
 	}
 }

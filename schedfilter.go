@@ -203,7 +203,7 @@ func EstimateCost(m *Machine, b *Block) int { return machine.EstimateBlockCost(m
 func ScheduleBlock(m *Machine, b *Block) ScheduleResult {
 	s := sched.GetScratch()
 	defer sched.PutScratch(s)
-	res, _ := sched.ScheduleBlock(m, b, nil, s)
+	res, _ := sched.ScheduleBlock(m, b, nil, nil, s)
 	return res
 }
 
@@ -365,23 +365,23 @@ func CollectAllTrainingData(ws []Workload, m *Machine, opts CompileOptions, jobs
 // TrainFilter induces an L/N filter at threshold t (percent) from the
 // given benchmarks' instances.
 func TrainFilter(data []*BenchData, t int, opt RipperOptions) *InducedFilter {
-	return training.TrainFilter(data, t, opt)
+	return training.TrainFilter(data, t, opt, nil)
 }
 
 // TrainLeaveOneOut induces a filter for the target benchmark from every
 // other benchmark's instances (the paper's cross-validation protocol).
 func TrainLeaveOneOut(data []*BenchData, target string, t int, opt RipperOptions) *InducedFilter {
-	return training.LeaveOneOut(data, target, t, opt)
+	return training.LeaveOneOut(data, target, t, opt, nil)
 }
 
 // TrainDefaultFilter collects the suite-1 workloads and induces a single
 // filter at threshold t — the "at the factory" filter a JIT would ship.
 func TrainDefaultFilter(m *Machine, t int) (*InducedFilter, error) {
-	data, err := training.CollectAll(workloads.Suite1(), m, training.DefaultOptions())
+	data, err := training.CollectAllJobs(workloads.Suite1(), m, training.DefaultOptions(), 0)
 	if err != nil {
 		return nil, err
 	}
-	return training.TrainFilter(data, t, ripper.DefaultOptions()), nil
+	return training.TrainFilter(data, t, ripper.DefaultOptions(), nil), nil
 }
 
 // DefaultAdaptiveConfig configures the adaptive optimization system with
