@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"schedfilter/internal/bytecode"
@@ -35,37 +36,47 @@ func compileWorkload(t *testing.T, name string) (*bytecode.Module, *ir.Program) 
 }
 
 func TestPromotionCostBenefit(t *testing.T) {
-	p := Promotion{
-		SpeedupEstimate:       0.10,
-		CompileCyclesPerInstr: 20,
-		FutureWeight:          1,
-		MinEstCycles:          1000,
+	// benefit = spent · futureWeight · speedupEstimate, cost =
+	// compileCyclesPerInstr · instrs: a 500-instruction function breaks
+	// even well above the noise floor.
+	const n = 500
+	breakEven := int64(compileCycles(n) / (futureWeight * speedupEstimate))
+	if breakEven <= minEstCycles {
+		t.Fatalf("break-even %d not above the noise floor %d", breakEven, minEstCycles)
 	}
-	// benefit = spent * 0.1, cost = 20 * instrs: a 100-instr function
-	// needs spent > 20000.
-	if p.ShouldPromote(19999, 100) {
+	if shouldPromote(breakEven-1, n) {
 		t.Error("promoted below the break-even point")
 	}
-	if !p.ShouldPromote(20001, 100) {
+	if !shouldPromote(breakEven+1, n) {
 		t.Error("did not promote above the break-even point")
 	}
 	// The noise floor dominates even a favourable ratio.
-	if p.ShouldPromote(999, 1) {
+	if shouldPromote(minEstCycles-1, 1) {
 		t.Error("promoted below the noise floor")
 	}
-	if got := p.CompileCycles(50); got != 1000 {
-		t.Errorf("CompileCycles(50) = %v, want 1000", got)
+	if !shouldPromote(minEstCycles, 1) {
+		t.Error("did not promote a one-instruction function at the noise floor")
+	}
+	if got := compileCycles(50); got != 50*compileCyclesPerInstr {
+		t.Errorf("compileCycles(50) = %v, want %v", got, 50*compileCyclesPerInstr)
 	}
 }
 
 func TestPromotionDefaults(t *testing.T) {
-	p := Promotion{}.withDefaults()
-	if !reflect.DeepEqual(p, DefaultPromotion()) {
-		t.Errorf("zero promotion policy did not default: %+v", p)
+	m := machine.Default().Model
+	cfg, err := Config{Model: m}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
 	}
-	p = Promotion{SpeedupEstimate: 0.5}.withDefaults()
-	if p.SpeedupEstimate != 0.5 || p.CompileCyclesPerInstr != DefaultPromotion().CompileCyclesPerInstr {
-		t.Errorf("partial promotion policy mis-defaulted: %+v", p)
+	if cfg.Policy != (policy.Always{}) || cfg.SampleEvery != 25000 || cfg.Model != m {
+		t.Errorf("zero config did not default: %+v", cfg)
+	}
+	cfg, err = Config{Model: m, Policy: policy.Never{}, SampleEvery: 7}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Policy != (policy.Never{}) || cfg.SampleEvery != 7 {
+		t.Errorf("explicit config was overridden: %+v", cfg)
 	}
 }
 
@@ -89,7 +100,6 @@ func TestAdaptivePreservesSemantics(t *testing.T) {
 			Module:      mod,
 			JIT:         training.DefaultOptions().JIT,
 			SampleEvery: 5000,
-			Workers:     4,
 		})
 		if err != nil {
 			t.Fatalf("%s: adaptive: %v", name, err)
@@ -110,17 +120,16 @@ func TestAdaptivePreservesSemantics(t *testing.T) {
 		if mt.Samples == 0 {
 			t.Errorf("%s: no profile samples", name)
 		}
-		if mt.Recompiled == 0 {
-			t.Errorf("%s: nothing recompiled (policy or sampling broken)", name)
+		if mt.Promotions == 0 {
+			t.Errorf("%s: nothing promoted (policy or sampling broken)", name)
 		}
-		// Every finished recompilation ends up installed, online or at
-		// shutdown.
-		if mt.Installed+mt.InstalledPost != mt.Recompiled {
-			t.Errorf("%s: installed %d+%d != recompiled %d",
-				name, mt.Installed, mt.InstalledPost, mt.Recompiled)
+		// Every promotion ends up installed, online or at shutdown.
+		if mt.Installed+mt.InstalledPost != mt.Promotions {
+			t.Errorf("%s: installed %d+%d != promotions %d",
+				name, mt.Installed, mt.InstalledPost, mt.Promotions)
 		}
-		if mt.Recompiled > mt.Promotions {
-			t.Errorf("%s: recompiled %d > promotions %d", name, mt.Recompiled, mt.Promotions)
+		if len(mt.PromotedFns) != mt.Promotions {
+			t.Errorf("%s: %d promoted names for %d promotions", name, len(mt.PromotedFns), mt.Promotions)
 		}
 	}
 }
@@ -144,7 +153,7 @@ func TestNeverFilterSchedulesNothing(t *testing.T) {
 	if mt.BlocksScheduled != 0 || mt.BlocksChanged != 0 {
 		t.Errorf("Never filter scheduled %d blocks (changed %d)", mt.BlocksScheduled, mt.BlocksChanged)
 	}
-	// Promotions still happen, but without Module the workers clone
+	// Promotions still happen, but without Module the controller clones
 	// baseline code and the Never filter leaves it untouched, so the
 	// steady state matches the baseline exactly.
 	if res.Steady.Cycles != base.Cycles {
@@ -169,46 +178,6 @@ func TestAlwaysFilterImprovesSteadyState(t *testing.T) {
 	}
 }
 
-func TestBoundedQueueBackpressure(t *testing.T) {
-	m := machine.Default().Model
-	_, prog := compileWorkload(t, "jack")
-	res, err := Run(prog, Config{
-		Model:       m,
-		SampleEvery: 2000,
-		Workers:     1,
-		QueueDepth:  1,
-		Promotion:   Promotion{MinEstCycles: 1}, // promote everything warm
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt := res.Metrics
-	if mt.Promotions == 0 {
-		t.Fatal("no promotions")
-	}
-	if mt.Installed+mt.InstalledPost != mt.Recompiled {
-		t.Errorf("installed %d+%d != recompiled %d", mt.Installed, mt.InstalledPost, mt.Recompiled)
-	}
-	if mt.MaxQueueDepth > 1 {
-		t.Errorf("queue depth %d exceeded its bound 1", mt.MaxQueueDepth)
-	}
-}
-
-func TestSkipSteady(t *testing.T) {
-	m := machine.Default().Model
-	_, prog := compileWorkload(t, "compress")
-	res, err := Run(prog, Config{Model: m, SkipSteady: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steady != nil {
-		t.Error("SkipSteady still measured a steady state")
-	}
-	if res.Prog == nil || res.Online == nil {
-		t.Error("result missing program or online run")
-	}
-}
-
 func TestInputProgramNotMutated(t *testing.T) {
 	m := machine.Default().Model
 	_, prog := compileWorkload(t, "compress")
@@ -221,30 +190,43 @@ func TestInputProgramNotMutated(t *testing.T) {
 	}
 }
 
-func TestConfigResolvesTargetName(t *testing.T) {
-	if _, err := (Config{Target: "z80"}).withDefaults(); err == nil {
-		t.Fatal("unknown target accepted")
+// TestAdaptiveRunDeterministic pins that an adaptive run measures the
+// model, not the host: recompiling at the promoting sample leaves nothing
+// for the scheduler of goroutines to decide, so the online run, the
+// install counts and the steady state repeat exactly at any GOMAXPROCS.
+func TestAdaptiveRunDeterministic(t *testing.T) {
+	mod, prog := compileWorkload(t, "jack")
+	cfg := Config{
+		Model:       machine.Default().Model,
+		Module:      mod,
+		JIT:         training.DefaultOptions().JIT,
+		SampleEvery: 5000,
 	}
-	cfg, err := (Config{Target: "scalar1"}).withDefaults()
-	if err != nil {
-		t.Fatal(err)
+	var runs [2]*Result
+	for i, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := Run(prog, cfg)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS(%d): %v", procs, err)
+		}
+		runs[i] = res
 	}
-	if want := machine.MustByName("scalar1").Model; cfg.Model != want {
-		t.Fatalf("Target scalar1 resolved to model %v, want the registry's", cfg.Model)
+	a, b := runs[0], runs[1]
+	if a.Metrics.Promotions == 0 {
+		t.Fatal("no promotions: the comparison would be vacuous")
 	}
-	// An explicit model wins over the name: Target is a convenience, not
-	// an override.
-	def := machine.Default().Model
-	cfg, err = (Config{Model: def, Target: "scalar1"}).withDefaults()
-	if err != nil {
-		t.Fatal(err)
+	if a.Online.Cycles != b.Online.Cycles {
+		t.Errorf("online cycles %d at GOMAXPROCS(1), %d at GOMAXPROCS(4)", a.Online.Cycles, b.Online.Cycles)
 	}
-	if cfg.Model != def {
-		t.Fatal("explicit model was displaced by Target")
+	if a.Metrics.Installed != b.Metrics.Installed || a.Metrics.InstalledPost != b.Metrics.InstalledPost {
+		t.Errorf("installed %d+%d at GOMAXPROCS(1), %d+%d at GOMAXPROCS(4)",
+			a.Metrics.Installed, a.Metrics.InstalledPost, b.Metrics.Installed, b.Metrics.InstalledPost)
 	}
-	// And the resolved config actually runs.
-	_, prog := compileWorkload(t, "compress")
-	if _, err := Run(prog, Config{Target: "scalar1", SkipSteady: true}); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(a.Metrics.PromotedFns, b.Metrics.PromotedFns) {
+		t.Errorf("promoted %v at GOMAXPROCS(1), %v at GOMAXPROCS(4)", a.Metrics.PromotedFns, b.Metrics.PromotedFns)
+	}
+	if a.Steady.Cycles != b.Steady.Cycles {
+		t.Errorf("steady cycles %d at GOMAXPROCS(1), %d at GOMAXPROCS(4)", a.Steady.Cycles, b.Steady.Cycles)
 	}
 }

@@ -1,7 +1,6 @@
 package adaptive
 
 import (
-	"sync"
 	"time"
 
 	"schedfilter/internal/core"
@@ -11,137 +10,61 @@ import (
 	"schedfilter/internal/sim"
 )
 
-// tier is a function's position in the promotion pipeline.
-type tier int8
-
-const (
-	tierBaseline  tier = iota // unscheduled code, profiled
-	tierQueued                // promotion enqueued, worker pending
-	tierCompiled              // recompiled, awaiting a safe point
-	tierOptimized             // optimized code installed
-)
-
-// job is one promotion: recompile function fn (named name; base is the
-// baseline code, which workers treat as read-only).
-type job struct {
-	fn   int
-	name string
-	base *ir.Fn
-}
-
-// compiledFn is a finished recompilation coming back from the pool.
-type compiledFn struct {
-	fn      int
-	newFn   *ir.Fn
-	stats   core.Stats
-	elapsed time.Duration
-}
-
-// controller owns the promotion pipeline. All of its state is touched
-// only from the simulator goroutine (onSample) and, after the run, from
-// Close; workers communicate exclusively through the jobs and done
-// channels.
+// controller owns the promotion pipeline. It runs entirely on the
+// simulator goroutine (onSample) and, after the run, in finish.
 type controller struct {
 	cfg  Config
 	prog *ir.Program
 
-	tiers     []tier
+	optimized []*ir.Fn  // each function's recompiled code; nil while baseline
 	blockCost [][]int64 // lazily cached estimator costs of baseline blocks
-	staged    map[int]*ir.Fn
-
-	jobs chan job
-	done chan compiledFn
-	wg   sync.WaitGroup
 
 	metrics Metrics
-	closed  bool
 }
 
 func newController(prog *ir.Program, cfg Config) *controller {
-	c := &controller{
+	return &controller{
 		cfg:       cfg,
 		prog:      prog,
-		tiers:     make([]tier, len(prog.Fns)),
+		optimized: make([]*ir.Fn, len(prog.Fns)),
 		blockCost: make([][]int64, len(prog.Fns)),
-		staged:    map[int]*ir.Fn{},
-		jobs:      make(chan job, cfg.QueueDepth),
-		// Buffered past the worst case (queued + in-flight jobs) so
-		// workers never block sending completions.
-		done: make(chan compiledFn, cfg.QueueDepth+cfg.Workers),
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		c.wg.Add(1)
-		go c.worker()
-	}
-	return c
 }
 
-// onSample is the simulator's sampling hook. It runs on the simulator
-// goroutine at a safe point: record installation feedback, collect
-// finished recompilations, decide new promotions, and hand back swaps.
+// onSample is the simulator's sampling hook. It runs at a safe point:
+// promote and recompile the baseline functions the cost/benefit policy
+// picks, and hand their code back as swaps the simulator installs at
+// the first safe point.
 func (c *controller) onSample(s *sim.Snapshot) []sim.FnSwap {
 	c.metrics.Samples++
-	for _, fi := range s.Installed {
-		c.tiers[fi] = tierOptimized
-		c.metrics.Installed++
-		delete(c.staged, fi)
-	}
-	swaps := c.drain()
-	c.considerPromotions(s)
-	if d := len(c.jobs); d > c.metrics.MaxQueueDepth {
-		c.metrics.MaxQueueDepth = d
+	var swaps []sim.FnSwap
+	for fi, fn := range c.prog.Fns {
+		if c.optimized[fi] != nil {
+			continue
+		}
+		if !shouldPromote(c.estSpent(fi, fn, s.ExecCounts[fi]), fn.NumInstrs()) {
+			continue
+		}
+		c.optimized[fi] = c.promote(fn)
+		swaps = append(swaps, sim.FnSwap{Fn: fi, NewFn: c.optimized[fi]})
 	}
 	return swaps
 }
 
-// drain collects finished recompilations without blocking and stages
-// them for installation at the executor's safe points.
-func (c *controller) drain() []sim.FnSwap {
-	var swaps []sim.FnSwap
-	for {
-		select {
-		case cf := <-c.done:
-			c.record(cf)
-			c.staged[cf.fn] = cf.newFn
-			swaps = append(swaps, sim.FnSwap{Fn: cf.fn, NewFn: cf.newFn})
-		default:
-			return swaps
-		}
-	}
-}
+// promote recompiles one function and schedules it under the filter.
+func (c *controller) promote(base *ir.Fn) *ir.Fn {
+	start := time.Now()
+	nf := c.recompile(base)
+	stats := core.Apply(c.cfg.Model, &ir.Program{Fns: []*ir.Fn{nf}}, c.cfg.Policy, core.Pass{})
+	c.metrics.CompileTime += time.Since(start)
 
-func (c *controller) record(cf compiledFn) {
-	c.tiers[cf.fn] = tierCompiled
-	c.metrics.Recompiled++
-	c.metrics.BlocksConsidered += cf.stats.Blocks
-	c.metrics.BlocksScheduled += cf.stats.Scheduled
-	c.metrics.BlocksChanged += cf.stats.Changed
-	c.metrics.CompileTime += cf.elapsed
-	c.metrics.PromotedFns = append(c.metrics.PromotedFns, cf.newFn.Name)
-}
-
-// considerPromotions applies the cost/benefit policy to every function
-// still in the baseline tier and enqueues the winners. A full queue
-// defers the promotion — the function stays baseline and is reconsidered
-// at the next sample.
-func (c *controller) considerPromotions(s *sim.Snapshot) {
-	for fi, fn := range c.prog.Fns {
-		if c.tiers[fi] != tierBaseline {
-			continue
-		}
-		spent := c.estSpent(fi, fn, s.ExecCounts[fi])
-		if !c.cfg.Promotion.ShouldPromote(spent, fn.NumInstrs()) {
-			continue
-		}
-		select {
-		case c.jobs <- job{fn: fi, name: fn.Name, base: fn}:
-			c.tiers[fi] = tierQueued
-			c.metrics.Promotions++
-			c.metrics.CompileCyclesCharged += int64(c.cfg.Promotion.CompileCycles(fn.NumInstrs()))
-		default:
-			c.metrics.QueueFull++
-		}
-	}
+	c.metrics.Promotions++
+	c.metrics.CompileCyclesCharged += int64(compileCycles(base.NumInstrs()))
+	c.metrics.BlocksConsidered += stats.Blocks
+	c.metrics.BlocksScheduled += stats.Scheduled
+	c.metrics.BlocksChanged += stats.Changed
+	c.metrics.PromotedFns = append(c.metrics.PromotedFns, nf.Name)
+	return nf
 }
 
 // estSpent estimates the simulated cycles the function has consumed:
@@ -166,56 +89,34 @@ func (c *controller) estSpent(fi int, fn *ir.Fn, counts []int64) int64 {
 	return spent
 }
 
-// worker is one background compilation thread: recompile, schedule under
-// the filter, report back.
-func (c *controller) worker() {
-	defer c.wg.Done()
-	for jb := range c.jobs {
-		start := time.Now()
-		nf := c.recompile(jb)
-		stats := core.Apply(c.cfg.Model, &ir.Program{Fns: []*ir.Fn{nf}}, c.cfg.Policy, core.Pass{})
-		c.done <- compiledFn{fn: jb.fn, newFn: nf, stats: stats, elapsed: time.Since(start)}
-	}
-}
-
 // recompile produces the optimized tier's input code for one function:
 // from bytecode through the full JIT pipeline when the module is
 // available, falling back to cloning the baseline machine code. The
 // fallback also guards hot-swap safety: a recompile that does not
 // preserve the baseline block skeleton could not be swapped into an
 // active function, so it is discarded in favour of the clone.
-func (c *controller) recompile(jb job) *ir.Fn {
+func (c *controller) recompile(base *ir.Fn) *ir.Fn {
 	if c.cfg.Module != nil {
-		nf, err := jit.CompileFn(c.cfg.Module, jb.name, c.cfg.JIT)
-		if err == nil && len(nf.Blocks) == len(jb.base.Blocks) {
+		nf, err := jit.CompileFn(c.cfg.Module, base.Name, c.cfg.JIT)
+		if err == nil && len(nf.Blocks) == len(base.Blocks) {
 			return nf
 		}
 	}
-	return jb.base.Clone()
+	return base.Clone()
 }
 
-// Close shuts the pool down gracefully: stop accepting promotions, let
-// in-flight jobs finish, and install every recompilation that missed its
-// safe point — the run is over, so installation is unconditionally safe.
-// It is idempotent.
-func (c *controller) Close() {
-	if c.closed {
-		return
+// finish counts the recompilations the simulator installed during the
+// run and installs every one it never reached a safe point for: the run
+// is over, so installation is unconditionally safe.
+func (c *controller) finish() {
+	for fi, nf := range c.optimized {
+		switch {
+		case nf == nil:
+		case c.prog.Fns[fi] == nf:
+			c.metrics.Installed++
+		default:
+			c.prog.Fns[fi] = nf
+			c.metrics.InstalledPost++
+		}
 	}
-	c.closed = true
-	close(c.jobs)
-	go func() {
-		c.wg.Wait()
-		close(c.done)
-	}()
-	for cf := range c.done {
-		c.record(cf)
-		c.staged[cf.fn] = cf.newFn
-	}
-	for fi, nf := range c.staged {
-		c.prog.Fns[fi] = nf
-		c.tiers[fi] = tierOptimized
-		c.metrics.InstalledPost++
-	}
-	c.staged = map[int]*ir.Fn{}
 }

@@ -1,27 +1,19 @@
 package adaptive
 
-import (
-	"time"
-
-	"schedfilter/internal/obs"
-)
+import "time"
 
 // Metrics are the controller's per-tier counters: what the profiler saw,
-// what the policy promoted, what the pool compiled, and what the filter
-// let the scheduler touch.
+// what the policy promoted and recompiled, and what the filter let the
+// scheduler touch.
 type Metrics struct {
 	// Samples is the number of profile snapshots the controller saw.
 	Samples int
-	// Promotions counts functions the policy enqueued for recompilation.
+	// Promotions counts functions the policy promoted; each is
+	// recompiled at the sample that promotes it.
 	Promotions int
-	// QueueFull counts promotion attempts deferred because the bounded
-	// queue was full (they retry at a later sample).
-	QueueFull int
-	// Recompiled counts functions the worker pool finished.
-	Recompiled int
 	// Installed counts functions hot-swapped during the run, at safe
-	// points; InstalledPost counts those whose recompilation finished
-	// too late and were installed after the run ended.
+	// points; InstalledPost counts those the run never reached a safe
+	// point for, installed after it ended.
 	Installed     int
 	InstalledPost int
 	// BlocksConsidered / BlocksScheduled / BlocksChanged aggregate the
@@ -31,15 +23,13 @@ type Metrics struct {
 	BlocksConsidered int
 	BlocksScheduled  int
 	BlocksChanged    int
-	// CompileTime is the summed wall-clock time the worker pool spent
-	// recompiling (the measured scheduling cost).
+	// CompileTime is the summed wall-clock time spent recompiling (the
+	// measured scheduling cost).
 	CompileTime time.Duration
 	// CompileCyclesCharged is the policy's modelled compile cost summed
 	// over promotions, in simulated cycles.
 	CompileCyclesCharged int64
-	// MaxQueueDepth is the deepest the promotion queue got.
-	MaxQueueDepth int
-	// PromotedFns names the recompiled functions, in completion order.
+	// PromotedFns names the recompiled functions, in promotion order.
 	PromotedFns []string
 }
 
@@ -51,39 +41,4 @@ func (m *Metrics) ScheduledFraction() float64 {
 		return 0
 	}
 	return float64(m.BlocksScheduled) / float64(m.BlocksConsidered)
-}
-
-// Register exports a finished run's counters as adaptive_* gauges on a
-// shared registry — the bridge that lets a host embedding the adaptive
-// tier surface its last run next to the serving metrics. The metrics
-// snapshot is captured by value: a later run registers nothing new and
-// the gauges keep reporting the run they were registered for.
-func (m Metrics) Register(reg *obs.Registry) {
-	set := map[string]int64{
-		"adaptive_samples_total":                int64(m.Samples),
-		"adaptive_promotions_total":             int64(m.Promotions),
-		"adaptive_queue_full_total":             int64(m.QueueFull),
-		"adaptive_recompiled_total":             int64(m.Recompiled),
-		"adaptive_installed_total":              int64(m.Installed),
-		"adaptive_installed_post_total":         int64(m.InstalledPost),
-		"adaptive_blocks_considered_total":      int64(m.BlocksConsidered),
-		"adaptive_blocks_scheduled_total":       int64(m.BlocksScheduled),
-		"adaptive_blocks_changed_total":         int64(m.BlocksChanged),
-		"adaptive_compile_time_ns_total":        m.CompileTime.Nanoseconds(),
-		"adaptive_compile_cycles_charged_total": m.CompileCyclesCharged,
-		"adaptive_max_queue_depth":              int64(m.MaxQueueDepth),
-	}
-	// Stable registration order for a stable exposition.
-	for _, name := range []string{
-		"adaptive_samples_total", "adaptive_promotions_total",
-		"adaptive_queue_full_total", "adaptive_recompiled_total",
-		"adaptive_installed_total", "adaptive_installed_post_total",
-		"adaptive_blocks_considered_total", "adaptive_blocks_scheduled_total",
-		"adaptive_blocks_changed_total", "adaptive_compile_time_ns_total",
-		"adaptive_compile_cycles_charged_total", "adaptive_max_queue_depth",
-	} {
-		v := set[name]
-		reg.GaugeFunc(name, "Adaptive-tier run counters (last completed run).",
-			func() int64 { return v })
-	}
 }

@@ -1,67 +1,39 @@
 package adaptive
 
-// Promotion is the controller's cost/benefit promotion model, the analogue
-// of Jikes RVM's controller constants: a per-tier expected speedup and a
+// The controller's cost/benefit promotion model, the analogue of Jikes
+// RVM's controller constants: a per-tier expected speedup and a
 // compilation-rate constant, both calibrated offline, with future
 // execution estimated from the profile.
-type Promotion struct {
-	// SpeedupEstimate is the fraction of a function's cycles the
-	// optimized tier is expected to save (default 0.10, the order of the
-	// suite-wide LS improvement the harness measures).
-	SpeedupEstimate float64
-	// CompileCyclesPerInstr is the modelled cost of optimizing one
-	// instruction, in simulated cycles (default 20).
-	CompileCyclesPerInstr float64
-	// FutureWeight scales the "future = past" estimate of remaining
-	// execution (default 10: one benchmark run stands in for a single
-	// request of a long-running service, which replays its hot code many
-	// times over; raise it further to promote even more eagerly).
-	FutureWeight float64
-	// MinEstCycles is a noise floor: functions whose estimated spent
-	// cycles are below it are never considered (default 2000).
-	MinEstCycles int64
-}
+const (
+	// speedupEstimate is the fraction of a function's cycles the
+	// optimized tier is expected to save: the order of the suite-wide LS
+	// improvement the harness measures.
+	speedupEstimate = 0.10
+	// compileCyclesPerInstr is the modelled cost of optimizing one
+	// instruction, in simulated cycles.
+	compileCyclesPerInstr = 20
+	// futureWeight scales the "future = past" estimate of remaining
+	// execution: one benchmark run stands in for a single request of a
+	// long-running service, which replays its hot code many times over.
+	futureWeight = 10
+	// minEstCycles is a noise floor: functions whose estimated spent
+	// cycles are below it are never considered.
+	minEstCycles = 2000
+)
 
-// DefaultPromotion returns the stock promotion policy.
-func DefaultPromotion() Promotion {
-	return Promotion{
-		SpeedupEstimate:       0.10,
-		CompileCyclesPerInstr: 20,
-		FutureWeight:          10,
-		MinEstCycles:          2000,
-	}
-}
-
-func (p Promotion) withDefaults() Promotion {
-	d := DefaultPromotion()
-	if p.SpeedupEstimate <= 0 {
-		p.SpeedupEstimate = d.SpeedupEstimate
-	}
-	if p.CompileCyclesPerInstr <= 0 {
-		p.CompileCyclesPerInstr = d.CompileCyclesPerInstr
-	}
-	if p.FutureWeight <= 0 {
-		p.FutureWeight = d.FutureWeight
-	}
-	if p.MinEstCycles <= 0 {
-		p.MinEstCycles = d.MinEstCycles
-	}
-	return p
-}
-
-// ShouldPromote decides whether a function whose profile-estimated spent
+// shouldPromote decides whether a function whose profile-estimated spent
 // cycles are estSpent, with numInstrs instructions, is worth promoting:
 // expected future cycles saved must exceed the modelled compile cost.
-func (p Promotion) ShouldPromote(estSpent int64, numInstrs int) bool {
-	if estSpent < p.MinEstCycles {
+func shouldPromote(estSpent int64, numInstrs int) bool {
+	if estSpent < minEstCycles {
 		return false
 	}
-	benefit := float64(estSpent) * p.FutureWeight * p.SpeedupEstimate
-	return benefit > p.CompileCycles(numInstrs)
+	benefit := float64(estSpent) * futureWeight * speedupEstimate
+	return benefit > compileCycles(numInstrs)
 }
 
-// CompileCycles is the modelled cost (in simulated cycles) of running
+// compileCycles is the modelled cost (in simulated cycles) of running
 // the optimizing tier over a function of numInstrs instructions.
-func (p Promotion) CompileCycles(numInstrs int) float64 {
-	return p.CompileCyclesPerInstr * float64(numInstrs)
+func compileCycles(numInstrs int) float64 {
+	return compileCyclesPerInstr * float64(numInstrs)
 }

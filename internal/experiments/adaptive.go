@@ -14,9 +14,10 @@ import (
 
 // The adaptive protocol: instead of scheduling (or not) at compile time,
 // run each benchmark through the adaptive optimization system — baseline
-// tier first, hot functions promoted to filter-gated scheduled code by
-// the background pool — and compare its cycle counts against the three
-// offline protocols (NS, LS, filtered L/N) on the same programs.
+// tier first, hot functions recompiled to filter-gated scheduled code at
+// the sample that promotes them — and compare its cycle counts against
+// the three offline protocols (NS, LS, filtered L/N) on the same
+// programs.
 
 // AdaptiveRow is one benchmark's numbers under every protocol. Its JSON
 // fields reproduce on any host and form the artifact's deterministic
@@ -25,15 +26,19 @@ type AdaptiveRow struct {
 	Bench string `json:"bench"`
 	Suite int    `json:"suite"`
 
-	// Application cycles per protocol; the adaptive tier's once it has
-	// reached steady state.
+	// Application cycles per protocol; the adaptive tier's for the
+	// online run (cold start included) and once it has reached steady
+	// state.
 	NSCycles             int64 `json:"ns_cycles"`
 	LSCycles             int64 `json:"ls_cycles"`
 	FilteredCycles       int64 `json:"filtered_cycles"`
+	AdaptiveOnlineCycles int64 `json:"adaptive_online_cycles"`
 	AdaptiveSteadyCycles int64 `json:"adaptive_steady_cycles"`
 
 	// Adaptive tier telemetry.
 	Promotions       int     `json:"promotions"`
+	Installed        int     `json:"installed"`
+	InstalledPost    int     `json:"installed_post"`
 	BlocksConsidered int     `json:"blocks_considered"`
 	BlocksScheduled  int     `json:"blocks_scheduled"`
 	RecoveredFrac    float64 `json:"recovered_fraction"`
@@ -43,17 +48,12 @@ type AdaptiveRow struct {
 
 // AdaptiveRowTiming is the part of a row that changes from run to run:
 // wall-clock scheduling cost per protocol (the offline passes'
-// scheduling-phase time, the adaptive tier's background compile time),
-// and the adaptive run's online cycles and install counts, which depend
-// on when the background compile threads finish.
+// scheduling-phase time, the adaptive tier's recompile time).
 type AdaptiveRowTiming struct {
-	Bench                string `json:"bench"`
-	LSSchedNs            int64  `json:"ls_sched_ns"`
-	FilteredSchedNs      int64  `json:"filtered_sched_ns"`
-	AdaptiveCompileNs    int64  `json:"adaptive_compile_ns"`
-	AdaptiveOnlineCycles int64  `json:"adaptive_online_cycles"`
-	Installed            int    `json:"installed"`
-	InstalledPost        int    `json:"installed_post"`
+	Bench             string `json:"bench"`
+	LSSchedNs         int64  `json:"ls_sched_ns"`
+	FilteredSchedNs   int64  `json:"filtered_sched_ns"`
+	AdaptiveCompileNs int64  `json:"adaptive_compile_ns"`
 }
 
 // AdaptiveResult holds the whole comparison plus suite-wide aggregates.
@@ -89,8 +89,8 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 
 	// Warm the app-time cache in parallel: the three offline protocols'
 	// timed simulations are deterministic. The loop below — which measures
-	// wall-clock scheduling time and runs the adaptive tier's background
-	// pool — stays serial so its timings are not distorted.
+	// wall-clock scheduling and recompile time — stays serial so its
+	// timings are not distorted.
 	if err := par.DoErr(r.cfg.Jobs, len(all), func(i int) error {
 		bd := all[i]
 		if _, err := r.AppTime(bd, policy.Never{}); err != nil {
@@ -137,18 +137,18 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 			return nil, fmt.Errorf("%s: adaptive run: %w", bd.Name, err)
 		}
 		mt := ares.Metrics
+		row.AdaptiveOnlineCycles = ares.Online.Cycles
 		row.AdaptiveSteadyCycles = ares.Steady.Cycles
 		row.Promotions = mt.Promotions
+		row.Installed = mt.Installed
+		row.InstalledPost = mt.InstalledPost
 		row.BlocksConsidered = mt.BlocksConsidered
 		row.BlocksScheduled = mt.BlocksScheduled
 		row.Timing = AdaptiveRowTiming{
-			Bench:                bd.Name,
-			LSSchedNs:            int64(lsT),
-			FilteredSchedNs:      int64(flT),
-			AdaptiveCompileNs:    int64(mt.CompileTime),
-			AdaptiveOnlineCycles: ares.Online.Cycles,
-			Installed:            mt.Installed,
-			InstalledPost:        mt.InstalledPost,
+			Bench:             bd.Name,
+			LSSchedNs:         int64(lsT),
+			FilteredSchedNs:   int64(flT),
+			AdaptiveCompileNs: int64(mt.CompileTime),
 		}
 		if gain := row.NSCycles - row.LSCycles; gain > 0 {
 			row.RecoveredFrac = float64(row.NSCycles-row.AdaptiveSteadyCycles) / float64(gain)
@@ -177,7 +177,7 @@ func (a *AdaptiveResult) Render() string {
 	for _, r := range a.Rows {
 		fmt.Fprintf(&b, "%-11s %12d %12d %12d %12d %12d %6.1f%% %4d/%-4d %v\n",
 			r.Bench, r.NSCycles, r.LSCycles, r.FilteredCycles,
-			r.Timing.AdaptiveOnlineCycles, r.AdaptiveSteadyCycles, 100*r.RecoveredFrac,
+			r.AdaptiveOnlineCycles, r.AdaptiveSteadyCycles, 100*r.RecoveredFrac,
 			r.BlocksScheduled, r.BlocksConsidered,
 			time.Duration(r.Timing.AdaptiveCompileNs).Round(time.Microsecond))
 	}

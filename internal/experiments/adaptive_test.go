@@ -38,8 +38,10 @@ func TestAdaptiveAcceptance(t *testing.T) {
 			t.Errorf("%s: steady state %d cycles slower than NS %d",
 				row.Bench, row.AdaptiveSteadyCycles, row.NSCycles)
 		}
-		if row.Promotions > 0 && row.Timing.Installed+row.Timing.InstalledPost == 0 {
-			t.Errorf("%s: %d promotions but nothing installed", row.Bench, row.Promotions)
+		// Every promotion ends up installed, online or at shutdown.
+		if row.Installed+row.InstalledPost != row.Promotions {
+			t.Errorf("%s: installed %d+%d != %d promotions",
+				row.Bench, row.Installed, row.InstalledPost, row.Promotions)
 		}
 	}
 

@@ -38,7 +38,7 @@ type Manager struct {
 
 	// induce builds a candidate filter from labelled data; tests override
 	// it to exercise the shadow gate with deliberately bad candidates.
-	induce func(data []*training.BenchData, t int, opt ripper.Options) *policy.Induced
+	induce func(data []*training.BenchData, t int) *policy.Induced
 
 	observed    atomic.Int64 // blocks seen on the compile path
 	known       atomic.Int64 // blocks already in the reservoir (weight bump)
@@ -81,8 +81,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		targets: map[string]*targetState{},
 		queue:   make(chan observation, cfg.QueueDepth),
 		stop:    make(chan struct{}),
-		induce: func(data []*training.BenchData, t int, opt ripper.Options) *policy.Induced {
-			return training.TrainFilter(data, t, opt, nil)
+		induce: func(data []*training.BenchData, t int) *policy.Induced {
+			return training.TrainFilter(data, t, ripper.DefaultOptions(), nil)
 		},
 	}
 	names := cfg.Targets
@@ -280,7 +280,7 @@ func (m *Manager) Retrain(target string) (*RetrainReport, error) {
 	m.retrains.Add(1)
 
 	snap := st.res.Snapshot()
-	train, hold := Split(snap, m.cfg.HoldoutK)
+	train, hold := Split(snap, holdoutK)
 	incumbent, incVersion := st.reg.ActiveFilter()
 	rep := &RetrainReport{
 		Target:        target,
@@ -295,12 +295,12 @@ func (m *Manager) Retrain(target string) (*RetrainReport, error) {
 
 	bd := benchData(target, train)
 	rep.LSLabels, rep.NSLabels = training.LabelCounts(bd.Records, m.cfg.Threshold)
-	cand := m.induce([]*training.BenchData{bd}, m.cfg.Threshold, m.cfg.RipperOpts)
+	cand := m.induce([]*training.BenchData{bd}, m.cfg.Threshold)
 	cand.Label = fmt.Sprintf("online v%d t=%d", st.reg.Count()+1, m.cfg.Threshold)
 
 	candScore := EvalFilter(cand, hold)
 	incScore := EvalFilter(incumbent, hold)
-	admitted, reason := m.cfg.Gate.Admit(candScore, incScore)
+	admitted, reason := admit(candScore, incScore)
 
 	meta := Version{
 		Label:          cand.Label,

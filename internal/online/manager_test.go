@@ -12,7 +12,6 @@ import (
 	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/policy"
-	"schedfilter/internal/ripper"
 	"schedfilter/internal/training"
 )
 
@@ -107,7 +106,7 @@ func BenchmarkObserve(b *testing.B) {
 func seedSynthetic(m *Manager, nTrain, nHold int) {
 	res := m.Reservoir(testTarget)
 	for i := 0; i < nHold; i++ {
-		k := mkKey(0, i) // bucket 0 → holdout at HoldoutK=4
+		k := mkKey(0, i) // bucket 0 → holdout at holdoutK=4
 		res.Add(k, mkSample(k, 10, 100, 50))
 	}
 	for i := 0; i < nTrain; i++ {
@@ -237,7 +236,7 @@ func TestShadowGateBlocksCrippledCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.induce = func([]*training.BenchData, int, ripper.Options) *policy.Induced { return crippled }
+	m.induce = func([]*training.BenchData, int) *policy.Induced { return crippled }
 
 	rep, err := m.Retrain(testTarget)
 	if err != nil {
@@ -287,7 +286,7 @@ func TestShadowGatePromotesImprovingCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.induce = func([]*training.BenchData, int, ripper.Options) *policy.Induced { return better }
+	m.induce = func([]*training.BenchData, int) *policy.Induced { return better }
 
 	rep, err := m.Retrain(testTarget)
 	if err != nil {

@@ -39,8 +39,11 @@ import (
 	"time"
 
 	"schedfilter/internal/policy"
-	"schedfilter/internal/ripper"
 )
+
+// holdoutK sends every sample whose content hash lands in a 1/K bucket
+// to the shadow-evaluation holdout instead of the training slice (25%).
+const holdoutK = 4
 
 // Config parameterizes a Manager. The zero value of every field selects
 // a sensible default (see withDefaults); Boot is the only field callers
@@ -68,19 +71,9 @@ type Config struct {
 	// training-slice samples reports "insufficient samples" instead of
 	// inducing from noise. 0 selects 64.
 	MinSamples int
-	// HoldoutK sends every sample whose content hash lands in a 1/K
-	// bucket to the shadow-evaluation holdout instead of the training
-	// slice. 0 selects 4 (25% holdout).
-	HoldoutK int
 	// Interval is the background retrain period per target; 0 disables
 	// the periodic trainer (retraining happens only on demand).
 	Interval time.Duration
-	// RipperOpts configure induction; the zero value selects the paper's
-	// defaults.
-	RipperOpts ripper.Options
-	// Gate is the shadow-evaluation promotion gate; zero fields select
-	// defaults.
-	Gate Gate
 	// SpillDir, when set, persists each target's reservoir as
 	// <SpillDir>/<target>.jsonl: restored by NewManager, written by
 	// Close (and Spill).
@@ -106,12 +99,5 @@ func (c Config) withDefaults() Config {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 64
 	}
-	if c.HoldoutK <= 0 {
-		c.HoldoutK = 4
-	}
-	if c.RipperOpts == (ripper.Options{}) {
-		c.RipperOpts = ripper.DefaultOptions()
-	}
-	c.Gate = c.Gate.withDefaults()
 	return c
 }

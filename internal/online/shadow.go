@@ -50,52 +50,37 @@ func EvalFilter(f policy.Policy, hold []*Sample) Score {
 	return sc
 }
 
-// Gate is the promotion rule a candidate must pass against the
-// incumbent. The zero value selects defaults via withDefaults.
-type Gate struct {
-	// CycleSlack is the fractional estimated-app-cycle regression the
-	// candidate is allowed (a candidate is rejected if its EstCycles
-	// exceed the incumbent's by more than this fraction). Default 0.005.
-	CycleSlack float64 `json:"cycle_slack"`
-	// SchedCostFactor bounds the candidate's scheduling-cost growth:
-	// candidate.SchedCost must be ≤ incumbent.SchedCost·factor +
-	// SchedCostSlack. Default 2.0.
-	SchedCostFactor float64 `json:"sched_cost_factor"`
-	// SchedCostSlack is the additive scheduling-cost allowance, so a
+// The promotion gate a candidate must pass against the incumbent.
+const (
+	// cycleSlack is the fractional estimated-app-cycle regression the
+	// candidate is allowed: it is rejected if its EstCycles exceed the
+	// incumbent's by more than this fraction.
+	cycleSlack = 0.005
+	// schedCostFactor bounds the candidate's scheduling-cost growth:
+	// candidate.SchedCost must be ≤ incumbent.SchedCost·schedCostFactor
+	// + schedCostSlack.
+	schedCostFactor = 2.0
+	// schedCostSlack is the additive scheduling-cost allowance, so a
 	// candidate can still start scheduling under an incumbent that
-	// schedules nothing (NS has zero scheduling cost; any factor of
-	// zero is zero). Default 4096.
-	SchedCostSlack int64 `json:"sched_cost_slack"`
-}
+	// schedules nothing (NS has zero scheduling cost; any factor of zero
+	// is zero).
+	schedCostSlack = 4096
+)
 
-func (g Gate) withDefaults() Gate {
-	if g.CycleSlack <= 0 {
-		g.CycleSlack = 0.005
-	}
-	if g.SchedCostFactor <= 0 {
-		g.SchedCostFactor = 2.0
-	}
-	if g.SchedCostSlack <= 0 {
-		g.SchedCostSlack = 4096
-	}
-	return g
-}
-
-// Admit decides whether the candidate may replace the incumbent, and
+// admit decides whether the candidate may replace the incumbent, and
 // explains the verdict. An empty holdout always rejects: a promotion no
 // evidence supports is a regression waiting to happen.
-func (g Gate) Admit(cand, inc Score) (bool, string) {
-	g = g.withDefaults()
+func admit(cand, inc Score) (bool, string) {
 	if cand.Blocks == 0 {
 		return false, "no holdout samples to shadow-evaluate on"
 	}
-	limit := float64(inc.EstCycles) * (1 + g.CycleSlack)
+	limit := float64(inc.EstCycles) * (1 + cycleSlack)
 	if float64(cand.EstCycles) > limit {
 		return false, fmt.Sprintf(
 			"estimated app cycles regress: candidate %d vs incumbent %d (limit %.0f)",
 			cand.EstCycles, inc.EstCycles, limit)
 	}
-	costLimit := int64(float64(inc.SchedCost)*g.SchedCostFactor) + g.SchedCostSlack
+	costLimit := int64(float64(inc.SchedCost)*schedCostFactor) + schedCostSlack
 	if cand.SchedCost > costLimit {
 		return false, fmt.Sprintf(
 			"scheduling cost regresses: candidate %d vs incumbent %d (limit %d)",

@@ -43,7 +43,7 @@ func TestEvalFilterTwoAxes(t *testing.T) {
 }
 
 func TestGateRejectsEmptyHoldout(t *testing.T) {
-	ok, reason := Gate{}.Admit(Score{}, Score{})
+	ok, reason := admit(Score{}, Score{})
 	if ok || !strings.Contains(reason, "holdout") {
 		t.Fatalf("empty holdout admitted: %v %q", ok, reason)
 	}
@@ -53,17 +53,21 @@ func TestGateRejectsCycleRegression(t *testing.T) {
 	hold := holdoutSamples(4)
 	cand := EvalFilter(policy.Never{}, hold) // 400 est cycles
 	inc := EvalFilter(policy.Always{}, hold) // 200 est cycles
-	ok, reason := Gate{}.Admit(cand, inc)
+	ok, reason := admit(cand, inc)
 	if ok || !strings.Contains(reason, "cycles regress") {
 		t.Fatalf("cycle regression admitted: %v %q", ok, reason)
 	}
 }
 
 func TestGateRejectsSchedCostBlowup(t *testing.T) {
-	g := Gate{SchedCostFactor: 1.5, SchedCostSlack: 1}
-	cand := Score{Blocks: 4, EstCycles: 100, SchedCost: 100}
 	inc := Score{Blocks: 4, EstCycles: 100, SchedCost: 10}
-	ok, reason := g.Admit(cand, inc)
+	limit := int64(float64(inc.SchedCost)*schedCostFactor) + schedCostSlack
+	cand := Score{Blocks: 4, EstCycles: 100, SchedCost: limit}
+	if ok, reason := admit(cand, inc); !ok {
+		t.Fatalf("sched cost at the limit %d rejected: %q", limit, reason)
+	}
+	cand.SchedCost = limit + 1
+	ok, reason := admit(cand, inc)
 	if ok || !strings.Contains(reason, "cost regresses") {
 		t.Fatalf("sched-cost blowup admitted: %v %q", ok, reason)
 	}
@@ -75,7 +79,7 @@ func TestGateAdmitsImprovementOverNS(t *testing.T) {
 	hold := holdoutSamples(4)
 	cand := EvalFilter(policy.Always{}, hold)
 	inc := EvalFilter(policy.Never{}, hold)
-	ok, reason := Gate{}.Admit(cand, inc)
+	ok, reason := admit(cand, inc)
 	if !ok {
 		t.Fatalf("improving candidate rejected: %q", reason)
 	}

@@ -129,5 +129,11 @@ func Parse(text, target string) (Policy, error) {
 			return FromSpec(strings.TrimSpace(rest), target)
 		}
 	}
-	return ParseInduced(text)
+	// Returning ParseInduced's result directly would turn a refusal's
+	// nil *Induced into a non-nil Policy.
+	f, err := ParseInduced(text)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }

@@ -169,6 +169,10 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"(x/2) pos :- a0 >= 3.",
 		"(1/2) pos ;; a0 >= 3.",
 		"(1/2) pos :- a0 == 3.",
+		// Labels Format could not write back unambiguously.
+		"# labels: x x\n(1/0) x :- .",
+		"(5/0) pos :- .",
+		"# labels: list a:-b\n(0/0) a:-b :- .",
 	}
 	for _, c := range cases {
 		if _, err := Parse(c, names(3)); err == nil {

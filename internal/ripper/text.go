@@ -114,6 +114,17 @@ func Parse(text string, names []string) (*RuleSet, error) {
 	if rs.PosLabel == "" {
 		rs.PosLabel = "pos"
 	}
+	// Labels Format could not write back unambiguously: one name for
+	// both classes turns the default rule into an empty positive rule,
+	// and a ":-" inside a label moves the rule's head/body split.
+	if rs.PosLabel == rs.NegLabel {
+		return nil, fmt.Errorf("ripper: positive and default rules share the label %q", rs.PosLabel)
+	}
+	for _, l := range []string{rs.PosLabel, rs.NegLabel} {
+		if strings.Contains(l, ":-") {
+			return nil, fmt.Errorf("ripper: label %q contains ':-'", l)
+		}
+	}
 	return rs, nil
 }
 

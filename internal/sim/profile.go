@@ -26,9 +26,6 @@ type Snapshot struct {
 	// same profile Result.ExecCounts reports at the end of the run. The
 	// slices are a copy; the callback may retain them.
 	ExecCounts [][]int64
-	// Installed lists the function indices hot-swapped since the
-	// previous sample (installation feedback for the controller).
-	Installed []int
 }
 
 // FnSwap asks the executor to replace a function with recompiled code at
@@ -53,9 +50,7 @@ func (ex *executor) sample(curFn int) error {
 	snap := &Snapshot{
 		DynInstrs:  ex.res.DynInstrs,
 		ExecCounts: copyCounts(ex.res.ExecCounts),
-		Installed:  ex.installed,
 	}
-	ex.installed = nil
 	if ex.issue != nil {
 		snap.Cycles = int64(ex.issue.Makespan())
 	}
@@ -85,7 +80,6 @@ func (ex *executor) applyPending(curFn int) error {
 			ex.res.TakenCounts[fi] = make([]int64, len(nf.Blocks))
 		}
 		delete(ex.pending, fi)
-		ex.installed = append(ex.installed, fi)
 		ex.res.Swaps++
 	}
 	return nil

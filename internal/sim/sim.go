@@ -337,7 +337,6 @@ type executor struct {
 	nextSample  int64
 	onSample    func(*Snapshot) []FnSwap
 	pending     map[int]*ir.Fn
-	installed   []int
 }
 
 // poll runs the checks that fall due on the executed-instruction count,

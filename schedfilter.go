@@ -18,9 +18,9 @@
 //     measurements, plus thirteen benchmark programs reproducing the
 //     computational character of the paper's two suites;
 //   - a Jikes-RVM-style adaptive optimization system: baseline tier,
-//     sampling profiler, cost/benefit controller, and a concurrent
-//     background pool that recompiles hot functions with filter-gated
-//     scheduling and hot-swaps them in at safe points.
+//     sampling profiler, and a cost/benefit controller that recompiles
+//     hot functions with filter-gated scheduling at the sample that
+//     promotes them and hot-swaps them in at safe points.
 //
 // Quick start:
 //
@@ -385,19 +385,19 @@ func TrainDefaultFilter(m *Machine, t int) (*InducedFilter, error) {
 }
 
 // DefaultAdaptiveConfig configures the adaptive optimization system with
-// the stock sampling rate, pool size, and promotion policy. Set Module
-// on the result to let the background workers recompile promoted
-// functions from bytecode rather than from baseline machine code.
+// the stock sampling rate and promotion policy. Set Module on the result
+// to recompile promoted functions from bytecode rather than from
+// baseline machine code.
 func DefaultAdaptiveConfig(m *Machine, f Policy) AdaptiveConfig {
 	return AdaptiveConfig{Model: m, Policy: f}
 }
 
 // ExecuteAdaptive runs compiled machine code on the adaptive optimization
 // system: it starts in the baseline (unscheduled) tier, samples the
-// execution profile, promotes hot functions to filter-gated scheduled
-// code on a concurrent background worker pool, hot-swaps them in at safe
+// execution profile, recompiles hot functions to filter-gated scheduled
+// code at the sample that promotes them, hot-swaps them in at safe
 // points, and reports both the online run and the post-adaptation steady
-// state. The input program is not mutated.
+// state. The run is deterministic. The input program is not mutated.
 func ExecuteAdaptive(p *Program, cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	return adaptive.Run(p, cfg)
 }
