@@ -13,17 +13,21 @@ import (
 	"schedfilter/internal/codecache"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/jit"
+	"schedfilter/internal/jolt"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/sched"
+	"schedfilter/internal/sim"
+	"schedfilter/internal/training"
 	"schedfilter/internal/workloads"
 )
 
 // The hot-path suite measures the per-block compile path in isolation:
 // DAG construction and list scheduling on the reduced-edge pooled path
 // against the retained reference builder, over every basic block the
-// bundled workloads compile to, plus the singleflight dedupe layer. The
-// result is the BENCH_hotpath.json artifact (cmd/schedexp -exp hotpath
-// -json).
+// bundled workloads compile to, plus the singleflight dedupe layer; and
+// the whole-program simulator over the same workloads, the layer behind
+// the execute service and the profiling run of training. The result is
+// the BENCH_hotpath.json artifact (cmd/schedexp -exp hotpath -json).
 //
 // The artifact splits into a deterministic section — corpus shape, edge
 // counts, schedule equivalence, rounded allocation counts, and the
@@ -101,6 +105,16 @@ type HotpathDeterministic struct {
 	FlightLeaders   int     `json:"flight_leaders"`
 	FlightCoalesced int     `json:"flight_coalesced"`
 	FlightHitRate   float64 `json:"flight_hit_rate"`
+
+	// One simulator pass over the workloads, compiled with the default
+	// options and timed on the target: as compiled (NS) and with every
+	// block list-scheduled for the target (LS). Over all workloads on
+	// the default target these are the sums of the simulator's golden
+	// pins (internal/sim/golden_test.go).
+	SimNSDynInstrs int64 `json:"sim_ns_dyn_instrs"`
+	SimNSCycles    int64 `json:"sim_ns_cycles"`
+	SimLSDynInstrs int64 `json:"sim_ls_dyn_instrs"`
+	SimLSCycles    int64 `json:"sim_ls_cycles"`
 }
 
 // HotpathTiming is the host-dependent part of the artifact.
@@ -127,6 +141,16 @@ type HotpathTiming struct {
 	BuildAllocsPerBlock    float64 `json:"build_allocs_per_block"`
 	SchedAllocsPerBlock    float64 `json:"sched_allocs_per_block"`
 	SchedRefAllocsPerBlock float64 `json:"sched_ref_allocs_per_block"`
+
+	// The simulator, ns per executed instruction over one pass: timed on
+	// the NS and the LS programs, untimed on the NS programs, and untimed
+	// on the programs compiled at the training options (inlining and
+	// 4-way unrolling), which is training's profiling run. One pass each
+	// keeps `schedexp -check` cheap.
+	SimTimedNsPerInstr   float64 `json:"sim_timed_ns_per_instr"`
+	SimTimedLSNsPerInstr float64 `json:"sim_timed_ls_ns_per_instr"`
+	SimUntimedNsPerInstr float64 `json:"sim_untimed_ns_per_instr"`
+	SimTrainNsPerInstr   float64 `json:"sim_train_ns_per_instr"`
 }
 
 // HotpathResult is the BENCH_hotpath.json artifact's content.
@@ -244,7 +268,80 @@ func RunHotpath(cfg HotpathConfig) (*HotpathResult, error) {
 	det.SchedRefAllocsPerBlock = int(math.Round(tim.SchedRefAllocsPerBlock))
 
 	measureFlight(det, cfg.Followers)
+	if err := measureSim(res, m, cfg); err != nil {
+		return nil, err
+	}
 	return res, nil
+}
+
+// measureSim runs the simulator rows: one counting pass each for NS and
+// LS, then one timed pass per timing row.
+func measureSim(res *HotpathResult, m *machine.Model, cfg HotpathConfig) error {
+	opts := training.DefaultOptions()
+	compile := func(w *workloads.Workload, front jolt.Options) (*ir.Program, error) {
+		mod, err := w.CompileWithOptions(front)
+		if err != nil {
+			return nil, err
+		}
+		return jit.Compile(mod, opts.JIT)
+	}
+	var ns, ls, train []*ir.Program
+	scratch := sched.NewScratch()
+	for _, name := range cfg.Workloads {
+		w := workloads.ByName(name)
+		p, err := compile(w, jolt.Options{})
+		if err != nil {
+			return err
+		}
+		q, err := compile(w, opts.Frontend)
+		if err != nil {
+			return err
+		}
+		l := p.Clone()
+		for _, f := range l.Fns {
+			for _, b := range f.Blocks {
+				sched.ScheduleBlock(m, b, nil, nil, scratch)
+			}
+		}
+		ns, ls, train = append(ns, p), append(ls, l), append(train, q)
+	}
+	timed := sim.Config{Timed: true, Model: m}
+	pass := func(progs []*ir.Program, cfg sim.Config) (dyn, cycles int64, err error) {
+		for _, p := range progs {
+			r, err := sim.Run(p, cfg)
+			if err != nil {
+				return 0, 0, err
+			}
+			dyn, cycles = dyn+r.DynInstrs, cycles+r.Cycles
+		}
+		return dyn, cycles, nil
+	}
+	det, tim := &res.Deterministic, &res.Timing
+	var err error
+	if det.SimNSDynInstrs, det.SimNSCycles, err = pass(ns, timed); err != nil {
+		return err
+	}
+	if det.SimLSDynInstrs, det.SimLSCycles, err = pass(ls, timed); err != nil {
+		return err
+	}
+	for _, r := range []struct {
+		progs []*ir.Program
+		cfg   sim.Config
+		out   *float64
+	}{
+		{ns, timed, &tim.SimTimedNsPerInstr},
+		{ls, timed, &tim.SimTimedLSNsPerInstr},
+		{ns, sim.Config{}, &tim.SimUntimedNsPerInstr},
+		{train, sim.Config{}, &tim.SimTrainNsPerInstr},
+	} {
+		start := time.Now()
+		dyn, _, err := pass(r.progs, r.cfg)
+		if err != nil {
+			return err
+		}
+		*r.out = float64(time.Since(start).Nanoseconds()) / float64(dyn)
+	}
+	return nil
 }
 
 // timeSweepNs times reps calls of sweep, after one unmeasured warm-up.
@@ -340,6 +437,10 @@ func (r *HotpathResult) Render() string {
 		t.BuildAllocsPerBlock, t.SchedAllocsPerBlock, t.SchedRefAllocsPerBlock)
 	fmt.Fprintf(&b, "singleflight: %d identical requests → %d pass, %d coalesced (hit rate %.1f%%; 0%% without the flight)\n",
 		d.FlightRequests, d.FlightLeaders, d.FlightCoalesced, 100*d.FlightHitRate)
+	fmt.Fprintf(&b, "simulator pass: ns %d instrs / %d cycles, ls %d instrs / %d cycles\n",
+		d.SimNSDynInstrs, d.SimNSCycles, d.SimLSDynInstrs, d.SimLSCycles)
+	fmt.Fprintf(&b, "simulator ns/instr: timed %.2f, timed-ls %.2f, untimed %.2f, train %.2f\n",
+		t.SimTimedNsPerInstr, t.SimTimedLSNsPerInstr, t.SimUntimedNsPerInstr, t.SimTrainNsPerInstr)
 	return b.String()
 }
 

@@ -68,4 +68,12 @@ func TestHotpathInvariants(t *testing.T) {
 	if tim.BuildRefNsPerBlock <= 0 || tim.BuildNewNsPerBlock <= 0 {
 		t.Fatalf("timing did not run: %+v", tim)
 	}
+	// List scheduling permutes instructions within blocks: the same
+	// instructions run, in fewer cycles on these two programs.
+	if d.SimNSDynInstrs == 0 || d.SimLSDynInstrs != d.SimNSDynInstrs || d.SimLSCycles >= d.SimNSCycles {
+		t.Fatalf("simulator pass: ns %d instrs / %d cycles, ls %d / %d", d.SimNSDynInstrs, d.SimNSCycles, d.SimLSDynInstrs, d.SimLSCycles)
+	}
+	if tim.SimTimedNsPerInstr <= 0 || tim.SimTrainNsPerInstr <= 0 {
+		t.Fatalf("simulator timing did not run: %+v", tim)
+	}
 }

@@ -53,7 +53,7 @@ func timeline(m *Model, blocks [][]ir.Instr, issue func(s *IssueState, in *ir.In
 	var out []int
 	for bi, b := range blocks {
 		if bi > 0 {
-			s.AdvanceTo(s.Cycle() + m.TakenBranchBubble)
+			s.advance(m.TakenBranchBubble)
 		}
 		for i := range b {
 			out = append(out, issue(s, &b[i]))
@@ -125,7 +125,7 @@ func TestDecodedMatchesIssue(t *testing.T) {
 			var got []int
 			for bi := range decoded {
 				if bi > 0 {
-					s.AdvanceTo(s.Cycle() + m.TakenBranchBubble)
+					s.advance(m.TakenBranchBubble)
 				}
 				for i := range decoded[bi] {
 					got = append(got, s.IssueDecoded(&decoded[bi][i]))

@@ -16,14 +16,16 @@ import "schedfilter/internal/ir"
 //     every ready instruction and issues the winner, use this form.
 //   - IssueDecoded takes a record Decode resolved once.
 //   - IssueSegment takes a straight-line run of records DecodeSegment
-//     resolved once, and moves along the state's chained memo of whole
-//     normalized pipeline states when the transition has been taken
-//     before (segment.go). The whole-program timing simulator decodes
-//     each function's segments when a run starts (and again when a
-//     hot-swap replaces it), keeps one IssueState alive across basic
-//     blocks, and issues one segment per call, with AdvanceTo between.
-//     While it follows the memo only the cycle and the makespan are kept
-//     current, so the other forms must not be mixed with it.
+//     resolved once, with the taken-transfer bubble charged before it,
+//     and moves along the state's chained memo of whole normalized
+//     pipeline states when that transition has been taken before
+//     (segment.go). The whole-program timing simulator decodes each
+//     function's segments when a run starts (and again when a hot-swap
+//     replaces it), keeps one IssueState alive across basic blocks, and
+//     issues one segment per call, carrying the bubble of the transfer
+//     that reached it. While it follows the memo only the cycle and the
+//     makespan are kept current, so the other forms must not be mixed
+//     with it.
 //
 // Register ready times live in one flat slice of slots: the physical
 // registers at fixed offsets, then one slot per virtual register (guards
@@ -328,19 +330,6 @@ func (s *IssueState) issue(d *Decoded) (t, done int) {
 		}
 	}
 	return t, done
-}
-
-// AdvanceTo moves the issue clock forward to at least cycle t (used by the
-// whole-program simulator to charge branch bubbles between blocks).
-func (s *IssueState) AdvanceTo(t int) {
-	switch {
-	case t <= s.cycle:
-	case s.chain == nil:
-		s.cycle, s.nonBranch, s.branch = t, 0, 0
-	case !s.follow(s.cycle - t):
-		s.take(s.cycle - t)
-	}
-	s.makespan = max(s.makespan, t)
 }
 
 // Cycle returns the current issue cycle.

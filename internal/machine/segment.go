@@ -10,12 +10,12 @@ import (
 // Chained segment timing (after FastSim, Schnarr & Larus, ASPLOS 1998).
 // The whole-program simulator issues code in straight-line segments, from
 // a block entry or a call's return point through the next control
-// instruction, with a bubble (AdvanceTo) between some of them, and the
-// whole pipeline state takes only a few dozen distinct shapes over a run.
-// A state that issues segments therefore keeps one chained memo for the
-// run: a graph whose nodes are whole timing states normalized to their
-// issue cycle C, and whose edges are the transitions (a segment, or a
-// bubble of b cycles) taken from them.
+// instruction, each entered after the model's taken-branch bubble or
+// without one, and the whole pipeline state takes only a few dozen
+// distinct shapes over a run. A state that issues segments therefore
+// keeps one chained memo for the run: a graph whose nodes are whole
+// timing states normalized to their issue cycle C, and whose edges are
+// the transitions taken from them: a bubble or none, then a segment.
 //
 // A node holds the entry slot counts, the three-way order of IU1 against
 // IU2, max(0, v−C) for each unit and (slot, v−C) for each register slot
@@ -34,14 +34,15 @@ import (
 //
 // Two states with the same node thus issue every instruction of a segment
 // at the same offset from C, on the same unit, and reach the same node;
-// so do two states taking the same bubble. An edge stores the cycle
-// advance, the latest completion relative to C and the next node. A
-// segment lists the edges that issued it, one per entry node, and a node
-// lists the bubbles taken from it; each list remembers the edge it gave
-// last, which is nearly always the next one asked for. While the run
-// follows known edges only the cycle and the makespan move; the unit and
-// register times are materialized from the node, at the current cycle,
-// only when an edge is missing.
+// a bubble of b cycles moves both to C+b with empty slots, the same node
+// again. An edge stores the cycle advance, the latest completion relative
+// to C and the next node. Every edge is kept in one map keyed by
+// (segment, entry node, bubble or none), and the few that issued a
+// segment most recently are copied into a small set inline in the
+// segment, which the hit path scans without a call. While the run follows
+// known edges only the cycle and the makespan move; the unit and register
+// times are materialized from the node, at the current cycle, only when
+// an edge is missing.
 
 // Segment is a handle to a straight-line run of instructions decoded by
 // DecodeSegment. Like a Decoded record, it is only meaningful to the state
@@ -55,159 +56,204 @@ type Segment int32
 // issue cycle breaks the argument above.
 const nodeCap = 4096
 
+// ways is the size of a segment's inline edge set. Over every target and
+// bundled program, unscheduled and list-scheduled, a segment is entered
+// from at most six (node, bubble) pairs and nearly always from one of the
+// last four (TestChainBounded); a segment entered from more finds the
+// others in the map.
+const ways = 4
+
+// vacant is the key of an empty way: no state is at node nodeCap.
+const vacant = nodeCap << 1
+
 // chain is the decoded segments and the chained memo of a state that
 // issues segments.
 type chain struct {
-	// recs backs every segment's records; segs holds the record ranges
-	// DecodeSegment returned handles to.
-	recs []Decoded
-	segs []segment
+	// recs backs every segment's records; spans and sets hold, per
+	// handle DecodeSegment returned, the segment's record range and its
+	// inline edge set.
+	recs  []Decoded
+	spans []span
+	sets  []set
 	// at is the node the state is at: its unit and register times are
 	// those the node materializes at the current cycle, while the raw
 	// fields are stale. At -1 the raw fields hold the state.
 	at int32
+	// bubble is the model's taken-branch bubble, read when the chain
+	// was made.
+	bubble int
 	// closed is set when a record with a latency below one is decoded;
 	// no node is interned after that.
 	closed bool
-	nodes  []node
-	edges  []edge
+	nodes  []string
 	ids    map[string]int32
+	edges  map[transition]edge
 	// key is scratch for a normalized state.
 	key []byte
 }
 
-// segment is one decoded segment: its records recs[first:end] and the
-// edges that issued it.
-type segment struct {
-	first, end int32
-	out        edgeList
+// span is a segment's records, recs[first:end].
+type span struct{ first, end int32 }
+
+// set is a segment's inline edge set, one cache line: the edges that
+// issued the segment most recently, newest first, under their keys (see
+// wayKey). A way holds an edge whose advance and latest completion fit in
+// 32 bits; any other edge is only in the map.
+type set struct {
+	keys          [ways]uint32
+	next          [ways]int32
+	delta, latest [ways]int32
 }
 
-// node is one interned normalized state (see intern for the encoding) and
-// the bubbles taken from it.
-type node struct {
-	key     string
-	bubbles edgeList
+// wayKey packs a transition's entry node and whether it starts with the
+// bubble.
+func wayKey(from int32, taken bool) uint32 {
+	k := uint32(from) << 1
+	if taken {
+		k |= 1
+	}
+	return k
 }
 
-// edgeList is a list of edges linked by edge.sib from first, and the edge
-// the list gave most recently; both are -1 while it is empty.
-type edgeList struct{ first, last int32 }
+// transition names an edge in the chain's map.
+type transition struct {
+	seg   Segment
+	from  int32
+	taken bool
+}
 
-// edge is a transition taken from a node.
+// edge is where a transition leads: delta is the cycle advance and latest
+// the latest completion, both relative to the cycle the transition starts
+// at, and next the node it reaches.
 type edge struct {
-	// on is the segment handle, or -b for a bubble of b cycles.
-	on   int
-	from int32
-	next int32
-	// delta is the cycle advance and latest the latest completion, both
-	// relative to the cycle the transition starts at.
+	next          int32
 	delta, latest int
-	sib           int32
 }
 
 // DecodeSegment decodes ins, a straight-line run of instructions in issue
-// order, for IssueSegment. As with Decode, the model's timing is read now.
+// order, for IssueSegment. As with Decode, the model's timing is read now;
+// the taken-branch bubble is read when the state first decodes a segment.
 func (s *IssueState) DecodeSegment(ins []ir.Instr) Segment {
 	if s.chain == nil {
-		s.chain = &chain{at: -1, ids: map[string]int32{}}
+		s.chain = &chain{at: -1, bubble: s.m.TakenBranchBubble, ids: map[string]int32{}, edges: map[transition]edge{}}
 	}
 	ch := s.chain
-	g := segment{first: int32(len(ch.recs)), out: edgeList{-1, -1}}
+	g := span{first: int32(len(ch.recs))}
 	for i := range ins {
 		d := s.Decode(&ins[i])
 		ch.closed = ch.closed || d.class.latency < 1
 		ch.recs = append(ch.recs, d)
 	}
 	g.end = int32(len(ch.recs))
-	ch.segs = append(ch.segs, g)
-	return Segment(len(ch.segs) - 1)
+	ch.spans = append(ch.spans, g)
+	ch.sets = append(ch.sets, set{keys: [ways]uint32{vacant, vacant, vacant, vacant}})
+	return Segment(len(ch.spans) - 1)
 }
 
 // ChainSize returns the number of nodes and edges in the state's chained
-// memo.
-func (s *IssueState) ChainSize() (nodes, edges int) {
+// memo, and the largest number of distinct (entry node, bubble) pairs any
+// one segment was issued from.
+func (s *IssueState) ChainSize() (nodes, edges, entries int) {
 	if s.chain == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
-	return len(s.chain.nodes), len(s.chain.edges)
+	per := make(map[Segment]int)
+	for t := range s.chain.edges {
+		per[t.seg]++
+		entries = max(entries, per[t.seg])
+	}
+	return len(s.chain.nodes), len(s.chain.edges), entries
 }
 
-// IssueSegment issues the segment's instructions in order, with the same
-// cycle and makespan as calling IssueDecoded on each, following the
-// chained memo when the transition from the current state is known.
-func (s *IssueState) IssueSegment(h Segment) {
-	if !s.follow(int(h)) {
-		s.take(int(h))
+// IssueSegment issues the segment's instructions in order after a taken
+// control transfer, which first charges the model's taken-branch bubble,
+// or after none: the same cycle and makespan as moving the clock past the
+// bubble and calling IssueDecoded on each record. It moves along the
+// chained memo when the transition from the current state has been taken
+// before.
+func (s *IssueState) IssueSegment(h Segment, taken bool) {
+	if !s.FollowSegment(h, taken) {
+		s.take(h, taken)
 	}
 }
 
-// follow takes the known edge for transition on from the current node
-// and reports whether there was one.
-func (s *IssueState) follow(on int) bool {
+// FollowSegment is IssueSegment when the transition is in the segment's
+// inline edge set, and otherwise does nothing; it reports which. It is
+// small enough to inline, so a caller that issues many segments calls it
+// and IssueSegment only when it reports false.
+func (s *IssueState) FollowSegment(h Segment, taken bool) bool {
 	ch := s.chain
-	at := ch.at
-	if at < 0 {
+	w := &ch.sets[h]
+	k := uint32(ch.at) << 1 // wayKey, written out to stay inlinable
+	if taken {
+		k++
+	}
+	for i := range ways {
+		if w.keys[i] == k {
+			s.makespan = max(s.makespan, s.cycle+int(w.latest[i]))
+			s.cycle += int(w.delta[i])
+			ch.at = w.next[i]
+			return true
+		}
+	}
+	return false
+}
+
+// follow takes the edge for (h, taken) from node from, which the state is
+// at, if the map holds one, and reports whether it did. The edge becomes
+// the newest in the segment's inline set.
+func (s *IssueState) follow(h Segment, from int32, taken bool) bool {
+	ch := s.chain
+	e, ok := ch.edges[transition{h, from, taken}]
+	if !ok {
 		return false
 	}
-	l := ch.list(at, on)
-	e := l.last
-	if e < 0 || ch.edges[e].from != at || ch.edges[e].on != on {
-		if e = ch.find(l, at, on); e < 0 {
-			return false
-		}
-		l.last = e
-	}
-	x := &ch.edges[e]
-	s.makespan = max(s.makespan, s.cycle+x.latest)
-	s.cycle += x.delta
-	ch.at = x.next
+	ch.sets[h].add(wayKey(from, taken), e)
+	s.makespan = max(s.makespan, s.cycle+e.latest)
+	s.cycle += e.delta
+	ch.at = e.next
 	return true
 }
 
-// list returns the list that holds the edge for transition on from node
-// at, if there is one.
-func (ch *chain) list(at int32, on int) *edgeList {
-	if on >= 0 {
-		return &ch.segs[on].out
+// add puts edge e under key k first in the set, dropping the oldest way,
+// when e fits in a way.
+func (w *set) add(k uint32, e edge) {
+	if e.delta != int(int32(e.delta)) || e.latest != int(int32(e.latest)) {
+		return
 	}
-	return &ch.nodes[at].bubbles
+	copy(w.keys[1:], w.keys[:ways-1])
+	copy(w.next[1:], w.next[:ways-1])
+	copy(w.delta[1:], w.delta[:ways-1])
+	copy(w.latest[1:], w.latest[:ways-1])
+	w.keys[0], w.next[0], w.delta[0], w.latest[0] = k, e.next, int32(e.delta), int32(e.latest)
 }
 
-// find returns l's edge for transition on from node at, or -1.
-func (ch *chain) find(l *edgeList, at int32, on int) int32 {
-	e := l.first
-	for e >= 0 && (ch.edges[e].from != at || ch.edges[e].on != on) {
-		e = ch.edges[e].sib
-	}
-	return e
-}
-
-// take makes transition on (see edge.on) when follow could not: it
-// materializes the current node, or interns the raw state, issues the
-// transition from the raw state, and records the edge while the node cap
-// allows.
-func (s *IssueState) take(on int) {
+// take makes the transition (h, taken) when the segment's inline set does
+// not hold it: it follows the edge from the map when there is one;
+// otherwise it materializes the current node, or interns the raw state,
+// issues the bubble and the segment from the raw state, and records the
+// edge while the node cap allows.
+func (s *IssueState) take(h Segment, taken bool) {
 	ch := s.chain
 	from := ch.at
-	if from >= 0 {
-		s.materialize(ch.nodes[from].key)
-	} else if len(ch.nodes) < nodeCap && !ch.closed {
-		// The raw state may be a known node with a known edge.
-		if ch.at = s.intern(); s.follow(on) {
+	switch {
+	case from >= 0:
+		if s.follow(h, from, taken) {
 			return
 		}
-		from = ch.at
+		s.materialize(ch.nodes[from])
+	case len(ch.nodes) < nodeCap && !ch.closed:
+		// The raw state may be a known node with a known edge.
+		if from = s.intern(); s.follow(h, from, taken) {
+			return
+		}
 	}
 	c := s.cycle
-	var latest int
-	if on >= 0 {
-		latest = s.issueRecs(ch.segs[on])
-	} else {
-		latest = c - on
-		s.cycle, s.nonBranch, s.branch = latest, 0, 0
-		s.makespan = max(s.makespan, latest)
+	if taken {
+		s.advance(ch.bubble)
 	}
+	start := s.cycle
+	latest := max(start, s.issueRecs(ch.spans[h]))
 	ch.at = -1
 	if from < 0 || ch.closed {
 		return
@@ -216,11 +262,20 @@ func (s *IssueState) take(on int) {
 	if to < 0 {
 		return
 	}
-	l := ch.list(from, on)
-	ch.edges = append(ch.edges, edge{on: on, from: from, next: to, delta: s.cycle - c, latest: latest - c, sib: l.first})
-	l.first = int32(len(ch.edges) - 1)
-	l.last = l.first
+	e := edge{next: to, delta: s.cycle - c, latest: latest - c}
+	ch.edges[transition{h, from, taken}] = e
+	ch.sets[h].add(wayKey(from, taken), e)
 	ch.at = to
+}
+
+// advance charges a bubble of b cycles to the raw state: when b is
+// positive the clock moves on by b, with every slot of the new cycle
+// free.
+func (s *IssueState) advance(b int) {
+	if b > 0 {
+		s.cycle, s.nonBranch, s.branch = s.cycle+b, 0, 0
+		s.makespan = max(s.makespan, s.cycle)
+	}
 }
 
 // intern returns the node of the raw state, adding it when it is new, or
@@ -252,7 +307,7 @@ func (s *IssueState) intern() int32 {
 	id := int32(len(ch.nodes))
 	key := string(k)
 	ch.ids[key] = id
-	ch.nodes = append(ch.nodes, node{key: key, bubbles: edgeList{-1, -1}})
+	ch.nodes = append(ch.nodes, key)
 	return id
 }
 
@@ -294,7 +349,7 @@ func (s *IssueState) materialize(node string) {
 
 // issueRecs issues the segment's records one at a time and returns the
 // latest completion cycle among them.
-func (s *IssueState) issueRecs(g segment) int {
+func (s *IssueState) issueRecs(g span) int {
 	latest := 0
 	for i := g.first; i < g.end; i++ {
 		_, done := s.issue(&s.chain.recs[i])

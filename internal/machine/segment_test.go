@@ -12,20 +12,24 @@ import (
 )
 
 // wideLatencyModel returns a model whose floating-point divide is far
-// longer than any target's, so that normalized states hold large offsets.
+// longer than any target's, so that normalized states hold large offsets,
+// and whose taken-branch bubble is longer too.
 func wideLatencyModel() *Model {
 	m := NewMPC7410()
 	m.Name = "wide-latency"
 	m.Timing[ir.FDIV].Latency = 300
+	m.TakenBranchBubble = 3
 	return m
 }
 
 // zeroLatencyModel returns a model, one Validate refuses, whose simple
-// integer ops finish in the cycle they issue and hold their unit for it:
-// IssueSegment must still match issuing one record at a time.
+// integer ops finish in the cycle they issue and hold their unit for it,
+// and whose taken transfers cost no bubble: IssueSegment must still match
+// issuing one record at a time.
 func zeroLatencyModel() *Model {
 	m := NewMPC7410()
 	m.Name = "zero-latency"
+	m.TakenBranchBubble = 0
 	for _, op := range []ir.Op{ir.ADD, ir.ADDI, ir.LI, ir.SUB, ir.MR} {
 		m.Timing[op] = OpTiming{Latency: 0}
 	}
@@ -160,7 +164,7 @@ func clone(s *IssueState) *IssueState {
 	c.virt = maps.Clone(s.virt)
 	c.operands = slices.Clip(s.operands)
 	if ch := s.chain; ch != nil && ch.at >= 0 {
-		c.materialize(ch.nodes[ch.at].key)
+		c.materialize(ch.nodes[ch.at])
 	}
 	c.chain = nil
 	return &c
@@ -174,7 +178,7 @@ func clone(s *IssueState) *IssueState {
 // and the two integer units in the same order.
 func stateDiff(got, want *IssueState) string {
 	if ch := got.chain; ch != nil && ch.at >= 0 {
-		got.materialize(ch.nodes[ch.at].key)
+		got.materialize(ch.nodes[ch.at])
 	}
 	c := want.cycle
 	switch gu, wu := got.unitFree, want.unitFree; {
@@ -201,23 +205,28 @@ func stateDiff(got, want *IssueState) string {
 	return ""
 }
 
-// issueOne issues segment h of s's chain on want one record at a time.
-func issueOne(s, want *IssueState, h Segment) {
-	g := s.chain.segs[h]
+// issueOne charges a taken transfer's bubble to want, then issues segment
+// h of s's chain on it one record at a time.
+func issueOne(s, want *IssueState, taken bool, h Segment) {
+	if taken {
+		want.advance(want.m.TakenBranchBubble)
+	}
+	g := s.chain.spans[h]
 	for i := g.first; i < g.end; i++ {
 		want.IssueDecoded(&s.chain.recs[i])
 	}
 }
 
+// randomTaken reports a taken transfer one time in three.
+func randomTaken(r *rand.Rand) bool { return r.Intn(3) == 0 }
+
 // checkSegments decodes segs into one state and checks IssueSegment
 // against the same records issued one at a time by IssueDecoded, in two
-// ways. First, each segment is issued from several independent random
-// entry states, and from a twin of the first: a different raw state with
-// the same normalized form, which must follow the edge the first added.
-// Then a fresh state runs a random sequence of segments and bubbles that
-// mostly repeats a short cycle of transitions, so that the chain is
-// followed far more often than it grows, and is compared with a twin
-// issued by IssueDecoded and AdvanceTo after every step.
+// ways. First, each segment is issued, after a bubble or none, from
+// several independent random entry states, and from a twin of the first:
+// a different raw state with the same normalized form, which must follow
+// the edge the first added. Then checkSequence runs sequences of
+// transitions.
 func checkSegments(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 	t.Helper()
 	s := NewIssueState(m)
@@ -225,13 +234,13 @@ func checkSegments(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 	for i, seg := range segs {
 		hs[i] = s.DecodeSegment(seg)
 	}
-	issue := func(h Segment, label string) {
+	issue := func(taken bool, h Segment, label string) {
 		t.Helper()
 		want := clone(s)
-		issueOne(s, want, h)
-		s.IssueSegment(h)
+		issueOne(s, want, taken, h)
+		s.IssueSegment(h, taken)
 		if d := stateDiff(s, want); d != "" {
-			t.Fatalf("%s: segment %d (%v), %s issue: %s", m.Name, h, segs[h], label, d)
+			t.Fatalf("%s: taken %v, segment %d (%v), %s issue: %s", m.Name, taken, h, segs[h], label, d)
 		}
 	}
 	twin := NewIssueState(m)
@@ -239,19 +248,20 @@ func checkSegments(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 	for _, h := range hs {
 		for k := range 4 {
 			randomEntry(r, s)
+			taken := randomTaken(r)
 			if k > 0 {
-				issue(h, "random")
+				issue(taken, h, "random")
 				continue
 			}
 			twinEntry(r, s, twin)
-			issue(h, "first")
-			_, edges := s.ChainSize()
+			issue(taken, h, "first")
+			_, edges, _ := s.ChainSize()
 			s.cycle, s.nonBranch, s.branch, s.makespan = twin.cycle, twin.nonBranch, twin.branch, twin.makespan
 			s.unitFree = twin.unitFree
 			copy(s.slots(), twin.slots())
 			s.chain.at = -1
-			issue(h, "twin")
-			if _, now := s.ChainSize(); now != edges {
+			issue(taken, h, "twin")
+			if _, now, _ := s.ChainSize(); now != edges {
 				t.Fatalf("%s: segment %d (%v): twin state added an edge", m.Name, h, segs[h])
 			}
 		}
@@ -259,7 +269,20 @@ func checkSegments(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 	checkSequence(t, r, m, segs)
 }
 
-// checkSequence runs the sequence half of checkSegments.
+// step is one transition: a taken transfer's bubble or none, then a
+// segment.
+type step struct {
+	taken bool
+	seg   Segment
+}
+
+// checkSequence decodes segs into a fresh state and runs 300 transitions
+// that mostly repeat a short cycle, so that the chain is followed far more
+// often than it grows, with random and cold entry states dropped in, and
+// compares the state after every step with a twin issued by IssueDecoded. Half the cycles are hub cycles: one segment
+// entered from up to eight others in turn, more entry states than a
+// segment's inline edge set holds, so that ways are evicted and found
+// again in the map.
 func checkSequence(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 	t.Helper()
 	s := NewIssueState(m)
@@ -267,38 +290,43 @@ func checkSequence(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 		s.DecodeSegment(seg)
 	}
 	want := clone(s)
-	// A transition is a segment handle, or -b for a bubble of b cycles.
-	random := func() int {
-		if r.Intn(4) == 0 {
-			return -1 - r.Intn(3)
+	random := func() step { return step{randomTaken(r), Segment(r.Intn(len(segs)))} }
+	var cycle []step
+	if r.Intn(2) == 0 {
+		cycle = make([]step, 1+r.Intn(8))
+		for i := range cycle {
+			cycle[i] = random()
 		}
-		return r.Intn(len(segs))
+	} else {
+		hub := Segment(r.Intn(len(segs)))
+		for range 1 + r.Intn(2*ways) {
+			cycle = append(cycle, random(), step{randomTaken(r), hub})
+		}
 	}
-	cycle := make([]int, 1+r.Intn(8))
-	for i := range cycle {
-		cycle[i] = random()
-	}
-	var done []int
-	for step := range 300 {
-		on := cycle[step%len(cycle)]
+	var done []step
+	for i := range 300 {
+		x := cycle[i%len(cycle)]
 		switch r.Intn(16) {
 		case 0:
-			on = random()
+			x = random()
 		case 1:
 			randomEntry(r, s)
 			want = clone(s)
 			done = done[:0]
+		case 2:
+			// A cold pipeline: the state a run starts from, whose node
+			// the chain interns first.
+			s.cycle, s.nonBranch, s.branch, s.makespan, s.unitFree = 0, 0, 0, 0, [NumUnits]int{}
+			clear(s.slots())
+			s.chain.at = -1
+			want = clone(s)
+			done = done[:0]
 		}
-		if on >= 0 {
-			issueOne(s, want, Segment(on))
-			s.IssueSegment(Segment(on))
-		} else {
-			want.AdvanceTo(want.Cycle() - on)
-			s.AdvanceTo(s.Cycle() - on)
-		}
-		done = append(done, on)
+		issueOne(s, want, x.taken, x.seg)
+		s.IssueSegment(x.seg, x.taken)
+		done = append(done, x)
 		if d := stateDiff(s, want); d != "" {
-			t.Fatalf("%s: after transitions %v (a segment, or -b for a bubble of b cycles): %s", m.Name, done, d)
+			t.Fatalf("%s: after transitions %v ({taken segment}): %s", m.Name, done, d)
 		}
 	}
 }
@@ -331,14 +359,68 @@ func TestIssueSegmentMemoBounded(t *testing.T) {
 		// and so does the state the segment leaves.
 		randomEntry(r, s)
 		want := clone(s)
-		issueOne(s, want, h)
-		s.IssueSegment(h)
+		issueOne(s, want, false, h)
+		s.IssueSegment(h, false)
 		if d := stateDiff(s, want); d != "" {
 			t.Fatal(d)
 		}
 	}
-	if nodes, _ := s.ChainSize(); nodes != nodeCap {
+	if nodes, _, _ := s.ChainSize(); nodes != nodeCap {
 		t.Errorf("chain holds %d nodes, want the cap %d", nodes, nodeCap)
+	}
+}
+
+// TestIssueSegmentInlineOverflow enters one segment from twice as many
+// entry states as its inline edge set holds, in turn, so that every entry
+// misses the set and is found in the map: the issue must stay exact and
+// the chain must stop growing after the first round.
+func TestIssueSegmentInlineOverflow(t *testing.T) {
+	m := NewMPC7410()
+	s := NewIssueState(m)
+	hub := s.DecodeSegment([]ir.Instr{{Op: ir.ADD, Defs: []ir.Reg{ir.GPR(20)}, Uses: []ir.Reg{ir.GPR(21), ir.GPR(22)}}})
+	var steps []step
+	for i := range 2 * ways {
+		// A load into a different register each time leaves a
+		// different node behind it.
+		pre := s.DecodeSegment([]ir.Instr{{Op: ir.LD, Defs: []ir.Reg{ir.GPR(3 + i)}, Uses: []ir.Reg{ir.GPR(1)}}})
+		steps = append(steps, step{true, pre}, step{i%2 == 0, hub})
+	}
+	want := clone(s)
+	var edges int
+	for round := range 4 {
+		for _, x := range steps {
+			issueOne(s, want, x.taken, x.seg)
+			s.IssueSegment(x.seg, x.taken)
+			if d := stateDiff(s, want); d != "" {
+				t.Fatalf("round %d, %v: %s", round, x, d)
+			}
+		}
+		_, n, entries := s.ChainSize()
+		if entries < 2*ways {
+			t.Fatalf("hub entered from %d (node, bubble) pairs, want at least %d", entries, 2*ways)
+		}
+		if round > 1 && n != edges {
+			t.Fatalf("round %d added %d edges to a repeating run", round, n-edges)
+		}
+		edges = n
+	}
+}
+
+// TestIssueSegmentEmptyWays reaches a node through an edge, then issues
+// a segment whose inline set is still empty from it: an empty segment
+// leaves a cold pipeline at the cold node, the first the chain interns,
+// and the empty ways must not pass for edges from it.
+func TestIssueSegmentEmptyWays(t *testing.T) {
+	s := NewIssueState(NewMPC7410())
+	empty := s.DecodeSegment(nil)
+	add := s.DecodeSegment([]ir.Instr{{Op: ir.ADD, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(4), ir.GPR(5)}}})
+	want := clone(s)
+	for _, x := range []step{{false, empty}, {false, empty}, {false, add}} {
+		issueOne(s, want, x.taken, x.seg)
+		s.IssueSegment(x.seg, x.taken)
+		if d := stateDiff(s, want); d != "" {
+			t.Fatalf("%v: %s", x, d)
+		}
 	}
 }
 

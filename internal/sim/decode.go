@@ -15,7 +15,9 @@ type instr struct {
 	// immediate; for BC the set of compare results that take the branch
 	// (bit cmp+1 for cmp in {-1, 0, 1}).
 	imm int64
-	op  ir.Op
+	// op is the opcode, or a fused opcode (see pairs) when this record
+	// and the next execute as one.
+	op ir.Op
 	// a, b and c are the register numbers the opcode reads (Uses[0..2]),
 	// d the one it writes (Defs[0]), each in the register file the
 	// opcode names. Decoding checks that every one is physical.
@@ -82,10 +84,11 @@ func physReg(r ir.Reg, class byte) (uint8, error) {
 }
 
 // decode puts fns in dispatch form into code (one entry per function),
-// backed by two allocations. A timed run also decodes each straight-line
-// segment through its issue state, which gives each virtual register one
-// ready slot program-wide. Calls may name any function in ex.code. A
-// malformed instruction, reachable or not, fails the decode.
+// backed by two allocations, with opcode pairs fused unless ex.unfused.
+// A timed run also decodes each straight-line segment through its issue
+// state, which gives each virtual register one ready slot program-wide.
+// Calls may name any function in ex.code. A malformed instruction,
+// reachable or not, fails the decode.
 func (ex *executor) decode(fns []*ir.Fn, code []fnCode) error {
 	nInstrs, nBlocks := 0, 0
 	for _, f := range fns {
@@ -116,6 +119,9 @@ func (ex *executor) decode(fns []*ir.Fn, code []fnCode) error {
 				for j := 0; j < len(code); j += int(code[j].seg) {
 					code[j].timing = ex.issue.DecodeSegment(b.Instrs[j : j+int(code[j].seg)])
 				}
+			}
+			if !ex.unfused {
+				fuse(code)
 			}
 			blocks[bi] = code
 		}
@@ -197,4 +203,74 @@ func segments(code []instr) []instr {
 		}
 	}
 	return code
+}
+
+// Fused opcodes (superoperators, after Proebsting, POPL 1995): a record
+// whose op is one of these executes itself as pairs[op-fused].first and
+// the next record of its block as pairs[op-fused].second, in one dispatch.
+// The second record stays in place, so return points, counts and segment
+// lengths are those of the unfused code.
+const (
+	nullcheckLD = fused + iota
+	ldBoundscheck
+	boundscheckADDI
+	cmpBC
+	mrB
+	liADD
+	addMR
+	addiLDX
+	ldLD
+	ldNullcheck
+	addiLD
+)
+
+// fused is the first fused opcode, just past the real ones.
+const fused = ir.Op(ir.NumOps)
+
+// pairs are the fused opcodes' halves: the adjacent pairs most frequent
+// in the bundled programs' executions, weighted by block counts, under
+// the unscheduled and the list-scheduled order, at the default and the
+// training compile options (docs/perf.md lists their shares). No pair
+// contains BL or BLR, and only a second half is a control instruction, so
+// a pair never spans a segment boundary or a return point.
+var pairs = [...]struct{ first, second ir.Op }{
+	nullcheckLD - fused:     {ir.NULLCHECK, ir.LD},
+	ldBoundscheck - fused:   {ir.LD, ir.BOUNDSCHECK},
+	boundscheckADDI - fused: {ir.BOUNDSCHECK, ir.ADDI},
+	cmpBC - fused:           {ir.CMP, ir.BC},
+	mrB - fused:             {ir.MR, ir.B},
+	liADD - fused:           {ir.LI, ir.ADD},
+	addMR - fused:           {ir.ADD, ir.MR},
+	addiLDX - fused:         {ir.ADDI, ir.LDX},
+	ldLD - fused:            {ir.LD, ir.LD},
+	ldNullcheck - fused:     {ir.LD, ir.NULLCHECK},
+	addiLD - fused:          {ir.ADDI, ir.LD},
+}
+
+// fusedOf maps an opcode pair to its fused opcode, or to 0.
+var fusedOf = func() (m [ir.NumOps][ir.NumOps]ir.Op) {
+	for i, p := range pairs {
+		m[p.first][p.second] = fused + ir.Op(i)
+	}
+	return m
+}()
+
+// fuse gives each pair in a block's decoded code, taken left to right,
+// its fused opcode in the first record, and returns the code.
+func fuse(code []instr) []instr {
+	for j := 0; j+1 < len(code); j++ {
+		if f := fusedOf[code[j].op][code[j+1].op]; f != 0 {
+			code[j].op = f
+			j++
+		}
+	}
+	return code
+}
+
+// unfuse restores a record's own opcode, for a step limit that cuts a
+// pair between its halves.
+func unfuse(d *instr) {
+	if d.op >= fused {
+		d.op = pairs[d.op-fused].first
+	}
 }

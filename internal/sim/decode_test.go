@@ -158,6 +158,45 @@ func TestTrapMidSegment(t *testing.T) {
 	}
 }
 
+// TestFusedPairCutAndTrap runs fused pairs where they end early: a step
+// limit between the halves of li+add runs the li alone, and a null check
+// that traps after the load it is fused with leaves the load done. Each
+// run must match the unfused run in error, counts and final state.
+func TestFusedPairCutAndTrap(t *testing.T) {
+	cut := buildProg([]*ir.Block{{Instrs: []ir.Instr{
+		{Op: ir.LI, Defs: []ir.Reg{ir.GPR(4)}, Imm: 5},
+		{Op: ir.ADD, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(4), ir.GPR(4)}},
+		{Op: ir.BLR, Uses: []ir.Reg{ir.GPR(3)}},
+	}}})
+	trap := buildProg([]*ir.Block{{Instrs: []ir.Instr{
+		{Op: ir.LD, Defs: []ir.Reg{ir.GPR(5)}, Uses: []ir.Reg{ir.GPR(2)}, Imm: 0},
+		{Op: ir.LI, Defs: []ir.Reg{ir.GPR(6)}, Imm: 9},
+		{Op: ir.LD, Defs: []ir.Reg{ir.GPR(6)}, Uses: []ir.Reg{ir.GPR(2)}, Imm: 1},
+		{Op: ir.NULLCHECK, Uses: []ir.Reg{ir.GPR(6)}},
+		{Op: ir.BLR},
+	}}})
+	m := machine.Default().Model
+	for _, tc := range []struct {
+		name string
+		p    *ir.Program
+		cfg  Config
+		err  string
+		reg  int
+		want int64
+	}{
+		{"limit", cut, Config{StepLimit: 1, Timed: true, Model: m}, "sim: step limit (1) exceeded in main", 4, 5},
+		{"trap", trap, Config{Timed: true, Model: m}, "sim: null pointer in main", 6, 0},
+	} {
+		got := runOutcome(tc.p, tc.cfg, variant{})
+		if got.err != tc.err || got.final.Regs[tc.reg] != tc.want {
+			t.Errorf("%s: error %q and r%d = %d, want %q and %d", tc.name, got.err, tc.reg, got.final.Regs[tc.reg], tc.err, tc.want)
+		}
+		if d := got.diff(runOutcome(tc.p, tc.cfg, variant{unfused: true})); d != "" {
+			t.Errorf("%s: fused against unfused: %s", tc.name, d)
+		}
+	}
+}
+
 // TestExecBlockRefusesMalformed checks that the block oracle decodes
 // through the same checks as a run.
 func TestExecBlockRefusesMalformed(t *testing.T) {

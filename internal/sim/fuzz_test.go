@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"schedfilter/internal/blockgen"
@@ -102,13 +105,71 @@ func fuzzProgram(data []byte) (*ir.Program, Config) {
 	return p, cfg
 }
 
+// unchained returns an issue state for m whose chained memo is stopped
+// before a run decodes anything, so that it issues every segment record
+// by record: decoding a record whose latency is below one cycle stops the
+// memo, so the state first decodes a NOP under a copy of m in which NOP
+// takes no cycles, then restores the copy's NOP timing.
+func unchained(m *machine.Model) *machine.IssueState {
+	cp := *m
+	s := machine.NewIssueState(&cp)
+	cp.Timing[ir.NOP].Latency = 0
+	s.DecodeSegment([]ir.Instr{{Op: ir.NOP}})
+	cp.Timing[ir.NOP] = m.Timing[ir.NOP]
+	return s
+}
+
+// outcome is everything a run reports: its result or error, and the
+// architectural state it ends in.
+type outcome struct {
+	res   *Result
+	err   string
+	final State
+}
+
+// runOutcome runs p in the form v and collects its outcome.
+func runOutcome(p *ir.Program, cfg Config, v variant) outcome {
+	var o outcome
+	v.final = &o.final
+	res, _, err := run(p, cfg, v)
+	o.res = res
+	if err != nil {
+		o.err = err.Error()
+	}
+	return o
+}
+
+// diff describes the first difference between two outcomes, or is "".
+func (o outcome) diff(w outcome) string {
+	switch {
+	case o.err != w.err:
+		return fmt.Sprintf("error %q, want %q", o.err, w.err)
+	case !reflect.DeepEqual(o.res, w.res):
+		return fmt.Sprintf("result %+v, want %+v", o.res, w.res)
+	case !o.final.Equal(&w.final) || !slices.Equal(o.final.out, w.final.out):
+		return "final states differ"
+	}
+	return ""
+}
+
 // FuzzRun runs programs built from fuzz input: whatever the input, a run
 // must not panic, and it either returns a result or refuses with an
-// error and no result.
+// error and no result. The run must also match, in its result (return
+// value, counts, profiles, cycles), its error text and its final state,
+// the same program run with every record decoded on its own (no fused
+// pairs) and, when timed, issued record by record (no chained memo).
 func FuzzRun(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 3, 0, 7, 0, 0, 3, 0, 255, 1})
 	f.Add([]byte{2, 3, 2, 1, 9, 1, 2, 0, 5, 1, 2, 3, 1, 2, 1, 4, 2, 40, 0, 3, 4, 1, 2, 9, 0, 0, 2, 2, 30, 1})
+	// Timed runs whose step limit falls between the halves of a fused
+	// pair.
+	f.Add([]byte{0x36, 0x91, 0xcc, 0x57, 0x1c, 0xf7, 0x61, 0x40, 0x35, 0x3b, 0xb9, 0x7d, 0xa2, 0xcb, 0x7b, 0x7, 0x80, 0x59, 0x2d, 0xf9, 0x1, 0xad, 0x4b})
+	f.Add([]byte{0x6a, 0x30, 0xa8, 0x6f, 0x21, 0xd5, 0xe7, 0xae, 0xaf, 0xf9, 0xb5, 0x13, 0xd, 0x14, 0x64, 0x8, 0xd5, 0xed, 0xcb, 0xe0, 0x4c, 0xc6, 0x88, 0x7e, 0xca, 0x50, 0xb8, 0x44, 0x54, 0x78, 0x46, 0x3b, 0x72, 0x37, 0xd0, 0xb3, 0xc7, 0x1e, 0xff, 0x7b, 0x18, 0xd5, 0x36, 0xee, 0xfd, 0x24, 0xcf, 0xab, 0xa, 0x20})
+	// Runs, untimed and timed, that trap in the second half of a fused
+	// pair.
+	f.Add([]byte{0xf9, 0xc9, 0x26, 0x36, 0x7c, 0x18, 0x41, 0xf7, 0x1f, 0xcd, 0x14, 0xd4, 0x91, 0x58, 0x4a, 0x60, 0xd7, 0x9b, 0x3b, 0x5e, 0xc0, 0x21, 0xd})
+	f.Add([]byte{0x7e, 0x84, 0xdd, 0x5, 0xdd, 0xd0, 0x42, 0x27, 0x9, 0x49, 0x7e, 0xed, 0x34, 0x45, 0x39, 0x66, 0x74, 0x99, 0x44, 0x2b, 0x3e, 0x97, 0xe, 0xdd, 0xee, 0x6a, 0x17, 0xa0, 0x5, 0xc4, 0x67, 0x7a, 0x90, 0x92})
 	for seed := range int64(16) {
 		r := rand.New(rand.NewSource(seed))
 		data := make([]byte, 64)
@@ -117,9 +178,21 @@ func FuzzRun(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, cfg := fuzzProgram(data)
-		res, err := Run(p, cfg)
-		if (err == nil) != (res != nil) {
-			t.Fatalf("got result %v with error %v", res != nil, err)
+		got := runOutcome(p, cfg, variant{})
+		if (got.err == "") != (got.res != nil) {
+			t.Fatalf("got result %v with error %q", got.res != nil, got.err)
+		}
+		if d := got.diff(runOutcome(p, cfg, variant{unfused: true})); d != "" {
+			t.Fatalf("fused against unfused: %s", d)
+		}
+		if cfg.Timed {
+			issue := unchained(cfg.Model)
+			if d := got.diff(runOutcome(p, cfg, variant{issue: issue})); d != "" {
+				t.Fatalf("chained against unchained: %s", d)
+			}
+			if nodes, _, _ := issue.ChainSize(); nodes != 0 {
+				t.Fatalf("unchained run interned %d nodes", nodes)
+			}
 		}
 	})
 }

@@ -52,7 +52,12 @@ func (ex *executor) sample(curFn int) error {
 		ExecCounts: copyCounts(ex.res.ExecCounts),
 	}
 	if ex.issue != nil {
+		// A taken transfer's bubble is charged when the next segment
+		// issues; the snapshot counts it now, as the makespan then will.
 		snap.Cycles = int64(ex.issue.Makespan())
+		if ex.taken {
+			snap.Cycles = max(snap.Cycles, int64(ex.issue.Cycle()+ex.bubble))
+		}
 	}
 	for _, sw := range ex.onSample(snap) {
 		if sw.NewFn != nil && sw.Fn >= 0 && sw.Fn < len(ex.p.Fns) {

@@ -9,23 +9,31 @@
 // loop walks: per block, a slice of records (decode.go), each holding the
 // opcode, the register numbers it reads and writes, its immediate, and its
 // branch target or callee. Decoding checks every instruction, so a
-// malformed program is refused with an error before it runs. The loop
-// executes every opcode, control transfers included, from one switch on
-// the record. Timed and untimed runs share that loop. Control runs in
-// straight-line segments, from a block entry or a call's return point
-// through the next control instruction; the loop re-fetches the function
-// and block only on a control transfer, and counts executed instructions
-// once per segment. In a timed run the first record of each segment also
-// holds the segment's handle in the run's machine.IssueState, which
-// applies the same issue rules the scheduler's estimator does, one
-// segment per call. The state keeps a per-run chained memo of whole
-// pipeline states normalized to the issue cycle (machine/segment.go):
-// a segment or bubble already taken from the current state only moves
-// the cycle and the makespan, which are all a run reads. Decoding is per
-// run, from the run's Model, because Model.Timing is mutable; a
-// hot-swapped function is decoded when it is installed, and its new
-// segment handles start with no edges. ExecBlock runs a single block
-// through the same loop, so each opcode's semantics is written once.
+// malformed program is refused with an error before it runs, and then
+// fuses the most frequent adjacent opcode pairs: the first record of a
+// pair carries a fused opcode whose case runs both halves, reading the
+// second half's operands from the next record, which stays in place. The
+// loop executes every opcode, fused pairs and control transfers included,
+// from one switch on the record. Timed and untimed runs share that loop.
+// Control runs in straight-line segments, from a block entry or a call's
+// return point through the next control instruction; no pair crosses
+// one's end. The loop re-fetches the function and block only on a
+// control transfer, and counts executed instructions once per segment.
+// In a timed run the first record of each segment also holds the
+// segment's handle in the run's machine.IssueState, which applies the
+// same issue rules the scheduler's estimator does, one segment per call.
+// A taken transfer's bubble is charged by the issue of the segment it
+// reaches, as part of that transition. The state keeps a per-run chained
+// memo of whole pipeline states normalized to the issue cycle
+// (machine/segment.go): a transition already taken from the current
+// state, found in a small edge set inline in the segment, only moves the
+// cycle and the makespan, which are all a run reads. Decoding is per run,
+// from the run's Model, because Model.Timing is mutable; a hot-swapped
+// function is decoded when it is installed, and its new segment handles
+// start with no edges. ExecBlock runs a single block through the same
+// loop, so each opcode's semantics is written once for single records; a
+// fused case repeats its two halves' statements, and FuzzRun checks every
+// run against the same run with no pairs fused.
 //
 // Simplifications versus real silicon, documented per the paper's own
 // argument that only relative block timings matter: no caches (every load
@@ -228,12 +236,25 @@ type frame struct {
 
 // Run executes the program from its entry function.
 func Run(p *ir.Program, cfg Config) (*Result, error) {
-	res, _, err := run(p, cfg)
+	res, _, err := run(p, cfg, variant{})
 	return res, err
 }
 
-// run is Run, also returning a timed run's issue state.
-func run(p *ir.Program, cfg Config) (*Result, *machine.IssueState, error) {
+// variant holds the forms of a run that only tests ask for; the zero
+// value is the run Run makes.
+type variant struct {
+	// unfused decodes no opcode pairs (see fuse).
+	unfused bool
+	// issue, when set, is the timed run's issue state in place of a new
+	// one for cfg.Model.
+	issue *machine.IssueState
+	// final, when set, receives a copy of the architectural state the
+	// run ends in, failed or not.
+	final *State
+}
+
+// run is Run in the form v, also returning a timed run's issue state.
+func run(p *ir.Program, cfg Config, v variant) (*Result, *machine.IssueState, error) {
 	limit := cfg.StepLimit
 	if limit <= 0 {
 		limit = 1 << 33
@@ -243,7 +264,10 @@ func run(p *ir.Program, cfg Config) (*Result, *machine.IssueState, error) {
 		if cfg.Model == nil {
 			return nil, nil, fmt.Errorf("sim: timed run requires a model")
 		}
-		issue = machine.NewIssueState(cfg.Model)
+		issue = v.issue
+		if issue == nil {
+			issue = machine.NewIssueState(cfg.Model)
+		}
 	}
 	if cfg.SampleEvery > 0 && cfg.OnSample == nil {
 		return nil, nil, fmt.Errorf("sim: SampleEvery requires an OnSample hook")
@@ -264,13 +288,16 @@ func run(p *ir.Program, cfg Config) (*Result, *machine.IssueState, error) {
 	// Layout: globals at GlobalBase, heap after, stack at the top.
 	st := runState(cfg.MemWords)
 	defer st.release()
+	if v.final != nil {
+		defer func() { *v.final = *st.Clone() }()
+	}
 	st.heapPtr = int64(GlobalBase + p.Globals)
 	st.Regs[2] = GlobalBase
 	st.Regs[1] = int64(len(st.Mem))
 
-	ex := &executor{p: p, st: st, res: res, issue: issue, limit: limit,
-		bubble: 1, nextCheck: math.MaxInt64, nextSample: math.MaxInt64}
-	if cfg.Model != nil {
+	ex := &executor{p: p, st: st, res: res, issue: issue, limit: limit, unfused: v.unfused,
+		nextCheck: math.MaxInt64, nextSample: math.MaxInt64}
+	if issue != nil {
 		ex.bubble = cfg.Model.TakenBranchBubble
 	}
 	if ctx := cfg.Context; ctx != nil && ctx.Done() != nil {
@@ -323,7 +350,13 @@ type executor struct {
 	issue  *machine.IssueState
 	frames []frame
 	limit  int64
+	// bubble is the model's taken-branch bubble; taken is set from a
+	// taken control transfer until the issue of the segment it reaches
+	// charges its bubble.
 	bubble int
+	taken  bool
+	// unfused is set when decode fuses no opcode pairs.
+	unfused bool
 
 	// nextPoll is the instruction count at which the next block entry
 	// runs poll: the earlier of the next context check and the next
@@ -364,14 +397,17 @@ func (ex *executor) poll(curFn int) error {
 // Control runs in straight-line segments: from a block entry or a call's
 // return point up to and including the next control instruction. A
 // segment's instructions are counted, the step limit tested and, in a
-// timed run, the whole segment issued, when it starts. A limit that falls
-// inside the segment runs only the instructions up to the limit; a trap
-// or a limit inside it leaves the count and the timing overstated, which
-// no caller sees, since the run fails.
+// timed run, the whole segment issued, when it starts. A taken transfer's
+// bubble is not charged when the transfer runs: the issue of the segment
+// it reaches charges it, as part of that segment's transition. A limit
+// that falls inside the segment runs only the instructions up to the
+// limit, and only the first half of a fused pair it cuts; a trap or a
+// limit inside it leaves the count and the timing overstated, which no
+// caller sees, since the run fails.
 func (ex *executor) callAndRun(fnIdx int) error {
 	baseDepth := len(ex.frames)
 	ex.frames = append(ex.frames, frame{fn: -1}) // sentinel: return to runtime
-	st, res, issue := ex.st, ex.res, ex.issue
+	st, res := ex.st, ex.res
 	st.Regs[1] -= int64(ex.code[fnIdx].fn.FrameSlots)
 
 	fn, blk, idx := fnIdx, ex.code[fnIdx].fn.Entry, 0
@@ -393,14 +429,22 @@ transfer:
 		n := 0
 		if len(seg) > 0 {
 			n = int(seg[0].seg)
-			if issue != nil {
-				issue.IssueSegment(seg[0].timing)
+			if issue := ex.issue; issue != nil && !issue.FollowSegment(seg[0].timing, ex.taken) {
+				issue.IssueSegment(seg[0].timing, ex.taken)
 			}
 		}
 		seg = seg[:min(int64(n), ex.limit-res.DynInstrs)]
+		if k := len(seg); k < n && k > 0 {
+			// The run ends with this segment, so its code may change:
+			// a pair the limit cuts runs only its first half.
+			unfuse(&seg[k-1])
+		}
 		res.DynInstrs += int64(len(seg))
+		ex.taken = false
 
-		for i := range seg {
+		// The index is unsigned so that the loop condition alone bounds
+		// it: a fused pair steps it twice.
+		for i := uint(0); i < uint(len(seg)); i++ {
 			d := &seg[i]
 			switch d.op {
 			case ir.NOP, ir.YIELDPOINT, ir.TSPOINT:
@@ -544,15 +588,109 @@ transfer:
 			case ir.RTPRINTF:
 				st.out = append(st.out, "f:"+strconv.FormatFloat(st.FRegs[d.a], 'g', 12, 64))
 
+			// A fused pair (see pairs) repeats the statements of its
+			// two halves, the first on d, the second on the next
+			// record, e, which the loop then steps over. A pair that
+			// ends in a branch falls through into the branch's case.
+			case nullcheckLD:
+				if st.Regs[d.a] == 0 {
+					return &Trap{Fn: c.fn.Name, Kind: "null pointer"}
+				}
+				i++
+				e := &seg[i]
+				addr := st.Regs[e.a] + e.imm
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.Regs[e.d] = int64(st.Mem[addr])
+			case ldBoundscheck:
+				addr := st.Regs[d.a] + d.imm
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.Regs[d.d] = int64(st.Mem[addr])
+				i++
+				e := &seg[i]
+				if st.Regs[e.a] < 0 || st.Regs[e.a] >= st.Regs[e.b] {
+					return &Trap{Fn: c.fn.Name, Kind: "index out of bounds"}
+				}
+			case boundscheckADDI:
+				if st.Regs[d.a] < 0 || st.Regs[d.a] >= st.Regs[d.b] {
+					return &Trap{Fn: c.fn.Name, Kind: "index out of bounds"}
+				}
+				i++
+				e := &seg[i]
+				st.Regs[e.d] = st.Regs[e.a] + e.imm
+			case liADD:
+				st.Regs[d.d] = d.imm
+				i++
+				e := &seg[i]
+				st.Regs[e.d] = st.Regs[e.a] + st.Regs[e.b]
+			case addMR:
+				st.Regs[d.d] = st.Regs[d.a] + st.Regs[d.b]
+				i++
+				e := &seg[i]
+				st.Regs[e.d] = st.Regs[e.a]
+			case addiLDX:
+				st.Regs[d.d] = st.Regs[d.a] + d.imm
+				i++
+				e := &seg[i]
+				addr := st.Regs[e.a] + st.Regs[e.b]
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.Regs[e.d] = int64(st.Mem[addr])
+			case ldLD:
+				addr := st.Regs[d.a] + d.imm
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.Regs[d.d] = int64(st.Mem[addr])
+				i++
+				e := &seg[i]
+				addr = st.Regs[e.a] + e.imm
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.Regs[e.d] = int64(st.Mem[addr])
+			case ldNullcheck:
+				addr := st.Regs[d.a] + d.imm
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.Regs[d.d] = int64(st.Mem[addr])
+				i++
+				e := &seg[i]
+				if st.Regs[e.a] == 0 {
+					return &Trap{Fn: c.fn.Name, Kind: "null pointer"}
+				}
+			case addiLD:
+				st.Regs[d.d] = st.Regs[d.a] + d.imm
+				i++
+				e := &seg[i]
+				addr := st.Regs[e.a] + e.imm
+				if !st.inMem(addr) {
+					return memTrap(c.fn.Name, "load", addr)
+				}
+				st.Regs[e.d] = int64(st.Mem[addr])
+
+			case mrB:
+				st.Regs[d.d] = st.Regs[d.a]
+				i++
+				d = &seg[i]
+				fallthrough
 			case ir.B:
-				blk, idx = int(d.tgt), 0
-				ex.chargeBubble()
+				blk, idx, ex.taken = int(d.tgt), 0, true
 				continue transfer
+			case cmpBC:
+				st.CRs[d.d] = sign(st.Regs[d.a] - st.Regs[d.b])
+				i++
+				d = &seg[i]
+				fallthrough
 			case ir.BC:
 				if d.imm>>uint8(st.CRs[d.a]+1)&1 != 0 {
 					res.TakenCounts[fn][blk]++
-					blk = int(d.tgt)
-					ex.chargeBubble()
+					blk, ex.taken = int(d.tgt), true
 				} else {
 					blk = int(d.alt)
 				}
@@ -560,7 +698,7 @@ transfer:
 				continue transfer
 			case ir.BL:
 				callee := ex.code[d.tgt].fn
-				fr := frame{fn: fn, blk: blk, idx: idx + i + 1}
+				fr := frame{fn: fn, blk: blk, idx: idx + int(i) + 1}
 				fr.regs = st.Regs
 				fr.fregs = st.FRegs
 				fr.crs = st.CRs
@@ -569,8 +707,7 @@ transfer:
 				if st.Regs[1] <= st.heapPtr {
 					return &Trap{Fn: callee.Name, Kind: "stack overflow"}
 				}
-				fn, blk, idx = int(d.tgt), callee.Entry, 0
-				ex.chargeBubble()
+				fn, blk, idx, ex.taken = int(d.tgt), callee.Entry, 0, true
 				continue transfer
 			case ir.BLR:
 				fr := ex.frames[len(ex.frames)-1]
@@ -595,8 +732,7 @@ transfer:
 				} else {
 					st.Regs[3] = retI
 				}
-				fn, blk, idx = fr.fn, fr.blk, fr.idx
-				ex.chargeBubble()
+				fn, blk, idx, ex.taken = fr.fn, fr.blk, fr.idx, true
 				continue transfer
 			}
 		}
@@ -604,12 +740,6 @@ transfer:
 			return fmt.Errorf("sim: step limit (%d) exceeded in %s", ex.limit, c.fn.Name)
 		}
 		return fmt.Errorf("sim: control ran off the end of %s block %d", c.fn.Name, blk)
-	}
-}
-
-func (ex *executor) chargeBubble() {
-	if ex.issue != nil && ex.bubble > 0 {
-		ex.issue.AdvanceTo(ex.issue.Cycle() + ex.bubble)
 	}
 }
 
@@ -674,7 +804,7 @@ func ExecBlock(st *State, b *ir.Block) error {
 	}
 	code[len(b.Instrs)].op = ir.BLR
 	ex := &executor{
-		code:     []fnCode{{fn: &ir.Fn{Name: "block"}, blocks: [][]instr{segments(code)}}},
+		code:     []fnCode{{fn: &ir.Fn{Name: "block"}, blocks: [][]instr{fuse(segments(code))}}},
 		st:       st,
 		res:      &Result{ExecCounts: [][]int64{{0}}},
 		limit:    math.MaxInt64,

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -325,6 +326,65 @@ func TestFloatReturnPreservesIntReturnRegister(t *testing.T) {
 	}
 	if res.Ret != 42 {
 		t.Errorf("ret = %d, want 42 (r3 must survive a float-returning call)", res.Ret)
+	}
+}
+
+// TestSnapshotsChargePendingBubble samples timed runs at every block
+// entry. A block entered by a taken transfer has its bubble charged only
+// when its first segment issues, after the sample; each snapshot must
+// still count it. The snapshots (instructions, cycles), the last one the
+// result, must equal those of a run issued record by record, and those
+// recorded from a simulator that charged the bubble at the transfer.
+func TestSnapshotsChargePendingBubble(t *testing.T) {
+	loop := buildProg([]*ir.Block{
+		{ID: 0, Instrs: []ir.Instr{
+			{Op: ir.LI, Defs: []ir.Reg{ir.GPR(3)}, Imm: 100},
+			{Op: ir.LI, Defs: []ir.Reg{ir.GPR(4)}, Imm: 6},
+			{Op: ir.B, Target: 1},
+		}, Succs: []int{1}},
+		{ID: 1, Instrs: []ir.Instr{
+			{Op: ir.DIVW, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(3), ir.GPR(4)}},
+			{Op: ir.ADDI, Defs: []ir.Reg{ir.GPR(4)}, Uses: []ir.Reg{ir.GPR(4)}, Imm: -1},
+			{Op: ir.CMPI, Defs: []ir.Reg{ir.CR(0)}, Uses: []ir.Reg{ir.GPR(4)}, Imm: 0},
+			{Op: ir.BC, Uses: []ir.Reg{ir.CR(0)}, Imm: ir.CondGT, Target: 1},
+		}, Succs: []int{1, 2}},
+		{ID: 2, Instrs: []ir.Instr{{Op: ir.BLR, Uses: []ir.Reg{ir.GPR(3)}}}},
+	})
+	type snap struct{ dyn, cycles int64 }
+	pinned := map[string][]snap{
+		"mpc7410/loop":     {{3, 1}, {7, 20}, {11, 39}, {15, 58}, {19, 77}, {23, 96}, {27, 115}, {28, 116}},
+		"mpc7410/call":     {{3, 2}, {8, 6}, {10, 8}},
+		"scalar603/loop":   {{3, 3}, {7, 22}, {11, 41}, {15, 60}, {19, 79}, {23, 98}, {27, 117}, {28, 118}},
+		"scalar603/call":   {{3, 3}, {8, 9}, {10, 11}},
+		"scalar1/loop":     {{3, 3}, {7, 22}, {11, 41}, {15, 60}, {19, 79}, {23, 98}, {27, 117}, {28, 118}},
+		"scalar1/call":     {{3, 3}, {8, 9}, {10, 11}},
+		"wide4/loop":       {{3, 1}, {7, 20}, {11, 39}, {15, 58}, {19, 77}, {23, 96}, {27, 115}, {28, 116}},
+		"wide4/call":       {{3, 2}, {8, 6}, {10, 8}},
+		"test-narrow/loop": {{3, 2}, {7, 6}, {11, 10}, {15, 14}, {19, 18}, {23, 22}, {27, 26}, {28, 27}},
+		"test-narrow/call": {{3, 3}, {8, 7}, {10, 9}},
+	}
+	for _, tg := range machine.All() {
+		for name, p := range map[string]*ir.Program{"loop": loop, "call": callProg()} {
+			snaps := func(issue *machine.IssueState) (out []snap) {
+				cfg := Config{Timed: true, Model: tg.Model, SampleEvery: 1, OnSample: func(s *Snapshot) []FnSwap {
+					out = append(out, snap{s.DynInstrs, s.Cycles})
+					return nil
+				}}
+				res, _, err := run(p, cfg, variant{issue: issue})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return append(out, snap{res.DynInstrs, res.Cycles})
+			}
+			key := tg.Name + "/" + name
+			got := snaps(nil)
+			if want := snaps(unchained(tg.Model)); !slices.Equal(got, want) {
+				t.Errorf("%s: snapshots %v, want those of the unchained run, %v", key, got, want)
+			}
+			if want := pinned[key]; !slices.Equal(got, want) {
+				t.Errorf("%s: snapshots %v, want %v", key, got, want)
+			}
+		}
 	}
 }
 
