@@ -318,7 +318,7 @@ func BenchmarkSchedulingPassLS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := jit.Compile(mod, jit.DefaultOptions())
+	prog, err := jit.Compile(mod, jit.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func BenchmarkSuperblockScheduling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := jit.Compile(mod, jit.DefaultOptions())
+	prog, err := jit.Compile(mod, jit.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

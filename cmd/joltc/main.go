@@ -47,19 +47,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	opt := jolt.Options{UnrollFactor: *unroll}
 	if *dump == "ast" {
-		prog, err := jolt.Parse(string(src))
+		tree, err := jolt.Dump(string(src), opt)
 		if err != nil {
 			fatal(err)
 		}
-		if *unroll >= 2 {
-			jolt.Unroll(prog, *unroll)
-		}
-		fmt.Print(jolt.PrintProgram(prog))
+		fmt.Print(tree)
 		return
 	}
 
-	mod, err := jolt.CompileWithOptions(string(src), jolt.Options{UnrollFactor: *unroll})
+	mod, err := jolt.Compile(string(src), opt)
 	if err != nil {
 		fatal(err)
 	}
@@ -69,9 +67,7 @@ func main() {
 	case "bytecode":
 		fmt.Print(mod.String())
 	case "ir":
-		opts := jit.DefaultOptions()
-		opts.Inline = *inline
-		prog, err := jit.Compile(mod, opts)
+		prog, err := jit.Compile(mod, jit.Options{NoInline: !*inline})
 		if err != nil {
 			fatal(err)
 		}

@@ -167,8 +167,7 @@ func main() int {
 	// The adaptive run: cheap size filter in the optimized tier (a real
 	// JIT would ship an induced one — see ExampleTrainFilter).
 	cfg := schedfilter.DefaultAdaptiveConfig(m, schedfilter.SizeFilter(8))
-	cfg.Module = mod // recompile promoted functions from bytecode
-	cfg.JIT = schedfilter.DefaultJITOptions()
+	cfg.Module = mod       // recompile promoted functions from bytecode
 	cfg.SampleEvery = 2000 // the demo program is small; sample eagerly
 	res, err := schedfilter.ExecuteAdaptive(prog, cfg)
 	if err != nil {

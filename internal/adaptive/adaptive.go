@@ -43,7 +43,6 @@ import (
 
 	"schedfilter/internal/bytecode"
 	"schedfilter/internal/ir"
-	"schedfilter/internal/jit"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/sim"
@@ -62,8 +61,6 @@ type Config struct {
 	// without it, it clones the baseline machine code before scheduling
 	// it.
 	Module *bytecode.Module
-	// JIT configures recompilation when Module is set.
-	JIT jit.Options
 	// SampleEvery is the profile sampling period in executed
 	// instructions (default 25000).
 	SampleEvery int64

@@ -98,7 +98,6 @@ func TestAdaptivePreservesSemantics(t *testing.T) {
 		res, err := Run(prog, Config{
 			Model:       m,
 			Module:      mod,
-			JIT:         training.DefaultOptions().JIT,
 			SampleEvery: 5000,
 		})
 		if err != nil {
@@ -199,7 +198,6 @@ func TestAdaptiveRunDeterministic(t *testing.T) {
 	cfg := Config{
 		Model:       machine.Default().Model,
 		Module:      mod,
-		JIT:         training.DefaultOptions().JIT,
 		SampleEvery: 5000,
 	}
 	var runs [2]*Result

@@ -97,7 +97,7 @@ func (c *controller) estSpent(fi int, fn *ir.Fn, counts []int64) int64 {
 // active function, so it is discarded in favour of the clone.
 func (c *controller) recompile(base *ir.Fn) *ir.Fn {
 	if c.cfg.Module != nil {
-		nf, err := jit.CompileFn(c.cfg.Module, base.Name, c.cfg.JIT)
+		nf, err := jit.CompileFn(c.cfg.Module, base.Name, jit.Options{})
 		if err == nil && len(nf.Blocks) == len(base.Blocks) {
 			return nf
 		}

@@ -43,6 +43,10 @@ func (f *Fn) String() string {
 	return b.String()
 }
 
+// InitFnName names the function the front end synthesizes to store global
+// initializers; runtimes execute it (if present) before main.
+const InitFnName = "$init"
+
 // Module is a compiled program: globals plus functions. Execution starts
 // at the function named "main", which takes no parameters and returns int.
 type Module struct {

@@ -131,7 +131,6 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 			Model:  r.cfg.Model,
 			Policy: f,
 			Module: mod,
-			JIT:    r.cfg.CompileOpts.JIT,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: adaptive run: %w", bd.Name, err)

@@ -63,9 +63,6 @@ type OnlineResult struct {
 // the sample cap is sized so no reservoir eviction happens (eviction
 // order would depend on measurement-worker scheduling).
 func RunOnline(cfg Config) (*OnlineResult, error) {
-	if cfg.CompileOpts.JIT == (jit.Options{}) {
-		cfg = DefaultConfig()
-	}
 	target := machine.DefaultTargetName
 	t := 20
 	mgr, err := online.NewManager(online.Config{

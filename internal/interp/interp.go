@@ -62,7 +62,7 @@ func Run(m *bytecode.Module, limit int64) (*Result, error) {
 	vm := &machine{m: m, glob: make([]uint64, len(m.Globals)), heap: make([]array, 1), limit: limit}
 	// Run the synthesized global-initializer function, if any, before
 	// main (the bytecode has no data segment).
-	if ii := m.FnIndex("$init"); ii >= 0 {
+	if ii := m.FnIndex(bytecode.InitFnName); ii >= 0 {
 		if _, err := vm.call(m.Fns[ii], nil); err != nil {
 			return nil, err
 		}

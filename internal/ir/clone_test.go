@@ -16,11 +16,11 @@ func compiled(tb testing.TB) map[string]*ir.Program {
 	tb.Helper()
 	out := map[string]*ir.Program{}
 	for _, w := range workloads.All() {
-		mod, err := jolt.Compile(w.Source)
+		mod, err := jolt.Compile(w.Source, jolt.Options{})
 		if err != nil {
 			tb.Fatalf("%s: %v", w.Name, err)
 		}
-		p, err := jit.Compile(mod, jit.DefaultOptions())
+		p, err := jit.Compile(mod, jit.Options{})
 		if err != nil {
 			tb.Fatalf("%s: %v", w.Name, err)
 		}

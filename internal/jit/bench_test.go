@@ -29,7 +29,7 @@ func workloadModules(tb testing.TB, unroll int) []*bytecode.Module {
 func compileAll(tb testing.TB, mods []*bytecode.Module) int {
 	n := 0
 	for _, mod := range mods {
-		prog, err := Compile(mod, DefaultOptions())
+		prog, err := Compile(mod, Options{})
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -189,7 +189,7 @@ func TestFuzzPipelineDifferential(t *testing.T) {
 	m := machine.Default().Model
 	for seed := int64(0); seed < int64(trials); seed++ {
 		src := generateProgram(seed)
-		mod, err := jolt.CompileWithOptions(src, jolt.Options{UnrollFactor: int(seed % 5)})
+		mod, err := jolt.Compile(src, jolt.Options{UnrollFactor: int(seed % 5)})
 		if err != nil {
 			t.Fatalf("seed %d: front end rejected generated program: %v\n%s", seed, err, src)
 		}
@@ -197,7 +197,7 @@ func TestFuzzPipelineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: interp: %v\n%s", seed, err, src)
 		}
-		prog, err := Compile(mod, DefaultOptions())
+		prog, err := Compile(mod, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: jit: %v\n%s", seed, err, src)
 		}
@@ -226,85 +226,12 @@ func TestFuzzPipelineDifferential(t *testing.T) {
 	}
 }
 
-// TestPeepholeShrinksAndPreserves: the peephole pass must remove copies
-// and never change behaviour — checked over the fuzzer population and all
-// bundled workloads' differential path.
-func TestPeepholeShrinksAndPreserves(t *testing.T) {
-	totalRemoved := 0
-	for seed := int64(0); seed < 60; seed++ {
-		src := generateProgram(seed)
-		mod, err := jolt.Compile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := interp.Run(mod, 1<<24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := DefaultOptions()
-		opts.Peephole = true
-		prog, err := Compile(mod, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sim.Run(prog, sim.Config{StepLimit: 1 << 24})
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, src)
-		}
-		if got.Ret != want.Ret {
-			t.Fatalf("seed %d: peephole changed result %d -> %d\n%s", seed, want.Ret, got.Ret, src)
-		}
-
-		plain, err := Compile(mod, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := plain.NumInstrs() - prog.NumInstrs(); d > 0 {
-			totalRemoved += d
-		} else if d < 0 {
-			t.Fatalf("seed %d: peephole grew the program by %d", seed, -d)
-		}
-	}
-	if totalRemoved == 0 {
-		t.Error("peephole removed nothing across 60 programs")
-	}
-	t.Logf("peephole removed %d instructions across the population", totalRemoved)
-}
-
-// TestPeepholeOnScheduledWorkload drives the pass through a real workload
-// with scheduling on top.
-func TestPeepholeOnScheduledWorkload(t *testing.T) {
-	m := machine.Default().Model
-	src := programs["sort"]
-	mod, err := jolt.Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := interp.Run(mod, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Peephole = true
-	prog, err := Compile(mod, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.Apply(m, prog, policy.Always{}, core.Pass{})
-	got, err := sim.Run(prog, sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Ret != want.Ret {
-		t.Errorf("peephole+LS changed result: %d vs %d", got.Ret, want.Ret)
-	}
-}
-
-// FuzzCompile feeds Jolt source through the front end and the JIT.
-// Whatever the source, nothing panics; a module the JIT refuses comes back
-// as an error and no program; and accepted output holds no virtual int,
-// float or condition register. The corpus is seeded from the random
-// program generator and the lowering gauntlet.
+// FuzzCompile feeds Jolt source through the front end (lex, parse,
+// check, codegen) and the JIT. Whatever the source, nothing panics; a
+// program either stage refuses comes back as an error and no output; and
+// accepted output holds no virtual int, float or condition register. The
+// corpus is seeded from the random program generator, the lowering
+// gauntlet, and number literals at and past the edges of their range.
 func FuzzCompile(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(generateProgram(seed), uint8(seed%5))
@@ -312,12 +239,21 @@ func FuzzCompile(f *testing.F) {
 	for _, name := range []string{"calls", "recursion", "globals", "floats", "arrays"} {
 		f.Add(programs[name], uint8(0))
 	}
+	for _, lit := range []string{"9223372036854775807", "9223372036854775808", "0009", "1e309", "1e-400", "2e-324"} {
+		f.Add("func main() int { print("+lit+"); return 0; }", uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, src string, unroll uint8) {
-		mod, err := jolt.CompileWithOptions(src, jolt.Options{UnrollFactor: int(unroll % 5)})
+		mod, err := jolt.Compile(src, jolt.Options{UnrollFactor: int(unroll % 5)})
 		if err != nil {
+			if mod != nil {
+				t.Fatalf("jolt.Compile returned a module along with %v", err)
+			}
 			return
 		}
-		prog, err := Compile(mod, DefaultOptions())
+		if mod == nil {
+			t.Fatal("jolt.Compile returned neither a module nor an error")
+		}
+		prog, err := Compile(mod, Options{})
 		if err != nil {
 			if prog != nil {
 				t.Fatalf("Compile returned a program along with %v", err)

@@ -91,9 +91,8 @@ var goldenOptions = []struct {
 	name string
 	opts Options
 }{
-	{"default", DefaultOptions()},
-	{"noinline", Options{}},
-	{"peephole", Options{Inline: true, InlineLimits: DefaultInlineLimits(), Peephole: true}},
+	{"default", Options{}},
+	{"noinline", Options{NoInline: true}},
 }
 
 // goldenWorkloads pins the digest of every bundled workload, compiled at
@@ -103,89 +102,63 @@ var goldenOptions = []struct {
 var goldenWorkloads = map[string]uint64{
 	"compress/u0/default":   0xb21ed8ee70c220ad,
 	"compress/u0/noinline":  0x245b0c7ad4719f3f,
-	"compress/u0/peephole":  0x530f6e2de45041ff,
 	"compress/u4/default":   0x5c17ea0414b46039,
 	"compress/u4/noinline":  0x81622644915976a3,
-	"compress/u4/peephole":  0x5ec8527158c6d69d,
 	"jess/u0/default":       0x21a0aa3a66a476f2,
 	"jess/u0/noinline":      0x5372c444fdf6fe32,
-	"jess/u0/peephole":      0xfdf93b0a6af1537e,
 	"jess/u4/default":       0x960233b6d516ff75,
 	"jess/u4/noinline":      0x140957f14f08a6bf,
-	"jess/u4/peephole":      0xe78718e69b85c537,
 	"db/u0/default":         0xf6d9f88cc07460a9,
 	"db/u0/noinline":        0x3f0bf02b9d708b56,
-	"db/u0/peephole":        0x036c7648ff3754ab,
 	"db/u4/default":         0x7b6155b435ec0f25,
 	"db/u4/noinline":        0x4cb3bd05da33dde7,
-	"db/u4/peephole":        0xfc6b4f9ccdbb7ab0,
 	"javac/u0/default":      0x857b3814f1178201,
 	"javac/u0/noinline":     0x1e13d110ff594fb4,
-	"javac/u0/peephole":     0x163422f7beb54ca7,
 	"javac/u4/default":      0x3491d0995558effd,
 	"javac/u4/noinline":     0x1e98678096c143f6,
-	"javac/u4/peephole":     0xaef615e2cada538b,
 	"mpegaudio/u0/default":  0x2bd471b93ff7f0df,
 	"mpegaudio/u0/noinline": 0x02c3e7f9c438c7f0,
-	"mpegaudio/u0/peephole": 0x62f841f7c48a1a03,
 	"mpegaudio/u4/default":  0xe74fbab24129554b,
 	"mpegaudio/u4/noinline": 0x893af8a78a6ef525,
-	"mpegaudio/u4/peephole": 0x912c0d277b4df287,
 	"raytrace/u0/default":   0xc9b310295ec8f094,
 	"raytrace/u0/noinline":  0x9dd61ded5bd3b063,
-	"raytrace/u0/peephole":  0x3c82e34e0f858822,
 	"raytrace/u4/default":   0xe56573a016921ea7,
 	"raytrace/u4/noinline":  0xb2f442930cf4813b,
-	"raytrace/u4/peephole":  0x5b181c8782b7bfc6,
 	"jack/u0/default":       0x39e2a9e6937838f8,
 	"jack/u0/noinline":      0xc29c02f22a369906,
-	"jack/u0/peephole":      0x3884bdb27045e43b,
 	"jack/u4/default":       0x0b0c19486f7e6c09,
 	"jack/u4/noinline":      0xc49c4c324c396ed3,
-	"jack/u4/peephole":      0xa6e3c948ff139b69,
 	"linpack/u0/default":    0x08e3afa273cee806,
 	"linpack/u0/noinline":   0x99002f864854dff0,
-	"linpack/u0/peephole":   0x28eee1752ac4baf6,
 	"linpack/u4/default":    0x536f77e94a4ff68b,
 	"linpack/u4/noinline":   0x15780410bdf0b6b9,
-	"linpack/u4/peephole":   0x009d821d8bcab10e,
 	"power/u0/default":      0xc10aaf938813be95,
 	"power/u0/noinline":     0x6bd343c8f34f4598,
-	"power/u0/peephole":     0xfe186b6fc896c930,
 	"power/u4/default":      0xc8b5c61c44091cf4,
 	"power/u4/noinline":     0x858b99c0a432fd3e,
-	"power/u4/peephole":     0xf48736875f591707,
 	"bh/u0/default":         0x115fa7d4e953b6f3,
 	"bh/u0/noinline":        0x0fdfcc9b415367e5,
-	"bh/u0/peephole":        0x775a6bc0b4b1fb85,
 	"bh/u4/default":         0x3aa4a2d3b9b3f78e,
 	"bh/u4/noinline":        0x473563bcd4a45d79,
-	"bh/u4/peephole":        0x6ec8241692a39f59,
 	"voronoi/u0/default":    0xf68a86dd53b7bf47,
 	"voronoi/u0/noinline":   0x1b07816c1c2d29e3,
-	"voronoi/u0/peephole":   0xada8bb439f9bc97c,
 	"voronoi/u4/default":    0x4dd77a7e326ce66a,
 	"voronoi/u4/noinline":   0x07d1a508627a9130,
-	"voronoi/u4/peephole":   0x020982b0fc21a8e5,
 	"aes/u0/default":        0x8513bb6e3291476e,
 	"aes/u0/noinline":       0x7813d80d94992de6,
-	"aes/u0/peephole":       0xcfd9c531694176ce,
 	"aes/u4/default":        0x60f81fd1503aba22,
 	"aes/u4/noinline":       0x1824c1059ccda65e,
-	"aes/u4/peephole":       0x917ab43235465869,
 	"scimark/u0/default":    0xafccd8aee67cf2a9,
 	"scimark/u0/noinline":   0x54bb3d72401bd007,
-	"scimark/u0/peephole":   0x8a0e06a91ce96016,
 	"scimark/u4/default":    0xb8691662b7a5b0ce,
 	"scimark/u4/noinline":   0xca580ce350cff8d6,
-	"scimark/u4/peephole":   0x9111296d1e28cceb,
 }
 
 // goldenGenerated is the digest over the first goldenSeeds generated
-// programs (unroll seed%5, option set seed%3), folded in seed order.
+// programs (unroll seed%5, option set seed%2), folded in seed order.
 const (
 	goldenSeeds     = 200
-	goldenGenerated = uint64(0xd88427afb1fc1c7d)
+	goldenGenerated = uint64(0x9f463c9260dcb699)
 )
 
 // TestGoldenDigests pins the JIT's output, bit for bit, over the bundled
@@ -216,11 +189,11 @@ func TestGoldenDigests(t *testing.T) {
 	all := digester{h: fnv.New64a()}
 	for seed := int64(0); seed < goldenSeeds; seed++ {
 		src := generateProgram(seed)
-		mod, err := jolt.CompileWithOptions(src, jolt.Options{UnrollFactor: int(seed % 5)})
+		mod, err := jolt.Compile(src, jolt.Options{UnrollFactor: int(seed % 5)})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		prog, err := Compile(mod, goldenOptions[seed%3].opts)
+		prog, err := Compile(mod, goldenOptions[seed%int64(len(goldenOptions))].opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -256,7 +229,7 @@ func TestCompileFnMatchesCompile(t *testing.T) {
 			}
 		}
 	}
-	if _, err := CompileFn(&bytecode.Module{}, "nope", DefaultOptions()); err == nil {
+	if _, err := CompileFn(&bytecode.Module{}, "nope", Options{}); err == nil {
 		t.Error("CompileFn of a missing function: want an error")
 	}
 }

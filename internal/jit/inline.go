@@ -2,35 +2,30 @@ package jit
 
 import "schedfilter/internal/bytecode"
 
-// InlineLimits mirror the paper's aggressive OptOpt inlining settings: a
-// maximum callee size of 30 bytecode instructions, a maximum inlining depth
-// of 6, and an upper bound of 7x on the caller's expansion.
-type InlineLimits struct {
-	MaxCalleeSize int
-	MaxDepth      int
-	MaxExpansion  int
-}
+// The paper's aggressive OptOpt inlining settings (section 3.1): a
+// maximum callee size of 30 bytecode instructions, a maximum inlining
+// depth of 6, and an upper bound of 7x on the caller's expansion.
+const (
+	maxCalleeSize  = 30
+	maxInlineDepth = 6
+	maxExpansion   = 7
+)
 
-// DefaultInlineLimits are the settings quoted in the paper (section 3.1).
-func DefaultInlineLimits() InlineLimits {
-	return InlineLimits{MaxCalleeSize: 30, MaxDepth: 6, MaxExpansion: 7}
-}
-
-// Inline performs bytecode-level inlining over the whole module, in place,
-// and returns the number of call sites inlined. Each of the MaxDepth
+// inline performs bytecode-level inlining over the whole module, in place,
+// and returns the number of call sites inlined. Each of the maxInlineDepth
 // passes inlines eligible direct calls (callee small enough, not the
 // caller itself, caller still under its expansion budget), so nested
 // inlining deepens by at most one level per pass.
-func Inline(m *bytecode.Module, lim InlineLimits) int {
+func inline(m *bytecode.Module) int {
 	origSize := make(map[*bytecode.Fn]int, len(m.Fns))
 	for _, f := range m.Fns {
 		origSize[f] = len(f.Code)
 	}
 	total := 0
-	for depth := 0; depth < lim.MaxDepth; depth++ {
+	for depth := 0; depth < maxInlineDepth; depth++ {
 		did := 0
 		for fi, f := range m.Fns {
-			did += inlinePass(m, f, fi, lim, origSize[f])
+			did += inlinePass(m, f, fi, origSize[f])
 		}
 		total += did
 		if did == 0 {
@@ -47,8 +42,8 @@ func Inline(m *bytecode.Module, lim InlineLimits) int {
 // it belong to the next depth level. The new code is then built in one
 // pass, with every original branch target rebased by the growth of the
 // splices before it.
-func inlinePass(m *bytecode.Module, f *bytecode.Fn, fi int, lim InlineLimits, origSize int) int {
-	budget := origSize * lim.MaxExpansion
+func inlinePass(m *bytecode.Module, f *bytecode.Fn, fi int, origSize int) int {
+	budget := origSize * maxExpansion
 	var sites []int
 	size := len(f.Code)
 	// shift[pc] is how far original instruction pc moves: the growth of
@@ -61,7 +56,7 @@ func inlinePass(m *bytecode.Module, f *bytecode.Fn, fi int, lim InlineLimits, or
 			continue
 		}
 		callee := m.Fns[in.A]
-		if len(callee.Code) > lim.MaxCalleeSize || size+len(callee.Code) > budget {
+		if len(callee.Code) > maxCalleeSize || size+len(callee.Code) > budget {
 			continue
 		}
 		sites = append(sites, pc)

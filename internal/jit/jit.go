@@ -7,30 +7,20 @@ import (
 	"schedfilter/internal/ir"
 )
 
-// Options configure a compilation.
+// Options configure a compilation. The zero value is the paper's OptOpt
+// configuration (section 3.1): aggressive bytecode inlining under the
+// limits in inline.go.
 type Options struct {
-	// Inline enables the bytecode inliner.
-	Inline bool
-	// InlineLimits applies when Inline is set; zero value means
-	// DefaultInlineLimits.
-	InlineLimits InlineLimits
-	// Peephole enables post-allocation copy propagation and dead-copy
-	// elimination. Off by default: the headline experiments measure the
-	// straightforward lowering.
-	Peephole bool
-}
-
-// DefaultOptions mirror the paper's OptOpt configuration with aggressive
-// inlining.
-func DefaultOptions() Options {
-	return Options{Inline: true, InlineLimits: DefaultInlineLimits()}
+	// NoInline turns the bytecode inliner off, so the lowering sees the
+	// module as written.
+	NoInline bool
 }
 
 // Compile translates a verified bytecode module into machine IR. The
 // resulting program has physical registers everywhere (except scheduling
 // guards) and is ready for the scheduling protocols and the simulator.
 func Compile(mod *bytecode.Module, opts Options) (*ir.Program, error) {
-	if opts.Inline {
+	if !opts.NoInline {
 		// Without inlining, front's check of mod is the input check.
 		if err := bytecode.Verify(mod); err != nil {
 			return nil, fmt.Errorf("jit: input module invalid: %w", err)
@@ -53,16 +43,13 @@ func Compile(mod *bytecode.Module, opts Options) (*ir.Program, error) {
 		return nil, err
 	}
 	prog.Entry = entry
-	if opts.Peephole {
-		Peephole(prog)
-	}
 	return prog, nil
 }
 
 // CompileFn recompiles the single named function through the same
-// pipeline as Compile (inlining, lowering, register allocation, optional
-// peephole) and returns its machine code — the per-function entry point
-// the adaptive optimization system's background compiler uses. With
+// pipeline as Compile (inlining, lowering, register allocation) and
+// returns its machine code — the per-function entry point the adaptive
+// optimization system's background compiler uses. With
 // inlining on, the input module is not re-verified: Compile already
 // verified it when the baseline tier was built.
 func CompileFn(mod *bytecode.Module, name string, opts Options) (*ir.Fn, error) {
@@ -74,14 +61,7 @@ func CompileFn(mod *bytecode.Module, name string, opts Options) (*ir.Fn, error) 
 	if err != nil {
 		return nil, err
 	}
-	mfn, err := compileFn(work, fi, shapes[fi])
-	if err != nil {
-		return nil, err
-	}
-	if opts.Peephole {
-		Peephole(&ir.Program{Fns: []*ir.Fn{mfn}})
-	}
-	return mfn, nil
+	return compileFn(work, fi, shapes[fi])
 }
 
 // front returns the module the lowering reads, with every function's entry
@@ -89,19 +69,15 @@ func CompileFn(mod *bytecode.Module, name string, opts Options) (*ir.Fn, error) 
 // that is an inlined copy of mod and the pass is the post-inline check;
 // otherwise it is mod itself, which the lowering only reads.
 func front(mod *bytecode.Module, opts Options) (*bytecode.Module, []map[int][]bytecode.Type, error) {
-	if !opts.Inline {
+	if opts.NoInline {
 		shapes, err := bytecode.VerifyShapes(mod)
 		if err != nil {
 			return nil, nil, fmt.Errorf("jit: input module invalid: %w", err)
 		}
 		return mod, shapes, nil
 	}
-	lim := opts.InlineLimits
-	if lim.MaxCalleeSize == 0 {
-		lim = DefaultInlineLimits()
-	}
 	work := mod.Clone()
-	Inline(work, lim)
+	inline(work)
 	// Inlining bugs surface here rather than as bad machine code.
 	shapes, err := bytecode.VerifyShapes(work)
 	if err != nil {
@@ -116,7 +92,7 @@ func compileFn(m *bytecode.Module, fi int, shapes map[int][]bytecode.Type) (*ir.
 	if err != nil {
 		return nil, err
 	}
-	if err := Allocate(mfn); err != nil {
+	if err := allocate(mfn); err != nil {
 		return nil, err
 	}
 	return mfn, nil

@@ -136,7 +136,7 @@ func main() int {
 
 func compileBoth(t *testing.T, src string, opts Options) (*bytecode.Module, *ir.Program) {
 	t.Helper()
-	mod, err := jolt.Compile(src)
+	mod, err := jolt.Compile(src, jolt.Options{})
 	if err != nil {
 		t.Fatalf("jolt.Compile: %v", err)
 	}
@@ -176,7 +176,7 @@ func checkAgainstInterp(t *testing.T, mod *bytecode.Module, prog *ir.Program, la
 func TestDifferentialNoInline(t *testing.T) {
 	for name, src := range programs {
 		t.Run(name, func(t *testing.T) {
-			mod, prog := compileBoth(t, src, Options{Inline: false})
+			mod, prog := compileBoth(t, src, Options{NoInline: true})
 			checkAgainstInterp(t, mod, prog, name)
 		})
 	}
@@ -186,7 +186,7 @@ func TestDifferentialNoInline(t *testing.T) {
 func TestDifferentialInline(t *testing.T) {
 	for name, src := range programs {
 		t.Run(name, func(t *testing.T) {
-			mod, prog := compileBoth(t, src, DefaultOptions())
+			mod, prog := compileBoth(t, src, Options{})
 			checkAgainstInterp(t, mod, prog, name)
 		})
 	}
@@ -198,11 +198,11 @@ func TestDifferentialScheduled(t *testing.T) {
 	m := machine.Default().Model
 	for name, src := range programs {
 		t.Run(name, func(t *testing.T) {
-			mod, prog := compileBoth(t, src, DefaultOptions())
+			mod, prog := compileBoth(t, src, Options{})
 			core.Apply(m, prog, policy.Always{}, core.Pass{})
 			checkAgainstInterp(t, mod, prog, name+"/LS")
 
-			_, prog2 := compileBoth(t, src, DefaultOptions())
+			_, prog2 := compileBoth(t, src, Options{})
 			core.Apply(m, prog2, policy.SizeThreshold{MinLen: 5}, core.Pass{})
 			checkAgainstInterp(t, mod, prog2, name+"/size5")
 		})
@@ -212,7 +212,7 @@ func TestDifferentialScheduled(t *testing.T) {
 // TestTimedRunsProduceCycles checks the timed simulator reports cycles and
 // executes identically to the functional mode.
 func TestTimedRunsProduceCycles(t *testing.T) {
-	mod, prog := compileBoth(t, programs["sort"], DefaultOptions())
+	mod, prog := compileBoth(t, programs["sort"], Options{})
 	res, err := sim.Run(prog, sim.Config{Timed: true, Model: machine.Default().Model})
 	if err != nil {
 		t.Fatal(err)
@@ -234,8 +234,8 @@ func TestTimedRunsProduceCycles(t *testing.T) {
 func TestSchedulingDoesNotSlowDown(t *testing.T) {
 	m := machine.Default().Model
 	src := programs["floats"]
-	_, ns := compileBoth(t, src, DefaultOptions())
-	_, ls := compileBoth(t, src, DefaultOptions())
+	_, ns := compileBoth(t, src, Options{})
+	_, ls := compileBoth(t, src, Options{})
 	core.Apply(m, ls, policy.Always{}, core.Pass{})
 
 	rNS, err := sim.Run(ns, sim.Config{Timed: true, Model: m})
@@ -265,18 +265,18 @@ func main() int {
   for (var i int = 0; i < 10; i = i + 1) { s = s + tiny(i); }
   return s;
 }`
-	mod, err := jolt.Compile(src)
+	mod, err := jolt.Compile(src, jolt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := len(mod.Fns[mod.FnIndex("main")].Code)
 	work := mod.Clone()
-	n := Inline(work, DefaultInlineLimits())
+	n := inline(work)
 	if n == 0 {
 		t.Fatal("tiny callee was not inlined")
 	}
 	after := len(work.Fns[work.FnIndex("main")].Code)
-	if after > before*DefaultInlineLimits().MaxExpansion {
+	if after > before*maxExpansion {
 		t.Errorf("expansion %d exceeds 7x of %d", after, before)
 	}
 	if err := bytecode.Verify(work); err != nil {
@@ -301,12 +301,12 @@ func big(x int) int {
   return s;
 }
 func main() int { return big(1); }`
-	mod, err := jolt.Compile(src)
+	mod, err := jolt.Compile(src, jolt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	work := mod.Clone()
-	Inline(work, DefaultInlineLimits())
+	inline(work)
 	found := false
 	for _, in := range work.Fns[work.FnIndex("main")].Code {
 		if in.Op == bytecode.CALL {
@@ -325,16 +325,16 @@ func r(n int) int {
   return r(n-1) + 1;
 }
 func main() int { return r(10); }`
-	mod, err := jolt.Compile(src)
+	mod, err := jolt.Compile(src, jolt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	work := mod.Clone()
-	Inline(work, DefaultInlineLimits())
+	inline(work)
 	if err := bytecode.Verify(work); err != nil {
 		t.Fatalf("invalid after inlining recursion: %v", err)
 	}
-	prog, err := Compile(mod, DefaultOptions())
+	prog, err := Compile(mod, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func main() int { return r(10); }`
 // must be a physical register (guards excepted).
 func TestAllRegistersPhysical(t *testing.T) {
 	for name, src := range programs {
-		_, prog := compileBoth(t, src, DefaultOptions())
+		_, prog := compileBoth(t, src, Options{})
 		if err := virtualSurvivor(prog); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -379,7 +379,7 @@ func virtualSurvivor(prog *ir.Program) error {
 
 // TestBlocksEndInBranch: every machine block must end with control flow.
 func TestBlocksEndInBranch(t *testing.T) {
-	_, prog := compileBoth(t, programs["logic"], DefaultOptions())
+	_, prog := compileBoth(t, programs["logic"], Options{})
 	for _, fn := range prog.Fns {
 		for _, b := range fn.Blocks {
 			if len(b.Instrs) == 0 {
@@ -396,7 +396,7 @@ func TestBlocksEndInBranch(t *testing.T) {
 // TestHazardPointsPresent: prologues carry thread-switch points; loop
 // heads carry yield points; array code carries checks.
 func TestHazardPointsPresent(t *testing.T) {
-	_, prog := compileBoth(t, programs["arrays"], DefaultOptions())
+	_, prog := compileBoth(t, programs["arrays"], Options{})
 	main := prog.FnByName("main")
 	if main == nil {
 		t.Fatal("no main")
@@ -443,7 +443,7 @@ func main() int {
   }
   return s;
 }`
-	mod, prog := compileBoth(t, src, Options{Inline: false})
+	mod, prog := compileBoth(t, src, Options{NoInline: true})
 	main := prog.FnByName("main")
 	if main.FrameSlots == 0 {
 		t.Error("expected spill slots under this much pressure")
@@ -460,7 +460,7 @@ func main() int {
   for (var i int = 0; i < 37; i = i + 1) { s = s + i; }
   return s;
 }`
-	_, prog := compileBoth(t, src, Options{Inline: false})
+	_, prog := compileBoth(t, src, Options{NoInline: true})
 	res, err := sim.Run(prog, sim.Config{})
 	if err != nil {
 		t.Fatal(err)

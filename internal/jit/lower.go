@@ -22,9 +22,9 @@ var (
 	regGlobals = ir.GPR(2)
 )
 
-// MaxArgs is the maximum number of same-class arguments passed in
+// maxArgs is the maximum number of same-class arguments passed in
 // registers; the Jolt workloads stay within it.
-const MaxArgs = 8
+const maxArgs = 8
 
 // lowerer lowers one bytecode function to machine IR.
 type lowerer struct {
@@ -206,8 +206,8 @@ func lowerFn(m *bytecode.Module, f *bytecode.Fn, shapes map[int][]bytecode.Type)
 			nInt++
 		}
 	}
-	if nInt > MaxArgs || nFloat > MaxArgs {
-		return nil, fmt.Errorf("jit: %s: too many arguments (max %d per class)", f.Name, MaxArgs)
+	if nInt > maxArgs || nFloat > maxArgs {
+		return nil, fmt.Errorf("jit: %s: too many arguments (max %d per class)", f.Name, maxArgs)
 	}
 	lo.out = &ir.Fn{
 		Name:         f.Name,
@@ -492,7 +492,7 @@ func (lo *lowerer) lowerCall(in bytecode.Insn) error {
 		args[i] = lo.pop()
 	}
 	iIdx, fIdx := 0, 0
-	var abiBuf [2 * MaxArgs]ir.Reg
+	var abiBuf [2 * maxArgs]ir.Reg
 	abiUses := abiBuf[:0]
 	for i, t := range callee.Params {
 		if isFloatCell(t) {
@@ -507,7 +507,7 @@ func (lo *lowerer) lowerCall(in bytecode.Insn) error {
 			abiUses = append(abiUses, dst)
 		}
 	}
-	if iIdx > MaxArgs || fIdx > MaxArgs {
+	if iIdx > maxArgs || fIdx > maxArgs {
 		return fmt.Errorf("jit: call to %s: too many arguments", callee.Name)
 	}
 	call := ir.Instr{Op: ir.BL, Target: int(in.A), Sym: callee.Name}

@@ -75,11 +75,11 @@ func (x *regIndex) entry(r ir.Reg) *int32 {
 	return &(*tab)[i]
 }
 
-// Allocate rewrites fn in place, mapping virtual int/float/cond registers
+// allocate rewrites fn in place, mapping virtual int/float/cond registers
 // to physical ones and inserting spill code (frame loads/stores via the
 // stack pointer) where the pools do not suffice. Guard registers are left
 // virtual: they carry scheduling dependences, not machine state.
-func Allocate(fn *ir.Fn) error {
+func allocate(fn *ir.Fn) error {
 	var index regIndex
 	var intervals []interval
 	// exposed lists (interval, position) pairs where a register is read

@@ -31,7 +31,7 @@ func main() int {
   }
   return s;
 }`
-	mod, err := jolt.Compile(src)
+	mod, err := jolt.Compile(src, jolt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(mod, Options{Inline: false})
+	prog, err := Compile(mod, Options{NoInline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func main() int {
   }
   return s * 100 + x;
 }`
-	mod, err := jolt.Compile(src)
+	mod, err := jolt.Compile(src, jolt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(mod, Options{Inline: false})
+	prog, err := Compile(mod, Options{NoInline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func level(n int, acc int) int {
   return sub + a + q - p;
 }
 func main() int { return level(12, 0); }`
-	mod, err := jolt.Compile(src)
+	mod, err := jolt.Compile(src, jolt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func main() int { return level(12, 0); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(mod, Options{Inline: false})
+	prog, err := Compile(mod, Options{NoInline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func main() int {
   }
   return int(s);
 }`
-	mod, err := jolt.Compile(src)
+	mod, err := jolt.Compile(src, jolt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(mod, Options{Inline: false})
+	prog, err := Compile(mod, Options{NoInline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,39 +165,6 @@ func main() int {
 	}
 	if got.Ret != want.Ret {
 		t.Errorf("ret = %d, want %d", got.Ret, want.Ret)
-	}
-}
-
-// TestPeepholeIdempotent: running the pass twice removes nothing new the
-// second time beyond what a fresh liveness pass justifies, and never
-// changes semantics.
-func TestPeepholeIdempotent(t *testing.T) {
-	mod, err := jolt.Compile(programs["calls"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Peephole = true
-	prog, err := Compile(mod, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := prog.NumInstrs()
-	again := Peephole(prog)
-	if prog.NumInstrs() != before-again {
-		t.Errorf("instruction accounting off: %d -> %d with %d removed",
-			before, prog.NumInstrs(), again)
-	}
-	want, err := interp.Run(mod, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sim.Run(prog, sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Ret != want.Ret {
-		t.Errorf("double peephole changed result: %d vs %d", got.Ret, want.Ret)
 	}
 }
 

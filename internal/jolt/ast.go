@@ -2,211 +2,211 @@ package jolt
 
 // The AST. Every node carries its source position for diagnostics.
 
-// TypeKind is a Jolt source-level type.
-type TypeKind uint8
+// typeKind is a Jolt source-level type.
+type typeKind uint8
 
 const (
-	TyVoid TypeKind = iota
-	TyInt
-	TyFloat
-	TyBool
-	TyIntArr
-	TyFloatArr
+	tyVoid typeKind = iota
+	tyInt
+	tyFloat
+	tyBool
+	tyIntArr
+	tyFloatArr
 )
 
-func (t TypeKind) String() string {
+func (t typeKind) String() string {
 	switch t {
-	case TyVoid:
+	case tyVoid:
 		return "void"
-	case TyInt:
+	case tyInt:
 		return "int"
-	case TyFloat:
+	case tyFloat:
 		return "float"
-	case TyBool:
+	case tyBool:
 		return "bool"
-	case TyIntArr:
+	case tyIntArr:
 		return "int[]"
-	case TyFloatArr:
+	case tyFloatArr:
 		return "float[]"
 	}
 	return "?"
 }
 
-// IsArray reports whether the type is an array type.
-func (t TypeKind) IsArray() bool { return t == TyIntArr || t == TyFloatArr }
+// isArray reports whether the type is an array type.
+func (t typeKind) isArray() bool { return t == tyIntArr || t == tyFloatArr }
 
-// Elem returns an array type's element type.
-func (t TypeKind) Elem() TypeKind {
+// elem returns an array type's element type.
+func (t typeKind) elem() typeKind {
 	switch t {
-	case TyIntArr:
-		return TyInt
-	case TyFloatArr:
-		return TyFloat
+	case tyIntArr:
+		return tyInt
+	case tyFloatArr:
+		return tyFloat
 	}
-	return TyVoid
+	return tyVoid
 }
 
-// Pos is a source position.
-type Pos struct {
+// pos is a source position.
+type pos struct {
 	Line, Col int
 }
 
-// Program is a parsed compilation unit.
-type Program struct {
-	Globals []*GlobalDecl
-	Funcs   []*FuncDecl
+// program is a parsed compilation unit.
+type program struct {
+	Globals []*globalDecl
+	Funcs   []*funcDecl
 }
 
-// GlobalDecl is a top-level variable with an optional constant initializer.
-type GlobalDecl struct {
-	Pos  Pos
+// globalDecl is a top-level variable with an optional constant initializer.
+type globalDecl struct {
+	Pos  pos
 	Name string
-	Type TypeKind
-	// Init is nil or a literal expression (IntLit, FloatLit, BoolLit,
+	Type typeKind
+	// Init is nil or a literal expression (intLit, floatLit, boolLit,
 	// possibly negated).
-	Init Expr
+	Init expr
 }
 
-// Param is a function parameter.
-type Param struct {
-	Pos  Pos
+// param is a function parameter.
+type param struct {
+	Pos  pos
 	Name string
-	Type TypeKind
+	Type typeKind
 }
 
-// FuncDecl is a function definition.
-type FuncDecl struct {
-	Pos    Pos
+// funcDecl is a function definition.
+type funcDecl struct {
+	Pos    pos
 	Name   string
-	Params []Param
-	Ret    TypeKind
-	Body   *BlockStmt
+	Params []param
+	Ret    typeKind
+	Body   *blockStmt
 }
 
-// Stmt is a statement node.
-type Stmt interface{ stmtNode() }
+// stmt is a statement node.
+type stmt interface{ stmtNode() }
 
-// BlockStmt is { stmts... }.
-type BlockStmt struct {
-	Pos   Pos
-	Stmts []Stmt
+// blockStmt is { stmts... }.
+type blockStmt struct {
+	Pos   pos
+	Stmts []stmt
 }
 
-// VarStmt declares a local: var name type [= init];
-type VarStmt struct {
-	Pos  Pos
+// varStmt declares a local: var name type [= init];
+type varStmt struct {
+	Pos  pos
 	Name string
-	Type TypeKind
-	Init Expr // may be nil
+	Type typeKind
+	Init expr // may be nil
 	// Slot is the local slot the checker assigned.
 	Slot int32
 }
 
-// AssignStmt is lvalue = expr;
-type AssignStmt struct {
-	Pos Pos
-	// LHS is either *Ident or *IndexExpr.
-	LHS Expr
-	RHS Expr
+// assignStmt is lvalue = expr;
+type assignStmt struct {
+	Pos pos
+	// LHS is either *ident or *indexExpr.
+	LHS expr
+	RHS expr
 }
 
-// IfStmt is if (cond) then [else else].
-type IfStmt struct {
-	Pos  Pos
-	Cond Expr
-	Then *BlockStmt
-	Else Stmt // *BlockStmt, *IfStmt, or nil
+// ifStmt is if (cond) then [else else].
+type ifStmt struct {
+	Pos  pos
+	Cond expr
+	Then *blockStmt
+	Else stmt // *blockStmt, *ifStmt, or nil
 }
 
-// WhileStmt is while (cond) body.
-type WhileStmt struct {
-	Pos  Pos
-	Cond Expr
-	Body *BlockStmt
+// whileStmt is while (cond) body.
+type whileStmt struct {
+	Pos  pos
+	Cond expr
+	Body *blockStmt
 }
 
-// ForStmt is for (init; cond; post) body.
-type ForStmt struct {
-	Pos  Pos
-	Init Stmt // *VarStmt, *AssignStmt, *ExprStmt, or nil
-	Cond Expr // nil means true
-	Post Stmt // *AssignStmt, *ExprStmt, or nil
-	Body *BlockStmt
+// forStmt is for (init; cond; post) body.
+type forStmt struct {
+	Pos  pos
+	Init stmt // *varStmt, *assignStmt, *exprStmt, or nil
+	Cond expr // nil means true
+	Post stmt // *assignStmt, *exprStmt, or nil
+	Body *blockStmt
 }
 
-// ReturnStmt is return [expr];
-type ReturnStmt struct {
-	Pos   Pos
-	Value Expr // nil for void
+// returnStmt is return [expr];
+type returnStmt struct {
+	Pos   pos
+	Value expr // nil for void
 }
 
-// BreakStmt is break;
-type BreakStmt struct{ Pos Pos }
+// breakStmt is break;
+type breakStmt struct{ Pos pos }
 
-// ContinueStmt is continue;
-type ContinueStmt struct{ Pos Pos }
+// continueStmt is continue;
+type continueStmt struct{ Pos pos }
 
-// PrintStmt is print(expr);
-type PrintStmt struct {
-	Pos   Pos
-	Value Expr
+// printStmt is print(expr);
+type printStmt struct {
+	Pos   pos
+	Value expr
 }
 
-// ExprStmt is an expression evaluated for effect (a call).
-type ExprStmt struct {
-	Pos Pos
-	X   Expr
+// exprStmt is an expression evaluated for effect (a call).
+type exprStmt struct {
+	Pos pos
+	X   expr
 }
 
-func (*BlockStmt) stmtNode()    {}
-func (*VarStmt) stmtNode()      {}
-func (*AssignStmt) stmtNode()   {}
-func (*IfStmt) stmtNode()       {}
-func (*WhileStmt) stmtNode()    {}
-func (*ForStmt) stmtNode()      {}
-func (*ReturnStmt) stmtNode()   {}
-func (*BreakStmt) stmtNode()    {}
-func (*ContinueStmt) stmtNode() {}
-func (*PrintStmt) stmtNode()    {}
-func (*ExprStmt) stmtNode()     {}
+func (*blockStmt) stmtNode()    {}
+func (*varStmt) stmtNode()      {}
+func (*assignStmt) stmtNode()   {}
+func (*ifStmt) stmtNode()       {}
+func (*whileStmt) stmtNode()    {}
+func (*forStmt) stmtNode()      {}
+func (*returnStmt) stmtNode()   {}
+func (*breakStmt) stmtNode()    {}
+func (*continueStmt) stmtNode() {}
+func (*printStmt) stmtNode()    {}
+func (*exprStmt) stmtNode()     {}
 
-// Expr is an expression node. The type checker fills in Type().
-type Expr interface {
+// expr is an expression node. The type checker fills in typ().
+type expr interface {
 	exprNode()
-	ExprPos() Pos
-	// Type returns the checked type (valid after Check).
-	Type() TypeKind
+	exprPos() pos
+	// typ returns the checked type (valid after check).
+	typ() typeKind
 }
 
 type exprBase struct {
-	Pos Pos
-	Ty  TypeKind
+	Pos pos
+	Ty  typeKind
 }
 
-func (e *exprBase) exprNode()      {}
-func (e *exprBase) ExprPos() Pos   { return e.Pos }
-func (e *exprBase) Type() TypeKind { return e.Ty }
+func (e *exprBase) exprNode()     {}
+func (e *exprBase) exprPos() pos  { return e.Pos }
+func (e *exprBase) typ() typeKind { return e.Ty }
 
-// IntLit is an integer literal.
-type IntLit struct {
+// intLit is an integer literal.
+type intLit struct {
 	exprBase
 	Value int64
 }
 
-// FloatLit is a float literal.
-type FloatLit struct {
+// floatLit is a float literal.
+type floatLit struct {
 	exprBase
 	Value float64
 }
 
-// BoolLit is true/false.
-type BoolLit struct {
+// boolLit is true/false.
+type boolLit struct {
 	exprBase
 	Value bool
 }
 
-// Ident is a variable reference.
-type Ident struct {
+// ident is a variable reference.
+type ident struct {
 	exprBase
 	Name string
 	// Resolved by the checker:
@@ -214,52 +214,52 @@ type Ident struct {
 	Slot   int32
 }
 
-// IndexExpr is a[i].
-type IndexExpr struct {
+// indexExpr is a[i].
+type indexExpr struct {
 	exprBase
-	Arr   Expr
-	Index Expr
+	Arr   expr
+	Index expr
 }
 
-// CallExpr is f(args...).
-type CallExpr struct {
+// callExpr is f(args...).
+type callExpr struct {
 	exprBase
 	Name string
-	Args []Expr
+	Args []expr
 	// FnIndex is resolved by the checker.
 	FnIndex int
 }
 
-// NewArrayExpr is new elem[size].
-type NewArrayExpr struct {
+// newArrayExpr is new elem[size].
+type newArrayExpr struct {
 	exprBase
 	ElemFloat bool
-	Size      Expr
+	Size      expr
 }
 
-// LenExpr is len(arr).
-type LenExpr struct {
+// lenExpr is len(arr).
+type lenExpr struct {
 	exprBase
-	Arr Expr
+	Arr expr
 }
 
-// ConvExpr is int(x) or float(x).
-type ConvExpr struct {
+// convExpr is int(x) or float(x).
+type convExpr struct {
 	exprBase
 	ToFloat bool
-	X       Expr
+	X       expr
 }
 
-// UnaryExpr is -x or !x.
-type UnaryExpr struct {
+// unaryExpr is -x or !x.
+type unaryExpr struct {
 	exprBase
-	Op Kind // Minus or Not
-	X  Expr
+	Op tokKind // tokMinus or tokNot
+	X  expr
 }
 
-// BinaryExpr is x op y for arithmetic, comparison, and logic operators.
-type BinaryExpr struct {
+// binaryExpr is x op y for arithmetic, comparison, and logic operators.
+type binaryExpr struct {
 	exprBase
-	Op   Kind
-	X, Y Expr
+	Op   tokKind
+	X, Y expr
 }

@@ -2,86 +2,86 @@ package jolt
 
 import "fmt"
 
-// Check type-checks the program, resolving identifiers to global/local
+// check type-checks the program, resolving identifiers to global/local
 // slots and call targets to function indices, and annotating every
 // expression with its type. It returns the symbol information the code
 // generator needs.
-func Check(prog *Program) (*Info, error) {
+func check(prog *program) (*checkInfo, error) {
 	c := &checker{
-		info:    &Info{GlobalIndex: map[string]int{}, FuncIndex: map[string]int{}},
+		info:    &checkInfo{GlobalIndex: map[string]int{}, FuncIndex: map[string]int{}},
 		globals: map[string]globalSym{},
 	}
 	return c.run(prog)
 }
 
-// Info carries resolution results from the checker to the code generator.
-type Info struct {
+// checkInfo carries resolution results from the checker to the code generator.
+type checkInfo struct {
 	// GlobalIndex maps global names to slot numbers, in declaration
 	// order.
 	GlobalIndex map[string]int
 	// GlobalTypes lists global slot types in order.
-	GlobalTypes []TypeKind
+	GlobalTypes []typeKind
 	// FuncIndex maps function names to indices in declaration order.
 	FuncIndex map[string]int
 	// LocalSlots maps each function to its local-slot types; the
-	// checker assigns Ident.Slot values referring to these.
-	LocalSlots map[*FuncDecl][]TypeKind
+	// checker assigns ident.Slot values referring to these.
+	LocalSlots map[*funcDecl][]typeKind
 }
 
 type globalSym struct {
 	slot int
-	ty   TypeKind
+	ty   typeKind
 }
 
 type localSym struct {
 	slot int32
-	ty   TypeKind
+	ty   typeKind
 }
 
 type checker struct {
-	info    *Info
+	info    *checkInfo
 	globals map[string]globalSym
-	funcs   []*FuncDecl
+	funcs   []*funcDecl
 
 	// Per-function state.
-	fn     *FuncDecl
+	fn     *funcDecl
 	scopes []map[string]localSym
-	slots  []TypeKind
+	slots  []typeKind
 }
 
-func (c *checker) errAt(p Pos, format string, args ...any) error {
+func (c *checker) errAt(p pos, format string, args ...any) error {
 	return errf(p.Line, p.Col, format, args...)
 }
 
-func (c *checker) run(prog *Program) (*Info, error) {
-	c.info.LocalSlots = make(map[*FuncDecl][]TypeKind)
+func (c *checker) run(prog *program) (*checkInfo, error) {
+	c.info.LocalSlots = make(map[*funcDecl][]typeKind)
 
 	// Pass 1: globals and function signatures.
 	for _, g := range prog.Globals {
 		if _, dup := c.globals[g.Name]; dup {
 			return nil, c.errAt(g.Pos, "global %q redeclared", g.Name)
 		}
-		if g.Type == TyVoid {
+		if g.Type == tyVoid {
 			return nil, c.errAt(g.Pos, "global %q cannot be void", g.Name)
 		}
 		if g.Init != nil {
 			want := g.Type
 			switch lit := g.Init.(type) {
-			case *IntLit:
-				if want != TyInt {
+			case *intLit:
+				if want != tyInt {
 					return nil, c.errAt(g.Pos, "global %q: int initializer for %s", g.Name, want)
 				}
-				lit.Ty = TyInt
-			case *FloatLit:
-				if want != TyFloat {
+				lit.Ty = tyInt
+			case *floatLit:
+				if want != tyFloat {
 					return nil, c.errAt(g.Pos, "global %q: float initializer for %s", g.Name, want)
 				}
-				lit.Ty = TyFloat
-			case *BoolLit:
-				if want != TyBool {
+				lit.Ty = tyFloat
+			case *boolLit:
+				if want != tyBool {
 					return nil, c.errAt(g.Pos, "global %q: bool initializer for %s", g.Name, want)
 				}
-				lit.Ty = TyBool
+				lit.Ty = tyBool
 			default:
 				return nil, c.errAt(g.Pos, "global %q: initializer must be a literal", g.Name)
 			}
@@ -115,18 +115,18 @@ func (c *checker) run(prog *Program) (*Info, error) {
 		return nil, fmt.Errorf("jolt: program has no main function")
 	}
 	mf := prog.Funcs[mi]
-	if len(mf.Params) != 0 || mf.Ret != TyInt {
+	if len(mf.Params) != 0 || mf.Ret != tyInt {
 		return nil, c.errAt(mf.Pos, "main must be 'func main() int'")
 	}
 	return c.info, nil
 }
 
-func (c *checker) checkFunc(f *FuncDecl) error {
+func (c *checker) checkFunc(f *funcDecl) error {
 	c.fn = f
 	c.scopes = []map[string]localSym{{}}
 	c.slots = nil
 	for _, p := range f.Params {
-		if p.Type == TyVoid {
+		if p.Type == tyVoid {
 			return c.errAt(p.Pos, "parameter %q cannot be void", p.Name)
 		}
 		if err := c.declare(p.Pos, p.Name, p.Type); err != nil {
@@ -136,14 +136,14 @@ func (c *checker) checkFunc(f *FuncDecl) error {
 	if err := c.checkBlock(f.Body); err != nil {
 		return err
 	}
-	if f.Ret != TyVoid && !alwaysReturns(f.Body) {
+	if f.Ret != tyVoid && !alwaysReturns(f.Body) {
 		return c.errAt(f.Pos, "function %q: missing return on some path", f.Name)
 	}
 	c.info.LocalSlots[f] = c.slots
 	return nil
 }
 
-func (c *checker) declare(p Pos, name string, ty TypeKind) error {
+func (c *checker) declare(p pos, name string, ty typeKind) error {
 	scope := c.scopes[len(c.scopes)-1]
 	if _, dup := scope[name]; dup {
 		return c.errAt(p, "%q redeclared in this scope", name)
@@ -166,7 +166,7 @@ func (c *checker) lookup(name string) (localSym, bool) {
 func (c *checker) pushScope() { c.scopes = append(c.scopes, map[string]localSym{}) }
 func (c *checker) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
 
-func (c *checker) checkBlock(b *BlockStmt) error {
+func (c *checker) checkBlock(b *blockStmt) error {
 	c.pushScope()
 	defer c.popScope()
 	for _, s := range b.Stmts {
@@ -177,12 +177,12 @@ func (c *checker) checkBlock(b *BlockStmt) error {
 	return nil
 }
 
-func (c *checker) checkStmt(s Stmt) error {
+func (c *checker) checkStmt(s stmt) error {
 	switch s := s.(type) {
-	case *BlockStmt:
+	case *blockStmt:
 		return c.checkBlock(s)
-	case *VarStmt:
-		if s.Type == TyVoid {
+	case *varStmt:
+		if s.Type == tyVoid {
 			return c.errAt(s.Pos, "variable %q cannot be void", s.Name)
 		}
 		if s.Init != nil {
@@ -199,7 +199,7 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		s.Slot = int32(len(c.slots) - 1)
 		return nil
-	case *AssignStmt:
+	case *assignStmt:
 		lty, err := c.checkLValue(s.LHS)
 		if err != nil {
 			return err
@@ -212,7 +212,7 @@ func (c *checker) checkStmt(s Stmt) error {
 			return c.errAt(s.Pos, "cannot assign %s to %s", rty, lty)
 		}
 		return nil
-	case *IfStmt:
+	case *ifStmt:
 		if err := c.checkCond(s.Cond); err != nil {
 			return err
 		}
@@ -223,12 +223,12 @@ func (c *checker) checkStmt(s Stmt) error {
 			return c.checkStmt(s.Else)
 		}
 		return nil
-	case *WhileStmt:
+	case *whileStmt:
 		if err := c.checkCond(s.Cond); err != nil {
 			return err
 		}
 		return c.checkBlock(s.Body)
-	case *ForStmt:
+	case *forStmt:
 		c.pushScope()
 		defer c.popScope()
 		if s.Init != nil {
@@ -247,8 +247,8 @@ func (c *checker) checkStmt(s Stmt) error {
 			}
 		}
 		return c.checkBlock(s.Body)
-	case *ReturnStmt:
-		if c.fn.Ret == TyVoid {
+	case *returnStmt:
+		if c.fn.Ret == tyVoid {
 			if s.Value != nil {
 				return c.errAt(s.Pos, "void function returns a value")
 			}
@@ -265,21 +265,21 @@ func (c *checker) checkStmt(s Stmt) error {
 			return c.errAt(s.Pos, "returning %s from %s function", ty, c.fn.Ret)
 		}
 		return nil
-	case *BreakStmt, *ContinueStmt:
+	case *breakStmt, *continueStmt:
 		// Loop nesting is validated by the code generator, which owns
 		// the loop-label stack.
 		return nil
-	case *PrintStmt:
+	case *printStmt:
 		ty, err := c.checkExpr(s.Value)
 		if err != nil {
 			return err
 		}
-		if ty != TyInt && ty != TyFloat && ty != TyBool {
+		if ty != tyInt && ty != tyFloat && ty != tyBool {
 			return c.errAt(s.Pos, "cannot print %s", ty)
 		}
 		return nil
-	case *ExprStmt:
-		call, ok := s.X.(*CallExpr)
+	case *exprStmt:
+		call, ok := s.X.(*callExpr)
 		if !ok {
 			return c.errAt(s.Pos, "expression statement must be a call")
 		}
@@ -289,39 +289,39 @@ func (c *checker) checkStmt(s Stmt) error {
 	return fmt.Errorf("jolt: unknown statement %T", s)
 }
 
-func (c *checker) checkCond(e Expr) error {
+func (c *checker) checkCond(e expr) error {
 	ty, err := c.checkExpr(e)
 	if err != nil {
 		return err
 	}
-	if ty != TyBool {
-		return c.errAt(e.ExprPos(), "condition must be bool, got %s", ty)
+	if ty != tyBool {
+		return c.errAt(e.exprPos(), "condition must be bool, got %s", ty)
 	}
 	return nil
 }
 
-func (c *checker) checkLValue(e Expr) (TypeKind, error) {
+func (c *checker) checkLValue(e expr) (typeKind, error) {
 	switch e := e.(type) {
-	case *Ident:
+	case *ident:
 		return c.checkExpr(e)
-	case *IndexExpr:
+	case *indexExpr:
 		return c.checkExpr(e)
 	}
-	return TyVoid, c.errAt(e.ExprPos(), "not an assignable location")
+	return tyVoid, c.errAt(e.exprPos(), "not an assignable location")
 }
 
-func (c *checker) checkExpr(e Expr) (TypeKind, error) {
+func (c *checker) checkExpr(e expr) (typeKind, error) {
 	switch e := e.(type) {
-	case *IntLit:
-		e.Ty = TyInt
-		return TyInt, nil
-	case *FloatLit:
-		e.Ty = TyFloat
-		return TyFloat, nil
-	case *BoolLit:
-		e.Ty = TyBool
-		return TyBool, nil
-	case *Ident:
+	case *intLit:
+		e.Ty = tyInt
+		return tyInt, nil
+	case *floatLit:
+		e.Ty = tyFloat
+		return tyFloat, nil
+	case *boolLit:
+		e.Ty = tyBool
+		return tyBool, nil
+	case *ident:
 		if s, ok := c.lookup(e.Name); ok {
 			e.Global = false
 			e.Slot = s.slot
@@ -334,159 +334,159 @@ func (c *checker) checkExpr(e Expr) (TypeKind, error) {
 			e.Ty = g.ty
 			return g.ty, nil
 		}
-		return TyVoid, c.errAt(e.Pos, "undefined: %q", e.Name)
-	case *IndexExpr:
+		return tyVoid, c.errAt(e.Pos, "undefined: %q", e.Name)
+	case *indexExpr:
 		aty, err := c.checkExpr(e.Arr)
 		if err != nil {
-			return TyVoid, err
+			return tyVoid, err
 		}
-		if !aty.IsArray() {
-			return TyVoid, c.errAt(e.Pos, "indexing non-array %s", aty)
+		if !aty.isArray() {
+			return tyVoid, c.errAt(e.Pos, "indexing non-array %s", aty)
 		}
 		ity, err := c.checkExpr(e.Index)
 		if err != nil {
-			return TyVoid, err
+			return tyVoid, err
 		}
-		if ity != TyInt {
-			return TyVoid, c.errAt(e.Pos, "array index must be int, got %s", ity)
+		if ity != tyInt {
+			return tyVoid, c.errAt(e.Pos, "array index must be int, got %s", ity)
 		}
-		e.Ty = aty.Elem()
+		e.Ty = aty.elem()
 		return e.Ty, nil
-	case *CallExpr:
+	case *callExpr:
 		fi, ok := c.info.FuncIndex[e.Name]
 		if !ok {
-			return TyVoid, c.errAt(e.Pos, "undefined function %q", e.Name)
+			return tyVoid, c.errAt(e.Pos, "undefined function %q", e.Name)
 		}
 		callee := c.funcs[fi]
 		if len(e.Args) != len(callee.Params) {
-			return TyVoid, c.errAt(e.Pos, "%q takes %d arguments, got %d", e.Name, len(callee.Params), len(e.Args))
+			return tyVoid, c.errAt(e.Pos, "%q takes %d arguments, got %d", e.Name, len(callee.Params), len(e.Args))
 		}
 		for i, a := range e.Args {
 			aty, err := c.checkExpr(a)
 			if err != nil {
-				return TyVoid, err
+				return tyVoid, err
 			}
 			if aty != callee.Params[i].Type {
-				return TyVoid, c.errAt(a.ExprPos(), "argument %d of %q: have %s, want %s", i+1, e.Name, aty, callee.Params[i].Type)
+				return tyVoid, c.errAt(a.exprPos(), "argument %d of %q: have %s, want %s", i+1, e.Name, aty, callee.Params[i].Type)
 			}
 		}
 		e.FnIndex = fi
 		e.Ty = callee.Ret
 		return callee.Ret, nil
-	case *NewArrayExpr:
+	case *newArrayExpr:
 		sty, err := c.checkExpr(e.Size)
 		if err != nil {
-			return TyVoid, err
+			return tyVoid, err
 		}
-		if sty != TyInt {
-			return TyVoid, c.errAt(e.Pos, "array size must be int, got %s", sty)
+		if sty != tyInt {
+			return tyVoid, c.errAt(e.Pos, "array size must be int, got %s", sty)
 		}
 		if e.ElemFloat {
-			e.Ty = TyFloatArr
+			e.Ty = tyFloatArr
 		} else {
-			e.Ty = TyIntArr
+			e.Ty = tyIntArr
 		}
 		return e.Ty, nil
-	case *LenExpr:
+	case *lenExpr:
 		aty, err := c.checkExpr(e.Arr)
 		if err != nil {
-			return TyVoid, err
+			return tyVoid, err
 		}
-		if !aty.IsArray() {
-			return TyVoid, c.errAt(e.Pos, "len of non-array %s", aty)
+		if !aty.isArray() {
+			return tyVoid, c.errAt(e.Pos, "len of non-array %s", aty)
 		}
-		e.Ty = TyInt
-		return TyInt, nil
-	case *ConvExpr:
+		e.Ty = tyInt
+		return tyInt, nil
+	case *convExpr:
 		xty, err := c.checkExpr(e.X)
 		if err != nil {
-			return TyVoid, err
+			return tyVoid, err
 		}
-		if xty != TyInt && xty != TyFloat {
-			return TyVoid, c.errAt(e.Pos, "cannot convert %s", xty)
+		if xty != tyInt && xty != tyFloat {
+			return tyVoid, c.errAt(e.Pos, "cannot convert %s", xty)
 		}
 		if e.ToFloat {
-			e.Ty = TyFloat
+			e.Ty = tyFloat
 		} else {
-			e.Ty = TyInt
+			e.Ty = tyInt
 		}
 		return e.Ty, nil
-	case *UnaryExpr:
+	case *unaryExpr:
 		xty, err := c.checkExpr(e.X)
 		if err != nil {
-			return TyVoid, err
+			return tyVoid, err
 		}
 		switch e.Op {
-		case Minus:
-			if xty != TyInt && xty != TyFloat {
-				return TyVoid, c.errAt(e.Pos, "cannot negate %s", xty)
+		case tokMinus:
+			if xty != tyInt && xty != tyFloat {
+				return tyVoid, c.errAt(e.Pos, "cannot negate %s", xty)
 			}
 			e.Ty = xty
-		case Not:
-			if xty != TyBool {
-				return TyVoid, c.errAt(e.Pos, "'!' needs bool, got %s", xty)
+		case tokNot:
+			if xty != tyBool {
+				return tyVoid, c.errAt(e.Pos, "'!' needs bool, got %s", xty)
 			}
-			e.Ty = TyBool
+			e.Ty = tyBool
 		default:
-			return TyVoid, c.errAt(e.Pos, "bad unary operator")
+			return tyVoid, c.errAt(e.Pos, "bad unary operator")
 		}
 		return e.Ty, nil
-	case *BinaryExpr:
+	case *binaryExpr:
 		xty, err := c.checkExpr(e.X)
 		if err != nil {
-			return TyVoid, err
+			return tyVoid, err
 		}
 		yty, err := c.checkExpr(e.Y)
 		if err != nil {
-			return TyVoid, err
+			return tyVoid, err
 		}
 		switch e.Op {
-		case Plus, Minus, Star, Slash:
-			if xty != yty || (xty != TyInt && xty != TyFloat) {
-				return TyVoid, c.errAt(e.Pos, "invalid operands %s and %s", xty, yty)
+		case tokPlus, tokMinus, tokStar, tokSlash:
+			if xty != yty || (xty != tyInt && xty != tyFloat) {
+				return tyVoid, c.errAt(e.Pos, "invalid operands %s and %s", xty, yty)
 			}
 			e.Ty = xty
-		case Percent, Amp, Pipe, Caret, Shl, Shr:
-			if xty != TyInt || yty != TyInt {
-				return TyVoid, c.errAt(e.Pos, "integer operator needs int operands, got %s and %s", xty, yty)
+		case tokPercent, tokAmp, tokPipe, tokCaret, tokShl, tokShr:
+			if xty != tyInt || yty != tyInt {
+				return tyVoid, c.errAt(e.Pos, "integer operator needs int operands, got %s and %s", xty, yty)
 			}
-			e.Ty = TyInt
-		case Lt, Le, Gt, Ge:
-			if xty != yty || (xty != TyInt && xty != TyFloat) {
-				return TyVoid, c.errAt(e.Pos, "cannot compare %s and %s", xty, yty)
+			e.Ty = tyInt
+		case tokLt, tokLe, tokGt, tokGe:
+			if xty != yty || (xty != tyInt && xty != tyFloat) {
+				return tyVoid, c.errAt(e.Pos, "cannot compare %s and %s", xty, yty)
 			}
-			e.Ty = TyBool
-		case EqEq, NotEq:
-			if xty != yty || xty.IsArray() {
-				return TyVoid, c.errAt(e.Pos, "cannot compare %s and %s", xty, yty)
+			e.Ty = tyBool
+		case tokEqEq, tokNotEq:
+			if xty != yty || xty.isArray() {
+				return tyVoid, c.errAt(e.Pos, "cannot compare %s and %s", xty, yty)
 			}
-			e.Ty = TyBool
-		case AndAnd, OrOr:
-			if xty != TyBool || yty != TyBool {
-				return TyVoid, c.errAt(e.Pos, "logical operator needs bool operands, got %s and %s", xty, yty)
+			e.Ty = tyBool
+		case tokAndAnd, tokOrOr:
+			if xty != tyBool || yty != tyBool {
+				return tyVoid, c.errAt(e.Pos, "logical operator needs bool operands, got %s and %s", xty, yty)
 			}
-			e.Ty = TyBool
+			e.Ty = tyBool
 		default:
-			return TyVoid, c.errAt(e.Pos, "bad binary operator")
+			return tyVoid, c.errAt(e.Pos, "bad binary operator")
 		}
 		return e.Ty, nil
 	}
-	return TyVoid, fmt.Errorf("jolt: unknown expression %T", e)
+	return tyVoid, fmt.Errorf("jolt: unknown expression %T", e)
 }
 
 // alwaysReturns reports whether every path through the statement returns.
-func alwaysReturns(s Stmt) bool {
+func alwaysReturns(s stmt) bool {
 	switch s := s.(type) {
-	case *ReturnStmt:
+	case *returnStmt:
 		return true
-	case *BlockStmt:
+	case *blockStmt:
 		for _, inner := range s.Stmts {
 			if alwaysReturns(inner) {
 				return true
 			}
 		}
 		return false
-	case *IfStmt:
+	case *ifStmt:
 		return s.Else != nil && alwaysReturns(s.Then) && alwaysReturns(s.Else)
 	}
 	return false

@@ -2,82 +2,82 @@ package jolt
 
 // Deep copies of AST nodes, used by the loop unroller to duplicate loop
 // bodies. Clones carry the original positions (diagnostics point at the
-// source loop) and no checker annotations (cloning happens before Check).
+// source loop) and no checker annotations (cloning happens before check).
 
-// CloneStmt returns a deep copy of a statement.
-func CloneStmt(s Stmt) Stmt {
+// cloneStmt returns a deep copy of a statement.
+func cloneStmt(s stmt) stmt {
 	switch s := s.(type) {
 	case nil:
 		return nil
-	case *BlockStmt:
-		return CloneBlock(s)
-	case *VarStmt:
-		return &VarStmt{Pos: s.Pos, Name: s.Name, Type: s.Type, Init: CloneExpr(s.Init)}
-	case *AssignStmt:
-		return &AssignStmt{Pos: s.Pos, LHS: CloneExpr(s.LHS), RHS: CloneExpr(s.RHS)}
-	case *IfStmt:
-		return &IfStmt{Pos: s.Pos, Cond: CloneExpr(s.Cond), Then: CloneBlock(s.Then), Else: CloneStmt(s.Else)}
-	case *WhileStmt:
-		return &WhileStmt{Pos: s.Pos, Cond: CloneExpr(s.Cond), Body: CloneBlock(s.Body)}
-	case *ForStmt:
-		return &ForStmt{Pos: s.Pos, Init: CloneStmt(s.Init), Cond: CloneExpr(s.Cond), Post: CloneStmt(s.Post), Body: CloneBlock(s.Body)}
-	case *ReturnStmt:
-		return &ReturnStmt{Pos: s.Pos, Value: CloneExpr(s.Value)}
-	case *BreakStmt:
-		return &BreakStmt{Pos: s.Pos}
-	case *ContinueStmt:
-		return &ContinueStmt{Pos: s.Pos}
-	case *PrintStmt:
-		return &PrintStmt{Pos: s.Pos, Value: CloneExpr(s.Value)}
-	case *ExprStmt:
-		return &ExprStmt{Pos: s.Pos, X: CloneExpr(s.X)}
+	case *blockStmt:
+		return cloneBlock(s)
+	case *varStmt:
+		return &varStmt{Pos: s.Pos, Name: s.Name, Type: s.Type, Init: cloneExpr(s.Init)}
+	case *assignStmt:
+		return &assignStmt{Pos: s.Pos, LHS: cloneExpr(s.LHS), RHS: cloneExpr(s.RHS)}
+	case *ifStmt:
+		return &ifStmt{Pos: s.Pos, Cond: cloneExpr(s.Cond), Then: cloneBlock(s.Then), Else: cloneStmt(s.Else)}
+	case *whileStmt:
+		return &whileStmt{Pos: s.Pos, Cond: cloneExpr(s.Cond), Body: cloneBlock(s.Body)}
+	case *forStmt:
+		return &forStmt{Pos: s.Pos, Init: cloneStmt(s.Init), Cond: cloneExpr(s.Cond), Post: cloneStmt(s.Post), Body: cloneBlock(s.Body)}
+	case *returnStmt:
+		return &returnStmt{Pos: s.Pos, Value: cloneExpr(s.Value)}
+	case *breakStmt:
+		return &breakStmt{Pos: s.Pos}
+	case *continueStmt:
+		return &continueStmt{Pos: s.Pos}
+	case *printStmt:
+		return &printStmt{Pos: s.Pos, Value: cloneExpr(s.Value)}
+	case *exprStmt:
+		return &exprStmt{Pos: s.Pos, X: cloneExpr(s.X)}
 	}
 	panic("jolt: CloneStmt: unknown statement")
 }
 
-// CloneBlock returns a deep copy of a block.
-func CloneBlock(b *BlockStmt) *BlockStmt {
+// cloneBlock returns a deep copy of a block.
+func cloneBlock(b *blockStmt) *blockStmt {
 	if b == nil {
 		return nil
 	}
-	nb := &BlockStmt{Pos: b.Pos}
+	nb := &blockStmt{Pos: b.Pos}
 	for _, s := range b.Stmts {
-		nb.Stmts = append(nb.Stmts, CloneStmt(s))
+		nb.Stmts = append(nb.Stmts, cloneStmt(s))
 	}
 	return nb
 }
 
-// CloneExpr returns a deep copy of an expression.
-func CloneExpr(e Expr) Expr {
+// cloneExpr returns a deep copy of an expression.
+func cloneExpr(e expr) expr {
 	switch e := e.(type) {
 	case nil:
 		return nil
-	case *IntLit:
-		return &IntLit{exprBase: exprBase{Pos: e.Pos}, Value: e.Value}
-	case *FloatLit:
-		return &FloatLit{exprBase: exprBase{Pos: e.Pos}, Value: e.Value}
-	case *BoolLit:
-		return &BoolLit{exprBase: exprBase{Pos: e.Pos}, Value: e.Value}
-	case *Ident:
-		return &Ident{exprBase: exprBase{Pos: e.Pos}, Name: e.Name}
-	case *IndexExpr:
-		return &IndexExpr{exprBase: exprBase{Pos: e.Pos}, Arr: CloneExpr(e.Arr), Index: CloneExpr(e.Index)}
-	case *CallExpr:
-		c := &CallExpr{exprBase: exprBase{Pos: e.Pos}, Name: e.Name, FnIndex: -1}
+	case *intLit:
+		return &intLit{exprBase: exprBase{Pos: e.Pos}, Value: e.Value}
+	case *floatLit:
+		return &floatLit{exprBase: exprBase{Pos: e.Pos}, Value: e.Value}
+	case *boolLit:
+		return &boolLit{exprBase: exprBase{Pos: e.Pos}, Value: e.Value}
+	case *ident:
+		return &ident{exprBase: exprBase{Pos: e.Pos}, Name: e.Name}
+	case *indexExpr:
+		return &indexExpr{exprBase: exprBase{Pos: e.Pos}, Arr: cloneExpr(e.Arr), Index: cloneExpr(e.Index)}
+	case *callExpr:
+		c := &callExpr{exprBase: exprBase{Pos: e.Pos}, Name: e.Name, FnIndex: -1}
 		for _, a := range e.Args {
-			c.Args = append(c.Args, CloneExpr(a))
+			c.Args = append(c.Args, cloneExpr(a))
 		}
 		return c
-	case *NewArrayExpr:
-		return &NewArrayExpr{exprBase: exprBase{Pos: e.Pos}, ElemFloat: e.ElemFloat, Size: CloneExpr(e.Size)}
-	case *LenExpr:
-		return &LenExpr{exprBase: exprBase{Pos: e.Pos}, Arr: CloneExpr(e.Arr)}
-	case *ConvExpr:
-		return &ConvExpr{exprBase: exprBase{Pos: e.Pos}, ToFloat: e.ToFloat, X: CloneExpr(e.X)}
-	case *UnaryExpr:
-		return &UnaryExpr{exprBase: exprBase{Pos: e.Pos}, Op: e.Op, X: CloneExpr(e.X)}
-	case *BinaryExpr:
-		return &BinaryExpr{exprBase: exprBase{Pos: e.Pos}, Op: e.Op, X: CloneExpr(e.X), Y: CloneExpr(e.Y)}
+	case *newArrayExpr:
+		return &newArrayExpr{exprBase: exprBase{Pos: e.Pos}, ElemFloat: e.ElemFloat, Size: cloneExpr(e.Size)}
+	case *lenExpr:
+		return &lenExpr{exprBase: exprBase{Pos: e.Pos}, Arr: cloneExpr(e.Arr)}
+	case *convExpr:
+		return &convExpr{exprBase: exprBase{Pos: e.Pos}, ToFloat: e.ToFloat, X: cloneExpr(e.X)}
+	case *unaryExpr:
+		return &unaryExpr{exprBase: exprBase{Pos: e.Pos}, Op: e.Op, X: cloneExpr(e.X)}
+	case *binaryExpr:
+		return &binaryExpr{exprBase: exprBase{Pos: e.Pos}, Op: e.Op, X: cloneExpr(e.X), Y: cloneExpr(e.Y)}
 	}
 	panic("jolt: CloneExpr: unknown expression")
 }

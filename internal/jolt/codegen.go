@@ -6,10 +6,6 @@ import (
 	"schedfilter/internal/bytecode"
 )
 
-// InitFnName is the synthesized function that stores global initializers;
-// runtimes execute it (if present) before main.
-const InitFnName = "$init"
-
 // Options configure front-end optimization passes.
 type Options struct {
 	// UnrollFactor unrolls eligible counted loops by this factor
@@ -18,26 +14,19 @@ type Options struct {
 }
 
 // Compile parses, checks, and lowers a Jolt source file to a verified
-// bytecode module (no front-end optimizations).
-func Compile(src string) (*bytecode.Module, error) {
-	return CompileWithOptions(src, Options{})
-}
-
-// CompileWithOptions is Compile with front-end passes applied between
-// parsing and checking.
-func CompileWithOptions(src string, opt Options) (*bytecode.Module, error) {
-	prog, err := Parse(src)
+// bytecode module, applying opt's front-end passes between parsing and
+// checking. A refused program returns a nil module and an error.
+func Compile(src string, opt Options) (*bytecode.Module, error) {
+	prog, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
-	if opt.UnrollFactor >= 2 {
-		Unroll(prog, opt.UnrollFactor)
-	}
-	info, err := Check(prog)
+	unroll(prog, opt.UnrollFactor)
+	info, err := check(prog)
 	if err != nil {
 		return nil, err
 	}
-	m, err := Generate(prog, info)
+	m, err := generate(prog, info)
 	if err != nil {
 		return nil, err
 	}
@@ -47,8 +36,8 @@ func CompileWithOptions(src string, opt Options) (*bytecode.Module, error) {
 	return m, nil
 }
 
-// Generate lowers a checked program to bytecode.
-func Generate(prog *Program, info *Info) (*bytecode.Module, error) {
+// generate lowers a checked program to bytecode.
+func generate(prog *program, info *checkInfo) (*bytecode.Module, error) {
 	m := &bytecode.Module{}
 	for _, t := range info.GlobalTypes {
 		m.Globals = append(m.Globals, bcType(t))
@@ -72,9 +61,9 @@ func Generate(prog *Program, info *Info) (*bytecode.Module, error) {
 }
 
 // genInit synthesizes $init from the global initializers.
-func genInit(prog *Program, info *Info) *bytecode.Fn {
+func genInit(prog *program, info *checkInfo) *bytecode.Fn {
 	any := false
-	b := bytecode.NewBuilder(InitFnName, nil, bytecode.TVoid)
+	b := bytecode.NewBuilder(bytecode.InitFnName, nil, bytecode.TVoid)
 	for _, g := range prog.Globals {
 		if g.Init == nil {
 			continue
@@ -82,11 +71,11 @@ func genInit(prog *Program, info *Info) *bytecode.Fn {
 		any = true
 		slot := int32(info.GlobalIndex[g.Name])
 		switch lit := g.Init.(type) {
-		case *IntLit:
+		case *intLit:
 			b.IConst(lit.Value).EmitA(bytecode.GISTORE, slot)
-		case *FloatLit:
+		case *floatLit:
 			b.FConst(lit.Value).EmitA(bytecode.GFSTORE, slot)
-		case *BoolLit:
+		case *boolLit:
 			v := int64(0)
 			if lit.Value {
 				v = 1
@@ -101,17 +90,17 @@ func genInit(prog *Program, info *Info) *bytecode.Fn {
 	return b.MustFinish()
 }
 
-func bcType(t TypeKind) bytecode.Type {
+func bcType(t typeKind) bytecode.Type {
 	switch t {
-	case TyInt:
+	case tyInt:
 		return bytecode.TInt
-	case TyFloat:
+	case tyFloat:
 		return bytecode.TFloat
-	case TyBool:
+	case tyBool:
 		return bytecode.TBool
-	case TyIntArr:
+	case tyIntArr:
 		return bytecode.TIntArr
-	case TyFloatArr:
+	case tyFloatArr:
 		return bytecode.TFloatArr
 	}
 	return bytecode.TVoid
@@ -123,10 +112,10 @@ type loopLabels struct {
 }
 
 type generator struct {
-	info          *Info
+	info          *checkInfo
 	fnIndexOffset int
 	b             *bytecode.Builder
-	fn            *FuncDecl
+	fn            *funcDecl
 	loops         []loopLabels
 	labelSeq      int
 }
@@ -136,7 +125,7 @@ func (g *generator) newLabel(hint string) string {
 	return fmt.Sprintf("%s%d", hint, g.labelSeq)
 }
 
-func (g *generator) genFn(f *FuncDecl) (*bytecode.Fn, error) {
+func (g *generator) genFn(f *funcDecl) (*bytecode.Fn, error) {
 	params := make([]bytecode.Type, len(f.Params))
 	for i, p := range f.Params {
 		params[i] = bcType(p.Type)
@@ -153,7 +142,7 @@ func (g *generator) genFn(f *FuncDecl) (*bytecode.Fn, error) {
 		return nil, err
 	}
 	// Void functions may fall off the end.
-	if f.Ret == TyVoid {
+	if f.Ret == tyVoid {
 		g.b.Emit(bytecode.RET)
 	} else {
 		// The checker guarantees all paths return; this trailing
@@ -166,26 +155,26 @@ func (g *generator) genFn(f *FuncDecl) (*bytecode.Fn, error) {
 	return g.b.Finish()
 }
 
-func (g *generator) zeroValue(t TypeKind) {
-	if t == TyFloat {
+func (g *generator) zeroValue(t typeKind) {
+	if t == tyFloat {
 		g.b.FConst(0)
 	} else {
 		g.b.IConst(0)
 	}
 }
 
-func (g *generator) ret(t TypeKind) {
+func (g *generator) ret(t typeKind) {
 	switch t {
-	case TyVoid:
+	case tyVoid:
 		g.b.Emit(bytecode.RET)
-	case TyFloat:
+	case tyFloat:
 		g.b.Emit(bytecode.FRET)
 	default:
 		g.b.Emit(bytecode.IRET)
 	}
 }
 
-func (g *generator) block(b *BlockStmt) error {
+func (g *generator) block(b *blockStmt) error {
 	for _, s := range b.Stmts {
 		if err := g.stmt(s); err != nil {
 			return err
@@ -194,11 +183,11 @@ func (g *generator) block(b *BlockStmt) error {
 	return nil
 }
 
-func (g *generator) stmt(s Stmt) error {
+func (g *generator) stmt(s stmt) error {
 	switch s := s.(type) {
-	case *BlockStmt:
+	case *blockStmt:
 		return g.block(s)
-	case *VarStmt:
+	case *varStmt:
 		if s.Init != nil {
 			if err := g.expr(s.Init); err != nil {
 				return err
@@ -208,15 +197,15 @@ func (g *generator) stmt(s Stmt) error {
 		}
 		g.store(false, s.Slot, s.Type)
 		return nil
-	case *AssignStmt:
+	case *assignStmt:
 		switch lhs := s.LHS.(type) {
-		case *Ident:
+		case *ident:
 			if err := g.expr(s.RHS); err != nil {
 				return err
 			}
-			g.store(lhs.Global, lhs.Slot, lhs.Type())
+			g.store(lhs.Global, lhs.Slot, lhs.typ())
 			return nil
-		case *IndexExpr:
+		case *indexExpr:
 			if err := g.expr(lhs.Arr); err != nil {
 				return err
 			}
@@ -226,7 +215,7 @@ func (g *generator) stmt(s Stmt) error {
 			if err := g.expr(s.RHS); err != nil {
 				return err
 			}
-			if lhs.Type() == TyFloat {
+			if lhs.typ() == tyFloat {
 				g.b.Emit(bytecode.FASTORE)
 			} else {
 				g.b.Emit(bytecode.IASTORE)
@@ -234,7 +223,7 @@ func (g *generator) stmt(s Stmt) error {
 			return nil
 		}
 		return fmt.Errorf("jolt: bad assignment target %T", s.LHS)
-	case *IfStmt:
+	case *ifStmt:
 		lThen := g.newLabel("then")
 		lEnd := g.newLabel("endif")
 		lElse := lEnd
@@ -257,7 +246,7 @@ func (g *generator) stmt(s Stmt) error {
 		}
 		g.b.Label(lEnd)
 		return nil
-	case *WhileStmt:
+	case *whileStmt:
 		lCond := g.newLabel("wcond")
 		lBody := g.newLabel("wbody")
 		lEnd := g.newLabel("wend")
@@ -274,7 +263,7 @@ func (g *generator) stmt(s Stmt) error {
 		g.b.Branch(bytecode.GOTO, lCond)
 		g.b.Label(lEnd)
 		return nil
-	case *ForStmt:
+	case *forStmt:
 		lCond := g.newLabel("fcond")
 		lBody := g.newLabel("fbody")
 		lPost := g.newLabel("fpost")
@@ -307,7 +296,7 @@ func (g *generator) stmt(s Stmt) error {
 		g.b.Branch(bytecode.GOTO, lCond)
 		g.b.Label(lEnd)
 		return nil
-	case *ReturnStmt:
+	case *returnStmt:
 		if s.Value != nil {
 			if err := g.expr(s.Value); err != nil {
 				return err
@@ -315,36 +304,36 @@ func (g *generator) stmt(s Stmt) error {
 		}
 		g.ret(g.fn.Ret)
 		return nil
-	case *BreakStmt:
+	case *breakStmt:
 		if len(g.loops) == 0 {
 			return errf(s.Pos.Line, s.Pos.Col, "break outside loop")
 		}
 		g.b.Branch(bytecode.GOTO, g.loops[len(g.loops)-1].brk)
 		return nil
-	case *ContinueStmt:
+	case *continueStmt:
 		if len(g.loops) == 0 {
 			return errf(s.Pos.Line, s.Pos.Col, "continue outside loop")
 		}
 		g.b.Branch(bytecode.GOTO, g.loops[len(g.loops)-1].cont)
 		return nil
-	case *PrintStmt:
+	case *printStmt:
 		if err := g.expr(s.Value); err != nil {
 			return err
 		}
-		if s.Value.Type() == TyFloat {
+		if s.Value.typ() == tyFloat {
 			g.b.Emit(bytecode.PRINTF)
 		} else {
 			g.b.Emit(bytecode.PRINTI)
 		}
 		return nil
-	case *ExprStmt:
-		call := s.X.(*CallExpr)
+	case *exprStmt:
+		call := s.X.(*callExpr)
 		if err := g.expr(call); err != nil {
 			return err
 		}
-		switch call.Type() {
-		case TyVoid:
-		case TyFloat:
+		switch call.typ() {
+		case tyVoid:
+		case tyFloat:
 			g.b.Emit(bytecode.FPOP)
 		default:
 			g.b.Emit(bytecode.POP)
@@ -354,26 +343,26 @@ func (g *generator) stmt(s Stmt) error {
 	return fmt.Errorf("jolt: unknown statement %T", s)
 }
 
-func (g *generator) store(global bool, slot int32, t TypeKind) {
+func (g *generator) store(global bool, slot int32, t typeKind) {
 	switch {
-	case global && t == TyFloat:
+	case global && t == tyFloat:
 		g.b.EmitA(bytecode.GFSTORE, slot)
 	case global:
 		g.b.EmitA(bytecode.GISTORE, slot)
-	case t == TyFloat:
+	case t == tyFloat:
 		g.b.EmitA(bytecode.FSTORE, slot)
 	default:
 		g.b.EmitA(bytecode.ISTORE, slot)
 	}
 }
 
-func (g *generator) load(global bool, slot int32, t TypeKind) {
+func (g *generator) load(global bool, slot int32, t typeKind) {
 	switch {
-	case global && t == TyFloat:
+	case global && t == tyFloat:
 		g.b.EmitA(bytecode.GFLOAD, slot)
 	case global:
 		g.b.EmitA(bytecode.GILOAD, slot)
-	case t == TyFloat:
+	case t == tyFloat:
 		g.b.EmitA(bytecode.FLOAD, slot)
 	default:
 		g.b.EmitA(bytecode.ILOAD, slot)
@@ -381,38 +370,38 @@ func (g *generator) load(global bool, slot int32, t TypeKind) {
 }
 
 // expr emits code leaving the expression's value on the stack.
-func (g *generator) expr(e Expr) error {
+func (g *generator) expr(e expr) error {
 	switch e := e.(type) {
-	case *IntLit:
+	case *intLit:
 		g.b.IConst(e.Value)
 		return nil
-	case *FloatLit:
+	case *floatLit:
 		g.b.FConst(e.Value)
 		return nil
-	case *BoolLit:
+	case *boolLit:
 		v := int64(0)
 		if e.Value {
 			v = 1
 		}
 		g.b.IConst(v)
 		return nil
-	case *Ident:
-		g.load(e.Global, e.Slot, e.Type())
+	case *ident:
+		g.load(e.Global, e.Slot, e.typ())
 		return nil
-	case *IndexExpr:
+	case *indexExpr:
 		if err := g.expr(e.Arr); err != nil {
 			return err
 		}
 		if err := g.expr(e.Index); err != nil {
 			return err
 		}
-		if e.Type() == TyFloat {
+		if e.typ() == tyFloat {
 			g.b.Emit(bytecode.FALOAD)
 		} else {
 			g.b.Emit(bytecode.IALOAD)
 		}
 		return nil
-	case *CallExpr:
+	case *callExpr:
 		for _, a := range e.Args {
 			if err := g.expr(a); err != nil {
 				return err
@@ -420,7 +409,7 @@ func (g *generator) expr(e Expr) error {
 		}
 		g.b.EmitA(bytecode.CALL, int32(e.FnIndex+g.fnIndexOffset))
 		return nil
-	case *NewArrayExpr:
+	case *newArrayExpr:
 		if err := g.expr(e.Size); err != nil {
 			return err
 		}
@@ -430,30 +419,30 @@ func (g *generator) expr(e Expr) error {
 			g.b.Emit(bytecode.NEWARRI)
 		}
 		return nil
-	case *LenExpr:
+	case *lenExpr:
 		if err := g.expr(e.Arr); err != nil {
 			return err
 		}
 		g.b.Emit(bytecode.ALEN)
 		return nil
-	case *ConvExpr:
+	case *convExpr:
 		if err := g.expr(e.X); err != nil {
 			return err
 		}
-		from := e.X.Type()
+		from := e.X.typ()
 		switch {
-		case e.ToFloat && from == TyInt:
+		case e.ToFloat && from == tyInt:
 			g.b.Emit(bytecode.I2F)
-		case !e.ToFloat && from == TyFloat:
+		case !e.ToFloat && from == tyFloat:
 			g.b.Emit(bytecode.F2I)
 		}
 		return nil
-	case *UnaryExpr:
-		if e.Op == Minus {
+	case *unaryExpr:
+		if e.Op == tokMinus {
 			if err := g.expr(e.X); err != nil {
 				return err
 			}
-			if e.Type() == TyFloat {
+			if e.typ() == tyFloat {
 				g.b.Emit(bytecode.FNEG)
 			} else {
 				g.b.Emit(bytecode.INEG)
@@ -462,16 +451,16 @@ func (g *generator) expr(e Expr) error {
 		}
 		// Boolean not: materialize via the condition path.
 		return g.materializeBool(e)
-	case *BinaryExpr:
+	case *binaryExpr:
 		switch e.Op {
-		case Plus, Minus, Star, Slash, Percent, Amp, Pipe, Caret, Shl, Shr:
+		case tokPlus, tokMinus, tokStar, tokSlash, tokPercent, tokAmp, tokPipe, tokCaret, tokShl, tokShr:
 			if err := g.expr(e.X); err != nil {
 				return err
 			}
 			if err := g.expr(e.Y); err != nil {
 				return err
 			}
-			g.arith(e.Op, e.Type())
+			g.arith(e.Op, e.typ())
 			return nil
 		default:
 			// Comparison or logic: bool-valued.
@@ -481,46 +470,46 @@ func (g *generator) expr(e Expr) error {
 	return fmt.Errorf("jolt: unknown expression %T", e)
 }
 
-func (g *generator) arith(op Kind, t TypeKind) {
-	if t == TyFloat {
+func (g *generator) arith(op tokKind, t typeKind) {
+	if t == tyFloat {
 		switch op {
-		case Plus:
+		case tokPlus:
 			g.b.Emit(bytecode.FADD)
-		case Minus:
+		case tokMinus:
 			g.b.Emit(bytecode.FSUB)
-		case Star:
+		case tokStar:
 			g.b.Emit(bytecode.FMUL)
-		case Slash:
+		case tokSlash:
 			g.b.Emit(bytecode.FDIV)
 		}
 		return
 	}
 	switch op {
-	case Plus:
+	case tokPlus:
 		g.b.Emit(bytecode.IADD)
-	case Minus:
+	case tokMinus:
 		g.b.Emit(bytecode.ISUB)
-	case Star:
+	case tokStar:
 		g.b.Emit(bytecode.IMUL)
-	case Slash:
+	case tokSlash:
 		g.b.Emit(bytecode.IDIV)
-	case Percent:
+	case tokPercent:
 		g.b.Emit(bytecode.IREM)
-	case Amp:
+	case tokAmp:
 		g.b.Emit(bytecode.IAND)
-	case Pipe:
+	case tokPipe:
 		g.b.Emit(bytecode.IOR)
-	case Caret:
+	case tokCaret:
 		g.b.Emit(bytecode.IXOR)
-	case Shl:
+	case tokShl:
 		g.b.Emit(bytecode.ISHL)
-	case Shr:
+	case tokShr:
 		g.b.Emit(bytecode.ISHR)
 	}
 }
 
 // materializeBool evaluates a bool expression to a 0/1 value via branches.
-func (g *generator) materializeBool(e Expr) error {
+func (g *generator) materializeBool(e expr) error {
 	lT := g.newLabel("bt")
 	lF := g.newLabel("bf")
 	lEnd := g.newLabel("bend")
@@ -539,43 +528,43 @@ func (g *generator) materializeBool(e Expr) error {
 // cond emits code branching to lTrue or lFalse according to the bool
 // expression, with short-circuit && and ||. Control always leaves via an
 // explicit branch.
-func (g *generator) cond(e Expr, lTrue, lFalse string) error {
+func (g *generator) cond(e expr, lTrue, lFalse string) error {
 	switch e := e.(type) {
-	case *BoolLit:
+	case *boolLit:
 		if e.Value {
 			g.b.Branch(bytecode.GOTO, lTrue)
 		} else {
 			g.b.Branch(bytecode.GOTO, lFalse)
 		}
 		return nil
-	case *UnaryExpr:
-		if e.Op == Not {
+	case *unaryExpr:
+		if e.Op == tokNot {
 			return g.cond(e.X, lFalse, lTrue)
 		}
-	case *BinaryExpr:
+	case *binaryExpr:
 		switch e.Op {
-		case AndAnd:
+		case tokAndAnd:
 			mid := g.newLabel("and")
 			if err := g.cond(e.X, mid, lFalse); err != nil {
 				return err
 			}
 			g.b.Label(mid)
 			return g.cond(e.Y, lTrue, lFalse)
-		case OrOr:
+		case tokOrOr:
 			mid := g.newLabel("or")
 			if err := g.cond(e.X, lTrue, mid); err != nil {
 				return err
 			}
 			g.b.Label(mid)
 			return g.cond(e.Y, lTrue, lFalse)
-		case Lt, Le, Gt, Ge, EqEq, NotEq:
+		case tokLt, tokLe, tokGt, tokGe, tokEqEq, tokNotEq:
 			if err := g.expr(e.X); err != nil {
 				return err
 			}
 			if err := g.expr(e.Y); err != nil {
 				return err
 			}
-			isFloat := e.X.Type() == TyFloat
+			isFloat := e.X.typ() == tyFloat
 			g.b.Branch(cmpOp(e.Op, isFloat), lTrue)
 			g.b.Branch(bytecode.GOTO, lFalse)
 			return nil
@@ -591,35 +580,35 @@ func (g *generator) cond(e Expr, lTrue, lFalse string) error {
 	return nil
 }
 
-func cmpOp(op Kind, isFloat bool) bytecode.Op {
+func cmpOp(op tokKind, isFloat bool) bytecode.Op {
 	if isFloat {
 		switch op {
-		case Lt:
+		case tokLt:
 			return bytecode.IFFCMPLT
-		case Le:
+		case tokLe:
 			return bytecode.IFFCMPLE
-		case Gt:
+		case tokGt:
 			return bytecode.IFFCMPGT
-		case Ge:
+		case tokGe:
 			return bytecode.IFFCMPGE
-		case EqEq:
+		case tokEqEq:
 			return bytecode.IFFCMPEQ
-		case NotEq:
+		case tokNotEq:
 			return bytecode.IFFCMPNE
 		}
 	}
 	switch op {
-	case Lt:
+	case tokLt:
 		return bytecode.IFICMPLT
-	case Le:
+	case tokLe:
 		return bytecode.IFICMPLE
-	case Gt:
+	case tokGt:
 		return bytecode.IFICMPGT
-	case Ge:
+	case tokGe:
 		return bytecode.IFICMPGE
-	case EqEq:
+	case tokEqEq:
 		return bytecode.IFICMPEQ
-	case NotEq:
+	case tokNotEq:
 		return bytecode.IFICMPNE
 	}
 	panic("jolt: not a comparison")

@@ -1,6 +1,9 @@
 package jolt
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -10,7 +13,7 @@ import (
 // run compiles and interprets a program, returning the result.
 func run(t *testing.T, src string) *interp.Result {
 	t.Helper()
-	m, err := Compile(src)
+	m, err := Compile(src, Options{})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -32,7 +35,7 @@ func expectRet(t *testing.T, src string, want int64) {
 // expectErr checks that compilation fails with a message containing want.
 func expectErr(t *testing.T, src, want string) {
 	t.Helper()
-	_, err := Compile(src)
+	_, err := Compile(src, Options{})
 	if err == nil {
 		t.Fatalf("Compile succeeded, want error containing %q", want)
 	}
@@ -378,7 +381,7 @@ func main() int { return g; }`, "expected ';'")
 }
 
 func TestErrorPositionsReported(t *testing.T) {
-	_, err := Compile("func main() int {\n  return y;\n}")
+	_, err := Compile("func main() int {\n  return y;\n}", Options{})
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -395,17 +398,89 @@ func TestBitOperators(t *testing.T) {
 }
 
 func TestLexerTokens(t *testing.T) {
-	toks, err := Lex(`x <= 10 && y != 3.5 || !b`)
+	toks, err := lex(`x <= 10 && y != 3.5 || !b`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := []Kind{IDENT, Le, INTLIT, AndAnd, IDENT, NotEq, FLOATLIT, OrOr, Not, IDENT, EOF}
+	kinds := []tokKind{tokIdent, tokLe, tokIntLit, tokAndAnd, tokIdent, tokNotEq, tokFloatLit, tokOrOr, tokNot, tokIdent, tokEOF}
 	if len(toks) != len(kinds) {
 		t.Fatalf("got %d tokens, want %d: %v", len(toks), len(kinds), toks)
 	}
 	for i, k := range kinds {
 		if toks[i].Kind != k {
 			t.Errorf("token %d = %v, want %v", i, toks[i].Kind, k)
+		}
+	}
+}
+
+// sscanfLiteral is the number scan the lexer used before it called
+// strconv directly, kept as the reference TestNumberScanMatchesSscanf
+// compares against.
+func sscanfLiteral(text string, isFloat bool) (token, error) {
+	tok := token{Text: text, Line: 1, Col: 1}
+	if isFloat {
+		var f float64
+		if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
+			return token{}, errf(1, 1, "bad float literal %q", text)
+		}
+		tok.Kind, tok.Flt = tokFloatLit, f
+	} else {
+		var v int64
+		if _, err := fmt.Sscanf(text, "%d", &v); err != nil {
+			return token{}, errf(1, 1, "bad int literal %q", text)
+		}
+		tok.Kind, tok.Int = tokIntLit, v
+	}
+	return tok, nil
+}
+
+// TestNumberScanMatchesSscanf: the lexer's number scan agrees with the
+// fmt.Sscanf scan it replaced on value, overflow refusal and error text,
+// over boundary literals and random ones.
+func TestNumberScanMatchesSscanf(t *testing.T) {
+	lits := []string{
+		"0", "7", "007", "0010", "9223372036854775807", "9223372036854775808",
+		"09223372036854775807", "18446744073709551616", "99999999999999999999999",
+		"0.0", "3.5", "00.25", "1e5", "1E5", "1e+5", "1e-5", "0e0", "2.5e3",
+		"1e308", "1.7976931348623157e308", "1.7976931348623159e308", "1e309",
+		"1e-400", "2e-324", "3e-324", "4.9e-324", "5e-324", "1e-323",
+		"123456789012345678901234567890.5", "0.000000000000000000001e-300",
+	}
+	r := rand.New(rand.NewSource(1))
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte('0' + r.Intn(10))
+		}
+		return string(b)
+	}
+	for i := 0; i < 2000; i++ {
+		s := digits(1 + r.Intn(22))
+		if r.Intn(2) == 0 {
+			s += "." + digits(1+r.Intn(20))
+		}
+		if r.Intn(2) == 0 {
+			s += [...]string{"e", "E", "e+", "e-"}[r.Intn(4)] + digits(1+r.Intn(3))
+		}
+		lits = append(lits, s)
+	}
+	for _, lit := range lits {
+		want, wantErr := sscanfLiteral(lit, strings.ContainsAny(lit, ".eE"))
+		toks, err := lex(lit)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("%s: lex error %v, want %v", lit, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: lex error %v, Sscanf scans %+v", lit, err, want)
+			continue
+		}
+		got := toks[0]
+		if len(toks) != 2 || got.Kind != want.Kind || got.Int != want.Int ||
+			math.Float64bits(got.Flt) != math.Float64bits(want.Flt) || got.Text != want.Text {
+			t.Errorf("%s: lex gives %+v, Sscanf %+v", lit, toks, want)
 		}
 	}
 }

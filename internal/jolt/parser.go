@@ -1,8 +1,8 @@
 package jolt
 
-// Parse builds the AST of a Jolt source file.
-func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+// parse builds the AST of a Jolt source file.
+func parse(src string) (*program, error) {
+	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
@@ -11,12 +11,12 @@ func Parse(src string) (*Program, error) {
 }
 
 type parser struct {
-	toks []Token
+	toks []token
 	pos  int
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) peek() Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func (p *parser) cur() token  { return p.toks[p.pos] }
+func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
 
 func min(a, b int) int {
 	if a < b {
@@ -25,7 +25,7 @@ func min(a, b int) int {
 	return b
 }
 
-func (p *parser) next() Token {
+func (p *parser) next() token {
 	t := p.toks[p.pos]
 	if p.pos < len(p.toks)-1 {
 		p.pos++
@@ -33,9 +33,9 @@ func (p *parser) next() Token {
 	return t
 }
 
-func (p *parser) at(k Kind) bool { return p.cur().Kind == k }
+func (p *parser) at(k tokKind) bool { return p.cur().Kind == k }
 
-func (p *parser) accept(k Kind) bool {
+func (p *parser) accept(k tokKind) bool {
 	if p.at(k) {
 		p.next()
 		return true
@@ -43,28 +43,28 @@ func (p *parser) accept(k Kind) bool {
 	return false
 }
 
-func (p *parser) expect(k Kind) (Token, error) {
+func (p *parser) expect(k tokKind) (token, error) {
 	t := p.cur()
 	if t.Kind != k {
-		return t, errf(t.Line, t.Col, "expected %s, found %s", k, t)
+		return t, errf(t.Line, t.Col, "expected %s, found %s", k.name(), t.describe())
 	}
 	p.next()
 	return t, nil
 }
 
-func tokPos(t Token) Pos { return Pos{Line: t.Line, Col: t.Col} }
+func tokPos(t token) pos { return pos{Line: t.Line, Col: t.Col} }
 
-func (p *parser) program() (*Program, error) {
-	prog := &Program{}
-	for !p.at(EOF) {
+func (p *parser) program() (*program, error) {
+	prog := &program{}
+	for !p.at(tokEOF) {
 		switch p.cur().Kind {
-		case KwVar:
+		case kwVar:
 			g, err := p.globalDecl()
 			if err != nil {
 				return nil, err
 			}
 			prog.Globals = append(prog.Globals, g)
-		case KwFunc:
+		case kwFunc:
 			f, err := p.funcDecl()
 			if err != nil {
 				return nil, err
@@ -72,46 +72,46 @@ func (p *parser) program() (*Program, error) {
 			prog.Funcs = append(prog.Funcs, f)
 		default:
 			t := p.cur()
-			return nil, errf(t.Line, t.Col, "expected 'var' or 'func' at top level, found %s", t)
+			return nil, errf(t.Line, t.Col, "expected 'var' or 'func' at top level, found %s", t.describe())
 		}
 	}
 	return prog, nil
 }
 
 // typeName parses int, float, bool, int[], float[].
-func (p *parser) typeName() (TypeKind, error) {
+func (p *parser) typeName() (typeKind, error) {
 	t := p.cur()
-	var base TypeKind
+	var base typeKind
 	switch t.Kind {
-	case KwInt:
-		base = TyInt
-	case KwFloat:
-		base = TyFloat
-	case KwBool:
-		base = TyBool
+	case kwInt:
+		base = tyInt
+	case kwFloat:
+		base = tyFloat
+	case kwBool:
+		base = tyBool
 	default:
-		return TyVoid, errf(t.Line, t.Col, "expected a type, found %s", t)
+		return tyVoid, errf(t.Line, t.Col, "expected a type, found %s", t.describe())
 	}
 	p.next()
-	if p.accept(LBrack) {
-		if _, err := p.expect(RBrack); err != nil {
-			return TyVoid, err
+	if p.accept(tokLBrack) {
+		if _, err := p.expect(tokRBrack); err != nil {
+			return tyVoid, err
 		}
 		switch base {
-		case TyInt:
-			return TyIntArr, nil
-		case TyFloat:
-			return TyFloatArr, nil
+		case tyInt:
+			return tyIntArr, nil
+		case tyFloat:
+			return tyFloatArr, nil
 		default:
-			return TyVoid, errf(t.Line, t.Col, "bool arrays are not supported")
+			return tyVoid, errf(t.Line, t.Col, "bool arrays are not supported")
 		}
 	}
 	return base, nil
 }
 
-func (p *parser) globalDecl() (*GlobalDecl, error) {
-	kw, _ := p.expect(KwVar)
-	name, err := p.expect(IDENT)
+func (p *parser) globalDecl() (*globalDecl, error) {
+	kw, _ := p.expect(kwVar)
+	name, err := p.expect(tokIdent)
 	if err != nil {
 		return nil, err
 	}
@@ -119,15 +119,15 @@ func (p *parser) globalDecl() (*GlobalDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &GlobalDecl{Pos: tokPos(kw), Name: name.Text, Type: ty}
-	if p.accept(Assign) {
+	g := &globalDecl{Pos: tokPos(kw), Name: name.Text, Type: ty}
+	if p.accept(tokAssign) {
 		init, err := p.literal()
 		if err != nil {
 			return nil, err
 		}
 		g.Init = init
 	}
-	if _, err := p.expect(Semi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -135,55 +135,55 @@ func (p *parser) globalDecl() (*GlobalDecl, error) {
 
 // literal parses a constant initializer: possibly-negated numeric literal
 // or a bool literal.
-func (p *parser) literal() (Expr, error) {
+func (p *parser) literal() (expr, error) {
 	t := p.cur()
 	neg := false
-	if p.accept(Minus) {
+	if p.accept(tokMinus) {
 		neg = true
 		t = p.cur()
 	}
 	switch t.Kind {
-	case INTLIT:
+	case tokIntLit:
 		p.next()
 		v := t.Int
 		if neg {
 			v = -v
 		}
-		return &IntLit{exprBase: exprBase{Pos: tokPos(t)}, Value: v}, nil
-	case FLOATLIT:
+		return &intLit{exprBase: exprBase{Pos: tokPos(t)}, Value: v}, nil
+	case tokFloatLit:
 		p.next()
 		v := t.Flt
 		if neg {
 			v = -v
 		}
-		return &FloatLit{exprBase: exprBase{Pos: tokPos(t)}, Value: v}, nil
-	case KwTrue, KwFalse:
+		return &floatLit{exprBase: exprBase{Pos: tokPos(t)}, Value: v}, nil
+	case kwTrue, kwFalse:
 		if neg {
 			return nil, errf(t.Line, t.Col, "cannot negate a bool literal")
 		}
 		p.next()
-		return &BoolLit{exprBase: exprBase{Pos: tokPos(t)}, Value: t.Kind == KwTrue}, nil
+		return &boolLit{exprBase: exprBase{Pos: tokPos(t)}, Value: t.Kind == kwTrue}, nil
 	}
-	return nil, errf(t.Line, t.Col, "expected a constant initializer, found %s", t)
+	return nil, errf(t.Line, t.Col, "expected a constant initializer, found %s", t.describe())
 }
 
-func (p *parser) funcDecl() (*FuncDecl, error) {
-	kw, _ := p.expect(KwFunc)
-	name, err := p.expect(IDENT)
+func (p *parser) funcDecl() (*funcDecl, error) {
+	kw, _ := p.expect(kwFunc)
+	name, err := p.expect(tokIdent)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(LParen); err != nil {
+	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	f := &FuncDecl{Pos: tokPos(kw), Name: name.Text, Ret: TyVoid}
-	for !p.at(RParen) {
+	f := &funcDecl{Pos: tokPos(kw), Name: name.Text, Ret: tyVoid}
+	for !p.at(tokRParen) {
 		if len(f.Params) > 0 {
-			if _, err := p.expect(Comma); err != nil {
+			if _, err := p.expect(tokComma); err != nil {
 				return nil, err
 			}
 		}
-		pn, err := p.expect(IDENT)
+		pn, err := p.expect(tokIdent)
 		if err != nil {
 			return nil, err
 		}
@@ -191,10 +191,10 @@ func (p *parser) funcDecl() (*FuncDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Params = append(f.Params, Param{Pos: tokPos(pn), Name: pn.Text, Type: pt})
+		f.Params = append(f.Params, param{Pos: tokPos(pn), Name: pn.Text, Type: pt})
 	}
 	p.next() // RParen
-	if !p.at(LBrace) {
+	if !p.at(tokLBrace) {
 		ret, err := p.typeName()
 		if err != nil {
 			return nil, err
@@ -209,14 +209,14 @@ func (p *parser) funcDecl() (*FuncDecl, error) {
 	return f, nil
 }
 
-func (p *parser) block() (*BlockStmt, error) {
-	lb, err := p.expect(LBrace)
+func (p *parser) block() (*blockStmt, error) {
+	lb, err := p.expect(tokLBrace)
 	if err != nil {
 		return nil, err
 	}
-	b := &BlockStmt{Pos: tokPos(lb)}
-	for !p.at(RBrace) {
-		if p.at(EOF) {
+	b := &blockStmt{Pos: tokPos(lb)}
+	for !p.at(tokRBrace) {
+		if p.at(tokEOF) {
 			return nil, errf(lb.Line, lb.Col, "unterminated block")
 		}
 		s, err := p.stmt()
@@ -229,98 +229,98 @@ func (p *parser) block() (*BlockStmt, error) {
 	return b, nil
 }
 
-func (p *parser) stmt() (Stmt, error) {
+func (p *parser) stmt() (stmt, error) {
 	t := p.cur()
 	switch t.Kind {
-	case LBrace:
+	case tokLBrace:
 		return p.block()
-	case KwVar:
+	case kwVar:
 		s, err := p.varStmt()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(Semi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		return s, nil
-	case KwIf:
+	case kwIf:
 		return p.ifStmt()
-	case KwWhile:
+	case kwWhile:
 		p.next()
-		if _, err := p.expect(LParen); err != nil {
+		if _, err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 		body, err := p.block()
 		if err != nil {
 			return nil, err
 		}
-		return &WhileStmt{Pos: tokPos(t), Cond: cond, Body: body}, nil
-	case KwFor:
+		return &whileStmt{Pos: tokPos(t), Cond: cond, Body: body}, nil
+	case kwFor:
 		return p.forStmt()
-	case KwReturn:
+	case kwReturn:
 		p.next()
-		s := &ReturnStmt{Pos: tokPos(t)}
-		if !p.at(Semi) {
+		s := &returnStmt{Pos: tokPos(t)}
+		if !p.at(tokSemi) {
 			v, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
 			s.Value = v
 		}
-		if _, err := p.expect(Semi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		return s, nil
-	case KwBreak:
+	case kwBreak:
 		p.next()
-		if _, err := p.expect(Semi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
-		return &BreakStmt{Pos: tokPos(t)}, nil
-	case KwContinue:
+		return &breakStmt{Pos: tokPos(t)}, nil
+	case kwContinue:
 		p.next()
-		if _, err := p.expect(Semi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
-		return &ContinueStmt{Pos: tokPos(t)}, nil
-	case KwPrint:
+		return &continueStmt{Pos: tokPos(t)}, nil
+	case kwPrint:
 		p.next()
-		if _, err := p.expect(LParen); err != nil {
+		if _, err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
 		v, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(Semi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
-		return &PrintStmt{Pos: tokPos(t), Value: v}, nil
+		return &printStmt{Pos: tokPos(t), Value: v}, nil
 	default:
 		s, err := p.simpleStmt()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(Semi); err != nil {
+		if _, err := p.expect(tokSemi); err != nil {
 			return nil, err
 		}
 		return s, nil
 	}
 }
 
-func (p *parser) varStmt() (*VarStmt, error) {
-	kw, _ := p.expect(KwVar)
-	name, err := p.expect(IDENT)
+func (p *parser) varStmt() (*varStmt, error) {
+	kw, _ := p.expect(kwVar)
+	name, err := p.expect(tokIdent)
 	if err != nil {
 		return nil, err
 	}
@@ -328,8 +328,8 @@ func (p *parser) varStmt() (*VarStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &VarStmt{Pos: tokPos(kw), Name: name.Text, Type: ty}
-	if p.accept(Assign) {
+	s := &varStmt{Pos: tokPos(kw), Name: name.Text, Type: ty}
+	if p.accept(tokAssign) {
 		init, err := p.expr()
 		if err != nil {
 			return nil, err
@@ -339,25 +339,25 @@ func (p *parser) varStmt() (*VarStmt, error) {
 	return s, nil
 }
 
-func (p *parser) ifStmt() (Stmt, error) {
-	kw, _ := p.expect(KwIf)
-	if _, err := p.expect(LParen); err != nil {
+func (p *parser) ifStmt() (stmt, error) {
+	kw, _ := p.expect(kwIf)
+	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(RParen); err != nil {
+	if _, err := p.expect(tokRParen); err != nil {
 		return nil, err
 	}
 	then, err := p.block()
 	if err != nil {
 		return nil, err
 	}
-	s := &IfStmt{Pos: tokPos(kw), Cond: cond, Then: then}
-	if p.accept(KwElse) {
-		if p.at(KwIf) {
+	s := &ifStmt{Pos: tokPos(kw), Cond: cond, Then: then}
+	if p.accept(kwElse) {
+		if p.at(kwIf) {
 			els, err := p.ifStmt()
 			if err != nil {
 				return nil, err
@@ -374,15 +374,15 @@ func (p *parser) ifStmt() (Stmt, error) {
 	return s, nil
 }
 
-func (p *parser) forStmt() (Stmt, error) {
-	kw, _ := p.expect(KwFor)
-	if _, err := p.expect(LParen); err != nil {
+func (p *parser) forStmt() (stmt, error) {
+	kw, _ := p.expect(kwFor)
+	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	s := &ForStmt{Pos: tokPos(kw)}
-	if !p.at(Semi) {
+	s := &forStmt{Pos: tokPos(kw)}
+	if !p.at(tokSemi) {
 		var err error
-		if p.at(KwVar) {
+		if p.at(kwVar) {
 			s.Init, err = p.varStmt()
 		} else {
 			s.Init, err = p.simpleStmt()
@@ -391,27 +391,27 @@ func (p *parser) forStmt() (Stmt, error) {
 			return nil, err
 		}
 	}
-	if _, err := p.expect(Semi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return nil, err
 	}
-	if !p.at(Semi) {
+	if !p.at(tokSemi) {
 		cond, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
 		s.Cond = cond
 	}
-	if _, err := p.expect(Semi); err != nil {
+	if _, err := p.expect(tokSemi); err != nil {
 		return nil, err
 	}
-	if !p.at(RParen) {
+	if !p.at(tokRParen) {
 		post, err := p.simpleStmt()
 		if err != nil {
 			return nil, err
 		}
 		s.Post = post
 	}
-	if _, err := p.expect(RParen); err != nil {
+	if _, err := p.expect(tokRParen); err != nil {
 		return nil, err
 	}
 	body, err := p.block()
@@ -423,15 +423,15 @@ func (p *parser) forStmt() (Stmt, error) {
 }
 
 // simpleStmt is an assignment or an expression statement.
-func (p *parser) simpleStmt() (Stmt, error) {
+func (p *parser) simpleStmt() (stmt, error) {
 	start := p.cur()
 	x, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if p.accept(Assign) {
+	if p.accept(tokAssign) {
 		switch x.(type) {
-		case *Ident, *IndexExpr:
+		case *ident, *indexExpr:
 		default:
 			return nil, errf(start.Line, start.Col, "left side of '=' must be a variable or array element")
 		}
@@ -439,19 +439,19 @@ func (p *parser) simpleStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &AssignStmt{Pos: tokPos(start), LHS: x, RHS: rhs}, nil
+		return &assignStmt{Pos: tokPos(start), LHS: x, RHS: rhs}, nil
 	}
-	if _, ok := x.(*CallExpr); !ok {
+	if _, ok := x.(*callExpr); !ok {
 		return nil, errf(start.Line, start.Col, "expression statement must be a call")
 	}
-	return &ExprStmt{Pos: tokPos(start), X: x}, nil
+	return &exprStmt{Pos: tokPos(start), X: x}, nil
 }
 
 // Expression grammar, lowest precedence first.
 
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
+func (p *parser) expr() (expr, error) { return p.orExpr() }
 
-func (p *parser) binaryLevel(ops []Kind, sub func() (Expr, error)) (Expr, error) {
+func (p *parser) binaryLevel(ops []tokKind, sub func() (expr, error)) (expr, error) {
 	x, err := sub()
 	if err != nil {
 		return nil, err
@@ -465,7 +465,7 @@ func (p *parser) binaryLevel(ops []Kind, sub func() (Expr, error)) (Expr, error)
 				if err != nil {
 					return nil, err
 				}
-				x = &BinaryExpr{exprBase: exprBase{Pos: tokPos(t)}, Op: op, X: x, Y: y}
+				x = &binaryExpr{exprBase: exprBase{Pos: tokPos(t)}, Op: op, X: x, Y: y}
 				matched = true
 				break
 			}
@@ -476,153 +476,153 @@ func (p *parser) binaryLevel(ops []Kind, sub func() (Expr, error)) (Expr, error)
 	}
 }
 
-func (p *parser) orExpr() (Expr, error) {
-	return p.binaryLevel([]Kind{OrOr}, p.andExpr)
+func (p *parser) orExpr() (expr, error) {
+	return p.binaryLevel([]tokKind{tokOrOr}, p.andExpr)
 }
 
-func (p *parser) andExpr() (Expr, error) {
-	return p.binaryLevel([]Kind{AndAnd}, p.eqExpr)
+func (p *parser) andExpr() (expr, error) {
+	return p.binaryLevel([]tokKind{tokAndAnd}, p.eqExpr)
 }
 
-func (p *parser) eqExpr() (Expr, error) {
-	return p.binaryLevel([]Kind{EqEq, NotEq}, p.relExpr)
+func (p *parser) eqExpr() (expr, error) {
+	return p.binaryLevel([]tokKind{tokEqEq, tokNotEq}, p.relExpr)
 }
 
-func (p *parser) relExpr() (Expr, error) {
-	return p.binaryLevel([]Kind{Le, Ge, Lt, Gt}, p.addExpr)
+func (p *parser) relExpr() (expr, error) {
+	return p.binaryLevel([]tokKind{tokLe, tokGe, tokLt, tokGt}, p.addExpr)
 }
 
 // addExpr follows Go's precedence: | and ^ bind like + and -.
-func (p *parser) addExpr() (Expr, error) {
-	return p.binaryLevel([]Kind{Plus, Minus, Pipe, Caret}, p.mulExpr)
+func (p *parser) addExpr() (expr, error) {
+	return p.binaryLevel([]tokKind{tokPlus, tokMinus, tokPipe, tokCaret}, p.mulExpr)
 }
 
 // mulExpr follows Go's precedence: shifts and & bind like * and /.
-func (p *parser) mulExpr() (Expr, error) {
-	return p.binaryLevel([]Kind{Star, Slash, Percent, Shl, Shr, Amp}, p.unaryExpr)
+func (p *parser) mulExpr() (expr, error) {
+	return p.binaryLevel([]tokKind{tokStar, tokSlash, tokPercent, tokShl, tokShr, tokAmp}, p.unaryExpr)
 }
 
-func (p *parser) unaryExpr() (Expr, error) {
+func (p *parser) unaryExpr() (expr, error) {
 	t := p.cur()
-	if t.Kind == Minus || t.Kind == Not {
+	if t.Kind == tokMinus || t.Kind == tokNot {
 		p.next()
 		x, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{exprBase: exprBase{Pos: tokPos(t)}, Op: t.Kind, X: x}, nil
+		return &unaryExpr{exprBase: exprBase{Pos: tokPos(t)}, Op: t.Kind, X: x}, nil
 	}
 	return p.postfixExpr()
 }
 
-func (p *parser) postfixExpr() (Expr, error) {
+func (p *parser) postfixExpr() (expr, error) {
 	x, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
-	for p.at(LBrack) {
+	for p.at(tokLBrack) {
 		t := p.next()
 		idx, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RBrack); err != nil {
+		if _, err := p.expect(tokRBrack); err != nil {
 			return nil, err
 		}
-		x = &IndexExpr{exprBase: exprBase{Pos: tokPos(t)}, Arr: x, Index: idx}
+		x = &indexExpr{exprBase: exprBase{Pos: tokPos(t)}, Arr: x, Index: idx}
 	}
 	return x, nil
 }
 
-func (p *parser) primary() (Expr, error) {
+func (p *parser) primary() (expr, error) {
 	t := p.cur()
 	switch t.Kind {
-	case INTLIT:
+	case tokIntLit:
 		p.next()
-		return &IntLit{exprBase: exprBase{Pos: tokPos(t)}, Value: t.Int}, nil
-	case FLOATLIT:
+		return &intLit{exprBase: exprBase{Pos: tokPos(t)}, Value: t.Int}, nil
+	case tokFloatLit:
 		p.next()
-		return &FloatLit{exprBase: exprBase{Pos: tokPos(t)}, Value: t.Flt}, nil
-	case KwTrue, KwFalse:
+		return &floatLit{exprBase: exprBase{Pos: tokPos(t)}, Value: t.Flt}, nil
+	case kwTrue, kwFalse:
 		p.next()
-		return &BoolLit{exprBase: exprBase{Pos: tokPos(t)}, Value: t.Kind == KwTrue}, nil
-	case IDENT:
+		return &boolLit{exprBase: exprBase{Pos: tokPos(t)}, Value: t.Kind == kwTrue}, nil
+	case tokIdent:
 		p.next()
-		if p.at(LParen) {
+		if p.at(tokLParen) {
 			return p.callArgs(t)
 		}
-		return &Ident{exprBase: exprBase{Pos: tokPos(t)}, Name: t.Text}, nil
-	case LParen:
+		return &ident{exprBase: exprBase{Pos: tokPos(t)}, Name: t.Text}, nil
+	case tokLParen:
 		p.next()
 		x, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
 		return x, nil
-	case KwNew:
+	case kwNew:
 		p.next()
 		var isFloat bool
 		switch p.cur().Kind {
-		case KwInt:
+		case kwInt:
 			isFloat = false
-		case KwFloat:
+		case kwFloat:
 			isFloat = true
 		default:
 			return nil, errf(t.Line, t.Col, "expected 'int' or 'float' after 'new'")
 		}
 		p.next()
-		if _, err := p.expect(LBrack); err != nil {
+		if _, err := p.expect(tokLBrack); err != nil {
 			return nil, err
 		}
 		size, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RBrack); err != nil {
+		if _, err := p.expect(tokRBrack); err != nil {
 			return nil, err
 		}
-		return &NewArrayExpr{exprBase: exprBase{Pos: tokPos(t)}, ElemFloat: isFloat, Size: size}, nil
-	case KwLen:
+		return &newArrayExpr{exprBase: exprBase{Pos: tokPos(t)}, ElemFloat: isFloat, Size: size}, nil
+	case kwLen:
 		p.next()
-		if _, err := p.expect(LParen); err != nil {
+		if _, err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
 		arr, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		return &LenExpr{exprBase: exprBase{Pos: tokPos(t)}, Arr: arr}, nil
-	case KwInt, KwFloat:
+		return &lenExpr{exprBase: exprBase{Pos: tokPos(t)}, Arr: arr}, nil
+	case kwInt, kwFloat:
 		p.next()
-		if _, err := p.expect(LParen); err != nil {
+		if _, err := p.expect(tokLParen); err != nil {
 			return nil, err
 		}
 		x, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		return &ConvExpr{exprBase: exprBase{Pos: tokPos(t)}, ToFloat: t.Kind == KwFloat, X: x}, nil
+		return &convExpr{exprBase: exprBase{Pos: tokPos(t)}, ToFloat: t.Kind == kwFloat, X: x}, nil
 	}
-	return nil, errf(t.Line, t.Col, "unexpected %s in expression", t)
+	return nil, errf(t.Line, t.Col, "unexpected %s in expression", t.describe())
 }
 
-func (p *parser) callArgs(name Token) (Expr, error) {
-	if _, err := p.expect(LParen); err != nil {
+func (p *parser) callArgs(name token) (expr, error) {
+	if _, err := p.expect(tokLParen); err != nil {
 		return nil, err
 	}
-	c := &CallExpr{exprBase: exprBase{Pos: tokPos(name)}, Name: name.Text, FnIndex: -1}
-	for !p.at(RParen) {
+	c := &callExpr{exprBase: exprBase{Pos: tokPos(name)}, Name: name.Text, FnIndex: -1}
+	for !p.at(tokRParen) {
 		if len(c.Args) > 0 {
-			if _, err := p.expect(Comma); err != nil {
+			if _, err := p.expect(tokComma); err != nil {
 				return nil, err
 			}
 		}

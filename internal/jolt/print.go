@@ -5,9 +5,20 @@ import (
 	"strings"
 )
 
-// PrintProgram renders the AST as an indented tree, for joltc -dump ast
-// and front-end debugging.
-func PrintProgram(p *Program) string {
+// Dump parses src, applies opt's loop unrolling, and renders the AST as
+// an indented tree, for joltc -dump ast and front-end debugging. The tree
+// is a dump, not Jolt source.
+func Dump(src string, opt Options) (string, error) {
+	prog, err := parse(src)
+	if err != nil {
+		return "", err
+	}
+	unroll(prog, opt.UnrollFactor)
+	return printProgram(prog), nil
+}
+
+// printProgram renders a parsed program as Dump does.
+func printProgram(p *program) string {
 	var b strings.Builder
 	pr := &printer{b: &b}
 	for _, g := range p.Globals {
@@ -63,19 +74,19 @@ func (p *printer) open(format string, args ...any) {
 
 func (p *printer) close() { p.indent-- }
 
-func (p *printer) block(b *BlockStmt) {
+func (p *printer) block(b *blockStmt) {
 	for _, s := range b.Stmts {
 		p.stmt(s)
 	}
 }
 
-func (p *printer) stmt(s Stmt) {
+func (p *printer) stmt(s stmt) {
 	switch s := s.(type) {
-	case *BlockStmt:
+	case *blockStmt:
 		p.open("block")
 		p.block(s)
 		p.close()
-	case *VarStmt:
+	case *varStmt:
 		p.b.WriteString(strings.Repeat("  ", p.indent))
 		p.printf("var %s %s", s.Name, s.Type)
 		if s.Init != nil {
@@ -83,13 +94,13 @@ func (p *printer) stmt(s Stmt) {
 			p.expr(s.Init)
 		}
 		p.nl()
-	case *AssignStmt:
+	case *assignStmt:
 		p.b.WriteString(strings.Repeat("  ", p.indent))
 		p.expr(s.LHS)
 		p.b.WriteString(" = ")
 		p.expr(s.RHS)
 		p.nl()
-	case *IfStmt:
+	case *ifStmt:
 		p.b.WriteString(strings.Repeat("  ", p.indent))
 		p.b.WriteString("if ")
 		p.expr(s.Cond)
@@ -102,7 +113,7 @@ func (p *printer) stmt(s Stmt) {
 			p.stmt(s.Else)
 			p.close()
 		}
-	case *WhileStmt:
+	case *whileStmt:
 		p.b.WriteString(strings.Repeat("  ", p.indent))
 		p.b.WriteString("while ")
 		p.expr(s.Cond)
@@ -110,7 +121,7 @@ func (p *printer) stmt(s Stmt) {
 		p.indent++
 		p.block(s.Body)
 		p.indent--
-	case *ForStmt:
+	case *forStmt:
 		p.open("for")
 		if s.Init != nil {
 			p.stmt(s.Init)
@@ -128,7 +139,7 @@ func (p *printer) stmt(s Stmt) {
 		p.block(s.Body)
 		p.close()
 		p.close()
-	case *ReturnStmt:
+	case *returnStmt:
 		p.b.WriteString(strings.Repeat("  ", p.indent))
 		p.b.WriteString("return")
 		if s.Value != nil {
@@ -136,38 +147,38 @@ func (p *printer) stmt(s Stmt) {
 			p.expr(s.Value)
 		}
 		p.nl()
-	case *BreakStmt:
+	case *breakStmt:
 		p.line("break")
-	case *ContinueStmt:
+	case *continueStmt:
 		p.line("continue")
-	case *PrintStmt:
+	case *printStmt:
 		p.b.WriteString(strings.Repeat("  ", p.indent))
 		p.b.WriteString("print ")
 		p.expr(s.Value)
 		p.nl()
-	case *ExprStmt:
+	case *exprStmt:
 		p.b.WriteString(strings.Repeat("  ", p.indent))
 		p.expr(s.X)
 		p.nl()
 	}
 }
 
-func (p *printer) expr(e Expr) {
+func (p *printer) expr(e expr) {
 	switch e := e.(type) {
-	case *IntLit:
+	case *intLit:
 		p.printf("%d", e.Value)
-	case *FloatLit:
+	case *floatLit:
 		p.printf("%g", e.Value)
-	case *BoolLit:
+	case *boolLit:
 		p.printf("%t", e.Value)
-	case *Ident:
+	case *ident:
 		p.b.WriteString(e.Name)
-	case *IndexExpr:
+	case *indexExpr:
 		p.expr(e.Arr)
 		p.b.WriteString("[")
 		p.expr(e.Index)
 		p.b.WriteString("]")
-	case *CallExpr:
+	case *callExpr:
 		p.b.WriteString(e.Name)
 		p.b.WriteString("(")
 		for i, a := range e.Args {
@@ -177,7 +188,7 @@ func (p *printer) expr(e Expr) {
 			p.expr(a)
 		}
 		p.b.WriteString(")")
-	case *NewArrayExpr:
+	case *newArrayExpr:
 		elem := "int"
 		if e.ElemFloat {
 			elem = "float"
@@ -185,11 +196,11 @@ func (p *printer) expr(e Expr) {
 		p.printf("new %s[", elem)
 		p.expr(e.Size)
 		p.b.WriteString("]")
-	case *LenExpr:
+	case *lenExpr:
 		p.b.WriteString("len(")
 		p.expr(e.Arr)
 		p.b.WriteString(")")
-	case *ConvExpr:
+	case *convExpr:
 		if e.ToFloat {
 			p.b.WriteString("float(")
 		} else {
@@ -197,12 +208,12 @@ func (p *printer) expr(e Expr) {
 		}
 		p.expr(e.X)
 		p.b.WriteString(")")
-	case *UnaryExpr:
+	case *unaryExpr:
 		p.b.WriteString(opText(e.Op))
 		p.b.WriteString("(")
 		p.expr(e.X)
 		p.b.WriteString(")")
-	case *BinaryExpr:
+	case *binaryExpr:
 		p.b.WriteString("(")
 		p.expr(e.X)
 		p.printf(" %s ", opText(e.Op))
@@ -211,46 +222,46 @@ func (p *printer) expr(e Expr) {
 	}
 }
 
-func opText(k Kind) string {
+func opText(k tokKind) string {
 	switch k {
-	case Plus:
+	case tokPlus:
 		return "+"
-	case Minus:
+	case tokMinus:
 		return "-"
-	case Star:
+	case tokStar:
 		return "*"
-	case Slash:
+	case tokSlash:
 		return "/"
-	case Percent:
+	case tokPercent:
 		return "%"
-	case Lt:
+	case tokLt:
 		return "<"
-	case Le:
+	case tokLe:
 		return "<="
-	case Gt:
+	case tokGt:
 		return ">"
-	case Ge:
+	case tokGe:
 		return ">="
-	case EqEq:
+	case tokEqEq:
 		return "=="
-	case NotEq:
+	case tokNotEq:
 		return "!="
-	case AndAnd:
+	case tokAndAnd:
 		return "&&"
-	case OrOr:
+	case tokOrOr:
 		return "||"
-	case Not:
+	case tokNot:
 		return "!"
-	case Amp:
+	case tokAmp:
 		return "&"
-	case Pipe:
+	case tokPipe:
 		return "|"
-	case Caret:
+	case tokCaret:
 		return "^"
-	case Shl:
+	case tokShl:
 		return "<<"
-	case Shr:
+	case tokShr:
 		return ">>"
 	}
-	return k.String()
+	return k.name()
 }

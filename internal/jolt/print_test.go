@@ -24,11 +24,11 @@ func main() int {
   print(x);
   return x + g + len(arr);
 }`
-	prog, err := Parse(src)
+	prog, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := PrintProgram(prog)
+	out := printProgram(prog)
 	for _, want := range []string{
 		"global g int = 7",
 		"func helper(a int, b float) float",
@@ -54,25 +54,25 @@ func TestPrintProgramParsesBackConsistently(t *testing.T) {
 	// The printer is not a formatter, but printing must be stable:
 	// printing the same AST twice yields identical text.
 	src := `func main() int { var s int = 1; s = s * 3; return s; }`
-	prog, err := Parse(src)
+	prog, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := PrintProgram(prog)
-	b := PrintProgram(prog)
+	a := printProgram(prog)
+	b := printProgram(prog)
 	if a != b {
-		t.Error("PrintProgram is not deterministic")
+		t.Error("printProgram is not deterministic")
 	}
 }
 
 func TestPrintProgramUnrolledShowsRewrite(t *testing.T) {
 	src := `func main() int { var s int = 0; for (var i int = 0; i < 8; i = i + 1) { s = s + i; } return s; }`
-	prog, err := Parse(src)
+	prog, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Unroll(prog, 2)
-	out := PrintProgram(prog)
+	unroll(prog, 2)
+	out := printProgram(prog)
 	if !strings.Contains(out, "$unroll") {
 		t.Errorf("unrolled AST lacks the hoisted limit variable:\n%s", out)
 	}
@@ -82,8 +82,8 @@ func TestPrintProgramUnrolledShowsRewrite(t *testing.T) {
 }
 
 func TestOpTextCoversAllOperators(t *testing.T) {
-	ops := []Kind{Plus, Minus, Star, Slash, Percent, Lt, Le, Gt, Ge,
-		EqEq, NotEq, AndAnd, OrOr, Not, Amp, Pipe, Caret, Shl, Shr}
+	ops := []tokKind{tokPlus, tokMinus, tokStar, tokSlash, tokPercent, tokLt, tokLe, tokGt, tokGe,
+		tokEqEq, tokNotEq, tokAndAnd, tokOrOr, tokNot, tokAmp, tokPipe, tokCaret, tokShl, tokShr}
 	seen := map[string]bool{}
 	for _, op := range ops {
 		s := opText(op)

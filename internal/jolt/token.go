@@ -11,98 +11,99 @@ package jolt
 
 import (
 	"fmt"
+	"strconv"
 	"unicode"
 )
 
-// Kind classifies a token.
-type Kind uint8
+// tokKind classifies a token.
+type tokKind uint8
 
 const (
-	EOF Kind = iota
-	IDENT
-	INTLIT
-	FLOATLIT
+	tokEOF tokKind = iota
+	tokIdent
+	tokIntLit
+	tokFloatLit
 
 	// Keywords.
-	KwVar
-	KwFunc
-	KwIf
-	KwElse
-	KwWhile
-	KwFor
-	KwReturn
-	KwBreak
-	KwContinue
-	KwTrue
-	KwFalse
-	KwNew
-	KwInt
-	KwFloat
-	KwBool
-	KwLen
-	KwPrint
+	kwVar
+	kwFunc
+	kwIf
+	kwElse
+	kwWhile
+	kwFor
+	kwReturn
+	kwBreak
+	kwContinue
+	kwTrue
+	kwFalse
+	kwNew
+	kwInt
+	kwFloat
+	kwBool
+	kwLen
+	kwPrint
 
 	// Punctuation and operators.
-	LParen
-	RParen
-	LBrace
-	RBrace
-	LBrack
-	RBrack
-	Comma
-	Semi
-	Assign // =
-	Plus
-	Minus
-	Star
-	Slash
-	Percent
-	Lt
-	Le
-	Gt
-	Ge
-	EqEq
-	NotEq
-	AndAnd
-	OrOr
-	Not
-	Amp   // &
-	Pipe  // |
-	Caret // ^
-	Shl   // <<
-	Shr   // >>
+	tokLParen
+	tokRParen
+	tokLBrace
+	tokRBrace
+	tokLBrack
+	tokRBrack
+	tokComma
+	tokSemi
+	tokAssign // =
+	tokPlus
+	tokMinus
+	tokStar
+	tokSlash
+	tokPercent
+	tokLt
+	tokLe
+	tokGt
+	tokGe
+	tokEqEq
+	tokNotEq
+	tokAndAnd
+	tokOrOr
+	tokNot
+	tokAmp   // &
+	tokPipe  // |
+	tokCaret // ^
+	tokShl   // <<
+	tokShr   // >>
 )
 
-var kindNames = map[Kind]string{
-	EOF: "end of file", IDENT: "identifier", INTLIT: "int literal", FLOATLIT: "float literal",
-	KwVar: "'var'", KwFunc: "'func'", KwIf: "'if'", KwElse: "'else'", KwWhile: "'while'",
-	KwFor: "'for'", KwReturn: "'return'", KwBreak: "'break'", KwContinue: "'continue'",
-	KwTrue: "'true'", KwFalse: "'false'", KwNew: "'new'", KwInt: "'int'", KwFloat: "'float'",
-	KwBool: "'bool'", KwLen: "'len'", KwPrint: "'print'",
-	LParen: "'('", RParen: "')'", LBrace: "'{'", RBrace: "'}'", LBrack: "'['", RBrack: "']'",
-	Comma: "','", Semi: "';'", Assign: "'='", Plus: "'+'", Minus: "'-'", Star: "'*'",
-	Slash: "'/'", Percent: "'%'", Lt: "'<'", Le: "'<='", Gt: "'>'", Ge: "'>='",
-	EqEq: "'=='", NotEq: "'!='", AndAnd: "'&&'", OrOr: "'||'", Not: "'!'",
-	Amp: "'&'", Pipe: "'|'", Caret: "'^'", Shl: "'<<'", Shr: "'>>'",
+var kindNames = map[tokKind]string{
+	tokEOF: "end of file", tokIdent: "identifier", tokIntLit: "int literal", tokFloatLit: "float literal",
+	kwVar: "'var'", kwFunc: "'func'", kwIf: "'if'", kwElse: "'else'", kwWhile: "'while'",
+	kwFor: "'for'", kwReturn: "'return'", kwBreak: "'break'", kwContinue: "'continue'",
+	kwTrue: "'true'", kwFalse: "'false'", kwNew: "'new'", kwInt: "'int'", kwFloat: "'float'",
+	kwBool: "'bool'", kwLen: "'len'", kwPrint: "'print'",
+	tokLParen: "'('", tokRParen: "')'", tokLBrace: "'{'", tokRBrace: "'}'", tokLBrack: "'['", tokRBrack: "']'",
+	tokComma: "','", tokSemi: "';'", tokAssign: "'='", tokPlus: "'+'", tokMinus: "'-'", tokStar: "'*'",
+	tokSlash: "'/'", tokPercent: "'%'", tokLt: "'<'", tokLe: "'<='", tokGt: "'>'", tokGe: "'>='",
+	tokEqEq: "'=='", tokNotEq: "'!='", tokAndAnd: "'&&'", tokOrOr: "'||'", tokNot: "'!'",
+	tokAmp: "'&'", tokPipe: "'|'", tokCaret: "'^'", tokShl: "'<<'", tokShr: "'>>'",
 }
 
-func (k Kind) String() string {
+func (k tokKind) name() string {
 	if s, ok := kindNames[k]; ok {
 		return s
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-var keywords = map[string]Kind{
-	"var": KwVar, "func": KwFunc, "if": KwIf, "else": KwElse, "while": KwWhile,
-	"for": KwFor, "return": KwReturn, "break": KwBreak, "continue": KwContinue,
-	"true": KwTrue, "false": KwFalse, "new": KwNew, "int": KwInt, "float": KwFloat,
-	"bool": KwBool, "len": KwLen, "print": KwPrint,
+var keywords = map[string]tokKind{
+	"var": kwVar, "func": kwFunc, "if": kwIf, "else": kwElse, "while": kwWhile,
+	"for": kwFor, "return": kwReturn, "break": kwBreak, "continue": kwContinue,
+	"true": kwTrue, "false": kwFalse, "new": kwNew, "int": kwInt, "float": kwFloat,
+	"bool": kwBool, "len": kwLen, "print": kwPrint,
 }
 
-// Token is one lexical token.
-type Token struct {
-	Kind Kind
+// token is one lexical token.
+type token struct {
+	Kind tokKind
 	Text string
 	Int  int64
 	Flt  float64
@@ -110,16 +111,16 @@ type Token struct {
 	Col  int
 }
 
-func (t Token) String() string {
+func (t token) describe() string {
 	switch t.Kind {
-	case IDENT:
+	case tokIdent:
 		return fmt.Sprintf("identifier %q", t.Text)
-	case INTLIT:
+	case tokIntLit:
 		return fmt.Sprintf("int %d", t.Int)
-	case FLOATLIT:
+	case tokFloatLit:
 		return fmt.Sprintf("float %g", t.Flt)
 	}
-	return t.Kind.String()
+	return t.Kind.name()
 }
 
 // Error is a front-end diagnostic with a source position.
@@ -136,10 +137,10 @@ func errf(line, col int, format string, args ...any) error {
 	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Lex tokenizes the source. The returned slice always ends with an EOF
+// lex tokenizes the source. The returned slice always ends with a tokEOF
 // token.
-func Lex(src string) ([]Token, error) {
-	var toks []Token
+func lex(src string) ([]token, error) {
+	var toks []token
 	line, col := 1, 1
 	i := 0
 	n := len(src)
@@ -155,8 +156,8 @@ func Lex(src string) ([]Token, error) {
 		}
 		i += k
 	}
-	emit := func(k Kind, text string, startLine, startCol int) {
-		toks = append(toks, Token{Kind: k, Text: text, Line: startLine, Col: startCol})
+	emit := func(k tokKind, text string, startLine, startCol int) {
+		toks = append(toks, token{Kind: k, Text: text, Line: startLine, Col: startCol})
 	}
 
 	for i < n {
@@ -194,7 +195,7 @@ func Lex(src string) ([]Token, error) {
 			if kw, ok := keywords[word]; ok {
 				emit(kw, word, startLine, startCol)
 			} else {
-				emit(IDENT, word, startLine, startCol)
+				emit(tokIdent, word, startLine, startCol)
 			}
 		case c >= '0' && c <= '9':
 			startLine, startCol := line, col
@@ -225,19 +226,21 @@ func Lex(src string) ([]Token, error) {
 			}
 			text := src[i:j]
 			advance(j - i)
-			tok := Token{Text: text, Line: startLine, Col: startCol}
+			tok := token{Text: text, Line: startLine, Col: startCol}
+			// Out-of-range literals are refused; a float too small to
+			// represent reads as zero.
 			if isFloat {
-				var f float64
-				if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
+				f, err := strconv.ParseFloat(text, 64)
+				if err != nil {
 					return nil, errf(startLine, startCol, "bad float literal %q", text)
 				}
-				tok.Kind, tok.Flt = FLOATLIT, f
+				tok.Kind, tok.Flt = tokFloatLit, f
 			} else {
-				var v int64
-				if _, err := fmt.Sscanf(text, "%d", &v); err != nil {
+				v, err := strconv.ParseInt(text, 10, 64)
+				if err != nil {
 					return nil, errf(startLine, startCol, "bad int literal %q", text)
 				}
-				tok.Kind, tok.Int = INTLIT, v
+				tok.Kind, tok.Int = tokIntLit, v
 			}
 			toks = append(toks, tok)
 		default:
@@ -246,68 +249,68 @@ func Lex(src string) ([]Token, error) {
 			if i+1 < n {
 				two = src[i : i+2]
 			}
-			var k Kind
+			var k tokKind
 			var width int
 			switch two {
 			case "<=":
-				k, width = Le, 2
+				k, width = tokLe, 2
 			case ">=":
-				k, width = Ge, 2
+				k, width = tokGe, 2
 			case "==":
-				k, width = EqEq, 2
+				k, width = tokEqEq, 2
 			case "!=":
-				k, width = NotEq, 2
+				k, width = tokNotEq, 2
 			case "&&":
-				k, width = AndAnd, 2
+				k, width = tokAndAnd, 2
 			case "||":
-				k, width = OrOr, 2
+				k, width = tokOrOr, 2
 			case "<<":
-				k, width = Shl, 2
+				k, width = tokShl, 2
 			case ">>":
-				k, width = Shr, 2
+				k, width = tokShr, 2
 			default:
 				width = 1
 				switch c {
 				case '(':
-					k = LParen
+					k = tokLParen
 				case ')':
-					k = RParen
+					k = tokRParen
 				case '{':
-					k = LBrace
+					k = tokLBrace
 				case '}':
-					k = RBrace
+					k = tokRBrace
 				case '[':
-					k = LBrack
+					k = tokLBrack
 				case ']':
-					k = RBrack
+					k = tokRBrack
 				case ',':
-					k = Comma
+					k = tokComma
 				case ';':
-					k = Semi
+					k = tokSemi
 				case '=':
-					k = Assign
+					k = tokAssign
 				case '+':
-					k = Plus
+					k = tokPlus
 				case '-':
-					k = Minus
+					k = tokMinus
 				case '*':
-					k = Star
+					k = tokStar
 				case '/':
-					k = Slash
+					k = tokSlash
 				case '%':
-					k = Percent
+					k = tokPercent
 				case '<':
-					k = Lt
+					k = tokLt
 				case '>':
-					k = Gt
+					k = tokGt
 				case '!':
-					k = Not
+					k = tokNot
 				case '&':
-					k = Amp
+					k = tokAmp
 				case '|':
-					k = Pipe
+					k = tokPipe
 				case '^':
-					k = Caret
+					k = tokCaret
 				default:
 					return nil, errf(line, col, "unexpected character %q", string(c))
 				}
@@ -316,7 +319,7 @@ func Lex(src string) ([]Token, error) {
 			advance(width)
 		}
 	}
-	toks = append(toks, Token{Kind: EOF, Line: line, Col: col})
+	toks = append(toks, token{Kind: tokEOF, Line: line, Col: col})
 	return toks, nil
 }
 

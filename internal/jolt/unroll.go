@@ -21,9 +21,9 @@ import "fmt"
 //	while (i + (k-1) < $lim) { BODY; i=i+1; ... k times ... }
 //	while (i < $lim) { BODY; i = i + 1; }
 
-// Unroll rewrites every eligible counted for-loop in the program with the
+// unroll rewrites every eligible counted for-loop in the program with the
 // given unroll factor (k >= 2). It returns the number of loops unrolled.
-func Unroll(prog *Program, factor int) int {
+func unroll(prog *program, factor int) int {
 	if factor < 2 {
 		return 0
 	}
@@ -45,27 +45,27 @@ func (u *unroller) freshName() string {
 	return fmt.Sprintf("$unroll%d", u.fresh)
 }
 
-func (u *unroller) block(b *BlockStmt) {
+func (u *unroller) block(b *blockStmt) {
 	for i, s := range b.Stmts {
 		b.Stmts[i] = u.stmt(s)
 	}
 }
 
-func (u *unroller) stmt(s Stmt) Stmt {
+func (u *unroller) stmt(s stmt) stmt {
 	switch s := s.(type) {
-	case *BlockStmt:
+	case *blockStmt:
 		u.block(s)
 		return s
-	case *IfStmt:
+	case *ifStmt:
 		u.block(s.Then)
 		if s.Else != nil {
 			s.Else = u.stmt(s.Else)
 		}
 		return s
-	case *WhileStmt:
+	case *whileStmt:
 		u.block(s.Body)
 		return s
-	case *ForStmt:
+	case *forStmt:
 		u.block(s.Body)
 		if out := u.tryUnroll(s); out != nil {
 			u.count++
@@ -78,19 +78,19 @@ func (u *unroller) stmt(s Stmt) Stmt {
 
 // tryUnroll returns the replacement statement, or nil if the loop does not
 // match the safe pattern.
-func (u *unroller) tryUnroll(f *ForStmt) Stmt {
+func (u *unroller) tryUnroll(f *forStmt) stmt {
 	// Pattern: init is `var i int = E`.
-	init, ok := f.Init.(*VarStmt)
-	if !ok || init.Type != TyInt || init.Init == nil {
+	init, ok := f.Init.(*varStmt)
+	if !ok || init.Type != tyInt || init.Init == nil {
 		return nil
 	}
 	iName := init.Name
 	// Pattern: cond is `i < LIMIT`.
-	cond, ok := f.Cond.(*BinaryExpr)
-	if !ok || cond.Op != Lt {
+	cond, ok := f.Cond.(*binaryExpr)
+	if !ok || cond.Op != tokLt {
 		return nil
 	}
-	if id, ok := cond.X.(*Ident); !ok || id.Name != iName {
+	if id, ok := cond.X.(*ident); !ok || id.Name != iName {
 		return nil
 	}
 	// Pattern: post is `i = i + 1`.
@@ -114,80 +114,80 @@ func (u *unroller) tryUnroll(f *ForStmt) Stmt {
 	limName := u.freshName()
 	pos := f.Pos
 
-	outer := &BlockStmt{Pos: pos}
+	outer := &blockStmt{Pos: pos}
 	outer.Stmts = append(outer.Stmts,
-		&VarStmt{Pos: pos, Name: iName, Type: TyInt, Init: CloneExpr(init.Init)},
-		&VarStmt{Pos: pos, Name: limName, Type: TyInt, Init: CloneExpr(cond.Y)},
+		&varStmt{Pos: pos, Name: iName, Type: tyInt, Init: cloneExpr(init.Init)},
+		&varStmt{Pos: pos, Name: limName, Type: tyInt, Init: cloneExpr(cond.Y)},
 	)
 
-	iRef := func() Expr { return &Ident{exprBase: exprBase{Pos: pos}, Name: iName} }
-	limRef := func() Expr { return &Ident{exprBase: exprBase{Pos: pos}, Name: limName} }
-	inc := func() Stmt {
-		return &AssignStmt{Pos: pos, LHS: iRef(), RHS: &BinaryExpr{
-			exprBase: exprBase{Pos: pos}, Op: Plus, X: iRef(),
-			Y: &IntLit{exprBase: exprBase{Pos: pos}, Value: 1},
+	iRef := func() expr { return &ident{exprBase: exprBase{Pos: pos}, Name: iName} }
+	limRef := func() expr { return &ident{exprBase: exprBase{Pos: pos}, Name: limName} }
+	inc := func() stmt {
+		return &assignStmt{Pos: pos, LHS: iRef(), RHS: &binaryExpr{
+			exprBase: exprBase{Pos: pos}, Op: tokPlus, X: iRef(),
+			Y: &intLit{exprBase: exprBase{Pos: pos}, Value: 1},
 		}}
 	}
 
 	// while (i + (k-1) < $lim) { body; i=i+1; ... }
-	mainCond := &BinaryExpr{
-		exprBase: exprBase{Pos: pos}, Op: Lt,
-		X: &BinaryExpr{exprBase: exprBase{Pos: pos}, Op: Plus, X: iRef(),
-			Y: &IntLit{exprBase: exprBase{Pos: pos}, Value: int64(k - 1)}},
+	mainCond := &binaryExpr{
+		exprBase: exprBase{Pos: pos}, Op: tokLt,
+		X: &binaryExpr{exprBase: exprBase{Pos: pos}, Op: tokPlus, X: iRef(),
+			Y: &intLit{exprBase: exprBase{Pos: pos}, Value: int64(k - 1)}},
 		Y: limRef(),
 	}
-	mainBody := &BlockStmt{Pos: pos}
+	mainBody := &blockStmt{Pos: pos}
 	for rep := 0; rep < k; rep++ {
-		mainBody.Stmts = append(mainBody.Stmts, CloneBlock(f.Body), inc())
+		mainBody.Stmts = append(mainBody.Stmts, cloneBlock(f.Body), inc())
 	}
-	outer.Stmts = append(outer.Stmts, &WhileStmt{Pos: pos, Cond: mainCond, Body: mainBody})
+	outer.Stmts = append(outer.Stmts, &whileStmt{Pos: pos, Cond: mainCond, Body: mainBody})
 
 	// Remainder: while (i < $lim) { body; i=i+1; }
-	remBody := &BlockStmt{Pos: pos}
-	remBody.Stmts = append(remBody.Stmts, CloneBlock(f.Body), inc())
-	remCond := &BinaryExpr{exprBase: exprBase{Pos: pos}, Op: Lt, X: iRef(), Y: limRef()}
-	outer.Stmts = append(outer.Stmts, &WhileStmt{Pos: pos, Cond: remCond, Body: remBody})
+	remBody := &blockStmt{Pos: pos}
+	remBody.Stmts = append(remBody.Stmts, cloneBlock(f.Body), inc())
+	remCond := &binaryExpr{exprBase: exprBase{Pos: pos}, Op: tokLt, X: iRef(), Y: limRef()}
+	outer.Stmts = append(outer.Stmts, &whileStmt{Pos: pos, Cond: remCond, Body: remBody})
 
 	return outer
 }
 
-func isIncrementByOne(s Stmt, name string) bool {
-	a, ok := s.(*AssignStmt)
+func isIncrementByOne(s stmt, name string) bool {
+	a, ok := s.(*assignStmt)
 	if !ok {
 		return false
 	}
-	lhs, ok := a.LHS.(*Ident)
+	lhs, ok := a.LHS.(*ident)
 	if !ok || lhs.Name != name {
 		return false
 	}
-	add, ok := a.RHS.(*BinaryExpr)
-	if !ok || add.Op != Plus {
+	add, ok := a.RHS.(*binaryExpr)
+	if !ok || add.Op != tokPlus {
 		return false
 	}
-	x, ok := add.X.(*Ident)
+	x, ok := add.X.(*ident)
 	if !ok || x.Name != name {
 		return false
 	}
-	one, ok := add.Y.(*IntLit)
+	one, ok := add.Y.(*intLit)
 	return ok && one.Value == 1
 }
 
 // simpleLimit reports whether the loop bound is safe to evaluate once, and
 // which variables its value depends on.
-func simpleLimit(e Expr) (bool, []string) {
+func simpleLimit(e expr) (bool, []string) {
 	switch e := e.(type) {
-	case *IntLit:
+	case *intLit:
 		return true, nil
-	case *Ident:
+	case *ident:
 		return true, []string{e.Name}
-	case *LenExpr:
-		if id, ok := e.Arr.(*Ident); ok {
+	case *lenExpr:
+		if id, ok := e.Arr.(*ident); ok {
 			return true, []string{id.Name}
 		}
-	case *BinaryExpr:
+	case *binaryExpr:
 		// Allow simple arithmetic over safe sub-limits (e.g. n-1, n/2).
 		switch e.Op {
-		case Plus, Minus, Star, Slash:
+		case tokPlus, tokMinus, tokStar, tokSlash:
 			okX, vx := simpleLimit(e.X)
 			okY, vy := simpleLimit(e.Y)
 			if okX && okY {
@@ -203,40 +203,40 @@ func simpleLimit(e Expr) (bool, []string) {
 // it (a shadow would change which i the increment sees after inlining the
 // body copies into one scope... the copies keep their own scopes, but the
 // induction increment between copies must see the loop's i).
-func safeBody(b *BlockStmt, iName string) bool {
+func safeBody(b *blockStmt, iName string) bool {
 	safe := true
-	var walkStmt func(Stmt)
-	var walkBlock func(*BlockStmt)
-	walkBlock = func(bb *BlockStmt) {
+	var walkStmt func(stmt)
+	var walkBlock func(*blockStmt)
+	walkBlock = func(bb *blockStmt) {
 		for _, s := range bb.Stmts {
 			walkStmt(s)
 		}
 	}
-	walkStmt = func(s Stmt) {
+	walkStmt = func(s stmt) {
 		switch s := s.(type) {
-		case *BlockStmt:
+		case *blockStmt:
 			walkBlock(s)
-		case *VarStmt:
+		case *varStmt:
 			if s.Name == iName {
 				safe = false
 			}
-		case *AssignStmt:
-			if id, ok := s.LHS.(*Ident); ok && id.Name == iName {
+		case *assignStmt:
+			if id, ok := s.LHS.(*ident); ok && id.Name == iName {
 				safe = false
 			}
-		case *IfStmt:
+		case *ifStmt:
 			walkBlock(s.Then)
 			if s.Else != nil {
 				walkStmt(s.Else)
 			}
-		case *WhileStmt:
+		case *whileStmt:
 			walkBlock(s.Body)
-		case *ForStmt:
+		case *forStmt:
 			// A nested for re-binding the same induction name is its
 			// own scope; nested loops are fine, but a nested loop's
 			// break/continue is also fine (it targets the inner
 			// loop). Recurse only for assignments to our i.
-			if init, ok := s.Init.(*VarStmt); !ok || init.Name != iName {
+			if init, ok := s.Init.(*varStmt); !ok || init.Name != iName {
 				if s.Init != nil {
 					walkStmt(s.Init)
 				}
@@ -245,7 +245,7 @@ func safeBody(b *BlockStmt, iName string) bool {
 				}
 				walkBlock(s.Body)
 			}
-		case *BreakStmt, *ContinueStmt, *ReturnStmt:
+		case *breakStmt, *continueStmt, *returnStmt:
 			safe = false
 		}
 	}
@@ -255,35 +255,35 @@ func safeBody(b *BlockStmt, iName string) bool {
 
 // assignsTo reports whether the body assigns to the named variable (or
 // declares a shadowing one, which would make the hoisted limit diverge).
-func assignsTo(b *BlockStmt, name string) bool {
+func assignsTo(b *blockStmt, name string) bool {
 	found := false
-	var walkStmt func(Stmt)
-	var walkBlock func(*BlockStmt)
-	walkBlock = func(bb *BlockStmt) {
+	var walkStmt func(stmt)
+	var walkBlock func(*blockStmt)
+	walkBlock = func(bb *blockStmt) {
 		for _, s := range bb.Stmts {
 			walkStmt(s)
 		}
 	}
-	walkStmt = func(s Stmt) {
+	walkStmt = func(s stmt) {
 		switch s := s.(type) {
-		case *BlockStmt:
+		case *blockStmt:
 			walkBlock(s)
-		case *VarStmt:
+		case *varStmt:
 			if s.Name == name {
 				found = true
 			}
-		case *AssignStmt:
-			if id, ok := s.LHS.(*Ident); ok && id.Name == name {
+		case *assignStmt:
+			if id, ok := s.LHS.(*ident); ok && id.Name == name {
 				found = true
 			}
-		case *IfStmt:
+		case *ifStmt:
 			walkBlock(s.Then)
 			if s.Else != nil {
 				walkStmt(s.Else)
 			}
-		case *WhileStmt:
+		case *whileStmt:
 			walkBlock(s.Body)
-		case *ForStmt:
+		case *forStmt:
 			if s.Init != nil {
 				walkStmt(s.Init)
 			}

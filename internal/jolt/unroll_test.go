@@ -9,9 +9,9 @@ import (
 // runUnrolled compiles with the given unroll factor and returns the result.
 func runUnrolled(t *testing.T, src string, k int) *interp.Result {
 	t.Helper()
-	m, err := CompileWithOptions(src, Options{UnrollFactor: k})
+	m, err := Compile(src, Options{UnrollFactor: k})
 	if err != nil {
-		t.Fatalf("CompileWithOptions(k=%d): %v", k, err)
+		t.Fatalf("Compile(k=%d): %v", k, err)
 	}
 	res, err := interp.Run(m, 0)
 	if err != nil {
@@ -118,11 +118,11 @@ func main() int {
   }
   return s;
 }`
-	prog, err := Parse(src)
+	prog, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := Unroll(prog, 4); n != 0 {
+	if n := unroll(prog, 4); n != 0 {
 		t.Errorf("unsafe loop was unrolled (%d)", n)
 	}
 	expectSame(t, src, 4)
@@ -138,11 +138,11 @@ func main() int {
   }
   return s;
 }`
-	prog, err := Parse(src)
+	prog, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := Unroll(prog, 4); n != 0 {
+	if n := unroll(prog, 4); n != 0 {
 		t.Error("loop assigning its induction variable was unrolled")
 	}
 	expectSame(t, src, 4)
@@ -159,11 +159,11 @@ func main() int {
   }
   return s;
 }`
-	prog, err := Parse(src)
+	prog, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := Unroll(prog, 4); n != 0 {
+	if n := unroll(prog, 4); n != 0 {
 		t.Error("loop with a mutated limit was unrolled")
 	}
 	expectSame(t, src, 4)
@@ -178,11 +178,11 @@ func main() int {
   while (s > 100) { s = s - 1; }
   return s;
 }`
-	prog, err := Parse(src)
+	prog, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := Unroll(prog, 4); n != 2 {
+	if n := unroll(prog, 4); n != 2 {
 		t.Errorf("unrolled %d loops, want 2", n)
 	}
 }
@@ -200,11 +200,11 @@ func main() int {
 
 func TestUnrollFactorOneIsNoop(t *testing.T) {
 	src := `func main() int { var s int = 0; for (var i int = 0; i < 5; i = i + 1) { s = s + i; } return s; }`
-	prog, err := Parse(src)
+	prog, err := parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := Unroll(prog, 1); n != 0 {
+	if n := unroll(prog, 1); n != 0 {
 		t.Error("factor 1 must not unroll")
 	}
 }
@@ -219,11 +219,11 @@ func main() int {
   for (var i int = 0; i < 64; i = i + 1) { s = s + a[i] * 2.0; }
   return int(s);
 }`
-	plain, err := CompileWithOptions(src, Options{})
+	plain, err := Compile(src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unrolled, err := CompileWithOptions(src, Options{UnrollFactor: 4})
+	unrolled, err := Compile(src, Options{UnrollFactor: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"schedfilter/internal/ir"
 )
@@ -15,10 +15,10 @@ import (
 // per-machine caches by target name, and the cross-target experiment
 // trains on one target and evaluates on another.
 //
-// A registered target's Model must never be mutated; code that wants a
+// A target's Model must never be mutated; code that wants a
 // variant (ablations, custom latency tables) must Clone it first.
 type Target struct {
-	// Name is the registry key (e.g. "mpc7410"); lowercase by convention.
+	// Name is the lookup key (e.g. "mpc7410"); lowercase by convention.
 	Name string
 	// Description is a one-line summary for listings and -h output.
 	Description string
@@ -30,57 +30,58 @@ type Target struct {
 // the paper's MPC7410 simplified machine simulator.
 const DefaultTargetName = "mpc7410"
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]*Target{}
-	regOrder []string
-)
-
-// Register adds a target to the registry after validating its model.
-// Registering an empty name, a duplicate name, a nil model, or a model
-// that fails Validate is an error.
-func Register(t Target) error {
-	if t.Name == "" {
-		return fmt.Errorf("machine: register: empty target name")
-	}
-	if t.Model == nil {
-		return fmt.Errorf("machine: register %q: nil model", t.Name)
-	}
-	if err := t.Model.Validate(); err != nil {
-		return fmt.Errorf("machine: register %q: %w", t.Name, err)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[t.Name]; dup {
-		return fmt.Errorf("machine: register %q: already registered", t.Name)
-	}
-	cp := t
-	registry[t.Name] = &cp
-	regOrder = append(regOrder, t.Name)
-	return nil
+// targets is the fixed table of built-in targets, default first. Nothing
+// writes it after package initialization, so lookups take no lock.
+var targets = []*Target{
+	{
+		Name:        DefaultTargetName,
+		Description: "MPC7410-like dual-issue PowerPC (the paper's simplified machine simulator)",
+		Model:       NewMPC7410(),
+	},
+	{
+		Name:        "scalar603",
+		Description: "PowerPC-603-era scalar core: single issue, slower loads, unpipelined FPU",
+		Model:       NewScalar603(),
+	},
+	{
+		Name:        "scalar1",
+		Description: "single-issue in-order core with MPC7410 latencies (issue-width ablation)",
+		Model:       NewScalar1(),
+	},
+	{
+		Name:        "wide4",
+		Description: "4-wide superscalar variant of the MPC7410 model",
+		Model:       NewWide4(),
+	},
+	{
+		Name:        "test-narrow",
+		Description: "scaled-down single-issue model with clamped latencies (for tests)",
+		Model:       NewTestNarrow(),
+	},
 }
 
-// MustRegister is Register, panicking on error; for package init blocks.
-func MustRegister(t Target) {
-	if err := Register(t); err != nil {
-		panic(err)
+// A broken built-in model is caught at start-up, not mid-schedule.
+func init() {
+	for _, t := range targets {
+		if err := t.Model.Validate(); err != nil {
+			panic(fmt.Errorf("machine: target %q: %w", t.Name, err))
+		}
 	}
 }
 
 // ByName returns the named target, or an error naming the known targets.
 func ByName(name string) (*Target, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	t, ok := registry[name]
-	if !ok {
-		known := make([]string, 0, len(registry))
-		for n := range registry {
-			known = append(known, n)
+	for _, t := range targets {
+		if t.Name == name {
+			return t, nil
 		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("machine: unknown target %q (known: %v)", name, known)
 	}
-	return t, nil
+	known := make([]string, 0, len(targets))
+	for _, t := range targets {
+		known = append(known, t.Name)
+	}
+	sort.Strings(known)
+	return nil, fmt.Errorf("machine: unknown target %q (known: %v)", name, known)
 }
 
 // MustByName is ByName, panicking on unknown names; for tests and init
@@ -94,41 +95,30 @@ func MustByName(name string) *Target {
 }
 
 // Default returns the default target (DefaultTargetName).
-func Default() *Target { return MustByName(DefaultTargetName) }
+func Default() *Target { return targets[0] }
 
-// All returns every registered target in registration order (the default
-// target first, then the built-in alternates, then anything registered
-// later). The returned slice is fresh; the Targets it points at are the
-// registry's own.
-func All() []*Target {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]*Target, 0, len(regOrder))
-	for _, n := range regOrder {
-		out = append(out, registry[n])
-	}
-	return out
-}
+// All returns every target in table order (the default target first, then
+// the built-in alternates). The returned slice is fresh; the Targets it
+// points at are the table's own.
+func All() []*Target { return slices.Clone(targets) }
 
 // TargetNameFor maps a model back to the name of the target it belongs
-// to, matching by registry identity first and display name second (the
-// display name is what fingerprints already hash). Unregistered custom
+// to, matching by model identity first and display name second (the
+// display name is what fingerprints already hash). Custom
 // models map to their own display name, so labels stay meaningful for
 // ablation variants.
 func TargetNameFor(m *Model) string {
 	if m == nil {
 		return ""
 	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	for _, n := range regOrder {
-		if registry[n].Model == m {
-			return n
+	for _, t := range targets {
+		if t.Model == m {
+			return t.Name
 		}
 	}
-	for _, n := range regOrder {
-		if registry[n].Model.Name == m.Name {
-			return n
+	for _, t := range targets {
+		if t.Model.Name == m.Name {
+			return t.Name
 		}
 	}
 	return m.Name
@@ -139,8 +129,7 @@ func TargetNameFor(m *Model) string {
 // issue logic assumes branches always have somewhere to go), every
 // opcode's latency at least one cycle, and every opcode mapped to at
 // least one functional unit (NOP, which executes nowhere, excepted).
-// Registration runs it so a broken model is caught at construction, not
-// mid-schedule.
+// Package initialization runs it over every built-in target.
 func (m *Model) Validate() error {
 	if m.IssueWidth < 1 {
 		return fmt.Errorf("model %s: issue width %d < 1", m.Name, m.IssueWidth)
@@ -163,7 +152,7 @@ func (m *Model) Validate() error {
 }
 
 // Clone returns a deep, independently mutable copy of the model. Use it
-// to derive ablation or experiment variants from a registered target
+// to derive ablation or experiment variants from a built-in target
 // without touching the shared instance.
 func (m *Model) Clone() *Model {
 	cp := *m
@@ -202,7 +191,7 @@ func NewWide4() *Model {
 // NewTestNarrow returns the scaled-down model the test suites share: a
 // single-issue machine with every latency clamped to at most three
 // cycles, so unit tests that only need "a different, narrower machine"
-// get one from the registry instead of hand-editing timing tables.
+// get one from the target table instead of hand-editing timing tables.
 func NewTestNarrow() *Model {
 	m := NewMPC7410()
 	m.Name = "TestNarrow"
@@ -215,32 +204,4 @@ func NewTestNarrow() *Model {
 		}
 	}
 	return m
-}
-
-func init() {
-	MustRegister(Target{
-		Name:        DefaultTargetName,
-		Description: "MPC7410-like dual-issue PowerPC (the paper's simplified machine simulator)",
-		Model:       NewMPC7410(),
-	})
-	MustRegister(Target{
-		Name:        "scalar603",
-		Description: "PowerPC-603-era scalar core: single issue, slower loads, unpipelined FPU",
-		Model:       NewScalar603(),
-	})
-	MustRegister(Target{
-		Name:        "scalar1",
-		Description: "single-issue in-order core with MPC7410 latencies (issue-width ablation)",
-		Model:       NewScalar1(),
-	})
-	MustRegister(Target{
-		Name:        "wide4",
-		Description: "4-wide superscalar variant of the MPC7410 model",
-		Model:       NewWide4(),
-	})
-	MustRegister(Target{
-		Name:        "test-narrow",
-		Description: "scaled-down single-issue model with clamped latencies (for tests)",
-		Model:       NewTestNarrow(),
-	})
 }

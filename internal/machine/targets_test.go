@@ -49,40 +49,23 @@ func TestByNameUnknownNamesKnownTargets(t *testing.T) {
 	}
 }
 
-func TestRegisterRejections(t *testing.T) {
+func TestValidateRejections(t *testing.T) {
 	cases := []struct {
-		name string
-		tgt  Target
-		want string
+		name  string
+		model func(m *Model)
+		want  string
 	}{
-		{"empty name", Target{Model: NewMPC7410()}, "empty target name"},
-		{"nil model", Target{Name: "x-nil"}, "nil model"},
-		{"duplicate", Target{Name: DefaultTargetName, Model: NewMPC7410()}, "already registered"},
-		{"zero issue width", Target{Name: "x-w0", Model: func() *Model {
-			m := NewMPC7410()
-			m.IssueWidth = 0
-			return m
-		}()}, "issue width 0"},
-		{"zero branch width", Target{Name: "x-b0", Model: func() *Model {
-			m := NewMPC7410()
-			m.BranchPerCycle = 0
-			return m
-		}()}, "branch issue width 0"},
-		{"zero latency", Target{Name: "x-l0", Model: func() *Model {
-			m := NewMPC7410()
-			m.Timing[ir.ADD].Latency = 0
-			return m
-		}()}, "latency 0"},
-		{"negative bubble", Target{Name: "x-bb", Model: func() *Model {
-			m := NewMPC7410()
-			m.TakenBranchBubble = -1
-			return m
-		}()}, "taken-branch bubble"},
+		{"zero issue width", func(m *Model) { m.IssueWidth = 0 }, "issue width 0"},
+		{"zero branch width", func(m *Model) { m.BranchPerCycle = 0 }, "branch issue width 0"},
+		{"zero latency", func(m *Model) { m.Timing[ir.ADD].Latency = 0 }, "latency 0"},
+		{"negative bubble", func(m *Model) { m.TakenBranchBubble = -1 }, "taken-branch bubble"},
 	}
 	for _, c := range cases {
-		err := Register(c.tgt)
+		m := NewMPC7410()
+		c.model(m)
+		err := m.Validate()
 		if err == nil {
-			t.Errorf("%s: Register succeeded, want error", c.name)
+			t.Errorf("%s: Validate succeeded, want error", c.name)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.want) {

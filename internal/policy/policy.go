@@ -5,11 +5,10 @@
 // trainer, compile server, online retrainer, cluster) actually depends
 // on *how* the decision is made, only that some procedure maps a feature
 // vector to schedule/don't. This package names that procedure Policy,
-// gives it an identity usable as a cache key, and registers the known
-// decision kinds in a registry mirroring internal/machine's target
-// registry, so new heuristics (cost thresholds, portfolios, future
-// learned models) drop in beside the induced filter instead of
-// replacing it.
+// gives it an identity usable as a cache key, and lists the known
+// decision kinds in a fixed table mirroring internal/machine's target
+// table, so new heuristics (cost thresholds, portfolios, future learned
+// models) drop in beside the induced filter instead of replacing it.
 //
 // The induced Ripper filter lives here too (moved from internal/core)
 // and behaves bit-identically: Decide evaluates the same
@@ -36,11 +35,11 @@ type Policy interface {
 	Provenance() Provenance
 }
 
-// Provenance records where a policy came from: its registry kind, the
+// Provenance records where a policy came from: its kind, the
 // machine target that parameterized or taught it (empty for
 // target-independent policies), and a human-readable detail line.
 type Provenance struct {
-	// Kind is the registry kind name ("always", "never", "size",
+	// Kind is the kind name ("always", "never", "size",
 	// "cost", "ripper", "portfolio").
 	Kind string
 	// Target names the machine target the policy was trained for or

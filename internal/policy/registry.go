@@ -2,13 +2,13 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// Builtin kind names. Kinds are the registry's unit of policy identity:
+// Builtin kind names. Kinds are the unit of policy identity:
 // a kind knows how to parse its spec argument into a concrete Policy.
 const (
 	KindAlways    = "always"
@@ -20,11 +20,11 @@ const (
 )
 
 // Kind binds a stable, lowercase name to a policy constructor, the way
-// internal/machine's registry binds target names to timing models. New
-// decision procedures register a Kind and immediately work everywhere a
-// -policy flag or a ProgramInput.Policy spec is accepted.
+// internal/machine's target table binds target names to timing models. A
+// new decision procedure adds a Kind to the table and immediately works
+// everywhere a -policy flag or a ProgramInput.Policy spec is accepted.
 type Kind struct {
-	// Name is the registry key (e.g. "cost"); lowercase by convention.
+	// Name is the lookup key (e.g. "cost"); lowercase by convention.
 	Name string
 	// Description is a one-line summary for listings and -h output.
 	Description string
@@ -35,67 +35,29 @@ type Kind struct {
 	Parse func(arg, target string) (Policy, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]*Kind{}
-	regOrder []string
-)
-
-// Register adds a policy kind to the registry. Registering an empty
-// name, a duplicate name, or a nil Parse func is an error.
-func Register(k Kind) error {
-	if k.Name == "" {
-		return fmt.Errorf("policy: register: empty kind name")
-	}
-	if k.Parse == nil {
-		return fmt.Errorf("policy: register %q: nil parse func", k.Name)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[k.Name]; dup {
-		return fmt.Errorf("policy: register %q: already registered", k.Name)
-	}
-	cp := k
-	registry[k.Name] = &cp
-	regOrder = append(regOrder, k.Name)
-	return nil
-}
-
-// MustRegister is Register, panicking on error; for package init blocks.
-func MustRegister(k Kind) {
-	if err := Register(k); err != nil {
-		panic(err)
-	}
-}
+// kinds is the fixed table of policy kinds, in listing order. It is
+// filled in init, not in its declaration, because the portfolio kind
+// parses its members through FromSpec, which reads the table.
+var kinds []*Kind
 
 // KindByName returns the named kind, or an error naming the known kinds.
 func KindByName(name string) (*Kind, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	k, ok := registry[name]
-	if !ok {
-		known := make([]string, 0, len(registry))
-		for n := range registry {
-			known = append(known, n)
+	for _, k := range kinds {
+		if k.Name == name {
+			return k, nil
 		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("policy: unknown kind %q (known: %v)", name, known)
 	}
-	return k, nil
+	known := make([]string, 0, len(kinds))
+	for _, k := range kinds {
+		known = append(known, k.Name)
+	}
+	sort.Strings(known)
+	return nil, fmt.Errorf("policy: unknown kind %q (known: %v)", name, known)
 }
 
-// Kinds returns every registered kind in registration order. The
-// returned slice is fresh; the Kinds it points at are the registry's
-// own.
-func Kinds() []*Kind {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]*Kind, 0, len(regOrder))
-	for _, n := range regOrder {
-		out = append(out, registry[n])
-	}
-	return out
-}
+// Kinds returns every kind in table order. The returned slice is fresh;
+// the Kinds it points at are the table's own.
+func Kinds() []*Kind { return slices.Clone(kinds) }
 
 // specAliases maps historical protocol spellings to canonical specs, so
 // every place that used to accept "LS"/"NS" filter names accepts them
@@ -114,7 +76,7 @@ var specAliases = map[string]string{
 //	cost:N                 estimated cycles ≥ N under the target model
 //	portfolio:spec+spec    confidence arbitration between member specs
 //
-// plus any kind registered later, as "kind" or "kind:arg". target is
+// plus any other kind in the table, as "kind" or "kind:arg". target is
 // the machine-target context (empty = default target); only
 // target-parameterized kinds use it. Spec matching is case-insensitive
 // on the kind name.
@@ -168,7 +130,7 @@ func SpecOf(p Policy) string {
 }
 
 func init() {
-	MustRegister(Kind{
+	kinds = []*Kind{{
 		Name:        KindAlways,
 		Description: "LS protocol: schedule every block",
 		Parse: func(arg, _ string) (Policy, error) {
@@ -177,8 +139,7 @@ func init() {
 			}
 			return Always{}, nil
 		},
-	})
-	MustRegister(Kind{
+	}, {
 		Name:        KindNever,
 		Description: "NS protocol: schedule no block",
 		Parse: func(arg, _ string) (Policy, error) {
@@ -187,8 +148,7 @@ func init() {
 			}
 			return Never{}, nil
 		},
-	})
-	MustRegister(Kind{
+	}, {
 		Name:        KindSize,
 		Description: "schedule blocks of at least N instructions (size:N)",
 		Parse: func(arg, _ string) (Policy, error) {
@@ -198,8 +158,7 @@ func init() {
 			}
 			return SizeThreshold{MinLen: n}, nil
 		},
-	})
-	MustRegister(Kind{
+	}, {
 		Name:        KindCost,
 		Description: "schedule blocks estimated at ≥ N cycles under the target model (cost:N)",
 		Parse: func(arg, target string) (Policy, error) {
@@ -209,15 +168,13 @@ func init() {
 			}
 			return NewCostThreshold(target, n)
 		},
-	})
-	MustRegister(Kind{
+	}, {
 		Name:        KindRipper,
 		Description: "Ripper-induced L/N filter (load from a model file or train one)",
 		Parse: func(arg, _ string) (Policy, error) {
 			return nil, fmt.Errorf("ripper policies are not spec-constructible; load a model file (rules:FILE at the CLI) or train one")
 		},
-	})
-	MustRegister(Kind{
+	}, {
 		Name:        KindPortfolio,
 		Description: "confidence arbitration between member policies (portfolio:spec+spec+...)",
 		Parse: func(arg, target string) (Policy, error) {
@@ -235,5 +192,5 @@ func init() {
 			}
 			return NewPortfolio(members...)
 		},
-	})
+	}}
 }

@@ -27,8 +27,8 @@ const (
 
 // programMemo maps Jolt source text to its JIT-compiled program, so a
 // repeat source skips Jolt compile, JIT and program fingerprinting. The
-// JIT options are fixed per Server and compilation never sees the target,
-// so the source alone is the key; Go compares the whole string on a hit.
+// JIT has one configuration and compilation never sees the target, so
+// the source alone is the key; Go compares the whole string on a hit.
 type programMemo struct {
 	seed maphash.Seed
 

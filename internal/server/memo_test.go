@@ -51,11 +51,11 @@ func memoReference(t *testing.T, src, spec string) memoRef {
 // outside any server.
 func compileSource(t *testing.T, src string) *ir.Program {
 	t.Helper()
-	mod, err := jolt.Compile(src)
+	mod, err := jolt.Compile(src, jolt.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := jit.Compile(mod, jit.DefaultOptions())
+	prog, err := jit.Compile(mod, jit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

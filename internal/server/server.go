@@ -74,8 +74,6 @@ type Config struct {
 	// CacheWeight bounds the scheduled-block cache in words; 0 selects
 	// a default sized for sustained traffic.
 	CacheWeight int
-	// JIT configures compilation; the zero value selects the defaults.
-	JIT jit.Options
 	// Online enables the online-learning loop: live traffic feeds
 	// per-target sample reservoirs, a background trainer periodically
 	// re-induces the filter, candidates are shadow-gated against the
@@ -102,9 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheWeight <= 0 {
 		c.CacheWeight = 1 << 20
-	}
-	if c.JIT == (jit.Options{}) {
-		c.JIT = jit.DefaultOptions()
 	}
 	return c
 }
@@ -402,11 +397,11 @@ func (s *Server) compileInput(in ProgramInput, reorder bool) (*ir.Program, *memo
 	if e := s.memo.get(source); e != nil {
 		return e.program(reorder), e, time.Since(start), nil
 	}
-	mod, err := jolt.Compile(source)
+	mod, err := jolt.Compile(source, jolt.Options{})
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	prog, err := jit.Compile(mod, s.cfg.JIT)
+	prog, err := jit.Compile(mod, jit.Options{})
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -57,7 +57,7 @@ func compileDefault(t testing.TB, w *workloads.Workload) *ir.Program {
 	if err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
 	}
-	prog, err := jit.Compile(mod, jit.DefaultOptions())
+	prog, err := jit.Compile(mod, jit.Options{})
 	if err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
 	}

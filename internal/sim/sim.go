@@ -51,6 +51,7 @@ import (
 	"runtime"
 	"strconv"
 
+	"schedfilter/internal/bytecode"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
 )
@@ -317,7 +318,7 @@ func run(p *ir.Program, cfg Config, v variant) (*Result, *machine.IssueState, er
 	}
 
 	// Run $init (global initializers) before main, as the runtime does.
-	if init := fnIndexByName(p, "$init"); init >= 0 {
+	if init := fnIndexByName(p, bytecode.InitFnName); init >= 0 {
 		if err := ex.callAndRun(init); err != nil {
 			return nil, nil, err
 		}

@@ -55,7 +55,8 @@ type BenchData struct {
 // Options bundle the compilation configuration the training pipeline (and
 // evaluation) uses for every benchmark.
 type Options struct {
-	// JIT configures inlining and code generation.
+	// JIT configures code generation; its zero value is the paper's
+	// OptOpt inlining.
 	JIT jit.Options
 	// Frontend configures Jolt front-end passes (loop unrolling).
 	Frontend jolt.Options
@@ -66,10 +67,7 @@ type Options struct {
 // unrolling, which gives the block population enough large schedulable
 // blocks for the threshold sweep to have paper-like resolution.
 func DefaultOptions() Options {
-	return Options{
-		JIT:      jit.DefaultOptions(),
-		Frontend: jolt.Options{UnrollFactor: 4},
-	}
+	return Options{Frontend: jolt.Options{UnrollFactor: 4}}
 }
 
 // Collect compiles the workload, runs the scheduler experimentally over a

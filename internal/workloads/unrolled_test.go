@@ -32,7 +32,7 @@ func TestWorkloadsUnrolledDifferential(t *testing.T) {
 			if g, ok := golden[w.Name]; ok && want.Ret != g {
 				t.Errorf("unrolling changed the checksum: %d, want %d", want.Ret, g)
 			}
-			prog, err := jit.Compile(mod, jit.DefaultOptions())
+			prog, err := jit.Compile(mod, jit.Options{})
 			if err != nil {
 				t.Fatalf("jit: %v", err)
 			}
@@ -61,11 +61,11 @@ func TestUnrollingGrowsBlockPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := jit.Compile(plain, jit.DefaultOptions())
+	p1, err := jit.Compile(plain, jit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := jit.Compile(unrolled, jit.DefaultOptions())
+	p2, err := jit.Compile(unrolled, jit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestWorkloadsSuperblockDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := jit.Compile(mod, jit.DefaultOptions())
+			prog, err := jit.Compile(mod, jit.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,7 +47,7 @@ func (w *Workload) Compile() (*bytecode.Module, error) {
 // CompileWithOptions compiles the workload with front-end passes (e.g.
 // loop unrolling) enabled.
 func (w *Workload) CompileWithOptions(opt jolt.Options) (*bytecode.Module, error) {
-	m, err := jolt.CompileWithOptions(w.Source, opt)
+	m, err := jolt.Compile(w.Source, opt)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 	}

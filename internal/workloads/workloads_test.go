@@ -83,7 +83,7 @@ func TestWorkloadsDifferential(t *testing.T) {
 				t.Errorf("golden checksum drifted: %d, want %d", want.Ret, g)
 			}
 
-			prog, err := jit.Compile(mod, jit.DefaultOptions())
+			prog, err := jit.Compile(mod, jit.Options{})
 			if err != nil {
 				t.Fatalf("jit: %v", err)
 			}

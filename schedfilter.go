@@ -155,14 +155,15 @@ func DefaultTarget() *Target { return machine.Default() }
 func NewMachine() *Machine { return machine.Default().Model.Clone() }
 
 // DefaultJITOptions mirror the paper's OptOpt configuration (aggressive
-// inlining: callee <= 30, depth <= 6, expansion <= 7x).
-func DefaultJITOptions() JITOptions { return jit.DefaultOptions() }
+// inlining: callee <= 30, depth <= 6, expansion <= 7x); that is the zero
+// JITOptions.
+func DefaultJITOptions() JITOptions { return jit.Options{} }
 
 // DefaultRipperOptions mirror the paper's Ripper usage.
 func DefaultRipperOptions() RipperOptions { return ripper.DefaultOptions() }
 
 // CompileJolt compiles Jolt source to verified bytecode.
-func CompileJolt(src string) (*Module, error) { return jolt.Compile(src) }
+func CompileJolt(src string) (*Module, error) { return jolt.Compile(src, jolt.Options{}) }
 
 // CompileModule JIT-compiles bytecode to machine code (unscheduled).
 func CompileModule(m *Module, opts JITOptions) (*Program, error) {
@@ -172,11 +173,11 @@ func CompileModule(m *Module, opts JITOptions) (*Program, error) {
 // CompileSource compiles Jolt source all the way to machine code with the
 // default JIT options.
 func CompileSource(src string) (*Program, error) {
-	mod, err := jolt.Compile(src)
+	mod, err := jolt.Compile(src, jolt.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return jit.Compile(mod, jit.DefaultOptions())
+	return jit.Compile(mod, jit.Options{})
 }
 
 // Interpret runs bytecode in the reference interpreter (the semantic
@@ -271,7 +272,7 @@ func SizeFilter(minLen int) Policy { return policy.SizeThreshold{MinLen: minLen}
 // sites that don't need the confidence.
 func Schedules(p Policy, v FeatureVector) bool { return policy.Schedules(p, v) }
 
-// PolicyKinds lists every registered policy kind in registration order.
+// PolicyKinds lists every policy kind in table order (the /v1/policies listing order).
 func PolicyKinds() []*PolicyKind { return policy.Kinds() }
 
 // FormatFilter renders an induced filter as persistent model text: a
