@@ -61,6 +61,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// The JIT verifies the modules it compiles; the listing and the
+	// encoder do not, so verify here what they print or write.
+	if *dump != "ir" {
+		if err := bytecode.Verify(mod); err != nil {
+			fatal(err)
+		}
+	}
 
 	switch *dump {
 	case "":

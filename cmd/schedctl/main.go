@@ -228,7 +228,18 @@ func runRequest(c *client, cmd string, args []string) error {
 	if node := r.Header.Get("X-Sched-Node"); node != "" {
 		fmt.Fprintf(os.Stderr, "schedctl: served by node %s\n", node)
 	}
-	_, err = os.Stdout.Write(r.Body)
+	return printJSON(r.Body)
+}
+
+// printJSON prints a reply body indented, so the output reads the same
+// whether a server or the gateway answered; a body that is not JSON is
+// printed as it came.
+func printJSON(body []byte) error {
+	var buf bytes.Buffer
+	if json.Indent(&buf, body, "", "  ") == nil {
+		body = buf.Bytes()
+	}
+	_, err := os.Stdout.Write(body)
 	return err
 }
 

@@ -34,7 +34,8 @@ type Stats struct {
 	// Changed is how many scheduled blocks actually changed order.
 	Changed int
 	// SchedTime is the wall-clock time of the whole pass, including
-	// feature extraction and policy evaluation.
+	// feature extraction and policy evaluation unless Pass.Decisions
+	// supplied the decisions.
 	SchedTime time.Duration
 	// CostBefore and CostAfter sum the estimator costs of all scheduled
 	// blocks before and after the pass.
@@ -65,6 +66,12 @@ type Pass struct {
 	// hashed again. A caller that compiles a source once and schedules it
 	// many times keeps them with the program.
 	BlockKeys []codecache.Key
+	// Decisions, when non-nil, holds the policy's decision for every
+	// block of the program, in program order, as Decide returns them:
+	// the pass reads them and runs neither feature extraction nor the
+	// policy. A caller that schedules one program under one policy many
+	// times decides once and keeps the vector with the program.
+	Decisions []bool
 	// Timed turns on the scratch's phase timing so Stats.Phases carries
 	// the breakdown the serving layer feeds into traces and histograms.
 	// It costs two monotonic clock reads per phase and no allocations.
@@ -74,6 +81,12 @@ type Pass struct {
 // Apply runs the scheduling phase over every block of the program, in
 // place: blocks the policy approves are list-scheduled, the rest are left
 // in their original order. It returns pass statistics.
+//
+// Apply writes only the blocks the policy approves, and only by pointing
+// a block's Instrs at a new slice when its order changes. It writes no
+// other block, no function and no instruction array, so a caller may
+// share every unapproved block, and every instruction array, with a
+// program that must stay unchanged.
 //
 // The fixed protocols short-circuit exactly as a production JIT would: NS
 // does no work at all, LS skips feature extraction, and only the filtered
@@ -91,15 +104,16 @@ func Apply(m *machine.Model, p *ir.Program, f policy.Policy, o Pass) Stats {
 		for _, b := range fn.Blocks {
 			bi := st.Blocks
 			st.Blocks++
-			if never {
+			schedule := always
+			switch {
+			case o.Decisions != nil:
+				schedule = o.Decisions[bi]
+			case !always && !never:
+				schedule, _ = f.Decide(features.ExtractBlock(b))
+			}
+			if !schedule {
 				st.NotScheduled++
 				continue
-			}
-			if !always {
-				if schedule, _ := f.Decide(features.ExtractBlock(b)); !schedule {
-					st.NotScheduled++
-					continue
-				}
 			}
 			st.Scheduled++
 			var key *codecache.Key

@@ -49,11 +49,15 @@ type machine struct {
 	limit int64
 }
 
-// Run executes the module's main function. limit bounds the number of
-// executed instructions (0 means a generous default).
+// Run verifies the module, then executes its main function. limit
+// bounds the number of executed instructions (0 means a generous
+// default).
 func Run(m *bytecode.Module, limit int64) (*Result, error) {
 	if limit <= 0 {
 		limit = 1 << 32
+	}
+	if err := bytecode.Verify(m); err != nil {
+		return nil, fmt.Errorf("interp: module invalid: %w", err)
 	}
 	entry, err := m.Main()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"schedfilter/internal/bytecode"
 	"schedfilter/internal/core"
 	"schedfilter/internal/interp"
 	"schedfilter/internal/jolt"
@@ -228,8 +229,9 @@ func TestFuzzPipelineDifferential(t *testing.T) {
 
 // FuzzCompile feeds Jolt source through the front end (lex, parse,
 // check, codegen) and the JIT. Whatever the source, nothing panics; a
-// program either stage refuses comes back as an error and no output; and
-// accepted output holds no virtual int, float or condition register. The
+// program either stage refuses comes back as an error and no output; a
+// module the front end accepts passes verification; and accepted output
+// holds no virtual int, float or condition register. The
 // corpus is seeded from the random program generator, the lowering
 // gauntlet, and number literals at and past the edges of their range.
 func FuzzCompile(f *testing.F) {
@@ -252,6 +254,9 @@ func FuzzCompile(f *testing.F) {
 		}
 		if mod == nil {
 			t.Fatal("jolt.Compile returned neither a module nor an error")
+		}
+		if err := bytecode.Verify(mod); err != nil {
+			t.Fatalf("jolt.Compile accepted a program whose module fails verification: %v", err)
 		}
 		prog, err := Compile(mod, Options{})
 		if err != nil {

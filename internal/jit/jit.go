@@ -16,8 +16,8 @@ type Options struct {
 	NoInline bool
 }
 
-// Compile translates a verified bytecode module into machine IR. The
-// resulting program has physical registers everywhere (except scheduling
+// Compile verifies a bytecode module and translates it into machine IR,
+// refusing a malformed module with an error. The resulting program has physical registers everywhere (except scheduling
 // guards) and is ready for the scheduling protocols and the simulator.
 func Compile(mod *bytecode.Module, opts Options) (*ir.Program, error) {
 	if !opts.NoInline {

@@ -481,3 +481,36 @@ func main() int {
 		t.Errorf("hottest block executed %d times, want >= 37", max)
 	}
 }
+
+// Compile is the check in front of the JIT: jolt.Compile leaves
+// verification to its consumers, so a malformed module built by hand must
+// come back as an error and no program, with the inliner on and off.
+func TestCompileRefusesMalformedModule(t *testing.T) {
+	mainFn := func(code ...bytecode.Insn) *bytecode.Fn {
+		return &bytecode.Fn{Name: "main", Ret: bytecode.TInt, Code: code}
+	}
+	cases := map[string]*bytecode.Module{
+		"stack underflow": {Fns: []*bytecode.Fn{mainFn(
+			bytecode.Insn{Op: bytecode.ICONST, I: 1},
+			bytecode.Insn{Op: bytecode.IADD},
+			bytecode.Insn{Op: bytecode.IRET})}},
+		"branch out of range": {Fns: []*bytecode.Fn{mainFn(
+			bytecode.Insn{Op: bytecode.GOTO, A: 99})}},
+		"falls off the end": {Fns: []*bytecode.Fn{mainFn(
+			bytecode.Insn{Op: bytecode.ICONST, I: 1})}},
+		"call out of range": {Fns: []*bytecode.Fn{mainFn(
+			bytecode.Insn{Op: bytecode.CALL, A: 7},
+			bytecode.Insn{Op: bytecode.IRET})}},
+		"malformed callee": {Fns: []*bytecode.Fn{
+			mainFn(bytecode.Insn{Op: bytecode.CALL, A: 1}, bytecode.Insn{Op: bytecode.IRET}),
+			{Name: "f", Ret: bytecode.TInt, Code: []bytecode.Insn{{Op: bytecode.IRET}}}}},
+	}
+	for name, mod := range cases {
+		for _, opts := range []Options{{}, {NoInline: true}} {
+			prog, err := Compile(mod, opts)
+			if err == nil || prog != nil {
+				t.Errorf("%s, %+v: Compile returned program %v, error %v; want no program and an error", name, opts, prog != nil, err)
+			}
+		}
+	}
+}

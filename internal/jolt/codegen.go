@@ -13,9 +13,11 @@ type Options struct {
 	UnrollFactor int
 }
 
-// Compile parses, checks, and lowers a Jolt source file to a verified
-// bytecode module, applying opt's front-end passes between parsing and
-// checking. A refused program returns a nil module and an error.
+// Compile parses, checks, and lowers a Jolt source file to a bytecode
+// module, applying opt's front-end passes between parsing and checking.
+// A refused program returns a nil module and an error. The module is not
+// verified here: its consumers (jit.Compile, interp.Run) verify what they
+// are given, so a compiled request pays for one check.
 func Compile(src string, opt Options) (*bytecode.Module, error) {
 	prog, err := parse(src)
 	if err != nil {
@@ -26,14 +28,7 @@ func Compile(src string, opt Options) (*bytecode.Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := generate(prog, info)
-	if err != nil {
-		return nil, err
-	}
-	if err := bytecode.Verify(m); err != nil {
-		return nil, fmt.Errorf("jolt: internal error: generated module fails verification: %w", err)
-	}
-	return m, nil
+	return generate(prog, info)
 }
 
 // generate lowers a checked program to bytecode.

@@ -1,7 +1,8 @@
 // Package jolt implements the front end for Jolt, the small Java-flavoured
 // language the reproduction's benchmark programs are written in. The
 // pipeline is lexer → parser → type checker → bytecode code generator;
-// Compile ties the phases together and returns a verified bytecode module.
+// Compile ties the phases together and returns a bytecode module, which
+// its consumers verify.
 //
 // Jolt has int (64-bit), float (64-bit), bool, and one-dimensional arrays
 // (int[], float[]); functions with by-value parameters; global variables;

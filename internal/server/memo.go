@@ -7,18 +7,28 @@ import (
 	"sync/atomic"
 
 	"schedfilter/internal/codecache"
+	"schedfilter/internal/core"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
 )
 
 // Bounds of the compiled-program memo. An entry weighs its source length
 // plus memoInstrBytes per machine instruction, a rough footprint of the
-// JIT output, plus the block keys it stores, and least-recently-used
-// entries are evicted past memoMaxBytes, so a flood of large request
-// bodies cannot pin memory.
+// JIT output, plus the block keys and decision vectors it stores, and
+// least-recently-used entries are evicted past memoMaxBytes, so a flood of
+// large request bodies, or of distinct policies, cannot pin memory.
 const (
 	memoMaxBytes   = 4 << 20
 	memoInstrBytes = 128
+	// memoNodeBytes is what a stored decision vector weighs beyond its
+	// policy ID and one byte per block: its list node and their headers.
+	memoNodeBytes = 64
+	// memoMaxPolicies bounds the decision vectors one entry stores, so a
+	// lookup scans a short list even when a client cycles through many
+	// policies on one source; a policy past the bound is decided on every
+	// request, as an unmemoized source is.
+	memoMaxPolicies = 16
 	// memoDoorSlots sizes the doorkeeper, a direct-mapped table of source
 	// hashes. A source is stored only on its second sighting, so one-off
 	// sources cost neither a copy nor retained memory.
@@ -44,8 +54,8 @@ type programMemo struct {
 
 // memoEntry is one memoized compilation. prog is the pristine copy, which
 // no caller writes: readers take it as is, and the scheduling pass, which
-// points blocks at reordered instruction slices, works on the block-level
-// copy program(true) returns.
+// points approved blocks at reordered instruction slices, works on the
+// copy schedCopy returns.
 type memoEntry struct {
 	source string
 	prog   *ir.Program
@@ -54,6 +64,8 @@ type memoEntry struct {
 	fp atomic.Pointer[memoFingerprint]
 	// keys lists prog's block fingerprints, one set per model asked for.
 	keys atomic.Pointer[memoBlockKeys]
+	// decs lists prog's decision vectors, one per policy ID served.
+	decs atomic.Pointer[memoDecisions]
 }
 
 type memoFingerprint struct {
@@ -191,35 +203,77 @@ func (e *memoEntry) blockKeys(memo *programMemo, m *machine.Model) []codecache.K
 	return keys
 }
 
-// program returns the memoized program for a caller that only reads it,
-// or, with reorder, a block-level copy for the scheduling pass: fresh Fn
-// and Block structs over the pristine instruction and successor arrays,
-// each cut with a full slice expression so an append reallocates. The
-// pass never writes into an instruction array (a reordered block gets a
-// new slice), so sharing them is safe and the copy costs five
+// memoDecisions is one policy's decision vector over a memoized
+// program, linked to the vectors of the policies served before it.
+type memoDecisions struct {
+	policyID string
+	schedule []bool
+	next     *memoDecisions
+}
+
+// decisions returns f's decision for every block of the pristine program,
+// in program order, as core.Decide gives them. policyID is policy.ID(f),
+// the identity the block cache and the flight already trust, so two
+// policies with one ID share one vector. The vector is built the first
+// time the entry is served under the policy and stored, up to
+// memoMaxPolicies per entry, with its bytes plus memoNodeBytes charged to
+// the entry's weight; a request that loses the race to store it builds it
+// again later.
+func (e *memoEntry) decisions(memo *programMemo, f policy.Policy, policyID string) []bool {
+	head := e.decs.Load()
+	n := 0
+	for d := head; d != nil; d = d.next {
+		if d.policyID == policyID {
+			return d.schedule
+		}
+		n++
+	}
+	dec := core.Decide(e.prog, f)
+	if n < memoMaxPolicies && e.decs.CompareAndSwap(head, &memoDecisions{policyID: policyID, schedule: dec, next: head}) {
+		memo.charge(e, memoNodeBytes+len(policyID)+len(dec))
+	}
+	return dec
+}
+
+// schedCopy returns the program the scheduling pass runs on under the
+// decision vector dec: fresh Fn structs whose blocks are the pristine
+// pointers, except that a block dec approves gets a fresh Block struct
+// over the pristine instruction and successor arrays, cut with full slice
+// expressions so an append reallocates. core.Apply writes only the blocks
+// it schedules, so sharing the rest is safe, and a vector that approves
+// nothing gets the pristine program itself. The copy costs five
 // allocations whatever the program's size.
-func (e *memoEntry) program(reorder bool) *ir.Program {
+func (e *memoEntry) schedCopy(dec []bool) *ir.Program {
 	p := e.prog
-	if !reorder {
+	approved := 0
+	for _, yes := range dec {
+		if yes {
+			approved++
+		}
+	}
+	if approved == 0 {
 		return p
 	}
-	nBlocks := p.NumBlocks()
 	fns := make([]ir.Fn, len(p.Fns))
 	fnPtrs := make([]*ir.Fn, len(p.Fns))
-	blocks := make([]ir.Block, nBlocks)
-	blockPtrs := make([]*ir.Block, nBlocks)
+	blockPtrs := make([]*ir.Block, len(dec))
+	blocks := make([]ir.Block, approved)
+	bi := 0
 	for fi, f := range p.Fns {
 		nf := &fns[fi]
 		*nf = *f
-		nf.Blocks = blockPtrs[:len(f.Blocks):len(f.Blocks)]
-		blockPtrs = blockPtrs[len(f.Blocks):]
-		for bi, b := range f.Blocks {
-			nb := &blocks[0]
-			blocks = blocks[1:]
-			*nb = *b
-			nb.Instrs = b.Instrs[:len(b.Instrs):len(b.Instrs)]
-			nb.Succs = b.Succs[:len(b.Succs):len(b.Succs)]
-			nf.Blocks[bi] = nb
+		nf.Blocks = blockPtrs[bi : bi+len(f.Blocks) : bi+len(f.Blocks)]
+		for i, b := range f.Blocks {
+			nf.Blocks[i] = b
+			if dec[bi] {
+				nb := &blocks[0]
+				blocks = blocks[1:]
+				*nb = *b
+				nb.Instrs = b.Instrs[:len(b.Instrs):len(b.Instrs)]
+				nb.Succs = b.Succs[:len(b.Succs):len(b.Succs)]
+				nf.Blocks[i] = nb
+			}
+			bi++
 		}
 		fnPtrs[fi] = nf
 	}

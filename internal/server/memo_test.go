@@ -12,6 +12,7 @@ import (
 
 	"schedfilter/internal/codecache"
 	"schedfilter/internal/core"
+	"schedfilter/internal/features"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/jit"
 	"schedfilter/internal/jolt"
@@ -123,8 +124,19 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	}
 }
 
-// A flood of distinct sources, each seen twice, never holds more than the
-// byte bound; the least recently used entries go first.
+// sizeSpec returns the size:n policy and its ID.
+func sizeSpec(t *testing.T, n int) (policy.Policy, string) {
+	t.Helper()
+	f, err := policy.FromSpec(fmt.Sprintf("size:%d", n), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, policy.ID(f)
+}
+
+// A flood of distinct sources, each seen twice and served under two
+// policies, never holds more than the byte bound; the least recently used
+// entries go first.
 func TestMemoBytesBounded(t *testing.T) {
 	w := workloads.ByName("compress")
 	prog := compileSource(t, w.Source)
@@ -133,8 +145,13 @@ func TestMemoBytesBounded(t *testing.T) {
 	n := 3 * memoMaxBytes / (len(w.Source) + memoInstrBytes*prog.NumInstrs())
 	for i := 0; i < n; i++ {
 		m.admit(source(i), prog)
-		if m.admit(source(i), prog) == nil {
+		e := m.admit(source(i), prog)
+		if e == nil {
 			t.Fatalf("source %d not admitted on its second sighting", i)
+		}
+		for _, size := range []int{4, 8} {
+			f, id := sizeSpec(t, size)
+			e.decisions(m, f, id)
 		}
 		if st := m.stats(); st.bytes > memoMaxBytes {
 			t.Fatalf("after %d sources the memo holds %d bytes, bound %d", i+1, st.bytes, memoMaxBytes)
@@ -153,6 +170,100 @@ func TestMemoBytesBounded(t *testing.T) {
 	e.blockKeys(m, mdl)
 	if got, want := m.stats().bytes-before, int64(32*prog.NumBlocks()); got != want {
 		t.Fatalf("storing one model's block keys added %d bytes, want %d", got, want)
+	}
+
+	// Many distinct size:N policies on one source: each of the first
+	// memoMaxPolicies vectors is charged once, however often it is served
+	// (size:4 and size:8 were charged above), the rest are decided afresh
+	// and charged nothing, and every answer equals core.Decide's.
+	for size := 0; size < 4*memoMaxPolicies; size++ {
+		f, id := sizeSpec(t, size)
+		before := m.stats().bytes
+		for i := 0; i < 2; i++ {
+			if got := e.decisions(m, f, id); !reflect.DeepEqual(got, core.Decide(prog, f)) {
+				t.Fatalf("%s: decisions differ from core.Decide", id)
+			}
+		}
+		st := m.stats()
+		if st.bytes > memoMaxBytes {
+			t.Fatalf("after %d policies the memo holds %d bytes, bound %d", size+1, st.bytes, memoMaxBytes)
+		}
+		want := int64(0)
+		if storedDecisions(e, id) == nil {
+			if size < memoMaxPolicies {
+				t.Fatalf("%s: not stored with %d policies served", id, size)
+			}
+		} else if size != 4 && size != 8 {
+			want = int64(memoNodeBytes + len(id) + prog.NumBlocks())
+		}
+		if got := st.bytes - before; got != want {
+			t.Fatalf("%s served twice added %d bytes, want %d", id, got, want)
+		}
+	}
+}
+
+// storedDecisions returns the decision vector e keeps for policyID, or
+// nil.
+func storedDecisions(e *memoEntry, policyID string) []bool {
+	for d := e.decs.Load(); d != nil; d = d.next {
+		if d.policyID == policyID {
+			return d.schedule
+		}
+	}
+	return nil
+}
+
+// The oracle for memoized decisions: for every bundled program, every
+// target and the fixed, threshold, portfolio and factory policies, the
+// vector a served request leaves in the memo equals the policy's
+// per-block decision on a fresh compile.
+func TestMemoDecisionsMatchDecide(t *testing.T) {
+	factory := factoryPolicy(t)
+	s := New(Config{Filter: factory, Workers: 1})
+	defer s.Close()
+	specs := []string{"always", "never", "size:8", "cost:40", "portfolio:size:12+cost:30", "default"}
+	for _, w := range workloads.All() {
+		in := ProgramInput{Workload: w.Name}
+		for i := 0; i < 2; i++ {
+			call(t, s.doCompile, CompileRequest{ProgramInput: in})
+		}
+		e := s.memo.get(w.Source)
+		if e == nil {
+			t.Fatalf("%s: not memoized after two requests", w.Name)
+		}
+		fresh := compileSource(t, w.Source)
+		for _, tgt := range machine.All() {
+			for _, spec := range specs {
+				in := ProgramInput{Workload: w.Name, Target: tgt.Name, Policy: spec}
+				r := call(t, s.doSchedule, ScheduleRequest{ProgramInput: in}).(*ScheduleResponse)
+				var f policy.Policy = factory
+				if spec != "default" {
+					var err error
+					if f, err = policy.FromSpec(spec, tgt.Name); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := storedDecisions(e, r.PolicyID)
+				if len(got) != fresh.NumBlocks() {
+					t.Fatalf("%s on %s under %s: %d stored decisions for %d blocks", w.Name, tgt.Name, spec, len(got), fresh.NumBlocks())
+				}
+				bi, approved := 0, 0
+				for _, fn := range fresh.Fns {
+					for _, b := range fn.Blocks {
+						if want, _ := f.Decide(features.ExtractBlock(b)); got[bi] != want {
+							t.Fatalf("%s on %s under %s: block %d stored %v, Decide says %v", w.Name, tgt.Name, spec, bi, got[bi], want)
+						}
+						if got[bi] {
+							approved++
+						}
+						bi++
+					}
+				}
+				if r.Scheduled != approved {
+					t.Errorf("%s on %s under %s: %d blocks scheduled, %d approved", w.Name, tgt.Name, spec, r.Scheduled, approved)
+				}
+			}
+		}
 	}
 }
 
@@ -272,11 +383,13 @@ func call(t *testing.T, do func(context.Context, []byte) (any, error), req any) 
 	return v
 }
 
-// The pass and the simulator share the memo's instruction arrays, so they
-// must never write into them: after warm schedule, execute and uncached
-// requests under policies that reorder many blocks, with online learning
-// off and on, the memoized program still equals a fresh compile, operand
-// slices included.
+// The pass and the simulator share the memo's instruction arrays, and
+// every block the policy does not approve, so they must never write into
+// them: after warm schedule, execute and uncached requests under the
+// factory filter and under a policy that reorders many blocks, with online
+// learning off and on, the memoized program still equals a fresh compile,
+// operand slices included. Under the factory filter the scheduling copy
+// shares exactly the unapproved blocks with the pristine program.
 func TestMemoProgramStaysPristine(t *testing.T) {
 	for _, learn := range []bool{false, true} {
 		cfg := Config{Filter: factoryPolicy(t)}
@@ -311,14 +424,48 @@ func TestMemoProgramStaysPristine(t *testing.T) {
 			if !reflect.DeepEqual(e.prog, compileSource(t, src)) {
 				t.Errorf("online %v: the memoized program no longer equals a fresh compile", learn)
 			}
+			checkSchedCopy(t, e, storedDecisions(e, policy.ID(cfg.Filter)))
 		}
 		s.Close()
 	}
 }
 
+// checkSchedCopy checks the structure of the scheduling copy e builds for
+// the decision vector dec: approved blocks are fresh structs with the
+// pristine contents, every other block is the pristine pointer, and a
+// vector that approves nothing gets the pristine program itself.
+func checkSchedCopy(t *testing.T, e *memoEntry, dec []bool) {
+	t.Helper()
+	if len(dec) != e.prog.NumBlocks() {
+		t.Fatalf("%d decisions for %d blocks", len(dec), e.prog.NumBlocks())
+	}
+	cp := e.schedCopy(dec)
+	approved, bi := 0, 0
+	for fi, fn := range e.prog.Fns {
+		for i, b := range fn.Blocks {
+			got := cp.Fns[fi].Blocks[i]
+			switch {
+			case !dec[bi] && got != b:
+				t.Errorf("%s block %d: unapproved but copied", fn.Name, i)
+			case dec[bi] && got == b:
+				t.Errorf("%s block %d: approved but shared with the pristine program", fn.Name, i)
+			case dec[bi] && !reflect.DeepEqual(*got, *b):
+				t.Errorf("%s block %d: the copy differs from the pristine block", fn.Name, i)
+			}
+			if dec[bi] {
+				approved++
+			}
+			bi++
+		}
+	}
+	if (cp == e.prog) != (approved == 0) {
+		t.Errorf("%d approved blocks, program shared %v", approved, cp == e.prog)
+	}
+}
+
 // A warm schedule request reuses everything that depends only on the
-// source: no program copy beyond block headers, no policy hash, no block
-// hash. Its allocations stay far below what a deep program copy, a
+// source: no program copy beyond the approved blocks, no policy hash, no
+// block hash, no decisions. Its allocations stay far below what a deep program copy, a
 // per-request rule hash and per-block fingerprints cost (327 per request
 // for compress, 375 for scimark).
 func TestWarmScheduleAllocs(t *testing.T) {
@@ -350,6 +497,43 @@ func TestWarmScheduleAllocs(t *testing.T) {
 		}
 		if allocs > 80 {
 			t.Errorf("warm schedule of %s allocates %.0f times per request, want at most 80", name, allocs)
+		}
+	}
+}
+
+// BenchmarkWarmSchedule measures a warm /v1/schedule of the bundled
+// programs in turn under the factory filter, in process: every source is
+// memoized, every approved block replays from the cache, and the decisions
+// come from the memo. Run with -benchmem.
+func BenchmarkWarmSchedule(b *testing.B) {
+	text, err := os.ReadFile("../../cmd/schedserved/factory_model.txt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := policy.ParseInduced(string(text))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(Config{Filter: f, Workers: 1})
+	defer s.Close()
+	var bodies [][]byte
+	for _, w := range workloads.All() {
+		body, err := json.Marshal(ScheduleRequest{ProgramInput: ProgramInput{Workload: w.Name}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	for i := 0; i < 3*len(bodies); i++ {
+		if _, err := s.doSchedule(context.Background(), bodies[i%len(bodies)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.doSchedule(context.Background(), bodies[i%len(bodies)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -33,13 +33,13 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 }
 
-// WriteJSON writes v as an indented JSON response with the given status.
+// WriteJSON writes v as a compact JSON response with the given status.
+// Clients parse every byte, so replies carry no indentation; schedctl
+// indents what it prints.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // connection-level failure; nothing left to do
+	_ = json.NewEncoder(w).Encode(v) // connection-level failure; nothing left to do
 }
 
 // Reply records a response's outcome and its latency since start
@@ -67,16 +67,13 @@ func (d *Drain) Draining() bool { return d.draining.Load() }
 
 // ServeHealth answers a /healthz probe with the body fill builds from
 // the drain state: status "ok" and HTTP 200 while serving, "draining"
-// and 503 once BeginDrain has run. Health bodies are compact JSON.
+// and 503 once BeginDrain has run.
 func (d *Drain) ServeHealth(w http.ResponseWriter, fill func(status string, draining bool) any) {
 	status, code := "ok", http.StatusOK
 	if d.Draining() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	body := fill(status, code != http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(body)
+	WriteJSON(w, code, fill(status, code != http.StatusOK))
 }
 
 // Daemon is what Serve runs: an HTTP surface with a drain flip and a

@@ -374,10 +374,10 @@ func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 
 // compileInput compiles a request's program (inline source or bundled
 // workload) to unscheduled machine code through the compiled-program
-// memo. With reorder the returned program is one the scheduling pass may
-// reorder; without it the caller must only read it. The entry, non-nil
-// when the source is memoized, carries its fingerprints.
-func (s *Server) compileInput(in ProgramInput, reorder bool) (*ir.Program, *memoEntry, time.Duration, error) {
+// memo. The entry, non-nil when the source is memoized, carries its
+// fingerprints and decisions; its program is the pristine one, which the
+// caller must only read. Without an entry the program is the caller's.
+func (s *Server) compileInput(in ProgramInput) (*ir.Program, *memoEntry, time.Duration, error) {
 	start := time.Now()
 	var source string
 	switch {
@@ -395,7 +395,7 @@ func (s *Server) compileInput(in ProgramInput, reorder bool) (*ir.Program, *memo
 		return nil, nil, 0, fmt.Errorf("request needs source or workload")
 	}
 	if e := s.memo.get(source); e != nil {
-		return e.program(reorder), e, time.Since(start), nil
+		return e.prog, e, time.Since(start), nil
 	}
 	mod, err := jolt.Compile(source, jolt.Options{})
 	if err != nil {
@@ -406,7 +406,7 @@ func (s *Server) compileInput(in ProgramInput, reorder bool) (*ir.Program, *memo
 		return nil, nil, 0, err
 	}
 	if e := s.memo.admit(source, prog); e != nil {
-		return e.program(reorder), e, time.Since(start), nil
+		return e.prog, e, time.Since(start), nil
 	}
 	return prog, nil, time.Since(start), nil
 }
@@ -477,10 +477,9 @@ type prepared struct {
 // prepare decodes body into req and runs the steps every compile-path
 // endpoint shares: resolve the target (even compile refuses an unknown
 // one), resolve the policy when the request carries a spec (compile has
-// none), compile through the memo (a program the pass may reorder when
-// reorder is set), and record the compile span. in and spec point into
-// req.
-func (s *Server) prepare(ctx context.Context, body []byte, req any, in *ProgramInput, spec *FilterSpec, reorder bool) (prepared, error) {
+// none), compile through the memo, and record the compile span. in and
+// spec point into req.
+func (s *Server) prepare(ctx context.Context, body []byte, req any, in *ProgramInput, spec *FilterSpec) (prepared, error) {
 	var pr prepared
 	if err := decodeRequest(body, req); err != nil {
 		return pr, err
@@ -494,7 +493,7 @@ func (s *Server) prepare(ctx context.Context, body []byte, req any, in *ProgramI
 			return pr, err
 		}
 	}
-	if pr.prog, pr.entry, pr.compileT, err = s.compileInput(*in, reorder); err != nil {
+	if pr.prog, pr.entry, pr.compileT, err = s.compileInput(*in); err != nil {
 		return pr, err
 	}
 	pr.tr = obs.TraceFrom(ctx)
@@ -538,14 +537,25 @@ func (s *Server) schedule(pr *prepared, noCache bool) (core.Stats, bool) {
 }
 
 // schedulePass runs pr's pass and feeds its totals into the server
-// metrics. The pass runs with phase timing on, so the returned stats
-// carry the per-phase breakdown traces report.
+// metrics. A memoized source is scheduled on the copy its entry builds
+// from the policy's memoized decisions, which pr.prog then names; the
+// decisions are made, and charged to the pass's time, only on the first
+// request under the policy. The pass runs with phase timing on, so the
+// returned stats carry the per-phase breakdown traces report.
 func (s *Server) schedulePass(pr *prepared, noCache bool) core.Stats {
 	cache := pr.mt.cache
 	if noCache {
 		cache = nil
 	}
-	st := core.Apply(pr.mt.model, pr.prog, pr.f, core.Pass{Cache: cache, BlockKeys: pr.keys, Timed: true})
+	start := time.Now()
+	var dec []bool
+	if pr.entry != nil {
+		dec = pr.entry.decisions(s.memo, pr.f, pr.policyID)
+		pr.prog = pr.entry.schedCopy(dec)
+	}
+	prepT := time.Since(start)
+	st := core.Apply(pr.mt.model, pr.prog, pr.f, core.Pass{Cache: cache, BlockKeys: pr.keys, Decisions: dec, Timed: true})
+	st.SchedTime += prepT
 	runs := st.CacheMisses
 	if noCache {
 		runs = st.Scheduled
@@ -571,7 +581,7 @@ func recordSchedPhases(tr *obs.Trace, st core.Stats) {
 
 func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
 	var req CompileRequest
-	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, nil, false)
+	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -589,7 +599,7 @@ func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
 
 func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 	var req ScheduleRequest
-	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, &req.FilterSpec, true)
+	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, &req.FilterSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +631,7 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 	var req PredictRequest
 	// Prediction reads only target-independent features, but the target
 	// still selects which online filter version serves "default".
-	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, &req.FilterSpec, false)
+	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, &req.FilterSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -654,7 +664,7 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 
 func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	var req ExecuteRequest
-	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, &req.FilterSpec, true)
+	pr, err := s.prepare(ctx, body, &req, &req.ProgramInput, &req.FilterSpec)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,8 @@ type Workload struct {
 	Source string
 }
 
-// Compile compiles the workload to verified bytecode.
+// Compile compiles the workload to bytecode; jit.Compile and interp.Run
+// verify it.
 func (w *Workload) Compile() (*bytecode.Module, error) {
 	return w.CompileWithOptions(jolt.Options{})
 }

@@ -162,7 +162,8 @@ func DefaultJITOptions() JITOptions { return jit.Options{} }
 // DefaultRipperOptions mirror the paper's Ripper usage.
 func DefaultRipperOptions() RipperOptions { return ripper.DefaultOptions() }
 
-// CompileJolt compiles Jolt source to verified bytecode.
+// CompileJolt compiles Jolt source to bytecode; CompileModule and
+// Interpret verify it.
 func CompileJolt(src string) (*Module, error) { return jolt.Compile(src, jolt.Options{}) }
 
 // CompileModule JIT-compiles bytecode to machine code (unscheduled).
