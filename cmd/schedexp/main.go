@@ -57,7 +57,6 @@ import (
 	"schedfilter/internal/cliflags"
 	"schedfilter/internal/experiments"
 	"schedfilter/internal/machine"
-	"schedfilter/internal/profileflags"
 	"schedfilter/internal/workloads"
 )
 
@@ -95,7 +94,7 @@ type options struct {
 	check    bool     // compare regenerated artifacts with the checked-in files
 }
 
-func parseFlags(args []string) (options, *profileflags.Flags, error) {
+func parseFlags(args []string) (options, *cliflags.ProfileFlags, error) {
 	fs := flag.NewFlagSet("schedexp", flag.ContinueOnError)
 	o := options{}
 	fs.StringVar(&o.exp, "exp", "all", "which experiment to run (see package doc)")

@@ -1,10 +1,10 @@
 // Package cliflags centralizes the flag wiring the CLI entry points
-// share, the way internal/profileflags does for the pprof pair: every
-// command that takes a machine target, a worker count, or a scheduling
-// policy registers the flag here, so the spelling, defaults, and help
-// text stay identical across schedexp, schedtrain, schedserved,
-// schedctl, schedgate, joltrun, and joltc — and a new policy kind
-// becomes selectable everywhere by registering once in internal/policy.
+// share: every command that takes a machine target, a worker count, a
+// scheduling policy or the pprof pair registers the flag here, so the
+// spelling, defaults, and help text stay identical across schedexp,
+// schedtrain, schedserved, schedctl, schedgate, joltrun, and joltc — and
+// a new policy kind becomes selectable everywhere by registering once in
+// internal/policy.
 package cliflags
 
 import (
@@ -12,12 +12,14 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"schedfilter/internal/machine"
 	"schedfilter/internal/obs"
 	"schedfilter/internal/policy"
-	"schedfilter/internal/profileflags"
 )
 
 // PolicySyntax is the -policy value syntax, shared by every usage
@@ -58,10 +60,63 @@ func Policy(fs *flag.FlagSet, def, usage string) *string {
 	return fs.String("policy", def, usage)
 }
 
-// Profile registers the -cpuprofile/-memprofile pair (one import for
-// commands that want all the shared flags).
-func Profile(fs *flag.FlagSet) *profileflags.Flags {
-	return profileflags.Register(fs)
+// ProfileFlags holds the -cpuprofile/-memprofile values; read after
+// flag parsing.
+type ProfileFlags struct {
+	CPUProfile *string
+	MemProfile *string
+}
+
+// Profile registers the -cpuprofile/-memprofile pair, so the
+// long-running entry points (schedexp sweeps, schedtrain training runs)
+// can be profiled with the same invocation shape as `go test`.
+func Profile(fs *flag.FlagSet) *ProfileFlags {
+	return &ProfileFlags{
+		CPUProfile: fs.String("cpuprofile", "", "write a pprof CPU profile to this file"),
+		MemProfile: fs.String("memprofile", "", "write a pprof heap profile to this file on exit"),
+	}
+}
+
+// Start begins the CPU capture (when requested) and returns a stop
+// function that ends it and writes the heap profile (when requested).
+// The stop function is idempotent and must run before os.Exit — deferred
+// calls don't survive it, so error paths call it explicitly.
+func (f *ProfileFlags) Start() (stop func(), err error) {
+	var cpuFile *os.File
+	if *f.CPUProfile != "" {
+		cpuFile, err = os.Create(*f.CPUProfile)
+		if err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	mem := *f.MemProfile
+	done := false
+	return func() {
+		if done {
+			return
+		}
+		done = true
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if mem != "" {
+			out, err := os.Create(mem)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "memprofile:", err)
+				return
+			}
+			defer out.Close()
+			runtime.GC() // report live objects, not garbage
+			if err := pprof.WriteHeapProfile(out); err != nil {
+				fmt.Fprintln(os.Stderr, "memprofile:", err)
+			}
+		}
+	}, nil
 }
 
 // LogLevel registers the standard -log-level flag the daemons share.

@@ -34,8 +34,7 @@ type Stats struct {
 	// Changed is how many scheduled blocks actually changed order.
 	Changed int
 	// SchedTime is the wall-clock time of the whole pass, including
-	// feature extraction and policy evaluation unless Pass.Decisions
-	// supplied the decisions.
+	// feature extraction and policy evaluation.
 	SchedTime time.Duration
 	// CostBefore and CostAfter sum the estimator costs of all scheduled
 	// blocks before and after the pass.
@@ -60,18 +59,6 @@ type Pass struct {
 	// next identical block). Across repeated compile requests nearly
 	// every block is a replay.
 	Cache *codecache.Cache
-	// BlockKeys, when non-nil, holds
-	// codecache.BlockKey(m.Name, b.Instrs) of every block of the
-	// unscheduled program, in program order, so approved blocks are not
-	// hashed again. A caller that compiles a source once and schedules it
-	// many times keeps them with the program.
-	BlockKeys []codecache.Key
-	// Decisions, when non-nil, holds the policy's decision for every
-	// block of the program, in program order, as Decide returns them:
-	// the pass reads them and runs neither feature extraction nor the
-	// policy. A caller that schedules one program under one policy many
-	// times decides once and keeps the vector with the program.
-	Decisions []bool
 	// Timed turns on the scratch's phase timing so Stats.Phases carries
 	// the breakdown the serving layer feeds into traces and histograms.
 	// It costs two monotonic clock reads per phase and no allocations.
@@ -102,13 +89,9 @@ func Apply(m *machine.Model, p *ir.Program, f policy.Policy, o Pass) Stats {
 	_, never := f.(policy.Never)
 	for _, fn := range p.Fns {
 		for _, b := range fn.Blocks {
-			bi := st.Blocks
 			st.Blocks++
 			schedule := always
-			switch {
-			case o.Decisions != nil:
-				schedule = o.Decisions[bi]
-			case !always && !never:
+			if !always && !never {
 				schedule, _ = f.Decide(features.ExtractBlock(b))
 			}
 			if !schedule {
@@ -116,11 +99,7 @@ func Apply(m *machine.Model, p *ir.Program, f policy.Policy, o Pass) Stats {
 				continue
 			}
 			st.Scheduled++
-			var key *codecache.Key
-			if o.BlockKeys != nil {
-				key = &o.BlockKeys[bi]
-			}
-			res, hit := sched.ScheduleBlock(m, b, o.Cache, key, s)
+			res, hit := sched.ScheduleBlock(m, b, o.Cache, s)
 			if o.Cache != nil {
 				if hit {
 					st.CacheHits++

@@ -27,17 +27,15 @@ func genProgram(seed int64, nBlocks int) *ir.Program {
 // with no cache or a warm one, timed or not, Apply must leave exactly the
 // block orders the reference scheduler produces over the blocks the policy
 // approves, report the reference's cost totals, and agree with every other
-// configuration on its stats, with the block keys passed in or hashed by
-// the pass. LS and size>=5 approve every block, NS
+// configuration on its stats. The keyed rows check that the cache holds
+// each approved block's reference result under the key
+// codecache.BlockKey gives its unscheduled code, the key the server's
+// online collector shares. LS and size>=5 approve every block, NS
 // none (leaving the program as it was), and size>=25 and the factory
 // filter split the population.
 func TestApply(t *testing.T) {
 	m := machine.Default().Model
 	base := genProgram(21, 48)
-	var keys []codecache.Key
-	for _, b := range base.Fns[0].Blocks {
-		keys = append(keys, codecache.BlockKey(m.Name, b.Instrs))
-	}
 	text, err := os.ReadFile("../../cmd/schedserved/factory_model.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +59,7 @@ func TestApply(t *testing.T) {
 	for _, pc := range policies {
 		want := base.Clone()
 		var wantSt Stats
+		wantBlocks := map[codecache.Key]sched.Result{}
 		for _, fn := range want.Fns {
 			for _, b := range fn.Blocks {
 				wantSt.Blocks++
@@ -70,6 +69,7 @@ func TestApply(t *testing.T) {
 				}
 				wantSt.Scheduled++
 				res := sched.ScheduleInstrsReference(m, b.Instrs)
+				wantBlocks[codecache.BlockKey(m.Name, b.Instrs)] = res
 				b.Instrs = res.Apply(b.Instrs)
 				wantSt.CostBefore += int64(res.CostBefore)
 				wantSt.CostAfter += int64(res.CostAfter)
@@ -92,28 +92,17 @@ func TestApply(t *testing.T) {
 		// The cold pass that warms the cache must already match the
 		// reference; the warm rows below then replay every block.
 		warm := codecache.New(1 << 16)
-		for _, pass := range []Pass{{Cache: codecache.New(1 << 16), BlockKeys: keys}, {Cache: warm}} {
-			cold := base.Clone()
-			if st := Apply(m, cold, pc.f, pass); cold.String() != want.String() ||
-				st.CostAfter != wantSt.CostAfter || st.CacheHits+st.CacheMisses != wantSt.Scheduled {
-				t.Fatalf("%s: cold cached pass diverged from the reference: %+v", pc.name, st)
-			}
+		cold := base.Clone()
+		if st := Apply(m, cold, pc.f, Pass{Cache: warm}); cold.String() != want.String() ||
+			st.CostAfter != wantSt.CostAfter || st.CacheHits+st.CacheMisses != wantSt.Scheduled {
+			t.Fatalf("%s: cold cached pass diverged from the reference: %+v", pc.name, st)
 		}
 		for _, cache := range []*codecache.Cache{nil, warm} {
-			for _, mode := range []struct {
-				timed bool
-				keys  []codecache.Key
-			}{{false, nil}, {true, nil}, {false, keys}} {
-				timed := mode.timed
-				name := pc.name + "/nocache"
+			for _, mode := range []string{"", "/timed", "/keyed"} {
+				timed := mode == "/timed"
+				name := pc.name + "/nocache" + mode
 				if cache != nil {
-					name = pc.name + "/warm"
-				}
-				if timed {
-					name += "/timed"
-				}
-				if mode.keys != nil {
-					name += "/keyed"
+					name = pc.name + "/warm" + mode
 				}
 				t.Run(name, func(t *testing.T) {
 					var lookups int64
@@ -122,7 +111,7 @@ func TestApply(t *testing.T) {
 						lookups = cs.Hits + cs.Misses
 					}
 					p := base.Clone()
-					st := Apply(m, p, pc.f, Pass{Cache: cache, BlockKeys: mode.keys, Timed: timed})
+					st := Apply(m, p, pc.f, Pass{Cache: cache, Timed: timed})
 
 					if st.Blocks != wantSt.Blocks || st.Scheduled != wantSt.Scheduled ||
 						st.NotScheduled != wantSt.NotScheduled || st.Changed != wantSt.Changed ||
@@ -154,6 +143,19 @@ func TestApply(t *testing.T) {
 					}
 					if st.SchedTime <= 0 {
 						t.Error("pass reported zero wall time")
+					}
+					if mode != "/keyed" {
+						return
+					}
+					before := warm.Stats()
+					for key, res := range wantBlocks {
+						e, ok := warm.Lookup(key, len(res.Order))
+						if !ok || e.CostBefore != res.CostBefore || e.CostAfter != res.CostAfter || e.Changed != res.Changed {
+							t.Fatalf("cache under the block key holds %+v (found %v), reference %+v", e, ok, res)
+						}
+					}
+					if got := warm.Stats().Hits - before.Hits; got != int64(len(wantBlocks)) {
+						t.Errorf("%d hits for %d distinct approved blocks", got, len(wantBlocks))
 					}
 				})
 			}

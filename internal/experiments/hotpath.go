@@ -300,7 +300,7 @@ func measureSim(res *HotpathResult, m *machine.Model, cfg HotpathConfig) error {
 		l := p.Clone()
 		for _, f := range l.Fns {
 			for _, b := range f.Blocks {
-				sched.ScheduleBlock(m, b, nil, nil, scratch)
+				sched.ScheduleBlock(m, b, nil, scratch)
 			}
 		}
 		ns, ls, train = append(ns, p), append(ls, l), append(train, q)

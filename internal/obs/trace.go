@@ -18,9 +18,9 @@ const TraceHeader = "X-Sched-Trace"
 const (
 	PhaseRoute        = "route"         // gateway: pick + reach a backend (overhead over backend total)
 	PhaseQueueWait    = "queue_wait"    // server: admission → holding a compile slot at the gate
-	PhaseCompile      = "compile"       // server: Jolt compile + JIT, or the memo lookup for a repeat source (schedule/execute add a block-level copy)
+	PhaseCompile      = "compile"       // server: Jolt compile + JIT, or the memo lookup for a repeat source
 	PhaseFingerprint  = "fingerprint"   // server: whole-program fingerprint (cache, singleflight and routing key)
-	PhaseCacheLookup  = "cache_lookup"  // scheduler: block fingerprint (unless the memo holds it) + scheduled-block cache probe
+	PhaseCacheLookup  = "cache_lookup"  // scheduler: block fingerprint + scheduled-block cache probe, or the lookup of a memoized source's stored pass
 	PhaseDAGBuild     = "dag_build"     // scheduler: dependence DAG construction
 	PhaseListSchedule = "list_schedule" // scheduler: list-scheduling loop proper
 	PhaseEstimator    = "estimator"     // scheduler: cost-estimator passes (CostBefore / predictions)

@@ -14,13 +14,10 @@ import (
 // block with identical instruction content has been scheduled on this
 // model before, the cached order is replayed instead of re-running the
 // scheduler, and a miss inserts its result for the next identical block.
-// A caller that already holds the block's fingerprint passes it as key
-// (it must equal codecache.BlockKey(m.Name, b.Instrs)); a nil key is
-// computed, and without a cache the key is unused. The boolean reports
-// whether the result came from the cache (always false for a nil
-// cache); a replayed Result carries the costs and Changed but a nil
-// Order.
-func ScheduleBlock(m *machine.Model, b *ir.Block, c *codecache.Cache, key *codecache.Key, s *Scratch) (Result, bool) {
+// The boolean reports whether the result came from the cache (always
+// false for a nil cache); a replayed Result carries the costs and Changed
+// but a nil Order.
+func ScheduleBlock(m *machine.Model, b *ir.Block, c *codecache.Cache, s *Scratch) (Result, bool) {
 	if c == nil {
 		return scheduleInPlace(m, b, s), false
 	}
@@ -28,11 +25,8 @@ func ScheduleBlock(m *machine.Model, b *ir.Block, c *codecache.Cache, key *codec
 	if s.timing {
 		lookStart = time.Now()
 	}
-	if key == nil {
-		k := codecache.BlockKey(m.Name, b.Instrs)
-		key = &k
-	}
-	e, ok := c.Lookup(*key, len(b.Instrs))
+	key := codecache.BlockKey(m.Name, b.Instrs)
+	e, ok := c.Lookup(key, len(b.Instrs))
 	if s.timing {
 		s.phases.CacheLookupNs += time.Since(lookStart).Nanoseconds()
 	}
@@ -59,7 +53,7 @@ func ScheduleBlock(m *machine.Model, b *ir.Block, c *codecache.Cache, key *codec
 			entry.Order[i] = int32(v)
 		}
 	}
-	c.Insert(*key, entry)
+	c.Insert(key, entry)
 	return res, false
 }
 

@@ -307,7 +307,7 @@ func TestScheduleBlockInPlace(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	b := blockgen.GenBlock(r, blockgen.DefaultConfig, 0)
 	orig := b.Clone()
-	res, hit := ScheduleBlock(model(), b, nil, nil, NewScratch())
+	res, hit := ScheduleBlock(model(), b, nil, NewScratch())
 	if hit {
 		t.Error("uncached schedule reported a cache hit")
 	}

@@ -328,7 +328,7 @@ func ScheduleSuperblocks(m *machine.Model, fn *ir.Fn, prof []BlockProfile, decid
 		if decide != nil {
 			if !decide(features.Extract(concatTrace(fn, tr))) {
 				for _, bi := range tr {
-					ScheduleBlock(m, fn.Blocks[bi], nil, nil, s)
+					ScheduleBlock(m, fn.Blocks[bi], nil, s)
 				}
 				st.LocalBlocks += len(tr)
 				continue
@@ -339,7 +339,7 @@ func ScheduleSuperblocks(m *machine.Model, fn *ir.Fn, prof []BlockProfile, decid
 	}
 	for bi, b := range fn.Blocks {
 		if !inTrace[bi] {
-			ScheduleBlock(m, b, nil, nil, s)
+			ScheduleBlock(m, b, nil, s)
 			st.LocalBlocks++
 		}
 	}

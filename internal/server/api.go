@@ -103,13 +103,18 @@ type ScheduleResponse struct {
 	NotScheduled int    `json:"not_scheduled"`
 	Changed      int    `json:"changed"`
 	// CacheHits and CacheMisses split Scheduled: replayed from the
-	// content-addressed cache vs actually list-scheduled.
+	// content-addressed cache vs actually list-scheduled. A request that
+	// replays its memoized source's stored pass under the same target
+	// and policy reports every scheduled block a hit and no miss.
 	CacheHits   int   `json:"cache_hits"`
 	CacheMisses int   `json:"cache_misses"`
 	CostBefore  int64 `json:"cost_before"`
 	CostAfter   int64 `json:"cost_after"`
 	CompileNs   int64 `json:"compile_ns"`
-	SchedNs     int64 `json:"sched_ns"`
+	// SchedNs is the scheduling pass's wall time, feature extraction and
+	// rules included; for a replay of a stored pass it is the lookup of
+	// the stored pass.
+	SchedNs int64 `json:"sched_ns"`
 	// ProgramKey is the hex content fingerprint of the request's program
 	// (model + filter + code) — the scheduled-block cache and
 	// singleflight identity.
@@ -172,7 +177,9 @@ type ExecuteResponse struct {
 	Cycles    int64    `json:"cycles,omitempty"`
 	DynInstrs int64    `json:"dyn_instrs"`
 	Output    []string `json:"output,omitempty"`
-	// Scheduling-pass accounting for the run's compile.
+	// Scheduling-pass accounting for the run's compile, as in
+	// ScheduleResponse: a replay of a stored pass reports every
+	// scheduled block a cache hit, and SchedNs is its lookup.
 	Scheduled   int   `json:"scheduled"`
 	CacheHits   int   `json:"cache_hits"`
 	CacheMisses int   `json:"cache_misses"`

@@ -10,40 +10,44 @@ import (
 	"schedfilter/internal/core"
 	"schedfilter/internal/ir"
 	"schedfilter/internal/machine"
-	"schedfilter/internal/policy"
+	"schedfilter/internal/sched"
 )
 
 // Bounds of the compiled-program memo. An entry weighs its source length
 // plus memoInstrBytes per machine instruction, a rough footprint of the
-// JIT output, plus the block keys and decision vectors it stores, and
+// JIT output, plus the block keys and pass records it stores, and
 // least-recently-used entries are evicted past memoMaxBytes, so a flood of
 // large request bodies, or of distinct policies, cannot pin memory.
 const (
 	memoMaxBytes   = 4 << 20
 	memoInstrBytes = 128
-	// memoNodeBytes is what a stored decision vector weighs beyond its
-	// policy ID and one byte per block: its list node and their headers.
-	memoNodeBytes = 64
-	// memoMaxPolicies bounds the decision vectors one entry stores, so a
-	// lookup scans a short list even when a client cycles through many
-	// policies on one source; a policy past the bound is decided on every
-	// request, as an unmemoized source is.
+	// A stored pass record weighs memoNodeBytes, its names,
+	// memoBlockBytes per block struct, and memoInstrBytes per instruction
+	// of each array the pass reordered; the others are the pristine ones.
+	memoNodeBytes  = 64
+	memoBlockBytes = 96
+	// memoMaxPolicies bounds the pass records one entry stores per
+	// target, so a lookup scans a short list even when a client cycles
+	// through many policies on one source; a policy past the bound runs
+	// its pass on every request, as for an unmemoized source.
 	memoMaxPolicies = 16
-	// memoDoorSlots sizes the doorkeeper, a direct-mapped table of source
-	// hashes. A source is stored only on its second sighting, so one-off
+	// memoDoorSlots sizes the doorkeeper, a table of source hashes, two
+	// per slot so two sources that share a slot and alternate are both
+	// admitted. A source is stored only on its second sighting, so one-off
 	// sources cost neither a copy nor retained memory.
 	memoDoorSlots = 4096
 )
 
-// programMemo maps Jolt source text to its JIT-compiled program, so a
-// repeat source skips Jolt compile, JIT and program fingerprinting. The
-// JIT has one configuration and compilation never sees the target, so
-// the source alone is the key; Go compares the whole string on a hit.
+// programMemo maps Jolt source text to its JIT-compiled program and its
+// finished scheduling passes, so a repeat source skips Jolt compile, JIT
+// and scheduling. The JIT has one configuration and compilation never
+// sees the target, so the source alone is the key; Go compares the whole
+// string on a hit.
 type programMemo struct {
 	seed maphash.Seed
 
 	mu      sync.Mutex
-	door    [memoDoorSlots]uint64
+	door    [memoDoorSlots][2]uint64
 	entries map[string]*list.Element // source → element holding its *memoEntry
 	lru     list.List                // front is most recently used
 	bytes   int
@@ -53,24 +57,17 @@ type programMemo struct {
 }
 
 // memoEntry is one memoized compilation. prog is the pristine copy, which
-// no caller writes: readers take it as is, and the scheduling pass, which
-// points approved blocks at reordered instruction slices, works on the
-// copy schedCopy returns.
+// no caller writes: readers take it as is, and a scheduling pass works on
+// a blockCopy of it.
 type memoEntry struct {
 	source string
 	prog   *ir.Program
 	bytes  int // guarded by programMemo.mu
-	// fp is the program fingerprint last computed from prog.
-	fp atomic.Pointer[memoFingerprint]
 	// keys lists prog's block fingerprints, one set per model asked for.
 	keys atomic.Pointer[memoBlockKeys]
-	// decs lists prog's decision vectors, one per policy ID served.
-	decs atomic.Pointer[memoDecisions]
-}
-
-type memoFingerprint struct {
-	model, policyID string
-	key             codecache.Key
+	// passes lists the finished scheduling passes of prog, one per
+	// (model, policy) pair served.
+	passes atomic.Pointer[passRecord]
 }
 
 func newProgramMemo() *programMemo {
@@ -96,7 +93,7 @@ func (m *programMemo) get(source string) *memoEntry {
 // first sighting it only records the sighting and returns nil, and the
 // caller keeps prog. Otherwise it returns the source's entry, storing
 // prog as the pristine copy unless a concurrent request stored one first;
-// the caller must then work on a clone of the entry's program.
+// the caller must then only read the entry's program.
 func (m *programMemo) admit(source string, prog *ir.Program) *memoEntry {
 	h := maphash.String(m.seed, source)
 	bytes := len(source) + memoInstrBytes*prog.NumInstrs()
@@ -105,8 +102,8 @@ func (m *programMemo) admit(source string, prog *ir.Program) *memoEntry {
 	if el, ok := m.entries[source]; ok {
 		return el.Value.(*memoEntry)
 	}
-	if slot := &m.door[h%memoDoorSlots]; *slot != h {
-		*slot = h
+	if ways := &m.door[h%memoDoorSlots]; ways[0] != h && ways[1] != h {
+		ways[0], ways[1] = h, ways[0]
 		return nil
 	}
 	if bytes > memoMaxBytes {
@@ -154,20 +151,6 @@ func (m *programMemo) stats() memoStats {
 	return memoStats{hits: m.hits, misses: m.misses, evictions: m.evicted, bytes: int64(m.bytes)}
 }
 
-// key returns the pristine program's fingerprint under the model and
-// policy identity, reusing the last one computed when both match. The
-// fingerprint is a pure function of the program and that pair, so a
-// reused key is byte-identical to a fresh codecache.ProgramKey.
-func (e *memoEntry) key(m *machine.Model, policyID string) codecache.Key {
-	if fp := e.fp.Load(); fp != nil && fp.model == m.Name && fp.policyID == policyID {
-		return fp.key
-	}
-	fp := &memoFingerprint{model: m.Name, policyID: policyID,
-		key: codecache.ProgramKey(m.Name, policyID, e.prog)}
-	e.fp.Store(fp)
-	return fp.key
-}
-
 // memoBlockKeys is one model's block fingerprints of a memoized program,
 // linked to the sets of the other models asked for before it.
 type memoBlockKeys struct {
@@ -203,76 +186,88 @@ func (e *memoEntry) blockKeys(memo *programMemo, m *machine.Model) []codecache.K
 	return keys
 }
 
-// memoDecisions is one policy's decision vector over a memoized
-// program, linked to the vectors of the policies served before it.
-type memoDecisions struct {
-	policyID string
-	schedule []bool
-	next     *memoDecisions
+// passRecord is one finished scheduling pass of a memoized program under
+// a (model, policy ID) pair, linked to the records of the pairs served
+// before it: the program key, the pass's stats without timings, and the
+// scheduled program, which no caller writes.
+type passRecord struct {
+	model, policyID string
+	key             codecache.Key
+	st              core.Stats
+	prog            *ir.Program
+	next            *passRecord
 }
 
-// decisions returns f's decision for every block of the pristine program,
-// in program order, as core.Decide gives them. policyID is policy.ID(f),
-// the identity the block cache and the flight already trust, so two
-// policies with one ID share one vector. The vector is built the first
-// time the entry is served under the policy and stored, up to
-// memoMaxPolicies per entry, with its bytes plus memoNodeBytes charged to
-// the entry's weight; a request that loses the race to store it builds it
-// again later.
-func (e *memoEntry) decisions(memo *programMemo, f policy.Policy, policyID string) []bool {
-	head := e.decs.Load()
+// pass returns e's record under the model and policy ID, or nil. Two
+// policies with one policy.ID, the identity the block cache and the
+// flight already trust, share one record.
+func (e *memoEntry) pass(model, policyID string) *passRecord {
+	for r := e.passes.Load(); r != nil; r = r.next {
+		if r.model == model && r.policyID == policyID {
+			return r
+		}
+	}
+	return nil
+}
+
+// storePass links r, a pass over a blockCopy of e's program, into e's
+// records without its timings and charges it to e's weight, unless e
+// holds one for r's pair or memoMaxPolicies for r's model. A record that
+// loses the race to be stored is dropped.
+func (e *memoEntry) storePass(memo *programMemo, r *passRecord) {
+	head := e.passes.Load()
 	n := 0
-	for d := head; d != nil; d = d.next {
-		if d.policyID == policyID {
-			return d.schedule
+	for o := head; o != nil; o = o.next {
+		if o.model == r.model && o.policyID == r.policyID {
+			return
 		}
-		n++
+		if o.model == r.model {
+			n++
+		}
 	}
-	dec := core.Decide(e.prog, f)
-	if n < memoMaxPolicies && e.decs.CompareAndSwap(head, &memoDecisions{policyID: policyID, schedule: dec, next: head}) {
-		memo.charge(e, memoNodeBytes+len(policyID)+len(dec))
+	if n >= memoMaxPolicies {
+		return
 	}
-	return dec
+	r.st.SchedTime, r.st.Phases = 0, sched.PhaseTimes{}
+	r.next = head
+	if e.passes.CompareAndSwap(head, r) {
+		memo.charge(e, r.bytes(e.prog))
+	}
 }
 
-// schedCopy returns the program the scheduling pass runs on under the
-// decision vector dec: fresh Fn structs whose blocks are the pristine
-// pointers, except that a block dec approves gets a fresh Block struct
-// over the pristine instruction and successor arrays, cut with full slice
-// expressions so an append reallocates. core.Apply writes only the blocks
-// it schedules, so sharing the rest is safe, and a vector that approves
-// nothing gets the pristine program itself. The copy costs five
-// allocations whatever the program's size.
-func (e *memoEntry) schedCopy(dec []bool) *ir.Program {
-	p := e.prog
-	approved := 0
-	for _, yes := range dec {
-		if yes {
-			approved++
+// bytes is what r weighs beyond the pristine program it was copied from.
+func (r *passRecord) bytes(pristine *ir.Program) int {
+	n := memoNodeBytes + len(r.model) + len(r.policyID) + memoBlockBytes*pristine.NumBlocks()
+	for fi, fn := range r.prog.Fns {
+		for bi, b := range fn.Blocks {
+			if len(b.Instrs) > 0 && &b.Instrs[0] != &pristine.Fns[fi].Blocks[bi].Instrs[0] {
+				n += memoInstrBytes * len(b.Instrs)
+			}
 		}
 	}
-	if approved == 0 {
-		return p
-	}
+	return n
+}
+
+// blockCopy returns a copy of p for a scheduling pass: fresh Fn and Block
+// structs over p's instruction and successor arrays, cut with full slice
+// expressions so an append reallocates. core.Apply writes a block only by
+// pointing its Instrs at a new slice, so p stays as it was.
+func blockCopy(p *ir.Program) *ir.Program {
 	fns := make([]ir.Fn, len(p.Fns))
 	fnPtrs := make([]*ir.Fn, len(p.Fns))
-	blockPtrs := make([]*ir.Block, len(dec))
-	blocks := make([]ir.Block, approved)
+	blocks := make([]ir.Block, p.NumBlocks())
+	blockPtrs := make([]*ir.Block, len(blocks))
 	bi := 0
 	for fi, f := range p.Fns {
 		nf := &fns[fi]
 		*nf = *f
 		nf.Blocks = blockPtrs[bi : bi+len(f.Blocks) : bi+len(f.Blocks)]
 		for i, b := range f.Blocks {
-			nf.Blocks[i] = b
-			if dec[bi] {
-				nb := &blocks[0]
-				blocks = blocks[1:]
-				*nb = *b
-				nb.Instrs = b.Instrs[:len(b.Instrs):len(b.Instrs)]
-				nb.Succs = b.Succs[:len(b.Succs):len(b.Succs)]
-				nf.Blocks[i] = nb
-			}
+			nb := &blocks[bi]
+			*nb = *b
+			nb.Instrs = b.Instrs[:len(b.Instrs):len(b.Instrs)]
+			nb.Succs = b.Succs[:len(b.Succs):len(b.Succs)]
+			nf.Blocks[i] = nb
 			bi++
 		}
 		fnPtrs[fi] = nf

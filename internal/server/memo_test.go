@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"os"
 	"reflect"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"schedfilter/internal/jolt"
 	"schedfilter/internal/machine"
 	"schedfilter/internal/policy"
+	"schedfilter/internal/sched"
 	"schedfilter/internal/sim"
 	"schedfilter/internal/workloads"
 )
@@ -124,6 +126,39 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	}
 }
 
+// Two sources that share a doorkeeper slot and are requested in turn are
+// both admitted on their second sighting, and a third source in the slot
+// pushes out the older sighting.
+func TestMemoAdmitsCollidingSources(t *testing.T) {
+	m := newProgramMemo()
+	slot := func(src string) uint64 { return maphash.String(m.seed, src) % memoDoorSlots }
+	var srcs []string
+	for i := 0; len(srcs) < 3; i++ {
+		src := fmt.Sprintf("func main() int { return %d; }", i)
+		if len(srcs) == 0 || slot(src) == slot(srcs[0]) {
+			srcs = append(srcs, src)
+		}
+	}
+	a, b, c := srcs[0], srcs[1], srcs[2]
+	prog := compileSource(t, testSource)
+	for i, step := range []struct {
+		src   string
+		admit bool
+	}{{a, false}, {b, false}, {a, true}, {b, true}, {c, false}, {c, true}} {
+		if got := m.admit(step.src, prog) != nil; got != step.admit {
+			t.Fatalf("step %d: admitted %v, want %v", i, got, step.admit)
+		}
+	}
+	seed := m.seed
+	m = newProgramMemo()
+	m.seed = seed
+	for i, src := range []string{a, b, c, a} {
+		if m.admit(src, prog) != nil {
+			t.Fatalf("step %d: admitted a source whose sighting was pushed out", i)
+		}
+	}
+}
+
 // sizeSpec returns the size:n policy and its ID.
 func sizeSpec(t *testing.T, n int) (policy.Policy, string) {
 	t.Helper()
@@ -132,6 +167,34 @@ func sizeSpec(t *testing.T, n int) (policy.Policy, string) {
 		t.Fatal(err)
 	}
 	return f, policy.ID(f)
+}
+
+// storeSizePass runs the size:n pass on a blockCopy of e's program under
+// the default target, as a server does, offers it to e's records, and
+// returns the policy ID.
+func storeSizePass(t *testing.T, m *programMemo, e *memoEntry, n int) string {
+	t.Helper()
+	f, id := sizeSpec(t, n)
+	mdl := machine.Default().Model
+	prog := blockCopy(e.prog)
+	st := core.Apply(mdl, prog, f, core.Pass{})
+	e.storePass(m, &passRecord{model: mdl.Name, policyID: id, key: codecache.ProgramKey(mdl.Name, id, e.prog), st: st, prog: prog})
+	return id
+}
+
+// recordBytes is what a record of prog, a scheduled blockCopy of
+// pristine, should weigh: its node, names and blocks, plus every
+// instruction array the pass replaced.
+func recordBytes(pristine, prog *ir.Program, model, policyID string) int64 {
+	n := memoNodeBytes + len(model) + len(policyID) + memoBlockBytes*pristine.NumBlocks()
+	for fi, fn := range prog.Fns {
+		for bi, b := range fn.Blocks {
+			if orig := pristine.Fns[fi].Blocks[bi]; len(b.Instrs) > 0 && &b.Instrs[0] != &orig.Instrs[0] {
+				n += memoInstrBytes * len(b.Instrs)
+			}
+		}
+	}
+	return int64(n)
 }
 
 // A flood of distinct sources, each seen twice and served under two
@@ -150,8 +213,7 @@ func TestMemoBytesBounded(t *testing.T) {
 			t.Fatalf("source %d not admitted on its second sighting", i)
 		}
 		for _, size := range []int{4, 8} {
-			f, id := sizeSpec(t, size)
-			e.decisions(m, f, id)
+			storeSizePass(t, m, e, size)
 		}
 		if st := m.stats(); st.bytes > memoMaxBytes {
 			t.Fatalf("after %d sources the memo holds %d bytes, bound %d", i+1, st.bytes, memoMaxBytes)
@@ -173,54 +235,78 @@ func TestMemoBytesBounded(t *testing.T) {
 	}
 
 	// Many distinct size:N policies on one source: each of the first
-	// memoMaxPolicies vectors is charged once, however often it is served
-	// (size:4 and size:8 were charged above), the rest are decided afresh
-	// and charged nothing, and every answer equals core.Decide's.
+	// memoMaxPolicies records is charged once, however often its pass is
+	// offered (size:4 and size:8 were charged above), the rest are not
+	// stored and charged nothing, and every stored program is the pass's.
 	for size := 0; size < 4*memoMaxPolicies; size++ {
-		f, id := sizeSpec(t, size)
-		before := m.stats().bytes
+		before := e.bytes
+		var id string
 		for i := 0; i < 2; i++ {
-			if got := e.decisions(m, f, id); !reflect.DeepEqual(got, core.Decide(prog, f)) {
-				t.Fatalf("%s: decisions differ from core.Decide", id)
-			}
+			id = storeSizePass(t, m, e, size)
 		}
 		st := m.stats()
 		if st.bytes > memoMaxBytes {
 			t.Fatalf("after %d policies the memo holds %d bytes, bound %d", size+1, st.bytes, memoMaxBytes)
 		}
 		want := int64(0)
-		if storedDecisions(e, id) == nil {
+		r := e.pass(mdl.Name, id)
+		if r == nil {
 			if size < memoMaxPolicies {
 				t.Fatalf("%s: not stored with %d policies served", id, size)
 			}
-		} else if size != 4 && size != 8 {
-			want = int64(memoNodeBytes + len(id) + prog.NumBlocks())
+		} else {
+			if size != 4 && size != 8 {
+				want = recordBytes(e.prog, r.prog, mdl.Name, id)
+			}
+			f, _ := sizeSpec(t, size)
+			fresh := prog.Clone()
+			core.Apply(mdl, fresh, f, core.Pass{})
+			if r.prog.String() != fresh.String() {
+				t.Fatalf("%s: the record's program differs from a fresh pass", id)
+			}
 		}
-		if got := st.bytes - before; got != want {
-			t.Fatalf("%s served twice added %d bytes, want %d", id, got, want)
+		if got := int64(e.bytes - before); got != want {
+			t.Fatalf("%s offered twice added %d bytes, want %d", id, got, want)
 		}
 	}
 }
 
-// storedDecisions returns the decision vector e keeps for policyID, or
-// nil.
-func storedDecisions(e *memoEntry, policyID string) []bool {
-	for d := e.decs.Load(); d != nil; d = d.next {
-		if d.policyID == policyID {
-			return d.schedule
-		}
+// The oracle for replayed passes: for every bundled program, every target
+// and the fixed, threshold, portfolio and factory policies, a replayed
+// schedule and execute reply equals, on every field but the timings, the
+// reply of a server that holds no memo entry for the source and whose
+// block cache is warm; the record's program prints as core.Apply leaves a
+// fresh compile; and the pristine program is unchanged afterwards.
+func TestMemoReplayMatchesFreshPass(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		// A serial test has no race to find, and the detector would
+		// slow its 780 simulations tenfold.
+		t.Skip("runs every bundled program on the simulator 60 times")
 	}
-	return nil
-}
-
-// The oracle for memoized decisions: for every bundled program, every
-// target and the fixed, threshold, portfolio and factory policies, the
-// vector a served request leaves in the memo equals the policy's
-// per-block decision on a fresh compile.
-func TestMemoDecisionsMatchDecide(t *testing.T) {
 	factory := factoryPolicy(t)
 	s := New(Config{Filter: factory, Workers: 1})
 	defer s.Close()
+	ref := New(Config{Filter: factory, Workers: 1})
+	defer ref.Close()
+	salt := 0
+	// fresh answers req for a source ref has never seen, so it never
+	// memoizes one: each call appends a new comment to the source.
+	fresh := func(do func(context.Context, []byte) (any, error), src string, req func(ProgramInput) any, in ProgramInput) any {
+		salt++
+		in.Workload, in.Source = "", fmt.Sprintf("%s\n// %d\n", src, salt)
+		return call(t, do, req(in))
+	}
+	// replyFields is a reply as a client decodes it, timings zeroed.
+	replyFields := func(t *testing.T, v any) map[string]any {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return normalizeReply(t, body)
+	}
+	schedReq := func(in ProgramInput) any { return ScheduleRequest{ProgramInput: in} }
+	execReq := func(in ProgramInput) any { return ExecuteRequest{ProgramInput: in} }
 	specs := []string{"always", "never", "size:8", "cost:40", "portfolio:size:12+cost:30", "default"}
 	for _, w := range workloads.All() {
 		in := ProgramInput{Workload: w.Name}
@@ -231,11 +317,28 @@ func TestMemoDecisionsMatchDecide(t *testing.T) {
 		if e == nil {
 			t.Fatalf("%s: not memoized after two requests", w.Name)
 		}
-		fresh := compileSource(t, w.Source)
+		pristine := e.prog.String()
 		for _, tgt := range machine.All() {
 			for _, spec := range specs {
+				what := fmt.Sprintf("%s on %s under %s", w.Name, tgt.Name, spec)
 				in := ProgramInput{Workload: w.Name, Target: tgt.Name, Policy: spec}
-				r := call(t, s.doSchedule, ScheduleRequest{ProgramInput: in}).(*ScheduleResponse)
+				first := call(t, s.doSchedule, ScheduleRequest{ProgramInput: in}).(*ScheduleResponse)
+				r := e.pass(tgt.Model.Name, first.PolicyID)
+				if r == nil {
+					t.Fatalf("%s: no pass recorded", what)
+				}
+				// The reference cache is warmed under the same policy first.
+				fresh(ref.doSchedule, w.Source, schedReq, in)
+				for _, ep := range []struct {
+					do, refDo func(context.Context, []byte) (any, error)
+					req       func(ProgramInput) any
+				}{{s.doSchedule, ref.doSchedule, schedReq}, {s.doExecute, ref.doExecute, execReq}} {
+					got := replyFields(t, call(t, ep.do, ep.req(in)))
+					want := replyFields(t, fresh(ep.refDo, w.Source, ep.req, in))
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: replay answers %v, a server without the memo entry %v", what, got, want)
+					}
+				}
 				var f policy.Policy = factory
 				if spec != "default" {
 					var err error
@@ -243,35 +346,25 @@ func TestMemoDecisionsMatchDecide(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				got := storedDecisions(e, r.PolicyID)
-				if len(got) != fresh.NumBlocks() {
-					t.Fatalf("%s on %s under %s: %d stored decisions for %d blocks", w.Name, tgt.Name, spec, len(got), fresh.NumBlocks())
-				}
-				bi, approved := 0, 0
-				for _, fn := range fresh.Fns {
-					for _, b := range fn.Blocks {
-						if want, _ := f.Decide(features.ExtractBlock(b)); got[bi] != want {
-							t.Fatalf("%s on %s under %s: block %d stored %v, Decide says %v", w.Name, tgt.Name, spec, bi, got[bi], want)
-						}
-						if got[bi] {
-							approved++
-						}
-						bi++
-					}
-				}
-				if r.Scheduled != approved {
-					t.Errorf("%s on %s under %s: %d blocks scheduled, %d approved", w.Name, tgt.Name, spec, r.Scheduled, approved)
+				want := compileSource(t, w.Source)
+				core.Apply(tgt.Model, want, f, core.Pass{})
+				if r.prog.String() != want.String() {
+					t.Fatalf("%s: the record's program differs from a fresh pass", what)
 				}
 			}
+		}
+		if e.prog.String() != pristine {
+			t.Fatalf("%s: the pristine program changed", w.Name)
 		}
 	}
 }
 
-// The memoized fingerprint is per (model, policy): the same source under
+// The recorded fingerprint is per (model, policy): the same source under
 // two policies gets two keys, each equal to a fresh fingerprint, however
-// the requests interleave.
+// the requests interleave, and each record holds the key
+// codecache.ProgramKey gives.
 func TestMemoFingerprintPerPolicy(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	want := map[string]memoRef{"LS": memoReference(t, testSource, "LS"), "NS": memoReference(t, testSource, "NS")}
 	if want["LS"].programKey == want["NS"].programKey {
 		t.Fatal("two policies share one fresh fingerprint")
@@ -280,6 +373,18 @@ func TestMemoFingerprintPerPolicy(t *testing.T) {
 		_, r := post[ScheduleResponse](t, ts.URL+"/v1/schedule", ScheduleRequest{
 			ProgramInput: ProgramInput{Source: testSource, Policy: spec}})
 		checkSchedule(t, fmt.Sprintf("request %d (%s)", i, spec), &r, want[spec])
+	}
+	e := s.memo.get(testSource)
+	m := machine.Default().Model
+	for _, f := range []policy.Policy{policy.Always{}, policy.Never{}} {
+		id := policy.ID(f)
+		r := e.pass(m.Name, id)
+		if r == nil {
+			t.Fatalf("%s: no pass recorded", id)
+		}
+		if key := codecache.ProgramKey(m.Name, id, compileSource(t, testSource)); r.key != key {
+			t.Errorf("%s: recorded key %x, codecache.ProgramKey gives %x", id, r.key, key)
+		}
 	}
 }
 
@@ -383,13 +488,12 @@ func call(t *testing.T, do func(context.Context, []byte) (any, error), req any) 
 	return v
 }
 
-// The pass and the simulator share the memo's instruction arrays, and
-// every block the policy does not approve, so they must never write into
-// them: after warm schedule, execute and uncached requests under the
-// factory filter and under a policy that reorders many blocks, with online
-// learning off and on, the memoized program still equals a fresh compile,
-// operand slices included. Under the factory filter the scheduling copy
-// shares exactly the unapproved blocks with the pristine program.
+// The pass and the simulator share the memo's instruction arrays, so
+// they must never write into them: after warm schedule, execute and
+// uncached requests under the factory filter and under a policy that
+// reorders many blocks, with online learning off and on, the memoized
+// program still equals a fresh compile, operand slices included, and each
+// record's program is a block-level copy of it that the pass reordered.
 func TestMemoProgramStaysPristine(t *testing.T) {
 	for _, learn := range []bool{false, true} {
 		cfg := Config{Filter: factoryPolicy(t)}
@@ -424,58 +528,68 @@ func TestMemoProgramStaysPristine(t *testing.T) {
 			if !reflect.DeepEqual(e.prog, compileSource(t, src)) {
 				t.Errorf("online %v: the memoized program no longer equals a fresh compile", learn)
 			}
-			checkSchedCopy(t, e, storedDecisions(e, policy.ID(cfg.Filter)))
+			for _, f := range []policy.Policy{policy.Always{}, cfg.Filter} {
+				checkRecord(t, e, f)
+			}
 		}
 		s.Close()
 	}
 }
 
-// checkSchedCopy checks the structure of the scheduling copy e builds for
-// the decision vector dec: approved blocks are fresh structs with the
-// pristine contents, every other block is the pristine pointer, and a
-// vector that approves nothing gets the pristine program itself.
-func checkSchedCopy(t *testing.T, e *memoEntry, dec []bool) {
+// checkRecord checks the structure of e's record under the default target
+// and f: every function and block is a fresh struct over the pristine
+// successor array, a block gets a fresh instruction array exactly when
+// the reference scheduler reorders it under f, and the program prints as core.Apply
+// leaves a fresh compile.
+func checkRecord(t *testing.T, e *memoEntry, f policy.Policy) {
 	t.Helper()
-	if len(dec) != e.prog.NumBlocks() {
-		t.Fatalf("%d decisions for %d blocks", len(dec), e.prog.NumBlocks())
+	m := machine.Default().Model
+	r := e.pass(m.Name, policy.ID(f))
+	if r == nil {
+		t.Fatalf("%s: no pass recorded", f.Name())
 	}
-	cp := e.schedCopy(dec)
-	approved, bi := 0, 0
+	want := e.prog.Clone()
+	core.Apply(m, want, f, core.Pass{})
+	if r.prog.String() != want.String() {
+		t.Fatalf("%s: the record's program differs from a fresh pass", f.Name())
+	}
 	for fi, fn := range e.prog.Fns {
-		for i, b := range fn.Blocks {
-			got := cp.Fns[fi].Blocks[i]
-			switch {
-			case !dec[bi] && got != b:
-				t.Errorf("%s block %d: unapproved but copied", fn.Name, i)
-			case dec[bi] && got == b:
-				t.Errorf("%s block %d: approved but shared with the pristine program", fn.Name, i)
-			case dec[bi] && !reflect.DeepEqual(*got, *b):
-				t.Errorf("%s block %d: the copy differs from the pristine block", fn.Name, i)
-			}
-			if dec[bi] {
-				approved++
-			}
-			bi++
+		if r.prog.Fns[fi] == fn {
+			t.Errorf("%s: function %s shared with the pristine program", f.Name(), fn.Name)
 		}
-	}
-	if (cp == e.prog) != (approved == 0) {
-		t.Errorf("%d approved blocks, program shared %v", approved, cp == e.prog)
+		for i, b := range fn.Blocks {
+			got := r.prog.Fns[fi].Blocks[i]
+			reordered := policy.Schedules(f, features.ExtractBlock(b)) && sched.ScheduleInstrsReference(m, b.Instrs).Changed
+			switch {
+			case got == b:
+				t.Errorf("%s: %s block %d shared with the pristine program", f.Name(), fn.Name, i)
+			case len(b.Succs) > 0 && &got.Succs[0] != &b.Succs[0]:
+				t.Errorf("%s: %s block %d copied its successors", f.Name(), fn.Name, i)
+			case len(b.Instrs) > 0 && (&got.Instrs[0] != &b.Instrs[0]) != reordered:
+				t.Errorf("%s: %s block %d has a fresh instruction array %v, reordered by the reference %v",
+					f.Name(), fn.Name, i, &got.Instrs[0] != &b.Instrs[0], reordered)
+			}
+		}
 	}
 }
 
-// A warm schedule request reuses everything that depends only on the
-// source: no program copy beyond the approved blocks, no policy hash, no
-// block hash, no decisions. Its allocations stay far below what a deep program copy, a
-// per-request rule hash and per-block fingerprints cost (327 per request
-// for compress, 375 for scimark).
+// A warm schedule request replays its source's recorded pass: no program
+// copy, no policy or block hash, no decisions, no cache lookup per block.
+// Its allocations are the body decode, the memo lookup and the reply (17
+// per request for compress and for scimark), where a deep program copy, a
+// per-request rule hash and per-block fingerprints cost 327 for compress
+// and 375 for scimark. A warm execute request adds the simulator's
+// allocations and no scheduling ones.
 func TestWarmScheduleAllocs(t *testing.T) {
 	if raceEnabled || testing.CoverMode() != "" {
 		t.Skip("allocation counts are exact only without race or coverage instrumentation")
 	}
+	const maxAllocs = 20
 	s := New(Config{Filter: factoryPolicy(t), Workers: 1})
 	defer s.Close()
 	for _, name := range []string{"compress", "scimark"} {
-		body, err := json.Marshal(ScheduleRequest{ProgramInput: ProgramInput{Workload: name}})
+		in := ProgramInput{Workload: name}
+		body, err := json.Marshal(ScheduleRequest{ProgramInput: in})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,15 +602,59 @@ func TestWarmScheduleAllocs(t *testing.T) {
 			resp = v.(*ScheduleResponse)
 		}
 		for i := 0; i < 3; i++ {
-			run() // first sighting, admission, then a warm cache
+			run() // first sighting, admission and the recorded pass, then a replay
 		}
 		allocs := testing.AllocsPerRun(50, run)
 		t.Logf("warm schedule of %s: %.0f allocs/request, %d blocks, %d scheduled", name, allocs, resp.Blocks, resp.Scheduled)
 		if resp.CacheMisses != 0 || resp.Scheduled == 0 {
 			t.Fatalf("%s: not a warm request: %+v", name, resp)
 		}
-		if allocs > 80 {
-			t.Errorf("warm schedule of %s allocates %.0f times per request, want at most 80", name, allocs)
+		if allocs > maxAllocs {
+			t.Errorf("warm schedule of %s allocates %.0f times per request, want at most %d", name, allocs, maxAllocs)
+		}
+
+		// Execute replays the same record: its scheduling step allocates
+		// nothing, and the whole request no more than the simulator plus
+		// what a warm schedule request allocates.
+		var req ExecuteRequest
+		execBody, err := json.Marshal(ExecuteRequest{ProgramInput: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := s.prepare(context.Background(), execBody, &req, &req.ProgramInput, &req.FilterSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var replayed *ir.Program
+		p := new(prepared)
+		schedAllocs := testing.AllocsPerRun(50, func() {
+			*p = pr
+			if _, coalesced := s.schedule(p, false); coalesced {
+				t.Fatal("a serial request coalesced")
+			}
+			replayed = p.prog
+		})
+		if r := pr.entry.pass(pr.mt.model.Name, policy.ID(pr.f)); r == nil || replayed != r.prog {
+			t.Fatalf("%s: execute did not replay the recorded program", name)
+		}
+		if schedAllocs != 0 {
+			t.Errorf("execute of %s allocates %.0f times to schedule a replay, want 0", name, schedAllocs)
+		}
+		cfg := sim.Config{Timed: true, Model: pr.mt.model, StepLimit: s.stepLimit}
+		simAllocs := testing.AllocsPerRun(5, func() {
+			if _, err := sim.Run(replayed, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		execAllocs := testing.AllocsPerRun(5, func() {
+			if _, err := s.doExecute(context.Background(), execBody); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("warm execute of %s: %.0f allocs/request, %.0f in the simulator", name, execAllocs, simAllocs)
+		if execAllocs > simAllocs+maxAllocs {
+			t.Errorf("warm execute of %s allocates %.0f times per request, the simulator %.0f, want at most %d more",
+				name, execAllocs, simAllocs, maxAllocs)
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -374,8 +373,8 @@ func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 
 // compileInput compiles a request's program (inline source or bundled
 // workload) to unscheduled machine code through the compiled-program
-// memo. The entry, non-nil when the source is memoized, carries its
-// fingerprints and decisions; its program is the pristine one, which the
+// memo. The entry, non-nil when the source is memoized, carries its block
+// keys and pass records; its program is the pristine one, which the
 // caller must only read. Without an entry the program is the caller's.
 func (s *Server) compileInput(in ProgramInput) (*ir.Program, *memoEntry, time.Duration, error) {
 	start := time.Now()
@@ -440,15 +439,14 @@ func (s *Server) resolvePolicy(policySpec string, spec FilterSpec, mt *machineTa
 // decodeRequest decodes a compile-path request body into req. Fields
 // the request type does not declare — such as the retired "filter"
 // selector — are refused by name instead of silently ignored, so a
-// stale client never gets the default policy without notice.
+// stale client never gets the default policy without notice. Anything
+// but JSON whitespace after the object is refused too.
 func decodeRequest(body []byte, req any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(req)
-	if err == nil {
-		if _, tokErr := dec.Token(); tokErr != io.EOF {
-			err = errors.New("trailing data after the request object")
-		}
+	if err == nil && len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		err = errors.New("trailing data after the request object")
 	}
 	if err != nil {
 		return fmt.Errorf("bad request: %w", err)
@@ -463,22 +461,21 @@ type prepared struct {
 	tr       *obs.Trace
 	mt       *machineTarget
 	f        policy.Policy // nil for compile
+	policyID string        // policy.ID(f)
 	version  int
 	prog     *ir.Program
 	entry    *memoEntry
 	compileT time.Duration
 
 	// Set by schedule.
-	keys     []codecache.Key
-	policyID string
-	key      codecache.Key
+	key codecache.Key
 }
 
 // prepare decodes body into req and runs the steps every compile-path
 // endpoint shares: resolve the target (even compile refuses an unknown
-// one), resolve the policy when the request carries a spec (compile has
-// none), compile through the memo, and record the compile span. in and
-// spec point into req.
+// one), resolve the policy and its identity when the request carries a
+// spec (compile has none), compile through the memo, and record the
+// compile span. in and spec point into req.
 func (s *Server) prepare(ctx context.Context, body []byte, req any, in *ProgramInput, spec *FilterSpec) (prepared, error) {
 	var pr prepared
 	if err := decodeRequest(body, req); err != nil {
@@ -492,6 +489,7 @@ func (s *Server) prepare(ctx context.Context, body []byte, req any, in *ProgramI
 		if pr.f, pr.version, err = s.resolvePolicy(in.Policy, *spec, pr.mt); err != nil {
 			return pr, err
 		}
+		pr.policyID = policy.ID(pr.f)
 	}
 	if pr.prog, pr.entry, pr.compileT, err = s.compileInput(*in); err != nil {
 		return pr, err
@@ -501,28 +499,27 @@ func (s *Server) prepare(ctx context.Context, body []byte, req any, in *ProgramI
 	return pr, nil
 }
 
-// schedule runs pr's policy-gated scheduling pass on its target's machine
-// and cache. It first feeds the unscheduled program to the online
-// collector, then fingerprints it under the policy's content identity,
-// not its display name: two hot-swapped filter versions that share a
-// label must never alias. The fingerprint doubles as the singleflight
+// schedule feeds the unscheduled program to the online collector, then
+// replays pr's recorded pass or runs it on its target's machine and
+// cache, leaving the scheduled program, read-only if memoized, in pr.prog.
+// A pass is keyed by the program's fingerprint under the policy's content
+// identity, not its display name: two hot-swapped filter versions that
+// share a label must never alias. The key doubles as the singleflight
 // key: scheduling is deterministic in (model, policy, input code), so
 // concurrent identical requests share one pass and all but the leader
-// report coalesced. A noCache pass promises an uncached run and stays
-// out of the flight.
+// report coalesced. A noCache pass stays out of the flight.
 func (s *Server) schedule(pr *prepared, noCache bool) (core.Stats, bool) {
-	pr.keys = pr.entry.blockKeys(s.memo, pr.mt.model)
 	if s.online != nil {
 		// The collector needs original-order instruction content.
-		s.online.Observe(pr.mt.name, pr.prog, pr.keys)
+		s.online.Observe(pr.mt.name, pr.prog, pr.entry.blockKeys(s.memo, pr.mt.model))
 	}
-	pr.policyID = policy.ID(pr.f)
+	if !noCache {
+		if st, ok := s.replay(pr); ok {
+			return st, false
+		}
+	}
 	start := time.Now()
-	if pr.entry != nil {
-		pr.key = pr.entry.key(pr.mt.model, pr.policyID)
-	} else {
-		pr.key = codecache.ProgramKey(pr.mt.model.Name, pr.policyID, pr.prog)
-	}
+	pr.key = codecache.ProgramKey(pr.mt.model.Name, pr.policyID, pr.prog)
 	pr.tr.Record(obs.PhaseFingerprint, time.Since(start).Nanoseconds())
 	if noCache {
 		return s.schedulePass(pr, true), false
@@ -536,36 +533,57 @@ func (s *Server) schedule(pr *prepared, noCache bool) (core.Stats, bool) {
 	return v.(core.Stats), coalesced
 }
 
-// schedulePass runs pr's pass and feeds its totals into the server
-// metrics. A memoized source is scheduled on the copy its entry builds
-// from the policy's memoized decisions, which pr.prog then names; the
-// decisions are made, and charged to the pass's time, only on the first
-// request under the policy. The pass runs with phase timing on, so the
-// returned stats carry the per-phase breakdown traces report.
+// replay answers pr from its memo entry's record for pr's target and
+// policy, if there is one, as a fully cached pass (every scheduled block
+// a hit) whose only phase is the record lookup.
+func (s *Server) replay(pr *prepared) (core.Stats, bool) {
+	if pr.entry == nil {
+		return core.Stats{}, false
+	}
+	start := time.Now()
+	r := pr.entry.pass(pr.mt.model.Name, pr.policyID)
+	if r == nil {
+		return core.Stats{}, false
+	}
+	pr.prog, pr.key = r.prog, r.key
+	st := r.st
+	st.CacheHits, st.CacheMisses = st.Scheduled, 0
+	st.SchedTime = time.Since(start)
+	st.Phases.CacheLookupNs = st.SchedTime.Nanoseconds()
+	s.account(st)
+	return st, true
+}
+
+// schedulePass runs pr's pass, with phase timing on for traces, and
+// feeds its totals into the server metrics. A memoized source runs on a
+// blockCopy of its pristine program, and a cached pass is recorded.
 func (s *Server) schedulePass(pr *prepared, noCache bool) core.Stats {
 	cache := pr.mt.cache
 	if noCache {
 		cache = nil
 	}
 	start := time.Now()
-	var dec []bool
 	if pr.entry != nil {
-		dec = pr.entry.decisions(s.memo, pr.f, pr.policyID)
-		pr.prog = pr.entry.schedCopy(dec)
+		pr.prog = blockCopy(pr.entry.prog)
 	}
-	prepT := time.Since(start)
-	st := core.Apply(pr.mt.model, pr.prog, pr.f, core.Pass{Cache: cache, BlockKeys: pr.keys, Decisions: dec, Timed: true})
-	st.SchedTime += prepT
-	runs := st.CacheMisses
-	if noCache {
-		runs = st.Scheduled
+	copyT := time.Since(start)
+	st := core.Apply(pr.mt.model, pr.prog, pr.f, core.Pass{Cache: cache, Timed: true})
+	st.SchedTime += copyT
+	if pr.entry != nil && !noCache {
+		pr.entry.storePass(s.memo, &passRecord{model: pr.mt.model.Name, policyID: pr.policyID, key: pr.key, st: st, prog: pr.prog})
 	}
+	s.account(st)
+	return st
+}
+
+// account feeds a pass's totals into the server metrics. Every scheduled
+// block that was not a cache hit ran the list scheduler.
+func (s *Server) account(st core.Stats) {
 	s.obs.blocksSeen.Add(int64(st.Blocks))
 	s.obs.blocksScheduled.Add(int64(st.Scheduled))
-	s.obs.schedulerRuns.Add(int64(runs))
+	s.obs.schedulerRuns.Add(int64(st.Scheduled - st.CacheHits))
 	s.obs.cacheHits.Add(int64(st.CacheHits))
 	s.obs.schedNs.Add(st.SchedTime.Nanoseconds())
-	return st
 }
 
 // recordSchedPhases feeds a pass's phase breakdown into the request's
@@ -637,7 +655,7 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 	}
 	resp := &PredictResponse{
 		Policy:        pr.f.Name(),
-		PolicyID:      policy.ID(pr.f),
+		PolicyID:      pr.policyID,
 		FilterVersion: pr.version,
 	}
 	for _, fn := range pr.prog.Fns {
@@ -668,15 +686,17 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Execute must schedule its own program copy before simulating, but
-	// concurrent identical requests still coalesce the scheduler work:
-	// followers wait for the leader's pass to warm the scheduled-block
-	// cache, then their own pass replays from it (all hits). Either way
-	// the pass whose phases are reported ran inside this request's wall
-	// time.
+	// Concurrent identical requests coalesce the scheduler work, but
+	// execute needs a scheduled program: a follower replays the record
+	// its leader stored or, without one, runs its own pass from the
+	// warmed cache. Either way the pass whose phases are reported ran
+	// inside this request's wall time.
 	st, coalesced := s.schedule(&pr, false)
 	if coalesced {
-		st = s.schedulePass(&pr, false)
+		var ok bool
+		if st, ok = s.replay(&pr); !ok {
+			st = s.schedulePass(&pr, false)
+		}
 	}
 	recordSchedPhases(pr.tr, st)
 	simStart := time.Now()

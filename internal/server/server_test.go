@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"schedfilter/internal/obs"
 	"schedfilter/internal/policy"
 )
 
@@ -141,6 +142,33 @@ func TestScheduleSecondRequestFullyCached(t *testing.T) {
 	}
 }
 
+// From the third identical request on, a memoized source replays its
+// stored pass: schedule and execute report a fully cached pass whose one
+// scheduling span is the lookup of the stored pass, with no fingerprint,
+// DAG-build, list-schedule or estimator span.
+func TestReplayTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	in := ProgramInput{Source: testSource}
+	check := func(what string, tr *obs.TraceInfo, scheduled, hits, misses int) {
+		t.Helper()
+		n := map[string]int{}
+		for _, sp := range tr.Spans {
+			n[sp.Phase]++
+		}
+		if hits != scheduled || misses != 0 || n[obs.PhaseCacheLookup] != 1 || n[obs.PhaseFingerprint]+
+			n[obs.PhaseDAGBuild]+n[obs.PhaseListSchedule]+n[obs.PhaseEstimator] != 0 {
+			t.Errorf("%s: %d hits, %d misses for %d scheduled blocks, spans %v", what, hits, misses, scheduled, n)
+		}
+	}
+	var sr ScheduleResponse
+	for i := 0; i < 3; i++ {
+		_, sr = post[ScheduleResponse](t, ts.URL+"/v1/schedule", ScheduleRequest{ProgramInput: in})
+	}
+	check("schedule", sr.Trace, sr.Scheduled, sr.CacheHits, sr.CacheMisses)
+	_, er := post[ExecuteResponse](t, ts.URL+"/v1/execute", ExecuteRequest{ProgramInput: in})
+	check("execute", er.Trace, er.Scheduled, er.CacheHits, er.CacheMisses)
+}
+
 func TestScheduleNoCacheBypasses(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := ScheduleRequest{ProgramInput: ProgramInput{Source: testSource}, NoCache: true}
@@ -237,6 +265,44 @@ func TestBadRequests(t *testing.T) {
 		}
 		if resp.Error == "" {
 			t.Errorf("%s: empty error body", c.name)
+		}
+	}
+}
+
+// A request body is one JSON object: a second value or any other
+// non-whitespace byte after it is refused, trailing JSON whitespace is
+// not, and an undeclared field is refused by name.
+func TestDecodeRequestTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const obj = `{"workload":"compress","policy":"never"}`
+	cases := []struct {
+		name, body, refusal string
+	}{
+		{"second object", obj + `{}`, "trailing data after the request object"},
+		{"second object after a newline", obj + "\n" + obj, "trailing data after the request object"},
+		{"trailing garbage", obj + ` x`, "trailing data after the request object"},
+		{"stray brace", obj + `}`, "trailing data after the request object"},
+		{"trailing spaces", obj + "   ", ""},
+		{"trailing newlines", obj + "\r\n\n\t", ""},
+		{"unknown field", `{"workload":"compress","nope":1}`, `unknown field "nope"`},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		msg, _ := reply["error"].(string)
+		switch {
+		case c.refusal == "" && resp.StatusCode != http.StatusOK:
+			t.Errorf("%s: status %d (%s), want 200", c.name, resp.StatusCode, msg)
+		case c.refusal != "" && (resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, c.refusal)):
+			t.Errorf("%s: status %d, error %q; want 400 naming %s", c.name, resp.StatusCode, msg, c.refusal)
 		}
 	}
 }

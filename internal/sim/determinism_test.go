@@ -169,7 +169,7 @@ func TestHotSwapAtSafePoint(t *testing.T) {
 				nf := work.Fns[fi].Clone()
 				scratch := sched.NewScratch()
 				for _, b := range nf.Blocks {
-					sched.ScheduleBlock(m, b, nil, nil, scratch)
+					sched.ScheduleBlock(m, b, nil, scratch)
 				}
 				swaps = append(swaps, sim.FnSwap{Fn: fi, NewFn: nf})
 			}

@@ -69,7 +69,7 @@ func listSchedule(m *machine.Model, prog *ir.Program) {
 	scratch := sched.NewScratch()
 	for _, f := range prog.Fns {
 		for _, b := range f.Blocks {
-			sched.ScheduleBlock(m, b, nil, nil, scratch)
+			sched.ScheduleBlock(m, b, nil, scratch)
 		}
 	}
 }

@@ -202,7 +202,7 @@ func TestSchedulingPreservesBlockSemantics(t *testing.T) {
 			return true // generated block traps identically either way
 		}
 		scheduled := blk.Clone()
-		sched.ScheduleBlock(m, scheduled, nil, nil, sched.NewScratch())
+		sched.ScheduleBlock(m, scheduled, nil, sched.NewScratch())
 		if err := ExecBlock(st2, scheduled); err != nil {
 			return false
 		}
@@ -237,7 +237,7 @@ func TestSchedulingPreservesSemanticsUnderRandomInitialState(t *testing.T) {
 			return true
 		}
 		scheduled := blk.Clone()
-		sched.ScheduleBlock(m, scheduled, nil, nil, sched.NewScratch())
+		sched.ScheduleBlock(m, scheduled, nil, sched.NewScratch())
 		if err := ExecBlock(st2, scheduled); err != nil {
 			return false
 		}

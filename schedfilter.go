@@ -205,7 +205,7 @@ func EstimateCost(m *Machine, b *Block) int { return machine.EstimateBlockCost(m
 func ScheduleBlock(m *Machine, b *Block) ScheduleResult {
 	s := sched.GetScratch()
 	defer sched.PutScratch(s)
-	res, _ := sched.ScheduleBlock(m, b, nil, nil, s)
+	res, _ := sched.ScheduleBlock(m, b, nil, s)
 	return res
 }
 

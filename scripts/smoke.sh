@@ -73,7 +73,16 @@ echo "smoke: checking /metrics counters"
 runs1=$(awk '/^schedserved_scheduler_runs_total /{print $2}' "$TMP/m1.txt")
 [ -n "$runs1" ] || fail "scheduler_runs_total missing from /metrics"
 
-"$TMP/schedctl" -addr "$BASE" schedule -workload compress -policy LS >/dev/null
+echo "smoke: third identical request (the first replay of the recorded pass)"
+"$TMP/schedctl" -addr "$BASE" schedule -workload compress -policy LS >"$TMP/r2b.json"
+grep -q '"cache_misses": 0' "$TMP/r2b.json" \
+  || fail "the replayed request reported cache misses: $(cat "$TMP/r2b.json")"
+for field in blocks scheduled changed cost_before cost_after program_key; do
+  want=$(grep -o "\"$field\": [^,]*" "$TMP/r2.json")
+  got=$(grep -o "\"$field\": [^,]*" "$TMP/r2b.json")
+  [ -n "$want" ] && [ "$want" = "$got" ] \
+    || fail "the replayed request reports $field '$got', the second request '$want'"
+done
 "$TMP/schedctl" -addr "$BASE" metrics -raw >"$TMP/m2.txt"
 runs2=$(awk '/^schedserved_scheduler_runs_total /{print $2}' "$TMP/m2.txt")
 [ "$runs1" = "$runs2" ] \
