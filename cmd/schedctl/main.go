@@ -56,16 +56,17 @@
 // verdict after a broadcast retrain/activate.
 //
 // loadgen fires n identical schedule requests at concurrency c and
-// reports how many succeeded plus the server-side cache hit rate and
-// list-scheduler run count deltas scraped from /metrics — on a repeated
-// workload the hit rate should be ≥ 90% and scheduler runs should stop
-// growing after the first request. It measures no time: throughput and
-// latency come from bench/. It also tallies which
-// policy version served each response, so a retrain-under-load run shows
-// the traffic mix flip from the old version to the new one, and which
-// node answered (the X-Sched-Node header), so a run against a gateway
-// shows the routing mix — including a node dying mid-run with zero
-// failed requests.
+// reports how many succeeded plus the server-side hit rate and
+// list-scheduler run count deltas scraped from /metrics: every scheduled
+// block a pass answers from the block cache or a replay is a hit, every
+// other one a list-scheduler run. On a repeated workload the hit rate
+// should be ≥ 99% and scheduler runs should stop growing after the first
+// request. It measures no time: throughput and latency come from bench/.
+// It also tallies which policy version served each response, so a
+// retrain-under-load run shows the traffic mix flip from the old version
+// to the new one, and which node answered (the X-Sched-Node header), so
+// a run against a gateway shows the routing mix — including a node dying
+// mid-run with zero failed requests.
 package main
 
 import (
@@ -526,7 +527,7 @@ func runRetrain(c *client, args []string) error {
 }
 
 // scrape reads the service's metrics. hasCache reports whether the
-// exposition carries the backend's codecache series — a schedgate's
+// exposition carries the backend's scheduling-pass series — a schedgate's
 // /metrics does not (its backends each have their own), so loadgen
 // skips the cache report when pointed at a gateway.
 func (c *client) scrape() (vals map[string]int64, hasCache bool, err error) {
@@ -540,7 +541,7 @@ func (c *client) scrape() (vals map[string]int64, hasCache bool, err error) {
 	}
 	out := map[string]int64{}
 	for _, name := range []string{
-		"codecache_hits_total", "codecache_misses_total", "schedserved_scheduler_runs_total",
+		"schedserved_sched_cache_hits_total", "schedserved_scheduler_runs_total",
 	} {
 		v, _ := e.Value(name, nil)
 		out[name] = int64(v)
@@ -626,12 +627,13 @@ func runLoadgen(c *client, args []string, w io.Writer) error {
 		return err
 	}
 	ok := int64(*n) - failures.Load()
-	hits := after["codecache_hits_total"] - before["codecache_hits_total"]
-	misses := after["codecache_misses_total"] - before["codecache_misses_total"]
+	// A replayed pass never reaches the block cache, so its counters
+	// undercount hits; the pass totals count replays and lookups alike.
+	hits := after["schedserved_sched_cache_hits_total"] - before["schedserved_sched_cache_hits_total"]
 	runs := after["schedserved_scheduler_runs_total"] - before["schedserved_scheduler_runs_total"]
 	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
+	if hits+runs > 0 {
+		hitRate = float64(hits) / float64(hits+runs)
 	}
 
 	prog := *workload
@@ -643,7 +645,7 @@ func runLoadgen(c *client, args []string, w io.Writer) error {
 	fmt.Fprintf(w, "loadgen: ok %d, failed %d\n", ok, failures.Load())
 	if hasCache {
 		fmt.Fprintf(w, "loadgen: cache +%d hits / +%d misses (hit rate %.1f%%), scheduler runs +%d\n",
-			hits, misses, 100*hitRate, runs)
+			hits, runs, 100*hitRate, runs)
 	}
 	printMix(w, "filter mix", versionMix)
 	printMix(w, "node mix", nodeMix)

@@ -29,7 +29,7 @@ func TestLoadgenReportsOutcomes(t *testing.T) {
 	for _, want := range []string{
 		`(?m)^loadgen: 6 requests, 2 concurrent, prog=compress target=default policy=default$`,
 		`(?m)^loadgen: ok 6, failed 0$`,
-		// The first request misses; the other five replay its blocks.
+		// The first request runs the list scheduler; the later ones hit.
 		`(?m)^loadgen: cache \+\d+ hits / \+[1-9]\d* misses \(hit rate \d+\.\d%\), scheduler runs \+[1-9]\d*$`,
 		`(?m)^loadgen: filter mix: v1 "LS" ×6$`,
 		`(?m)^loadgen: node mix: n1 ×6$`,

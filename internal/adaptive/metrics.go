@@ -32,13 +32,3 @@ type Metrics struct {
 	// PromotedFns names the recompiled functions, in promotion order.
 	PromotedFns []string
 }
-
-// ScheduledFraction is the share of hot-swapped blocks the filter sent
-// to the scheduler — the paper's "scheduling effort" inside the
-// optimized tier.
-func (m *Metrics) ScheduledFraction() float64 {
-	if m.BlocksConsidered == 0 {
-		return 0
-	}
-	return float64(m.BlocksScheduled) / float64(m.BlocksConsidered)
-}

@@ -1,4 +1,4 @@
-// Package codecache is a sharded, content-addressed cache of scheduling
+// Package codecache is a content-addressed cache of scheduling
 // results. Entries are keyed by a fingerprint of a basic block's
 // instruction content plus the machine model it was scheduled for, so a
 // block that has been list-scheduled once — in any function, any program,
@@ -18,12 +18,12 @@
 //     block it was computed from; a lookup whose block length disagrees is
 //     rejected as a collision rather than replayed (a wrong-length
 //     permutation would corrupt the block).
-//   - The key space is split across power-of-two shards, each an
-//     independently locked size-bounded LRU (hash map + intrusive list),
-//     so concurrent compile workers do not serialize on one mutex.
+//   - Each cache is one size-bounded LRU (hash map + intrusive list)
+//     under one mutex. The compile service keeps one cache per machine
+//     target and reaches it only when a scheduling pass runs: a repeat
+//     request replays its source's finished pass instead.
 //   - Hits, misses, insertions, evictions, and collision rejections are
-//     counted per shard and summed on demand; the server exposes them at
-//     /metrics and the load generator asserts on them.
+//     counted under the same mutex; the server exposes them at /metrics.
 package codecache
 
 import (
@@ -79,20 +79,15 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-const numShards = 16 // power of two; shard = first key byte & (numShards-1)
-
-// Cache is a sharded content-addressed scheduled-block cache. The zero
-// value is not usable; call New.
+// Cache is a content-addressed scheduled-block cache: one size-bounded
+// LRU (hash map + intrusive list) under one mutex. The zero value is not
+// usable; call New.
 type Cache struct {
-	shards    [numShards]shard
+	mu        sync.Mutex
+	entries   map[Key]*list.Element
+	lru       list.List // front = most recent; values are *node
+	weight    int
 	maxWeight int
-}
-
-type shard struct {
-	mu      sync.Mutex
-	entries map[Key]*list.Element
-	lru     list.List // front = most recent; values are *node
-	weight  int
 
 	hits, misses, inserts, evictions, collisions int64
 }
@@ -102,114 +97,82 @@ type node struct {
 	entry Entry
 }
 
-// New returns a cache bounded to approximately maxWeight words across all
-// shards (Σ over entries of 1+len(Order)). maxWeight <= 0 selects a
-// default sized for a few thousand typical blocks.
+// New returns a cache bounded to approximately maxWeight words (Σ over
+// entries of 1+len(Order)). maxWeight <= 0 selects a default sized for a
+// few thousand typical blocks.
 func New(maxWeight int) *Cache {
 	if maxWeight <= 0 {
 		maxWeight = 1 << 16
 	}
-	if maxWeight < numShards {
-		maxWeight = numShards
-	}
-	c := &Cache{maxWeight: maxWeight}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[Key]*list.Element)
-		c.shards[i].lru.Init()
-	}
+	c := &Cache{entries: make(map[Key]*list.Element), maxWeight: maxWeight}
+	c.lru.Init()
 	return c
 }
-
-func (c *Cache) shardFor(k Key) *shard { return &c.shards[k[0]&(numShards-1)] }
 
 // Lookup returns the entry stored under k, if any. nInstrs is the
 // instruction count of the block about to be scheduled; an entry whose
 // recorded count disagrees is a fingerprint collision and reported as a
 // miss (and counted separately).
 func (c *Cache) Lookup(k Key, nInstrs int) (Entry, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[k]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[k]
 	if !ok {
-		s.misses++
+		c.misses++
 		return Entry{}, false
 	}
 	n := el.Value.(*node)
 	if n.entry.NInstrs != nInstrs {
-		s.collisions++
-		s.misses++
+		c.collisions++
+		c.misses++
 		return Entry{}, false
 	}
-	s.lru.MoveToFront(el)
-	s.hits++
+	c.lru.MoveToFront(el)
+	c.hits++
 	return n.entry, true
 }
 
-// Insert stores e under k, evicting least-recently-used entries from the
-// key's shard if its share of the size bound is exceeded. Re-inserting an
-// existing key refreshes its recency but keeps the first entry.
+// Insert stores e under k, evicting least-recently-used entries while
+// the size bound is exceeded. Re-inserting an existing key refreshes its
+// recency but keeps the first entry.
 func (c *Cache) Insert(k Key, e Entry) {
-	s := c.shardFor(k)
-	perShard := c.maxWeight / numShards
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok {
-		s.lru.MoveToFront(el)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok {
+		c.lru.MoveToFront(el)
 		return
 	}
-	s.entries[k] = s.lru.PushFront(&node{key: k, entry: e})
-	s.weight += e.weight()
-	s.inserts++
-	for s.weight > perShard && s.lru.Len() > 1 {
-		last := s.lru.Back()
+	c.entries[k] = c.lru.PushFront(&node{key: k, entry: e})
+	c.weight += e.weight()
+	c.inserts++
+	for c.weight > c.maxWeight && c.lru.Len() > 1 {
+		last := c.lru.Back()
 		n := last.Value.(*node)
-		s.lru.Remove(last)
-		delete(s.entries, n.key)
-		s.weight -= n.entry.weight()
-		s.evictions++
+		c.lru.Remove(last)
+		delete(c.entries, n.key)
+		c.weight -= n.entry.weight()
+		c.evictions++
 	}
 }
 
 // Len returns the current number of cached entries.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
-// Stats sums the per-shard counters into one snapshot.
+// Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
-	var st Stats
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Inserts += s.inserts
-		st.Evictions += s.evictions
-		st.Collisions += s.collisions
-		st.Entries += s.lru.Len()
-		st.Weight += s.weight
-		s.mu.Unlock()
-	}
-	return st
-}
-
-// Reset drops every entry and zeroes the counters.
-func (c *Cache) Reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[Key]*list.Element)
-		s.lru.Init()
-		s.weight = 0
-		s.hits, s.misses, s.inserts, s.evictions, s.collisions = 0, 0, 0, 0, 0
-		s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{
+		Hits:       c.hits,
+		Misses:     c.misses,
+		Inserts:    c.inserts,
+		Evictions:  c.evictions,
+		Collisions: c.collisions,
+		Entries:    c.lru.Len(),
+		Weight:     c.weight,
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func testKey(i int) Key {
-	// Distinct deterministic keys spread across shards.
+	// Distinct deterministic keys.
 	return BlockKey("test", []ir.Instr{{Op: ir.ADDI, Imm: int64(i)}})
 }
 
@@ -87,10 +87,11 @@ func TestCollisionRejected(t *testing.T) {
 }
 
 func TestEvictionUnderPressure(t *testing.T) {
-	// Weight bound of 16*numShards words; entries weigh 1+8 words each, so
-	// each shard holds at most one — inserting many distinct keys must
-	// evict, and the total footprint must stay bounded.
-	c := New(16 * numShards)
+	// Entries weigh 1+8 words each, so a 64-word bound holds at most
+	// seven — inserting many distinct keys must evict, and the total
+	// footprint must stay bounded.
+	const bound = 64
+	c := New(bound)
 	const n = 500
 	for i := 0; i < n; i++ {
 		c.Insert(testKey(i), testEntry(8))
@@ -102,22 +103,20 @@ func TestEvictionUnderPressure(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("no evictions under pressure")
 	}
-	if st.Weight > 16*numShards {
-		t.Fatalf("weight %d exceeds bound %d", st.Weight, 16*numShards)
+	if st.Weight > bound {
+		t.Fatalf("weight %d exceeds bound %d", st.Weight, bound)
 	}
-	if st.Entries != int(st.Inserts-st.Evictions) {
-		t.Fatalf("entries %d != inserts %d - evictions %d", st.Entries, st.Inserts, st.Evictions)
+	if st.Entries != int(st.Inserts-st.Evictions) || st.Entries != c.Len() {
+		t.Fatalf("entries %d (Len %d) != inserts %d - evictions %d", st.Entries, c.Len(), st.Inserts, st.Evictions)
 	}
 }
 
 func TestLRUOrder(t *testing.T) {
-	// Two entries per shard fit; touch the older one, insert a third into
-	// the same shard, and the untouched middle entry must be the victim.
-	c := New(numShards * 4) // per-shard weight 4; entries weigh 2 (order len 1)
+	// Two entries fit; touch the older one, insert a third, and the
+	// untouched middle entry must be the victim.
+	c := New(4) // entries weigh 2 (order len 1)
 	mk := func(i int) (Key, Entry) {
-		k := Key{} // force same shard (byte 0 = 0)
-		k[1] = byte(i)
-		return k, Entry{NInstrs: 1, Order: []int32{0}, CostBefore: 1, CostAfter: 1}
+		return testKey(i), Entry{NInstrs: 1, Order: []int32{0}, CostBefore: 1, CostAfter: 1}
 	}
 	k1, e1 := mk(1)
 	k2, e2 := mk(2)
@@ -137,18 +136,8 @@ func TestLRUOrder(t *testing.T) {
 	if _, ok := c.Lookup(k3, 1); !ok {
 		t.Fatal("new k3 evicted")
 	}
-}
-
-func TestReset(t *testing.T) {
-	c := New(1 << 12)
-	c.Insert(testKey(1), testEntry(3))
-	c.Lookup(testKey(1), 3)
-	c.Reset()
-	if c.Len() != 0 {
-		t.Fatalf("len after reset = %d", c.Len())
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Entries != 0 || st.Weight != 0 {
-		t.Fatalf("stats after reset = %+v", st)
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 || st.Weight != 4 {
+		t.Fatalf("stats = %+v, want 1 eviction, 2 entries, weight 4", st)
 	}
 }
 
@@ -156,7 +145,8 @@ func TestReset(t *testing.T) {
 // cache (forcing constant eviction) with interleaved lookups and inserts,
 // then the counters must reconcile.
 func TestConcurrentMixedLoad(t *testing.T) {
-	c := New(64 * numShards)
+	const bound = 1024
+	c := New(bound)
 	const (
 		workers = 8
 		ops     = 2000
@@ -194,8 +184,11 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	if st.Entries != int(st.Inserts-st.Evictions) {
 		t.Fatalf("entries %d != inserts %d - evictions %d", st.Entries, st.Inserts, st.Evictions)
 	}
-	if st.Weight > 64*numShards {
-		t.Fatalf("weight %d exceeds bound", st.Weight)
+	if st.Evictions == 0 {
+		t.Fatal("no evictions under pressure")
+	}
+	if st.Weight > bound {
+		t.Fatalf("weight %d exceeds bound %d", st.Weight, bound)
 	}
 }
 

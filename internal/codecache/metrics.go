@@ -5,8 +5,7 @@ import "schedfilter/internal/obs"
 // RegisterMetrics registers the unlabelled aggregate codecache_* series
 // over the given caches (summed at render time) plus the singleflight
 // counters. These are the historical names the smoke tests scrape; they
-// predate multi-target serving, hence the aggregation. flight may be
-// nil when the deployment has no request coalescing.
+// predate multi-target serving, hence the aggregation.
 func RegisterMetrics(reg *obs.Registry, flight *Flight, caches ...*Cache) {
 	sum := func(pick func(Stats) int64) func() int64 {
 		return func() int64 {
@@ -25,12 +24,10 @@ func RegisterMetrics(reg *obs.Registry, flight *Flight, caches ...*Cache) {
 	reg.CounterFunc("codecache_collisions_total", "", sum(func(s Stats) int64 { return s.Collisions }))
 	reg.GaugeFunc("codecache_entries", "", sum(func(s Stats) int64 { return int64(s.Entries) }))
 	reg.GaugeFunc("codecache_weight_words", "", sum(func(s Stats) int64 { return int64(s.Weight) }))
-	if flight != nil {
-		reg.CounterFunc("codecache_coalesced_total", "Requests that shared a concurrent identical scheduling pass.",
-			func() int64 { return flight.Stats().Coalesced })
-		reg.CounterFunc("codecache_flight_leaders_total", "",
-			func() int64 { return flight.Stats().Leaders })
-	}
+	reg.CounterFunc("codecache_coalesced_total", "Requests that shared a concurrent identical scheduling pass.",
+		func() int64 { return flight.Stats().Coalesced })
+	reg.CounterFunc("codecache_flight_leaders_total", "",
+		func() int64 { return flight.Stats().Leaders })
 }
 
 // RegisterTargetMetrics registers one cache's per-target breakout

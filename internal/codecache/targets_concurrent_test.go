@@ -21,14 +21,16 @@ func TestConcurrentCrossTargetIsolation(t *testing.T) {
 		t.Skip("needs at least two registered targets")
 	}
 	caches := make(map[string]*Cache, len(targets))
-	const bound = 64 * numShards
+	// 32 entries of 3 words each: the 64 blocks below overflow it, so
+	// every cache evicts while it is hammered.
+	const bound = 96
 	for _, tgt := range targets {
 		caches[tgt.Model.Name] = New(bound)
 	}
 
 	// One shared content set: the same blocks compiled for every target,
-	// exactly the aliasing pattern that would corrupt results if keys or
-	// shards leaked across targets.
+	// exactly the aliasing pattern that would corrupt results if keys
+	// leaked across targets.
 	const blocks = 64
 	instrs := make([][]ir.Instr, blocks)
 	for i := range instrs {
@@ -89,6 +91,9 @@ func TestConcurrentCrossTargetIsolation(t *testing.T) {
 		}
 		if st.Weight > bound {
 			t.Fatalf("%s: weight %d exceeds bound %d", tgt.Name, st.Weight, bound)
+		}
+		if st.Evictions == 0 {
+			t.Fatalf("%s: no evictions under pressure", tgt.Name)
 		}
 		if st.Entries != int(st.Inserts-st.Evictions) {
 			t.Fatalf("%s: entries %d != inserts %d - evictions %d",

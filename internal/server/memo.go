@@ -186,10 +186,12 @@ func (e *memoEntry) blockKeys(memo *programMemo, m *machine.Model) []codecache.K
 	return keys
 }
 
-// passRecord is one finished scheduling pass of a memoized program under
-// a (model, policy ID) pair, linked to the records of the pairs served
-// before it: the program key, the pass's stats without timings, and the
-// scheduled program, which no caller writes.
+// passRecord is one finished scheduling pass of a program under a
+// (model, policy ID) pair: the program key, the pass's stats and the
+// scheduled program, which no caller writes. A flight hands the leader's
+// record, timings included, to its followers; a memoized source stores
+// one per pair served, without timings, linked to the records of the
+// pairs served before it.
 type passRecord struct {
 	model, policyID string
 	key             codecache.Key
@@ -210,11 +212,11 @@ func (e *memoEntry) pass(model, policyID string) *passRecord {
 	return nil
 }
 
-// storePass links r, a pass over a blockCopy of e's program, into e's
-// records without its timings and charges it to e's weight, unless e
-// holds one for r's pair or memoMaxPolicies for r's model. A record that
-// loses the race to be stored is dropped.
-func (e *memoEntry) storePass(memo *programMemo, r *passRecord) {
+// storePass links a copy of r, a pass over a blockCopy of e's program,
+// into e's records without its timings and charges it to e's weight,
+// unless e holds one for r's pair or memoMaxPolicies for r's model. A
+// record that loses the race to be stored is dropped.
+func (e *memoEntry) storePass(memo *programMemo, r passRecord) {
 	head := e.passes.Load()
 	n := 0
 	for o := head; o != nil; o = o.next {
@@ -230,7 +232,7 @@ func (e *memoEntry) storePass(memo *programMemo, r *passRecord) {
 	}
 	r.st.SchedTime, r.st.Phases = 0, sched.PhaseTimes{}
 	r.next = head
-	if e.passes.CompareAndSwap(head, r) {
+	if e.passes.CompareAndSwap(head, &r) {
 		memo.charge(e, r.bytes(e.prog))
 	}
 }

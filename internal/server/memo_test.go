@@ -178,7 +178,7 @@ func storeSizePass(t *testing.T, m *programMemo, e *memoEntry, n int) string {
 	mdl := machine.Default().Model
 	prog := blockCopy(e.prog)
 	st := core.Apply(mdl, prog, f, core.Pass{})
-	e.storePass(m, &passRecord{model: mdl.Name, policyID: id, key: codecache.ProgramKey(mdl.Name, id, e.prog), st: st, prog: prog})
+	e.storePass(m, passRecord{model: mdl.Name, policyID: id, key: codecache.ProgramKey(mdl.Name, id, e.prog), st: st, prog: prog})
 	return id
 }
 
@@ -575,16 +575,16 @@ func checkRecord(t *testing.T, e *memoEntry, f policy.Policy) {
 
 // A warm schedule request replays its source's recorded pass: no program
 // copy, no policy or block hash, no decisions, no cache lookup per block.
-// Its allocations are the body decode, the memo lookup and the reply (17
-// per request for compress and for scimark), where a deep program copy, a
-// per-request rule hash and per-block fingerprints cost 327 for compress
-// and 375 for scimark. A warm execute request adds the simulator's
-// allocations and no scheduling ones.
+// Its allocations are the body decode, the workload lookup, the memo
+// lookup and the reply (15 per request for compress and for scimark),
+// where a deep program copy, a per-request rule hash and per-block
+// fingerprints cost 327 for compress and 375 for scimark. A warm execute
+// request adds the simulator's allocations and no scheduling ones.
 func TestWarmScheduleAllocs(t *testing.T) {
 	if raceEnabled || testing.CoverMode() != "" {
 		t.Skip("allocation counts are exact only without race or coverage instrumentation")
 	}
-	const maxAllocs = 20
+	const maxAllocs = 17
 	s := New(Config{Filter: factoryPolicy(t), Workers: 1})
 	defer s.Close()
 	for _, name := range []string{"compress", "scimark"} {
@@ -629,10 +629,11 @@ func TestWarmScheduleAllocs(t *testing.T) {
 		p := new(prepared)
 		schedAllocs := testing.AllocsPerRun(50, func() {
 			*p = pr
-			if _, coalesced := s.schedule(p, false); coalesced {
+			r, coalesced := s.schedule(p, false)
+			if coalesced {
 				t.Fatal("a serial request coalesced")
 			}
-			replayed = p.prog
+			replayed = r.prog
 		})
 		if r := pr.entry.pass(pr.mt.model.Name, policy.ID(pr.f)); r == nil || replayed != r.prog {
 			t.Fatalf("%s: execute did not replay the recorded program", name)
@@ -661,8 +662,7 @@ func TestWarmScheduleAllocs(t *testing.T) {
 
 // BenchmarkWarmSchedule measures a warm /v1/schedule of the bundled
 // programs in turn under the factory filter, in process: every source is
-// memoized, every approved block replays from the cache, and the decisions
-// come from the memo. Run with -benchmem.
+// memoized and replays its recorded pass. Run with -benchmem.
 func BenchmarkWarmSchedule(b *testing.B) {
 	text, err := os.ReadFile("../../cmd/schedserved/factory_model.txt")
 	if err != nil {

@@ -214,10 +214,6 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache exposes the default target's scheduled-block cache (for stats
-// and tests); CacheFor exposes any target's.
-func (s *Server) Cache() *codecache.Cache { return s.def.cache }
-
 // CacheFor returns the named target's scheduled-block cache, or nil for
 // an unknown target.
 func (s *Server) CacheFor(target string) *codecache.Cache {
@@ -455,8 +451,7 @@ func decodeRequest(body []byte, req any) error {
 }
 
 // prepared is a compile-path request after the preparation every endpoint
-// shares, and, for schedule and execute, the identity of its scheduling
-// pass.
+// shares.
 type prepared struct {
 	tr       *obs.Trace
 	mt       *machineTarget
@@ -466,9 +461,6 @@ type prepared struct {
 	prog     *ir.Program
 	entry    *memoEntry
 	compileT time.Duration
-
-	// Set by schedule.
-	key codecache.Key
 }
 
 // prepare decodes body into req and runs the steps every compile-path
@@ -500,80 +492,83 @@ func (s *Server) prepare(ctx context.Context, body []byte, req any, in *ProgramI
 }
 
 // schedule feeds the unscheduled program to the online collector, then
-// replays pr's recorded pass or runs it on its target's machine and
-// cache, leaving the scheduled program, read-only if memoized, in pr.prog.
-// A pass is keyed by the program's fingerprint under the policy's content
-// identity, not its display name: two hot-swapped filter versions that
-// share a label must never alias. The key doubles as the singleflight
-// key: scheduling is deterministic in (model, policy, input code), so
-// concurrent identical requests share one pass and all but the leader
-// report coalesced. A noCache pass stays out of the flight.
-func (s *Server) schedule(pr *prepared, noCache bool) (core.Stats, bool) {
+// returns pr's finished pass: its recorded pass replayed, or a pass run
+// on its target's machine and cache. The pass's program is the scheduled
+// one, which no caller writes. A pass is keyed by the program's
+// fingerprint under the policy's content identity, not its display name:
+// two hot-swapped filter versions that share a label must never alias.
+// The key doubles as the singleflight key: scheduling is deterministic in
+// (model, policy, input code), so concurrent identical requests share the
+// leader's pass and all but the leader report coalesced. A noCache pass
+// stays out of the flight.
+func (s *Server) schedule(pr *prepared, noCache bool) (passRecord, bool) {
 	if s.online != nil {
 		// The collector needs original-order instruction content.
 		s.online.Observe(pr.mt.name, pr.prog, pr.entry.blockKeys(s.memo, pr.mt.model))
 	}
 	if !noCache {
-		if st, ok := s.replay(pr); ok {
-			return st, false
+		if r, ok := s.replay(pr); ok {
+			return r, false
 		}
 	}
 	start := time.Now()
-	pr.key = codecache.ProgramKey(pr.mt.model.Name, pr.policyID, pr.prog)
+	key := codecache.ProgramKey(pr.mt.model.Name, pr.policyID, pr.prog)
 	pr.tr.Record(obs.PhaseFingerprint, time.Since(start).Nanoseconds())
 	if noCache {
-		return s.schedulePass(pr, true), false
+		return s.schedulePass(pr, key, true), false
 	}
-	v, coalesced := s.flight.Do(pr.key, func() any {
+	v, coalesced := s.flight.Do(key, func() any {
 		if s.schedFlightHook != nil {
 			s.schedFlightHook()
 		}
-		return s.schedulePass(pr, false)
+		r := s.schedulePass(pr, key, false)
+		return &r
 	})
-	return v.(core.Stats), coalesced
+	return *v.(*passRecord), coalesced
 }
 
 // replay answers pr from its memo entry's record for pr's target and
 // policy, if there is one, as a fully cached pass (every scheduled block
 // a hit) whose only phase is the record lookup.
-func (s *Server) replay(pr *prepared) (core.Stats, bool) {
+func (s *Server) replay(pr *prepared) (passRecord, bool) {
 	if pr.entry == nil {
-		return core.Stats{}, false
+		return passRecord{}, false
 	}
 	start := time.Now()
 	r := pr.entry.pass(pr.mt.model.Name, pr.policyID)
 	if r == nil {
-		return core.Stats{}, false
+		return passRecord{}, false
 	}
-	pr.prog, pr.key = r.prog, r.key
-	st := r.st
-	st.CacheHits, st.CacheMisses = st.Scheduled, 0
-	st.SchedTime = time.Since(start)
-	st.Phases.CacheLookupNs = st.SchedTime.Nanoseconds()
-	s.account(st)
-	return st, true
+	rec := *r
+	rec.st.CacheHits, rec.st.CacheMisses = rec.st.Scheduled, 0
+	rec.st.SchedTime = time.Since(start)
+	rec.st.Phases.CacheLookupNs = rec.st.SchedTime.Nanoseconds()
+	s.account(rec.st)
+	return rec, true
 }
 
-// schedulePass runs pr's pass, with phase timing on for traces, and
-// feeds its totals into the server metrics. A memoized source runs on a
-// blockCopy of its pristine program, and a cached pass is recorded.
-func (s *Server) schedulePass(pr *prepared, noCache bool) core.Stats {
+// schedulePass runs pr's pass under key, with phase timing on for traces,
+// and feeds its totals into the server metrics. A memoized source runs on
+// a blockCopy of its pristine program, and a cached pass is recorded.
+func (s *Server) schedulePass(pr *prepared, key codecache.Key, noCache bool) passRecord {
 	cache := pr.mt.cache
 	if noCache {
 		cache = nil
 	}
 	start := time.Now()
+	prog := pr.prog
 	if pr.entry != nil {
-		pr.prog = blockCopy(pr.entry.prog)
+		prog = blockCopy(pr.entry.prog)
 	}
 	copyT := time.Since(start)
-	st := core.Apply(pr.mt.model, pr.prog, pr.f, core.Pass{Cache: cache, Timed: true})
+	st := core.Apply(pr.mt.model, prog, pr.f, core.Pass{Cache: cache, Timed: true})
 	st.SchedTime += copyT
+	r := passRecord{model: pr.mt.model.Name, policyID: pr.policyID, key: key, st: st, prog: prog}
 	if pr.entry != nil && !noCache {
-		pr.entry.storePass(s.memo, &passRecord{model: pr.mt.model.Name, policyID: pr.policyID, key: pr.key, st: st, prog: pr.prog})
+		pr.entry.storePass(s.memo, r)
 	}
 	s.account(st)
-	return st
+	return r
 }
 
 // account feeds a pass's totals into the server metrics. Every scheduled
@@ -621,10 +616,11 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, coalesced := s.schedule(&pr, req.NoCache)
+	r, coalesced := s.schedule(&pr, req.NoCache)
 	if !coalesced {
-		recordSchedPhases(pr.tr, st)
+		recordSchedPhases(pr.tr, r.st)
 	}
+	st := r.st
 	return &ScheduleResponse{
 		Policy:        pr.f.Name(),
 		PolicyID:      pr.policyID,
@@ -640,7 +636,7 @@ func (s *Server) doSchedule(ctx context.Context, body []byte) (any, error) {
 		CostAfter:     st.CostAfter,
 		CompileNs:     pr.compileT.Nanoseconds(),
 		SchedNs:       st.SchedTime.Nanoseconds(),
-		ProgramKey:    hex.EncodeToString(pr.key[:]),
+		ProgramKey:    hex.EncodeToString(r.key[:]),
 		Coalesced:     coalesced,
 	}, nil
 }
@@ -686,21 +682,14 @@ func (s *Server) doExecute(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Concurrent identical requests coalesce the scheduler work, but
-	// execute needs a scheduled program: a follower replays the record
-	// its leader stored or, without one, runs its own pass from the
-	// warmed cache. Either way the pass whose phases are reported ran
-	// inside this request's wall time.
-	st, coalesced := s.schedule(&pr, false)
-	if coalesced {
-		var ok bool
-		if st, ok = s.replay(&pr); !ok {
-			st = s.schedulePass(&pr, false)
-		}
+	// A coalesced follower simulates its leader's scheduled program.
+	r, coalesced := s.schedule(&pr, false)
+	if !coalesced {
+		recordSchedPhases(pr.tr, r.st)
 	}
-	recordSchedPhases(pr.tr, st)
+	st := r.st
 	simStart := time.Now()
-	res, err := sim.Run(pr.prog, sim.Config{Context: ctx, Timed: !req.Untimed, Model: pr.mt.model, StepLimit: s.stepLimit})
+	res, err := sim.Run(r.prog, sim.Config{Context: ctx, Timed: !req.Untimed, Model: pr.mt.model, StepLimit: s.stepLimit})
 	if err != nil {
 		return nil, err
 	}

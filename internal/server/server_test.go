@@ -13,11 +13,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"schedfilter/internal/obs"
 	"schedfilter/internal/policy"
+	"schedfilter/internal/workloads"
 )
 
 const testSource = `
@@ -815,8 +817,8 @@ func TestScheduleConcurrentDuplicatesCoalesce(t *testing.T) {
 }
 
 // TestExecuteConcurrentDuplicates checks the execute path under the same
-// stampede: followers wait out the leader's pass, replay their own
-// program from the warmed cache, and simulate to identical results.
+// stampede: followers wait out the leader's pass, simulate its scheduled
+// program, and report identical results.
 func TestExecuteConcurrentDuplicates(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	body, err := json.Marshal(ExecuteRequest{ProgramInput: ProgramInput{Source: testSource}})
@@ -851,6 +853,71 @@ func TestExecuteConcurrentDuplicates(t *testing.T) {
 		if r.CacheHits+r.CacheMisses != r.Scheduled {
 			t.Fatalf("request %d: hits %d + misses %d != scheduled %d",
 				i, r.CacheHits, r.CacheMisses, r.Scheduled)
+		}
+	}
+}
+
+// TestExecuteStampedeSharesLeaderPass holds a flight leader until every
+// other identical /v1/execute request has joined it, then checks that the
+// stampede cost one scheduling pass: the pass totals and the block cache
+// moved by one pass, and every follower simulated the leader's program.
+// The first stampede is a source the server has never seen; the second
+// is the same, now memoized, source under a policy it has no record for.
+func TestExecuteStampedeSharesLeaderPass(t *testing.T) {
+	s, ts := newTestServer(t, Config{Filter: factoryPolicy(t)})
+	const par = 8
+	var joined atomic.Int64
+	s.schedFlightHook = func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for s.flight.Stats().Coalesced < joined.Load() && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	blocks := int64(compileSource(t, workloads.ByName("compress").Source).NumBlocks())
+	for _, policySpec := range []string{"", "always"} {
+		body, err := json.Marshal(ExecuteRequest{ProgramInput: ProgramInput{Workload: "compress", Policy: policySpec}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := scrape(t, ts.URL, "schedserved_sched_blocks_seen_total")
+		lookups := scrape(t, ts.URL, "codecache_hits_total") + scrape(t, ts.URL, "codecache_misses_total")
+		joined.Store(s.flight.Stats().Coalesced + par - 1)
+		results := make([]ExecuteResponse, par)
+		var wg sync.WaitGroup
+		var failed atomic.Bool
+		for i := 0; i < par; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				v, err := s.doExecute(context.Background(), body)
+				if err != nil {
+					t.Errorf("policy %q request %d: %v", policySpec, i, err)
+					failed.Store(true)
+					return
+				}
+				results[i] = *v.(*ExecuteResponse)
+			}(i)
+		}
+		wg.Wait()
+		if failed.Load() {
+			t.Fatal("request errors above")
+		}
+		if got := s.flight.Stats().Coalesced; got != joined.Load() {
+			t.Fatalf("policy %q: %d requests coalesced in all, want %d", policySpec, got, joined.Load())
+		}
+		base := results[0]
+		for i, r := range results {
+			if r.Ret != base.Ret || r.Cycles != base.Cycles || r.DynInstrs != base.DynInstrs ||
+				r.Scheduled != base.Scheduled {
+				t.Fatalf("policy %q request %d: stampede replies diverged:\n%+v\nvs\n%+v", policySpec, i, r, base)
+			}
+		}
+		if got := scrape(t, ts.URL, "schedserved_sched_blocks_seen_total") - seen; got != blocks {
+			t.Errorf("policy %q: blocks seen rose by %d, want one pass's %d", policySpec, got, blocks)
+		}
+		got := scrape(t, ts.URL, "codecache_hits_total") + scrape(t, ts.URL, "codecache_misses_total") - lookups
+		if got != int64(base.Scheduled) {
+			t.Errorf("policy %q: cache lookups rose by %d, want one pass's %d", policySpec, got, base.Scheduled)
 		}
 	}
 }

@@ -89,17 +89,58 @@ func wlCos(x float) float {
 }
 `
 
-// All returns every workload, suite 1 first.
-func All() []Workload {
-	out := append([]Workload(nil), Suite1()...)
-	return append(out, Suite2()...)
+// table holds every workload, suite 1 (the SPECjvm98 stand-ins) first,
+// each suite in the paper's order. It is built once; callers get copies.
+var table = []Workload{
+	{Name: "compress", Suite: SuiteJVM98,
+		Description: "LZW-style compression of synthetic text (stand-in for 129.compress)",
+		Source:      prelude + srcCompress},
+	{Name: "jess", Suite: SuiteJVM98,
+		Description: "forward-chaining rule engine over integer facts (stand-in for the CLIPS-based expert system)",
+		Source:      prelude + srcJess},
+	{Name: "db", Suite: SuiteJVM98,
+		Description: "in-memory database: inserts, lookups, updates, shellsort (stand-in for db)",
+		Source:      prelude + srcDB},
+	{Name: "javac", Suite: SuiteJVM98,
+		Description: "recursive-descent expression compiler and evaluator (stand-in for the JDK 1.0.2 javac)",
+		Source:      prelude + srcJavac},
+	{Name: "mpegaudio", Suite: SuiteJVM98,
+		Description: "fixed-point subband filter bank over synthetic PCM (stand-in for the MPEG-3 decoder)",
+		Source:      prelude + srcMpeg},
+	{Name: "raytrace", Suite: SuiteJVM98,
+		Description: "sphere-scene raytracer with quadratic intersection (stand-in for raytrace)",
+		Source:      prelude + srcRaytrace},
+	{Name: "jack", Suite: SuiteJVM98,
+		Description: "table-driven lexer/parser generator pass over synthetic grammars (stand-in for jack)",
+		Source:      prelude + srcJack},
+	{Name: "linpack", Suite: SuiteFP,
+		Description: "LU decomposition with partial pivoting and triangular solve",
+		Source:      prelude + srcLinpack},
+	{Name: "power", Suite: SuiteFP,
+		Description: "power pricing system optimization: Gauss-Seidel sweeps over a network grid",
+		Source:      prelude + srcPower},
+	{Name: "bh", Suite: SuiteFP,
+		Description: "Barnes-Hut style N-body force computation with softened gravity",
+		Source:      prelude + srcBH},
+	{Name: "voronoi", Suite: SuiteFP,
+		Description: "nearest-site Voronoi region assignment over a point grid",
+		Source:      prelude + srcVoronoi},
+	{Name: "aes", Suite: SuiteFP,
+		Description: "AES-style substitution-permutation cipher over NIST-style test vectors",
+		Source:      prelude + srcAES},
+	{Name: "scimark", Suite: SuiteFP,
+		Description: "scientific kernels: FFT butterfly pass, SOR relaxation, Monte Carlo, dense matmul",
+		Source:      prelude + srcScimark},
 }
 
-// ByName returns the named workload or nil.
+// All returns every workload, suite 1 first.
+func All() []Workload { return append([]Workload(nil), table...) }
+
+// ByName returns a copy of the named workload or nil.
 func ByName(name string) *Workload {
-	for _, w := range All() {
-		if w.Name == name {
-			w := w
+	for i := range table {
+		if table[i].Name == name {
+			w := table[i]
 			return &w
 		}
 	}
@@ -107,52 +148,18 @@ func ByName(name string) *Workload {
 }
 
 // Suite1 returns the SPECjvm98 stand-ins in the paper's order.
-func Suite1() []Workload {
-	return []Workload{
-		{Name: "compress", Suite: SuiteJVM98,
-			Description: "LZW-style compression of synthetic text (stand-in for 129.compress)",
-			Source:      prelude + srcCompress},
-		{Name: "jess", Suite: SuiteJVM98,
-			Description: "forward-chaining rule engine over integer facts (stand-in for the CLIPS-based expert system)",
-			Source:      prelude + srcJess},
-		{Name: "db", Suite: SuiteJVM98,
-			Description: "in-memory database: inserts, lookups, updates, shellsort (stand-in for db)",
-			Source:      prelude + srcDB},
-		{Name: "javac", Suite: SuiteJVM98,
-			Description: "recursive-descent expression compiler and evaluator (stand-in for the JDK 1.0.2 javac)",
-			Source:      prelude + srcJavac},
-		{Name: "mpegaudio", Suite: SuiteJVM98,
-			Description: "fixed-point subband filter bank over synthetic PCM (stand-in for the MPEG-3 decoder)",
-			Source:      prelude + srcMpeg},
-		{Name: "raytrace", Suite: SuiteJVM98,
-			Description: "sphere-scene raytracer with quadratic intersection (stand-in for raytrace)",
-			Source:      prelude + srcRaytrace},
-		{Name: "jack", Suite: SuiteJVM98,
-			Description: "table-driven lexer/parser generator pass over synthetic grammars (stand-in for jack)",
-			Source:      prelude + srcJack},
-	}
-}
+func Suite1() []Workload { return suite(SuiteJVM98) }
 
 // Suite2 returns the FP-heavy suite (paper Table 7).
-func Suite2() []Workload {
-	return []Workload{
-		{Name: "linpack", Suite: SuiteFP,
-			Description: "LU decomposition with partial pivoting and triangular solve",
-			Source:      prelude + srcLinpack},
-		{Name: "power", Suite: SuiteFP,
-			Description: "power pricing system optimization: Gauss-Seidel sweeps over a network grid",
-			Source:      prelude + srcPower},
-		{Name: "bh", Suite: SuiteFP,
-			Description: "Barnes-Hut style N-body force computation with softened gravity",
-			Source:      prelude + srcBH},
-		{Name: "voronoi", Suite: SuiteFP,
-			Description: "nearest-site Voronoi region assignment over a point grid",
-			Source:      prelude + srcVoronoi},
-		{Name: "aes", Suite: SuiteFP,
-			Description: "AES-style substitution-permutation cipher over NIST-style test vectors",
-			Source:      prelude + srcAES},
-		{Name: "scimark", Suite: SuiteFP,
-			Description: "scientific kernels: FFT butterfly pass, SOR relaxation, Monte Carlo, dense matmul",
-			Source:      prelude + srcScimark},
+func Suite2() []Workload { return suite(SuiteFP) }
+
+// suite returns the workloads of one suite, in table order.
+func suite(s Suite) []Workload {
+	var out []Workload
+	for _, w := range table {
+		if w.Suite == s {
+			out = append(out, w)
+		}
 	}
+	return out
 }

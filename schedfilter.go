@@ -113,8 +113,8 @@ type (
 	AdaptiveConfig = adaptive.Config
 	// AdaptiveResult reports an adaptive run (online + steady state).
 	AdaptiveResult = adaptive.Result
-	// ScheduleCache is the sharded content-addressed scheduled-block
-	// cache the compile service runs on.
+	// ScheduleCache is the content-addressed scheduled-block cache the
+	// compile service runs on.
 	ScheduleCache = codecache.Cache
 	// CacheKey is a 256-bit content fingerprint of a block or program.
 	CacheKey = codecache.Key
