@@ -14,7 +14,6 @@ import (
 	"schedfilter/internal/machine"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/ripper"
-	"schedfilter/internal/sched"
 	"schedfilter/internal/sim"
 	"schedfilter/internal/training"
 	"schedfilter/internal/workloads"
@@ -216,25 +215,6 @@ func BenchmarkSweepParallel(b *testing.B) {
 
 // --- Micro-benchmarks of the core components ---
 
-// BenchmarkFeatureExtraction measures the single-pass Table-1 feature
-// extractor (the cost a JIT pays per block before consulting the filter).
-func BenchmarkFeatureExtraction(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	blocks := make([]*Block, 64)
-	total := 0
-	for i := range blocks {
-		blocks[i] = blockgen.GenBlock(r, blockgen.DefaultConfig, i)
-		total += blocks[i].Len()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := features.ExtractBlock(blocks[i%len(blocks)])
-		if v.BBLen() == 0 {
-			b.Fatal("empty block")
-		}
-	}
-}
-
 // BenchmarkCostEstimator measures the simplified machine timing estimator.
 func BenchmarkCostEstimator(b *testing.B) {
 	m := machine.Default().Model
@@ -246,22 +226,6 @@ func BenchmarkCostEstimator(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		machine.EstimateBlockCost(m, blocks[i%len(blocks)])
-	}
-}
-
-// BenchmarkListScheduler measures CPS list scheduling of one block
-// (dependence DAG + critical paths + greedy issue).
-func BenchmarkListScheduler(b *testing.B) {
-	m := machine.Default().Model
-	r := rand.New(rand.NewSource(3))
-	blocks := make([]*Block, 64)
-	for i := range blocks {
-		blocks[i] = blockgen.GenBlock(r, blockgen.DefaultConfig, i)
-	}
-	s := sched.NewScratch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched.ScheduleInstrsScratch(m, blocks[i%len(blocks)].Instrs, s)
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 // -policy selects the scheduling policy by spec (always|ls, never|ns,
 // size:N, cost:N, portfolio:spec+spec, rules:FILE — see
-// schedfilter.PolicyKinds); the default is ns.
+// policy.Kinds); the default is ns.
 //
 // -target picks the machine model (scheduling latencies and, with
 // -timed, simulated cycle timing) by registry name; the default is
@@ -21,25 +21,26 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
-	"schedfilter"
 	"schedfilter/internal/bytecode"
 	"schedfilter/internal/cliflags"
+	"schedfilter/internal/core"
+	"schedfilter/internal/interp"
+	"schedfilter/internal/jit"
+	"schedfilter/internal/jolt"
+	"schedfilter/internal/machine"
+	"schedfilter/internal/sim"
+	"schedfilter/internal/workloads"
 )
-
-func decodeModule(r io.Reader) (*schedfilter.Module, error) {
-	return bytecode.Decode(r)
-}
 
 func main() {
 	workload := flag.String("workload", "", "run a bundled benchmark instead of a file")
 	policySpec := cliflags.Policy(flag.CommandLine, "ns", "")
 	timed := flag.Bool("timed", false, "run the cycle-accurate timing simulator")
 	useInterp := flag.Bool("interp", false, "run the bytecode interpreter instead of compiled code")
-	target := cliflags.Target(flag.CommandLine, "machine target to schedule and time for (see schedfilter.Targets)")
+	target := cliflags.Target(flag.CommandLine, "machine target to schedule and time for (see machine.All)")
 	flag.Parse()
 
 	mod, err := loadModule(*workload, flag.Args())
@@ -48,7 +49,7 @@ func main() {
 	}
 
 	if *useInterp {
-		res, err := schedfilter.Interpret(mod, 0)
+		res, err := interp.Run(mod, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -59,12 +60,12 @@ func main() {
 		return
 	}
 
-	tgt, err := schedfilter.TargetByName(*target)
+	tgt, err := machine.ByName(*target)
 	if err != nil {
 		fatal(err)
 	}
 	m := tgt.Model
-	prog, err := schedfilter.CompileModule(mod, schedfilter.DefaultJITOptions())
+	prog, err := jit.Compile(mod, jit.Options{})
 	if err != nil {
 		fatal(err)
 	}
@@ -75,8 +76,8 @@ func main() {
 	if filter == nil {
 		fatal(fmt.Errorf("-policy is empty"))
 	}
-	stats := schedfilter.Schedule(m, prog, filter)
-	res, err := schedfilter.Execute(prog, m, *timed)
+	stats := core.Apply(m, prog, filter, core.Pass{})
+	res, err := sim.Run(prog, sim.Config{Timed: *timed, Model: m})
 	if err != nil {
 		fatal(err)
 	}
@@ -91,11 +92,11 @@ func main() {
 	}
 }
 
-func loadModule(workload string, args []string) (*schedfilter.Module, error) {
+func loadModule(workload string, args []string) (*bytecode.Module, error) {
 	if workload != "" {
-		w, err := schedfilter.WorkloadByName(workload)
-		if err != nil {
-			return nil, err
+		w := workloads.ByName(workload)
+		if w == nil {
+			return nil, fmt.Errorf("schedfilter: no workload named %q", workload)
 		}
 		return w.Compile()
 	}
@@ -109,13 +110,13 @@ func loadModule(workload string, args []string) (*schedfilter.Module, error) {
 			return nil, err
 		}
 		defer f.Close()
-		return decodeModule(f)
+		return bytecode.Decode(f)
 	}
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return schedfilter.CompileJolt(string(src))
+	return jolt.Compile(string(src), jolt.Options{})
 }
 
 func fatal(err error) {

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
-	"schedfilter"
 	"schedfilter/internal/cliflags"
+	"schedfilter/internal/features"
+	"schedfilter/internal/interp"
+	"schedfilter/internal/policy"
 )
 
 func TestResolvePolicyFixed(t *testing.T) {
@@ -42,9 +44,9 @@ func TestParseFilterRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var big, small schedfilter.FeatureVector
+	var big, small features.Vector
 	big[0], small[0] = 12, 3
-	if !schedfilter.Schedules(f, big) || schedfilter.Schedules(f, small) {
+	if !policy.Schedules(f, big) || policy.Schedules(f, small) {
 		t.Error("rules filter decisions wrong")
 	}
 }
@@ -72,7 +74,7 @@ func TestLoadModuleFromJoltSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := schedfilter.Interpret(mod, 0)
+	res, err := interp.Run(mod, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@
 //	cluster hotpath, and all
 //
 // -target picks the machine model the experiments run against by
-// registry name (default mpc7410; see schedfilter.Targets()). The
+// registry name (default mpc7410; see machine.All). The
 // targets experiment ignores it — it sweeps its own train×eval grid —
 // and so do policies, which sweeps the registry's matrix targets, online
 // and cluster. -policy overrides the policies experiment's rows with a
@@ -53,7 +53,6 @@ import (
 	"strings"
 	"time"
 
-	"schedfilter"
 	"schedfilter/internal/cliflags"
 	"schedfilter/internal/experiments"
 	"schedfilter/internal/machine"
@@ -154,7 +153,7 @@ var artifacts = []struct {
 }
 
 func run(o options) error {
-	cfg := schedfilter.DefaultExperimentConfig()
+	cfg := experiments.DefaultConfig()
 	cfg.Jobs = o.jobs
 	if o.target != "" {
 		tgt, err := machine.ByName(o.target)
@@ -163,7 +162,7 @@ func run(o options) error {
 		}
 		cfg.Model = tgt.Model
 	}
-	r := schedfilter.NewExperimentRunner(cfg)
+	r := experiments.NewRunner(cfg)
 	all := o.exp == "all"
 	did := false
 

@@ -18,7 +18,7 @@
 // request does not name one: "factory" (the loaded model, the default) or
 // any policy spec — always/LS, never/NS, size:N, cost:N,
 // portfolio:spec+spec, rules:FILE. Model files are produced by
-// schedtrain -o or schedfilter.SaveFilter.
+// schedtrain -o or policy.FormatInduced.
 //
 // -online enables the online-learning loop: live traffic feeds per-target
 // sample reservoirs, POST /v1/retrain (or the -retrain-every ticker, when

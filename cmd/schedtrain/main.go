@@ -35,8 +35,10 @@ import (
 	"fmt"
 	"os"
 
-	"schedfilter"
 	"schedfilter/internal/cliflags"
+	"schedfilter/internal/machine"
+	"schedfilter/internal/policy"
+	"schedfilter/internal/ripper"
 	"schedfilter/internal/training"
 	"schedfilter/internal/workloads"
 )
@@ -52,7 +54,7 @@ func main() {
 	csvPath := flag.String("csv", "", "also dump the raw instances as CSV to this file")
 	stats := flag.Bool("stats", true, "print training-set statistics")
 	jobs := cliflags.Jobs(flag.CommandLine, "workers for data collection (0 = GOMAXPROCS, 1 = serial)")
-	target := cliflags.Target(flag.CommandLine, "machine target to train against (see schedfilter.Targets)")
+	target := cliflags.Target(flag.CommandLine, "machine target to train against (see machine.All)")
 	policySpec := cliflags.Policy(flag.CommandLine, "",
 		"reference policy to score against the trained filter on the collected data: "+cliflags.PolicySyntax)
 	prof := cliflags.Profile(flag.CommandLine)
@@ -77,11 +79,11 @@ func main() {
 		fatal(fmt.Errorf("bad -suite %q (want 1, 2, or all)", *suite))
 	}
 
-	tgt, err := schedfilter.TargetByName(*target)
+	tgt, err := machine.ByName(*target)
 	if err != nil {
 		fatal(err)
 	}
-	data, err := schedfilter.CollectAllTrainingData(ws, tgt.Model, schedfilter.DefaultCompileOptions(), *jobs)
+	data, err := training.CollectAllJobs(ws, tgt.Model, training.DefaultOptions(), *jobs)
 	if err != nil {
 		fatal(err)
 	}
@@ -112,11 +114,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "schedtrain: %d blocks total\n", total)
 	}
 
-	var filter *schedfilter.InducedFilter
+	var filter *policy.Induced
 	if *loo != "" {
-		filter = schedfilter.TrainLeaveOneOut(data, *loo, *t, schedfilter.DefaultRipperOptions())
+		filter = training.LeaveOneOut(data, *loo, *t, ripper.DefaultOptions(), nil)
 	} else {
-		filter = schedfilter.TrainFilter(data, *t, schedfilter.DefaultRipperOptions())
+		filter = training.TrainFilter(data, *t, ripper.DefaultOptions(), nil)
 	}
 
 	if *policySpec != "" {
@@ -130,8 +132,8 @@ func main() {
 	if *out != "" {
 		// Model files are written in the round-trippable full-precision
 		// format (label header included) so the compile-server daemon can
-		// boot from them with schedfilter.LoadFilter.
-		if err := schedfilter.SaveFilter(*out, filter); err != nil {
+		// boot from them with policy.LoadInducedFor.
+		if err := os.WriteFile(*out, []byte(policy.FormatInduced(filter)), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "schedtrain: wrote %s (%d rules)\n", *out, len(filter.Rules.Rules))
@@ -143,11 +145,11 @@ func main() {
 // comparePolicies scores the reference policy against the trained
 // filter on the collected data: per-benchmark predicted time relative
 // to never-scheduling, plus how many blocks each sends to the scheduler.
-func comparePolicies(data []*training.BenchData, trained, ref schedfilter.Policy) {
+func comparePolicies(data []*training.BenchData, trained, ref policy.Policy) {
 	fmt.Fprintf(os.Stderr, "schedtrain: %-10s %16s %16s\n", "benchmark",
 		"trained %NS(LS#)", ref.Name()+" %NS(LS#)")
 	for _, bd := range data {
-		ns := training.PredictedTime(bd, schedfilter.NeverSchedule)
+		ns := training.PredictedTime(bd, policy.Never{})
 		ft := training.PredictedTime(bd, trained)
 		fr := training.PredictedTime(bd, ref)
 		tls, _ := training.Decisions(bd, trained)

@@ -1,17 +1,17 @@
 package schedfilter
 
 import (
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"schedfilter/internal/features"
 	"schedfilter/internal/ripper"
 )
 
 func testFilter() *InducedFilter {
 	rs := &RuleSet{
-		Names:    FeatureNames,
+		Names:    features.Names[:],
 		PosLabel: "list",
 		NegLabel: "orig",
 		Rules: []ripper.Rule{
@@ -26,88 +26,7 @@ func testFilter() *InducedFilter {
 	return NewRuleFilter(rs, "L/N t=20 (test)")
 }
 
-func TestSaveLoadFilterRoundTrip(t *testing.T) {
-	f := testFilter()
-	path := filepath.Join(t.TempDir(), "model.txt")
-	if err := SaveFilter(path, f); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFilter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Label != f.Label {
-		t.Fatalf("label = %q, want %q", back.Label, f.Label)
-	}
-	if !reflect.DeepEqual(back.Rules, f.Rules) {
-		t.Fatalf("rules drifted through save/load:\n got %#v\nwant %#v", back.Rules, f.Rules)
-	}
-}
-
-func TestSaveLoadFilterRoundTripsTarget(t *testing.T) {
-	f := testFilter()
-	f.Target = "wide4"
-	path := filepath.Join(t.TempDir(), "model.txt")
-	if err := SaveFilter(path, f); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFilter(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Target != "wide4" {
-		t.Fatalf("target metadata = %q, want %q", back.Target, "wide4")
-	}
-	if back.Label != f.Label {
-		t.Fatalf("label = %q, want %q", back.Label, f.Label)
-	}
-	if !reflect.DeepEqual(back.Rules, f.Rules) {
-		t.Fatal("rules drifted through save/load with target header")
-	}
-}
-
-func TestLoadFilterForSurfacesMismatchedTarget(t *testing.T) {
-	// A filter saved for wide4 then loaded for use under mpc7410 must
-	// still load, and its metadata must name the target it was trained
-	// for so callers can see the mismatch.
-	f := testFilter()
-	f.Target = "wide4"
-	path := filepath.Join(t.TempDir(), "model.txt")
-	if err := SaveFilter(path, f); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFilterFor(path, DefaultTargetName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Target != "wide4" {
-		t.Fatalf("mismatched load lost target metadata: %q", back.Target)
-	}
-	// A matching load keeps it too.
-	same, err := LoadFilterFor(path, "wide4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.Target != "wide4" {
-		t.Fatalf("matching load lost target metadata: %q", same.Target)
-	}
-}
-
 func TestTargetRegistryFacade(t *testing.T) {
-	all := Targets()
-	if len(all) < 3 {
-		t.Fatalf("Targets() returned %d, want >= 3", len(all))
-	}
-	if all[0].Name != DefaultTargetName {
-		t.Fatalf("default target should list first, got %q", all[0].Name)
-	}
-	tgt, err := TargetByName("wide4")
-	if err != nil || tgt.Model == nil {
-		t.Fatalf("TargetByName(wide4) = %v, %v", tgt, err)
-	}
-	if _, err := TargetByName("no-such-machine"); err == nil {
-		t.Fatal("unknown target resolved")
-	}
 	if DefaultTarget().Model.Name != NewMachine().Name {
 		t.Fatal("NewMachine should copy the default target's model")
 	}
@@ -160,10 +79,6 @@ func TestFingerprintFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMachine()
-	b := prog.Fns[prog.Entry].Blocks[0]
-	if FingerprintBlock(m, b) != FingerprintBlock(m, b.Clone()) {
-		t.Fatal("identical blocks fingerprint differently")
-	}
 	k1 := FingerprintProgram(m, "LS", prog)
 	k2 := FingerprintProgram(m, "NS", prog)
 	if k1 == k2 {

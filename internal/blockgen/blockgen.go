@@ -24,8 +24,8 @@ type Config struct {
 	// WithBranch appends a conditional branch terminator.
 	WithBranch bool
 	// MemWords is the size of the scratch memory region the block's
-	// loads and stores stay within (addresses [ScratchBase,
-	// ScratchBase+MemWords)). Must be >= 1 when MemFrac > 0.
+	// loads and stores stay within (addresses [scratchBase,
+	// scratchBase+MemWords)). Must be >= 1 when MemFrac > 0.
 	MemWords int64
 }
 
@@ -40,9 +40,9 @@ var DefaultConfig = Config{
 	MemWords:   16,
 }
 
-// ScratchBase is the word address the generator assumes a valid scratch
-// buffer lives at; executors must map [ScratchBase, ScratchBase+MemWords).
-const ScratchBase = 8
+// scratchBase is the word address the generator assumes a valid scratch
+// buffer lives at; executors must map [scratchBase, scratchBase+MemWords).
+const scratchBase = 8
 
 // Gen produces one block. All register operands are physical; integer
 // registers r16..r23 and float registers f16..f23 form the working pool,
@@ -71,7 +71,7 @@ func Gen(r *rand.Rand, cfg Config) []ir.Instr {
 	base := ir.GPR(15)
 
 	var out []ir.Instr
-	out = append(out, ir.Instr{Op: ir.LI, Defs: []ir.Reg{base}, Imm: ScratchBase})
+	out = append(out, ir.Instr{Op: ir.LI, Defs: []ir.Reg{base}, Imm: scratchBase})
 	// Seed a few values so early uses are defined regardless of the
 	// incoming machine state.
 	out = append(out,

@@ -156,7 +156,7 @@ func Decode(r io.Reader) (*Module, error) {
 			if err != nil {
 				return nil, err
 			}
-			if int(op) >= NumOps {
+			if Op(op) >= numOps {
 				return nil, fmt.Errorf("bytecode: bad opcode %d", op)
 			}
 			var a int32

@@ -99,10 +99,7 @@ const (
 	numOps
 )
 
-// NumOps is the number of defined bytecode opcodes.
-const NumOps = int(numOps)
-
-var opNames = [NumOps]string{
+var opNames = [numOps]string{
 	NOP: "nop", ICONST: "iconst", FCONST: "fconst",
 	ILOAD: "iload", FLOAD: "fload", ISTORE: "istore", FSTORE: "fstore",
 	GILOAD: "giload", GFLOAD: "gfload", GISTORE: "gistore", GFSTORE: "gfstore",
@@ -122,7 +119,7 @@ var opNames = [NumOps]string{
 }
 
 func (o Op) String() string {
-	if int(o) < NumOps && opNames[o] != "" {
+	if o < numOps && opNames[o] != "" {
 		return opNames[o]
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))

@@ -137,7 +137,7 @@ func NewLogger(w io.Writer, level string) (*slog.Logger, error) {
 
 // ResolvePolicy turns a -policy value into a runnable policy: "" means
 // unset (nil, nil), "rules:FILE" loads a trained model file (warning on
-// a policy-kind or training-target mismatch, like LoadFilterFor),
+// a policy-kind or training-target mismatch, like policy.LoadInducedFor),
 // anything else goes through the policy-spec registry with target as
 // the machine context.
 func ResolvePolicy(spec, target string) (policy.Policy, error) {

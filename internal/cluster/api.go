@@ -121,8 +121,8 @@ type ClusterResponse struct {
 	Convergence []TargetConvergence `json:"convergence,omitempty"`
 }
 
-// GatewayHealth is the body of the gateway's own GET /healthz.
-type GatewayHealth struct {
+// gatewayHealth is the body of the gateway's own GET /healthz.
+type gatewayHealth struct {
 	Status   string `json:"status"`
 	Members  int    `json:"members"`
 	Healthy  int    `json:"healthy"`

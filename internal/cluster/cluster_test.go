@@ -524,7 +524,7 @@ func TestGatewayDrainFlipsHealthz(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("healthz: HTTP %d", code)
 	}
-	var h GatewayHealth
+	var h gatewayHealth
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}

@@ -672,7 +672,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, _ *http.Request) {
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	g.ServeHealth(w, func(status string, draining bool) any {
-		return GatewayHealth{Status: status, Members: len(g.order), Healthy: g.healthyCount(), Draining: draining}
+		return gatewayHealth{Status: status, Members: len(g.order), Healthy: g.healthyCount(), Draining: draining}
 	})
 }
 

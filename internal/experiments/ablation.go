@@ -101,7 +101,7 @@ func (r *Runner) Ablation() (*AblationResult, error) {
 		t, _ := r.SchedTime(bd, policy.Always{})
 		lsTimes[i] = float64(t)
 	}
-	res := &AblationResult{LSRel: Geomean(lsRel)}
+	res := &AblationResult{LSRel: geomean(lsRel)}
 
 	type candidate struct {
 		name string
@@ -133,9 +133,9 @@ func (r *Runner) Ablation() (*AblationResult, error) {
 		}
 		row := AblationRow{
 			Name:      c.name,
-			ErrPct:    Geomean(errs),
-			SchedFrac: Geomean(fracs),
-			AppRel:    Geomean(rels),
+			ErrPct:    geomean(errs),
+			SchedFrac: geomean(fracs),
+			AppRel:    geomean(rels),
 		}
 		if res.LSRel < 1 {
 			row.BenefitPct = 100 * (1 - row.AppRel) / (1 - res.LSRel)

@@ -159,10 +159,10 @@ func (r *Runner) Filter(s workloads.Suite, target string, t int) (*policy.Induce
 	return f, nil
 }
 
-// Geomean computes the geometric mean of strictly positive values; zero
+// geomean computes the geometric mean of strictly positive values; zero
 // values are clamped to a small epsilon as the paper's tables do
 // implicitly (error rates of 0% appear in its geometric means).
-func Geomean(xs []float64) float64 {
+func geomean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -225,7 +225,7 @@ func (r *Runner) Table3() (*Table3Result, error) {
 		return nil, err
 	}
 	for _, row := range res.Err {
-		res.Geomean = append(res.Geomean, Geomean(row))
+		res.Geomean = append(res.Geomean, geomean(row))
 	}
 	return res, nil
 }
@@ -272,7 +272,7 @@ func (r *Runner) Table4() (*Table4Result, error) {
 		return nil, err
 	}
 	for _, row := range res.Ratio {
-		res.Geomean = append(res.Geomean, Geomean(row))
+		res.Geomean = append(res.Geomean, geomean(row))
 	}
 	return res, nil
 }
@@ -451,7 +451,7 @@ func (r *Runner) SchedTimeFigure(s workloads.Suite, thresholds []int) (*FigureRe
 			row[i] = float64(ft) / float64(lsTime[i])
 		}
 		res.Rel = append(res.Rel, row)
-		res.Geomean = append(res.Geomean, Geomean(row))
+		res.Geomean = append(res.Geomean, geomean(row))
 	}
 	return res, nil
 }
@@ -510,7 +510,7 @@ func (r *Runner) AppTimeFigure(s workloads.Suite, thresholds []int) (*FigureResu
 		return nil, err
 	}
 	for _, row := range res.Rel {
-		res.Geomean = append(res.Geomean, Geomean(row))
+		res.Geomean = append(res.Geomean, geomean(row))
 	}
 	return res, nil
 }

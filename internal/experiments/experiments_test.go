@@ -27,16 +27,16 @@ func newRunner(t *testing.T) *Runner {
 }
 
 func TestGeomean(t *testing.T) {
-	if g := Geomean([]float64{2, 8}); g < 3.99 || g > 4.01 {
+	if g := geomean([]float64{2, 8}); g < 3.99 || g > 4.01 {
 		t.Errorf("Geomean(2,8) = %v, want 4", g)
 	}
-	if g := Geomean([]float64{5}); g < 4.99 || g > 5.01 {
+	if g := geomean([]float64{5}); g < 4.99 || g > 5.01 {
 		t.Errorf("Geomean(5) = %v", g)
 	}
-	if Geomean(nil) != 0 {
+	if geomean(nil) != 0 {
 		t.Error("Geomean(nil) should be 0")
 	}
-	if g := Geomean([]float64{0, 4}); g <= 0 {
+	if g := geomean([]float64{0, 4}); g <= 0 {
 		t.Error("zero entries must be clamped, not collapse the mean")
 	}
 }

@@ -62,7 +62,7 @@ func CompareModels(base Config, models []*machine.Model) (*ModelCompareResult, e
 		}
 		res.Models = append(res.Models, m.Name)
 		res.Rel = append(res.Rel, row)
-		res.Geomeans = append(res.Geomeans, Geomean(row))
+		res.Geomeans = append(res.Geomeans, geomean(row))
 	}
 	return res, nil
 }

@@ -20,14 +20,14 @@ import (
 // keep when it sits below LS on effort without drifting above it on
 // cycles.
 
-// DefaultMatrixPolicies are the policy specs the matrix covers when the
+// defaultMatrixPolicies are the policy specs the matrix covers when the
 // caller does not choose: the trained Ripper filter, both fixed
 // protocols' interesting halves (LS is the Ratio bound, NS the Effort
 // bound), a size threshold, a target-parameterized cost threshold, and
 // the portfolio of the two thresholds. "ripper" is resolved specially —
 // it is trained per target at the matrix threshold rather than parsed
 // from a spec.
-var DefaultMatrixPolicies = []string{
+var defaultMatrixPolicies = []string{
 	"ripper",
 	"always",
 	"size:5",
@@ -71,18 +71,18 @@ type PolicyMatrixResult struct {
 
 // CrossPolicies builds the policy × target matrix over the full corpus
 // (both workload suites) for the named registered targets (nil selects
-// DefaultMatrixTargets) and policy specs (nil selects
-// DefaultMatrixPolicies), inducing the "ripper" row's filter per target
-// at labelling threshold t (<= 0 selects TargetMatrixThreshold).
+// defaultMatrixTargets) and policy specs (nil selects
+// defaultMatrixPolicies), inducing the "ripper" row's filter per target
+// at labelling threshold t (<= 0 selects targetMatrixThreshold).
 func CrossPolicies(cfg Config, targetNames, policySpecs []string, t int) (*PolicyMatrixResult, error) {
 	if len(targetNames) == 0 {
-		targetNames = DefaultMatrixTargets
+		targetNames = defaultMatrixTargets
 	}
 	if len(policySpecs) == 0 {
-		policySpecs = DefaultMatrixPolicies
+		policySpecs = defaultMatrixPolicies
 	}
 	if t <= 0 {
-		t = TargetMatrixThreshold
+		t = targetMatrixThreshold
 	}
 	cfg = withConfigDefaults(cfg)
 
@@ -160,7 +160,7 @@ func scorePolicy(data []*training.BenchData, f policy.Policy) PolicyCell {
 	cell := PolicyCell{
 		Name:        f.Name(),
 		ID:          policy.ID(f),
-		Ratio:       Geomean(ratios),
+		Ratio:       geomean(ratios),
 		LSDecisions: decisions,
 	}
 	if effortLS > 0 {

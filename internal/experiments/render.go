@@ -154,7 +154,7 @@ func (f *FigureResult) RenderAppTime(title string) string {
 	for _, v := range f.LSRel {
 		fmt.Fprintf(&b, " %9.4f", v)
 	}
-	fmt.Fprintf(&b, " %9.4f\n", Geomean(f.LSRel))
+	fmt.Fprintf(&b, " %9.4f\n", geomean(f.LSRel))
 	renderMatrix(&b, f.Benchmarks, f.Thresholds, f.Rel, f.Geomean, "%9.4f")
 	return b.String()
 }

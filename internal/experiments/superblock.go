@@ -78,8 +78,8 @@ func (r *Runner) Superblocks(s workloads.Suite) (*SuperblockResult, error) {
 		res.Traces += traces[i]
 		res.Duplicated += duplicated[i]
 	}
-	res.GeoLocal = Geomean(res.LocalRel)
-	res.GeoSuper = Geomean(res.SuperRel)
+	res.GeoLocal = geomean(res.LocalRel)
+	res.GeoSuper = geomean(res.SuperRel)
 	return res, nil
 }
 
@@ -178,7 +178,7 @@ func (r *Runner) SuperblockFilter(s workloads.Suite) (*SuperblockFilterResult, e
 	if err != nil {
 		return nil, err
 	}
-	res.GeoFiltered = Geomean(res.FilteredRel)
+	res.GeoFiltered = geomean(res.FilteredRel)
 	return res, nil
 }
 
@@ -216,7 +216,7 @@ func (sr *SuperblockFilterResult) Render(title string) string {
 		}
 		fmt.Fprintf(&b, " "+format+"\n", geo)
 	}
-	row("err%", sr.ErrPct, Geomean(sr.ErrPct), "%9.2f")
+	row("err%", sr.ErrPct, geomean(sr.ErrPct), "%9.2f")
 	row("LS local", sr.LocalRel, sr.GeoLocal, "%9.4f")
 	row("SB all", sr.SuperRel, sr.GeoSuper, "%9.4f")
 	row("SB filtered", sr.FilteredRel, sr.GeoFiltered, "%9.4f")

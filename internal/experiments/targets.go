@@ -21,15 +21,15 @@ import (
 // never-scheduling under the eval target, the same SIM metric as
 // Table 4.
 
-// DefaultMatrixTargets are the machines the transfer matrix covers when
+// defaultMatrixTargets are the machines the transfer matrix covers when
 // the caller does not choose: the paper's default, the single-issue
 // ablation, and the 4-wide variant.
-var DefaultMatrixTargets = []string{"mpc7410", "scalar1", "wide4"}
+var defaultMatrixTargets = []string{"mpc7410", "scalar1", "wide4"}
 
-// TargetMatrixThreshold is the labelling threshold the matrix filters are
+// targetMatrixThreshold is the labelling threshold the matrix filters are
 // induced at: t=20, the paper's sweet spot between filter precision and
 // scheduling-time savings.
-const TargetMatrixThreshold = 20
+const targetMatrixThreshold = 20
 
 // TargetCell is one (train target, eval target) cell of the matrix.
 type TargetCell struct {
@@ -64,16 +64,16 @@ type TargetMatrixResult struct {
 }
 
 // CrossTargets builds the transfer matrix over the named registered
-// targets (nil selects DefaultMatrixTargets) at labelling threshold t
-// (<= 0 selects TargetMatrixThreshold). Suite-1 data is collected once
+// targets (nil selects defaultMatrixTargets) at labelling threshold t
+// (<= 0 selects targetMatrixThreshold). Suite-1 data is collected once
 // per target — block features are shared, but both cost estimates and
 // therefore the labels are the target's own.
 func CrossTargets(cfg Config, targetNames []string, t int) (*TargetMatrixResult, error) {
 	if len(targetNames) == 0 {
-		targetNames = DefaultMatrixTargets
+		targetNames = defaultMatrixTargets
 	}
 	if t <= 0 {
-		t = TargetMatrixThreshold
+		t = targetMatrixThreshold
 	}
 	cfg = withConfigDefaults(cfg)
 
@@ -113,7 +113,7 @@ func CrossTargets(cfg Config, targetNames []string, t int) (*TargetMatrixResult,
 			ls, _ := training.Decisions(bd, f)
 			decisions += ls
 		}
-		return Geomean(ratios), decisions
+		return geomean(ratios), decisions
 	}
 	for _, eval := range cols {
 		ls, _ := simRatio(eval, policy.Always{})

@@ -30,24 +30,6 @@ var Names = func() [Count]string {
 	return n
 }()
 
-// nameIndex maps feature names to their Vector index, built once from
-// Names so NameIndex stays O(1) on the rule-evaluation path.
-var nameIndex = func() map[string]int {
-	m := make(map[string]int, Count)
-	for i, n := range Names {
-		m[n] = i
-	}
-	return m
-}()
-
-// NameIndex returns the index of the named feature, or -1.
-func NameIndex(name string) int {
-	if i, ok := nameIndex[name]; ok {
-		return i
-	}
-	return -1
-}
-
 // Vector is one block's feature vector: [bbLen, fraction per category...].
 type Vector [Count]float64
 

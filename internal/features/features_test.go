@@ -2,6 +2,7 @@ package features
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -36,7 +37,7 @@ func TestExtractHandComputed(t *testing.T) {
 	}
 	check := func(name string, want float64) {
 		t.Helper()
-		i := NameIndex(name)
+		i := slices.Index(Names[:], name)
 		if i < 0 {
 			t.Fatalf("no feature %q", name)
 		}
@@ -102,17 +103,6 @@ func TestExtractMatchesNaiveRecount(t *testing.T) {
 	}
 }
 
-func TestNameIndexRoundTrip(t *testing.T) {
-	for i, n := range Names {
-		if NameIndex(n) != i {
-			t.Errorf("NameIndex(%q) = %d, want %d", n, NameIndex(n), i)
-		}
-	}
-	if NameIndex("nope") != -1 {
-		t.Error("unknown name should return -1")
-	}
-}
-
 func TestVectorString(t *testing.T) {
 	ins := []ir.Instr{{Op: ir.LI, Defs: []ir.Reg{ir.GPR(3)}, Imm: 1}}
 	s := Extract(ins).String()
@@ -171,16 +161,4 @@ func BenchmarkFraction(b *testing.B) {
 		sum += v.Fraction(ir.CatLoad)
 	}
 	_ = sum
-}
-
-// BenchmarkNameIndex measures the feature-name resolution the rule
-// evaluator performs when binding parsed rules to vector slots.
-func BenchmarkNameIndex(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if NameIndex("yieldpoints") < 0 {
-			b.Fatal("missing feature")
-		}
-	}
 }

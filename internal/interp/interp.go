@@ -23,15 +23,15 @@ type Result struct {
 	Steps int64
 }
 
-// RuntimeError is a trap raised by the executed program (the bytecode
+// runtimeError is a trap raised by the executed program (the bytecode
 // analogue of a Java runtime exception).
-type RuntimeError struct {
+type runtimeError struct {
 	Fn   string
 	PC   int
 	Kind string
 }
 
-func (e *RuntimeError) Error() string {
+func (e *runtimeError) Error() string {
 	return fmt.Sprintf("interp: %s at %s:%d", e.Kind, e.Fn, e.PC)
 }
 
@@ -79,7 +79,7 @@ func Run(m *bytecode.Module, limit int64) (*Result, error) {
 }
 
 func (vm *machine) trap(f *bytecode.Fn, pc int, kind string) error {
-	return &RuntimeError{Fn: f.Name, PC: pc, Kind: kind}
+	return &runtimeError{Fn: f.Name, PC: pc, Kind: kind}
 }
 
 func (vm *machine) newArray(n int64, isFloat bool) (uint64, error) {

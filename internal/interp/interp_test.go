@@ -183,7 +183,7 @@ func TestDivideByZeroTraps(t *testing.T) {
 	b := bytecode.NewBuilder("main", nil, bytecode.TInt)
 	b.IConst(1).IConst(0).Emit(bytecode.IDIV).Emit(bytecode.IRET)
 	_, err := Run(mod(t, b.MustFinish()), 0)
-	var re *RuntimeError
+	var re *runtimeError
 	if err == nil {
 		t.Fatal("want divide-by-zero trap")
 	}
@@ -199,7 +199,7 @@ func TestBoundsTrap(t *testing.T) {
 	b.EmitA(bytecode.ILOAD, arr).IConst(5).Emit(bytecode.IALOAD)
 	b.Emit(bytecode.IRET)
 	_, err := Run(mod(t, b.MustFinish()), 0)
-	var re *RuntimeError
+	var re *runtimeError
 	if err == nil || !asRuntime(err, &re) || re.Kind != "index out of bounds" {
 		t.Errorf("want bounds trap, got %v", err)
 	}
@@ -211,7 +211,7 @@ func TestNullTrap(t *testing.T) {
 	b.EmitA(bytecode.ILOAD, arr).IConst(0).Emit(bytecode.IALOAD)
 	b.Emit(bytecode.IRET)
 	_, err := Run(mod(t, b.MustFinish()), 0)
-	var re *RuntimeError
+	var re *runtimeError
 	if err == nil || !asRuntime(err, &re) || re.Kind != "null pointer" {
 		t.Errorf("want null trap, got %v", err)
 	}
@@ -227,8 +227,8 @@ func TestStepLimit(t *testing.T) {
 	}
 }
 
-func asRuntime(err error, out **RuntimeError) bool {
-	re, ok := err.(*RuntimeError)
+func asRuntime(err error, out **runtimeError) bool {
+	re, ok := err.(*runtimeError)
 	if ok {
 		*out = re
 	}

@@ -55,7 +55,7 @@ func (in Instr) String() string {
 	case B:
 		fmt.Fprintf(&b, "%sb%d", sep, in.Target)
 	case BC:
-		fmt.Fprintf(&b, "%s%s, b%d", sep, CondString(in.Imm), in.Target)
+		fmt.Fprintf(&b, "%s%s, b%d", sep, condString(in.Imm), in.Target)
 	case BL:
 		if in.Sym != "" {
 			fmt.Fprintf(&b, "%s%s", sep, in.Sym)

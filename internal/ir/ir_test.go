@@ -16,13 +16,13 @@ func TestOpTableComplete(t *testing.T) {
 func TestCategoryOverlap(t *testing.T) {
 	// The paper's categories deliberately overlap: a call is also a GC
 	// point and a PEI; a divide is integer work and a PEI.
-	if !BL.Is(CatCall) || !BL.Is(CatGCPoint) || !BL.Is(CatPEI) || !BL.Is(CatBranch) {
+	if !BL.Is(catCall) || !BL.Is(CatGCPoint) || !BL.Is(CatPEI) || !BL.Is(catBranch) {
 		t.Errorf("BL categories = %b, want call|gcpoint|pei|branch", BL.Categories())
 	}
-	if !DIVW.Is(CatIntFU) || !DIVW.Is(CatPEI) {
+	if !DIVW.Is(catIntFU) || !DIVW.Is(CatPEI) {
 		t.Errorf("DIVW categories = %b, want integer|pei", DIVW.Categories())
 	}
-	if !ALLOC.Is(CatSystemFU) || !ALLOC.Is(CatGCPoint) {
+	if !ALLOC.Is(catSystemFU) || !ALLOC.Is(CatGCPoint) {
 		t.Errorf("ALLOC categories = %b, want system|gcpoint", ALLOC.Categories())
 	}
 }
@@ -118,7 +118,7 @@ func TestEvalCond(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := EvalCond(c.code, c.cmp); got != c.want {
-			t.Errorf("EvalCond(%s, %d) = %v, want %v", CondString(c.code), c.cmp, got, c.want)
+			t.Errorf("EvalCond(%s, %d) = %v, want %v", condString(c.code), c.cmp, got, c.want)
 		}
 	}
 }

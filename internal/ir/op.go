@@ -90,8 +90,8 @@ const (
 	CondGE
 )
 
-// CondString returns the mnemonic for a BC condition code.
-func CondString(c int64) string {
+// condString returns the mnemonic for a BC condition code.
+func condString(c int64) string {
 	switch c {
 	case CondLT:
 		return "lt"
@@ -134,14 +134,14 @@ func EvalCond(c int64, cmp int8) bool {
 type Category uint16
 
 const (
-	CatBranch Category = 1 << iota
-	CatCall
+	catBranch Category = 1 << iota
+	catCall
 	CatLoad
 	CatStore
-	CatReturn
-	CatIntFU
-	CatFloatFU
-	CatSystemFU
+	catReturn
+	catIntFU
+	catFloatFU
+	catSystemFU
 	CatPEI
 	CatGCPoint
 	CatTSPoint
@@ -163,7 +163,7 @@ var CategoryNames = [NumCategories]string{
 type FU uint8
 
 const (
-	FUNone FU = iota
+	fuNone FU = iota
 	FUInt
 	FUFloat
 	FULoadStore
@@ -173,7 +173,7 @@ const (
 
 func (f FU) String() string {
 	switch f {
-	case FUNone:
+	case fuNone:
 		return "none"
 	case FUInt:
 		return "int"
@@ -197,38 +197,38 @@ type opInfo struct {
 }
 
 var opTable = [NumOps]opInfo{
-	NOP:   {"nop", FUNone, 0},
-	ADD:   {"add", FUInt, CatIntFU},
-	SUB:   {"sub", FUInt, CatIntFU},
-	MULL:  {"mull", FUInt, CatIntFU},
-	DIVW:  {"divw", FUInt, CatIntFU | CatPEI},
-	NEG:   {"neg", FUInt, CatIntFU},
-	AND:   {"and", FUInt, CatIntFU},
-	OR:    {"or", FUInt, CatIntFU},
-	XOR:   {"xor", FUInt, CatIntFU},
-	SLW:   {"slw", FUInt, CatIntFU},
-	SRAW:  {"sraw", FUInt, CatIntFU},
-	ADDI:  {"addi", FUInt, CatIntFU},
-	ANDI:  {"andi", FUInt, CatIntFU},
-	ORI:   {"ori", FUInt, CatIntFU},
-	XORI:  {"xori", FUInt, CatIntFU},
-	SLWI:  {"slwi", FUInt, CatIntFU},
-	SRAWI: {"srawi", FUInt, CatIntFU},
-	LI:    {"li", FUInt, CatIntFU},
-	MR:    {"mr", FUInt, CatIntFU},
-	CMP:   {"cmp", FUInt, CatIntFU},
-	CMPI:  {"cmpi", FUInt, CatIntFU},
+	NOP:   {"nop", fuNone, 0},
+	ADD:   {"add", FUInt, catIntFU},
+	SUB:   {"sub", FUInt, catIntFU},
+	MULL:  {"mull", FUInt, catIntFU},
+	DIVW:  {"divw", FUInt, catIntFU | CatPEI},
+	NEG:   {"neg", FUInt, catIntFU},
+	AND:   {"and", FUInt, catIntFU},
+	OR:    {"or", FUInt, catIntFU},
+	XOR:   {"xor", FUInt, catIntFU},
+	SLW:   {"slw", FUInt, catIntFU},
+	SRAW:  {"sraw", FUInt, catIntFU},
+	ADDI:  {"addi", FUInt, catIntFU},
+	ANDI:  {"andi", FUInt, catIntFU},
+	ORI:   {"ori", FUInt, catIntFU},
+	XORI:  {"xori", FUInt, catIntFU},
+	SLWI:  {"slwi", FUInt, catIntFU},
+	SRAWI: {"srawi", FUInt, catIntFU},
+	LI:    {"li", FUInt, catIntFU},
+	MR:    {"mr", FUInt, catIntFU},
+	CMP:   {"cmp", FUInt, catIntFU},
+	CMPI:  {"cmpi", FUInt, catIntFU},
 
-	FADD: {"fadd", FUFloat, CatFloatFU},
-	FSUB: {"fsub", FUFloat, CatFloatFU},
-	FMUL: {"fmul", FUFloat, CatFloatFU},
-	FDIV: {"fdiv", FUFloat, CatFloatFU},
-	FNEG: {"fneg", FUFloat, CatFloatFU},
-	FMR:  {"fmr", FUFloat, CatFloatFU},
-	FCMP: {"fcmp", FUFloat, CatFloatFU},
-	F2I:  {"f2i", FUFloat, CatFloatFU},
-	I2F:  {"i2f", FUFloat, CatFloatFU},
-	LFI:  {"lfi", FUFloat, CatFloatFU},
+	FADD: {"fadd", FUFloat, catFloatFU},
+	FSUB: {"fsub", FUFloat, catFloatFU},
+	FMUL: {"fmul", FUFloat, catFloatFU},
+	FDIV: {"fdiv", FUFloat, catFloatFU},
+	FNEG: {"fneg", FUFloat, catFloatFU},
+	FMR:  {"fmr", FUFloat, catFloatFU},
+	FCMP: {"fcmp", FUFloat, catFloatFU},
+	F2I:  {"f2i", FUFloat, catFloatFU},
+	I2F:  {"i2f", FUFloat, catFloatFU},
+	LFI:  {"lfi", FUFloat, catFloatFU},
 
 	LD:   {"ld", FULoadStore, CatLoad},
 	LDX:  {"ldx", FULoadStore, CatLoad},
@@ -239,18 +239,18 @@ var opTable = [NumOps]opInfo{
 	STFD: {"stfd", FULoadStore, CatStore},
 	STFX: {"stfx", FULoadStore, CatStore},
 
-	B:   {"b", FUBranch, CatBranch},
-	BC:  {"bc", FUBranch, CatBranch},
-	BL:  {"bl", FUBranch, CatBranch | CatCall | CatGCPoint | CatPEI},
-	BLR: {"blr", FUBranch, CatBranch | CatReturn},
+	B:   {"b", FUBranch, catBranch},
+	BC:  {"bc", FUBranch, catBranch},
+	BL:  {"bl", FUBranch, catBranch | catCall | CatGCPoint | CatPEI},
+	BLR: {"blr", FUBranch, catBranch | catReturn},
 
-	ALLOC:       {"alloc", FUSystem, CatSystemFU | CatGCPoint},
-	NULLCHECK:   {"nullcheck", FUInt, CatIntFU | CatPEI},
-	BOUNDSCHECK: {"boundscheck", FUInt, CatIntFU | CatPEI},
-	YIELDPOINT:  {"yieldpoint", FUSystem, CatSystemFU | CatYieldPoint},
-	TSPOINT:     {"tspoint", FUSystem, CatSystemFU | CatTSPoint},
-	RTPRINTI:    {"rtprinti", FUSystem, CatSystemFU | CatCall | CatGCPoint},
-	RTPRINTF:    {"rtprintf", FUSystem, CatSystemFU | CatCall | CatGCPoint},
+	ALLOC:       {"alloc", FUSystem, catSystemFU | CatGCPoint},
+	NULLCHECK:   {"nullcheck", FUInt, catIntFU | CatPEI},
+	BOUNDSCHECK: {"boundscheck", FUInt, catIntFU | CatPEI},
+	YIELDPOINT:  {"yieldpoint", FUSystem, catSystemFU | CatYieldPoint},
+	TSPOINT:     {"tspoint", FUSystem, catSystemFU | CatTSPoint},
+	RTPRINTI:    {"rtprinti", FUSystem, catSystemFU | catCall | CatGCPoint},
+	RTPRINTF:    {"rtprintf", FUSystem, catSystemFU | catCall | CatGCPoint},
 }
 
 func (o Op) String() string {
@@ -271,14 +271,14 @@ func (o Op) Categories() Category { return opTable[o].cats }
 func (o Op) Is(c Category) bool { return opTable[o].cats&c != 0 }
 
 // IsBranchOp reports whether the opcode is block-terminating control flow.
-func (o Op) IsBranchOp() bool { return o.Is(CatBranch) }
+func (o Op) IsBranchOp() bool { return o.Is(catBranch) }
 
 // IsMemOp reports whether the opcode reads or writes memory.
 func (o Op) IsMemOp() bool { return o.Is(CatLoad | CatStore) }
 
 // IsCallLike reports whether the opcode transfers control to the runtime or
 // another function (full scheduling barrier for memory).
-func (o Op) IsCallLike() bool { return o.Is(CatCall) || o == ALLOC }
+func (o Op) IsCallLike() bool { return o.Is(catCall) || o == ALLOC }
 
 // IsHazard reports whether the opcode is one of the paper's hazard kinds
 // (PEI, GC point, thread-switch point, yield point): "possible but unusual

@@ -124,18 +124,18 @@ func (t token) describe() string {
 	return t.Kind.name()
 }
 
-// Error is a front-end diagnostic with a source position.
-type Error struct {
+// posError is a front-end diagnostic with a source position.
+type posError struct {
 	Line, Col int
 	Msg       string
 }
 
-func (e *Error) Error() string {
+func (e *posError) Error() string {
 	return fmt.Sprintf("jolt:%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
 func errf(line, col int, format string, args ...any) error {
-	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+	return &posError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
 // lex tokenizes the source. The returned slice always ends with a tokEOF

@@ -143,7 +143,7 @@ func TestDecodedMatchesIssue(t *testing.T) {
 // register table: a guard written through Issue is read by a record
 // decoded later, and vice versa.
 func TestDecodedSharesRegisterSlots(t *testing.T) {
-	s := NewIssueState(NewMPC7410())
+	s := NewIssueState(newMPC7410())
 	check := ir.Instr{Op: ir.NULLCHECK, Defs: []ir.Reg{ir.Guard(7)}, Uses: []ir.Reg{ir.GPR(3)}}
 	div := ir.Instr{Op: ir.DIVW, Defs: []ir.Reg{ir.Guard(7)}, Uses: []ir.Reg{ir.GPR(3), ir.GPR(4)}}
 	load := ir.Instr{Op: ir.LD, Defs: []ir.Reg{ir.GPR(5)}, Uses: []ir.Reg{ir.GPR(3), ir.Guard(7)}}

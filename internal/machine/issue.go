@@ -42,7 +42,7 @@ type IssueState struct {
 	nonBranch int
 	branch    int
 
-	unitFree [NumUnits]int
+	unitFree [numUnits]int
 
 	// The ready times, indexed by register slot (see slotOf), live in
 	// inline until the state sees more than inlineVirtSlots virtual
@@ -166,7 +166,7 @@ func (m *Model) classOf(op ir.Op) opClass {
 	t := &m.Timing[op]
 	c := opUnits[op]
 	if t.ComplexInt && c.nUnits == 2 {
-		c.units[0], c.nUnits = IU1, 1
+		c.units[0], c.nUnits = iu1, 1
 	}
 	c.pipelined, c.latency = t.Pipelined, int32(t.Latency)
 	return c
@@ -182,15 +182,15 @@ var opUnits = func() (cs [ir.NumOps]opClass) {
 		c.branch = ir.Op(op).IsBranchOp()
 		switch ir.Op(op).FU() {
 		case ir.FUInt:
-			c.units, c.nUnits = [2]Unit{IU2, IU1}, 2
+			c.units, c.nUnits = [2]Unit{iu2, iu1}, 2
 		case ir.FUFloat:
-			c.units[0], c.nUnits = FPU, 1
+			c.units[0], c.nUnits = fpu, 1
 		case ir.FULoadStore:
-			c.units[0], c.nUnits = LSU, 1
+			c.units[0], c.nUnits = lsu, 1
 		case ir.FUBranch:
-			c.units[0], c.nUnits = BPU, 1
+			c.units[0], c.nUnits = bpu, 1
 		case ir.FUSystem:
-			c.units[0], c.nUnits = SYS, 1
+			c.units[0], c.nUnits = sys, 1
 		}
 	}
 	return cs

@@ -19,37 +19,37 @@ import (
 type Unit uint8
 
 const (
-	// IU1 is the complex integer unit: the only unit that can execute
+	// iu1 is the complex integer unit: the only unit that can execute
 	// multiply and divide, but it also accepts simple integer ops.
-	IU1 Unit = iota
-	// IU2 is the simple integer unit.
-	IU2
-	// FPU is the floating-point unit.
-	FPU
-	// LSU is the load/store unit.
-	LSU
-	// SYS is the system unit (runtime services, yield/thread-switch
+	iu1 Unit = iota
+	// iu2 is the simple integer unit.
+	iu2
+	// fpu is the floating-point unit.
+	fpu
+	// lsu is the load/store unit.
+	lsu
+	// sys is the system unit (runtime services, yield/thread-switch
 	// points, allocation).
-	SYS
-	// BPU is the branch unit.
-	BPU
-	// NumUnits is the number of functional units.
-	NumUnits
+	sys
+	// bpu is the branch unit.
+	bpu
+	// numUnits is the number of functional units.
+	numUnits
 )
 
 func (u Unit) String() string {
 	switch u {
-	case IU1:
+	case iu1:
 		return "IU1"
-	case IU2:
+	case iu2:
 		return "IU2"
-	case FPU:
+	case fpu:
 		return "FPU"
-	case LSU:
+	case lsu:
 		return "LSU"
-	case SYS:
+	case sys:
 		return "SYS"
-	case BPU:
+	case bpu:
 		return "BPU"
 	}
 	return fmt.Sprintf("Unit(%d)", uint8(u))
@@ -69,7 +69,7 @@ type OpTiming struct {
 }
 
 // Model is a machine description: per-opcode timings plus issue rules.
-// The zero value is not useful; use NewMPC7410 (or build a custom model
+// The zero value is not useful; use newMPC7410 (or build a custom model
 // for ablation experiments).
 type Model struct {
 	// Name identifies the model in reports.
@@ -88,12 +88,12 @@ type Model struct {
 	TakenBranchBubble int
 }
 
-// NewMPC7410 returns the timing model used throughout the reproduction.
+// newMPC7410 returns the timing model used throughout the reproduction.
 // Latencies follow the MPC7410/MPC7400 user-manual orders of magnitude:
 // single-cycle integer ALU, 4-cycle multiply, long non-pipelined divide,
 // 2-cycle loads, 3-cycle pipelined floating point, very long non-pipelined
 // floating-point divide, and multi-cycle non-pipelined system services.
-func NewMPC7410() *Model {
+func newMPC7410() *Model {
 	m := &Model{
 		Name:              "MPC7410",
 		IssueWidth:        2,
@@ -142,15 +142,15 @@ func (m *Model) UnitsFor(op ir.Op) []Unit {
 	return append([]Unit(nil), c.units[:c.nUnits]...)
 }
 
-// NewScalar603 returns an older-generation model in the spirit of the
+// newScalar603 returns an older-generation model in the spirit of the
 // PowerPC 603: strictly scalar issue (one instruction per cycle, branches
 // included in the single slot via BranchPerCycle 0 being illegal — we give
 // branches their own slot but only one other instruction may issue),
 // slower loads, and a non-pipelined floating-point unit. The paper notes
 // that static scheduling gives bigger improvements on such machines; the
 // model-comparison experiment reproduces that observation.
-func NewScalar603() *Model {
-	m := NewMPC7410()
+func newScalar603() *Model {
+	m := newMPC7410()
 	m.Name = "Scalar603"
 	m.IssueWidth = 1
 	m.BranchPerCycle = 1

@@ -9,7 +9,7 @@ import (
 	"schedfilter/internal/ir"
 )
 
-func model() *Model { return NewMPC7410() }
+func model() *Model { return newMPC7410() }
 
 func TestTimingTableComplete(t *testing.T) {
 	m := model()
@@ -27,7 +27,7 @@ func TestComplexIntOnlyIU1(t *testing.T) {
 	m := model()
 	for _, op := range []ir.Op{ir.MULL, ir.DIVW} {
 		units := m.UnitsFor(op)
-		if len(units) != 1 || units[0] != IU1 {
+		if len(units) != 1 || units[0] != iu1 {
 			t.Errorf("%v units = %v, want [IU1]", op, units)
 		}
 	}
@@ -240,7 +240,7 @@ func TestResetClearsState(t *testing.T) {
 }
 
 func TestScalar603SingleIssue(t *testing.T) {
-	m := NewScalar603()
+	m := newScalar603()
 	if m.IssueWidth != 1 {
 		t.Fatalf("issue width %d, want 1", m.IssueWidth)
 	}
@@ -257,7 +257,7 @@ func TestScalar603SingleIssue(t *testing.T) {
 }
 
 func TestScalar603UnpipelinedFPU(t *testing.T) {
-	m := NewScalar603()
+	m := newScalar603()
 	fadd := func(d int) ir.Instr {
 		return ir.Instr{Op: ir.FADD, Defs: []ir.Reg{ir.FPR(d)}, Uses: []ir.Reg{ir.FPR(10), ir.FPR(11)}}
 	}
@@ -272,7 +272,7 @@ func TestScalar603UnpipelinedFPU(t *testing.T) {
 
 func TestScalar603SlowerThan7410(t *testing.T) {
 	// The same block costs at least as much on the older machine.
-	modern, old := NewMPC7410(), NewScalar603()
+	modern, old := newMPC7410(), newScalar603()
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
 		ins := blockgen.Gen(r, blockgen.DefaultConfig)
@@ -285,7 +285,7 @@ func TestScalar603SlowerThan7410(t *testing.T) {
 }
 
 func TestModelsShareOpcodeCoverage(t *testing.T) {
-	for _, m := range []*Model{NewMPC7410(), NewScalar603()} {
+	for _, m := range []*Model{newMPC7410(), newScalar603()} {
 		for op := ir.Op(1); int(op) < ir.NumOps; op++ {
 			if m.Timing[op].Latency < 1 {
 				t.Errorf("%s: %v latency %d", m.Name, op, m.Timing[op].Latency)

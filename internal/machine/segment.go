@@ -287,7 +287,7 @@ func (s *IssueState) intern() int32 {
 	ch, c := s.chain, s.cycle
 	k := binary.AppendUvarint(ch.key[:0], uint64(s.nonBranch))
 	k = binary.AppendUvarint(k, uint64(s.branch))
-	k = append(k, byte(1+cmp.Compare(s.unitFree[IU1], s.unitFree[IU2])))
+	k = append(k, byte(1+cmp.Compare(s.unitFree[iu1], s.unitFree[iu2])))
 	for _, v := range s.unitFree {
 		k = binary.AppendUvarint(k, uint64(max(0, v-c)))
 	}
@@ -331,12 +331,12 @@ func (s *IssueState) materialize(node string) {
 	for u := range s.unitFree {
 		s.unitFree[u] = c + next()
 	}
-	if s.unitFree[IU1] == c && s.unitFree[IU2] == c {
+	if s.unitFree[iu1] == c && s.unitFree[iu2] == c {
 		switch order {
 		case 0:
-			s.unitFree[IU1] = c - 1
+			s.unitFree[iu1] = c - 1
 		case 2:
-			s.unitFree[IU2] = c - 1
+			s.unitFree[iu2] = c - 1
 		}
 	}
 	ready := s.slots()

@@ -15,7 +15,7 @@ import (
 // longer than any target's, so that normalized states hold large offsets,
 // and whose taken-branch bubble is longer too.
 func wideLatencyModel() *Model {
-	m := NewMPC7410()
+	m := newMPC7410()
 	m.Name = "wide-latency"
 	m.Timing[ir.FDIV].Latency = 300
 	m.TakenBranchBubble = 3
@@ -27,7 +27,7 @@ func wideLatencyModel() *Model {
 // and whose taken transfers cost no bubble: IssueSegment must still match
 // issuing one record at a time.
 func zeroLatencyModel() *Model {
-	m := NewMPC7410()
+	m := newMPC7410()
 	m.Name = "zero-latency"
 	m.TakenBranchBubble = 0
 	for _, op := range []ir.Op{ir.ADD, ir.ADDI, ir.LI, ir.SUB, ir.MR} {
@@ -101,10 +101,10 @@ func randomEntry(r *rand.Rand, s *IssueState) {
 	}
 	switch r.Intn(4) {
 	case 0:
-		s.unitFree[IU2] = s.unitFree[IU1]
+		s.unitFree[iu2] = s.unitFree[iu1]
 	case 1:
 		// Both below the cycle, in a random order.
-		s.unitFree[IU1], s.unitFree[IU2] = max(0, c-1-r.Intn(4)), max(0, c-1-r.Intn(4))
+		s.unitFree[iu1], s.unitFree[iu2] = max(0, c-1-r.Intn(4)), max(0, c-1-r.Intn(4))
 	}
 	ready := s.slots()
 	for i := range ready {
@@ -134,15 +134,15 @@ func twinEntry(r *rand.Rand, s, t *IssueState) {
 	for u, v := range s.unitFree {
 		t.unitFree[u] = move(v)
 	}
-	if a, b := s.unitFree[IU1], s.unitFree[IU2]; a <= c && b <= c {
+	if a, b := s.unitFree[iu1], s.unitFree[iu2]; a <= c && b <= c {
 		lo, hi := c2-5+r.Intn(3), c2-r.Intn(3)
 		switch {
 		case a < b:
-			t.unitFree[IU1], t.unitFree[IU2] = lo, hi
+			t.unitFree[iu1], t.unitFree[iu2] = lo, hi
 		case a > b:
-			t.unitFree[IU1], t.unitFree[IU2] = hi, lo
+			t.unitFree[iu1], t.unitFree[iu2] = hi, lo
 		default:
-			t.unitFree[IU1], t.unitFree[IU2] = hi, hi
+			t.unitFree[iu1], t.unitFree[iu2] = hi, hi
 		}
 	}
 	src, dst := s.slots(), t.slots()
@@ -188,8 +188,8 @@ func stateDiff(got, want *IssueState) string {
 		return fmt.Sprintf("slots %d+%d, want %d+%d", got.nonBranch, got.branch, want.nonBranch, want.branch)
 	case got.makespan != want.makespan:
 		return fmt.Sprintf("makespan %d, want %d", got.makespan, want.makespan)
-	case cmp.Compare(gu[IU1], gu[IU2]) != cmp.Compare(wu[IU1], wu[IU2]):
-		return fmt.Sprintf("IU1/IU2 %d/%d, want the order of %d/%d", gu[IU1], gu[IU2], wu[IU1], wu[IU2])
+	case cmp.Compare(gu[iu1], gu[iu2]) != cmp.Compare(wu[iu1], wu[iu2]):
+		return fmt.Sprintf("IU1/IU2 %d/%d, want the order of %d/%d", gu[iu1], gu[iu2], wu[iu1], wu[iu2])
 	}
 	for u := range got.unitFree {
 		if g, w := max(got.unitFree[u], c), max(want.unitFree[u], c); g != w {
@@ -316,7 +316,7 @@ func checkSequence(t testing.TB, r *rand.Rand, m *Model, segs [][]ir.Instr) {
 		case 2:
 			// A cold pipeline: the state a run starts from, whose node
 			// the chain interns first.
-			s.cycle, s.nonBranch, s.branch, s.makespan, s.unitFree = 0, 0, 0, 0, [NumUnits]int{}
+			s.cycle, s.nonBranch, s.branch, s.makespan, s.unitFree = 0, 0, 0, 0, [numUnits]int{}
 			clear(s.slots())
 			s.chain.at = -1
 			want = clone(s)
@@ -347,7 +347,7 @@ func TestIssueSegmentMatchesDecoded(t *testing.T) {
 // nodes at its cap and that transitions past it are still issued
 // correctly.
 func TestIssueSegmentMemoBounded(t *testing.T) {
-	m := NewMPC7410()
+	m := newMPC7410()
 	s := NewIssueState(m)
 	h := s.DecodeSegment([]ir.Instr{
 		{Op: ir.ADD, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(4), ir.GPR(5)}},
@@ -375,7 +375,7 @@ func TestIssueSegmentMemoBounded(t *testing.T) {
 // misses the set and is found in the map: the issue must stay exact and
 // the chain must stop growing after the first round.
 func TestIssueSegmentInlineOverflow(t *testing.T) {
-	m := NewMPC7410()
+	m := newMPC7410()
 	s := NewIssueState(m)
 	hub := s.DecodeSegment([]ir.Instr{{Op: ir.ADD, Defs: []ir.Reg{ir.GPR(20)}, Uses: []ir.Reg{ir.GPR(21), ir.GPR(22)}}})
 	var steps []step
@@ -411,7 +411,7 @@ func TestIssueSegmentInlineOverflow(t *testing.T) {
 // leaves a cold pipeline at the cold node, the first the chain interns,
 // and the empty ways must not pass for edges from it.
 func TestIssueSegmentEmptyWays(t *testing.T) {
-	s := NewIssueState(NewMPC7410())
+	s := NewIssueState(newMPC7410())
 	empty := s.DecodeSegment(nil)
 	add := s.DecodeSegment([]ir.Instr{{Op: ir.ADD, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(4), ir.GPR(5)}}})
 	want := clone(s)

@@ -36,27 +36,27 @@ var targets = []*Target{
 	{
 		Name:        DefaultTargetName,
 		Description: "MPC7410-like dual-issue PowerPC (the paper's simplified machine simulator)",
-		Model:       NewMPC7410(),
+		Model:       newMPC7410(),
 	},
 	{
 		Name:        "scalar603",
 		Description: "PowerPC-603-era scalar core: single issue, slower loads, unpipelined FPU",
-		Model:       NewScalar603(),
+		Model:       newScalar603(),
 	},
 	{
 		Name:        "scalar1",
 		Description: "single-issue in-order core with MPC7410 latencies (issue-width ablation)",
-		Model:       NewScalar1(),
+		Model:       newScalar1(),
 	},
 	{
 		Name:        "wide4",
 		Description: "4-wide superscalar variant of the MPC7410 model",
-		Model:       NewWide4(),
+		Model:       newWide4(),
 	},
 	{
 		Name:        "test-narrow",
 		Description: "scaled-down single-issue model with clamped latencies (for tests)",
-		Model:       NewTestNarrow(),
+		Model:       newTestNarrow(),
 	},
 }
 
@@ -159,14 +159,14 @@ func (m *Model) Clone() *Model {
 	return &cp
 }
 
-// NewScalar1 returns a strictly single-issue in-order core with the
+// newScalar1 returns a strictly single-issue in-order core with the
 // MPC7410 latency table: one non-branch instruction per cycle plus the
 // branch slot, and a deeper taken-branch penalty. It isolates the effect
 // of issue width on the should-we-schedule question — unlike Scalar603 it
 // changes no latencies, so differences against mpc7410 come from issue
 // bandwidth alone.
-func NewScalar1() *Model {
-	m := NewMPC7410()
+func newScalar1() *Model {
+	m := newMPC7410()
 	m.Name = "Scalar1"
 	m.IssueWidth = 1
 	m.BranchPerCycle = 1
@@ -174,13 +174,13 @@ func NewScalar1() *Model {
 	return m
 }
 
-// NewWide4 returns a 4-wide superscalar variant of the MPC7410 model:
+// newWide4 returns a 4-wide superscalar variant of the MPC7410 model:
 // four non-branch issues per cycle. Wider issue hides more of a bad
 // static order on its own, so scheduling should buy less — the transfer
 // matrix quantifies whether a filter trained on the narrow machine still
 // makes the right calls here.
-func NewWide4() *Model {
-	m := NewMPC7410()
+func newWide4() *Model {
+	m := newMPC7410()
 	m.Name = "Wide4"
 	m.IssueWidth = 4
 	m.BranchPerCycle = 1
@@ -188,12 +188,12 @@ func NewWide4() *Model {
 	return m
 }
 
-// NewTestNarrow returns the scaled-down model the test suites share: a
+// newTestNarrow returns the scaled-down model the test suites share: a
 // single-issue machine with every latency clamped to at most three
 // cycles, so unit tests that only need "a different, narrower machine"
 // get one from the target table instead of hand-editing timing tables.
-func NewTestNarrow() *Model {
-	m := NewMPC7410()
+func newTestNarrow() *Model {
+	m := newMPC7410()
 	m.Name = "TestNarrow"
 	m.IssueWidth = 1
 	m.BranchPerCycle = 1

@@ -61,7 +61,7 @@ func TestValidateRejections(t *testing.T) {
 		{"negative bubble", func(m *Model) { m.TakenBranchBubble = -1 }, "taken-branch bubble"},
 	}
 	for _, c := range cases {
-		m := NewMPC7410()
+		m := newMPC7410()
 		c.model(m)
 		err := m.Validate()
 		if err == nil {
@@ -101,7 +101,7 @@ func TestTargetNameFor(t *testing.T) {
 	if got := TargetNameFor(Default().Model.Clone()); got != DefaultTargetName {
 		t.Fatalf("TargetNameFor(clone) = %q", got)
 	}
-	custom := NewMPC7410()
+	custom := newMPC7410()
 	custom.Name = "Custom99"
 	if got := TargetNameFor(custom); got != "Custom99" {
 		t.Fatalf("TargetNameFor(custom) = %q", got)

@@ -81,7 +81,7 @@ func (r *Registry) EndpointMetrics(prefix, who string, withRejected bool, names 
 	}
 	e.discard = &Endpoint{
 		ok: &Counter{}, clientErr: &Counter{}, rejected: &Counter{}, serverErr: &Counter{},
-		latencySum: &Counter{}, latencyMax: &Max{}, latency: newHistogram(DefLatencyBuckets),
+		latencySum: &Counter{}, latencyMax: &Max{}, latency: newHistogram(defLatencyBuckets),
 	}
 	return e
 }

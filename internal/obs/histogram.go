@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// DefLatencyBuckets is the default nanosecond bucket layout: roughly
+// defLatencyBuckets is the default nanosecond bucket layout: roughly
 // exponential from 1µs to 10s, wide enough for both the scheduler's
 // per-phase timings (sub-millisecond) and full gateway round trips.
-var DefLatencyBuckets = []int64{
+var defLatencyBuckets = []int64{
 	1_000,          // 1µs
 	2_500,          // 2.5µs
 	5_000,          // 5µs

@@ -92,8 +92,8 @@ func TestQuantileEdgeCases(t *testing.T) {
 }
 
 func TestDefaultBucketsAscending(t *testing.T) {
-	for i := 1; i < len(DefLatencyBuckets); i++ {
-		if DefLatencyBuckets[i] <= DefLatencyBuckets[i-1] {
+	for i := 1; i < len(defLatencyBuckets); i++ {
+		if defLatencyBuckets[i] <= defLatencyBuckets[i-1] {
 			t.Fatalf("DefLatencyBuckets not ascending at %d", i)
 		}
 	}

@@ -257,14 +257,14 @@ func (r *Registry) Dynamic(name, help string, fn func(Emit)) {
 // Histogram registers a fixed-bucket histogram series and returns its
 // handle. bounds are the inclusive bucket upper bounds in ascending
 // order (an implicit +Inf bucket is always appended); nil selects
-// DefLatencyBuckets. The derived _bucket/_sum/_count names are reserved
+// defLatencyBuckets. The derived _bucket/_sum/_count names are reserved
 // so a later plain registration cannot collide with them.
 func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.checkName(name, labels)
 	if bounds == nil {
-		bounds = DefLatencyBuckets
+		bounds = defLatencyBuckets
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {

@@ -99,8 +99,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		st := &targetState{
 			name:  name,
 			model: tgt.Model,
-			res:   NewReservoir(cfg.SampleCap),
-			reg:   NewRegistry(name, cfg.Boot),
+			res:   newReservoir(cfg.SampleCap),
+			reg:   newRegistry(name, cfg.Boot),
 		}
 		if cfg.SpillDir != "" {
 			if err := st.res.LoadFile(m.spillPath(name)); err != nil {
@@ -280,7 +280,7 @@ func (m *Manager) Retrain(target string) (*RetrainReport, error) {
 	m.retrains.Add(1)
 
 	snap := st.res.Snapshot()
-	train, hold := Split(snap, holdoutK)
+	train, hold := split(snap, holdoutK)
 	incumbent, incVersion := st.reg.ActiveFilter()
 	rep := &RetrainReport{
 		Target:        target,
@@ -298,8 +298,8 @@ func (m *Manager) Retrain(target string) (*RetrainReport, error) {
 	cand := m.induce([]*training.BenchData{bd}, m.cfg.Threshold)
 	cand.Label = fmt.Sprintf("online v%d t=%d", st.reg.Count()+1, m.cfg.Threshold)
 
-	candScore := EvalFilter(cand, hold)
-	incScore := EvalFilter(incumbent, hold)
+	candScore := evalFilter(cand, hold)
+	incScore := evalFilter(incumbent, hold)
 	admitted, reason := admit(candScore, incScore)
 
 	meta := Version{

@@ -68,9 +68,9 @@ type Registry struct {
 	active atomic.Pointer[Version]
 }
 
-// NewRegistry returns a registry for the named target with boot
+// newRegistry returns a registry for the named target with boot
 // registered and activated as version 1.
-func NewRegistry(target string, boot policy.Policy) *Registry {
+func newRegistry(target string, boot policy.Policy) *Registry {
 	r := &Registry{target: target}
 	v := r.Register(boot, Version{Label: boot.Name(), State: "active", Reason: "boot incumbent"})
 	r.mu.Lock()

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRegistryBootIsVersionOne(t *testing.T) {
-	r := NewRegistry("mpc7410", policy.Always{})
+	r := newRegistry("mpc7410", policy.Always{})
 	f, v := r.ActiveFilter()
 	if v != 1 || f.Name() != "LS" {
 		t.Fatalf("boot: active v%d %q, want v1 LS", v, f.Name())
@@ -20,7 +20,7 @@ func TestRegistryBootIsVersionOne(t *testing.T) {
 }
 
 func TestActivateAndRollback(t *testing.T) {
-	r := NewRegistry("mpc7410", policy.Always{})
+	r := newRegistry("mpc7410", policy.Always{})
 	v2 := r.Register(policy.Never{}, Version{Label: "candidate"})
 	if v2.Version != 2 || v2.State != "standby" {
 		t.Fatalf("registered version wrong: %+v", v2)
@@ -60,7 +60,7 @@ func TestActivateAndRollback(t *testing.T) {
 }
 
 func TestActivateUnknownVersion(t *testing.T) {
-	r := NewRegistry("mpc7410", policy.Always{})
+	r := newRegistry("mpc7410", policy.Always{})
 	if _, err := r.Activate(7); err == nil || !strings.Contains(err.Error(), "7") {
 		t.Fatalf("unknown version: %v", err)
 	}

@@ -68,10 +68,10 @@ type Reservoir struct {
 	rng     *rand.Rand
 }
 
-// NewReservoir returns a reservoir bounded to cap unique samples
+// newReservoir returns a reservoir bounded to cap unique samples
 // (cap <= 0 selects 4096). The displacement stream is deterministically
 // seeded: two reservoirs fed the same sequence hold the same samples.
-func NewReservoir(cap int) *Reservoir {
+func newReservoir(cap int) *Reservoir {
 	if cap <= 0 {
 		cap = 4096
 	}
@@ -158,9 +158,9 @@ func (r *Reservoir) Snapshot() []*Sample {
 	return out
 }
 
-// Split partitions a snapshot into the training slice and the holdout
+// split partitions a snapshot into the training slice and the holdout
 // slice by the samples' deterministic content-hash bucket.
-func Split(snap []*Sample, holdoutK int) (train, hold []*Sample) {
+func split(snap []*Sample, holdoutK int) (train, hold []*Sample) {
 	for _, s := range snap {
 		if s.Holdout(holdoutK) {
 			hold = append(hold, s)

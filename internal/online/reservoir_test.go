@@ -36,7 +36,7 @@ func mkSample(k codecache.Key, bbLen, costNS, costLS int) *Sample {
 }
 
 func TestReservoirDedupeAndBump(t *testing.T) {
-	r := NewReservoir(16)
+	r := newReservoir(16)
 	k := mkKey(1, 0)
 	if r.Bump(k) {
 		t.Fatal("Bump reported an absent key as present")
@@ -56,7 +56,7 @@ func TestReservoirDedupeAndBump(t *testing.T) {
 }
 
 func TestReservoirBounded(t *testing.T) {
-	r := NewReservoir(4)
+	r := newReservoir(4)
 	for i := 0; i < 100; i++ {
 		k := mkKey(1, i)
 		r.Add(k, mkSample(k, 5, 100, 50))
@@ -79,7 +79,7 @@ func TestReservoirBounded(t *testing.T) {
 }
 
 func TestSnapshotSortedByKey(t *testing.T) {
-	r := NewReservoir(16)
+	r := newReservoir(16)
 	for _, first := range []byte{9, 3, 7, 1} {
 		k := mkKey(first, 0)
 		r.Add(k, mkSample(k, 5, 100, 50))
@@ -91,7 +91,7 @@ func TestSnapshotSortedByKey(t *testing.T) {
 }
 
 func TestSplitDeterministicBuckets(t *testing.T) {
-	r := NewReservoir(16)
+	r := newReservoir(16)
 	for i := 0; i < 4; i++ {
 		k := mkKey(0, i) // 0 % 4 == 0 → holdout
 		r.Add(k, mkSample(k, 5, 100, 50))
@@ -100,14 +100,14 @@ func TestSplitDeterministicBuckets(t *testing.T) {
 		k := mkKey(1, i) // 1 % 4 != 0 → train
 		r.Add(k, mkSample(k, 5, 100, 50))
 	}
-	train, hold := Split(r.Snapshot(), 4)
+	train, hold := split(r.Snapshot(), 4)
 	if len(train) != 8 || len(hold) != 4 {
 		t.Fatalf("split %d/%d, want 8/4", len(train), len(hold))
 	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	r := NewReservoir(16)
+	r := newReservoir(16)
 	for i := 0; i < 6; i++ {
 		k := mkKey(byte(i), i)
 		s := mkSample(k, 3+i, 100+i, 40+i)
@@ -118,7 +118,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := r.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewReservoir(16)
+	r2 := newReservoir(16)
 	if err := r2.ReadJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 func TestSaveLoadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spill", "mpc7410.jsonl")
-	r := NewReservoir(16)
+	r := newReservoir(16)
 	if err := r.LoadFile(path); err != nil {
 		t.Fatalf("missing spill file must not error: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := r.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	r2 := NewReservoir(16)
+	r2 := newReservoir(16)
 	if err := r2.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,8 @@ type Score struct {
 	Blocks    int `json:"blocks"`
 }
 
-// EvalFilter scores f over the holdout slice.
-func EvalFilter(f policy.Policy, hold []*Sample) Score {
+// evalFilter scores f over the holdout slice.
+func evalFilter(f policy.Policy, hold []*Sample) Score {
 	sc := Score{Filter: f.Name(), Blocks: len(hold)}
 	for _, s := range hold {
 		w := s.Seen

@@ -22,7 +22,7 @@ func TestEvalFilterTwoAxes(t *testing.T) {
 	hold := holdoutSamples(4)
 	hold[0].Seen = 3 // weight one block heavier
 
-	ls := EvalFilter(policy.Always{}, hold)
+	ls := evalFilter(policy.Always{}, hold)
 	if ls.Scheduled != 4 || ls.Blocks != 4 {
 		t.Fatalf("LS decisions: %+v", ls)
 	}
@@ -33,7 +33,7 @@ func TestEvalFilterTwoAxes(t *testing.T) {
 		t.Fatalf("LS SchedCost %d, want 40", ls.SchedCost)
 	}
 
-	ns := EvalFilter(policy.Never{}, hold)
+	ns := evalFilter(policy.Never{}, hold)
 	if ns.Scheduled != 0 || ns.SchedCost != 0 {
 		t.Fatalf("NS decisions: %+v", ns)
 	}
@@ -51,8 +51,8 @@ func TestGateRejectsEmptyHoldout(t *testing.T) {
 
 func TestGateRejectsCycleRegression(t *testing.T) {
 	hold := holdoutSamples(4)
-	cand := EvalFilter(policy.Never{}, hold) // 400 est cycles
-	inc := EvalFilter(policy.Always{}, hold) // 200 est cycles
+	cand := evalFilter(policy.Never{}, hold) // 400 est cycles
+	inc := evalFilter(policy.Always{}, hold) // 200 est cycles
 	ok, reason := admit(cand, inc)
 	if ok || !strings.Contains(reason, "cycles regress") {
 		t.Fatalf("cycle regression admitted: %v %q", ok, reason)
@@ -77,8 +77,8 @@ func TestGateAdmitsImprovementOverNS(t *testing.T) {
 	// An NS incumbent has zero scheduling cost; the additive slack must
 	// still let a faster candidate start scheduling.
 	hold := holdoutSamples(4)
-	cand := EvalFilter(policy.Always{}, hold)
-	inc := EvalFilter(policy.Never{}, hold)
+	cand := evalFilter(policy.Always{}, hold)
+	inc := evalFilter(policy.Never{}, hold)
 	ok, reason := admit(cand, inc)
 	if !ok {
 		t.Fatalf("improving candidate rejected: %q", reason)

@@ -20,7 +20,7 @@ func (Always) Decide(features.Vector) (bool, float64) { return true, 1 }
 
 // Provenance implements Policy.
 func (Always) Provenance() Provenance {
-	return Provenance{Kind: KindAlways, Detail: "schedule every block"}
+	return Provenance{Kind: kindAlways, Detail: "schedule every block"}
 }
 
 // Never is the NS protocol: schedule nothing.
@@ -34,7 +34,7 @@ func (Never) Decide(features.Vector) (bool, float64) { return false, 1 }
 
 // Provenance implements Policy.
 func (Never) Provenance() Provenance {
-	return Provenance{Kind: KindNever, Detail: "schedule no block"}
+	return Provenance{Kind: kindNever, Detail: "schedule no block"}
 }
 
 // SizeThreshold is the obvious hand-written baseline: schedule blocks of
@@ -61,10 +61,10 @@ func (f SizeThreshold) Decide(v features.Vector) (bool, float64) {
 
 // Provenance implements Policy.
 func (f SizeThreshold) Provenance() Provenance {
-	return Provenance{Kind: KindSize, Detail: fmt.Sprintf("min block length %d", f.MinLen)}
+	return Provenance{Kind: kindSize, Detail: fmt.Sprintf("min block length %d", f.MinLen)}
 }
 
-// CostThreshold schedules blocks whose estimated unscheduled execution
+// costThreshold schedules blocks whose estimated unscheduled execution
 // cost under a machine target meets a cycle threshold — the "is there
 // enough work here to be worth it" heuristic, phrased in the target's
 // own latencies rather than raw instruction count.
@@ -76,7 +76,7 @@ func (f SizeThreshold) Provenance() Provenance {
 // implies, divided by the issue width. That makes a float-division-heavy
 // block "cost" far more than an ALU block of the same length, which is
 // the distinction a pure size threshold cannot draw.
-type CostThreshold struct {
+type costThreshold struct {
 	// MinCycles is the estimated-cycle threshold.
 	MinCycles int
 	// Target names the machine target the latency weights came from.
@@ -86,9 +86,9 @@ type CostThreshold struct {
 	issueWidth float64
 }
 
-// NewCostThreshold builds a cost policy against the named machine
+// newCostThreshold builds a cost policy against the named machine
 // target (ByName semantics; empty means the default target).
-func NewCostThreshold(target string, minCycles int) (*CostThreshold, error) {
+func newCostThreshold(target string, minCycles int) (*costThreshold, error) {
 	if target == "" {
 		target = machine.DefaultTargetName
 	}
@@ -96,7 +96,7 @@ func NewCostThreshold(target string, minCycles int) (*CostThreshold, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &CostThreshold{
+	c := &costThreshold{
 		MinCycles:  minCycles,
 		Target:     tgt.Name,
 		issueWidth: float64(tgt.Model.IssueWidth),
@@ -130,7 +130,7 @@ func NewCostThreshold(target string, minCycles int) (*CostThreshold, error) {
 }
 
 // EstCycles is the policy's cycle estimate for a feature vector.
-func (f *CostThreshold) EstCycles(v features.Vector) float64 {
+func (f *costThreshold) EstCycles(v features.Vector) float64 {
 	excess := 0.0
 	for i, w := range f.weights {
 		excess += v[i+1] * (w - 1)
@@ -139,17 +139,17 @@ func (f *CostThreshold) EstCycles(v features.Vector) float64 {
 }
 
 // Name implements Policy.
-func (f *CostThreshold) Name() string { return fmt.Sprintf("cost>=%d", f.MinCycles) }
+func (f *costThreshold) Name() string { return fmt.Sprintf("cost>=%d", f.MinCycles) }
 
 // PolicyID distinguishes cost policies parameterized by different
 // targets: their weights — and so their decisions — differ.
-func (f *CostThreshold) PolicyID() string {
+func (f *costThreshold) PolicyID() string {
 	return fmt.Sprintf("cost>=%d@%s", f.MinCycles, f.Target)
 }
 
 // Decide implements Policy. Confidence grows with the estimate's
 // distance from the threshold, like SizeThreshold.
-func (f *CostThreshold) Decide(v features.Vector) (bool, float64) {
+func (f *costThreshold) Decide(v features.Vector) (bool, float64) {
 	est := f.EstCycles(v)
 	d := est - float64(f.MinCycles)
 	if d < 0 {
@@ -159,9 +159,9 @@ func (f *CostThreshold) Decide(v features.Vector) (bool, float64) {
 }
 
 // Provenance implements Policy.
-func (f *CostThreshold) Provenance() Provenance {
+func (f *costThreshold) Provenance() Provenance {
 	return Provenance{
-		Kind:   KindCost,
+		Kind:   kindCost,
 		Target: f.Target,
 		Detail: fmt.Sprintf("estimated cost ≥ %d cycles under %s latencies", f.MinCycles, f.Target),
 	}

@@ -8,7 +8,7 @@ import (
 // FuzzParse feeds arbitrary text to Parse, the entry point that inline
 // models in request bodies reach. Parse must not panic, must refuse with
 // an error rather than a nil policy, and any policy it accepts must
-// Format to text that parses back to a policy with the same ID.
+// format to text that parses back to a policy with the same ID.
 func FuzzParse(f *testing.F) {
 	model, err := os.ReadFile("../../cmd/schedserved/factory_model.txt")
 	if err != nil {
@@ -35,7 +35,7 @@ func FuzzParse(f *testing.F) {
 		if p == nil {
 			t.Fatal("Parse accepted the text but returned no policy")
 		}
-		out, err := Format(p)
+		out, err := format(p)
 		if err != nil {
 			t.Fatalf("accepted policy %s does not format: %v", ID(p), err)
 		}

@@ -126,14 +126,14 @@ func TestIDHashedOnce(t *testing.T) {
 // targets' cost:12 policies may disagree and must never share a
 // cache fingerprint.
 func TestIDRicherPolicies(t *testing.T) {
-	c, err := NewCostThreshold("wide4", 12)
+	c, err := newCostThreshold("wide4", 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := ID(c), "cost>=12@wide4"; got != want {
 		t.Errorf("cost ID = %q, want %q", got, want)
 	}
-	p, err := NewPortfolio(Always{}, c)
+	p, err := newPortfolio(Always{}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,18 +271,18 @@ func TestRuleHashExcludesHeaders(t *testing.T) {
 
 func TestFileKind(t *testing.T) {
 	f := NewInduced(testRules(), "L/N")
-	if got := FileKind(FormatInduced(f)); got != KindRipper {
-		t.Errorf("FileKind = %q, want %q", got, KindRipper)
+	if got := fileKind(FormatInduced(f)); got != kindRipper {
+		t.Errorf("FileKind = %q, want %q", got, kindRipper)
 	}
-	if got := FileKind(f.Rules.Format()); got != "" {
+	if got := fileKind(f.Rules.Format()); got != "" {
 		t.Errorf("FileKind of headerless text = %q, want empty", got)
 	}
-	if got := FileKind("# policy: cost\nwhatever"); got != "cost" {
+	if got := fileKind("# policy: cost\nwhatever"); got != "cost" {
 		t.Errorf("FileKind = %q, want cost", got)
 	}
 }
 
-// FromSpec/SpecOf must round-trip every spec-representable kind, with
+// FromSpec/specOf must round-trip every spec-representable kind, with
 // the historical LS/NS spellings accepted as aliases.
 func TestSpecRoundTrip(t *testing.T) {
 	canonical := []string{
@@ -299,7 +299,7 @@ func TestSpecRoundTrip(t *testing.T) {
 			t.Errorf("FromSpec(%q): %v", spec, err)
 			continue
 		}
-		if got := SpecOf(p); got != spec {
+		if got := specOf(p); got != spec {
 			t.Errorf("SpecOf(FromSpec(%q)) = %q", spec, got)
 		}
 	}
@@ -315,7 +315,7 @@ func TestSpecRoundTrip(t *testing.T) {
 			t.Errorf("FromSpec(%q): %v", in, err)
 			continue
 		}
-		if got := SpecOf(p); got != want {
+		if got := specOf(p); got != want {
 			t.Errorf("FromSpec(%q) -> %q, want %q", in, got, want)
 		}
 	}
@@ -346,32 +346,32 @@ func TestSpecErrors(t *testing.T) {
 	}
 }
 
-// SpecOf declines non-representable policies (induced rules, portfolios
+// specOf declines non-representable policies (induced rules, portfolios
 // containing them) instead of inventing a lossy spec.
 func TestSpecOfNotRepresentable(t *testing.T) {
 	ind := NewInduced(testRules(), "L/N")
-	if got := SpecOf(ind); got != "" {
+	if got := specOf(ind); got != "" {
 		t.Errorf("SpecOf(induced) = %q, want empty", got)
 	}
-	p, err := NewPortfolio(Always{}, ind)
+	p, err := newPortfolio(Always{}, ind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := SpecOf(p); got != "" {
+	if got := specOf(p); got != "" {
 		t.Errorf("SpecOf(portfolio with induced member) = %q, want empty", got)
 	}
 }
 
-// Format/Parse round-trips both serialized forms: model text for
+// format/Parse round-trips both serialized forms: model text for
 // induced filters, spec docs for everything representable.
 func TestFormatParseRoundTrip(t *testing.T) {
 	ind := NewInducedFor(testRules(), "L/N t=20", "wide4")
-	cost, err := NewCostThreshold("wide4", 9)
+	cost, err := newCostThreshold("wide4", 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []Policy{ind, cost, Always{}, SizeThreshold{MinLen: 3}} {
-		text, err := Format(p)
+		text, err := format(p)
 		if err != nil {
 			t.Fatalf("Format(%s): %v", p.Name(), err)
 		}
@@ -384,11 +384,11 @@ func TestFormatParseRoundTrip(t *testing.T) {
 		}
 	}
 	// A portfolio containing an induced member has no serial form.
-	mixed, err := NewPortfolio(Always{}, ind)
+	mixed, err := newPortfolio(Always{}, ind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Format(mixed); err == nil {
+	if _, err := format(mixed); err == nil {
 		t.Error("Format(portfolio with induced member) should fail")
 	}
 }
@@ -400,7 +400,7 @@ func TestPortfolioDecide(t *testing.T) {
 	// least as sure. Use two thresholds instead for a real arbitration.
 	lo := SizeThreshold{MinLen: 2}
 	hi := SizeThreshold{MinLen: 100}
-	p, err := NewPortfolio(lo, hi)
+	p, err := newPortfolio(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,27 +418,27 @@ func TestPortfolioDecide(t *testing.T) {
 	// from their thresholds disagree; the first wins.
 	a := SizeThreshold{MinLen: 4} // bbLen 5: schedule, d=1
 	b := SizeThreshold{MinLen: 6} // bbLen 5: don't, d=1
-	p2, err := NewPortfolio(a, b)
+	p2, err := newPortfolio(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sched, _ := p2.Decide(vec(5)); !sched {
 		t.Error("tie should break to the earliest member")
 	}
-	if _, err := NewPortfolio(); err == nil {
+	if _, err := newPortfolio(); err == nil {
 		t.Error("empty portfolio should be rejected")
 	}
 }
 
 func TestCostThreshold(t *testing.T) {
-	c, err := NewCostThreshold("", 8)
+	c, err := newCostThreshold("", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Target != machine.DefaultTargetName {
 		t.Errorf("empty target resolved to %q, want %q", c.Target, machine.DefaultTargetName)
 	}
-	if _, err := NewCostThreshold("no-such-machine", 8); err == nil {
+	if _, err := newCostThreshold("no-such-machine", 8); err == nil {
 		t.Error("unknown target should error")
 	}
 	// More instructions of the same mix never cost less.
@@ -477,10 +477,10 @@ func TestRegistry(t *testing.T) {
 		names = append(names, k.Name)
 	}
 	// The table order is the /v1/policies listing order.
-	if want := []string{KindAlways, KindNever, KindSize, KindCost, KindRipper, KindPortfolio}; !slices.Equal(names, want) {
+	if want := []string{kindAlways, kindNever, kindSize, kindCost, kindRipper, kindPortfolio}; !slices.Equal(names, want) {
 		t.Errorf("kinds %v, want %v", names, want)
 	}
-	if _, err := KindByName("nope"); err == nil {
+	if _, err := kindByName("nope"); err == nil {
 		t.Error("unknown kind lookup should error")
 	}
 }

@@ -7,26 +7,26 @@ import (
 	"schedfilter/internal/features"
 )
 
-// Portfolio arbitrates between member policies by confidence: every
+// portfolio arbitrates between member policies by confidence: every
 // member decides, and the most confident decision wins (ties break to
 // the earliest member, so ordering is part of the portfolio's
 // identity). This is the algorithm-portfolio shape — run several
 // heuristics, act on the one that is surest — collapsed to the
 // degenerate-but-useful per-block form.
-type Portfolio struct {
+type portfolio struct {
 	Members []Policy
 }
 
-// NewPortfolio builds a portfolio; it needs at least one member.
-func NewPortfolio(members ...Policy) (*Portfolio, error) {
+// newPortfolio builds a portfolio; it needs at least one member.
+func newPortfolio(members ...Policy) (*portfolio, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("policy: portfolio needs at least one member")
 	}
-	return &Portfolio{Members: members}, nil
+	return &portfolio{Members: members}, nil
 }
 
 // Name implements Policy.
-func (f *Portfolio) Name() string {
+func (f *portfolio) Name() string {
 	names := make([]string, len(f.Members))
 	for i, m := range f.Members {
 		names[i] = m.Name()
@@ -36,7 +36,7 @@ func (f *Portfolio) Name() string {
 
 // PolicyID combines the members' identities, so two portfolios over
 // different filter versions never share a cache fingerprint.
-func (f *Portfolio) PolicyID() string {
+func (f *portfolio) PolicyID() string {
 	ids := make([]string, len(f.Members))
 	for i, m := range f.Members {
 		ids[i] = ID(m)
@@ -46,7 +46,7 @@ func (f *Portfolio) PolicyID() string {
 
 // Decide implements Policy: the decision of the highest-confidence
 // member, with that member's confidence.
-func (f *Portfolio) Decide(v features.Vector) (bool, float64) {
+func (f *portfolio) Decide(v features.Vector) (bool, float64) {
 	bestSched, bestConf := f.Members[0].Decide(v)
 	for i := 1; i < len(f.Members); i++ {
 		s, c := f.Members[i].Decide(v)
@@ -59,7 +59,7 @@ func (f *Portfolio) Decide(v features.Vector) (bool, float64) {
 
 // Provenance implements Policy. Target is the first member target seen,
 // as the portfolio itself is target-agnostic.
-func (f *Portfolio) Provenance() Provenance {
+func (f *portfolio) Provenance() Provenance {
 	target := ""
 	kinds := make([]string, len(f.Members))
 	for i, m := range f.Members {
@@ -70,7 +70,7 @@ func (f *Portfolio) Provenance() Provenance {
 		}
 	}
 	return Provenance{
-		Kind:   KindPortfolio,
+		Kind:   kindPortfolio,
 		Target: target,
 		Detail: "members: " + strings.Join(kinds, ","),
 	}

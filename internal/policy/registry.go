@@ -11,12 +11,12 @@ import (
 // Builtin kind names. Kinds are the unit of policy identity:
 // a kind knows how to parse its spec argument into a concrete Policy.
 const (
-	KindAlways    = "always"
-	KindNever     = "never"
-	KindSize      = "size"
-	KindCost      = "cost"
-	KindRipper    = "ripper"
-	KindPortfolio = "portfolio"
+	kindAlways    = "always"
+	kindNever     = "never"
+	kindSize      = "size"
+	kindCost      = "cost"
+	kindRipper    = "ripper"
+	kindPortfolio = "portfolio"
 )
 
 // Kind binds a stable, lowercase name to a policy constructor, the way
@@ -40,8 +40,8 @@ type Kind struct {
 // parses its members through FromSpec, which reads the table.
 var kinds []*Kind
 
-// KindByName returns the named kind, or an error naming the known kinds.
-func KindByName(name string) (*Kind, error) {
+// kindByName returns the named kind, or an error naming the known kinds.
+func kindByName(name string) (*Kind, error) {
 	for _, k := range kinds {
 		if k.Name == name {
 			return k, nil
@@ -63,9 +63,9 @@ func Kinds() []*Kind { return slices.Clone(kinds) }
 // every place that used to accept "LS"/"NS" filter names accepts them
 // as policy specs too.
 var specAliases = map[string]string{
-	"ls":      KindAlways,
-	"ns":      KindNever,
-	"default": KindAlways,
+	"ls":      kindAlways,
+	"ns":      kindNever,
+	"default": kindAlways,
 }
 
 // FromSpec parses the policy spec mini-language:
@@ -90,7 +90,7 @@ func FromSpec(spec, target string) (Policy, error) {
 	if canonical, ok := specAliases[name]; ok {
 		name = canonical
 	}
-	k, err := KindByName(name)
+	k, err := kindByName(name)
 	if err != nil {
 		return nil, err
 	}
@@ -101,37 +101,37 @@ func FromSpec(spec, target string) (Policy, error) {
 	return p, nil
 }
 
-// SpecOf renders a policy back to a spec FromSpec would accept, or ""
+// specOf renders a policy back to a spec FromSpec would accept, or ""
 // when the policy is not spec-representable (induced rule sets carry
-// their rules in model-file text, not in a spec). SpecOf(FromSpec(s))
+// their rules in model-file text, not in a spec). specOf(FromSpec(s))
 // round-trips for every spec-representable kind.
-func SpecOf(p Policy) string {
+func specOf(p Policy) string {
 	switch f := p.(type) {
 	case Always:
-		return KindAlways
+		return kindAlways
 	case Never:
-		return KindNever
+		return kindNever
 	case SizeThreshold:
 		return fmt.Sprintf("size:%d", f.MinLen)
-	case *CostThreshold:
+	case *costThreshold:
 		return fmt.Sprintf("cost:%d", f.MinCycles)
-	case *Portfolio:
+	case *portfolio:
 		parts := make([]string, len(f.Members))
 		for i, m := range f.Members {
-			s := SpecOf(m)
+			s := specOf(m)
 			if s == "" || strings.ContainsAny(s, "+") {
 				return ""
 			}
 			parts[i] = s
 		}
-		return KindPortfolio + ":" + strings.Join(parts, "+")
+		return kindPortfolio + ":" + strings.Join(parts, "+")
 	}
 	return ""
 }
 
 func init() {
 	kinds = []*Kind{{
-		Name:        KindAlways,
+		Name:        kindAlways,
 		Description: "LS protocol: schedule every block",
 		Parse: func(arg, _ string) (Policy, error) {
 			if arg != "" {
@@ -140,7 +140,7 @@ func init() {
 			return Always{}, nil
 		},
 	}, {
-		Name:        KindNever,
+		Name:        kindNever,
 		Description: "NS protocol: schedule no block",
 		Parse: func(arg, _ string) (Policy, error) {
 			if arg != "" {
@@ -149,7 +149,7 @@ func init() {
 			return Never{}, nil
 		},
 	}, {
-		Name:        KindSize,
+		Name:        kindSize,
 		Description: "schedule blocks of at least N instructions (size:N)",
 		Parse: func(arg, _ string) (Policy, error) {
 			n, err := strconv.Atoi(arg)
@@ -159,23 +159,23 @@ func init() {
 			return SizeThreshold{MinLen: n}, nil
 		},
 	}, {
-		Name:        KindCost,
+		Name:        kindCost,
 		Description: "schedule blocks estimated at ≥ N cycles under the target model (cost:N)",
 		Parse: func(arg, target string) (Policy, error) {
 			n, err := strconv.Atoi(arg)
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("want cost:N with N ≥ 0, got %q", arg)
 			}
-			return NewCostThreshold(target, n)
+			return newCostThreshold(target, n)
 		},
 	}, {
-		Name:        KindRipper,
+		Name:        kindRipper,
 		Description: "Ripper-induced L/N filter (load from a model file or train one)",
 		Parse: func(arg, _ string) (Policy, error) {
 			return nil, fmt.Errorf("ripper policies are not spec-constructible; load a model file (rules:FILE at the CLI) or train one")
 		},
 	}, {
-		Name:        KindPortfolio,
+		Name:        kindPortfolio,
 		Description: "confidence arbitration between member policies (portfolio:spec+spec+...)",
 		Parse: func(arg, target string) (Policy, error) {
 			if arg == "" {
@@ -190,7 +190,7 @@ func init() {
 				}
 				members = append(members, m)
 			}
-			return NewPortfolio(members...)
+			return newPortfolio(members...)
 		},
 	}}
 }

@@ -71,7 +71,7 @@ func (f *Induced) Decide(v features.Vector) (bool, float64) {
 
 // Provenance implements Policy.
 func (f *Induced) Provenance() Provenance {
-	return Provenance{Kind: KindRipper, Target: f.Target, Detail: "rules " + f.RuleHash()}
+	return Provenance{Kind: kindRipper, Target: f.Target, Detail: "rules " + f.RuleHash()}
 }
 
 // RuleHash is the induced filter's content identity: a short hex digest

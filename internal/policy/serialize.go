@@ -30,7 +30,7 @@ const (
 func FormatInduced(f *Induced) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s\n", filterHeader, f.Label)
-	fmt.Fprintf(&b, "%s %s\n", policyHeader, KindRipper)
+	fmt.Fprintf(&b, "%s %s\n", policyHeader, kindRipper)
 	if f.Target != "" {
 		fmt.Fprintf(&b, "%s %s\n", targetHeader, f.Target)
 	}
@@ -42,7 +42,7 @@ func FormatInduced(f *Induced) string {
 // text in the Figure-4 format; all headers are optional). Attribute
 // names resolve against the Table-1 feature names. A "# policy:" header
 // naming another kind does not stop the parse — loaders that care
-// (LoadFilterFor) check FileKind and warn.
+// (LoadInducedFor) check fileKind and warn.
 func ParseInduced(text string) (*Induced, error) {
 	label, target := "", ""
 	for _, line := range strings.Split(text, "\n") {
@@ -61,10 +61,10 @@ func ParseInduced(text string) (*Induced, error) {
 	return NewInducedFor(rs, label, target), nil
 }
 
-// FileKind extracts the "# policy:" header from model text, or "" when
+// fileKind extracts the "# policy:" header from model text, or "" when
 // absent (pre-policy files). Loaders use it to warn when a file's
 // declared kind doesn't match what the caller expects.
-func FileKind(text string) string {
+func fileKind(text string) string {
 	for _, line := range strings.Split(text, "\n") {
 		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), policyHeader); ok {
 			return strings.TrimSpace(rest)
@@ -90,10 +90,10 @@ func LoadInducedFor(path, target string) (*Induced, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if kind := FileKind(text); kind != "" && kind != KindRipper {
+	if kind := fileKind(text); kind != "" && kind != kindRipper {
 		fmt.Fprintf(os.Stderr,
 			"schedfilter: warning: %s declares policy kind %q but is being loaded as %q rules\n",
-			path, kind, KindRipper)
+			path, kind, kindRipper)
 	}
 	if f.Target != "" && target != "" && f.Target != target {
 		fmt.Fprintf(os.Stderr,
@@ -103,14 +103,14 @@ func LoadInducedFor(path, target string) (*Induced, error) {
 	return f, nil
 }
 
-// Format renders any policy to persistent text: induced filters as
+// format renders any policy to persistent text: induced filters as
 // model-file text (headers + rules), everything else as a one-line
 // "# policy-spec: <spec>" document. Parse inverts both forms.
-func Format(p Policy) (string, error) {
+func format(p Policy) (string, error) {
 	if ind, ok := p.(*Induced); ok {
 		return FormatInduced(ind), nil
 	}
-	spec := SpecOf(p)
+	spec := specOf(p)
 	if spec == "" {
 		return "", fmt.Errorf("policy: %s is not serializable", p.Name())
 	}
@@ -120,7 +120,7 @@ func Format(p Policy) (string, error) {
 // specDocHeader marks a serialized spec-representable policy.
 const specDocHeader = "# policy-spec:"
 
-// Parse reads text produced by Format (either form) back into a
+// Parse reads text produced by format (either form) back into a
 // policy. target provides the machine context for target-parameterized
 // kinds, as in FromSpec.
 func Parse(text, target string) (Policy, error) {

@@ -90,17 +90,21 @@ func TestLoadInducedForKindMismatchWarns(t *testing.T) {
 }
 
 // A file trained for one target loads under another, with a warning
-// naming both targets.
+// naming both targets, and the filter keeps the target it was trained for.
 func TestLoadInducedForTargetMismatchWarns(t *testing.T) {
 	path := writeModel(t, FormatInduced(NewInducedFor(testRules(), "L/N@t=20", "mpc7410")))
 
+	var got *Induced
 	var err error
-	warnings := captureStderr(t, func() { _, err = LoadInducedFor(path, "wide4") })
+	warnings := captureStderr(t, func() { got, err = LoadInducedFor(path, "wide4") })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(warnings, `"mpc7410"`) || !strings.Contains(warnings, `"wide4"`) {
 		t.Errorf("warning should name both targets, got: %q", warnings)
+	}
+	if got.Target != "mpc7410" {
+		t.Errorf("mismatched load lost the training target: %q", got.Target)
 	}
 }
 

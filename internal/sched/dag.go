@@ -99,7 +99,7 @@ func (d *DAG) HasPath(i, j int) bool {
 	return found
 }
 
-// BuildDAG computes the dependence DAG of the instruction sequence under
+// buildDAG computes the dependence DAG of the instruction sequence under
 // the model's latencies. The dependence rules follow the paper:
 //
 //   - two instructions are dependent if they access the same register and
@@ -123,7 +123,7 @@ func (d *DAG) HasPath(i, j int) bool {
 // transitive closure, the critical-path lengths, and the resulting
 // schedules are identical to BuildDAGReference's full graph (the
 // equivalence property tests pin this down per machine target).
-func BuildDAG(m *machine.Model, instrs []ir.Instr) *DAG {
+func buildDAG(m *machine.Model, instrs []ir.Instr) *DAG {
 	d := &DAG{}
 	s := GetScratch()
 	buildDAGInto(m, instrs, d, s)
@@ -131,7 +131,7 @@ func BuildDAG(m *machine.Model, instrs []ir.Instr) *DAG {
 	return d
 }
 
-// BuildDAGScratch is BuildDAG into the scratch's reusable storage: the
+// BuildDAGScratch is buildDAG into the scratch's reusable storage: the
 // returned DAG is owned by s and valid only until s's next use, but a
 // warmed scratch makes the build allocation-free. This is the build half
 // of ScheduleInstrsScratch, exposed for callers (the hot-path benchmark)
@@ -152,11 +152,11 @@ type liveStore struct {
 	idx, lat, v int32
 }
 
-// buildDAGInto is BuildDAG writing into caller storage: the DAG's
+// buildDAGInto is buildDAG writing into caller storage: the DAG's
 // adjacency lists and the register/memory bookkeeping all come from the
 // scratch, so a warmed-up scratch builds DAGs without allocating. d may be
 // the scratch's own embedded DAG (the pooled fast path) or a fresh DAG
-// whose storage the caller keeps (BuildDAG, superblock formation).
+// whose storage the caller keeps (buildDAG, superblock formation).
 func buildDAGInto(m *machine.Model, instrs []ir.Instr, d *DAG, s *Scratch) {
 	n := len(instrs)
 	d.reset(n)

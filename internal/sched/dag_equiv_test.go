@@ -32,7 +32,7 @@ func TestReferenceEquivalenceAllTargets(t *testing.T) {
 			}
 
 			ref := BuildDAGReference(m, instrs)
-			red := BuildDAG(m, instrs)
+			red := buildDAG(m, instrs)
 			if !reflect.DeepEqual(ref.CriticalPaths(m, instrs), red.CriticalPaths(m, instrs)) {
 				t.Fatalf("%s block %d: critical paths diverged from reference", m.Name, bi)
 			}
@@ -53,7 +53,7 @@ func TestReferenceClosureEquivalence(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		ins := blockgen.Gen(r, blockgen.DefaultConfig)
 		ref := BuildDAGReference(m, ins)
-		red := BuildDAG(m, ins)
+		red := buildDAG(m, ins)
 		for i := 0; i < len(ins); i++ {
 			for j := i + 1; j < len(ins); j++ {
 				if ref.HasPath(i, j) != red.HasPath(i, j) {

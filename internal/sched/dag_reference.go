@@ -20,7 +20,7 @@ import (
 // stores from every prior store, load, and PEI, the terminator from every
 // instruction), deduplicated through a map keeping the maximum latency per
 // pair. The produced DAG has the same transitive closure — and dominates
-// the same critical-path lengths — as BuildDAG's reduced graph.
+// the same critical-path lengths — as buildDAG's reduced graph.
 func BuildDAGReference(m *machine.Model, instrs []ir.Instr) *DAG {
 	n := len(instrs)
 	d := &DAG{N: n, Succ: make([][]Edge, n), Pred: make([][]Edge, n)}

@@ -28,7 +28,7 @@ func add(d, a, b int) ir.Instr {
 
 func TestDAGTrueDependence(t *testing.T) {
 	ins := []ir.Instr{add(3, 4, 5), add(6, 3, 7)}
-	d := BuildDAG(model(), ins)
+	d := buildDAG(model(), ins)
 	if !d.HasPath(0, 1) {
 		t.Error("missing true dependence def->use")
 	}
@@ -41,7 +41,7 @@ func TestDAGAntiAndOutput(t *testing.T) {
 		add(3, 4, 5),
 		add(3, 7, 8),
 	}
-	d := BuildDAG(model(), ins)
+	d := buildDAG(model(), ins)
 	if !d.HasPath(0, 1) {
 		t.Error("missing anti dependence use->def")
 	}
@@ -52,7 +52,7 @@ func TestDAGAntiAndOutput(t *testing.T) {
 
 func TestDAGIndependent(t *testing.T) {
 	ins := []ir.Instr{add(3, 4, 5), add(6, 7, 8)}
-	d := BuildDAG(model(), ins)
+	d := buildDAG(model(), ins)
 	if d.HasPath(0, 1) || d.HasPath(1, 0) {
 		t.Error("independent instructions should have no dependence path")
 	}
@@ -66,7 +66,7 @@ func TestDAGMemoryDependences(t *testing.T) {
 		return ir.Instr{Op: ir.ST, Uses: []ir.Reg{ir.GPR(src), ir.GPR(10)}, Imm: 0}
 	}
 	ins := []ir.Instr{st(4), ld(5), st(6), ld(7)}
-	d := BuildDAG(model(), ins)
+	d := buildDAG(model(), ins)
 	for _, pair := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}} {
 		if !d.HasPath(pair[0], pair[1]) {
 			t.Errorf("missing memory dependence %d->%d", pair[0], pair[1])
@@ -74,7 +74,7 @@ func TestDAGMemoryDependences(t *testing.T) {
 	}
 	// Two loads with no intervening store are independent.
 	ins2 := []ir.Instr{ld(5), ld(7)}
-	d2 := BuildDAG(model(), ins2)
+	d2 := buildDAG(model(), ins2)
 	if d2.HasPath(0, 1) || d2.HasPath(1, 0) {
 		t.Error("load-load should be independent")
 	}
@@ -86,7 +86,7 @@ func TestDAGGuardKeepsLoadBelowCheck(t *testing.T) {
 		{Op: ir.NULLCHECK, Defs: []ir.Reg{g}, Uses: []ir.Reg{ir.GPR(4)}},
 		{Op: ir.LD, Defs: []ir.Reg{ir.GPR(5)}, Uses: []ir.Reg{ir.GPR(4), g}, Imm: 0},
 	}
-	d := BuildDAG(model(), ins)
+	d := buildDAG(model(), ins)
 	if !d.HasPath(0, 1) {
 		t.Error("guarded load must depend on its check")
 	}
@@ -98,15 +98,15 @@ func TestDAGLoadsCrossChecksButNotCalls(t *testing.T) {
 	check := ir.Instr{Op: ir.NULLCHECK, Defs: []ir.Reg{g}, Uses: []ir.Reg{ir.GPR(4)}}
 	call := ir.Instr{Op: ir.BL, Target: 0}
 
-	d := BuildDAG(model(), []ir.Instr{check, ld})
+	d := buildDAG(model(), []ir.Instr{check, ld})
 	if d.HasPath(0, 1) {
 		t.Error("an unrelated load may move across a pure check")
 	}
-	d2 := BuildDAG(model(), []ir.Instr{call, ld})
+	d2 := buildDAG(model(), []ir.Instr{call, ld})
 	if !d2.HasPath(0, 1) {
 		t.Error("a load may not move above a call")
 	}
-	d3 := BuildDAG(model(), []ir.Instr{ld, call})
+	d3 := buildDAG(model(), []ir.Instr{ld, call})
 	if !d3.HasPath(0, 1) {
 		t.Error("a load may not move below a call")
 	}
@@ -116,11 +116,11 @@ func TestDAGStoresDoNotCrossPEI(t *testing.T) {
 	st := ir.Instr{Op: ir.ST, Uses: []ir.Reg{ir.GPR(5), ir.GPR(6)}, Imm: 0}
 	g := ir.Guard(0)
 	check := ir.Instr{Op: ir.NULLCHECK, Defs: []ir.Reg{g}, Uses: []ir.Reg{ir.GPR(4)}}
-	d := BuildDAG(model(), []ir.Instr{check, st})
+	d := buildDAG(model(), []ir.Instr{check, st})
 	if !d.HasPath(0, 1) {
 		t.Error("store may not move above a PEI")
 	}
-	d2 := BuildDAG(model(), []ir.Instr{st, check})
+	d2 := buildDAG(model(), []ir.Instr{st, check})
 	if !d2.HasPath(0, 1) {
 		t.Error("PEI may not move above a store")
 	}
@@ -129,7 +129,7 @@ func TestDAGStoresDoNotCrossPEI(t *testing.T) {
 func TestDAGHazardsStayOrdered(t *testing.T) {
 	y1 := ir.Instr{Op: ir.YIELDPOINT}
 	y2 := ir.Instr{Op: ir.TSPOINT}
-	d := BuildDAG(model(), []ir.Instr{y1, y2})
+	d := buildDAG(model(), []ir.Instr{y1, y2})
 	if !d.HasPath(0, 1) {
 		t.Error("hazard points must stay ordered")
 	}
@@ -142,7 +142,7 @@ func TestDAGBranchDependsOnAll(t *testing.T) {
 		{Op: ir.CMPI, Defs: []ir.Reg{ir.CR(0)}, Uses: []ir.Reg{ir.GPR(3)}, Imm: 0},
 		{Op: ir.BC, Uses: []ir.Reg{ir.CR(0)}, Imm: ir.CondGT, Target: 1},
 	}
-	d := BuildDAG(model(), ins)
+	d := buildDAG(model(), ins)
 	for i := 0; i < 3; i++ {
 		if !d.HasPath(i, 3) {
 			t.Errorf("instruction %d must precede the branch", i)
@@ -157,7 +157,7 @@ func TestCPSPreservesDependenceOrder(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ins := blockgen.Gen(r, blockgen.DefaultConfig)
-		d := BuildDAG(m, ins)
+		d := buildDAG(m, ins)
 		res := ScheduleInstrs(m, ins)
 		pos := make([]int, len(ins))
 		for p, idx := range res.Order {
@@ -333,7 +333,7 @@ func TestCriticalPathsSaneBounds(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
 		ins := blockgen.Gen(r, blockgen.DefaultConfig)
-		d := BuildDAG(m, ins)
+		d := buildDAG(m, ins)
 		cp := d.CriticalPaths(m, ins)
 		for i := range ins {
 			if cp[i] < m.Latency(ins[i].Op) {
@@ -354,7 +354,7 @@ func TestDotExport(t *testing.T) {
 		{Op: ir.LD, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(10)}, Imm: 0},
 		{Op: ir.ADDI, Defs: []ir.Reg{ir.GPR(4)}, Uses: []ir.Reg{ir.GPR(3)}, Imm: 1},
 	}
-	d := BuildDAG(m, ins)
+	d := buildDAG(m, ins)
 	cp := d.CriticalPaths(m, ins)
 	dot := d.Dot(ins, cp)
 	for _, want := range []string{"digraph block", "n0 -> n1", "cp="} {

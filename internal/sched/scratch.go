@@ -18,7 +18,7 @@ import (
 // package-level pool behind GetScratch hands each caller its own).
 type Scratch struct {
 	// dag is the reusable DAG ScheduleInstrsScratch builds into. DAGs
-	// returned by BuildDAG are freshly allocated and never alias it.
+	// returned by buildDAG are freshly allocated and never alias it.
 	dag DAG
 
 	// state is the machine issue state, rebuilt only when the model

@@ -235,7 +235,7 @@ func isPinned(op ir.Op) bool {
 // branches' positions in the concatenation.
 func buildSuperblockDAG(m *machine.Model, fn *ir.Fn, trace []int, liveIn []RegSet) ([]ir.Instr, *DAG, []int) {
 	instrs := concatTrace(fn, trace)
-	d := BuildDAG(m, instrs)
+	d := buildDAG(m, instrs)
 	branchPos := make([]int, 0, len(trace)-1)
 	end := 0
 	for k, bi := range trace[:len(trace)-1] {

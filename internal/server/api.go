@@ -64,8 +64,8 @@ type CompileRequest struct {
 	Listing bool `json:"listing,omitempty"`
 }
 
-// CompileResponse reports a compilation.
-type CompileResponse struct {
+// compileResponse reports a compilation.
+type compileResponse struct {
 	Traced
 	Fns       int    `json:"fns"`
 	Blocks    int    `json:"blocks"`
@@ -134,8 +134,8 @@ type PredictRequest struct {
 	Detail bool `json:"detail,omitempty"`
 }
 
-// BlockDecision is one block's prediction.
-type BlockDecision struct {
+// blockDecision is one block's prediction.
+type blockDecision struct {
 	Fn       string `json:"fn"`
 	Block    int    `json:"block"`
 	BBLen    int    `json:"bb_len"`
@@ -144,15 +144,15 @@ type BlockDecision struct {
 	Confidence float64 `json:"confidence"`
 }
 
-// PredictResponse reports the filter's decisions.
-type PredictResponse struct {
+// predictResponse reports the filter's decisions.
+type predictResponse struct {
 	Traced
 	Policy        string          `json:"policy"`
 	PolicyID      string          `json:"policy_id"`
 	FilterVersion int             `json:"filter_version,omitempty"`
 	Blocks        int             `json:"blocks"`
 	WouldSchedule int             `json:"would_schedule"`
-	Decisions     []BlockDecision `json:"decisions,omitempty"`
+	Decisions     []blockDecision `json:"decisions,omitempty"`
 }
 
 // ExecuteRequest is the input of POST /v1/execute: compile, schedule

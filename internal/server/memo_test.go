@@ -110,16 +110,16 @@ func TestMemoHandsOutPrivateCopies(t *testing.T) {
 func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := CompileRequest{ProgramInput: ProgramInput{Source: testSource}}
-	post[CompileResponse](t, ts.URL+"/v1/compile", req)
+	post[compileResponse](t, ts.URL+"/v1/compile", req)
 	if b := scrape(t, ts.URL, "schedserved_compile_memo_bytes"); b != 0 {
 		t.Fatalf("a source seen once is retained: memo bytes %d", b)
 	}
-	post[CompileResponse](t, ts.URL+"/v1/compile", req)
+	post[compileResponse](t, ts.URL+"/v1/compile", req)
 	if b := scrape(t, ts.URL, "schedserved_compile_memo_bytes"); b == 0 {
 		t.Fatal("a source seen twice is not retained")
 	}
-	post[CompileResponse](t, ts.URL+"/v1/compile", CompileRequest{ProgramInput: ProgramInput{Workload: "compress"}})
-	post[CompileResponse](t, ts.URL+"/v1/compile", req)
+	post[compileResponse](t, ts.URL+"/v1/compile", CompileRequest{ProgramInput: ProgramInput{Workload: "compress"}})
+	post[compileResponse](t, ts.URL+"/v1/compile", req)
 	if h, m := scrape(t, ts.URL, "schedserved_compile_memo_hits_total"),
 		scrape(t, ts.URL, "schedserved_compile_memo_misses_total"); h != 1 || m != 3 {
 		t.Fatalf("memo hits %d misses %d, want 1 and 3", h, m)

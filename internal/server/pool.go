@@ -7,14 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// Backpressure errors. The HTTP layer maps ErrBusy to 429 Too Many
-// Requests and ErrClosed to 503 Service Unavailable.
+// Backpressure errors. The HTTP layer maps errBusy to 429 Too Many
+// Requests and errClosed to 503 Service Unavailable.
 var (
-	// ErrBusy means the admission queue is full: the client should back
+	// errBusy means the admission queue is full: the client should back
 	// off and retry.
-	ErrBusy = errors.New("server: compile queue full")
-	// ErrClosed means the server is draining for shutdown.
-	ErrClosed = errors.New("server: shutting down")
+	errBusy = errors.New("server: compile queue full")
+	// errClosed means the server is draining for shutdown.
+	errClosed = errors.New("server: shutting down")
 )
 
 // pool is the admission gate every compilation request passes. Work runs
@@ -39,8 +39,8 @@ func newPool(workers, depth int) *pool {
 }
 
 // Do runs f on the calling goroutine once a slot is free. It fails fast
-// with ErrBusy when Workers+QueueDepth requests are already admitted and
-// ErrClosed when the pool is draining. A ctx that ends while the request
+// with errBusy when Workers+QueueDepth requests are already admitted and
+// errClosed when the pool is draining. A ctx that ends while the request
 // waits for a slot returns ctx.Err() and f never runs; once f starts it
 // runs to completion.
 func (p *pool) Do(ctx context.Context, f func()) error {
@@ -48,10 +48,10 @@ func (p *pool) Do(ctx context.Context, f func()) error {
 	switch {
 	case p.closed:
 		p.mu.Unlock()
-		return ErrClosed
+		return errClosed
 	case p.admitted == p.limit:
 		p.mu.Unlock()
-		return ErrBusy
+		return errBusy
 	}
 	p.admitted++
 	p.wg.Add(1)
@@ -84,7 +84,7 @@ func (p *pool) QueueDepth() int { return int(p.queued.Load()) }
 // Inflight returns the number of jobs currently executing.
 func (p *pool) Inflight() int { return len(p.slots) }
 
-// Close drains the pool gracefully: new submissions fail with ErrClosed,
+// Close drains the pool gracefully: new submissions fail with errClosed,
 // queued and in-flight jobs run to completion, and Close returns once
 // every admitted request has finished. Idempotent.
 func (p *pool) Close() {

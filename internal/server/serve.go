@@ -33,20 +33,20 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 }
 
-// WriteJSON writes v as a compact JSON response with the given status.
+// writeJSON writes v as a compact JSON response with the given status.
 // Clients parse every byte, so replies carry no indentation; schedctl
 // indents what it prints.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v) // connection-level failure; nothing left to do
 }
 
 // Reply records a response's outcome and its latency since start
-// against ep, then writes v with WriteJSON.
+// against ep, then writes v with writeJSON.
 func Reply(w http.ResponseWriter, ep *obs.Endpoint, start time.Time, status int, v any) {
 	ep.Record(status, time.Since(start))
-	WriteJSON(w, status, v)
+	writeJSON(w, status, v)
 }
 
 // Drain is a daemon's drain state. Once BeginDrain runs, /healthz
@@ -73,7 +73,7 @@ func (d *Drain) ServeHealth(w http.ResponseWriter, fill func(status string, drai
 	if d.Draining() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	WriteJSON(w, code, fill(status, code != http.StatusOK))
+	writeJSON(w, code, fill(status, code != http.StatusOK))
 }
 
 // Daemon is what Serve runs: an HTTP surface with a drain flip and a

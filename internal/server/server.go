@@ -277,10 +277,10 @@ func (s *Server) endpoint(name string, work func(ctx context.Context, body []byt
 			resp, workErr = work(ctx, body)
 		})
 		switch {
-		case errors.Is(err, ErrBusy):
+		case errors.Is(err, errBusy):
 			w.Header().Set("Retry-After", "1")
 			s.reply(w, ep, tr, start, http.StatusTooManyRequests, ErrorResponse{Error: err.Error()})
-		case errors.Is(err, ErrClosed):
+		case errors.Is(err, errClosed):
 			s.reply(w, ep, tr, start, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
 		case err != nil, errors.Is(workErr, context.Canceled), errors.Is(workErr, context.DeadlineExceeded):
 			// Client went away while queued (the work never ran) or
@@ -364,7 +364,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
 			Version:    version,
 		})
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // compileInput compiles a request's program (inline source or bundled
@@ -521,7 +521,12 @@ func (s *Server) schedule(pr *prepared, noCache bool) (passRecord, bool) {
 		if s.schedFlightHook != nil {
 			s.schedFlightHook()
 		}
-		r := s.schedulePass(pr, key, false)
+		// A leader that finished after the replay above missed has
+		// stored its pass by now: replay it rather than run a second.
+		r, ok := s.replay(pr)
+		if !ok {
+			r = s.schedulePass(pr, key, false)
+		}
 		return &r
 	})
 	return *v.(*passRecord), coalesced
@@ -598,7 +603,7 @@ func (s *Server) doCompile(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := &CompileResponse{
+	resp := &compileResponse{
 		Fns:       len(pr.prog.Fns),
 		Blocks:    pr.prog.NumBlocks(),
 		Instrs:    pr.prog.NumInstrs(),
@@ -649,7 +654,7 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := &PredictResponse{
+	resp := &predictResponse{
 		Policy:        pr.f.Name(),
 		PolicyID:      pr.policyID,
 		FilterVersion: pr.version,
@@ -663,7 +668,7 @@ func (s *Server) doPredict(ctx context.Context, body []byte) (any, error) {
 				resp.WouldSchedule++
 			}
 			if req.Detail {
-				resp.Decisions = append(resp.Decisions, BlockDecision{
+				resp.Decisions = append(resp.Decisions, blockDecision{
 					Fn:         fn.Name,
 					Block:      b.ID,
 					BBLen:      b.Len(),

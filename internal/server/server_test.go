@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"schedfilter/internal/codecache"
 	"schedfilter/internal/obs"
 	"schedfilter/internal/policy"
 	"schedfilter/internal/workloads"
@@ -89,7 +90,7 @@ func scrape(t *testing.T, base, metric string) int64 {
 
 func TestCompileEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, resp := post[CompileResponse](t, ts.URL+"/v1/compile", CompileRequest{
+	code, resp := post[compileResponse](t, ts.URL+"/v1/compile", CompileRequest{
 		ProgramInput: ProgramInput{Source: testSource},
 		Listing:      true,
 	})
@@ -204,7 +205,7 @@ func TestScheduleWorkloadAndFilters(t *testing.T) {
 
 func TestPredictEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	code, resp := post[PredictResponse](t, ts.URL+"/v1/predict", PredictRequest{
+	code, resp := post[predictResponse](t, ts.URL+"/v1/predict", PredictRequest{
 		ProgramInput: ProgramInput{Source: testSource, Policy: "size:5"},
 		Detail:       true,
 	})
@@ -312,7 +313,7 @@ func TestDecodeRequestTrailingData(t *testing.T) {
 func TestInlineModelFilter(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	model := "# filter: L/N inline\n# labels: list orig\n(    1/   0) list :- bbLen >= 6.\n(    1/   0) orig :- .\n"
-	code, resp := post[PredictResponse](t, ts.URL+"/v1/predict", PredictRequest{
+	code, resp := post[predictResponse](t, ts.URL+"/v1/predict", PredictRequest{
 		ProgramInput: ProgramInput{Source: testSource},
 		FilterSpec:   FilterSpec{Model: model},
 	})
@@ -585,8 +586,8 @@ func TestBackpressure429(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Do is fail-fast: until the worker dequeues the first job, the
-			// queue is full and a second submission bounces with ErrBusy.
-			for s.pool.Do(context.Background(), func() { <-gate }) == ErrBusy {
+			// queue is full and a second submission bounces with errBusy.
+			for s.pool.Do(context.Background(), func() { <-gate }) == errBusy {
 				time.Sleep(time.Millisecond)
 			}
 		}()
@@ -610,7 +611,7 @@ func TestBackpressure429(t *testing.T) {
 }
 
 // Graceful shutdown: Close must let queued and in-flight work finish, and
-// later submissions must fail with ErrClosed (503 at the HTTP layer).
+// later submissions must fail with errClosed (503 at the HTTP layer).
 func TestCloseDrainsInflight(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	var done [3]bool
@@ -635,7 +636,7 @@ func TestCloseDrainsInflight(t *testing.T) {
 			t.Fatalf("job %d dropped during drain", i)
 		}
 	}
-	if err := s.pool.Do(context.Background(), func() {}); err != ErrClosed {
+	if err := s.pool.Do(context.Background(), func() {}); err != errClosed {
 		t.Fatalf("post-close submit: %v, want ErrClosed", err)
 	}
 }
@@ -708,10 +709,10 @@ func TestConcurrentTraffic(t *testing.T) {
 					code, _ = post[ScheduleResponse](t, ts.URL+"/v1/schedule",
 						ScheduleRequest{ProgramInput: ProgramInput{Source: testSource}})
 				case 1:
-					code, _ = post[PredictResponse](t, ts.URL+"/v1/predict",
+					code, _ = post[predictResponse](t, ts.URL+"/v1/predict",
 						PredictRequest{ProgramInput: ProgramInput{Source: testSource}})
 				default:
-					code, _ = post[CompileResponse](t, ts.URL+"/v1/compile",
+					code, _ = post[compileResponse](t, ts.URL+"/v1/compile",
 						CompileRequest{ProgramInput: ProgramInput{Source: testSource}})
 				}
 				if code != 200 {
@@ -919,6 +920,53 @@ func TestExecuteStampedeSharesLeaderPass(t *testing.T) {
 		if got != int64(base.Scheduled) {
 			t.Errorf("policy %q: cache lookups rose by %d, want one pass's %d", policySpec, got, base.Scheduled)
 		}
+	}
+}
+
+// TestLateLeaderReplaysFinishedPass covers a request whose replay
+// missed while another leader ran and which reached the flight only after
+// that leader had finished: it leads a flight of its own, and must replay
+// the stored pass rather than run a second one. The flight hook plays the
+// earlier leader, running and storing the memoized source's pass between
+// the late request's replay and its pass, so the block cache must see
+// exactly one pass's lookups.
+func TestLateLeaderReplaysFinishedPass(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	warm, err := json.Marshal(ScheduleRequest{ProgramInput: ProgramInput{Workload: "compress", Policy: "never"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the second sighting memoizes the source
+		if _, err := s.doSchedule(context.Background(), warm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := json.Marshal(ScheduleRequest{ProgramInput: ProgramInput{Workload: "compress", Policy: "always"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var earlier passRecord
+	s.schedFlightHook = func() {
+		var req ScheduleRequest
+		pr, err := s.prepare(context.Background(), body, &req, &req.ProgramInput, &req.FilterSpec)
+		if err != nil || pr.entry == nil {
+			t.Errorf("prepare: entry %v, err %v", pr.entry, err)
+			return
+		}
+		earlier = s.schedulePass(&pr, codecache.ProgramKey(pr.mt.model.Name, pr.policyID, pr.prog), false)
+	}
+	lookups := scrape(t, ts.URL, "codecache_hits_total") + scrape(t, ts.URL, "codecache_misses_total")
+	v, err := s.doSchedule(context.Background(), body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := v.(*ScheduleResponse)
+	if r.Coalesced || r.Scheduled != earlier.st.Scheduled || r.CacheHits != r.Scheduled {
+		t.Errorf("late leader reply %+v, want an uncoalesced replay of %d scheduled blocks", r, earlier.st.Scheduled)
+	}
+	got := scrape(t, ts.URL, "codecache_hits_total") + scrape(t, ts.URL, "codecache_misses_total") - lookups
+	if got != int64(earlier.st.Scheduled) {
+		t.Errorf("cache lookups rose by %d, want one pass's %d", got, earlier.st.Scheduled)
 	}
 }
 

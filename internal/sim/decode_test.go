@@ -147,8 +147,8 @@ func TestTrapMidSegment(t *testing.T) {
 		{"after call", afterCall, 7},
 	} {
 		_, err := Run(tc.p, Config{})
-		var trap *Trap
-		if !errors.As(err, &trap) || *trap != (Trap{Fn: "main", Kind: "divide by zero"}) {
+		var trap *trapError
+		if !errors.As(err, &trap) || *trap != (trapError{Fn: "main", Kind: "divide by zero"}) {
 			t.Errorf("%s: err %v, want a divide-by-zero trap in main", tc.name, err)
 		}
 		_, err = Run(tc.p, Config{StepLimit: tc.trapAtInst - 1})
@@ -203,7 +203,7 @@ func TestExecBlockRefusesMalformed(t *testing.T) {
 	b := &ir.Block{Instrs: []ir.Instr{
 		{Op: ir.FADD, Defs: []ir.Reg{ir.FPR(1)}, Uses: []ir.Reg{ir.FPR(2), ir.FPR(33)}},
 	}}
-	if err := ExecBlock(NewState(64), b); err == nil || !strings.Contains(err.Error(), "vf33") {
+	if err := execBlock(newState(64), b); err == nil || !strings.Contains(err.Error(), "vf33") {
 		t.Errorf("err %v, want a refusal naming vf33", err)
 	}
 	// Control instructions are no-ops: even a malformed branch is not
@@ -213,8 +213,8 @@ func TestExecBlockRefusesMalformed(t *testing.T) {
 		{Op: ir.B, Target: 99},
 		{Op: ir.ADDI, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(3)}, Imm: 1},
 	}
-	st := NewState(64)
-	if err := ExecBlock(st, b); err != nil || st.Regs[3] != 10 {
+	st := newState(64)
+	if err := execBlock(st, b); err != nil || st.Regs[3] != 10 {
 		t.Errorf("err %v, r3 %d; want r3 10", err, st.Regs[3])
 	}
 }

@@ -124,7 +124,7 @@ func unchained(m *machine.Model) *machine.IssueState {
 type outcome struct {
 	res   *Result
 	err   string
-	final State
+	final state
 }
 
 // runOutcome runs p in the form v and collects its outcome.

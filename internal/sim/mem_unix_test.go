@@ -26,12 +26,12 @@ func TestRunMemoryOffHeap(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	states := make([]*State, cap(freeMem)+1)
+	states := make([]*state, cap(freeMem)+1)
 	for i := range states {
-		states[i] = runState(DefaultMemWords)
+		states[i] = runState(defaultMemWords)
 	}
 	runtime.ReadMemStats(&after)
-	if grown := after.HeapAlloc - min(after.HeapAlloc, before.HeapAlloc); grown >= DefaultMemWords*8/2 {
+	if grown := after.HeapAlloc - min(after.HeapAlloc, before.HeapAlloc); grown >= defaultMemWords*8/2 {
 		t.Errorf("%d fresh run memories grew the heap by %d bytes", len(states), grown)
 	}
 
@@ -50,7 +50,7 @@ func TestRunMemoryOffHeap(t *testing.T) {
 		t.Fatalf("free list holds %d memories, want %d", n, cap(freeMem))
 	}
 	for range cap(freeMem) {
-		s := runState(DefaultMemWords)
+		s := runState(defaultMemWords)
 		if last := len(s.Mem) - 1; s.Mem[0] != 0 || s.Mem[last] != 0 {
 			t.Errorf("reused memory not cleared")
 		}

@@ -30,7 +30,7 @@
 // cycle and the makespan, which are all a run reads. Decoding is per run,
 // from the run's Model, because Model.Timing is mutable; a hot-swapped
 // function is decoded when it is installed, and its new segment handles
-// start with no edges. ExecBlock runs a single block through the same
+// start with no edges. execBlock runs a single block through the same
 // loop, so each opcode's semantics is written once for single records; a
 // fused case repeats its two halves' statements, and FuzzRun checks every
 // run against the same run with no pairs fused.
@@ -58,10 +58,10 @@ import (
 
 // Memory layout (word addresses).
 const (
-	// GlobalBase is where global slot 0 lives; r2 points here.
-	GlobalBase = 16
-	// DefaultMemWords is the default memory size (32 MiB).
-	DefaultMemWords = 1 << 22
+	// globalBase is where global slot 0 lives; r2 points here.
+	globalBase = 16
+	// defaultMemWords is the default memory size (32 MiB).
+	defaultMemWords = 1 << 22
 )
 
 // cancelCheckEvery is how many executed instructions pass between checks
@@ -74,8 +74,8 @@ type Config struct {
 	// entry after every 2^16 executed instructions, and a run whose
 	// context is done returns the context's error.
 	Context context.Context
-	// MemWords sizes the flat word-addressed memory; 0 means
-	// DefaultMemWords.
+	// MemWords sizes the flat word-addressed memory; 0 means 1<<22
+	// words (32 MiB).
 	MemWords int
 	// Timed enables the cycle pipeline (requires Model).
 	Timed bool
@@ -118,20 +118,20 @@ type Result struct {
 	Swaps int
 }
 
-// Trap is a machine-level runtime error (the hardware analogue of a Java
-// exception).
-type Trap struct {
+// trapError is a machine-level runtime error (the hardware analogue of a
+// Java exception).
+type trapError struct {
 	Fn   string
 	Kind string
 }
 
-func (t *Trap) Error() string { return fmt.Sprintf("sim: %s in %s", t.Kind, t.Fn) }
+func (t *trapError) Error() string { return fmt.Sprintf("sim: %s in %s", t.Kind, t.Fn) }
 
-// State is the architectural state, exposed so tests can execute single
-// blocks from arbitrary starting points. Guards carry no architectural
-// value (they only order instructions in the timing model), so the state
-// has no storage for them.
-type State struct {
+// state is the architectural state; tests build one with newState to
+// execute single blocks from arbitrary starting points. Guards carry no
+// architectural value (they only order instructions in the timing
+// model), so the state has no storage for them.
+type state struct {
 	Regs  [ir.NumGPR]int64
 	FRegs [ir.NumFPR]float64
 	CRs   [ir.NumCond]int8
@@ -147,16 +147,16 @@ type State struct {
 	heapEnd, stackStart int64
 }
 
-// NewState allocates a zeroed machine state with the given memory size.
-func NewState(memWords int) *State {
+// newState allocates a zeroed machine state with the given memory size.
+func newState(memWords int) *state {
 	if memWords <= 0 {
-		memWords = DefaultMemWords
+		memWords = defaultMemWords
 	}
-	return newState(make([]uint64, memWords))
+	return stateOver(make([]uint64, memWords))
 }
 
-func newState(mem []uint64) *State {
-	return &State{Mem: mem, heapPtr: GlobalBase, stackStart: int64(len(mem))}
+func stateOver(mem []uint64) *state {
+	return &state{Mem: mem, heapPtr: globalBase, stackStart: int64(len(mem))}
 }
 
 // freeMem holds released run memories, zeroed, for reuse. It keeps one
@@ -169,24 +169,24 @@ var freeMem = make(chan []uint64, runtime.GOMAXPROCS(0))
 
 // runState returns a state over zeroed memory of the given size, reusing
 // a released run's memory when one is free.
-func runState(memWords int) *State {
+func runState(memWords int) *state {
 	if memWords <= 0 {
-		memWords = DefaultMemWords
+		memWords = defaultMemWords
 	}
 	select {
 	case m := <-freeMem:
 		if len(m) == memWords {
-			return newState(m)
+			return stateOver(m)
 		}
 		unmapMem(m)
 	default:
 	}
-	return newState(mapMem(memWords))
+	return stateOver(mapMem(memWords))
 }
 
 // release zeroes the words the run wrote and frees its memory for reuse.
 // The state must not be used afterwards.
-func (s *State) release() {
+func (s *state) release() {
 	clear(s.Mem[:s.heapEnd])
 	clear(s.Mem[s.stackStart:])
 	select {
@@ -198,7 +198,7 @@ func (s *State) release() {
 }
 
 // Clone returns a deep copy of the state.
-func (s *State) Clone() *State {
+func (s *state) Clone() *state {
 	c := *s
 	c.Mem = append([]uint64(nil), s.Mem...)
 	c.out = append([]string(nil), s.out...)
@@ -207,7 +207,7 @@ func (s *State) Clone() *State {
 
 // Equal reports whether two states have identical registers and memory.
 // Guard and output history are excluded.
-func (s *State) Equal(o *State) bool {
+func (s *state) Equal(o *state) bool {
 	if s.Regs != o.Regs || s.CRs != o.CRs {
 		return false
 	}
@@ -251,7 +251,7 @@ type variant struct {
 	issue *machine.IssueState
 	// final, when set, receives a copy of the architectural state the
 	// run ends in, failed or not.
-	final *State
+	final *state
 }
 
 // run is Run in the form v, also returning a timed run's issue state.
@@ -286,14 +286,14 @@ func run(p *ir.Program, cfg Config, v variant) (*Result, *machine.IssueState, er
 		res.TakenCounts[i] = make([]int64, len(f.Blocks))
 	}
 
-	// Layout: globals at GlobalBase, heap after, stack at the top.
+	// Layout: globals at globalBase, heap after, stack at the top.
 	st := runState(cfg.MemWords)
 	defer st.release()
 	if v.final != nil {
 		defer func() { *v.final = *st.Clone() }()
 	}
-	st.heapPtr = int64(GlobalBase + p.Globals)
-	st.Regs[2] = GlobalBase
+	st.heapPtr = int64(globalBase + p.Globals)
+	st.Regs[2] = globalBase
 	st.Regs[1] = int64(len(st.Mem))
 
 	ex := &executor{p: p, st: st, res: res, issue: issue, limit: limit, unfused: v.unfused,
@@ -346,7 +346,7 @@ func fnIndexByName(p *ir.Program, name string) int {
 type executor struct {
 	p      *ir.Program
 	code   []fnCode
-	st     *State
+	st     *state
 	res    *Result
 	issue  *machine.IssueState
 	frames []frame
@@ -457,7 +457,7 @@ transfer:
 				st.Regs[d.d] = st.Regs[d.a] * st.Regs[d.b]
 			case ir.DIVW:
 				if st.Regs[d.b] == 0 {
-					return &Trap{Fn: c.fn.Name, Kind: "divide by zero"}
+					return &trapError{Fn: c.fn.Name, Kind: "divide by zero"}
 				}
 				st.Regs[d.d] = st.Regs[d.a] / st.Regs[d.b]
 			case ir.NEG:
@@ -563,13 +563,13 @@ transfer:
 			case ir.ALLOC:
 				n := st.Regs[d.a]
 				if n < 0 {
-					return &Trap{Fn: c.fn.Name, Kind: "negative allocation"}
+					return &trapError{Fn: c.fn.Name, Kind: "negative allocation"}
 				}
 				// The block and its header must end below the stack
 				// pointer and within memory.
 				addr := st.heapPtr
 				if top := min(st.Regs[1], int64(len(st.Mem))); top <= addr || n >= top-addr-1 {
-					return &Trap{Fn: c.fn.Name, Kind: "out of memory"}
+					return &trapError{Fn: c.fn.Name, Kind: "out of memory"}
 				}
 				st.Mem[addr] = uint64(n)
 				clear(st.Mem[addr+1 : addr+n+1])
@@ -578,11 +578,11 @@ transfer:
 				st.Regs[d.d] = addr
 			case ir.NULLCHECK:
 				if st.Regs[d.a] == 0 {
-					return &Trap{Fn: c.fn.Name, Kind: "null pointer"}
+					return &trapError{Fn: c.fn.Name, Kind: "null pointer"}
 				}
 			case ir.BOUNDSCHECK:
 				if st.Regs[d.a] < 0 || st.Regs[d.a] >= st.Regs[d.b] {
-					return &Trap{Fn: c.fn.Name, Kind: "index out of bounds"}
+					return &trapError{Fn: c.fn.Name, Kind: "index out of bounds"}
 				}
 			case ir.RTPRINTI:
 				st.out = append(st.out, "i:"+strconv.FormatInt(st.Regs[d.a], 10))
@@ -595,7 +595,7 @@ transfer:
 			// ends in a branch falls through into the branch's case.
 			case nullcheckLD:
 				if st.Regs[d.a] == 0 {
-					return &Trap{Fn: c.fn.Name, Kind: "null pointer"}
+					return &trapError{Fn: c.fn.Name, Kind: "null pointer"}
 				}
 				i++
 				e := &seg[i]
@@ -613,11 +613,11 @@ transfer:
 				i++
 				e := &seg[i]
 				if st.Regs[e.a] < 0 || st.Regs[e.a] >= st.Regs[e.b] {
-					return &Trap{Fn: c.fn.Name, Kind: "index out of bounds"}
+					return &trapError{Fn: c.fn.Name, Kind: "index out of bounds"}
 				}
 			case boundscheckADDI:
 				if st.Regs[d.a] < 0 || st.Regs[d.a] >= st.Regs[d.b] {
-					return &Trap{Fn: c.fn.Name, Kind: "index out of bounds"}
+					return &trapError{Fn: c.fn.Name, Kind: "index out of bounds"}
 				}
 				i++
 				e := &seg[i]
@@ -663,7 +663,7 @@ transfer:
 				i++
 				e := &seg[i]
 				if st.Regs[e.a] == 0 {
-					return &Trap{Fn: c.fn.Name, Kind: "null pointer"}
+					return &trapError{Fn: c.fn.Name, Kind: "null pointer"}
 				}
 			case addiLD:
 				st.Regs[d.d] = st.Regs[d.a] + d.imm
@@ -706,7 +706,7 @@ transfer:
 				ex.frames = append(ex.frames, fr)
 				st.Regs[1] -= int64(callee.FrameSlots)
 				if st.Regs[1] <= st.heapPtr {
-					return &Trap{Fn: callee.Name, Kind: "stack overflow"}
+					return &trapError{Fn: callee.Name, Kind: "stack overflow"}
 				}
 				fn, blk, idx, ex.taken = int(d.tgt), callee.Entry, 0, true
 				continue transfer
@@ -745,11 +745,11 @@ transfer:
 }
 
 // inMem reports whether addr is a word a load or store may touch.
-func (s *State) inMem(addr int64) bool { return addr > 0 && addr < int64(len(s.Mem)) }
+func (s *state) inMem(addr int64) bool { return addr > 0 && addr < int64(len(s.Mem)) }
 
 // store writes v at addr, which must be in memory, extending the written
 // windows.
-func (s *State) store(addr int64, v uint64) {
+func (s *state) store(addr int64, v uint64) {
 	if addr >= s.Regs[1] {
 		s.stackStart = min(s.stackStart, addr)
 	} else {
@@ -760,7 +760,7 @@ func (s *State) store(addr int64, v uint64) {
 
 // memTrap is the trap a load or store (access) at a bad address raises.
 func memTrap(fnName, access string, addr int64) error {
-	return &Trap{Fn: fnName, Kind: fmt.Sprintf("bad %s address %d", access, addr)}
+	return &trapError{Fn: fnName, Kind: fmt.Sprintf("bad %s address %d", access, addr)}
 }
 
 func sign(v int64) int8 {
@@ -783,13 +783,13 @@ func fsign(a, b float64) int8 {
 	return 0
 }
 
-// ExecBlock executes a block's non-control instructions against the
+// execBlock executes a block's non-control instructions against the
 // state, in order, through the same dispatch loop as Run: its control
 // instructions decode as no-ops, since control effects lie outside a
 // single block's semantics, and a return to the runtime ends it. It is
 // the oracle for the scheduling semantics-preservation property: a block
 // and its scheduled permutation must leave identical states.
-func ExecBlock(st *State, b *ir.Block) error {
+func execBlock(st *state, b *ir.Block) error {
 	code := make([]instr, len(b.Instrs)+1)
 	for i := range b.Instrs {
 		in := &b.Instrs[i]

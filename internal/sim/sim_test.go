@@ -105,7 +105,7 @@ func TestTrapsSurface(t *testing.T) {
 		}, "out of memory"},
 		{"alloc above memory", []ir.Instr{
 			{Op: ir.LI, Defs: []ir.Reg{ir.GPR(1)}, Imm: 1 << 40},
-			{Op: ir.LI, Defs: []ir.Reg{ir.GPR(4)}, Imm: DefaultMemWords},
+			{Op: ir.LI, Defs: []ir.Reg{ir.GPR(4)}, Imm: defaultMemWords},
 			{Op: ir.ALLOC, Defs: []ir.Reg{ir.GPR(3)}, Uses: []ir.Reg{ir.GPR(4)}},
 			{Op: ir.BLR},
 		}, "out of memory"},
@@ -114,7 +114,7 @@ func TestTrapsSurface(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			b := &ir.Block{ID: 0, Instrs: c.ins}
 			_, err := Run(buildProg([]*ir.Block{b}), Config{})
-			trap, ok := err.(*Trap)
+			trap, ok := err.(*trapError)
 			if !ok {
 				t.Fatalf("want *Trap, got %v", err)
 			}
@@ -195,15 +195,15 @@ func TestSchedulingPreservesBlockSemantics(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		blk := blockgen.GenBlock(r, blockgen.DefaultConfig, 0)
 
-		st1 := NewState(64)
+		st1 := newState(64)
 		st2 := st1.Clone()
 
-		if err := ExecBlock(st1, blk); err != nil {
+		if err := execBlock(st1, blk); err != nil {
 			return true // generated block traps identically either way
 		}
 		scheduled := blk.Clone()
 		sched.ScheduleBlock(m, scheduled, nil, sched.NewScratch())
-		if err := ExecBlock(st2, scheduled); err != nil {
+		if err := execBlock(st2, scheduled); err != nil {
 			return false
 		}
 		return st1.Equal(st2)
@@ -221,7 +221,7 @@ func TestSchedulingPreservesSemanticsUnderRandomInitialState(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		blk := blockgen.GenBlock(r, blockgen.DefaultConfig, 0)
 
-		st1 := NewState(64)
+		st1 := newState(64)
 		for i := range st1.Regs {
 			st1.Regs[i] = r.Int63n(1000)
 		}
@@ -233,12 +233,12 @@ func TestSchedulingPreservesSemanticsUnderRandomInitialState(t *testing.T) {
 		}
 		st2 := st1.Clone()
 
-		if err := ExecBlock(st1, blk); err != nil {
+		if err := execBlock(st1, blk); err != nil {
 			return true
 		}
 		scheduled := blk.Clone()
 		sched.ScheduleBlock(m, scheduled, nil, sched.NewScratch())
-		if err := ExecBlock(st2, scheduled); err != nil {
+		if err := execBlock(st2, scheduled); err != nil {
 			return false
 		}
 		return st1.Equal(st2)
@@ -249,7 +249,7 @@ func TestSchedulingPreservesSemanticsUnderRandomInitialState(t *testing.T) {
 }
 
 func TestStateCloneIndependent(t *testing.T) {
-	st := NewState(32)
+	st := newState(32)
 	st.Regs[5] = 7
 	st.Mem[10] = 11
 	c := st.Clone()
@@ -456,8 +456,8 @@ func TestCancelledContextStopsRun(t *testing.T) {
 // zeros, exactly as on fresh memory.
 func TestRunMemoryReuse(t *testing.T) {
 	const words, globals = 1 << 16, 2
-	heap := int64(GlobalBase + globals) // the first allocation's header
-	addrs := []int64{GlobalBase, heap, heap + 3, words / 2, words - 3}
+	heap := int64(globalBase + globals) // the first allocation's header
+	addrs := []int64{globalBase, heap, heap + 3, words / 2, words - 3}
 	allocator := []ir.Instr{
 		{Op: ir.LI, Defs: []ir.Reg{ir.GPR(6)}, Imm: 5},
 		{Op: ir.ALLOC, Defs: []ir.Reg{ir.GPR(7)}, Uses: []ir.Reg{ir.GPR(6)}},

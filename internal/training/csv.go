@@ -51,10 +51,10 @@ func WriteCSV(w io.Writer, data []*BenchData) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses instances written by WriteCSV, grouping them back into
+// readCSV parses instances written by WriteCSV, grouping them back into
 // per-benchmark BenchData (without compiled programs — CSV round-trips
 // records only).
-func ReadCSV(r io.Reader) ([]*BenchData, error) {
+func readCSV(r io.Reader) ([]*BenchData, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	if !sc.Scan() {

@@ -230,7 +230,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, data[:2]); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
+	back, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestCSVRejectsGarbage(t *testing.T) {
 		}
 	}
 	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
+		if _, err := readCSV(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: ReadCSV accepted garbage", i)
 		} else if i >= firstNonFinite && !strings.Contains(err.Error(), "line 2: non-finite feature") {
 			t.Errorf("case %d: error %q does not name the line and the non-finite feature", i, err)

