@@ -29,9 +29,7 @@ var (
 
 func sharedRunner() *experiments.Runner {
 	runnerOnce.Do(func() {
-		cfg := experiments.DefaultConfig()
-		cfg.SchedTimeReps = 3
-		runner = experiments.NewRunner(cfg)
+		runner = experiments.NewRunner(experiments.DefaultConfig())
 	})
 	return runner
 }

@@ -1,22 +1,21 @@
 // Command schedexp regenerates the paper's evaluation — every table and
-// figure, printed as text in the paper's shape — and the experiments
-// whose results are checked in as BENCH_*.json artifacts.
+// figure, printed as text in the paper's shape — and the extension
+// experiments. Every experiment checks its results in as a BENCH_*.json
+// artifact.
 //
 // Usage:
 //
-//	schedexp -exp table3                  # one experiment
-//	schedexp -exp all                     # everything (a minute or two)
-//	schedexp -exp table4 -target wide4    # the paper tables under another machine
+//	schedexp -exp paper                   # the paper's tables and figures (~9 s at -j 2)
+//	schedexp -exp all                     # every experiment
+//	schedexp -exp paper -target wide4     # the paper tables under another machine
 //	schedexp -exp adaptive -json          # ...and write its artifact, BENCH_adaptive.json
 //	schedexp -exp policies -policy always,size:5   # the policy matrix with explicit rows
 //	schedexp -check                       # regenerate every artifact, compare with the checked-in files
 //	schedexp -exp online -check           # ...one artifact
 //
-// Experiments: table1 table2 table3 table4 table5 table6 table7
-//
-//	fig1a fig1b fig2a fig2b fig3a fig3b fig4 ablation models superblocks
-//	sbfilter, the artifact experiments adaptive targets policies online
-//	cluster hotpath, and all
+// Experiments: paper (Tables 1–7, Figures 1–4, the superblock, model
+// and ablation studies), adaptive, targets, policies, online, cluster,
+// hotpath, and all.
 //
 // -target picks the machine model the experiments run against by
 // registry name (default mpc7410; see machine.All). The
@@ -56,7 +55,6 @@ import (
 	"schedfilter/internal/cliflags"
 	"schedfilter/internal/experiments"
 	"schedfilter/internal/machine"
-	"schedfilter/internal/workloads"
 )
 
 func main() {
@@ -121,7 +119,7 @@ func parseFlags(args []string) (options, *cliflags.ProfileFlags, error) {
 	return o, prof, nil
 }
 
-// result is what an artifact experiment returns.
+// result is what an experiment returns.
 type result interface {
 	Render() string
 	Artifact() experiments.Artifact
@@ -134,12 +132,14 @@ type env struct {
 	r   *experiments.Runner
 }
 
-// artifacts are the experiments with a checked-in BENCH_*.json file.
+// artifacts are the experiments, each with a checked-in BENCH_*.json
+// file, in the order -exp all runs them.
 // -json writes the file; -check regenerates it and compares.
 var artifacts = []struct {
 	name, file string
 	run        func(e env) (result, error)
 }{
+	{"paper", "BENCH_paper.json", func(e env) (result, error) { return e.r.Paper() }},
 	{"adaptive", "BENCH_adaptive.json", func(e env) (result, error) { return e.r.Adaptive(0) }},
 	{"targets", "BENCH_targets.json", func(e env) (result, error) { return experiments.CrossTargets(e.cfg, nil, 0) }},
 	{"policies", "BENCH_policies.json", func(e env) (result, error) {
@@ -162,160 +162,9 @@ func run(o options) error {
 		}
 		cfg.Model = tgt.Model
 	}
-	r := experiments.NewRunner(cfg)
 	all := o.exp == "all"
 	did := false
-
-	steps := []struct {
-		name string
-		f    func() error
-	}{
-		{"table1", func() error { fmt.Println(experiments.RenderTable1()); return nil }},
-		{"table2", func() error { fmt.Println(experiments.RenderTable2()); return nil }},
-		{"table7", func() error { fmt.Println(experiments.RenderTable7()); return nil }},
-		{"table3", func() error {
-			res, err := r.Table3()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-			return nil
-		}},
-		{"table4", func() error {
-			res, err := r.Table4()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-			return nil
-		}},
-		{"table5", func() error {
-			res, err := r.Table5()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-			return nil
-		}},
-		{"table6", func() error {
-			res, err := r.Table6()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-			return nil
-		}},
-		{"fig1a", func() error {
-			res, err := r.SchedTimeFigure(workloads.SuiteJVM98, []int{0})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.RenderSchedTime("Figure 1(a): scheduling time, no threshold (t=0)"))
-			return nil
-		}},
-		{"fig1b", func() error {
-			res, err := r.AppTimeFigure(workloads.SuiteJVM98, []int{0})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.RenderAppTime("Figure 1(b): application running time, no threshold (t=0)"))
-			return nil
-		}},
-		{"fig2a", func() error {
-			res, err := r.SchedTimeFigure(workloads.SuiteJVM98, experiments.Thresholds)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.RenderSchedTime("Figure 2(a): scheduling time across thresholds"))
-			return nil
-		}},
-		{"fig2b", func() error {
-			res, err := r.AppTimeFigure(workloads.SuiteJVM98, experiments.Thresholds)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.RenderAppTime("Figure 2(b): application running time across thresholds"))
-			return nil
-		}},
-		{"fig3a", func() error {
-			res, err := r.SchedTimeFigure(workloads.SuiteFP, experiments.Thresholds)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.RenderSchedTime("Figure 3(a): scheduling time, benefits suite"))
-			return nil
-		}},
-		{"fig3b", func() error {
-			res, err := r.AppTimeFigure(workloads.SuiteFP, experiments.Thresholds)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.RenderAppTime("Figure 3(b): application running time, benefits suite"))
-			return nil
-		}},
-		{"superblocks", func() error {
-			for _, suite := range []workloads.Suite{workloads.SuiteJVM98, workloads.SuiteFP} {
-				res, err := r.Superblocks(suite)
-				if err != nil {
-					return err
-				}
-				title := "Superblock scheduling vs local scheduling (suite 1)"
-				if suite == workloads.SuiteFP {
-					title = "Superblock scheduling vs local scheduling (benefits suite)"
-				}
-				fmt.Println(res.Render(title))
-			}
-			return nil
-		}},
-		{"sbfilter", func() error {
-			res, err := r.SuperblockFilter(workloads.SuiteFP)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render("Superblock filter: per-trace whether-to-schedule (benefits suite, t=0)"))
-			return nil
-		}},
-		{"models", func() error {
-			res, err := experiments.CompareModels(cfg,
-				[]*machine.Model{machine.Default().Model, machine.MustByName("scalar603").Model})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-			return nil
-		}},
-		{"ablation", func() error {
-			res, err := r.Ablation()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-			return nil
-		}},
-		{"fig4", func() error {
-			rs, err := r.Figure4()
-			if err != nil {
-				return err
-			}
-			fmt.Println("Figure 4: Induced heuristic generated by Ripper")
-			fmt.Println("-----------------------------------------------")
-			fmt.Print(rs.String())
-			return nil
-		}},
-	}
-
-	if !o.check {
-		for _, s := range steps {
-			if all || o.exp == s.name {
-				did = true
-				if err := s.f(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	e := env{options: o, cfg: cfg, r: r}
+	e := env{options: o, cfg: cfg, r: experiments.NewRunner(cfg)}
 	checked, failed := 0, 0
 	for _, a := range artifacts {
 		if !all && o.exp != a.name {
@@ -346,9 +195,6 @@ func run(o options) error {
 		}
 	}
 	if !did {
-		if o.check {
-			return fmt.Errorf("experiment %q has no artifact to check", o.exp)
-		}
 		return fmt.Errorf("unknown experiment %q", o.exp)
 	}
 	if failed > 0 {

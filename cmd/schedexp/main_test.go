@@ -38,35 +38,28 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestRunStaticTables(t *testing.T) {
-	for _, exp := range []string{"table1", "table2", "table7"} {
-		out, err := captureStdout(t, func() error { return run(options{exp: exp}) })
-		if err != nil {
-			t.Fatalf("%s: %v", exp, err)
-		}
-		if len(out) < 100 {
-			t.Errorf("%s produced implausibly short output:\n%s", exp, out)
-		}
-	}
-}
-
-func TestRunTable5EndToEnd(t *testing.T) {
-	out, err := captureStdout(t, func() error { return run(options{exp: "table5"}) })
+// The paper experiment prints every table and figure: the static tables
+// in full, Table 5's constant NS line and Figure 4's rule set.
+func TestRunPaper(t *testing.T) {
+	out, err := captureStdout(t, func() error { return run(options{exp: "paper"}) })
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, title := range []string{"Table 1: ", "Table 2: ", "Table 7: "} {
+		i := strings.Index(out, title)
+		if i < 0 {
+			t.Fatalf("output lacks %q", title)
+		}
+		table, _, _ := strings.Cut(out[i:], "\n\n")
+		if len(table) < 100 {
+			t.Errorf("%s is implausibly short:\n%s", title, table)
+		}
 	}
 	if !strings.Contains(out, "NS is constant") {
-		t.Errorf("table5 output missing the NS-constant line:\n%s", out)
-	}
-}
-
-func TestRunFigure4EndToEnd(t *testing.T) {
-	out, err := captureStdout(t, func() error { return run(options{exp: "fig4"}) })
-	if err != nil {
-		t.Fatal(err)
+		t.Errorf("output missing Table 5's NS-constant line:\n%s", out)
 	}
 	if !strings.Contains(out, "list :-") || !strings.Contains(out, "orig :- .") {
-		t.Errorf("fig4 output lacks rule-set lines:\n%s", out)
+		t.Errorf("output lacks Figure 4's rule-set lines:\n%s", out)
 	}
 }
 
@@ -117,27 +110,8 @@ func TestClusterVerdicts(t *testing.T) {
 // file passes, a changed deterministic value fails and is named, a
 // changed timing value passes, and a missing file fails.
 func TestCheckGate(t *testing.T) {
-	orig, err := os.ReadFile(filepath.Join("..", "..", "BENCH_targets.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(content []byte) (string, error) {
-		dir := t.TempDir()
-		if content != nil {
-			if err := os.WriteFile(filepath.Join(dir, "BENCH_targets.json"), content, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.Chdir(dir); err != nil {
-			t.Fatal(err)
-		}
-		defer os.Chdir(wd)
-		return captureStdout(t, func() error { return run(options{exp: "targets", check: true}) })
-	}
+	orig := readArtifact(t, "BENCH_targets.json")
+	check := func(content []byte) (string, error) { return checkCopy(t, "targets", "BENCH_targets.json", content) }
 
 	if out, err := check(orig); err != nil || !strings.HasPrefix(out, "ok   BENCH_targets.json") {
 		t.Errorf("unmodified file: err %v, output %q", err, out)
@@ -159,4 +133,49 @@ func TestCheckGate(t *testing.T) {
 	if out, err := check(nil); err == nil || !strings.HasPrefix(out, "FAIL BENCH_targets.json") {
 		t.Errorf("missing file: err %v, output %q", err, out)
 	}
+}
+
+// A hand-edited number in the paper's artifact, Table 5's constant NS,
+// fails the gate, which names its key.
+func TestCheckGatePaper(t *testing.T) {
+	orig := readArtifact(t, "BENCH_paper.json")
+	edited := bytes.Replace(orig, []byte(`"NS": 2049`), []byte(`"NS": 2050`), 1)
+	if bytes.Equal(edited, orig) {
+		t.Fatal("BENCH_paper.json has no Table 5 NS count to edit")
+	}
+	out, err := checkCopy(t, "paper", "BENCH_paper.json", edited)
+	if err == nil || !strings.Contains(out, "FAIL BENCH_paper.json: deterministic.table5.NS differs") {
+		t.Errorf("edited deterministic value: err %v, output %q", err, out)
+	}
+}
+
+// readArtifact reads a checked-in BENCH_*.json file.
+func readArtifact(t *testing.T, file string) []byte {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join("..", "..", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// checkCopy runs `-exp exp -check` in a temp directory holding content
+// as file, or no file when content is nil, and returns its output.
+func checkCopy(t *testing.T, exp, file string, content []byte) (string, error) {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if content != nil {
+		if err := os.WriteFile(filepath.Join(dir, file), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	return captureStdout(t, func() error { return run(options{exp: exp, check: true}) })
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // sumToN builds: func sum(n int) int { s:=0; for i:=1; i<=n; i++ { s+=i }; return s }
-func sumToN(t *testing.T) *Fn {
+func sumToN(t testing.TB) *Fn {
 	t.Helper()
 	b := NewBuilder("sum", []Type{TInt}, TInt)
 	s := b.Local(TInt)
@@ -25,14 +25,14 @@ func sumToN(t *testing.T) *Fn {
 	return b.MustFinish()
 }
 
-func mainCalling(t *testing.T, callee int32, arg int64) *Fn {
+func mainCalling(t testing.TB, callee int32, arg int64) *Fn {
 	t.Helper()
 	b := NewBuilder("main", nil, TInt)
 	b.IConst(arg).EmitA(CALL, callee).Emit(IRET)
 	return b.MustFinish()
 }
 
-func validModule(t *testing.T) *Module {
+func validModule(t testing.TB) *Module {
 	t.Helper()
 	m := &Module{}
 	m.Fns = append(m.Fns, sumToN(t))

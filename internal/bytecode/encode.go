@@ -89,9 +89,12 @@ func Decode(r io.Reader) (*Module, error) {
 		}
 		return int(v), nil
 	}
+	// Slices grow as their elements are read, never from a count alone,
+	// so a short input cannot make Decode allocate more than a small
+	// multiple of its own length.
 	rtypes := func(n int) ([]Type, error) {
-		out := make([]Type, n)
-		for i := range out {
+		var out []Type
+		for range n {
 			b, err := br.ReadByte()
 			if err != nil {
 				return nil, err
@@ -99,7 +102,7 @@ func Decode(r io.Reader) (*Module, error) {
 			if Type(b) > TFloatArr {
 				return nil, fmt.Errorf("bytecode: bad type byte %d", b)
 			}
-			out[i] = Type(b)
+			out = append(out, Type(b))
 		}
 		return out, nil
 	}
@@ -122,9 +125,12 @@ func Decode(r io.Reader) (*Module, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
+		name, err := io.ReadAll(io.LimitReader(br, int64(nameLen)))
+		if err != nil {
 			return nil, err
+		}
+		if len(name) < nameLen {
+			return nil, io.ErrUnexpectedEOF
 		}
 		f.Name = string(name)
 		rb, err := br.ReadByte()
@@ -150,8 +156,7 @@ func Decode(r io.Reader) (*Module, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Code = make([]Insn, nc)
-		for j := range f.Code {
+		for range nc {
 			op, err := br.ReadByte()
 			if err != nil {
 				return nil, err
@@ -173,7 +178,7 @@ func Decode(r io.Reader) (*Module, error) {
 			} else {
 				in.I = int64(raw)
 			}
-			f.Code[j] = in
+			f.Code = append(f.Code, in)
 		}
 		m.Fns = append(m.Fns, f)
 	}

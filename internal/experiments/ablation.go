@@ -22,8 +22,9 @@ type AblationRow struct {
 	Name string
 	// ErrPct is the geometric-mean classification error at t=0.
 	ErrPct float64
-	// SchedFrac is the geometric-mean scheduling-time fraction vs LS.
-	SchedFrac float64
+	// SchedFrac is the geometric-mean scheduling-time fraction vs LS;
+	// it is wall-clock, so it stays out of the JSON encoding.
+	SchedFrac float64 `json:"-"`
 	// AppRel is the geometric-mean app running time vs NS.
 	AppRel float64
 	// BenefitPct is the share of LS's app-time improvement retained.

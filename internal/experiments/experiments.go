@@ -27,6 +27,10 @@ import (
 // Thresholds is the paper's sweep: t = 0..50 in steps of 5.
 var Thresholds = []int{0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50}
 
+// schedTimeReps is how many times a scheduling pass repeats when its
+// wall-clock time is measured; the minimum is reported.
+const schedTimeReps = 5
+
 // Config parameterizes a run.
 type Config struct {
 	// Model is the machine model (default: the registry's default
@@ -38,9 +42,6 @@ type Config struct {
 	// RipperOpts configure induction (default: paper labels, 2
 	// optimization rounds).
 	RipperOpts ripper.Options
-	// SchedTimeReps is how many times scheduling passes repeat when
-	// measuring wall-clock scheduling time (minimum is reported).
-	SchedTimeReps int
 	// Jobs bounds the worker pool the deterministic fan-outs use (data
 	// collection and the threshold × benchmark grids). <= 0 selects
 	// runtime.GOMAXPROCS(0); 1 forces the serial path. Results are
@@ -52,10 +53,9 @@ type Config struct {
 // DefaultConfig returns the configuration used throughout EXPERIMENTS.md.
 func DefaultConfig() Config {
 	return Config{
-		Model:         machine.Default().Model,
-		CompileOpts:   training.DefaultOptions(),
-		RipperOpts:    ripper.DefaultOptions(),
-		SchedTimeReps: 5,
+		Model:       machine.Default().Model,
+		CompileOpts: training.DefaultOptions(),
+		RipperOpts:  ripper.DefaultOptions(),
 	}
 }
 
@@ -83,9 +83,6 @@ type Runner struct {
 func NewRunner(cfg Config) *Runner {
 	if cfg.Model == nil {
 		cfg.Model = machine.Default().Model
-	}
-	if cfg.SchedTimeReps <= 0 {
-		cfg.SchedTimeReps = 5
 	}
 	return &Runner{
 		cfg:     cfg,
@@ -354,11 +351,11 @@ func (r *Runner) Table6() (*Table6Result, error) {
 
 // SchedTime measures the wall-clock scheduling-phase time of the filter
 // on a fresh clone of the benchmark's program. The minimum of
-// SchedTimeReps repetitions is returned, along with pass statistics.
+// schedTimeReps repetitions is returned, along with pass statistics.
 func (r *Runner) SchedTime(bd *training.BenchData, f policy.Policy) (time.Duration, core.Stats) {
 	var best time.Duration
 	var stats core.Stats
-	for rep := 0; rep < r.cfg.SchedTimeReps; rep++ {
+	for rep := range schedTimeReps {
 		prog := bd.Prog.Clone()
 		st := core.Apply(r.cfg.Model, prog, f, core.Pass{})
 		if rep == 0 || st.SchedTime < best {

@@ -21,9 +21,7 @@ func digest(s string) string {
 
 func newRunner(t *testing.T) *Runner {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.SchedTimeReps = 2
-	return NewRunner(cfg)
+	return NewRunner(DefaultConfig())
 }
 
 func TestGeomean(t *testing.T) {
@@ -174,7 +172,7 @@ func TestFigure4RuleSetPrints(t *testing.T) {
 }
 
 func TestRenderStaticTables(t *testing.T) {
-	for _, s := range []string{RenderTable1(), RenderTable2(), RenderTable7()} {
+	for _, s := range []string{renderTable1(), renderTable2(), renderTable7()} {
 		if len(strings.Split(s, "\n")) < 5 {
 			t.Errorf("table too short:\n%s", s)
 		}
@@ -225,9 +223,7 @@ func TestAblation(t *testing.T) {
 }
 
 func TestCompareModels(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SchedTimeReps = 1
-	res, err := CompareModels(cfg, []*machine.Model{machine.Default().Model, machine.MustByName("scalar603").Model})
+	res, err := compareModels(DefaultConfig(), []*machine.Model{machine.Default().Model, machine.MustByName("scalar603").Model})
 	if err != nil {
 		t.Fatal(err)
 	}

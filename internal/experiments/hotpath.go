@@ -43,13 +43,15 @@ type HotpathConfig struct {
 	// Target names the machine target (registry name); empty selects the
 	// default.
 	Target string
-	// Reps is how many times each timing pass sweeps the corpus; 0
-	// selects 10.
-	Reps int
-	// Followers is the stampede size of the coalescing construction; 0
-	// selects 8.
-	Followers int
 }
+
+const (
+	// hotpathReps is how many times each timing pass sweeps the corpus.
+	hotpathReps = 10
+	// hotpathFollowers is the stampede size of the coalescing
+	// construction.
+	hotpathFollowers = 8
+)
 
 func (c HotpathConfig) withDefaults() HotpathConfig {
 	if len(c.Workloads) == 0 {
@@ -59,12 +61,6 @@ func (c HotpathConfig) withDefaults() HotpathConfig {
 	}
 	if c.Target == "" {
 		c.Target = machine.DefaultTargetName
-	}
-	if c.Reps <= 0 {
-		c.Reps = 10
-	}
-	if c.Followers <= 0 {
-		c.Followers = 8
 	}
 	return c
 }
@@ -98,9 +94,9 @@ type HotpathDeterministic struct {
 	SchedRefAllocsPerBlock int `json:"sched_ref_allocs_per_block"`
 
 	// Coalescing, constructed rather than raced: one leader is held in
-	// flight while Followers identical requests pile on, so the hit rate
-	// is exact. Without the flight every one of those requests would have
-	// run its own pass (hit rate 0).
+	// flight while hotpathFollowers identical requests pile on, so the
+	// hit rate is exact. Without the flight every one of those requests
+	// would have run its own pass (hit rate 0).
 	FlightRequests  int     `json:"flight_requests"`
 	FlightLeaders   int     `json:"flight_leaders"`
 	FlightCoalesced int     `json:"flight_coalesced"`
@@ -171,7 +167,7 @@ func RunHotpath(cfg HotpathConfig) (*HotpathResult, error) {
 
 	res := &HotpathResult{
 		Deterministic: HotpathDeterministic{Target: tgt.Name, Workloads: cfg.Workloads},
-		Timing:        HotpathTiming{host: thisHost(), Reps: cfg.Reps},
+		Timing:        HotpathTiming{host: thisHost(), Reps: hotpathReps},
 	}
 	det := &res.Deterministic
 	tim := &res.Timing
@@ -221,7 +217,7 @@ func RunHotpath(cfg HotpathConfig) (*HotpathResult, error) {
 
 	// Timing sweeps. The pooled paths reuse one scratch, matching how the
 	// server's scheduling pass runs them.
-	blocks := int64(det.Blocks) * int64(cfg.Reps)
+	blocks := int64(det.Blocks) * hotpathReps
 	buildRef := func() {
 		for _, instrs := range corpus {
 			sched.BuildDAGReference(m, instrs)
@@ -242,10 +238,10 @@ func RunHotpath(cfg HotpathConfig) (*HotpathResult, error) {
 			sched.ScheduleInstrsScratch(m, instrs, scratch)
 		}
 	}
-	tim.BuildRefNsPerBlock = timeSweepNs(cfg.Reps, buildRef) / blocks
-	tim.BuildNewNsPerBlock = timeSweepNs(cfg.Reps, buildNew) / blocks
-	tim.SchedRefNsPerBlock = timeSweepNs(cfg.Reps, schedRef) / blocks
-	tim.SchedNewNsPerBlock = timeSweepNs(cfg.Reps, schedNew) / blocks
+	tim.BuildRefNsPerBlock = timeSweepNs(buildRef) / blocks
+	tim.BuildNewNsPerBlock = timeSweepNs(buildNew) / blocks
+	tim.SchedRefNsPerBlock = timeSweepNs(schedRef) / blocks
+	tim.SchedNewNsPerBlock = timeSweepNs(schedNew) / blocks
 	tim.BuildRefBlocksPerSec = perSec(tim.BuildRefNsPerBlock)
 	tim.BuildNewBlocksPerSec = perSec(tim.BuildNewNsPerBlock)
 	tim.SchedRefBlocksPerSec = perSec(tim.SchedRefNsPerBlock)
@@ -267,7 +263,7 @@ func RunHotpath(cfg HotpathConfig) (*HotpathResult, error) {
 	det.SchedAllocsPerBlock = int(math.Round(tim.SchedAllocsPerBlock))
 	det.SchedRefAllocsPerBlock = int(math.Round(tim.SchedRefAllocsPerBlock))
 
-	measureFlight(det, cfg.Followers)
+	measureFlight(det)
 	if err := measureSim(res, m, cfg); err != nil {
 		return nil, err
 	}
@@ -344,11 +340,12 @@ func measureSim(res *HotpathResult, m *machine.Model, cfg HotpathConfig) error {
 	return nil
 }
 
-// timeSweepNs times reps calls of sweep, after one unmeasured warm-up.
-func timeSweepNs(reps int, sweep func()) int64 {
+// timeSweepNs times hotpathReps calls of sweep, after one unmeasured
+// warm-up.
+func timeSweepNs(sweep func()) int64 {
 	sweep()
 	start := time.Now()
-	for i := 0; i < reps; i++ {
+	for range hotpathReps {
 		sweep()
 	}
 	return time.Since(start).Nanoseconds()
@@ -379,8 +376,8 @@ func allocsPerSweep(sweep func()) float64 {
 
 // measureFlight constructs the coalescing outcome instead of racing for
 // it: the leader is held in flight until every follower has registered,
-// so exactly one pass serves followers+1 requests.
-func measureFlight(det *HotpathDeterministic, followers int) {
+// so exactly one pass serves hotpathFollowers+1 requests.
+func measureFlight(det *HotpathDeterministic) {
 	var fl codecache.Flight
 	var key codecache.Key
 	leaderIn := make(chan struct{})
@@ -396,14 +393,14 @@ func measureFlight(det *HotpathDeterministic, followers int) {
 	}()
 	<-leaderIn
 	var wg sync.WaitGroup
-	for i := 0; i < followers; i++ {
+	for range hotpathFollowers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			fl.Do(key, func() any { return nil })
 		}()
 	}
-	for fl.Stats().Coalesced < int64(followers) {
+	for fl.Stats().Coalesced < hotpathFollowers {
 		runtime.Gosched()
 	}
 	close(release)
@@ -411,10 +408,10 @@ func measureFlight(det *HotpathDeterministic, followers int) {
 	<-done
 
 	st := fl.Stats()
-	det.FlightRequests = followers + 1
+	det.FlightRequests = hotpathFollowers + 1
 	det.FlightLeaders = int(st.Leaders)
 	det.FlightCoalesced = int(st.Coalesced)
-	det.FlightHitRate = float64(st.Coalesced) / float64(followers+1)
+	det.FlightHitRate = float64(st.Coalesced) / (hotpathFollowers + 1)
 }
 
 // Render formats the artifact for the terminal.

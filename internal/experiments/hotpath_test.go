@@ -6,13 +6,11 @@ import (
 	"testing"
 )
 
-// testHotpathConfig keeps the test corpus small (two workloads, two
-// timing reps) so the suite stays fast; the committed artifact uses the
-// full default config via cmd/schedexp.
+// testHotpathConfig keeps the test corpus small (two workloads) so the
+// suite stays fast; the committed artifact uses every workload via
+// cmd/schedexp.
 var testHotpathConfig = HotpathConfig{
 	Workloads: []string{"compress", "raytrace"},
-	Reps:      2,
-	Followers: 5,
 }
 
 // TestHotpathDeterministic regenerates the artifact twice and requires
@@ -61,9 +59,9 @@ func TestHotpathInvariants(t *testing.T) {
 		t.Fatalf("pooled build+schedule allocates %d/block (exact %.3f), want <= 1",
 			d.SchedAllocsPerBlock, tim.SchedAllocsPerBlock)
 	}
-	if d.FlightLeaders != 1 || d.FlightCoalesced != testHotpathConfig.Followers {
+	if d.FlightLeaders != 1 || d.FlightCoalesced != hotpathFollowers {
 		t.Fatalf("flight outcome %+v, want 1 leader and %d coalesced",
-			d, testHotpathConfig.Followers)
+			d, hotpathFollowers)
 	}
 	if tim.BuildRefNsPerBlock <= 0 || tim.BuildNewNsPerBlock <= 0 {
 		t.Fatalf("timing did not run: %+v", tim)

@@ -27,11 +27,11 @@ type ModelCompareResult struct {
 	Geomeans []float64
 }
 
-// CompareModels evaluates how much always-scheduling helps under each of
+// compareModels evaluates how much always-scheduling helps under each of
 // the given machine models, over suite 1. Each model gets its own
 // pipeline: the scheduler's decisions (and the labels) depend on the
 // model's latencies.
-func CompareModels(base Config, models []*machine.Model) (*ModelCompareResult, error) {
+func compareModels(base Config, models []*machine.Model) (*ModelCompareResult, error) {
 	res := &ModelCompareResult{}
 	for _, w := range workloads.Suite1() {
 		res.Benchmarks = append(res.Benchmarks, w.Name)

@@ -15,8 +15,8 @@ func header(b *strings.Builder, title string) {
 	fmt.Fprintf(b, "%s\n%s\n", title, strings.Repeat("-", len(title)))
 }
 
-// RenderTable1 prints the feature list (paper Table 1).
-func RenderTable1() string {
+// renderTable1 prints the feature list (paper Table 1).
+func renderTable1() string {
 	var b strings.Builder
 	header(&b, "Table 1: Features of a basic block")
 	fmt.Fprintf(&b, "%-12s %-10s %s\n", "Feature", "Type", "Meaning")
@@ -42,8 +42,8 @@ func RenderTable1() string {
 	return b.String()
 }
 
-// RenderTable2 prints the suite-1 benchmark descriptions (paper Table 2).
-func RenderTable2() string {
+// renderTable2 prints the suite-1 benchmark descriptions (paper Table 2).
+func renderTable2() string {
 	var b strings.Builder
 	header(&b, "Table 2: Characteristics of the SPECjvm98 stand-in benchmarks")
 	for _, w := range workloads.Suite1() {
@@ -52,8 +52,8 @@ func RenderTable2() string {
 	return b.String()
 }
 
-// RenderTable7 prints the suite-2 benchmark descriptions (paper Table 7).
-func RenderTable7() string {
+// renderTable7 prints the suite-2 benchmark descriptions (paper Table 7).
+func renderTable7() string {
 	var b strings.Builder
 	header(&b, "Table 7: Benchmarks that benefit from scheduling")
 	for _, w := range workloads.Suite2() {
