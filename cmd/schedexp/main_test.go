@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -38,13 +39,29 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// The paper experiment prints every table and figure: the static tables
-// in full, Table 5's constant NS line and Figure 4's rule set.
-func TestRunPaper(t *testing.T) {
-	out, err := captureStdout(t, func() error { return run(options{exp: "paper"}) })
-	if err != nil {
-		t.Fatal(err)
+// paperOutput runs `-exp paper` once and returns its stdout to each
+// test that reads it: the run takes seconds, and every test below
+// checks a different part of the same output.
+func paperOutput(t *testing.T) string {
+	t.Helper()
+	paperOnce.Do(func() {
+		paperOut, paperErr = captureStdout(t, func() error { return run(options{exp: "paper"}) })
+	})
+	if paperErr != nil {
+		t.Fatal(paperErr)
 	}
+	return paperOut
+}
+
+var (
+	paperOnce sync.Once
+	paperOut  string
+	paperErr  error
+)
+
+// -exp paper prints the static tables 1, 2 and 7 in full.
+func TestRunStaticTables(t *testing.T) {
+	out := paperOutput(t)
 	for _, title := range []string{"Table 1: ", "Table 2: ", "Table 7: "} {
 		i := strings.Index(out, title)
 		if i < 0 {
@@ -55,10 +72,18 @@ func TestRunPaper(t *testing.T) {
 			t.Errorf("%s is implausibly short:\n%s", title, table)
 		}
 	}
-	if !strings.Contains(out, "NS is constant") {
+}
+
+// -exp paper prints Table 5's constant NS line.
+func TestRunTable5EndToEnd(t *testing.T) {
+	if out := paperOutput(t); !strings.Contains(out, "NS is constant") {
 		t.Errorf("output missing Table 5's NS-constant line:\n%s", out)
 	}
-	if !strings.Contains(out, "list :-") || !strings.Contains(out, "orig :- .") {
+}
+
+// -exp paper prints Figure 4's rule set.
+func TestRunFigure4EndToEnd(t *testing.T) {
+	if out := paperOutput(t); !strings.Contains(out, "list :-") || !strings.Contains(out, "orig :- .") {
 		t.Errorf("output lacks Figure 4's rule-set lines:\n%s", out)
 	}
 }
