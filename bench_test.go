@@ -83,33 +83,14 @@ func BenchmarkTable6(b *testing.B) {
 
 // --- One benchmark per paper figure ---
 
-// BenchmarkFigure1a regenerates scheduling time at t=0 (Figure 1a).
-func BenchmarkFigure1a(b *testing.B) {
-	r := sharedRunner()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.SchedTimeFigure(workloads.SuiteJVM98, []int{0}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// Figure 1 is Figure 2's t=0 row, so Figure 2's benchmarks time it.
 
-// BenchmarkFigure1b regenerates application running time at t=0
-// (Figure 1b; timed whole-program simulation).
-func BenchmarkFigure1b(b *testing.B) {
-	r := sharedRunner()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.AppTimeFigure(workloads.SuiteJVM98, []int{0}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure2a regenerates the scheduling-time threshold sweep
+// BenchmarkFigure2a regenerates the scheduling-cost threshold sweep
 // (Figure 2a).
 func BenchmarkFigure2a(b *testing.B) {
 	r := sharedRunner()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.SchedTimeFigure(workloads.SuiteJVM98, experiments.Thresholds); err != nil {
+		if _, err := r.SchedCostFigure(workloads.SuiteJVM98, experiments.Thresholds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -126,12 +107,12 @@ func BenchmarkFigure2b(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure3a regenerates the benefits-suite scheduling-time sweep
+// BenchmarkFigure3a regenerates the benefits-suite scheduling-cost sweep
 // (Figure 3a).
 func BenchmarkFigure3a(b *testing.B) {
 	r := sharedRunner()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.SchedTimeFigure(workloads.SuiteFP, experiments.Thresholds); err != nil {
+		if _, err := r.SchedCostFigure(workloads.SuiteFP, experiments.Thresholds); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	schedexp -exp paper                   # the paper's tables and figures (~9 s at -j 2)
+//	schedexp -exp paper                   # the paper's tables and figures (~4 s at -j 2)
 //	schedexp -exp all                     # every experiment
 //	schedexp -exp paper -target wide4     # the paper tables under another machine
 //	schedexp -exp adaptive -json          # ...and write its artifact, BENCH_adaptive.json
@@ -27,9 +27,8 @@
 //
 // -j N bounds the experiment engine's worker pool (default: GOMAXPROCS).
 // Every table, figure and artifact's deterministic section is
-// byte-identical at any -j; wall-clock measurements (scheduling-time
-// figures, the adaptive runs) always stay serial. -j 1 forces the fully
-// serial engine.
+// byte-identical at any -j; the adaptive runs, whose recompile times are
+// wall-clock, always stay serial. -j 1 forces the fully serial engine.
 //
 // Every artifact has one shape, {"deterministic": …, "timing": …} (see
 // experiments.Artifact). -json writes the artifacts of the experiments

@@ -22,9 +22,9 @@ type AblationRow struct {
 	Name string
 	// ErrPct is the geometric-mean classification error at t=0.
 	ErrPct float64
-	// SchedFrac is the geometric-mean scheduling-time fraction vs LS;
-	// it is wall-clock, so it stays out of the JSON encoding.
-	SchedFrac float64 `json:"-"`
+	// SchedFrac is the geometric-mean scheduling cost vs LS
+	// (training.SchedCost).
+	SchedFrac float64
 	// AppRel is the geometric-mean app running time vs NS.
 	AppRel float64
 	// BenefitPct is the share of LS's app-time improvement retained.
@@ -73,13 +73,10 @@ func (r *Runner) Ablation() (*AblationResult, error) {
 		return nil, err
 	}
 
-	// Prefetch the deterministic inputs in parallel: the induced t=0
-	// filters and the baseline app times. The wall-clock SchedTime
-	// measurements below stay serial so concurrent passes cannot distort
-	// each other's timings.
+	// Prefetch in parallel: the induced t=0 filters and the baseline app
+	// times.
 	nsCycles := make([]int64, len(data))
 	lsCycles := make([]int64, len(data))
-	lsTimes := make([]float64, len(data))
 	lsRel := make([]float64, len(data))
 	if err := par.DoErr(r.cfg.Jobs, len(data), func(i int) error {
 		bd := data[i]
@@ -97,10 +94,6 @@ func (r *Runner) Ablation() (*AblationResult, error) {
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-	for i, bd := range data {
-		t, _ := r.SchedTime(bd, policy.Always{})
-		lsTimes[i] = float64(t)
 	}
 	res := &AblationResult{LSRel: geomean(lsRel)}
 
@@ -124,8 +117,7 @@ func (r *Runner) Ablation() (*AblationResult, error) {
 		for i, bd := range data {
 			f := c.mk(bd)
 			errs = append(errs, 100*training.ErrorRate(resettable(f, bd), bd, 0))
-			ft, _ := r.SchedTime(bd, resettable(f, bd))
-			fracs = append(fracs, float64(ft)/lsTimes[i])
+			fracs = append(fracs, schedCostRel(bd, resettable(f, bd)))
 			cycles, err := r.AppTime(bd, resettable(f, bd))
 			if err != nil {
 				return nil, err

@@ -47,12 +47,9 @@ type AdaptiveRow struct {
 }
 
 // AdaptiveRowTiming is the part of a row that changes from run to run:
-// wall-clock scheduling cost per protocol (the offline passes'
-// scheduling-phase time, the adaptive tier's recompile time).
+// the adaptive tier's wall-clock recompile time.
 type AdaptiveRowTiming struct {
 	Bench             string `json:"bench"`
-	LSSchedNs         int64  `json:"ls_sched_ns"`
-	FilteredSchedNs   int64  `json:"filtered_sched_ns"`
 	AdaptiveCompileNs int64  `json:"adaptive_compile_ns"`
 }
 
@@ -88,9 +85,9 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 	f.Label = fmt.Sprintf("L/N t=%d (factory)", t)
 
 	// Warm the app-time cache in parallel: the three offline protocols'
-	// timed simulations are deterministic. The loop below — which measures
-	// wall-clock scheduling and recompile time — stays serial so its
-	// timings are not distorted.
+	// timed simulations are deterministic. The loop below, which measures
+	// wall-clock recompile time, stays serial so its timings are not
+	// distorted.
 	if err := par.DoErr(r.cfg.Jobs, len(all), func(i int) error {
 		bd := all[i]
 		if _, err := r.AppTime(bd, policy.Never{}); err != nil {
@@ -124,9 +121,6 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 		if row.FilteredCycles, err = r.AppTime(bd, f); err != nil {
 			return nil, err
 		}
-		lsT, _ := r.SchedTime(bd, policy.Always{})
-		flT, _ := r.SchedTime(bd, f)
-
 		ares, err := adaptive.Run(bd.Prog, adaptive.Config{
 			Model:  r.cfg.Model,
 			Policy: f,
@@ -145,8 +139,6 @@ func (r *Runner) Adaptive(t int) (*AdaptiveResult, error) {
 		row.BlocksScheduled = mt.BlocksScheduled
 		row.Timing = AdaptiveRowTiming{
 			Bench:             bd.Name,
-			LSSchedNs:         int64(lsT),
-			FilteredSchedNs:   int64(flT),
 			AdaptiveCompileNs: int64(mt.CompileTime),
 		}
 		if gain := row.NSCycles - row.LSCycles; gain > 0 {

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation: classification error rates (Table 3), predicted execution
 // times (Table 4), training-set and run-time classification counts
-// (Tables 5 and 6), scheduling-time and application-running-time
+// (Tables 5 and 6), scheduling-cost and application-running-time
 // comparisons without and with thresholds (Figures 1 and 2), the same on
 // the suite of benchmarks that benefit from scheduling (Figure 3), and a
 // sample induced rule set (Figure 4).
@@ -12,7 +12,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
-	"time"
 
 	"schedfilter/internal/core"
 	"schedfilter/internal/machine"
@@ -26,10 +25,6 @@ import (
 
 // Thresholds is the paper's sweep: t = 0..50 in steps of 5.
 var Thresholds = []int{0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50}
-
-// schedTimeReps is how many times a scheduling pass repeats when its
-// wall-clock time is measured; the minimum is reported.
-const schedTimeReps = 5
 
 // Config parameterizes a run.
 type Config struct {
@@ -45,8 +40,8 @@ type Config struct {
 	// Jobs bounds the worker pool the deterministic fan-outs use (data
 	// collection and the threshold × benchmark grids). <= 0 selects
 	// runtime.GOMAXPROCS(0); 1 forces the serial path. Results are
-	// byte-identical at every job count — wall-clock measurements
-	// (SchedTime and the adaptive runs) always stay serial.
+	// byte-identical at every job count; the adaptive runs, whose
+	// compile times are wall-clock, always stay serial.
 	Jobs int
 }
 
@@ -184,6 +179,35 @@ func (r *Runner) grid(nT, nB int, fn func(ti, bi int) error) error {
 	})
 }
 
+// filterGrid is the (threshold × benchmark) table most of the paper's
+// results share: cell (ti, bi) is cell(bi, f) for the leave-one-out filter
+// f of suite benchmark bi at t = thresholds[ti]. It returns the benchmark
+// names, the rows and each row's geomean.
+func (r *Runner) filterGrid(s workloads.Suite, data []*training.BenchData, thresholds []int, cell func(bi, t int, f *policy.Induced) (float64, error)) (names []string, rows [][]float64, geo []float64, err error) {
+	for _, bd := range data {
+		names = append(names, bd.Name)
+	}
+	rows = make([][]float64, len(thresholds))
+	for ti := range rows {
+		rows[ti] = make([]float64, len(data))
+	}
+	err = r.grid(len(thresholds), len(data), func(ti, bi int) error {
+		f, err := r.Filter(s, data[bi].Name, thresholds[ti])
+		if err != nil {
+			return err
+		}
+		rows[ti][bi], err = cell(bi, thresholds[ti], f)
+		return err
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for _, row := range rows {
+		geo = append(geo, geomean(row))
+	}
+	return names, rows, geo, nil
+}
+
 // --- Table 3: classification error rates ---
 
 // Table3Result holds error rates (percent) per benchmark per threshold.
@@ -203,26 +227,11 @@ func (r *Runner) Table3() (*Table3Result, error) {
 		return nil, err
 	}
 	res := &Table3Result{Thresholds: Thresholds}
-	for _, bd := range data {
-		res.Benchmarks = append(res.Benchmarks, bd.Name)
-	}
-	res.Err = make([][]float64, len(Thresholds))
-	for ti := range res.Err {
-		res.Err[ti] = make([]float64, len(data))
-	}
-	err = r.grid(len(Thresholds), len(data), func(ti, bi int) error {
-		f, err := r.Filter(workloads.SuiteJVM98, data[bi].Name, Thresholds[ti])
-		if err != nil {
-			return err
-		}
-		res.Err[ti][bi] = 100 * training.ErrorRate(f, data[bi], Thresholds[ti])
-		return nil
+	res.Benchmarks, res.Err, res.Geomean, err = r.filterGrid(workloads.SuiteJVM98, data, Thresholds, func(bi, t int, f *policy.Induced) (float64, error) {
+		return 100 * training.ErrorRate(f, data[bi], t), nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range res.Err {
-		res.Geomean = append(res.Geomean, geomean(row))
 	}
 	return res, nil
 }
@@ -247,29 +256,13 @@ func (r *Runner) Table4() (*Table4Result, error) {
 		return nil, err
 	}
 	res := &Table4Result{Thresholds: Thresholds}
-	for _, bd := range data {
-		res.Benchmarks = append(res.Benchmarks, bd.Name)
-	}
-	res.Ratio = make([][]float64, len(Thresholds))
-	for ti := range res.Ratio {
-		res.Ratio[ti] = make([]float64, len(data))
-	}
-	err = r.grid(len(Thresholds), len(data), func(ti, bi int) error {
-		bd := data[bi]
-		f, err := r.Filter(workloads.SuiteJVM98, bd.Name, Thresholds[ti])
-		if err != nil {
-			return err
-		}
-		ns := training.PredictedTime(bd, policy.Never{})
-		fl := training.PredictedTime(bd, f)
-		res.Ratio[ti][bi] = 100 * float64(fl) / float64(ns)
-		return nil
+	res.Benchmarks, res.Ratio, res.Geomean, err = r.filterGrid(workloads.SuiteJVM98, data, Thresholds, func(bi, _ int, f *policy.Induced) (float64, error) {
+		ns := training.PredictedTime(data[bi], policy.Never{})
+		fl := training.PredictedTime(data[bi], f)
+		return 100 * float64(fl) / float64(ns), nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range res.Ratio {
-		res.Geomean = append(res.Geomean, geomean(row))
 	}
 	return res, nil
 }
@@ -347,24 +340,7 @@ func (r *Runner) Table6() (*Table6Result, error) {
 	return res, nil
 }
 
-// --- Figures: scheduling time and application running time ---
-
-// SchedTime measures the wall-clock scheduling-phase time of the filter
-// on a fresh clone of the benchmark's program. The minimum of
-// schedTimeReps repetitions is returned, along with pass statistics.
-func (r *Runner) SchedTime(bd *training.BenchData, f policy.Policy) (time.Duration, core.Stats) {
-	var best time.Duration
-	var stats core.Stats
-	for rep := range schedTimeReps {
-		prog := bd.Prog.Clone()
-		st := core.Apply(r.cfg.Model, prog, f, core.Pass{})
-		if rep == 0 || st.SchedTime < best {
-			best = st.SchedTime
-			stats = st
-		}
-	}
-	return best, stats
-}
+// --- Figures: scheduling cost and application running time ---
 
 // AppTime returns the timed-simulator cycle count of the benchmark under
 // the filter, cached by the filter's per-block decision vector (distinct
@@ -398,12 +374,12 @@ func (r *Runner) AppTime(bd *training.BenchData, f policy.Policy) (int64, error)
 	return res.Cycles, nil
 }
 
-// FigureResult holds one scheduling-time or app-time series: per
+// FigureResult holds one scheduling-cost or app-time series: per
 // benchmark per threshold, relative to the fixed baseline.
 type FigureResult struct {
 	Benchmarks []string
 	Thresholds []int
-	// Rel[t][b] is the ratio (scheduling time vs LS, or app time vs NS).
+	// Rel[t][b] is the ratio (scheduling cost vs LS, or app time vs NS).
 	Rel     [][]float64
 	Geomean []float64
 	// LSRel is the LS protocol's own app-time ratio per benchmark
@@ -411,44 +387,38 @@ type FigureResult struct {
 	LSRel []float64
 }
 
-// SchedTimeFigure produces Figures 1(a)/2(a)/3(a): scheduling time of the
-// leave-one-out filters relative to always-scheduling, per threshold.
-func (r *Runner) SchedTimeFigure(s workloads.Suite, thresholds []int) (*FigureResult, error) {
+// firstRow returns the figure restricted to its first threshold: Figure
+// 1 is Figure 2's t=0 row.
+func (f *FigureResult) firstRow() *FigureResult {
+	return &FigureResult{
+		Benchmarks: f.Benchmarks,
+		Thresholds: f.Thresholds[:1],
+		Rel:        f.Rel[:1],
+		Geomean:    f.Geomean[:1],
+		LSRel:      f.LSRel,
+	}
+}
+
+// schedCostRel is the filter's scheduling cost on the benchmark relative
+// to always scheduling (training.SchedCost).
+func schedCostRel(bd *training.BenchData, f policy.Policy) float64 {
+	return float64(training.SchedCost(bd, f)) / float64(training.SchedCost(bd, policy.Always{}))
+}
+
+// SchedCostFigure produces Figures 1(a)/2(a)/3(a): the scheduling cost of
+// the leave-one-out filters, their own decisions included, relative to
+// always-scheduling, per threshold.
+func (r *Runner) SchedCostFigure(s workloads.Suite, thresholds []int) (*FigureResult, error) {
 	data, err := r.suite(s)
 	if err != nil {
 		return nil, err
 	}
 	res := &FigureResult{Thresholds: thresholds}
-	for _, bd := range data {
-		res.Benchmarks = append(res.Benchmarks, bd.Name)
-	}
-	// Induce every filter the figure needs up front, in parallel — filter
-	// induction is deterministic, so this only moves work. The wall-clock
-	// measurements below must stay serial: concurrent scheduling passes
-	// would contend for cores and corrupt each other's timings.
-	err = r.grid(len(thresholds), len(data), func(ti, bi int) error {
-		_, err := r.Filter(s, data[bi].Name, thresholds[ti])
-		return err
+	res.Benchmarks, res.Rel, res.Geomean, err = r.filterGrid(s, data, thresholds, func(bi, _ int, f *policy.Induced) (float64, error) {
+		return schedCostRel(data[bi], f), nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	lsTime := make([]time.Duration, len(data))
-	for i, bd := range data {
-		lsTime[i], _ = r.SchedTime(bd, policy.Always{})
-	}
-	for _, t := range thresholds {
-		row := make([]float64, len(data))
-		for i, bd := range data {
-			f, err := r.Filter(s, bd.Name, t)
-			if err != nil {
-				return nil, err
-			}
-			ft, _ := r.SchedTime(bd, f)
-			row[i] = float64(ft) / float64(lsTime[i])
-		}
-		res.Rel = append(res.Rel, row)
-		res.Geomean = append(res.Geomean, geomean(row))
 	}
 	return res, nil
 }
@@ -463,51 +433,29 @@ func (r *Runner) AppTimeFigure(s workloads.Suite, thresholds []int) (*FigureResu
 	}
 	res := &FigureResult{Thresholds: thresholds}
 	nsCycles := make([]int64, len(data))
-	lsCycles := make([]int64, len(data))
 	res.LSRel = make([]float64, len(data))
-	for _, bd := range data {
-		res.Benchmarks = append(res.Benchmarks, bd.Name)
-	}
-	// Baselines fan over benchmarks; the timed simulator counts cycles
-	// deterministically, so unlike SchedTimeFigure this is safe to
-	// parallelize end to end.
 	err = par.DoErr(r.cfg.Jobs, len(data), func(i int) error {
 		bd := data[i]
 		var err error
 		if nsCycles[i], err = r.AppTime(bd, policy.Never{}); err != nil {
 			return err
 		}
-		if lsCycles[i], err = r.AppTime(bd, policy.Always{}); err != nil {
+		ls, err := r.AppTime(bd, policy.Always{})
+		if err != nil {
 			return err
 		}
-		res.LSRel[i] = float64(lsCycles[i]) / float64(nsCycles[i])
+		res.LSRel[i] = float64(ls) / float64(nsCycles[i])
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Rel = make([][]float64, len(thresholds))
-	for ti := range res.Rel {
-		res.Rel[ti] = make([]float64, len(data))
-	}
-	err = r.grid(len(thresholds), len(data), func(ti, bi int) error {
-		bd := data[bi]
-		f, err := r.Filter(s, bd.Name, thresholds[ti])
-		if err != nil {
-			return err
-		}
-		c, err := r.AppTime(bd, f)
-		if err != nil {
-			return err
-		}
-		res.Rel[ti][bi] = float64(c) / float64(nsCycles[bi])
-		return nil
+	res.Benchmarks, res.Rel, res.Geomean, err = r.filterGrid(s, data, thresholds, func(bi, _ int, f *policy.Induced) (float64, error) {
+		c, err := r.AppTime(data[bi], f)
+		return float64(c) / float64(nsCycles[bi]), err
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range res.Rel {
-		res.Geomean = append(res.Geomean, geomean(row))
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -117,24 +118,50 @@ func TestTable6CountsPartition(t *testing.T) {
 	t.Logf("\n%s", res.Render())
 }
 
-func TestSchedTimeFigure(t *testing.T) {
+func TestSchedCostFigure(t *testing.T) {
 	r := newRunner(t)
-	res, err := r.SchedTimeFigure(workloads.SuiteJVM98, []int{0, 20, 50})
+	res, err := r.SchedCostFigure(workloads.SuiteJVM98, []int{0, 20, 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ti, row := range res.Rel {
 		for bi, v := range row {
-			if v <= 0 || v > 1.6 {
-				t.Errorf("suspicious sched-time ratio %.3f at t=%d %s", v, res.Thresholds[ti], res.Benchmarks[bi])
+			if v <= 0 || v > 1.2 {
+				t.Errorf("suspicious sched-cost ratio %.3f at t=%d %s", v, res.Thresholds[ti], res.Benchmarks[bi])
 			}
+		}
+		// A higher threshold approves fewer blocks, so it costs less.
+		if ti > 0 && res.Geomean[ti] > res.Geomean[ti-1] {
+			t.Errorf("cost geomean rose from %.3f to %.3f at t=%d", res.Geomean[ti-1], res.Geomean[ti], res.Thresholds[ti])
 		}
 	}
 	// Filtered scheduling should be well below always-scheduling.
 	if res.Geomean[0] > 0.9 {
 		t.Errorf("L/N t=0 costs %.2fx of LS; filtering saves almost nothing", res.Geomean[0])
 	}
-	t.Logf("\n%s", res.RenderSchedTime("Figure 1(a)/2(a) smoke"))
+	t.Logf("\n%s", res.RenderSchedCost("Figure 1(a)/2(a) smoke"))
+}
+
+// TestPaperCostIsOneQuantity pins that the paper's three readings of
+// the t=0 filters' scheduling cost on suite 1 (Figure 1(a), Figure
+// 2(a)'s t=0 row and the ablation's induced row) are one number, that
+// Figure 1 is Figure 2's t=0 row, and that the artifact is wholly
+// deterministic.
+func TestPaperCostIsOneQuantity(t *testing.T) {
+	p, err := newRunner(t).Paper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig1a, fig2a, abl := p.Fig1a.Geomean[0], p.Fig2a.Geomean[0], p.Ablation.Rows[0].SchedFrac
+	if fig1a != fig2a || fig2a != abl {
+		t.Errorf("t=0 scheduling cost: fig1a %v, fig2a %v, ablation %v; want one value", fig1a, fig2a, abl)
+	}
+	if !reflect.DeepEqual(p.Fig1b.Rel[0], p.Fig2b.Rel[0]) || !reflect.DeepEqual(p.Fig1a.Thresholds, []int{0}) {
+		t.Errorf("Figure 1 is not Figure 2's t=0 row: %+v vs %+v", p.Fig1b, p.Fig2b.Rel[0])
+	}
+	if a := p.Artifact(); a.Timing != nil {
+		t.Errorf("paper artifact has a timing section: %+v", a.Timing)
+	}
 }
 
 func TestAppTimeFigure(t *testing.T) {

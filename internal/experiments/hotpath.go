@@ -85,6 +85,11 @@ type HotpathDeterministic struct {
 	// rework is conditioned on.
 	SchedulesIdentical bool `json:"schedules_identical"`
 
+	// SchedWorkUnits is the list scheduler's work over the corpus, in
+	// the units of sched.Scratch.Work, the unit of the paper artifact's
+	// scheduling-cost figures.
+	SchedWorkUnits int64 `json:"sched_work_units"`
+
 	// Rounded allocation counts (allocations per block, nearest integer;
 	// exact floats are in the timing section). The pooled build path must
 	// round to 0 and the pooled build+schedule path to its single Result
@@ -131,6 +136,9 @@ type HotpathTiming struct {
 	SchedRefBlocksPerSec int64   `json:"sched_ref_blocks_per_sec"`
 	SchedNewBlocksPerSec int64   `json:"sched_new_blocks_per_sec"`
 	SchedSpeedup         float64 `json:"sched_speedup"`
+	// SchedNsPerWorkUnit calibrates the work count on this host: the
+	// sched_new_ns_per_block sweep's time per work unit.
+	SchedNsPerWorkUnit float64 `json:"sched_ns_per_work_unit"`
 
 	// Exact allocation counts per block (the deterministic section holds
 	// the rounded ones).
@@ -202,6 +210,7 @@ func RunHotpath(cfg HotpathConfig) (*HotpathResult, error) {
 	// compared block by block.
 	det.SchedulesIdentical = true
 	scratch := sched.NewScratch()
+	work := scratch.Work()
 	for _, instrs := range corpus {
 		det.ReferenceEdges += sched.BuildDAGReference(m, instrs).NumEdges()
 		det.ReducedEdges += sched.BuildDAGScratch(m, instrs, scratch).NumEdges()
@@ -211,6 +220,7 @@ func RunHotpath(cfg HotpathConfig) (*HotpathResult, error) {
 			det.SchedulesIdentical = false
 		}
 	}
+	det.SchedWorkUnits = scratch.Work() - work
 	if det.ReferenceEdges > 0 {
 		det.EdgeReductionPct = 100 * float64(det.ReferenceEdges-det.ReducedEdges) / float64(det.ReferenceEdges)
 	}
@@ -241,7 +251,9 @@ func RunHotpath(cfg HotpathConfig) (*HotpathResult, error) {
 	tim.BuildRefNsPerBlock = timeSweepNs(buildRef) / blocks
 	tim.BuildNewNsPerBlock = timeSweepNs(buildNew) / blocks
 	tim.SchedRefNsPerBlock = timeSweepNs(schedRef) / blocks
-	tim.SchedNewNsPerBlock = timeSweepNs(schedNew) / blocks
+	schedNewNs := timeSweepNs(schedNew)
+	tim.SchedNewNsPerBlock = schedNewNs / blocks
+	tim.SchedNsPerWorkUnit = float64(schedNewNs) / float64(det.SchedWorkUnits*hotpathReps)
 	tim.BuildRefBlocksPerSec = perSec(tim.BuildRefNsPerBlock)
 	tim.BuildNewBlocksPerSec = perSec(tim.BuildNewNsPerBlock)
 	tim.SchedRefBlocksPerSec = perSec(tim.SchedRefNsPerBlock)
@@ -430,6 +442,7 @@ func (r *HotpathResult) Render() string {
 		t.SchedRefNsPerBlock, t.SchedNewNsPerBlock, t.SchedSpeedup)
 	fmt.Fprintf(&b, "%-16s %11d/s %11d/s\n", "blocks/sec",
 		t.SchedRefBlocksPerSec, t.SchedNewBlocksPerSec)
+	fmt.Fprintf(&b, "scheduling work: %d units, %.1f ns/unit\n", d.SchedWorkUnits, t.SchedNsPerWorkUnit)
 	fmt.Fprintf(&b, "allocs/block: build %.2f, build+sched %.2f (reference %.2f)\n",
 		t.BuildAllocsPerBlock, t.SchedAllocsPerBlock, t.SchedRefAllocsPerBlock)
 	fmt.Fprintf(&b, "singleflight: %d identical requests → %d pass, %d coalesced (hit rate %.1f%%; 0%% without the flight)\n",

@@ -59,6 +59,9 @@ func TestHotpathInvariants(t *testing.T) {
 		t.Fatalf("pooled build+schedule allocates %d/block (exact %.3f), want <= 1",
 			d.SchedAllocsPerBlock, tim.SchedAllocsPerBlock)
 	}
+	if d.SchedWorkUnits < int64(5*d.Instrs+2*d.ReducedEdges) || tim.SchedNsPerWorkUnit <= 0 {
+		t.Fatalf("scheduling work %d units at %v ns/unit, below 5·instrs + 2·edges", d.SchedWorkUnits, tim.SchedNsPerWorkUnit)
+	}
 	if d.FlightLeaders != 1 || d.FlightCoalesced != hotpathFollowers {
 		t.Fatalf("flight outcome %+v, want 1 leader and %d coalesced",
 			d, hotpathFollowers)

@@ -10,16 +10,18 @@ import (
 
 // PaperResult is the paper's evaluation in one run: every table and
 // figure, plus the superblock, model and ablation studies that extend
-// it. Its JSON fields reproduce on any host and form the artifact's
-// deterministic section; the scheduling-time figures (1a, 2a, 3a) and
-// the ablation's scheduling fractions are wall-clock and go to timing.
+// it. Every field reproduces on any host, so the whole result is the
+// artifact's deterministic section.
 type PaperResult struct {
 	Table3        *Table3Result           `json:"table3"`
 	Table4        *Table4Result           `json:"table4"`
 	Table5        *Table5Result           `json:"table5"`
 	Table6        *Table6Result           `json:"table6"`
+	Fig1a         *FigureResult           `json:"fig1a"`
 	Fig1b         *FigureResult           `json:"fig1b"`
+	Fig2a         *FigureResult           `json:"fig2a"`
 	Fig2b         *FigureResult           `json:"fig2b"`
+	Fig3a         *FigureResult           `json:"fig3a"`
 	Fig3b         *FigureResult           `json:"fig3b"`
 	Superblocks   *SuperblockResult       `json:"superblocks"`
 	SuperblocksFP *SuperblockResult       `json:"superblocks_fp"`
@@ -30,8 +32,7 @@ type PaperResult struct {
 	// one line per element.
 	Fig4 []string `json:"fig4"`
 
-	fig1a, fig2a, fig3a *FigureResult
-	fig4                *ripper.RuleSet
+	fig4 *ripper.RuleSet
 }
 
 // Paper runs the whole evaluation in the order Render prints it.
@@ -50,19 +51,14 @@ func (r *Runner) Paper() (*PaperResult, error) {
 	if p.Table6, err = r.Table6(); err != nil {
 		return nil, err
 	}
-	if p.fig1a, err = r.SchedTimeFigure(workloads.SuiteJVM98, []int{0}); err != nil {
-		return nil, err
-	}
-	if p.Fig1b, err = r.AppTimeFigure(workloads.SuiteJVM98, []int{0}); err != nil {
-		return nil, err
-	}
-	if p.fig2a, err = r.SchedTimeFigure(workloads.SuiteJVM98, Thresholds); err != nil {
+	if p.Fig2a, err = r.SchedCostFigure(workloads.SuiteJVM98, Thresholds); err != nil {
 		return nil, err
 	}
 	if p.Fig2b, err = r.AppTimeFigure(workloads.SuiteJVM98, Thresholds); err != nil {
 		return nil, err
 	}
-	if p.fig3a, err = r.SchedTimeFigure(workloads.SuiteFP, Thresholds); err != nil {
+	p.Fig1a, p.Fig1b = p.Fig2a.firstRow(), p.Fig2b.firstRow()
+	if p.Fig3a, err = r.SchedCostFigure(workloads.SuiteFP, Thresholds); err != nil {
 		return nil, err
 	}
 	if p.Fig3b, err = r.AppTimeFigure(workloads.SuiteFP, Thresholds); err != nil {
@@ -105,11 +101,11 @@ func (p *PaperResult) Render() string {
 		p.Table4.Render(),
 		p.Table5.Render(),
 		p.Table6.Render(),
-		p.fig1a.RenderSchedTime("Figure 1(a): scheduling time, no threshold (t=0)"),
+		p.Fig1a.RenderSchedCost("Figure 1(a): scheduling cost, no threshold (t=0)"),
 		p.Fig1b.RenderAppTime("Figure 1(b): application running time, no threshold (t=0)"),
-		p.fig2a.RenderSchedTime("Figure 2(a): scheduling time across thresholds"),
+		p.Fig2a.RenderSchedCost("Figure 2(a): scheduling cost across thresholds"),
 		p.Fig2b.RenderAppTime("Figure 2(b): application running time across thresholds"),
-		p.fig3a.RenderSchedTime("Figure 3(a): scheduling time, benefits suite"),
+		p.Fig3a.RenderSchedCost("Figure 3(a): scheduling cost, benefits suite"),
 		p.Fig3b.RenderAppTime("Figure 3(b): application running time, benefits suite"),
 		p.Superblocks.Render("Superblock scheduling vs local scheduling (suite 1)"),
 		p.SuperblocksFP.Render("Superblock scheduling vs local scheduling (benefits suite)"),
@@ -120,19 +116,6 @@ func (p *PaperResult) Render() string {
 	}, "\n")
 }
 
-// Artifact returns the evaluation as an artifact. Timing holds the
-// scheduling-time figures and the ablation's "sched frac" column, in the
-// order of its rows.
-func (p *PaperResult) Artifact() Artifact {
-	timing := struct {
-		host
-		Fig1a             *FigureResult `json:"fig1a"`
-		Fig2a             *FigureResult `json:"fig2a"`
-		Fig3a             *FigureResult `json:"fig3a"`
-		AblationSchedFrac []float64     `json:"ablation_sched_frac"`
-	}{host: thisHost(), Fig1a: p.fig1a, Fig2a: p.fig2a, Fig3a: p.fig3a}
-	for _, row := range p.Ablation.Rows {
-		timing.AblationSchedFrac = append(timing.AblationSchedFrac, row.SchedFrac)
-	}
-	return Artifact{Deterministic: p, Timing: timing}
-}
+// Artifact returns the evaluation as an artifact; it has no timing
+// section.
+func (p *PaperResult) Artifact() Artifact { return Artifact{Deterministic: p} }

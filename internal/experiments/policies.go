@@ -47,9 +47,9 @@ type PolicyCell struct {
 	// nothing.
 	Ratio float64 `json:"ratio"`
 	// EffortVsLS is 100 · effort(policy) / effort(LS), where effort is
-	// the quadratic list-scheduling proxy Σ bbLen² over the blocks the
-	// policy sends to the scheduler, summed over the corpus. LS is 100
-	// by construction, NS is 0.
+	// the scheduling phase's work count (training.SchedCost, the
+	// policy's own decisions included) summed over the corpus. LS is
+	// 100 by construction, NS is 0.
 	EffortVsLS float64 `json:"effort_vs_ls"`
 	// LSDecisions counts blocks sent to the scheduler across the corpus.
 	LSDecisions int `json:"ls_decisions"`
@@ -135,10 +135,9 @@ func CrossPolicies(cfg Config, targetNames, policySpecs []string, t int) (*Polic
 }
 
 // scorePolicy evaluates one policy over one target's corpus data: the
-// Table-4 SIM ratio vs NS (per-benchmark, geomeaned) plus the quadratic
-// scheduling-effort proxy vs LS (corpus totals — a share of work, so
-// summing is the honest aggregation and never divides by a
-// zero-scheduled benchmark).
+// Table-4 SIM ratio vs NS (per-benchmark, geomeaned) plus the scheduling
+// cost vs LS (corpus totals — a share of work, so summing is the honest
+// aggregation and never divides by a zero-scheduled benchmark).
 func scorePolicy(data []*training.BenchData, f policy.Policy) PolicyCell {
 	ratios := make([]float64, 0, len(data))
 	var effort, effortLS int64
@@ -147,15 +146,10 @@ func scorePolicy(data []*training.BenchData, f policy.Policy) PolicyCell {
 		ns := training.PredictedTime(bd, policy.Never{})
 		ft := training.PredictedTime(bd, f)
 		ratios = append(ratios, 100*float64(ft)/float64(ns))
-		for i := range bd.Records {
-			r := &bd.Records[i]
-			n := int64(r.Feat.BBLen())
-			effortLS += n * n
-			if policy.Schedules(f, r.Feat) {
-				effort += n * n
-				decisions++
-			}
-		}
+		effort += training.SchedCost(bd, f)
+		effortLS += training.SchedCost(bd, policy.Always{})
+		ls, _ := training.Decisions(bd, f)
+		decisions += ls
 	}
 	cell := PolicyCell{
 		Name:        f.Name(),
@@ -186,7 +180,7 @@ func (r *PolicyMatrixResult) Render() string {
 		}
 		b.WriteString("\n")
 	}
-	b.WriteString("\nscheduling effort vs LS (share of quadratic work; NS would be 0):\n")
+	b.WriteString("\nscheduling effort vs LS (share of the scheduler's work count, decisions included; NS would be 0):\n")
 	for pi, spec := range r.Policies {
 		fmt.Fprintf(&b, "%-26s", truncate(spec, 26))
 		for ti := range r.Targets {

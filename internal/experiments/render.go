@@ -136,11 +136,11 @@ func (t *Table6Result) Render() string {
 	return b.String()
 }
 
-// RenderSchedTime renders a scheduling-time figure (1a/2a/3a).
-func (f *FigureResult) RenderSchedTime(title string) string {
+// RenderSchedCost renders a scheduling-cost figure (1a/2a/3a).
+func (f *FigureResult) RenderSchedCost(title string) string {
 	var b strings.Builder
 	header(&b, title)
-	b.WriteString("Scheduling time of the L/N filter relative to always list scheduling (LS = 1.0, NS = 0):\n")
+	b.WriteString("Scheduling cost of the L/N filter, its decisions included, relative to always list scheduling (LS = 1.0, NS = 0):\n")
 	renderMatrix(&b, f.Benchmarks, f.Thresholds, f.Rel, f.Geomean, "%9.3f")
 	return b.String()
 }

@@ -178,32 +178,41 @@ func generateProgram(seed int64) string {
 	return g.b.String()
 }
 
-// TestFuzzPipelineDifferential generates random programs and demands that
-// the interpreter and the compiled+scheduled code agree exactly —
-// including printed output — across front-end unrolling and every
-// scheduling protocol.
-func TestFuzzPipelineDifferential(t *testing.T) {
-	trials := 150
+// FuzzPipelineDifferential generates a random program from a fuzzed
+// seed and demands that the interpreter and the compiled, scheduled code
+// agree exactly, printed output included, under a fuzzed front-end
+// unrolling factor, scheduling protocol (NS, LS or a size threshold) and
+// machine target. An input the interpreter stops at its step limit is
+// skipped. The corpus is the first 150 seeds (25 under -short), unrolled
+// by seed%5 under protocol seed%3 on the default target.
+func FuzzPipelineDifferential(f *testing.F) {
+	trials := int64(150)
 	if testing.Short() {
 		trials = 25
 	}
-	m := machine.Default().Model
-	for seed := int64(0); seed < int64(trials); seed++ {
+	for seed := range trials {
+		f.Add(seed, uint8(seed%5), uint8(seed%3), uint8(0))
+	}
+	targets := machine.All()
+	f.Fuzz(func(t *testing.T, seed int64, unroll, protocol, target uint8) {
 		src := generateProgram(seed)
-		mod, err := jolt.Compile(src, jolt.Options{UnrollFactor: int(seed % 5)})
+		mod, err := jolt.Compile(src, jolt.Options{UnrollFactor: int(unroll % 5)})
 		if err != nil {
-			t.Fatalf("seed %d: front end rejected generated program: %v\n%s", seed, err, src)
+			t.Fatalf("front end rejected generated program: %v\n%s", err, src)
 		}
 		want, err := interp.Run(mod, 1<<24)
+		if err != nil && strings.Contains(err.Error(), "step limit") {
+			t.Skip(err)
+		}
 		if err != nil {
-			t.Fatalf("seed %d: interp: %v\n%s", seed, err, src)
+			t.Fatalf("interp: %v\n%s", err, src)
 		}
 		prog, err := Compile(mod, Options{})
 		if err != nil {
-			t.Fatalf("seed %d: jit: %v\n%s", seed, err, src)
+			t.Fatalf("jit: %v\n%s", err, src)
 		}
-		// Alternate protocols across seeds.
-		switch seed % 3 {
+		m := targets[int(target)%len(targets)].Model
+		switch protocol % 3 {
 		case 1:
 			core.Apply(m, prog, policy.Always{}, core.Pass{})
 		case 2:
@@ -211,20 +220,20 @@ func TestFuzzPipelineDifferential(t *testing.T) {
 		}
 		got, err := sim.Run(prog, sim.Config{StepLimit: 1 << 24})
 		if err != nil {
-			t.Fatalf("seed %d: sim: %v\n%s", seed, err, src)
+			t.Fatalf("sim on %s: %v\n%s", m.Name, err, src)
 		}
 		if got.Ret != want.Ret {
-			t.Fatalf("seed %d: ret %d, interp says %d\n%s", seed, got.Ret, want.Ret, src)
+			t.Fatalf("ret %d on %s, interp says %d\n%s", got.Ret, m.Name, want.Ret, src)
 		}
 		if len(got.Output) != len(want.Output) {
-			t.Fatalf("seed %d: output length %d vs %d\n%s", seed, len(got.Output), len(want.Output), src)
+			t.Fatalf("output length %d on %s vs %d\n%s", len(got.Output), m.Name, len(want.Output), src)
 		}
 		for i := range want.Output {
 			if got.Output[i] != want.Output[i] {
-				t.Fatalf("seed %d: output[%d] %q vs %q\n%s", seed, i, got.Output[i], want.Output[i], src)
+				t.Fatalf("output[%d] %q on %s vs %q\n%s", i, got.Output[i], m.Name, want.Output[i], src)
 			}
 		}
-	}
+	})
 }
 
 // FuzzCompile feeds Jolt source through the front end (lex, parse,

@@ -39,6 +39,7 @@ type Result struct {
 // When the scratch's timing mode is on (StartTiming), the DAG build and
 // the scheduling loop are timed into the scratch's phase accumulator;
 // the untimed path is a single boolean check away from the original.
+// Either way the scheduling work is counted into the scratch (Work).
 func ScheduleInstrsScratch(m *machine.Model, instrs []ir.Instr, s *Scratch) Result {
 	if len(instrs) == 0 {
 		return Result{}
@@ -85,12 +86,16 @@ func ScheduleInstrsScratch(m *machine.Model, instrs []ir.Instr, s *Scratch) Resu
 // values also loses on true values, and issue cycles never decrease, so
 // the scan frontier never moves backward — keeping schedules bit-identical
 // to ScheduleInstrsReference.
+//
+// The call adds its work, in the units Scratch.Work documents, to the
+// scratch's count.
 func scheduleDAG(m *machine.Model, instrs []ir.Instr, dag *DAG, s *Scratch) Result {
 	n := len(instrs)
 	res := Result{Order: make([]int, 0, n)}
 	if n == 0 {
 		return res
 	}
+	work := 4*n + 2*dag.nEdges
 	cp := growInts(&s.cp, n)
 	dag.criticalPathsInto(m, instrs, cp)
 
@@ -134,6 +139,7 @@ func scheduleDAG(m *machine.Model, instrs []ir.Instr, dag *DAG, s *Scratch) Resu
 				lo++
 			}
 			b := nb[lo]
+			work += len(b)
 			best = int(b[0])
 			bi := 0
 			for k := 1; k < len(b); k++ {
@@ -149,6 +155,7 @@ func scheduleDAG(m *machine.Model, instrs []ir.Instr, dag *DAG, s *Scratch) Resu
 				break
 			}
 			push(best, fresh) // stale lower bound; migrate and re-pick
+			work++
 		}
 		state.Issue(&instrs[best])
 		res.Order = append(res.Order, best)
@@ -161,6 +168,7 @@ func scheduleDAG(m *machine.Model, instrs []ir.Instr, dag *DAG, s *Scratch) Resu
 		}
 	}
 	s.buckets = nb
+	s.work += int64(work)
 
 	res.CostAfter = state.Makespan()
 	for pos, idx := range res.Order {

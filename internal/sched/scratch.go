@@ -55,6 +55,10 @@ type Scratch struct {
 	loads    []int
 	live     []liveStore
 
+	// work counts the scheduling work of every scheduleDAG call on this
+	// scratch, in the units Work documents.
+	work int64
+
 	// Phase timing (timing.go). Off by default; when on, the
 	// scheduling entry points accumulate per-phase wall time into
 	// phases. Held by value so timed runs stay allocation-free.
@@ -88,6 +92,15 @@ func PutScratch(s *Scratch) {
 	s.phases = PhaseTimes{}
 	scratchPool.Put(s)
 }
+
+// Work returns the scheduling work done on this scratch so far, a
+// deterministic count of the scheduler's own steps: per scheduled block,
+// 4 units per instruction for the four linear sweeps (DAG build,
+// critical paths, estimator walk, issue), 2 per dependence edge, 1 per
+// ready candidate scanned and 1 per stale re-pick. A block's cost is the
+// difference of two readings; it does not depend on the scratch's
+// history or on timing mode.
+func (s *Scratch) Work() int64 { return s.work }
 
 // stateFor returns the scratch's issue state reset for a fresh block,
 // rebuilding it if the machine model changed since the last call.

@@ -44,6 +44,36 @@ func TestScratchEquivalence(t *testing.T) {
 	}
 }
 
+// TestWorkCountIsPerBlock pins that a block's scheduling work, the
+// difference of two Work readings, depends only on the block: the same
+// on a fresh scratch, on a reused one and with timing on, and at least
+// its sweeps, its edges and one scanned candidate per pick.
+func TestWorkCountIsPerBlock(t *testing.T) {
+	m := machine.Default().Model
+	reused, timed := NewScratch(), NewScratch()
+	timed.StartTiming()
+	for bi, instrs := range corpus(19, 64) {
+		fresh := NewScratch()
+		ScheduleInstrsScratch(m, instrs, fresh)
+		want := fresh.Work()
+		if floor := int64(5*len(instrs) + 2*buildDAG(m, instrs).NumEdges()); want < floor {
+			t.Fatalf("block %d: work %d below its floor %d", bi, want, floor)
+		}
+		for name, s := range map[string]*Scratch{"reused": reused, "timed": timed} {
+			before := s.Work()
+			ScheduleInstrsScratch(m, instrs, s)
+			if got := s.Work() - before; got != want {
+				t.Fatalf("block %d: %s scratch counted %d, fresh %d", bi, name, got, want)
+			}
+		}
+	}
+	s := NewScratch()
+	ScheduleInstrsScratch(m, nil, s)
+	if s.Work() != 0 {
+		t.Errorf("an empty block counted %d units", s.Work())
+	}
+}
+
 // TestScratchModelSwitch exercises the issue-state rebuild when one
 // scratch alternates between machine models.
 func TestScratchModelSwitch(t *testing.T) {

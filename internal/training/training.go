@@ -26,7 +26,8 @@ import (
 )
 
 // BlockRecord is one raw training instance: a block's features, its
-// estimator costs under both orders, and its profiled execution count.
+// estimator costs under both orders, its profiled execution count, and
+// the list scheduler's work on it.
 // For a superblock trace (CollectSuperblockData) the unit is the whole
 // trace: CostNS is the cost of scheduling its blocks locally (the "no"
 // decision) and CostLS the cost of scheduling it as one superblock (the
@@ -38,6 +39,9 @@ type BlockRecord struct {
 	CostNS int
 	CostLS int
 	Execs  int64
+	// SchedWork is the list scheduler's work on the block, in the units
+	// of sched.Scratch.Work. Collect fills it; the CSV form omits it.
+	SchedWork int64
 }
 
 // BenchData is everything the evaluation needs about one benchmark.
@@ -82,14 +86,16 @@ func Collect(w *workloads.Workload, m *machine.Model, opts Options) (*BenchData,
 	s := sched.GetScratch()
 	for fi, fn := range prog.Fns {
 		for bi, b := range fn.Blocks {
+			work := s.Work()
 			r := sched.ScheduleInstrsScratch(m, b.Instrs, s)
 			bd.Records = append(bd.Records, BlockRecord{
-				Fn:     fn.Name,
-				Block:  bi,
-				Feat:   features.ExtractBlock(b),
-				CostNS: r.CostBefore,
-				CostLS: r.CostAfter,
-				Execs:  res.ExecCounts[fi][bi],
+				Fn:        fn.Name,
+				Block:     bi,
+				Feat:      features.ExtractBlock(b),
+				CostNS:    r.CostBefore,
+				CostLS:    r.CostAfter,
+				Execs:     res.ExecCounts[fi][bi],
+				SchedWork: s.Work() - work,
 			})
 		}
 	}
@@ -301,6 +307,31 @@ func PredictedTime(bd *BenchData, f policy.Policy) int64 {
 			c = r.CostLS
 		}
 		total += r.Execs * int64(c)
+	}
+	return total
+}
+
+// SchedCost is the deterministic cost of the scheduling phase on the
+// benchmark under f, in the scheduler's work units: NS does no work, LS
+// pays every block's SchedWork, and any other policy also pays one unit
+// per instruction of every block for feature extraction and its
+// decision, since the paper charges the filter to the scheduling phase.
+// The short-circuits are core.Apply's.
+func SchedCost(bd *BenchData, f policy.Policy) int64 {
+	if _, never := f.(policy.Never); never {
+		return 0
+	}
+	_, always := f.(policy.Always)
+	var total int64
+	for i := range bd.Records {
+		r := &bd.Records[i]
+		if !always {
+			total += int64(r.Feat.BBLen())
+			if !policy.Schedules(f, r.Feat) {
+				continue
+			}
+		}
+		total += r.SchedWork
 	}
 	return total
 }

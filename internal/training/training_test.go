@@ -149,6 +149,36 @@ func TestDecisionsPartition(t *testing.T) {
 	}
 }
 
+// SchedCost charges NS nothing, LS the scheduler's work on every block,
+// and a filter its decision on every block plus the work on the blocks
+// it approves.
+func TestSchedCost(t *testing.T) {
+	data := collectSuite1(t)
+	for _, bd := range data {
+		var work, insns int64
+		for i := range bd.Records {
+			r := &bd.Records[i]
+			if r.Feat.BBLen() > 0 && r.SchedWork <= 0 {
+				t.Fatalf("%s %s block %d: %d-instruction block has work %d", bd.Name, r.Fn, r.Block, r.Feat.BBLen(), r.SchedWork)
+			}
+			work += r.SchedWork
+			insns += int64(r.Feat.BBLen())
+		}
+		if got := SchedCost(bd, policy.Never{}); got != 0 {
+			t.Errorf("%s: NS costs %d, want 0", bd.Name, got)
+		}
+		if got := SchedCost(bd, policy.Always{}); got != work {
+			t.Errorf("%s: LS costs %d, want Σ SchedWork %d", bd.Name, got, work)
+		}
+		if got := SchedCost(bd, policy.SizeThreshold{MinLen: 0}); got != work+insns {
+			t.Errorf("%s: approving every block costs %d, want Σ SchedWork + Σ bbLen = %d", bd.Name, got, work+insns)
+		}
+		if got := SchedCost(bd, policy.SizeThreshold{MinLen: 1 << 30}); got != insns {
+			t.Errorf("%s: approving no block costs %d, want Σ bbLen = %d", bd.Name, got, insns)
+		}
+	}
+}
+
 func TestCollectAllJobsMatchesSerial(t *testing.T) {
 	m := machine.Default().Model
 	ws := workloads.Suite1()
